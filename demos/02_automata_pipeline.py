@@ -6,6 +6,7 @@ counterexamples.
 """
 
 from tracelogic import (
+    AFA,
     build_dfa,
     dealternate,
     determinize,
@@ -17,12 +18,11 @@ from tracelogic import (
     parse_formula,
     to_dot,
     to_dynamic_core,
-    translate_afa,
 )
 
 def compile_chain(src, ap=None):
     core = to_dynamic_core(nnf(parse_formula(src)))
-    afa = translate_afa(core, ap)
+    afa = AFA(core, ap)
     nfa = dealternate(afa)
     dfa = determinize(nfa)
     small = minimize(dfa)
@@ -44,7 +44,7 @@ for n in range(1, 7):
     names = [f"a{i}" for i in range(1, n + 1)]
     src = " & ".join(f"F {x}" for x in names)
     core = to_dynamic_core(nnf(parse_formula(src)))
-    afa = translate_afa(core, names)
+    afa = AFA(core, names)
     dfa = build_dfa(parse_formula(src), names)
     print(f"  n={n}: AFA {len(afa):3} states, minimal DFA {dfa.n_states:3} states")
 

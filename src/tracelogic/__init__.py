@@ -6,7 +6,7 @@ a direct semantic oracle; metric timing rules compile into difference
 constraints for timestamp checking and derivation.
 """
 
-from .afa import AFA, afa_accepts, translate_afa
+from .afa import AFA
 from .dot import to_dot
 from .errors import (
     AlphabetMismatchError,
@@ -53,10 +53,10 @@ from .metric import (
     extract_constraints,
     feasible,
 )
-from .oracle import evaluate, evaluate_timed, holds, path_relation
+from .oracle import evaluate, holds, path_relation
 from .parser import parse_formula, parse_program, parse_trace
 from .trace import TimedTrace, Trace, enumerate_traces, format_trace
-from .twafa import TwoAFA, translate_2afa, twafa_accepts
+from .twafa import TwoAFA
 
 __all__ = [
     "AFA",
@@ -79,7 +79,6 @@ __all__ = [
     "UntimedTraceError",
     "UntimedViolationError",
     "Witness",
-    "afa_accepts",
     "atoms",
     "build_dfa",
     "check_program",
@@ -93,7 +92,6 @@ __all__ = [
     "enumerate_traces",
     "equivalent",
     "evaluate",
-    "evaluate_timed",
     "extract_constraints",
     "feasible",
     "format_formula",
@@ -111,7 +109,4 @@ __all__ = [
     "path_relation",
     "to_dot",
     "to_dynamic_core",
-    "translate_2afa",
-    "translate_afa",
-    "twafa_accepts",
 ]

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from . import formula as fm
 from . import oracle
-from .errors import AlphabetMismatchError, UnsupportedOperatorError
-from .trace import Trace
+from .errors import UnsupportedOperatorError
+from .trace import Trace, check_letters, resolve_alphabet
 
 
 class PBF:
@@ -115,52 +115,6 @@ def _antichain(sets: list[frozenset]) -> list[frozenset]:
     return [s for s in unique if not any(t < s for t in unique)]
 
 
-_SUGAR = (fm.Next, fm.WeakNext, fm.Until, fm.Release, fm.Eventually, fm.Always, fm.Implies)
-_PAST = (fm.Prev, fm.WeakPrev, fm.Since, fm.Trigger)
-_METRIC = (fm.MetricNext, fm.WeakMetricNext)
-
-
-def _check_supported(f: fm.Formula) -> None:
-    if isinstance(f, _PAST):
-        raise UnsupportedOperatorError(
-            f"past operator {type(f).__name__} needs the two-way backend"
-        )
-    if isinstance(f, _METRIC):
-        raise UnsupportedOperatorError(
-            f"metric operator {type(f).__name__} needs the metric backend"
-        )
-    if isinstance(f, _SUGAR):
-        raise UnsupportedOperatorError(
-            f"{type(f).__name__} must be rewritten into the dynamic core first"
-        )
-    match f:
-        case fm.Atom() | fm.TrueFormula() | fm.FalseFormula() | fm.Not(fm.Atom()):
-            pass
-        case fm.Not(_):
-            raise UnsupportedOperatorError("negation must be pushed to atoms first")
-        case fm.And(l, r) | fm.Or(l, r):
-            _check_supported(l)
-            _check_supported(r)
-        case fm.Diamond(p, g) | fm.Box(p, g):
-            _check_path_supported(p)
-            _check_supported(g)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-
-
-def _check_path_supported(p: fm.PathExpr) -> None:
-    match p:
-        case fm.Step(_):
-            pass
-        case fm.Test(g):
-            _check_supported(g)
-        case fm.Seq(l, r) | fm.Alt(l, r):
-            _check_path_supported(l)
-            _check_path_supported(r)
-        case fm.Star(q):
-            _check_path_supported(q)
-
-
 def weak_state(f: fm.Formula) -> fm.Formula:
     """State whose end acceptance is the weak value of f, letter behaviour unchanged.
 
@@ -178,13 +132,8 @@ class AFA:
     """Alternating automaton over letters drawn from subsets of `ap`."""
 
     def __init__(self, root: fm.Formula, ap=None):
-        _check_supported(root)
-        names = fm.atoms(root)
-        if ap is None:
-            ap = names
-        elif not names <= set(ap):
-            raise AlphabetMismatchError(f"alphabet {sorted(ap)} misses atoms {sorted(names - set(ap))}")
-        self.ap: tuple[str, ...] = tuple(sorted(ap))
+        fm.check_fragment(root)
+        self.ap: tuple[str, ...] = resolve_alphabet(fm.atoms(root), ap)
         self.states: fm.StateSet = fm.closure(root, box_continuation=weak_state)
         self.initial: int = 0
         self.final: tuple[bool, ...] = tuple(oracle.end_value(q) for q in self.states)
@@ -275,33 +224,9 @@ class AFA:
                 )
         raise TypeError(f"not a path expression: {p!r}")
 
-    def check_letters(self, t: Trace) -> None:
-        alphabet = set(self.ap)
-        for letter in t.letters:
-            if not letter <= alphabet:
-                raise AlphabetMismatchError(f"letter {sorted(letter)} outside alphabet {list(self.ap)}")
-
     def accepts(self, t: Trace) -> bool:
-        self.check_letters(t)
+        check_letters(t, self.ap)
         values = list(self.final)
         for letter in reversed(t.letters):
             values = [pbf_eval(self.delta(q, letter), values) for q in range(len(self.states))]
         return values[self.initial]
-
-
-def translate_afa(f: fm.Formula, ap=None) -> AFA:
-    """Build the alternating automaton for an NNF dynamic-core formula."""
-    return AFA(f, ap)
-
-
-def delta(automaton: AFA, q: int, letter) -> PBF:
-    return automaton.delta(q, letter)
-
-
-def finalval(automaton: AFA, q: int) -> bool:
-    """Acceptance of state q at the end of the trace."""
-    return automaton.final[q]
-
-
-def afa_accepts(automaton: AFA, t: Trace) -> bool:
-    return automaton.accepts(t)

@@ -11,7 +11,7 @@ import sys
 
 from . import formula as fm
 from . import oracle
-from .afa import translate_afa
+from .afa import AFA, FalseLeaf
 from .dot import to_dot
 from .errors import (
     AlphabetMismatchError,
@@ -21,11 +21,23 @@ from .errors import (
     UnsupportedOperatorError,
     UntimedTraceError,
 )
-from .fa import build_dfa, dealternate, determinize, dfa_accepts, enumerate_accepted, equivalent, minimize, complement
+from .fa import (
+    DFA,
+    NFA,
+    build_dfa,
+    complement,
+    dealternate,
+    determinize,
+    dfa_accepts,
+    enumerate_accepted,
+    equivalent,
+    minimize,
+    nfa_accepts,
+)
 from .metric import UntimedViolationError, Witness, check_program, enumerate_models, extract_constraints, feasible
 from .parser import parse_formula, parse_program, parse_trace
-from .trace import TimedTrace, Trace, format_trace
-from .twafa import translate_2afa
+from .trace import TimedTrace, Trace, format_trace, letters_over
+from .twafa import TwoAFA
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -100,69 +112,57 @@ def _cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compile(args) -> int:
-    core = _core(_get_formula(args))
-    target = args.to
+def _build(core: fm.Formula, target: str):
+    """The automaton named by a `compile --to` target or an `accepts --backend`."""
     if target == "2afa":
-        automaton = translate_2afa(core)
-        transitions = sum(1 for pbf in automaton.transitions.values() if not _is_false(pbf))
-        counts = (len(automaton), transitions)
-    elif target == "afa":
-        automaton = translate_afa(core)
-        from .trace import letters_over
+        return TwoAFA(core)
+    automaton = AFA(core)
+    if target != "afa":
+        automaton = dealternate(automaton)
+    if target in ("dfa", "min-dfa"):
+        automaton = determinize(automaton)
+    if target == "min-dfa":
+        automaton = minimize(automaton)
+    return automaton
 
-        letters = letters_over(automaton.ap)
-        transitions = sum(
-            1
-            for q in range(len(automaton))
-            for letter in letters
-            if not _is_false(automaton.delta(q, letter))
-        )
-        counts = (len(automaton), transitions)
+
+def _size(automaton) -> str:
+    """`states N transitions M`; alternating automata count the images that are not false."""
+    if isinstance(automaton, DFA):
+        return f"states {automaton.n_states} transitions {automaton.n_states * len(automaton.letters)}"
+    if isinstance(automaton, NFA):
+        return f"states {len(automaton.states)} transitions {sum(map(len, automaton.transitions.values()))}"
+    if isinstance(automaton, TwoAFA):
+        images = automaton.transitions.values()
     else:
-        nfa = dealternate(translate_afa(core))
-        if target == "nfa":
-            automaton = nfa
-            counts = (len(nfa.states), sum(len(ts) for ts in nfa.transitions.values()))
-        else:
-            dfa = determinize(nfa)
-            if target == "min-dfa":
-                dfa = minimize(dfa)
-            automaton = dfa
-            counts = (dfa.n_states, dfa.n_states * len(dfa.letters))
-    print(f"states {counts[0]} transitions {counts[1]}")
+        letters = letters_over(automaton.ap)
+        images = (automaton.delta(q, letter) for q in range(len(automaton)) for letter in letters)
+    return f"states {len(automaton)} transitions {sum(not isinstance(pbf, FalseLeaf) for pbf in images)}"
+
+
+def _cmd_compile(args) -> int:
+    automaton = _build(_core(_get_formula(args)), args.to)
+    print(_size(automaton))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(to_dot(automaton))
     return EXIT_OK
 
 
-def _is_false(pbf) -> bool:
-    from .afa import FalseLeaf
-
-    return isinstance(pbf, FalseLeaf)
-
-
 def _cmd_accepts(args) -> int:
     f = _get_formula(args)
     t = _get_trace(args)
-    backend = args.backend
-    if backend == "oracle":
+    if args.backend == "oracle":
         verdict = oracle.holds(f, t)
     else:
-        core = _core(f)
-        ap = sorted(fm.atoms(core))
-        plain = _restricted(t, ap)
-        if backend == "2afa":
-            verdict = translate_2afa(core).accepts(plain)
-        elif backend == "afa":
-            verdict = translate_afa(core).accepts(plain)
-        elif backend == "nfa":
-            from .fa import nfa_accepts
-
-            verdict = nfa_accepts(dealternate(translate_afa(core)), plain)
+        automaton = _build(_core(f), args.backend)
+        plain = _restricted(t, automaton.ap)
+        if isinstance(automaton, NFA):
+            verdict = nfa_accepts(automaton, plain)
+        elif isinstance(automaton, DFA):
+            verdict = dfa_accepts(automaton, plain)
         else:
-            verdict = dfa_accepts(build_dfa(f), plain)
+            verdict = automaton.accepts(plain)
     print("ACCEPTED" if verdict else "REJECTED")
     return EXIT_OK if verdict else EXIT_NEGATIVE
 
@@ -174,12 +174,18 @@ def _cmd_filter(args) -> int:
         dfa = complement(dfa)
     kept = 0
     total = 0
-    for raw in _read(args.traces).splitlines():
+    for number, raw in enumerate(_read(args.traces).splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
         total += 1
-        t = parse_trace(line)
+        try:
+            t = parse_trace(raw)
+        except ParseError as exc:
+            # Lines kept so far are already on stdout; the summary is not printed.
+            where = f"{args.traces}:{number}:{exc.column}"
+            print(f"parse error: {where}: expected {exc.expected}, found {exc.found}", file=sys.stderr)
+            return EXIT_INVALID
         if dfa_accepts(dfa, _restricted(t, dfa.ap)):
             kept += 1
             print(line)
@@ -326,6 +332,9 @@ def run(argv=None) -> int:
     except (BudgetError, SizeLimitError) as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except RecursionError:
+        print("error: input nested too deeply (maximum recursion depth exceeded)", file=sys.stderr)
+        return EXIT_INVALID
 
 
 def main() -> None:

@@ -12,7 +12,7 @@ from . import formula as fm
 from .afa import AFA, AndNode, FalseLeaf, OrNode, PBF, StateRef, TrueLeaf
 from .fa import DFA, NFA
 from .twafa import BEGIN, END, MoveRef, TwoAFA, Weak, _Marker
-from .trace import format_letter
+from .trace import format_letter, letters_over
 
 
 def _quote(text: str) -> str:
@@ -80,69 +80,23 @@ def _alternating_edges(lines, q, label, pbf, edge_id):
     return accept_all
 
 
-def _alternating_dot(name, states, final, image_items) -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;", '  init [shape=point label=""];']
-    for q, state in enumerate(states):
-        shape = "doublecircle" if final[q] else "circle"
-        lines.append(f"  q{q} [shape={shape} label={_quote(_state_label(state))}];")
-    lines.append("  init -> q0;")
+def _alternating_body(image_items) -> list[str]:
+    lines: list[str] = []
     used_accept_all = False
-    edge_id = 0
-    for q, label, pbf in image_items:
+    for edge_id, (q, label, pbf) in enumerate(image_items):
         used_accept_all |= _alternating_edges(lines, q, label, pbf, edge_id)
-        edge_id += 1
     if used_accept_all:
         lines.append('  accept_all [shape=doublecircle label="tt"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _afa_dot(automaton: AFA) -> str:
-    from .trace import letters_over
-
-    letters = letters_over(automaton.ap)
-    items = [
-        (q, format_letter(letter), automaton.delta(q, letter))
-        for q in range(len(automaton.states))
-        for letter in letters
-    ]
-    return _alternating_dot("afa", list(automaton.states), automaton.final, items)
-
-
-def _twafa_dot(automaton: TwoAFA) -> str:
-    marked = (BEGIN, END) + automaton.letters
-    items = [
-        (q, _marked_label(m), automaton.transitions[(q, m)])
-        for q in range(len(automaton.states))
-        for m in marked
-    ]
-    final = [False] * len(automaton.states)
-    return _alternating_dot("twafa", list(automaton.states), final, items)
-
-
-def _nfa_dot(nfa: NFA) -> str:
-    lines = ["digraph nfa {", "  rankdir=LR;", '  init [shape=point label=""];']
-    for s in range(len(nfa.states)):
-        shape = "doublecircle" if nfa.accepting[s] else "circle"
-        lines.append(f"  q{s} [shape={shape} label={_quote(str(s))}];")
-    lines.append(f"  init -> q{nfa.initial};")
-    for s in range(len(nfa.states)):
-        for letter in nfa.letters:
-            for target in nfa.transitions[(s, letter)]:
-                lines.append(f"  q{s} -> q{target} [label={_quote(format_letter(letter))}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _dfa_dot(dfa: DFA) -> str:
-    lines = ["digraph dfa {", "  rankdir=LR;", '  init [shape=point label=""];']
-    for s in range(dfa.n_states):
-        shape = "doublecircle" if dfa.accepting[s] else "circle"
-        lines.append(f"  q{s} [shape={shape} label={_quote(str(s))}];")
-    lines.append(f"  init -> q{dfa.initial};")
-    for s in range(dfa.n_states):
-        for a, letter in enumerate(dfa.letters):
-            lines.append(f"  q{s} -> q{dfa.transitions[s][a]} [label={_quote(format_letter(letter))}];")
+def _digraph(name, labels, final, initial, body) -> str:
+    lines = [f"digraph {name} {{", "  rankdir=LR;", '  init [shape=point label=""];']
+    for q, label in enumerate(labels):
+        shape = "doublecircle" if final[q] else "circle"
+        lines.append(f"  q{q} [shape={shape} label={_quote(label)}];")
+    lines.append(f"  init -> q{initial};")
+    lines.extend(body)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -150,11 +104,29 @@ def _dfa_dot(dfa: DFA) -> str:
 def to_dot(automaton) -> str:
     """Render any of the four automaton kinds as a DOT digraph."""
     if isinstance(automaton, AFA):
-        return _afa_dot(automaton)
-    if isinstance(automaton, TwoAFA):
-        return _twafa_dot(automaton)
+        letters = letters_over(automaton.ap)
+        name, final = "afa", automaton.final
+        items = [(q, format_letter(a), automaton.delta(q, a)) for q in range(len(automaton)) for a in letters]
+    elif isinstance(automaton, TwoAFA):
+        marked = (BEGIN, END) + automaton.letters
+        name, final = "twafa", [False] * len(automaton)
+        items = [(q, _marked_label(m), automaton.transitions[(q, m)]) for q in range(len(automaton)) for m in marked]
+    else:
+        return _fa_dot(automaton)
+    labels = map(_state_label, automaton.states)
+    return _digraph(name, labels, final, automaton.initial, _alternating_body(items))
+
+
+def _fa_dot(automaton) -> str:
     if isinstance(automaton, NFA):
-        return _nfa_dot(automaton)
-    if isinstance(automaton, DFA):
-        return _dfa_dot(automaton)
-    raise TypeError(f"cannot render {type(automaton).__name__} as DOT")
+        name, moves = "nfa", automaton.transitions
+        edges = ((s, a, t) for s in range(len(automaton.states)) for a in automaton.letters for t in moves[(s, a)])
+    elif isinstance(automaton, DFA):
+        name, letters = "dfa", automaton.letters
+        edges = ((s, a, t) for s, row in enumerate(automaton.transitions) for a, t in zip(letters, row))
+    else:
+        raise TypeError(f"cannot render {type(automaton).__name__} as DOT")
+    text = {a: _quote(format_letter(a)) for a in automaton.letters}
+    body = (f"  q{s} -> q{t} [label={text[a]}];" for s, a, t in edges)
+    labels = [str(s) for s in range(len(automaton.accepting))]
+    return _digraph(name, labels, automaton.accepting, automaton.initial, body)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import formula as fm
-from .afa import AFA, minimal_sets, translate_afa
+from .afa import AFA, minimal_sets
 from .errors import AlphabetMismatchError, BudgetError
-from .trace import Trace, enumerate_traces, letters_over
+from .trace import Trace, check_letters, enumerate_traces, letters_over
 
 DEFAULT_BUDGET = 2**20
 
@@ -93,11 +93,9 @@ def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
 
 
 def nfa_accepts(nfa: NFA, t: Trace) -> bool:
-    alphabet = set(nfa.ap)
+    check_letters(t, nfa.ap)
     current = {nfa.initial}
     for letter in t.letters:
-        if not letter <= alphabet:
-            raise AlphabetMismatchError(f"letter {sorted(letter)} outside alphabet {list(nfa.ap)}")
         current = {t2 for s in current for t2 in nfa.transitions[(s, letter)]}
         if not current:
             return False
@@ -210,7 +208,7 @@ def complement(dfa: DFA) -> DFA:
 def build_dfa(f: fm.Formula, ap=None, max_states: int = DEFAULT_BUDGET, minimized: bool = True) -> DFA:
     """Full pipeline: normalize, translate, dealternate, determinize, minimize."""
     core = fm.to_dynamic_core(fm.nnf(f))
-    dfa = determinize(dealternate(translate_afa(core, ap), max_states), max_states)
+    dfa = determinize(dealternate(AFA(core, ap), max_states), max_states)
     return minimize(dfa) if minimized else dfa
 
 

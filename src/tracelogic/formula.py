@@ -11,6 +11,8 @@ import re
 from collections import deque
 from dataclasses import dataclass
 
+from .errors import UnsupportedOperatorError
+
 _ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
 
@@ -426,6 +428,48 @@ def _core_path(p: PathExpr) -> PathExpr:
             return Star(_core_path(q))
         case _:
             raise TypeError(f"not a path expression: {p!r}")
+
+
+def check_fragment(f: Formula, past: bool = False) -> None:
+    """Reject anything but an NNF dynamic-core formula, with past operators only if `past`.
+
+    This is the input fragment of the automaton constructions: the one-way
+    AFA takes `past=False`, the two-way automaton `past=True`.
+    """
+    match f:
+        case Atom() | TrueFormula() | FalseFormula() | Not(Atom()):
+            pass
+        case MetricNext() | WeakMetricNext():
+            raise UnsupportedOperatorError(f"metric operator {type(f).__name__} needs the metric backend")
+        case Prev() | WeakPrev() | Since() | Trigger() if not past:
+            raise UnsupportedOperatorError(f"past operator {type(f).__name__} needs the two-way backend")
+        case Next() | WeakNext() | Until() | Release() | Eventually() | Always() | Implies():
+            raise UnsupportedOperatorError(f"{type(f).__name__} must be rewritten into the dynamic core first")
+        case Not(_):
+            raise UnsupportedOperatorError("negation must be pushed to atoms first")
+        case And(l, r) | Or(l, r) | Since(l, r) | Trigger(l, r):
+            check_fragment(l, past)
+            check_fragment(r, past)
+        case Prev(g) | WeakPrev(g):
+            check_fragment(g, past)
+        case Diamond(p, g) | Box(p, g):
+            _check_path_fragment(p, past)
+            check_fragment(g, past)
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+
+
+def _check_path_fragment(p: PathExpr, past: bool) -> None:
+    match p:
+        case Step(_):
+            pass
+        case Test(g):
+            check_fragment(g, past)
+        case Seq(l, r) | Alt(l, r):
+            _check_path_fragment(l, past)
+            _check_path_fragment(r, past)
+        case Star(q):
+            _check_path_fragment(q, past)
 
 
 # ---------------------------------------------------------------------------

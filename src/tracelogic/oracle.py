@@ -184,12 +184,6 @@ def evaluate(f: fm.Formula, t: Trace | TimedTrace, i: int = 0) -> bool:
     return _Evaluator(t.letters, times).sat(f, i)
 
 
-def evaluate_timed(f: fm.Formula, t: TimedTrace, i: int = 0) -> bool:
-    """Truth of f at position i of a timed trace."""
-    _position_checked(t, i)
-    return _Evaluator(t.letters, t.times).sat(f, i)
-
-
 def holds(f: fm.Formula, t: Trace | TimedTrace) -> bool:
     """Truth of f at the start of the trace."""
     return evaluate(f, t, 0)

@@ -352,7 +352,10 @@ class _Parser:
 
 def _run(src: str, production, expected_tail: str):
     parser = _Parser(src)
-    result = production(parser)
+    try:
+        result = production(parser)
+    except RecursionError:
+        parser.fail("input nested less deeply")
     if parser.peek().kind != "eof":
         parser.fail(expected_tail)
     return result

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator
 
-from .errors import SizeLimitError
+from .errors import AlphabetMismatchError, SizeLimitError
 
 Letter = frozenset  # set of true atoms at one position
 
@@ -38,6 +38,23 @@ class TimedTrace:
 
 
 EMPTY_TRACE = Trace(())
+
+
+def resolve_alphabet(names, ap=None) -> tuple[str, ...]:
+    """The sorted alphabet `ap`, or `names` when ap is None; ap must cover names."""
+    if ap is None:
+        ap = names
+    elif not set(names) <= set(ap):
+        raise AlphabetMismatchError(f"alphabet {sorted(ap)} misses atoms {sorted(set(names) - set(ap))}")
+    return tuple(sorted(ap))
+
+
+def check_letters(t: Trace, ap) -> None:
+    """Raise AlphabetMismatchError unless every letter of t is a subset of ap."""
+    alphabet = set(ap)
+    for letter in t.letters:
+        if not letter <= alphabet:
+            raise AlphabetMismatchError(f"letter {sorted(letter)} outside alphabet {list(ap)}")
 
 
 def letters_over(ap) -> list[Letter]:

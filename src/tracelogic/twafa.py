@@ -20,8 +20,8 @@ from enum import Enum
 from . import formula as fm
 from . import oracle
 from .afa import PBF, PBF_FALSE, PBF_TRUE, AndNode, FalseLeaf, OrNode, TrueLeaf, pbf_and, pbf_or
-from .errors import AlphabetMismatchError, UnsupportedOperatorError
-from .trace import Trace, letters_over
+from .errors import UnsupportedOperatorError
+from .trace import Trace, check_letters, letters_over, resolve_alphabet
 
 
 class Move(Enum):
@@ -54,57 +54,12 @@ class Weak:
     formula: fm.Formula
 
 
-_FUTURE_SUGAR = (fm.Next, fm.WeakNext, fm.Until, fm.Release, fm.Eventually, fm.Always, fm.Implies)
-
-
-def _check_supported(f: fm.Formula) -> None:
-    if isinstance(f, (fm.MetricNext, fm.WeakMetricNext)):
-        raise UnsupportedOperatorError("metric operators need the metric backend")
-    if isinstance(f, _FUTURE_SUGAR):
-        raise UnsupportedOperatorError(
-            f"{type(f).__name__} must be rewritten into the dynamic core first"
-        )
-    match f:
-        case fm.Atom() | fm.TrueFormula() | fm.FalseFormula() | fm.Not(fm.Atom()):
-            pass
-        case fm.Not(_):
-            raise UnsupportedOperatorError("negation must be pushed to atoms first")
-        case fm.And(l, r) | fm.Or(l, r) | fm.Since(l, r) | fm.Trigger(l, r):
-            _check_supported(l)
-            _check_supported(r)
-        case fm.Prev(g) | fm.WeakPrev(g):
-            _check_supported(g)
-        case fm.Diamond(p, g) | fm.Box(p, g):
-            _check_supported_path(p)
-            _check_supported(g)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-
-
-def _check_supported_path(p: fm.PathExpr) -> None:
-    match p:
-        case fm.Step(_):
-            pass
-        case fm.Test(g):
-            _check_supported(g)
-        case fm.Seq(l, r) | fm.Alt(l, r):
-            _check_supported_path(l)
-            _check_supported_path(r)
-        case fm.Star(q):
-            _check_supported_path(q)
-
-
 class TwoAFA:
     """Two-way alternating automaton reading marker-framed traces."""
 
     def __init__(self, root: fm.Formula, ap=None):
-        _check_supported(root)
-        names = fm.atoms(root)
-        if ap is None:
-            ap = names
-        elif not names <= set(ap):
-            raise AlphabetMismatchError(f"alphabet {sorted(ap)} misses atoms {sorted(names - set(ap))}")
-        self.ap: tuple[str, ...] = tuple(sorted(ap))
+        fm.check_fragment(root, past=True)
+        self.ap: tuple[str, ...] = resolve_alphabet(fm.atoms(root), ap)
         self.letters: tuple = tuple(letters_over(self.ap))
         self.states: fm.StateSet = fm.StateSet()
         self.initial: int = self.states.add(root)
@@ -250,10 +205,7 @@ class TwoAFA:
         return t.letters[pos]
 
     def accepts(self, t: Trace) -> bool:
-        alphabet = set(self.ap)
-        for letter in t.letters:
-            if not letter <= alphabet:
-                raise AlphabetMismatchError(f"letter {sorted(letter)} outside alphabet {list(self.ap)}")
+        check_letters(t, self.ap)
         return self.fixpoint(t)[(self.initial, 0)]
 
     def fixpoint(self, t: Trace) -> dict:
@@ -293,15 +245,6 @@ class TwoAFA:
                         assignment[(q, pos)] = True
                         changed = True
         return assignment
-
-
-def translate_2afa(f: fm.Formula, ap=None) -> TwoAFA:
-    """Build the two-way automaton; future operators must be dynamic core."""
-    return TwoAFA(f, ap)
-
-
-def twafa_accepts(automaton: TwoAFA, t: Trace) -> bool:
-    return automaton.accepts(t)
 
 
 def moves_in(pbf: PBF) -> set[Move]:

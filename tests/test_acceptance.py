@@ -9,7 +9,7 @@ import time
 from conftest import exhaustive_core_formulas, random_any_formula, random_core_formula, random_trace
 from test_metric import brute_minimum
 from tracelogic import oracle
-from tracelogic.afa import translate_afa
+from tracelogic.afa import AFA
 from tracelogic.fa import (
     build_dfa,
     dealternate,
@@ -31,7 +31,7 @@ from tracelogic.metric import (
 )
 from tracelogic.parser import parse_formula, parse_program, parse_trace
 from tracelogic.trace import Trace, enumerate_traces, format_trace
-from tracelogic.twafa import translate_2afa, twafa_accepts
+from tracelogic.twafa import TwoAFA
 
 AP = ("a", "b")
 
@@ -53,7 +53,7 @@ def test_criterion_1_exhaustive_cross_validation():
     assert len(traces) == 341
     disagreements = 0
     for f in corpus:
-        automaton = translate_afa(f, AP)
+        automaton = AFA(f, AP)
         nfa = dealternate(automaton)
         dfa = determinize(nfa)
         for t in traces:
@@ -84,9 +84,9 @@ def test_criterion_2_past_cross_validation():
         if not any(op in text for op in ("Y ", "WY ", " S ", " T ")):
             continue
         checked += 1
-        automaton = translate_2afa(f, AP)
+        automaton = TwoAFA(f, AP)
         for t in traces:
-            if twafa_accepts(automaton, t) != oracle.holds(f, t):
+            if automaton.accepts(t) != oracle.holds(f, t):
                 disagreements += 1
                 break
     ok = disagreements == 0
@@ -101,12 +101,12 @@ def test_criterion_3_circularity_regression():
     for src in ("<(tt?)*> p", "<(p?)*> q"):
         f = parse_formula(src)
         start = time.time()
-        automaton = translate_afa(f, ("p", "q"))
-        two_way = translate_2afa(f, ("p", "q"))
+        automaton = AFA(f, ("p", "q"))
+        two_way = TwoAFA(f, ("p", "q"))
         mismatches = sum(
             1
             for t in traces
-            if automaton.accepts(t) != oracle.holds(f, t) or twafa_accepts(two_way, t) != oracle.holds(f, t)
+            if automaton.accepts(t) != oracle.holds(f, t) or two_way.accepts(t) != oracle.holds(f, t)
         )
         elapsed = time.time() - start
         details.append(f"{src}: {elapsed:.2f}s, {mismatches} mismatches")
@@ -140,7 +140,7 @@ def test_criterion_5_blowup_observation():
         src = "a"
         for _ in range(n):
             src = f"X ({src})"
-        automaton = translate_afa(_core(parse_formula(src)))
+        automaton = AFA(_core(parse_formula(src)))
         afa_ok = afa_ok and len(automaton) <= n + 2
     dfa_ok = True
     sizes = []
@@ -224,7 +224,7 @@ def test_criterion_9_minimization_canonicity():
     checked = 0
     for f in exhaustive_core_formulas(5):
         checked += 1
-        dfa = determinize(dealternate(translate_afa(f, AP)))
+        dfa = determinize(dealternate(AFA(f, AP)))
         first = minimize(dfa, seed=10)
         second = minimize(dfa, seed=20)
         if first != second or minimize(first) != first:

@@ -5,6 +5,7 @@ import pytest
 from conftest import exhaustive_core_formulas, random_core_formula
 from tracelogic import oracle
 from tracelogic.afa import (
+    AFA,
     AndNode,
     FalseLeaf,
     OrNode,
@@ -12,13 +13,9 @@ from tracelogic.afa import (
     PBF_TRUE,
     StateRef,
     TrueLeaf,
-    afa_accepts,
-    delta,
-    finalval,
     minimal_sets,
     pbf_and,
     pbf_or,
-    translate_afa,
 )
 from tracelogic.errors import AlphabetMismatchError, UnsupportedOperatorError
 from tracelogic.formula import closure, nnf, to_dynamic_core
@@ -48,67 +45,67 @@ def test_minimal_sets_antichain():
 
 
 def test_atom_automaton():
-    automaton = translate_afa(_core("a"))
-    assert afa_accepts(automaton, parse_trace("{a}")) is True
-    assert afa_accepts(automaton, parse_trace("{}")) is False
-    assert afa_accepts(automaton, parse_trace("eps")) is False
+    automaton = AFA(_core("a"))
+    assert automaton.accepts(parse_trace("{a}")) is True
+    assert automaton.accepts(parse_trace("{}")) is False
+    assert automaton.accepts(parse_trace("eps")) is False
 
 
 def test_box_star_rejects_late_failure():
-    automaton = translate_afa(_core("[tt*] a"))
-    assert afa_accepts(automaton, parse_trace("{a};{}")) is False
-    assert afa_accepts(automaton, parse_trace("{a};{a}")) is True
-    assert afa_accepts(automaton, parse_trace("eps")) is True
+    automaton = AFA(_core("[tt*] a"))
+    assert automaton.accepts(parse_trace("{a};{}")) is False
+    assert automaton.accepts(parse_trace("{a};{a}")) is True
+    assert automaton.accepts(parse_trace("eps")) is True
 
 
 def test_progress_free_star():
-    automaton = translate_afa(_core("<(tt?)*> a"))
+    automaton = AFA(_core("<(tt?)*> a"))
     for t in enumerate_traces(("a",), 3):
         expected = len(t) > 0 and "a" in t.letters[0]
-        assert afa_accepts(automaton, t) == expected
+        assert automaton.accepts(t) == expected
 
 
 def test_delta_examples():
-    automaton = translate_afa(_core("a"))
-    assert delta(automaton, 0, frozenset({"a"})) == PBF_TRUE
+    automaton = AFA(_core("a"))
+    assert automaton.delta(0, frozenset({"a"})) == PBF_TRUE
 
-    step = translate_afa(_core("<tt> a"))
-    image = delta(step, 0, frozenset())
+    step = AFA(_core("<tt> a"))
+    image = step.delta(0, frozenset())
     assert image == StateRef(step.states.ordinal(parse_formula("a")))
 
-    guarded = translate_afa(_core("<(tt?)*> a"))
-    assert delta(guarded, 0, frozenset()) == PBF_FALSE
+    guarded = AFA(_core("<(tt?)*> a"))
+    assert guarded.delta(0, frozenset()) == PBF_FALSE
 
 
 def test_finalval_examples():
-    automaton = translate_afa(_core("[tt*] a & (tt | a)"))
+    automaton = AFA(_core("[tt*] a & (tt | a)"))
     values = {}
     for q, state in enumerate(automaton.states):
-        values[state] = finalval(automaton, q)
+        values[state] = automaton.final[q]
     assert values[parse_formula("tt")] is True
     assert values[parse_formula("a")] is False
     assert values[parse_formula("[tt*] a")] is True
 
 
 def test_accepts_step_examples():
-    automaton = translate_afa(_core("<tt> tt"))
-    assert afa_accepts(automaton, parse_trace("{}")) is True
-    assert afa_accepts(automaton, parse_trace("eps")) is False
+    automaton = AFA(_core("<tt> tt"))
+    assert automaton.accepts(parse_trace("{}")) is True
+    assert automaton.accepts(parse_trace("eps")) is False
 
 
 def test_rejects_unsupported_operators():
     with pytest.raises(UnsupportedOperatorError):
-        translate_afa(parse_formula("Y a"))
+        AFA(parse_formula("Y a"))
     with pytest.raises(UnsupportedOperatorError):
-        translate_afa(parse_formula("X[1,2) a"))
+        AFA(parse_formula("X[1,2) a"))
     with pytest.raises(UnsupportedOperatorError):
-        translate_afa(parse_formula("F a"))  # sugar must be rewritten first
+        AFA(parse_formula("F a"))  # sugar must be rewritten first
 
 
 def test_alphabet_mismatch():
-    automaton = translate_afa(_core("a"))
+    automaton = AFA(_core("a"))
     with pytest.raises(AlphabetMismatchError):
-        afa_accepts(automaton, parse_trace("{c}"))
+        automaton.accepts(parse_trace("{c}"))
 
 
 def test_positivity_of_images():
@@ -123,21 +120,21 @@ def test_positivity_of_images():
 
     for _ in range(60):
         f = random_core_formula(rng, rng.randint(1, 9))
-        automaton = translate_afa(f, AP)
+        automaton = AFA(f, AP)
         for q in range(len(automaton)):
             for letter in letters_over(AP):
                 check(automaton.delta(q, letter))
 
 
 def test_delta_is_reproducible():
-    automaton = translate_afa(_core("<(a? ; tt)*> b"), AP)
+    automaton = AFA(_core("<(a? ; tt)*> b"), AP)
     letter = frozenset({"a"})
     assert automaton.delta(0, letter) == automaton._image(automaton.states[0], letter, frozenset())
 
 
 def test_state_count_tracks_closure():
     for f in exhaustive_core_formulas(5)[::7]:
-        automaton = translate_afa(f, AP)
+        automaton = AFA(f, AP)
         plain = closure(f)
         assert len(plain) <= len(automaton) <= 2 * len(plain) + 2
 
@@ -146,7 +143,7 @@ def test_linear_growth_for_nested_next():
     src = "a"
     for n in range(1, 11):
         src = f"X ({src})"
-        automaton = translate_afa(_core(src))
+        automaton = AFA(_core(src))
         assert len(automaton) <= n + 2
 
 
@@ -155,6 +152,6 @@ def test_oracle_agreement_sampled():
     traces = list(enumerate_traces(AP, 3))
     for _ in range(100):
         f = random_core_formula(rng, rng.randint(1, 9))
-        automaton = translate_afa(f, AP)
+        automaton = AFA(f, AP)
         for t in traces:
-            assert afa_accepts(automaton, t) == oracle.holds(f, t)
+            assert automaton.accepts(t) == oracle.holds(f, t)

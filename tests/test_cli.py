@@ -4,7 +4,7 @@ import io
 from tracelogic.cli import run
 from tracelogic.dot import to_dot
 from tracelogic.fa import build_dfa
-from tracelogic.afa import translate_afa
+from tracelogic.afa import AFA
 from tracelogic.formula import nnf, to_dynamic_core
 from tracelogic.parser import parse_formula
 
@@ -178,7 +178,7 @@ def test_metric_formula_needs_oracle_backend():
 def test_dot_deterministic():
     def render():
         core = to_dynamic_core(nnf(parse_formula("<tt> a")))
-        return to_dot(translate_afa(core))
+        return to_dot(AFA(core))
 
     assert render() == render()
     dfa_dot = to_dot(build_dfa(parse_formula("tt")))
@@ -188,7 +188,7 @@ def test_dot_deterministic():
 
 def test_dot_contains_closure_state():
     core = to_dynamic_core(nnf(parse_formula("<tt> a")))
-    text = to_dot(translate_afa(core))
+    text = to_dot(AFA(core))
     assert 'label="a"' in text
 
 
@@ -196,3 +196,29 @@ def test_dfa_dot_true_formula():
     text = to_dot(build_dfa(parse_formula("tt"), ("a",)))
     assert text.count("doublecircle") == 1
     assert text.count("->") >= 2  # init arrow plus one self-loop per letter
+
+
+DEEP_INPUTS = {
+    "nested next": "X (" * 1500 + "a" + ")" * 1500,
+    "negations": "!" * 5000 + "a",
+    "flat conjunction": " & ".join(["a"] * 3000),
+}
+
+
+def test_deep_nesting_is_not_a_verdict():
+    for name, formula in DEEP_INPUTS.items():
+        for argv in (["parse", "-f", formula], ["accepts", "-f", formula, "-t", "{a}"]):
+            code, _, err = invoke(*argv)
+            assert code == 2, (name, argv[0])
+            assert "Traceback" not in err
+            assert len(err.strip().splitlines()) == 1, (name, argv[0])
+
+
+def test_filter_reports_file_line(tmp_path):
+    path = tmp_path / "plans.txt"
+    path.write_text("{a};{b}\n{b}\n{a};;{b}\n{b};{b}\n")
+    code, out, err = invoke("filter", "-f", "F b", "--traces", str(path))
+    assert code == 2
+    assert out.splitlines() == ["{a};{b}", "{b}"]
+    assert err == f"parse error: {path}:3:5: expected '{{', found ';'\n"
+    assert "kept" not in err

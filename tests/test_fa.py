@@ -4,8 +4,8 @@ import pytest
 
 from conftest import random_core_formula
 from tracelogic import oracle
-from tracelogic.afa import translate_afa
-from tracelogic.errors import BudgetError
+from tracelogic.afa import AFA
+from tracelogic.errors import AlphabetMismatchError, BudgetError
 from tracelogic.fa import (
     build_dfa,
     complement,
@@ -26,7 +26,7 @@ AP = ("a", "b")
 
 
 def _afa(src, ap=None):
-    return translate_afa(to_dynamic_core(nnf(parse_formula(src))), ap)
+    return AFA(to_dynamic_core(nnf(parse_formula(src))), ap)
 
 
 def test_dealternate_accepts():
@@ -84,7 +84,7 @@ def test_minimize_seed_independent():
     rng = random.Random(47)
     for _ in range(40):
         f = random_core_formula(rng, rng.randint(1, 9))
-        dfa = determinize(dealternate(translate_afa(f, AP)))
+        dfa = determinize(dealternate(AFA(f, AP)))
         baseline = minimize(dfa)
         for seed in (0, 1, 99):
             assert minimize(dfa, seed=seed) == baseline
@@ -95,7 +95,7 @@ def test_minimize_language_preserving():
     traces = list(enumerate_traces(AP, 3))
     for _ in range(40):
         f = random_core_formula(rng, rng.randint(1, 9))
-        dfa = determinize(dealternate(translate_afa(f, AP)))
+        dfa = determinize(dealternate(AFA(f, AP)))
         small = minimize(dfa)
         assert small.n_states <= dfa.n_states
         for t in traces:
@@ -167,7 +167,7 @@ def test_four_way_agreement_sampled():
     traces = list(enumerate_traces(AP, 3))
     for _ in range(60):
         f = random_core_formula(rng, rng.randint(1, 9))
-        automaton = translate_afa(f, AP)
+        automaton = AFA(f, AP)
         nfa = dealternate(automaton)
         dfa = determinize(nfa)
         small = minimize(dfa)
@@ -177,3 +177,9 @@ def test_four_way_agreement_sampled():
             assert nfa_accepts(nfa, t) == expected
             assert dfa_accepts(dfa, t) == expected
             assert dfa_accepts(small, t) == expected
+
+
+def test_nfa_accepts_checks_every_letter():
+    nfa = dealternate(_afa("a"))
+    with pytest.raises(AlphabetMismatchError):
+        nfa_accepts(nfa, parse_trace("{};{c}"))

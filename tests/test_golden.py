@@ -1,0 +1,34 @@
+"""Pinned `compile` output: sizes per target and the sha256 of every DOT file."""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from tracelogic.cli import run
+
+GOLDEN = [
+    ("a U b", "afa", 6, 15, "f2935301a72bda9326612c3a3ca9b4d6356e92783ab7deb8e77e26b87a9ef8d3"),
+    ("a U b", "nfa", 2, 7, "6a9f0f5069a5272d548dd293f046ee75dcaad79c6d5b0081fc94fad5bdf84f04"),
+    ("a U b", "dfa", 3, 12, "f600844f35bd50bbe5a2d315bd359ad1102d3d6d43a5c88b554a09f2b43ecd7c"),
+    ("a U b", "min-dfa", 3, 12, "f600844f35bd50bbe5a2d315bd359ad1102d3d6d43a5c88b554a09f2b43ecd7c"),
+    ("a U b", "2afa", 6, 23, "1100f771a9d5b24689460b54c45ce959a349432d17118ef2158e0752b85bf3ff"),
+    ("G (a -> F b)", "afa", 7, 24, "e34265ed80c0c7cdc5530af1eab92ec76af5d6c9eff9ae0d740be4b4be5e2057"),
+    ("G (a -> F b)", "nfa", 2, 8, "c1317410f226bb950280e1ba7961d271f0d8e80618453c4840f1fba90d5449eb"),
+    ("G (a -> F b)", "dfa", 2, 8, "f76dc78cd214174afee04b954480fcccde31b03824ce381238989c31910c1df9"),
+    ("G (a -> F b)", "min-dfa", 2, 8, "f76dc78cd214174afee04b954480fcccde31b03824ce381238989c31910c1df9"),
+    ("G (a -> F b)", "2afa", 10, 48, "d6c25bb49f042779af48db4d237896356f1618211bf5c7758f4ecdbbd0e170b8"),
+    ("F (b & Y a)", "2afa", 7, 27, "a9115534a4068717e2af4128b3193900325d562717dd593a0d42290ad83f3862"),
+]
+
+
+@pytest.mark.parametrize("formula, target, states, transitions, digest", GOLDEN)
+def test_compile_golden(tmp_path, formula, target, states, transitions, digest):
+    dot_path = tmp_path / "out.dot"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["compile", "-f", formula, "--to", target, "--dot", str(dot_path)])
+    assert code == 0
+    assert out.getvalue() == f"states {states} transitions {transitions}\n"
+    assert hashlib.sha256(dot_path.read_bytes()).hexdigest() == digest

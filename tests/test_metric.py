@@ -222,5 +222,5 @@ def test_head_check_matches_timed_oracle():
         violations = {pos for rule_idx, pos in check_program(program, t)}
         for i, letter in enumerate(letters):
             if "b" in letter:
-                holds_here = oracle.evaluate_timed(metric_formula, t, i)
+                holds_here = oracle.evaluate(metric_formula, t, i)
                 assert (i not in violations) == holds_here

@@ -65,16 +65,16 @@ def test_metric_on_untimed_trace_raises():
 
 def test_eval_timed_examples():
     f = parse_formula("X[20,40) school")
-    assert oracle.evaluate_timed(f, parse_trace("{drive}@0;{school}@25"), 0) is True
-    assert oracle.evaluate_timed(f, parse_trace("{drive}@0;{school}@45"), 0) is False
-    assert oracle.evaluate_timed(parse_formula("X[0,inf) a"), parse_trace("{a}@0"), 0) is False
+    assert oracle.evaluate(f, parse_trace("{drive}@0;{school}@25"), 0) is True
+    assert oracle.evaluate(f, parse_trace("{drive}@0;{school}@45"), 0) is False
+    assert oracle.evaluate(parse_formula("X[0,inf) a"), parse_trace("{a}@0"), 0) is False
 
 
 def test_weak_metric_dual():
     f = parse_formula("WX[20,40) school")
-    assert oracle.evaluate_timed(f, parse_trace("{drive}@0"), 0) is True  # no successor
-    assert oracle.evaluate_timed(f, parse_trace("{drive}@0;{}@45"), 0) is True  # interval missed
-    assert oracle.evaluate_timed(f, parse_trace("{drive}@0;{}@25"), 0) is False  # body fails
+    assert oracle.evaluate(f, parse_trace("{drive}@0"), 0) is True  # no successor
+    assert oracle.evaluate(f, parse_trace("{drive}@0;{}@45"), 0) is True  # interval missed
+    assert oracle.evaluate(f, parse_trace("{drive}@0;{}@25"), 0) is False  # body fails
 
 
 def test_metric_inside_path_test():

@@ -4,62 +4,62 @@ import pytest
 
 from conftest import random_core_formula
 from tracelogic import oracle
-from tracelogic.afa import translate_afa
+from tracelogic.afa import AFA
 from tracelogic.errors import UnsupportedOperatorError
 from tracelogic.formula import nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import enumerate_traces
-from tracelogic.twafa import BEGIN, END, Move, moves_in, translate_2afa, twafa_accepts
+from tracelogic.twafa import BEGIN, END, Move, moves_in, TwoAFA
 
 AP = ("a", "b")
 
 
 def _two(src, ap=None):
-    return translate_2afa(to_dynamic_core(nnf(parse_formula(src))), ap)
+    return TwoAFA(to_dynamic_core(nnf(parse_formula(src))), ap)
 
 
 def test_prev_fails_at_first_position():
     automaton = _two("Y a")
     for t in enumerate_traces(("a",), 2):
-        assert twafa_accepts(automaton, t) is False
+        assert automaton.accepts(t) is False
     automaton = _two("Y tt", ("a",))
     for t in enumerate_traces(("a",), 2):
-        assert twafa_accepts(automaton, t) is False
+        assert automaton.accepts(t) is False
 
 
 def test_past_inside_future():
     automaton = _two("F (b & Y a)", AP)
-    assert twafa_accepts(automaton, parse_trace("{a};{b}")) is True
-    assert twafa_accepts(automaton, parse_trace("{b};{a}")) is False
+    assert automaton.accepts(parse_trace("{a};{b}")) is True
+    assert automaton.accepts(parse_trace("{b};{a}")) is False
 
 
 def test_progress_free_star_everywhere_false():
     automaton = _two("<(tt?)*> ff")
     for t in enumerate_traces((), 3):
-        assert twafa_accepts(automaton, t) is False
+        assert automaton.accepts(t) is False
 
 
 def test_empty_trace_truth():
-    assert twafa_accepts(_two("tt"), parse_trace("eps")) is True
-    assert twafa_accepts(_two("WY a"), parse_trace("eps")) is True
-    assert twafa_accepts(_two("[tt*] a"), parse_trace("eps")) is True
+    assert _two("tt").accepts(parse_trace("eps")) is True
+    assert _two("WY a").accepts(parse_trace("eps")) is True
+    assert _two("[tt*] a").accepts(parse_trace("eps")) is True
 
 
 def test_metric_rejected():
     with pytest.raises(UnsupportedOperatorError):
-        translate_2afa(parse_formula("X[1,2) a"))
+        TwoAFA(parse_formula("X[1,2) a"))
 
 
 def test_sugar_rejected():
     with pytest.raises(UnsupportedOperatorError):
-        translate_2afa(parse_formula("F a"))
+        TwoAFA(parse_formula("F a"))
 
 
 def test_move_audit():
     rng = random.Random(71)
     for _ in range(60):
         f = random_core_formula(rng, rng.randint(1, 9), past=True)
-        automaton = translate_2afa(f, AP)
+        automaton = TwoAFA(f, AP)
         for (q, marked), pbf in automaton.transitions.items():
             moves = moves_in(pbf)
             if marked is BEGIN:
@@ -73,7 +73,7 @@ def test_fixpoint_iteration_bound():
     rng = random.Random(73)
     for _ in range(20):
         f = random_core_formula(rng, rng.randint(1, 8), past=True)
-        automaton = translate_2afa(f, AP)
+        automaton = TwoAFA(f, AP)
         for t in enumerate_traces(AP, 2):
             # replicate the fixpoint loop, counting sweeps
             n = len(automaton.states)
@@ -121,10 +121,10 @@ def test_matches_afa_on_future_fragment():
     traces = list(enumerate_traces(AP, 3))
     for _ in range(60):
         f = random_core_formula(rng, rng.randint(1, 9), past=False)
-        one_way = translate_afa(f, AP)
-        two_way = translate_2afa(f, AP)
+        one_way = AFA(f, AP)
+        two_way = TwoAFA(f, AP)
         for t in traces:
-            assert twafa_accepts(two_way, t) == one_way.accepts(t)
+            assert two_way.accepts(t) == one_way.accepts(t)
 
 
 def test_matches_oracle_with_past():
@@ -132,16 +132,16 @@ def test_matches_oracle_with_past():
     traces = list(enumerate_traces(AP, 3))
     for _ in range(80):
         f = random_core_formula(rng, rng.randint(1, 9), past=True)
-        automaton = translate_2afa(f, AP)
+        automaton = TwoAFA(f, AP)
         for t in traces:
-            assert twafa_accepts(automaton, t) == oracle.holds(f, t)
+            assert automaton.accepts(t) == oracle.holds(f, t)
 
 
 def test_since_trigger_examples():
     since = _two("a S b", AP)
-    assert twafa_accepts(since, parse_trace("{b}")) is True
-    assert twafa_accepts(since, parse_trace("{a}")) is False
+    assert since.accepts(parse_trace("{b}")) is True
+    assert since.accepts(parse_trace("{a}")) is False
     trigger = _two("a T b", AP)
-    assert twafa_accepts(trigger, parse_trace("{b}")) is True
-    assert twafa_accepts(trigger, parse_trace("{}")) is False
-    assert twafa_accepts(trigger, parse_trace("eps")) is True
+    assert trigger.accepts(parse_trace("{b}")) is True
+    assert trigger.accepts(parse_trace("{}")) is False
+    assert trigger.accepts(parse_trace("eps")) is True
