@@ -1,4 +1,4 @@
-"""Direct recursive evaluation of formulas over finite traces.
+"""Direct bottom-up evaluation of formulas over finite traces.
 
 Positions run 0..len(trace); the final position is a letterless end point
 where no literal holds.  Existential operators require their obligation
@@ -6,6 +6,20 @@ to hold outright wherever they land, while universal operators accept the
 end point weakly: a formula holds weakly at a position when its negation
 fails to hold outright there.  The two notions coincide at letter
 positions, so only end-of-trace behaviour distinguishes them.
+
+Each subformula is evaluated once per trace into a bit set over all
+positions, a Python int whose bit i is position i.  Literals are masks
+built once per atom; the boolean connectives are bitwise; the next
+operators are shifts.  Since is one forward sweep over the positions,
+done as a carry-propagating addition, and until is the same sweep over
+the reversed bit order.  A path modality is a pre-image: `<p> g` holds
+where some p-path leads into the positions of g, and a star is the least
+fixpoint of its body's pre-image.  Universal operators are the
+complements of their existential duals over the NNF negation.  Every
+node is evaluated, so a metric operator over an untimed trace always
+raises, whatever the letters.  A trace of length n costs
+O(n/w) machine-word operations per operator, times the fixpoint rounds of
+a star (at most n+1).
 
 Every automaton backend is cross-validated against this module.
 """
@@ -38,136 +52,156 @@ def prop_sat(guard: fm.Formula, letter) -> bool:
             raise TypeError(f"step guard must be propositional: {guard!r}")
 
 
+def _since(left: int, right: int) -> int:
+    """Positions i with some j <= i in right and every position in (j, i] in left.
+
+    Adding the seeds (left positions right after a right position) to left
+    carries each seed to the end of its run of left positions; the bits
+    that the carry clears, plus the seeds themselves, are the run's tail.
+    """
+    seeds = (right << 1) & left
+    return right | seeds | (left & ~(left + seeds))
+
+
+def _eventually(bits: int) -> int:
+    """Positions at or before the last member of bits."""
+    return (1 << bits.bit_length()) - 1
+
+
+def _members(bits: int) -> list[int]:
+    """The positions in a bit set, in increasing order."""
+    return [i for i, digit in enumerate(bin(bits)[:1:-1]) if digit == "1"]
+
+
 class _Evaluator:
+    """Position sets of the subformulas over one trace.
+
+    Memo keys are node identities: dataclass hashes are not cached, so a
+    structural key would rehash whole subtrees on every lookup.  Each memo
+    entry keeps its node alive, which keeps the identity unique.
+    """
+
     def __init__(self, letters, times):
         self.letters = letters
         self.times = times
         self.length = len(letters)
+        self.full = (1 << (self.length + 1)) - 1
         self._memo: dict = {}
         self._neg: dict = {}
-        self._rel: dict = {}
+        self._atoms: dict = {}
 
     def negation(self, f: fm.Formula) -> fm.Formula:
-        cached = self._neg.get(f)
-        if cached is None:
-            cached = fm.nnf_not(f)
-            self._neg[f] = cached
-        return cached
+        hit = self._neg.get(id(f))
+        if hit is None:
+            hit = self._neg[id(f)] = (f, fm.nnf_not(f))
+        return hit[1]
 
-    def weak(self, f: fm.Formula, i: int) -> bool:
-        """f is not outright violated at i; differs from sat only at the end point."""
-        return not self.sat(self.negation(f), i)
+    def weak(self, f: fm.Formula) -> int:
+        """Positions where f is not outright violated; differs from sat only at the end point."""
+        return self.full & ~self.sat(self.negation(f))
 
-    def sat(self, f: fm.Formula, i: int) -> bool:
-        key = (f, i)
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = self._sat(f, i)
-            self._memo[key] = cached
-        return cached
+    def sat(self, f: fm.Formula) -> int:
+        hit = self._memo.get(id(f))
+        if hit is None:
+            hit = self._memo[id(f)] = (f, self._sat(f))
+        return hit[1]
 
-    def _sat(self, f: fm.Formula, i: int) -> bool:
-        end = self.length
+    def atom(self, name: str) -> int:
+        bits = self._atoms.get(name)
+        if bits is None:
+            # The leading "0" is the end point, where no atom holds.
+            digits = "".join("1" if name in letter else "0" for letter in reversed(self.letters))
+            bits = self._atoms[name] = int("0" + digits, 2)
+        return bits
+
+    def delays(self, lo: int, hi: int | None) -> int:
+        """Positions i with a letter at i + 1 reached after a delay in [lo, hi)."""
+        if self.times is None:
+            raise UntimedTraceError("metric next needs a timed trace")
+        gaps = [later - earlier for earlier, later in zip(self.times, self.times[1:])]
+        digits = "".join("1" if lo <= gap and (hi is None or gap < hi) else "0" for gap in reversed(gaps))
+        # The leading "00" are the last letter and the end point, which have no next letter.
+        return int("00" + digits, 2)
+
+    def until(self, left: int, right: int) -> int:
+        width = self.length + 1
+
+        def reverse(bits: int) -> int:
+            return int(format(bits, f"0{width}b")[::-1], 2)
+
+        return reverse(_since(reverse(left), reverse(right)))
+
+    def _sat(self, f: fm.Formula) -> int:
+        full = self.full
         match f:
             case fm.TrueFormula():
-                return True
+                return full
             case fm.FalseFormula():
-                return False
+                return 0
             case fm.Atom(name):
-                return i < end and name in self.letters[i]
+                return self.atom(name)
             case fm.Not(fm.Atom(name)):
-                return i < end and name not in self.letters[i]
+                return (full >> 1) & ~self.atom(name)
             case fm.Not(g):
-                return self.sat(self.negation(g), i)
+                return self.sat(self.negation(g))
             case fm.And(l, r):
-                return self.sat(l, i) and self.sat(r, i)
+                return self.sat(l) & self.sat(r)
             case fm.Or(l, r):
-                return self.sat(l, i) or self.sat(r, i)
+                return self.sat(l) | self.sat(r)
             case fm.Implies(l, r):
                 # Matches the NNF elimination nnf(!l) | r, which differs from
                 # classical material implication only at the end point.
-                return self.sat(self.negation(l), i) or self.sat(r, i)
+                return self.sat(self.negation(l)) | self.sat(r)
             case fm.Next(g):
-                return i < end and self.sat(g, i + 1)
+                return self.sat(g) >> 1
             case fm.WeakNext(g):
-                return i == end or self.weak(g, i + 1)
+                return (self.weak(g) >> 1) | (1 << self.length)
             case fm.Until(l, r):
-                return any(
-                    self.sat(r, j) and all(self.sat(l, k) for k in range(i, j))
-                    for j in range(i, end + 1)
-                )
+                return self.until(self.sat(l), self.sat(r))
             case fm.Release(l, r):
-                return all(
-                    self.weak(r, j) or any(self.weak(l, k) for k in range(i, j))
-                    for j in range(i, end + 1)
-                )
+                return full & ~self.until(self.sat(self.negation(l)), self.sat(self.negation(r)))
             case fm.Eventually(g):
-                return any(self.sat(g, j) for j in range(i, end + 1))
+                return _eventually(self.sat(g))
             case fm.Always(g):
-                return all(self.weak(g, j) for j in range(i, end + 1))
+                return full & ~_eventually(self.sat(self.negation(g)))
             case fm.Prev(g):
-                return i > 0 and self.sat(g, i - 1)
+                return (self.sat(g) << 1) & full
             case fm.WeakPrev(g):
-                return i == 0 or self.weak(g, i - 1)
+                return ((self.weak(g) << 1) & full) | 1
             case fm.Since(l, r):
-                return any(
-                    self.sat(r, j) and all(self.sat(l, k) for k in range(j + 1, i + 1))
-                    for j in range(0, i + 1)
-                )
+                return _since(self.sat(l), self.sat(r))
             case fm.Trigger(l, r):
-                return all(
-                    self.weak(r, j) or any(self.weak(l, k) for k in range(j + 1, i + 1))
-                    for j in range(0, i + 1)
-                )
+                return full & ~_since(self.sat(self.negation(l)), self.sat(self.negation(r)))
             case fm.Diamond(p, g):
-                return any(j == i and self.sat(g, k) for j, k in self.rel(p))
+                return self.pre(p, self.sat(g))
             case fm.Box(p, g):
-                return all(self.weak(g, k) for j, k in self.rel(p) if j == i)
+                return full & ~self.pre(p, self.sat(self.negation(g)))
             case fm.MetricNext(lo, hi, g):
-                if self.times is None:
-                    raise UntimedTraceError("metric next needs a timed trace")
-                if i + 1 >= end:
-                    return False
-                delta = self.times[i + 1] - self.times[i]
-                return lo <= delta and (hi is None or delta < hi) and self.sat(g, i + 1)
+                return self.delays(lo, hi) & (self.sat(g) >> 1)
             case fm.WeakMetricNext(lo, hi, g):
-                if self.times is None:
-                    raise UntimedTraceError("metric next needs a timed trace")
-                if i + 1 >= end:
-                    return True
-                delta = self.times[i + 1] - self.times[i]
-                if delta < lo or (hi is not None and delta >= hi):
-                    return True
-                return self.sat(g, i + 1)
+                return full & ~(self.delays(lo, hi) & ~(self.sat(g) >> 1))
             case _:
                 raise TypeError(f"not a formula: {f!r}")
 
-    def rel(self, p: fm.PathExpr) -> frozenset:
-        cached = self._rel.get(p)
-        if cached is None:
-            cached = self._relation(p)
-            self._rel[p] = cached
-        return cached
-
-    def _relation(self, p: fm.PathExpr) -> frozenset:
-        end = self.length
+    def pre(self, p: fm.PathExpr, target: int) -> int:
+        """Positions from which some p-path ends in target."""
         match p:
             case fm.Step(guard):
-                return frozenset((i, i + 1) for i in range(end) if prop_sat(guard, self.letters[i]))
+                # A guard's mask is its sat set; the end bit is shifted out.
+                return (target >> 1) & self.sat(guard)
             case fm.Test(g):
-                return frozenset((i, i) for i in range(end + 1) if self.sat(g, i))
+                return target & self.sat(g)
             case fm.Seq(l, r):
-                left, right = self.rel(l), self.rel(r)
-                return frozenset((i, k) for i, j in left for j2, k in right if j == j2)
+                return self.pre(l, self.pre(r, target))
             case fm.Alt(l, r):
-                return self.rel(l) | self.rel(r)
+                return self.pre(l, target) | self.pre(r, target)
             case fm.Star(q):
-                reach = {(i, i) for i in range(end + 1)} | set(self.rel(q))
+                reach = target
                 while True:
-                    extra = {(i, k) for i, j in reach for j2, k in reach if j == j2} - reach
-                    if not extra:
-                        return frozenset(reach)
-                    reach |= extra
+                    grown = reach | self.pre(q, reach)
+                    if grown == reach:
+                        return reach
+                    reach = grown
             case _:
                 raise TypeError(f"not a path expression: {p!r}")
 
@@ -177,11 +211,14 @@ def _position_checked(t, i: int) -> None:
         raise ValueError(f"position {i} outside 0..{len(t)}")
 
 
+def _evaluator(t: Trace | TimedTrace) -> _Evaluator:
+    return _Evaluator(t.letters, t.times if isinstance(t, TimedTrace) else None)
+
+
 def evaluate(f: fm.Formula, t: Trace | TimedTrace, i: int = 0) -> bool:
     """Truth of f at position i; metric connectives require a timed trace."""
     _position_checked(t, i)
-    times = t.times if isinstance(t, TimedTrace) else None
-    return _Evaluator(t.letters, times).sat(f, i)
+    return bool(_evaluator(t).sat(f) >> i & 1)
 
 
 def holds(f: fm.Formula, t: Trace | TimedTrace) -> bool:
@@ -191,8 +228,8 @@ def holds(f: fm.Formula, t: Trace | TimedTrace) -> bool:
 
 def path_relation(p: fm.PathExpr, t: Trace | TimedTrace) -> frozenset:
     """All position pairs (i, j) the path expression can traverse over t."""
-    times = t.times if isinstance(t, TimedTrace) else None
-    return _Evaluator(t.letters, times).rel(p)
+    ev = _evaluator(t)
+    return frozenset((i, j) for j in range(len(t) + 1) for i in _members(ev.pre(p, 1 << j)))
 
 
 def end_value(f: fm.Formula) -> bool:

@@ -10,6 +10,16 @@ fixpoint.  Universal (box) obligations are expanded eagerly through their
 path, dropping re-arrivals at the same star at the same position, which
 keeps their vacuous loops out of the fixpoint while preserving the single
 least-fixpoint polarity.
+
+The fixpoint is computed by a worklist (Liu & Smolka, ICALP 1998).  A
+configuration starts true exactly when its transition is the true leaf.
+Each configuration that turns true is pushed once; popping it
+re-evaluates the false configurations whose transitions may read it,
+found from a per-run table that lists, for each state, the (state, head
+move) pairs with a transition referring to it.  A configuration is thus
+evaluated at most once per reference in its transitions, so a run is
+linear in the trace length; the sweep-until-stable loop it replaces
+moved information one position per sweep and was quadratic.
 """
 
 from __future__ import annotations
@@ -209,50 +219,70 @@ class TwoAFA:
         return self.fixpoint(t)[(self.initial, 0)]
 
     def fixpoint(self, t: Trace) -> dict:
-        """Least fixpoint over configurations (state, position), positions -1..len(t)."""
-        n = len(self.states)
-        positions = range(-1, len(t) + 1)
-        assignment = {(q, pos): False for q in range(n) for pos in positions}
+        """Least fixpoint over configurations (state, position), positions -1..len(t).
 
-        def lookup(ref: MoveRef, pos: int) -> bool:
-            target = pos + ref.move.value
-            if target < -1 or target > len(t):
-                return False
-            return assignment[(ref.state, target)]
+        A worklist computes it: a configuration is re-evaluated only when a
+        configuration its transition reads has just turned true.
+        """
+        n = len(t)
+        width = len(self.states)
+        cells = (BEGIN, *t.letters, END)  # the cell at position pos is cells[pos + 1]
+        value = bytearray(width * (n + 2))  # configuration (q, pos) is value[(pos + 1) * width + q]
 
-        def eval_pbf(pbf: PBF, pos: int) -> bool:
+        def holds(pbf: PBF, pos: int) -> bool:
             match pbf:
+                case MoveRef(state, move):
+                    target = pos + move.value
+                    return -1 <= target <= n and value[(target + 1) * width + state] == 1
+                case AndNode(l, r):
+                    return holds(l, pos) and holds(r, pos)
+                case OrNode(l, r):
+                    return holds(l, pos) or holds(r, pos)
                 case TrueLeaf():
                     return True
                 case FalseLeaf():
                     return False
-                case MoveRef():
-                    return lookup(pbf, pos)
-                case AndNode(l, r):
-                    return eval_pbf(l, pos) and eval_pbf(r, pos)
-                case OrNode(l, r):
-                    return eval_pbf(l, pos) or eval_pbf(r, pos)
             raise TypeError(f"not a transition formula: {pbf!r}")
 
-        changed = True
-        while changed:
-            changed = False
-            for q in range(n):
-                for pos in positions:
-                    if assignment[(q, pos)]:
-                        continue
-                    if eval_pbf(self.transitions[(q, self.marked_at(t, pos))], pos):
-                        assignment[(q, pos)] = True
-                        changed = True
-        return assignment
+        # Transitions are constant-folded, so with every configuration false
+        # exactly those whose transition is the true leaf hold.
+        seeds = {
+            cell: [q for q in range(width) if isinstance(self.transitions[(q, cell)], TrueLeaf)] for cell in set(cells)
+        }
+        work = []
+        for pos, cell in enumerate(cells, -1):
+            for q in seeds[cell]:
+                value[(pos + 1) * width + q] = 1
+                work.append((q, pos))
+        readers = self._readers()
+        while work:
+            state, pos = work.pop()
+            for q, step in readers[state]:
+                source = pos - step
+                if -1 <= source <= n and not value[(source + 1) * width + q]:
+                    if holds(self.transitions[(q, cells[source + 1])], source):
+                        value[(source + 1) * width + q] = 1
+                        work.append((q, source))
+        return {(q, pos): value[(pos + 1) * width + q] == 1 for q in range(width) for pos in range(-1, n + 1)}
+
+    def _readers(self) -> list:
+        """For each state s, the pairs (q, step) whose transition from q at pos reads s at pos + step."""
+        readers = [{} for _ in self.states]
+        for (q, _), pbf in self.transitions.items():
+            for ref in _move_refs(pbf):
+                readers[ref.state][(q, ref.move.value)] = None
+        return [tuple(r) for r in readers]
+
+
+def _move_refs(pbf: PBF):
+    match pbf:
+        case MoveRef():
+            yield pbf
+        case AndNode(l, r) | OrNode(l, r):
+            yield from _move_refs(l)
+            yield from _move_refs(r)
 
 
 def moves_in(pbf: PBF) -> set[Move]:
     """All head moves a transition formula can emit (for structural audits)."""
-    match pbf:
-        case MoveRef(_, move):
-            return {move}
-        case AndNode(l, r) | OrNode(l, r):
-            return moves_in(l) | moves_in(r)
-        case _:
-            return set()
+    return {ref.move for ref in _move_refs(pbf)}

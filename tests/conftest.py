@@ -179,10 +179,10 @@ def random_any_formula(rng: random.Random, size: int):
     }[kind](arg)
 
 
-def random_trace(rng: random.Random, max_len: int = 5, timed: bool = False):
+def random_trace(rng: random.Random, max_len: int = 5, timed: bool = False, min_len: int = 0):
     from tracelogic.trace import TimedTrace, Trace
 
-    length = rng.randint(0, max_len)
+    length = rng.randint(min_len, max_len)
     letters = tuple(frozenset(n for n in NAMES if rng.random() < 0.5) for _ in range(length))
     if not timed or length == 0:
         return Trace(letters)

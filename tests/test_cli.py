@@ -51,6 +51,14 @@ def test_accepts_past_needs_two_way():
     assert "past" in err
 
 
+def test_accepts_metric_on_untimed_trace_exits_two():
+    for trace in ("{a};{b}", "{};{b}"):
+        code, out, err = invoke("accepts", "--backend", "oracle", "-f", "a | X[1,2) b", "-t", trace)
+        assert code == 2, trace
+        assert out == ""
+        assert "timed trace" in err
+
+
 def test_compile_counts_and_dot(tmp_path):
     code, out, _ = invoke("compile", "-f", "F a", "--to", "min-dfa")
     assert code == 0

@@ -63,6 +63,14 @@ def test_metric_on_untimed_trace_raises():
         oracle.evaluate(parse_formula("X[1,2) a"), parse_trace("{a};{a}"), 0)
 
 
+def test_metric_on_untimed_trace_raises_whatever_the_letters():
+    # The `|` must not decide the verdict before the metric node is seen.
+    f = parse_formula("a | X[1,2) b")
+    for text in ("{a};{b}", "{};{b}"):
+        with pytest.raises(UntimedTraceError):
+            oracle.holds(f, parse_trace(text))
+
+
 def test_eval_timed_examples():
     f = parse_formula("X[20,40) school")
     assert oracle.evaluate(f, parse_trace("{drive}@0;{school}@25"), 0) is True

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from conftest import random_core_formula
+from conftest import random_core_formula, random_trace
 from tracelogic import oracle
-from tracelogic.afa import AFA
+from tracelogic.afa import AFA, AndNode, FalseLeaf, OrNode, TrueLeaf
 from tracelogic.errors import UnsupportedOperatorError
 from tracelogic.formula import nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
-from tracelogic.trace import enumerate_traces
-from tracelogic.twafa import BEGIN, END, Move, moves_in, TwoAFA
+from tracelogic.trace import Trace, enumerate_traces
+from tracelogic.twafa import BEGIN, END, Move, MoveRef, moves_in, TwoAFA
 
 AP = ("a", "b")
 
@@ -69,51 +69,66 @@ def test_move_audit():
                 assert Move.R not in moves
 
 
+def _sweep_fixpoint(automaton, t):
+    """Replica of the sweep-until-stable fixpoint, counting sweeps against their bound."""
+    n = len(automaton.states)
+    positions = range(-1, len(t) + 1)
+    bound = n * (len(t) + 2) + 1
+    sweeps = 0
+    state = {(q, pos): False for q in range(n) for pos in positions}
+    changed = True
+    while changed:
+        sweeps += 1
+        assert sweeps <= bound
+        changed = False
+        for q in range(n):
+            for pos in positions:
+                if state[(q, pos)]:
+                    continue
+                def ev(pbf, pos=pos):
+                    match pbf:
+                        case TrueLeaf():
+                            return True
+                        case FalseLeaf():
+                            return False
+                        case MoveRef():
+                            target = pos + pbf.move.value
+                            return -1 <= target <= len(t) and state[(pbf.state, target)]
+                        case AndNode(l, r):
+                            return ev(l) and ev(r)
+                        case OrNode(l, r):
+                            return ev(l) or ev(r)
+
+                if ev(automaton.transitions[(q, automaton.marked_at(t, pos))]):
+                    state[(q, pos)] = True
+                    changed = True
+    return state
+
+
 def test_fixpoint_iteration_bound():
     rng = random.Random(73)
     for _ in range(20):
         f = random_core_formula(rng, rng.randint(1, 8), past=True)
         automaton = TwoAFA(f, AP)
         for t in enumerate_traces(AP, 2):
-            # replicate the fixpoint loop, counting sweeps
-            n = len(automaton.states)
-            positions = range(-1, len(t) + 1)
-            bound = n * (len(t) + 2) + 1
-            sweeps = 0
             assignment = automaton.fixpoint(t)
             # convergence is implied by fixpoint() returning; check the bound
-            # by re-running with an explicit counter
-            state = {(q, pos): False for q in range(n) for pos in positions}
-            changed = True
-            while changed:
-                sweeps += 1
-                assert sweeps <= bound
-                changed = False
-                for q in range(n):
-                    for pos in positions:
-                        if state[(q, pos)]:
-                            continue
-                        from tracelogic.afa import AndNode, FalseLeaf, OrNode, TrueLeaf
-                        from tracelogic.twafa import MoveRef
-
-                        def ev(pbf, pos=pos):
-                            match pbf:
-                                case TrueLeaf():
-                                    return True
-                                case FalseLeaf():
-                                    return False
-                                case MoveRef():
-                                    target = pos + pbf.move.value
-                                    return -1 <= target <= len(t) and state[(pbf.state, target)]
-                                case AndNode(l, r):
-                                    return ev(l) and ev(r)
-                                case OrNode(l, r):
-                                    return ev(l) or ev(r)
-
-                        if ev(automaton.transitions[(q, automaton.marked_at(t, pos))]):
-                            state[(q, pos)] = True
-                            changed = True
+            # by re-running the sweep with an explicit counter
+            state = _sweep_fixpoint(automaton, t)
             assert state == assignment
+
+
+def test_fixpoint_matches_sweep_on_long_traces():
+    rng = random.Random(89)
+    for k in range(30):
+        f = random_core_formula(rng, rng.randint(6, 14), past=True)
+        automaton = TwoAFA(f, AP)
+        t = random_trace(rng, 200, min_len=20)
+        if k % 3:
+            # long runs make information travel the whole trace
+            run = (frozenset({"a"}),) * (len(t) - 1)
+            t = Trace(run + (frozenset({"b"}),) if k % 3 == 1 else (frozenset({"b"}),) + run)
+        assert automaton.fixpoint(t) == _sweep_fixpoint(automaton, t)
 
 
 def test_matches_afa_on_future_fragment():
