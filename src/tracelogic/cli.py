@@ -7,6 +7,7 @@ violations, infeasible), 2 parse or validation errors, 3 exceeded budgets.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 from . import formula as fm
@@ -338,6 +339,10 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # A reader that closes stdout ends the process by the default SIGPIPE
+    # action, as it ends `cat`, rather than by an exit status that reads as a verdict.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -1,81 +1,83 @@
 """Text grammars for formulas, traces, and metric programs.
 
-All three parsers are hand-written recursive descent over a shared lexer,
-so every syntax error carries an exact 1-based line/column position.
-`%` starts a line comment; whitespace is insignificant.
+One compiled regular expression scans the whole input into plain
+`(kind, text, line, column)` tuples before parsing starts.  Tokens are
+ASCII: natural numbers `[0-9]+`, identifiers `[A-Za-z_][A-Za-z0-9_]*` and
+the symbols below, whose kind is their own text.  `%` starts a line comment,
+whitespace is insignificant, and any other character is an "expected a
+token" error at its position.
+
+The parser is recursive descent with one precedence-climbing loop for binary
+operators, driven by an operator table per grammar: `->` (1, right
+associative), `|` (2), `&` (3) and `U R S T` (4, right associative) for
+formulas, `+` (1) and `;` (2) for path expressions.  Prefix operators are
+collected in a loop and applied innermost first.  Every syntax error carries
+an exact 1-based line/column position.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from . import formula as fm
 from .errors import ParseError
 from .metric import MetricHead, MetricProgram, MetricRule, PlainHead
 from .trace import Letter, TimedTrace, Trace
 
-_SYMBOLS = ("->", ":-", "(", ")", "[", "]", "<", ">", "{", "}", ",", ";", "@", ".", "!", "&", "|", "+", "*", "?")
-_UNARY_OPS = {"X", "WX", "F", "G", "Y", "WY"}
-_BINARY_OPS = {"U": fm.Until, "R": fm.Release, "S": fm.Since, "T": fm.Trigger}
+_TOKEN_RE = re.compile(
+    r"""(?P<newline>\n)
+      | (?P<skip>[ \t\r]+|%[^\n]*)
+      | (?P<nat>[0-9]+)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<symbol>->|:-|[()\[\]<>{},;@.!&|+*?])
+      | (?P<other>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+
+# Binary operators: token text -> (precedence, right associative, node).
+_FORMULA_OPS = {
+    "->": (1, True, fm.Implies),
+    "|": (2, False, fm.Or),
+    "&": (3, False, fm.And),
+    "U": (4, True, fm.Until),
+    "R": (4, True, fm.Release),
+    "S": (4, True, fm.Since),
+    "T": (4, True, fm.Trigger),
+}
+_PATH_OPS = {"+": (1, False, fm.Alt), ";": (2, False, fm.Seq)}
+
+_PREFIX_OPS = {
+    "!": fm.Not,
+    "X": fm.Next,
+    "WX": fm.WeakNext,
+    "F": fm.Eventually,
+    "G": fm.Always,
+    "Y": fm.Prev,
+    "WY": fm.WeakPrev,
+}
+_METRIC_OPS = {"X": fm.MetricNext, "WX": fm.WeakMetricNext}
+_MODALITIES = {"<": (">", fm.Diamond), "[": ("]", fm.Box)}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "nat", "eof", or the symbol itself
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "skip":
             continue
-        if c == "%":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        two = src[i : i + 2]
-        if two in ("->", ":-"):
-            tokens.append(_Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "()[]<>{},;@.!&|+*?":
-            tokens.append(_Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            tokens.append(_Token("nat", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(line, col, "a token", repr(c))
-    tokens.append(_Token("eof", "", line, col))
+        text = m.group()
+        column = m.start() - line_start + 1
+        if kind == "other":
+            raise ParseError(line, column, "a token", repr(text))
+        tokens.append((text if kind == "symbol" else kind, text, line, column))
+    # A comment on the last line ends the input where the comment starts.
+    end = src.find("%", line_start)
+    tokens.append(("eof", "", line, (len(src) if end < 0 else end) - line_start + 1))
     return tokens
 
 
@@ -84,158 +86,110 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.i = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int, int]:
         return self.tokens[self.i]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
+    def match(self, text: str) -> bool:
+        """Consume the next token if it is the symbol or keyword `text`."""
+        if self.tokens[self.i][1] == text:
             self.i += 1
-        return tok
-
-    def match(self, kind: str) -> bool:
-        if self.peek().kind == kind:
-            self.advance()
             return True
         return False
 
-    def expect(self, kind: str, expected: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
+    def expect(self, kind: str, expected: str) -> tuple[str, str, int, int]:
+        tok = self.tokens[self.i]
+        if tok[0] != kind:
             self.fail(expected)
-        return self.advance()
+        self.i += 1
+        return tok
 
     def fail(self, expected: str):
-        tok = self.peek()
-        found = "end of input" if tok.kind == "eof" else repr(tok.text)
-        raise ParseError(tok.line, tok.column, expected, found)
+        kind, text, line, column = self.tokens[self.i]
+        raise ParseError(line, column, expected, "end of input" if kind == "eof" else repr(text))
 
-    def at_ident(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == text
+    def name(self) -> str:
+        """An atom name, checked against the one atom-name rule of `formula`."""
+        kind, text, _, _ = self.tokens[self.i]
+        if kind != "ident" or not fm._ATOM_RE.match(text):
+            self.fail("an atom")
+        self.i += 1
+        return text
 
-    def atom(self) -> fm.Atom:
-        tok = self.expect("ident", "an atom")
-        try:
-            return fm.Atom(tok.text)
-        except ValueError:
-            raise ParseError(tok.line, tok.column, "an atom", repr(tok.text)) from None
+    def climb(self, ops: dict, operand, min_prec: int = 1):
+        """Precedence climbing: operands joined by the operators of `ops` binding at least `min_prec`."""
+        left = operand()
+        while True:
+            op = ops.get(self.tokens[self.i][1])
+            if op is None or op[0] < min_prec:
+                return left
+            prec, right_assoc, node = op
+            self.i += 1
+            left = node(left, self.climb(ops, operand, prec if right_assoc else prec + 1))
 
     # -- formulas ----------------------------------------------------------
 
     def formula(self) -> fm.Formula:
-        left = self.disjunction()
-        if self.match("->"):
-            return fm.Implies(left, self.formula())
-        return left
-
-    def disjunction(self) -> fm.Formula:
-        left = self.conjunction()
-        while self.match("|"):
-            left = fm.Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> fm.Formula:
-        left = self.binary_temporal()
-        while self.match("&"):
-            left = fm.And(left, self.binary_temporal())
-        return left
-
-    def binary_temporal(self) -> fm.Formula:
-        left = self.unary()
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text in _BINARY_OPS:
-            self.advance()
-            return _BINARY_OPS[tok.text](left, self.binary_temporal())
-        return left
+        return self.climb(_FORMULA_OPS, self.unary)
 
     def unary(self) -> fm.Formula:
-        tok = self.peek()
-        if tok.kind == "!":
-            self.advance()
-            return fm.Not(self.unary())
-        if tok.kind == "<":
-            self.advance()
-            path = self.path()
-            self.expect(">", "'>'")
-            return fm.Diamond(path, self.unary())
-        if tok.kind == "[":
-            self.advance()
-            path = self.path()
-            self.expect("]", "']'")
-            return fm.Box(path, self.unary())
-        if tok.kind == "ident" and tok.text in _UNARY_OPS:
-            self.advance()
-            # `X[` could open a metric interval or a box modality; only an
-            # interval can continue with a number.
-            if tok.text in ("X", "WX") and self.peek().kind == "[" and self.tokens[self.i + 1].kind == "nat":
-                lo, hi = self.interval()
-                arg = self.unary()
-                return fm.MetricNext(lo, hi, arg) if tok.text == "X" else fm.WeakMetricNext(lo, hi, arg)
-            arg = self.unary()
-            match tok.text:
-                case "X":
-                    return fm.Next(arg)
-                case "WX":
-                    return fm.WeakNext(arg)
-                case "F":
-                    return fm.Eventually(arg)
-                case "G":
-                    return fm.Always(arg)
-                case "Y":
-                    return fm.Prev(arg)
-                case "WY":
-                    return fm.WeakPrev(arg)
-        return self.primary()
+        prefixes = []
+        while True:
+            text = self.tokens[self.i][1]
+            if text in _MODALITIES:
+                closing, node = _MODALITIES[text]
+                self.i += 1
+                path = self.path()
+                self.expect(closing, f"'{closing}'")
+                prefixes.append((node, path))
+            elif text in _PREFIX_OPS:
+                self.i += 1
+                # `X[` could open a metric interval or a box modality; only an
+                # interval can continue with a number.
+                if text in _METRIC_OPS and self.tokens[self.i][0] == "[" and self.tokens[self.i + 1][0] == "nat":
+                    prefixes.append((_METRIC_OPS[text], *self.interval()))
+                else:
+                    prefixes.append((_PREFIX_OPS[text],))
+            else:
+                break
+        f = self.primary()
+        for node, *args in reversed(prefixes):
+            f = node(*args, f)
+        return f
 
     def interval(self) -> tuple[int, int | None]:
         opening = self.expect("[", "'['")
-        lo = int(self.expect("nat", "a natural number").text)
+        lo = int(self.expect("nat", "a natural number")[1])
         self.expect(",", "','")
         tok = self.peek()
-        if tok.kind == "nat":
-            self.advance()
-            hi: int | None = int(tok.text)
-        elif self.at_ident("inf"):
-            self.advance()
+        if tok[0] == "nat":
+            self.i += 1
+            hi: int | None = int(tok[1])
+        elif self.match("inf"):
             hi = None
         else:
             self.fail("a natural number or 'inf'")
         self.expect(")", "')'")
         if hi is not None and lo >= hi:
-            raise ParseError(opening.line, opening.column, "a non-empty interval (lower < upper)", f"[{lo},{hi})")
+            raise ParseError(opening[2], opening[3], "a non-empty interval (lower < upper)", f"[{lo},{hi})")
         return lo, hi
 
     def primary(self) -> fm.Formula:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
+        if self.match("("):
             inner = self.formula()
             self.expect(")", "')'")
             return inner
-        if tok.kind == "ident":
-            if tok.text == "tt":
-                self.advance()
-                return fm.TRUE
-            if tok.text == "ff":
-                self.advance()
-                return fm.FALSE
-            return self.atom()
+        if self.match("tt"):
+            return fm.TRUE
+        if self.match("ff"):
+            return fm.FALSE
+        if self.peek()[0] == "ident":
+            return fm.Atom(self.name())
         self.fail("a formula")
 
     # -- path expressions --------------------------------------------------
 
     def path(self) -> fm.PathExpr:
-        left = self.path_seq()
-        while self.match("+"):
-            left = fm.Alt(left, self.path_seq())
-        return left
-
-    def path_seq(self) -> fm.PathExpr:
-        left = self.path_postfix()
-        while self.match(";"):
-            left = fm.Seq(left, self.path_postfix())
-        return left
+        return self.climb(_PATH_OPS, self.path_postfix)
 
     def path_postfix(self) -> fm.PathExpr:
         base = self.path_base()
@@ -244,11 +198,11 @@ class _Parser:
         return base
 
     def path_base(self) -> fm.PathExpr:
-        if self.peek().kind == "(":
+        if self.peek()[0] == "(":
             # A parenthesized formula (possibly a test) or a grouped path.
             save = self.i
             try:
-                self.advance()
+                self.i += 1
                 inner = self.formula()
                 self.expect(")", "')'")
                 return self.step_or_test(inner)
@@ -271,8 +225,7 @@ class _Parser:
     # -- traces --------------------------------------------------------------
 
     def trace(self) -> Trace | TimedTrace:
-        if self.at_ident("eps"):
-            self.advance()
+        if self.match("eps"):
             return Trace(())
         letters: list[Letter] = []
         times: list[int] = []
@@ -280,17 +233,14 @@ class _Parser:
         while True:
             tok = self.peek()
             letters.append(self.letter())
-            if self.peek().kind == "@":
+            if self.match("@"):
                 if timed is False:
-                    raise ParseError(tok.line, tok.column, "an untimed step (no '@')", "a timestamp")
+                    raise ParseError(tok[2], tok[3], "an untimed step (no '@')", "a timestamp")
                 timed = True
-                self.advance()
-                stamp_tok = self.expect("nat", "a timestamp")
-                stamp = int(stamp_tok.text)
+                _, text, line, column = self.expect("nat", "a timestamp")
+                stamp = int(text)
                 if times and stamp < times[-1]:
-                    raise ParseError(
-                        stamp_tok.line, stamp_tok.column, f"a timestamp >= {times[-1]}", stamp_tok.text
-                    )
+                    raise ParseError(line, column, f"a timestamp >= {times[-1]}", text)
                 times.append(stamp)
             else:
                 if timed is True:
@@ -304,11 +254,11 @@ class _Parser:
 
     def letter(self) -> Letter:
         self.expect("{", "'{'")
-        names: set[str] = set()
-        if self.peek().kind != "}":
-            names.add(self.atom().name)
+        names = []
+        if self.peek()[0] != "}":
+            names.append(self.name())
             while self.match(","):
-                names.add(self.atom().name)
+                names.append(self.name())
         self.expect("}", "'}'")
         return frozenset(names)
 
@@ -316,7 +266,7 @@ class _Parser:
 
     def program(self) -> MetricProgram:
         rules = []
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             rules.append(self.rule())
         return MetricProgram(tuple(rules))
 
@@ -334,20 +284,18 @@ class _Parser:
         return MetricRule(head, tuple(body))
 
     def head(self):
-        if self.at_ident("X"):
-            self.advance()
+        if self.match("X"):
             lo, hi = self.interval()
-            return MetricHead(lo, hi, self.atom().name)
-        return PlainHead(self.atom().name)
+            return MetricHead(lo, hi, self.name())
+        return PlainHead(self.name())
 
     def literal(self) -> tuple[str, bool]:
-        if self.at_ident("not"):
-            self.advance()
-            return (self.atom().name, False)
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text in ("X", "WX") and self.tokens[self.i + 1].kind == "[":
-            raise ParseError(tok.line, tok.column, "a plain atom (no metric operators in bodies)", tok.text)
-        return (self.atom().name, True)
+        if self.match("not"):
+            return (self.name(), False)
+        kind, text, line, column = self.peek()
+        if kind == "ident" and text in _METRIC_OPS and self.tokens[self.i + 1][0] == "[":
+            raise ParseError(line, column, "a plain atom (no metric operators in bodies)", text)
+        return (self.name(), True)
 
 
 def _run(src: str, production, expected_tail: str):
@@ -356,7 +304,7 @@ def _run(src: str, production, expected_tail: str):
         result = production(parser)
     except RecursionError:
         parser.fail("input nested less deeply")
-    if parser.peek().kind != "eof":
+    if parser.peek()[0] != "eof":
         parser.fail(expected_tail)
     return result
 

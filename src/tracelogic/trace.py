@@ -66,8 +66,10 @@ def letters_over(ap) -> list[Letter]:
 
 def enumerate_traces(ap, max_len: int) -> Iterator[Trace]:
     """All traces of length 0..max_len, shortest first, letters in lexicographic order."""
-    n_letters = max(len(letters_over(ap)), 1)
-    if len(ap) > MAX_ALPHABET or n_letters ** max_len > MAX_ENUMERATION:
+    if max_len < 0:
+        raise ValueError(f"trace length bound {max_len} is negative")
+    # The bound is tested before any of the 2^|ap| letters is built.
+    if len(ap) > MAX_ALPHABET or 2 ** (len(ap) * max_len) > MAX_ENUMERATION:
         raise SizeLimitError(
             f"trace enumeration over {len(ap)} atoms up to length {max_len} exceeds the size bound"
         )

@@ -1,5 +1,9 @@
 import contextlib
 import io
+import os
+import pathlib
+import subprocess
+import sys
 
 from tracelogic.cli import run
 from tracelogic.dot import to_dot
@@ -230,3 +234,37 @@ def test_filter_reports_file_line(tmp_path):
     assert out.splitlines() == ["{a};{b}", "{b}"]
     assert err == f"parse error: {path}:3:5: expected '{{', found ';'\n"
     assert "kept" not in err
+
+
+def test_nesting_two_hundred_deep_parses():
+    code, out, err = invoke("parse", "-f", "X (" * 200 + "a" + ")" * 200)
+    assert code == 0, err
+    assert out == "X " * 200 + "a\n"
+
+
+def test_non_ascii_digit_is_a_positioned_parse_error():
+    code, out, err = invoke("parse", "-f", "X[²,3) a")
+    assert (code, out) == (2, "")
+    assert err == "parse error: 1:3: expected a token, found '²'\n"
+
+
+def test_negative_lengths_are_invalid():
+    code, out, err = invoke("enumerate", "-f", "a", "--ap", "a", "--max-len", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    code, out, err = invoke("metric", "enumerate", "--program-text", "a :- b.", "--ap", "a,b", "--horizon", "-2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_closed_stdout_is_not_a_verdict():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = [sys.executable, "-m", "tracelogic.cli", "enumerate", "-f", "F a", "--ap", "a,b", "--max-len", "7"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "{a}\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    assert "Traceback" not in err
+    assert code not in (0, 1, 2, 3)

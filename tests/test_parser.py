@@ -146,3 +146,21 @@ def test_trace_round_trip_random():
     for _ in range(200):
         t = random_trace(rng, max_len=6, timed=rng.random() < 0.5)
         assert parse_trace(format_trace(t)) == t
+
+
+@pytest.mark.parametrize(
+    "parse, text, column, found",
+    [
+        (parse_trace, "{a}@²", 5, "²"),
+        (parse_formula, "X[²,3) a", 3, "²"),
+        (parse_trace, "{a}@1;{b}@٣", 11, "٣"),
+        (parse_formula, "aé", 2, "é"),
+        (parse_trace, "{é}", 2, "é"),
+    ],
+)
+def test_tokens_are_ascii(parse, text, column, found):
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    err = excinfo.value
+    assert (err.line, err.column, err.expected, err.found) == (1, column, "a token", repr(found))
+    assert str(err) == f"1:{column}: expected a token, found {found!r}"

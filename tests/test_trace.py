@@ -65,3 +65,14 @@ def test_timed_trace_validation():
         TimedTrace((frozenset(),), (0, 1))
     with pytest.raises(ValueError):
         TimedTrace((frozenset(), frozenset()), (5, 3))
+
+
+def test_size_limit_before_building_letters():
+    # 2^30 letters would not fit in memory; the bound must be tested first.
+    with pytest.raises(SizeLimitError):
+        next(enumerate_traces(tuple(f"p{i}" for i in range(30)), 1))
+
+
+def test_negative_length_rejected():
+    with pytest.raises(ValueError):
+        list(enumerate_traces(("a",), -1))
