@@ -37,7 +37,7 @@ from .fa import (
 )
 from .metric import UntimedViolationError, Witness, check_program, enumerate_models, extract_constraints, feasible
 from .parser import parse_formula, parse_program, parse_trace
-from .trace import TimedTrace, Trace, format_trace, letters_over
+from .trace import TimedTrace, Trace, check_enumeration_bound, format_trace, letters_over
 from .twafa import TwoAFA
 
 EXIT_OK = 0
@@ -197,6 +197,7 @@ def _cmd_filter(args) -> int:
 def _cmd_enumerate(args) -> int:
     f = _get_formula(args)
     ap = _parse_ap(args.ap) | fm.atoms(f)
+    check_enumeration_bound(ap, args.max_len)
     dfa = build_dfa(f, sorted(ap))
     for t in enumerate_accepted(dfa, args.max_len):
         print(format_trace(t))

@@ -8,11 +8,12 @@ difference constraints whose minimal solution (if any) derives timestamps.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import TraceLogicError
-from .trace import TimedTrace, Trace, enumerate_traces
+from .trace import TimedTrace, Trace, check_enumeration_bound, letters_over
 
 
 @dataclass(frozen=True)
@@ -165,43 +166,64 @@ def feasible(system: ConstraintSystem) -> Witness | Infeasible:
 
     Solved as a longest-path problem from the anchor t_0 = 0: each lower
     bound contributes an edge i -> j of weight lo, each finite upper bound
-    an edge j -> i of weight -hi, and every variable gets a zero-weight
-    edge from the anchor (non-negativity).  A positive cycle certifies
-    infeasibility.
+    an edge j -> i of weight -hi, and every variable starts at 0 as if
+    reached from the anchor by a zero-weight edge (non-negativity).
+
+    A FIFO worklist scans the out-edges of each variable whose value rose,
+    so a chain of constraints is solved in one sweep.  The longest-path
+    tree is kept as child sets.  When an edge u -> v raises t_v, the
+    subtree below v is taken out of the tree (its values rest on the old
+    t_v, and its members are skipped when popped until raised again); if
+    u lies inside that subtree, the tree path v ~> u and the edge u -> v
+    form a cycle of positive weight, which certifies infeasibility
+    (subtree disassembly, Tarjan 1981).
     """
     n = system.n_vars
     if n == 0:
         return Witness(())
-    edges: list[tuple[int, int, int, int | None]] = []  # (src, dst, weight, constraint idx)
+    out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # (dst, weight, constraint idx)
     for idx, c in enumerate(system.constraints):
-        edges.append((c.i, c.j, c.lo, idx))
+        out[c.i].append((c.j, c.lo, idx))
         if c.hi is not None:
-            edges.append((c.j, c.i, -c.hi, idx))
-    for v in range(1, n):
-        edges.append((0, v, 0, None))
+            out[c.j].append((c.i, -c.hi, idx))
 
-    neg_inf = float("-inf")
-    dist: list = [neg_inf] * n
-    dist[0] = 0
-    pred: list[tuple[int, int | None] | None] = [None] * n
-    exhausted = True
-    for _ in range(n - 1):
-        changed = False
-        for src, dst, weight, idx in edges:
-            if dist[src] != neg_inf and dist[src] + weight > dist[dst]:
-                dist[dst] = dist[src] + weight
-                pred[dst] = (src, idx)
-                changed = True
-        if not changed:
-            exhausted = False
-            break
-    if exhausted:
-        for src, dst, weight, idx in edges:
-            if dist[src] != neg_inf and dist[src] + weight > dist[dst]:
-                pred[dst] = (src, idx)
-                return Infeasible(_trace_cycle(pred, dst))
+    dist = [0] * n
+    pred: list[tuple[int, int | None] | None] = [(0, None)] * n
+    pred[0] = None
+    children: list[set[int]] = [set() for _ in range(n)]
+    children[0].update(range(1, n))
+    in_tree = [True] * n
+    queued = [True] * n
+    queue = deque(range(n))
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        if not in_tree[u]:
+            continue
+        for v, weight, idx in out[u]:
+            value = dist[u] + weight
+            if value <= dist[v]:
+                continue
+            dist[v] = value
+            stack = [v]
+            while stack:
+                x = stack.pop()
+                if x == u:
+                    pred[v] = (u, idx)
+                    return Infeasible(_trace_cycle(pred, v))
+                in_tree[x] = False
+                stack.extend(children[x])
+                children[x].clear()
+            # v is not the anchor: every scanned node lies below t_0, so raising it returned above.
+            children[pred[v][0]].discard(v)
+            pred[v] = (u, idx)
+            children[u].add(v)
+            in_tree[v] = True
+            if not queued[v]:
+                queued[v] = True
+                queue.append(v)
 
-    times = tuple(int(d) for d in dist)
+    times = tuple(dist)
     for c in system.constraints:
         if not c.satisfied(times):
             raise TraceLogicError(f"solver produced an invalid witness for {c}")
@@ -209,34 +231,69 @@ def feasible(system: ConstraintSystem) -> Witness | Infeasible:
 
 
 def _trace_cycle(pred, start: int) -> tuple[int, ...]:
-    # Follow predecessor links until a node repeats; the repeated suffix is the cycle.
-    seen: dict[int, int] = {}
-    chain: list[int | None] = []
-    node = start
-    while node not in seen:
-        seen[node] = len(chain)
-        entry = pred[node]
-        if entry is None:
-            break
-        chain.append(entry[1])
-        node = entry[0]
-    begin = seen.get(node, 0)
+    """Constraint indices, in walk order, of the tree path back to start and its closing edge."""
     indices = []
-    for idx in chain[begin:]:
-        if idx is not None and idx not in indices:
+    node = start
+    while True:
+        node, idx = pred[node]
+        if idx is not None:  # non-negativity edges from the anchor name no constraint
             indices.append(idx)
-    return tuple(reversed(indices))
+        if node == start:
+            return tuple(reversed(indices))
 
 
 def enumerate_models(program: MetricProgram, ap, horizon: int) -> Iterator[TimedTrace]:
-    """Every length-`horizon` trace admitting timestamps, with its minimal witness."""
-    for t in enumerate_traces(ap, horizon):
-        if len(t) != horizon:
+    """Every length-`horizon` trace admitting timestamps, with its minimal witness.
+
+    Traces come in the order of `enumerate_traces`: a depth-first search
+    extends a prefix by each letter of `letters_over(ap)` in turn.  A rule
+    reads at most one letter ahead, so each rule is checked at a position
+    as soon as the letters it reads are known, and a prefix is cut at its
+    first untimed violation.  Complete traces are then solved for
+    timestamps.
+    """
+    check_enumeration_bound(ap, horizon)
+    alphabet = letters_over(ap)
+
+    def fits(prefix) -> bool:
+        # The rules decided by the last letter: plain heads and integrity
+        # constraints at its position, metric heads at the position before it
+        # and, on the last step, at its own position, where no successor exists.
+        k = len(prefix) - 1
+        letter = prefix[k]
+        for rule in program.rules:
+            if isinstance(rule.head, MetricHead):
+                if k > 0 and _body_holds(rule, prefix[k - 1]) and rule.head.atom not in letter:
+                    return False
+                if k == horizon - 1 and _body_holds(rule, letter):
+                    return False
+            elif _body_holds(rule, letter) and (rule.head is None or rule.head.atom not in letter):
+                return False
+        return True
+
+    def model(letters):
+        solution = feasible(extract_constraints(program, Trace(letters)))
+        return TimedTrace(letters, solution.times) if isinstance(solution, Witness) else None
+
+    if horizon == 0:
+        yield model(())
+        return
+    prefix: list = []
+    branches = [iter(alphabet)]
+    while branches:
+        letter = next(branches[-1], None)
+        if letter is None:
+            branches.pop()
+            if prefix:
+                prefix.pop()
             continue
-        try:
-            system = extract_constraints(program, t)
-        except UntimedViolationError:
-            continue
-        solution = feasible(system)
-        if isinstance(solution, Witness):
-            yield TimedTrace(t.letters, solution.times)
+        prefix.append(letter)
+        if not fits(prefix):
+            prefix.pop()
+        elif len(prefix) < horizon:
+            branches.append(iter(alphabet))
+        else:
+            found = model(tuple(prefix))
+            if found is not None:
+                yield found
+            prefix.pop()

@@ -64,15 +64,22 @@ def letters_over(ap) -> list[Letter]:
     return sorted(subsets, key=lambda s: tuple(sorted(s)))
 
 
-def enumerate_traces(ap, max_len: int) -> Iterator[Trace]:
-    """All traces of length 0..max_len, shortest first, letters in lexicographic order."""
+def check_enumeration_bound(ap, max_len: int) -> None:
+    """Raise ValueError on a negative length, SizeLimitError on a space over the size bound.
+
+    Callers test it before any of the 2^|ap| letters, or an automaton over them, is built.
+    """
     if max_len < 0:
         raise ValueError(f"trace length bound {max_len} is negative")
-    # The bound is tested before any of the 2^|ap| letters is built.
     if len(ap) > MAX_ALPHABET or 2 ** (len(ap) * max_len) > MAX_ENUMERATION:
         raise SizeLimitError(
             f"trace enumeration over {len(ap)} atoms up to length {max_len} exceeds the size bound"
         )
+
+
+def enumerate_traces(ap, max_len: int) -> Iterator[Trace]:
+    """All traces of length 0..max_len, shortest first, letters in lexicographic order."""
+    check_enumeration_bound(ap, max_len)
     alphabet = letters_over(ap)
     for length in range(max_len + 1):
         for combo in product(alphabet, repeat=length):

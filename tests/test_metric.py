@@ -1,8 +1,14 @@
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tracelogic import oracle
+from tracelogic import metric, oracle
+from tracelogic.cli import run
+from tracelogic.errors import SizeLimitError
 from tracelogic.metric import (
     ConstraintSystem,
     DiffConstraint,
@@ -10,6 +16,7 @@ from tracelogic.metric import (
     MetricHead,
     MetricProgram,
     MetricRule,
+    PlainHead,
     UntimedViolationError,
     Witness,
     check_program,
@@ -18,7 +25,7 @@ from tracelogic.metric import (
     feasible,
 )
 from tracelogic.parser import parse_formula, parse_program, parse_trace
-from tracelogic.trace import TimedTrace, format_trace
+from tracelogic.trace import TimedTrace, enumerate_traces, format_trace
 
 SCHOOL = parse_program("X[20,40) school :- drive.")
 
@@ -67,6 +74,41 @@ def brute_minimum(system: ConstraintSystem, bound: int = 200):
 
     ok, _ = node(1)
     return tuple(values) if ok else None
+
+
+def closes_positive_walk(system: ConstraintSystem, cycle) -> bool:
+    """True when the listed constraints close a walk of positive weight.
+
+    Each constraint is read as one edge, i -> j weighing lo or j -> i
+    weighing -hi.  The walk may also take one non-negativity edge t_0 -> v
+    of weight 0, since every solution is anchored at t_0 = 0 with t_v >= 0.
+    """
+    listed = [system.constraints[k] for k in cycle]
+    for forward in product((True, False), repeat=len(listed)):
+        if any(not f and c.hi is None for c, f in zip(listed, forward)):
+            continue
+        edges = [(c.i, c.j, c.lo) if f else (c.j, c.i, -c.hi) for c, f in zip(listed, forward)]
+        balance = Counter()
+        for src, dst, _ in edges:
+            balance[src] += 1
+            balance[dst] -= 1
+        open_ends = {v: b for v, b in balance.items() if b}
+        if open_ends and not (len(open_ends) == 2 and open_ends.get(0) == -1):
+            continue
+        # One connected walk, counting the anchor edge if the ends need one.
+        links = [(src, dst) for src, dst, _ in edges] + ([tuple(open_ends)] if open_ends else [])
+        nodes = {v for link in links for v in link}
+        reached = {edges[0][0]}
+        grew = True
+        while grew:
+            grew = False
+            for a, b in links:
+                if (a in reached) != (b in reached):
+                    reached |= {a, b}
+                    grew = True
+        if reached == nodes and sum(w for _, _, w in edges) > 0:
+            return True
+    return False
 
 
 def test_check_program_paper_example():
@@ -166,6 +208,7 @@ def test_feasible_agrees_with_enumeration():
         if expected is None:
             assert isinstance(actual, Infeasible)
             assert actual.cycle  # certificate names at least one constraint
+            assert closes_positive_walk(system, actual.cycle)
         else:
             assert isinstance(actual, Witness)
             assert actual.times == expected
@@ -224,3 +267,176 @@ def test_head_check_matches_timed_oracle():
             if "b" in letter:
                 holds_here = oracle.evaluate(metric_formula, t, i)
                 assert (i not in violations) == holds_here
+
+
+@st.composite
+def constraint_systems(draw):
+    """2 to 5 variables; a constraint may point back in time (i > j)."""
+    n = draw(st.integers(2, 5))
+    constraints = []
+    for _ in range(draw(st.integers(1, 6))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        lo = draw(st.integers(0, 50))
+        hi = draw(st.none() | st.integers(lo, 50))
+        constraints.append(DiffConstraint(i, j, lo, hi))
+    return ConstraintSystem(n, tuple(constraints))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(constraint_systems())
+def test_feasible_property(system):
+    expected = brute_minimum(system)
+    actual = feasible(system)
+    if isinstance(actual, Witness):
+        assert actual.times == expected
+    else:
+        assert isinstance(actual, Infeasible)
+        assert expected is None
+        assert actual.cycle and closes_positive_walk(system, actual.cycle)
+
+
+# The paper's school run: drive, school, home in turn, with a late `hurry`
+# step that must reach school too soon on the infeasible plans.
+ROUTINE = parse_program(
+    "X[20,40) school :- drive.\n"
+    "X[3,inf) home :- school.\n"
+    "X[1,3) drive :- home, more.\n"
+    "X[1,3) school :- hurry."
+)
+
+
+def routine_plan(n: int, hurry_at: int | None):
+    cycle = ({"drive", "licensed"}, {"school"}, {"home", "more"})
+    letters = [set(cycle[i % 3]) for i in range(n)]
+    letters[-1] = {"home"}
+    if hurry_at is not None:
+        letters[hurry_at].add("hurry")
+    return parse_trace(";".join("{" + ",".join(sorted(l)) + "}" for l in letters))
+
+
+def chain_solution(system: ConstraintSystem):
+    """Minimal times of a system whose constraints all join consecutive steps.
+
+    Each gap takes the largest lower bound on its step; the first gap whose
+    interval is empty gives ("empty", step, constraints on that step).
+    """
+    by_step = [[] for _ in range(system.n_vars - 1)]
+    for c in system.constraints:
+        assert c.j == c.i + 1
+        by_step[c.i].append(c)
+    times = [0]
+    for step, listed in enumerate(by_step):
+        lo = max(c.lo for c in listed)
+        his = [c.hi for c in listed if c.hi is not None]
+        if his and lo > min(his):
+            return ("empty", step, listed)
+        times.append(times[-1] + lo)
+    return ("times", tuple(times))
+
+
+@pytest.mark.parametrize("steps", [1000, 2000, 4000])
+@pytest.mark.parametrize("infeasible", [False, True])
+def test_long_plans_agree_with_chain_solver(steps, infeasible):
+    n = steps - steps % 3
+    system = extract_constraints(ROUTINE, routine_plan(n, n - 6 if infeasible else None))
+    expected = chain_solution(system)
+    actual = feasible(system)
+    if expected[0] == "times":
+        assert not infeasible
+        assert actual == Witness(expected[1])
+        return
+    _, step, listed = expected
+    assert infeasible and step == n - 6
+    assert isinstance(actual, Infeasible)
+    named = [system.constraints[k] for k in actual.cycle]
+    assert all(c in listed for c in named)
+    assert max(c.lo for c in named) > min(c.hi for c in named if c.hi is not None)
+    assert closes_positive_walk(system, actual.cycle)
+
+
+def reference_models(program, ap, horizon):
+    """Filter every trace up to the horizon, then solve each one from scratch."""
+    for t in enumerate_traces(ap, horizon):
+        if len(t) != horizon:
+            continue
+        try:
+            system = extract_constraints(program, t)
+        except UntimedViolationError:
+            continue
+        solution = feasible(system)
+        if isinstance(solution, Witness):
+            yield TimedTrace(t.letters, solution.times)
+
+
+# Windows that often miss each other, so that rules sharing a trigger clash.
+WINDOWS = ((0, 2), (1, 3), (3, 5), (4, None), (2, None))
+
+
+def random_program(rng, atoms, n_rules):
+    rules = []
+    for _ in range(n_rules):
+        if rules and rng.random() < 0.4:
+            body = rules[-1].body
+        else:
+            body = tuple((atom, rng.random() < 0.7) for atom in rng.sample(atoms, rng.randint(1, 2)))
+        kind = rng.choice(("metric", "metric", "plain", "constraint"))
+        if kind == "metric":
+            head = MetricHead(*rng.choice(WINDOWS), rng.choice(atoms))
+        elif kind == "plain":
+            head = PlainHead(rng.choice(atoms))
+        else:
+            head = None
+        rules.append(MetricRule(head, body))
+    return MetricProgram(tuple(rules))
+
+
+def test_enumerate_models_matches_reference():
+    # 60 programs: at horizon 3, 10,835 traces fail an untimed rule,
+    # 176 are infeasible and 3,133 are models.
+    rng = random.Random(11)
+    for _ in range(60):
+        atoms = ["a", "b", "c"][: rng.randint(2, 3)]
+        program = random_program(rng, atoms, rng.randint(2, 3))
+        for horizon in range(4):
+            expected = list(reference_models(program, atoms, horizon))
+            assert list(enumerate_models(program, atoms, horizon)) == expected, (program, horizon)
+
+
+def test_enumerate_models_solves_only_full_untimed_models(monkeypatch):
+    program = parse_program(":- a.\nX[1,2) b :- c.")
+    solved = []
+    real = metric.extract_constraints
+
+    def recording(program, t, strict=False):
+        solved.append(len(t))
+        return real(program, t, strict)
+
+    monkeypatch.setattr(metric, "extract_constraints", recording)
+    models = list(enumerate_models(program, ("a", "b", "c"), 3))
+    # No `a` anywhere, and every `c` before the last step is followed by `b`.
+    assert len(models) == len(solved) == 18  # of 64 traces without `a`, 512 in all
+    assert set(solved) == {3}
+
+
+def test_enumerate_models_horizon_zero():
+    assert [format_trace(t) for t in enumerate_models(SCHOOL, ("drive", "school"), 0)] == ["eps"]
+
+
+def test_enumerate_models_bounds(capsys):
+    with pytest.raises(ValueError):
+        next(enumerate_models(SCHOOL, ("drive", "school"), -1))
+    ap = tuple(f"p{i}" for i in range(9))
+    with pytest.raises(SizeLimitError):
+        next(enumerate_models(SCHOOL, ap + ("drive", "school"), 1))
+    code = run(["metric", "enumerate", "--program-text", "X[20,40) school :- drive.", "--ap", ",".join(ap), "--horizon", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == "limit exceeded: trace enumeration over 11 atoms up to length 1 exceeds the size bound\n"
+
+
+def test_metric_times_prints_cycle_in_walk_order(capsys):
+    # Constraint 1 is drive's [20,40) at step 2 and constraint 2 is hurry's [1,3)
+    # there: the walk goes forward by 20 and back by at most 2.
+    program = "X[20,40) school :- drive.\nX[1,3) school :- hurry."
+    code = run(["metric", "times", "--program-text", program, "-t", "{drive};{school};{drive,hurry};{school}"])
+    assert (code, capsys.readouterr().out) == (1, "INFEASIBLE\ncycle: 1, 2\n")

@@ -1,5 +1,6 @@
 import pytest
 
+from tracelogic import cli
 from tracelogic.errors import SizeLimitError
 from tracelogic.parser import parse_trace
 from tracelogic.trace import (
@@ -76,3 +77,15 @@ def test_size_limit_before_building_letters():
 def test_negative_length_rejected():
     with pytest.raises(ValueError):
         list(enumerate_traces(("a",), -1))
+
+
+def test_cli_enumerate_tests_the_bound_before_compiling(monkeypatch, capsys):
+    def no_compile(*args):
+        raise AssertionError("build_dfa called on an oversized alphabet")
+
+    monkeypatch.setattr(cli, "build_dfa", no_compile)
+    ap = ",".join(["a"] + [f"p{i}" for i in range(16)])
+    assert cli.run(["enumerate", "-f", "a", "--ap", ap, "--max-len", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "limit exceeded: trace enumeration over 17 atoms up to length 2 exceeds the size bound\n"
