@@ -6,7 +6,7 @@ a direct semantic oracle; metric timing rules compile into difference
 constraints for timestamp checking and derivation.
 """
 
-from .afa import AFA
+from .afa import AFA, closure
 from .dot import to_dot
 from .errors import (
     AlphabetMismatchError,
@@ -33,7 +33,6 @@ from .fa import (
 )
 from .formula import (
     atoms,
-    closure,
     format_formula,
     format_path,
     nnf,

@@ -1,14 +1,17 @@
 """Translation of dynamic-core formulas to alternating finite automata.
 
-States are the closure formulas; transition images are positive boolean
-formulas (PBFs) over successor states, so universal and existential
-branching share one representation.  A per-call visited set cuts the
-unfolding of stars that make no progress within a single letter, which is
-what keeps the construction total on formulas like `<(tt?)*> a`.
+States are the closure formulas: the root and every formula one
+transition can introduce, numbered in breadth-first order.  Transition
+images are positive boolean formulas (PBFs) over successor states, so
+universal and existential branching share one representation.  A per-call
+visited set cuts the unfolding of stars that make no progress within a
+single letter, which is what keeps the construction total on formulas like
+`<(tt?)*> a`.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from . import formula as fm
@@ -128,13 +131,96 @@ def weak_state(f: fm.Formula) -> fm.Formula:
     return fm.Or(f, fm.AT_MARKER)
 
 
+class StateSet:
+    """Ordered, duplicate-free collection of automaton states.
+
+    Entries are hashable state labels (formulas, or wrapped formulas for
+    the two-way construction); ordinals follow insertion order.
+    """
+
+    def __init__(self):
+        self.states: list = []
+        self.index: dict = {}
+
+    def add(self, state) -> int:
+        ordinal = self.index.get(state)
+        if ordinal is None:
+            ordinal = len(self.states)
+            self.states.append(state)
+            self.index[state] = ordinal
+        return ordinal
+
+    def ordinal(self, state) -> int:
+        return self.index[state]
+
+    def __contains__(self, state) -> bool:
+        return state in self.index
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __iter__(self):
+        return iter(self.states)
+
+    def __getitem__(self, ordinal: int):
+        return self.states[ordinal]
+
+
+def expansion(f: fm.Formula) -> list[fm.Formula]:
+    """Formulas introduced by one transition-expansion step of a dynamic-core formula f.
+
+    They are the states `AFA._image` refers to: the body of a step-guarded
+    box is referenced as its `weak_state`.
+    """
+    match f:
+        case fm.Atom() | fm.TrueFormula() | fm.FalseFormula() | fm.Not(fm.Atom()):
+            return []
+        case fm.And(l, r) | fm.Or(l, r):
+            return [l, r]
+        case fm.Modal(p, g):
+            mod = type(f)
+            match p:
+                case fm.Step(_):
+                    return [weak_state(g) if mod is fm.Box else g]
+                case fm.Test(e):
+                    return [fm.nnf_not(e) if mod is fm.Box else e, g]
+                case fm.Seq(q, r):
+                    return [mod(q, mod(r, g))]
+                case fm.Alt(q, r):
+                    return [mod(q, g), mod(r, g)]
+                case fm.Star(q):
+                    return [g, mod(q, f)]
+            raise TypeError(f"not a path expression: {p!r}")
+        case fm.Formula():
+            raise UnsupportedOperatorError(f"cannot build transitions for {type(f).__name__}")
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def closure(f: fm.Formula) -> StateSet:
+    """Smallest StateSet containing f and closed under expansion.
+
+    Insertion order is the breadth-first, left-to-right discovery order,
+    so ordinals are reproducible; the root always gets ordinal 0.
+    """
+    states = StateSet()
+    states.add(f)
+    queue = deque([f])
+    while queue:
+        g = queue.popleft()
+        for h in expansion(g):
+            if h not in states:
+                states.add(h)
+                queue.append(h)
+    return states
+
+
 class AFA:
     """Alternating automaton over letters drawn from subsets of `ap`."""
 
     def __init__(self, root: fm.Formula, ap=None):
         fm.check_fragment(root)
         self.ap: tuple[str, ...] = resolve_alphabet(fm.atoms(root), ap)
-        self.states: fm.StateSet = fm.closure(root, box_continuation=weak_state)
+        self.states: StateSet = closure(root)
         self.initial: int = 0
         self.final: tuple[bool, ...] = tuple(oracle.end_value(q) for q in self.states)
         self._delta_memo: dict = {}

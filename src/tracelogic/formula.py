@@ -1,14 +1,23 @@
-"""Formula and path-expression ASTs, normal forms, and the automaton state closure.
+"""Formula and path-expression ASTs, the operator table, normal forms and printing.
 
 Formulas combine propositional connectives, future and past temporal
 operators, dynamic path modalities, and a metric next constrained by an
 integer interval.  All nodes are immutable and compared structurally.
+
+Every operator node has one of five shapes: `Unary`, `Binary`, `Modal`,
+`Metric` or `PathBinary`.  Atoms, constants and the path nodes `Step`, `Test`
+and `Star` are the only other nodes.  The operator table is `_DUAL`, which
+pairs each operator with its dual under negation, plus the surface syntax
+(`BINARY_SYNTAX`, `PREFIX_SYNTAX`, `METRIC_SYNTAX`, `MODAL_SYNTAX`,
+`POSTFIX_SYNTAX`), which the printer here and the parser both read.
+Negation normal form, the rewriting into the dynamic core, atom collection
+and the fragment check are folds over the shapes, so only the operators a
+fold treats specially have cases of their own.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import UnsupportedOperatorError
@@ -47,119 +56,114 @@ class FalseFormula(Formula):
     pass
 
 
+# The five shapes.  Concrete operators subclass one without adding fields, so
+# each keeps its own name in `repr` and compares equal only to its own class.
+
+
 @dataclass(frozen=True)
-class Not(Formula):
+class Unary(Formula):
     arg: Formula
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class Binary(Formula):
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Next(Formula):
-    arg: Formula
-
-
-@dataclass(frozen=True)
-class WeakNext(Formula):
-    arg: Formula
-
-
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Release(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Eventually(Formula):
-    arg: Formula
-
-
-@dataclass(frozen=True)
-class Always(Formula):
-    arg: Formula
-
-
-@dataclass(frozen=True)
-class Prev(Formula):
-    arg: Formula
-
-
-@dataclass(frozen=True)
-class WeakPrev(Formula):
-    arg: Formula
-
-
-@dataclass(frozen=True)
-class Since(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Trigger(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Diamond(Formula):
+class Modal(Formula):
     path: PathExpr
     arg: Formula
 
 
 @dataclass(frozen=True)
-class Box(Formula):
-    path: PathExpr
+class Metric(Formula):
+    lo: int
+    hi: int | None
     arg: Formula
+
+    def __post_init__(self):
+        if self.lo < 0 or (self.hi is not None and self.lo >= self.hi):
+            raise ValueError(f"empty metric interval [{self.lo},{self.hi})")
 
 
 @dataclass(frozen=True)
-class MetricNext(Formula):
+class PathBinary(PathExpr):
+    left: PathExpr
+    right: PathExpr
+
+
+class Not(Unary):
+    pass
+
+
+class And(Binary):
+    pass
+
+
+class Or(Binary):
+    pass
+
+
+class Implies(Binary):
+    pass
+
+
+class Next(Unary):
+    pass
+
+
+class WeakNext(Unary):
+    pass
+
+
+class Until(Binary):
+    pass
+
+
+class Release(Binary):
+    pass
+
+
+class Eventually(Unary):
+    pass
+
+
+class Always(Unary):
+    pass
+
+
+class Prev(Unary):
+    pass
+
+
+class WeakPrev(Unary):
+    pass
+
+
+class Since(Binary):
+    pass
+
+
+class Trigger(Binary):
+    pass
+
+
+class Diamond(Modal):
+    pass
+
+
+class Box(Modal):
+    pass
+
+
+class MetricNext(Metric):
     """Next step must happen after a delay d with lo <= d < hi (hi=None is unbounded)."""
 
-    lo: int
-    hi: int | None
-    arg: Formula
 
-    def __post_init__(self):
-        if self.lo < 0 or (self.hi is not None and self.lo >= self.hi):
-            raise ValueError(f"empty metric interval [{self.lo},{self.hi})")
-
-
-@dataclass(frozen=True)
-class WeakMetricNext(Formula):
+class WeakMetricNext(Metric):
     """Dual of MetricNext: no next step, or the delay misses the interval, or the body holds."""
-
-    lo: int
-    hi: int | None
-    arg: Formula
-
-    def __post_init__(self):
-        if self.lo < 0 or (self.hi is not None and self.lo >= self.hi):
-            raise ValueError(f"empty metric interval [{self.lo},{self.hi})")
 
 
 @dataclass(frozen=True)
@@ -180,16 +184,12 @@ class Test(PathExpr):
     arg: Formula
 
 
-@dataclass(frozen=True)
-class Seq(PathExpr):
-    left: PathExpr
-    right: PathExpr
+class Seq(PathBinary):
+    pass
 
 
-@dataclass(frozen=True)
-class Alt(PathExpr):
-    left: PathExpr
-    right: PathExpr
+class Alt(PathBinary):
+    pass
 
 
 @dataclass(frozen=True)
@@ -197,191 +197,157 @@ class Star(PathExpr):
     arg: PathExpr
 
 
+# ---------------------------------------------------------------------------
+# The operator table.
+
+_DUAL_PAIRS = (
+    (TrueFormula, FalseFormula),
+    (And, Or),
+    (Next, WeakNext),
+    (Until, Release),
+    (Eventually, Always),
+    (Prev, WeakPrev),
+    (Since, Trigger),
+    (Diamond, Box),
+    (MetricNext, WeakMetricNext),
+)
+_DUAL = {**dict(_DUAL_PAIRS), **{dual: op for op, dual in _DUAL_PAIRS}}
+
+# Surface syntax.  Binary operators map to (symbol, precedence, right
+# associative); formula and path operators have separate precedence scales.
+BINARY_SYNTAX = {
+    Implies: ("->", 1, True),
+    Or: ("|", 2, False),
+    And: ("&", 3, False),
+    Until: ("U", 4, True),
+    Release: ("R", 4, True),
+    Since: ("S", 4, True),
+    Trigger: ("T", 4, True),
+    Alt: ("+", 1, False),
+    Seq: (";", 2, False),
+}
+PREFIX_SYNTAX = {Not: "!", Next: "X", WeakNext: "WX", Eventually: "F", Always: "G", Prev: "Y", WeakPrev: "WY"}
+METRIC_SYNTAX = {MetricNext: "X", WeakMetricNext: "WX"}  # followed by an interval `[lo,hi)`
+MODAL_SYNTAX = {Diamond: ("<", ">"), Box: ("[", "]")}
+POSTFIX_SYNTAX = {Star: "*", Test: "?"}
+
+
+# ---------------------------------------------------------------------------
+# Traversal by shape.
+
+
+def children(node) -> tuple:
+    """The direct subformulas and subpaths of a formula or path node, in field order."""
+    match node:
+        case Atom() | TrueFormula() | FalseFormula():
+            return ()
+        case Unary(g) | Metric(_, _, g) | Step(g) | Test(g) | Star(g):
+            return (g,)
+        case Binary(l, r) | Modal(l, r) | PathBinary(l, r):
+            return (l, r)
+        case _:
+            raise TypeError(f"not a formula or path expression: {node!r}")
+
+
+def _rebuild(f: Formula, cls: type, sub, path_sub) -> Formula:
+    """A `cls` node of f's shape: f's subformulas mapped by `sub`, its path by `path_sub`."""
+    match f:
+        case Unary(g):
+            return cls(sub(g))
+        case Binary(l, r):
+            return cls(sub(l), sub(r))
+        case Modal(p, g):
+            return cls(path_sub(p), sub(g))
+        case Metric(lo, hi, g):
+            return cls(lo, hi, sub(g))
+        case TrueFormula() | FalseFormula():
+            return cls()
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+
+
+def _rebuild_path(p: PathExpr, sub, path_sub) -> PathExpr:
+    """p with the formulas of its steps and tests mapped by `sub`, its subpaths by `path_sub`."""
+    match p:
+        case Step(g) | Test(g):
+            return type(p)(sub(g))
+        case PathBinary(l, r):
+            return type(p)(path_sub(l), path_sub(r))
+        case Star(q):
+            return Star(path_sub(q))
+        case _:
+            raise TypeError(f"not a path expression: {p!r}")
+
+
 def is_propositional(f: Formula) -> bool:
     """True if f uses only atoms, constants, and boolean connectives."""
-    match f:
-        case Atom() | TrueFormula() | FalseFormula():
-            return True
-        case Not(arg):
-            return is_propositional(arg)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return is_propositional(l) and is_propositional(r)
-        case _:
-            return False
+    if isinstance(f, (Atom, TrueFormula, FalseFormula)):
+        return True
+    return isinstance(f, (Not, And, Or, Implies)) and all(is_propositional(g) for g in children(f))
 
 
 TRUE = TrueFormula()
 FALSE = FalseFormula()
 STEP_TRUE = Step(TRUE)
 
+# End-of-trace detectors used by the past-operator translation; the box form
+# holds exactly at the begin/end markers, the diamond form exactly at letters.
+AT_MARKER = Box(STEP_TRUE, FALSE)
+STEP_POSSIBLE = Diamond(STEP_TRUE, TRUE)
+
 
 def atoms(f: Formula) -> set[str]:
     """All atom names occurring in f, including in path guards and tests."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
     found: set[str] = set()
-    _collect_atoms(f, found)
+    pending = [f]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, Atom):
+            found.add(node.name)
+        else:
+            pending.extend(children(node))
     return found
-
-
-def _collect_atoms(f: Formula, out: set[str]) -> None:
-    match f:
-        case Atom(name):
-            out.add(name)
-        case TrueFormula() | FalseFormula():
-            pass
-        case Not(g) | Next(g) | WeakNext(g) | Eventually(g) | Always(g) | Prev(g) | WeakPrev(g):
-            _collect_atoms(g, out)
-        case MetricNext(_, _, g) | WeakMetricNext(_, _, g):
-            _collect_atoms(g, out)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Until(l, r) | Release(l, r) | Since(l, r) | Trigger(l, r):
-            _collect_atoms(l, out)
-            _collect_atoms(r, out)
-        case Diamond(p, g) | Box(p, g):
-            _collect_path_atoms(p, out)
-            _collect_atoms(g, out)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-
-
-def _collect_path_atoms(p: PathExpr, out: set[str]) -> None:
-    match p:
-        case Step(g) | Test(g):
-            _collect_atoms(g, out)
-        case Seq(l, r) | Alt(l, r):
-            _collect_path_atoms(l, out)
-            _collect_path_atoms(r, out)
-        case Star(q):
-            _collect_path_atoms(q, out)
-        case _:
-            raise TypeError(f"not a path expression: {p!r}")
 
 
 def nnf(f: Formula) -> Formula:
     """Negation normal form: negation only on atoms, implication eliminated."""
     match f:
         case Not(g):
-            return _nnf_neg(g)
+            return nnf_not(g)
+        case Implies(l, r):
+            return Or(nnf_not(l), nnf(r))
         case Atom() | TrueFormula() | FalseFormula():
             return f
-        case And(l, r):
-            return And(nnf(l), nnf(r))
-        case Or(l, r):
-            return Or(nnf(l), nnf(r))
-        case Implies(l, r):
-            return Or(_nnf_neg(l), nnf(r))
-        case Next(g):
-            return Next(nnf(g))
-        case WeakNext(g):
-            return WeakNext(nnf(g))
-        case Until(l, r):
-            return Until(nnf(l), nnf(r))
-        case Release(l, r):
-            return Release(nnf(l), nnf(r))
-        case Eventually(g):
-            return Eventually(nnf(g))
-        case Always(g):
-            return Always(nnf(g))
-        case Prev(g):
-            return Prev(nnf(g))
-        case WeakPrev(g):
-            return WeakPrev(nnf(g))
-        case Since(l, r):
-            return Since(nnf(l), nnf(r))
-        case Trigger(l, r):
-            return Trigger(nnf(l), nnf(r))
-        case Diamond(p, g):
-            return Diamond(_nnf_path(p), nnf(g))
-        case Box(p, g):
-            return Box(_nnf_path(p), nnf(g))
-        case MetricNext(lo, hi, g):
-            return MetricNext(lo, hi, nnf(g))
-        case WeakMetricNext(lo, hi, g):
-            return WeakMetricNext(lo, hi, nnf(g))
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
+    return _rebuild(f, type(f), nnf, _nnf_path)
 
 
 def nnf_not(f: Formula) -> Formula:
-    """NNF of the negation of f."""
-    return _nnf_neg(f)
-
-
-def _nnf_neg(f: Formula) -> Formula:
+    """NNF of the negation of f: every operator becomes its dual over negated subformulas."""
     match f:
         case Atom():
             return Not(f)
-        case TrueFormula():
-            return FALSE
-        case FalseFormula():
-            return TRUE
         case Not(g):
             return nnf(g)
-        case And(l, r):
-            return Or(_nnf_neg(l), _nnf_neg(r))
-        case Or(l, r):
-            return And(_nnf_neg(l), _nnf_neg(r))
         case Implies(l, r):
-            return And(nnf(l), _nnf_neg(r))
-        case Next(g):
-            return WeakNext(_nnf_neg(g))
-        case WeakNext(g):
-            return Next(_nnf_neg(g))
-        case Until(l, r):
-            return Release(_nnf_neg(l), _nnf_neg(r))
-        case Release(l, r):
-            return Until(_nnf_neg(l), _nnf_neg(r))
-        case Eventually(g):
-            return Always(_nnf_neg(g))
-        case Always(g):
-            return Eventually(_nnf_neg(g))
-        case Prev(g):
-            return WeakPrev(_nnf_neg(g))
-        case WeakPrev(g):
-            return Prev(_nnf_neg(g))
-        case Since(l, r):
-            return Trigger(_nnf_neg(l), _nnf_neg(r))
-        case Trigger(l, r):
-            return Since(_nnf_neg(l), _nnf_neg(r))
-        case Diamond(p, g):
-            return Box(_nnf_path(p), _nnf_neg(g))
-        case Box(p, g):
-            return Diamond(_nnf_path(p), _nnf_neg(g))
-        case MetricNext(lo, hi, g):
-            return WeakMetricNext(lo, hi, _nnf_neg(g))
-        case WeakMetricNext(lo, hi, g):
-            return MetricNext(lo, hi, _nnf_neg(g))
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
+            return And(nnf(l), nnf_not(r))
+    return _rebuild(f, _DUAL.get(type(f)), nnf_not, _nnf_path)
 
 
 def _nnf_path(p: PathExpr) -> PathExpr:
-    match p:
-        case Step(g):
-            return Step(nnf(g))
-        case Test(g):
-            return Test(nnf(g))
-        case Seq(l, r):
-            return Seq(_nnf_path(l), _nnf_path(r))
-        case Alt(l, r):
-            return Alt(_nnf_path(l), _nnf_path(r))
-        case Star(q):
-            return Star(_nnf_path(q))
-        case _:
-            raise TypeError(f"not a path expression: {p!r}")
+    return _rebuild_path(p, nnf, _nnf_path)
 
 
 def to_dynamic_core(f: Formula) -> Formula:
     """Rewrite future temporal sugar into path modalities.
 
-    Expects NNF input.  Past operators and the metric next are kept as
-    primitives; only their subformulas are rewritten.
+    Expects NNF input and raises TypeError otherwise (an implication, or a
+    negation above anything but an atom).  Past operators and the metric
+    next are kept as primitives; only their subformulas are rewritten.
+    Step guards are propositional and are kept as they are.
     """
     match f:
-        case Atom() | TrueFormula() | FalseFormula() | Not(_):
-            return f
-        case And(l, r):
-            return And(to_dynamic_core(l), to_dynamic_core(r))
-        case Or(l, r):
-            return Or(to_dynamic_core(l), to_dynamic_core(r))
         case Next(g):
             return Diamond(STEP_TRUE, to_dynamic_core(g))
         case WeakNext(g):
@@ -394,93 +360,50 @@ def to_dynamic_core(f: Formula) -> Formula:
             return Diamond(Star(Seq(Test(to_dynamic_core(l)), STEP_TRUE)), to_dynamic_core(r))
         case Release(l, r):
             return Box(Star(Seq(Test(nnf_not(to_dynamic_core(l))), STEP_TRUE)), to_dynamic_core(r))
-        case Prev(g):
-            return Prev(to_dynamic_core(g))
-        case WeakPrev(g):
-            return WeakPrev(to_dynamic_core(g))
-        case Since(l, r):
-            return Since(to_dynamic_core(l), to_dynamic_core(r))
-        case Trigger(l, r):
-            return Trigger(to_dynamic_core(l), to_dynamic_core(r))
-        case Diamond(p, g):
-            return Diamond(_core_path(p), to_dynamic_core(g))
-        case Box(p, g):
-            return Box(_core_path(p), to_dynamic_core(g))
-        case MetricNext(lo, hi, g):
-            return MetricNext(lo, hi, to_dynamic_core(g))
-        case WeakMetricNext(lo, hi, g):
-            return WeakMetricNext(lo, hi, to_dynamic_core(g))
-        case _:
+        case Atom() | TrueFormula() | FalseFormula() | Not(Atom()):
+            return f
+        case Not() | Implies():
             raise TypeError(f"not an NNF formula: {f!r}")
+    return _rebuild(f, type(f), to_dynamic_core, _core_path)
 
 
 def _core_path(p: PathExpr) -> PathExpr:
-    match p:
-        case Step(_):
-            return p
-        case Test(g):
-            return Test(to_dynamic_core(g))
-        case Seq(l, r):
-            return Seq(_core_path(l), _core_path(r))
-        case Alt(l, r):
-            return Alt(_core_path(l), _core_path(r))
-        case Star(q):
-            return Star(_core_path(q))
-        case _:
-            raise TypeError(f"not a path expression: {p!r}")
+    return p if isinstance(p, Step) else _rebuild_path(p, to_dynamic_core, _core_path)
 
 
 def check_fragment(f: Formula, past: bool = False) -> None:
     """Reject anything but an NNF dynamic-core formula, with past operators only if `past`.
 
     This is the input fragment of the automaton constructions: the one-way
-    AFA takes `past=False`, the two-way automaton `past=True`.
+    AFA takes `past=False`, the two-way automaton `past=True`.  Step guards
+    are not checked: the automata evaluate any propositional guard.  The
+    first offending node in left-to-right preorder is reported.
     """
-    match f:
-        case Atom() | TrueFormula() | FalseFormula() | Not(Atom()):
-            pass
-        case MetricNext() | WeakMetricNext():
-            raise UnsupportedOperatorError(f"metric operator {type(f).__name__} needs the metric backend")
-        case Prev() | WeakPrev() | Since() | Trigger() if not past:
-            raise UnsupportedOperatorError(f"past operator {type(f).__name__} needs the two-way backend")
-        case Next() | WeakNext() | Until() | Release() | Eventually() | Always() | Implies():
-            raise UnsupportedOperatorError(f"{type(f).__name__} must be rewritten into the dynamic core first")
-        case Not(_):
-            raise UnsupportedOperatorError("negation must be pushed to atoms first")
-        case And(l, r) | Or(l, r) | Since(l, r) | Trigger(l, r):
-            check_fragment(l, past)
-            check_fragment(r, past)
-        case Prev(g) | WeakPrev(g):
-            check_fragment(g, past)
-        case Diamond(p, g) | Box(p, g):
-            _check_path_fragment(p, past)
-            check_fragment(g, past)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-
-
-def _check_path_fragment(p: PathExpr, past: bool) -> None:
-    match p:
-        case Step(_):
-            pass
-        case Test(g):
-            check_fragment(g, past)
-        case Seq(l, r) | Alt(l, r):
-            _check_path_fragment(l, past)
-            _check_path_fragment(r, past)
-        case Star(q):
-            _check_path_fragment(q, past)
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    pending = [f]
+    while pending:
+        node = pending.pop()
+        match node:
+            case Atom() | TrueFormula() | FalseFormula() | Not(Atom()) | Step():
+                continue
+            case Metric():
+                raise UnsupportedOperatorError(f"metric operator {type(node).__name__} needs the metric backend")
+            case Prev() | WeakPrev() | Since() | Trigger() if not past:
+                raise UnsupportedOperatorError(f"past operator {type(node).__name__} needs the two-way backend")
+            case Next() | WeakNext() | Until() | Release() | Eventually() | Always() | Implies():
+                raise UnsupportedOperatorError(f"{type(node).__name__} must be rewritten into the dynamic core first")
+            case Not():
+                raise UnsupportedOperatorError("negation must be pushed to atoms first")
+        pending.extend(reversed(children(node)))
 
 
 # ---------------------------------------------------------------------------
 # Pretty printing.  The contract is a round trip through parser.parse_formula.
 
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_BINTEMP = 4
-_PREC_UNARY = 5
+_PREC_UNARY = 5  # prefix operators bind tighter than every binary one
 _PREC_ATOM = 6
+_PATH_POSTFIX = 3
 
 
 def format_formula(f: Formula) -> str:
@@ -492,10 +415,6 @@ def _paren(text: str, prec: int, minimum: int) -> str:
     return f"({text})" if prec < minimum else text
 
 
-def _interval(lo: int, hi: int | None) -> str:
-    return f"[{lo},{'inf' if hi is None else hi})"
-
-
 def _fmt(f: Formula, minimum: int = 0) -> str:
     match f:
         case Atom(name):
@@ -505,188 +424,39 @@ def _fmt(f: Formula, minimum: int = 0) -> str:
         case FalseFormula():
             return "ff"
         case Not(g):
-            return _paren(f"!{_fmt(g, _PREC_ATOM)}", _PREC_UNARY, minimum)
-        case Next(g):
-            return _paren(f"X {_fmt(g, _PREC_UNARY)}", _PREC_UNARY, minimum)
-        case WeakNext(g):
-            return _paren(f"WX {_fmt(g, _PREC_UNARY)}", _PREC_UNARY, minimum)
-        case Eventually(g):
-            return _paren(f"F {_fmt(g, _PREC_UNARY)}", _PREC_UNARY, minimum)
-        case Always(g):
-            return _paren(f"G {_fmt(g, _PREC_UNARY)}", _PREC_UNARY, minimum)
-        case Prev(g):
-            return _paren(f"Y {_fmt(g, _PREC_UNARY)}", _PREC_UNARY, minimum)
-        case WeakPrev(g):
-            return _paren(f"WY {_fmt(g, _PREC_UNARY)}", _PREC_UNARY, minimum)
-        case MetricNext(lo, hi, g):
-            return _paren(f"X{_interval(lo, hi)} {_fmt(g, _PREC_UNARY)}", _PREC_UNARY, minimum)
-        case WeakMetricNext(lo, hi, g):
-            return _paren(f"WX{_interval(lo, hi)} {_fmt(g, _PREC_UNARY)}", _PREC_UNARY, minimum)
-        case Diamond(p, g):
-            return _paren(f"<{format_path(p)}> {_fmt(g, _PREC_UNARY)}", _PREC_UNARY, minimum)
-        case Box(p, g):
-            return _paren(f"[{format_path(p)}] {_fmt(g, _PREC_UNARY)}", _PREC_UNARY, minimum)
-        case Until(l, r):
-            return _paren(f"{_fmt(l, _PREC_BINTEMP + 1)} U {_fmt(r, _PREC_BINTEMP)}", _PREC_BINTEMP, minimum)
-        case Release(l, r):
-            return _paren(f"{_fmt(l, _PREC_BINTEMP + 1)} R {_fmt(r, _PREC_BINTEMP)}", _PREC_BINTEMP, minimum)
-        case Since(l, r):
-            return _paren(f"{_fmt(l, _PREC_BINTEMP + 1)} S {_fmt(r, _PREC_BINTEMP)}", _PREC_BINTEMP, minimum)
-        case Trigger(l, r):
-            return _paren(f"{_fmt(l, _PREC_BINTEMP + 1)} T {_fmt(r, _PREC_BINTEMP)}", _PREC_BINTEMP, minimum)
-        case And(l, r):
-            return _paren(f"{_fmt(l, _PREC_AND)} & {_fmt(r, _PREC_AND + 1)}", _PREC_AND, minimum)
-        case Or(l, r):
-            return _paren(f"{_fmt(l, _PREC_OR)} | {_fmt(r, _PREC_OR + 1)}", _PREC_OR, minimum)
-        case Implies(l, r):
-            return _paren(f"{_fmt(l, _PREC_IMPLIES + 1)} -> {_fmt(r, _PREC_IMPLIES)}", _PREC_IMPLIES, minimum)
+            # `!` binds at atom level: `!X a` would not read back as `!(X a)`.
+            return _paren(f"{PREFIX_SYNTAX[Not]}{_fmt(g, _PREC_ATOM)}", _PREC_UNARY, minimum)
+        case Unary(g):
+            prefix = PREFIX_SYNTAX[type(f)]
+        case Metric(lo, hi, g):
+            prefix = f"{METRIC_SYNTAX[type(f)]}[{lo},{'inf' if hi is None else hi})"
+        case Modal(p, g):
+            opening, closing = MODAL_SYNTAX[type(f)]
+            prefix = f"{opening}{format_path(p)}{closing}"
+        case Binary(l, r):
+            symbol, prec, right_assoc = BINARY_SYNTAX[type(f)]
+            text = f"{_fmt(l, prec + right_assoc)} {symbol} {_fmt(r, prec + (not right_assoc))}"
+            return _paren(text, prec, minimum)
         case _:
             raise TypeError(f"not a formula: {f!r}")
-
-
-_PATH_ALT = 1
-_PATH_SEQ = 2
-_PATH_POSTFIX = 3
+    return _paren(f"{prefix} {_fmt(g, _PREC_UNARY)}", _PREC_UNARY, minimum)
 
 
 def format_path(p: PathExpr) -> str:
     return _fmt_path(p, 0)
 
 
-def _atomic_leaf(g: Formula) -> bool:
-    return isinstance(g, (Atom, TrueFormula, FalseFormula))
-
-
 def _fmt_path(p: PathExpr, minimum: int) -> str:
     match p:
         case Step(g):
-            text = _fmt(g) if _atomic_leaf(g) else f"({_fmt(g)})"
-            return text
+            return _fmt(g, _PREC_ATOM)
         case Test(g):
-            text = _fmt(g) if _atomic_leaf(g) else f"({_fmt(g)})"
-            return f"{text}?"
-        case Seq(l, r):
-            text = f"{_fmt_path(l, _PATH_SEQ)} ; {_fmt_path(r, _PATH_SEQ + 1)}"
-            return f"({text})" if minimum > _PATH_SEQ else text
-        case Alt(l, r):
-            text = f"{_fmt_path(l, _PATH_ALT)} + {_fmt_path(r, _PATH_ALT + 1)}"
-            return f"({text})" if minimum > _PATH_ALT else text
+            return f"{_fmt(g, _PREC_ATOM)}{POSTFIX_SYNTAX[Test]}"
         case Star(q):
-            return f"{_fmt_path(q, _PATH_POSTFIX)}*"
+            return f"{_fmt_path(q, _PATH_POSTFIX)}{POSTFIX_SYNTAX[Star]}"
+        case PathBinary(l, r):
+            symbol, prec, right_assoc = BINARY_SYNTAX[type(p)]
+            text = f"{_fmt_path(l, prec + right_assoc)} {symbol} {_fmt_path(r, prec + (not right_assoc))}"
+            return _paren(text, prec, minimum)
         case _:
             raise TypeError(f"not a path expression: {p!r}")
-
-
-# ---------------------------------------------------------------------------
-# State closure.
-
-
-class StateSet:
-    """Ordered, duplicate-free collection of automaton states.
-
-    Entries are hashable state labels (formulas, or wrapped formulas for
-    the two-way construction); ordinals follow insertion order.
-    """
-
-    def __init__(self):
-        self.states: list = []
-        self.index: dict = {}
-
-    def add(self, state) -> int:
-        ordinal = self.index.get(state)
-        if ordinal is None:
-            ordinal = len(self.states)
-            self.states.append(state)
-            self.index[state] = ordinal
-        return ordinal
-
-    def ordinal(self, state) -> int:
-        return self.index[state]
-
-    def __contains__(self, state) -> bool:
-        return state in self.index
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self):
-        return iter(self.states)
-
-    def __getitem__(self, ordinal: int):
-        return self.states[ordinal]
-
-
-def expansion(f: Formula, box_continuation=None) -> list[Formula]:
-    """Formulas introduced by one transition-expansion step of f.
-
-    box_continuation, when given, maps the body of a step-guarded box to
-    the state the automaton actually references (used to patch in the
-    end-weak variants); it defaults to the identity.
-    """
-    wrap = box_continuation if box_continuation is not None else lambda h: h
-    match f:
-        case Atom() | TrueFormula() | FalseFormula() | Not(_):
-            return []
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return [l, r]
-        case Next(g) | WeakNext(g) | Eventually(g) | Always(g):
-            return [g]
-        case Until(l, r) | Release(l, r):
-            return [l, r]
-        case Prev(g):
-            return [STEP_POSSIBLE, g]
-        case WeakPrev(g):
-            return [AT_MARKER, g]
-        case Since(l, r):
-            return [r, l, Prev(f)]
-        case Trigger(l, r):
-            return [r, l, WeakPrev(f)]
-        case MetricNext(_, _, g) | WeakMetricNext(_, _, g):
-            return [g]
-        case Diamond(p, g):
-            return _path_expansion(p, g, f, universal=False, wrap=wrap)
-        case Box(p, g):
-            return _path_expansion(p, g, f, universal=True, wrap=wrap)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-
-
-def _path_expansion(p: PathExpr, body: Formula, node: Formula, universal: bool, wrap) -> list[Formula]:
-    mod = Box if universal else Diamond
-    match p:
-        case Step(_):
-            return [wrap(body) if universal else body]
-        case Test(e):
-            return [nnf_not(e) if universal else e, body]
-        case Seq(q, r):
-            return [mod(q, mod(r, body))]
-        case Alt(q, r):
-            return [mod(q, body), mod(r, body)]
-        case Star(q):
-            return [body, mod(q, node)]
-        case _:
-            raise TypeError(f"not a path expression: {p!r}")
-
-
-# End-of-trace detectors used by the past-operator translation; the box form
-# holds exactly at the begin/end markers, the diamond form exactly at letters.
-AT_MARKER = Box(STEP_TRUE, FALSE)
-STEP_POSSIBLE = Diamond(STEP_TRUE, TRUE)
-
-
-def closure(f: Formula, box_continuation=None) -> StateSet:
-    """Smallest StateSet containing f and closed under expansion.
-
-    Insertion order is the breadth-first, left-to-right discovery order,
-    so ordinals are reproducible; the root always gets ordinal 0.
-    """
-    states = StateSet()
-    states.add(f)
-    queue = deque([f])
-    while queue:
-        g = queue.popleft()
-        for h in expansion(g, box_continuation):
-            if h not in states:
-                states.add(h)
-                queue.append(h)
-    return states

@@ -10,9 +10,11 @@ token" error at its position.
 The parser is recursive descent with one precedence-climbing loop for binary
 operators, driven by an operator table per grammar: `->` (1, right
 associative), `|` (2), `&` (3) and `U R S T` (4, right associative) for
-formulas, `+` (1) and `;` (2) for path expressions.  Prefix operators are
-collected in a loop and applied innermost first.  Every syntax error carries
-an exact 1-based line/column position.
+formulas, `+` (1) and `;` (2) for path expressions.  These tables and every
+other operator token are derived from the syntax table in `formula`, which
+the printer reads too.  Prefix operators are collected in a loop and applied
+innermost first.  Every syntax error carries an exact 1-based line/column
+position.
 """
 
 from __future__ import annotations
@@ -34,29 +36,21 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-# Binary operators: token text -> (precedence, right associative, node).
-_FORMULA_OPS = {
-    "->": (1, True, fm.Implies),
-    "|": (2, False, fm.Or),
-    "&": (3, False, fm.And),
-    "U": (4, True, fm.Until),
-    "R": (4, True, fm.Release),
-    "S": (4, True, fm.Since),
-    "T": (4, True, fm.Trigger),
-}
-_PATH_OPS = {"+": (1, False, fm.Alt), ";": (2, False, fm.Seq)}
 
-_PREFIX_OPS = {
-    "!": fm.Not,
-    "X": fm.Next,
-    "WX": fm.WeakNext,
-    "F": fm.Eventually,
-    "G": fm.Always,
-    "Y": fm.Prev,
-    "WY": fm.WeakPrev,
-}
-_METRIC_OPS = {"X": fm.MetricNext, "WX": fm.WeakMetricNext}
-_MODALITIES = {"<": (">", fm.Diamond), "[": ("]", fm.Box)}
+def _binary_ops(kind: type) -> dict:
+    """Binary operators building `kind` nodes: token text -> (precedence, right associative, node)."""
+    return {sym: (prec, right, op) for op, (sym, prec, right) in fm.BINARY_SYNTAX.items() if issubclass(op, kind)}
+
+
+# Operator tokens, all read off the syntax table in `formula`.
+_FORMULA_OPS = _binary_ops(fm.Formula)
+_PATH_OPS = _binary_ops(fm.PathExpr)
+_PREFIX_OPS = {sym: op for op, sym in fm.PREFIX_SYNTAX.items()}
+_METRIC_OPS = {sym: op for op, sym in fm.METRIC_SYNTAX.items()}
+_MODALITIES = {opening: (closing, op) for op, (opening, closing) in fm.MODAL_SYNTAX.items()}
+_STAR = fm.POSTFIX_SYNTAX[fm.Star]
+_TEST = fm.POSTFIX_SYNTAX[fm.Test]
+_METRIC_HEAD = fm.METRIC_SYNTAX[fm.MetricNext]
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
@@ -193,7 +187,7 @@ class _Parser:
 
     def path_postfix(self) -> fm.PathExpr:
         base = self.path_base()
-        while self.match("*"):
+        while self.match(_STAR):
             base = fm.Star(base)
         return base
 
@@ -216,7 +210,7 @@ class _Parser:
         return self.step_or_test(leaf)
 
     def step_or_test(self, leaf: fm.Formula) -> fm.PathExpr:
-        if self.match("?"):
+        if self.match(_TEST):
             return fm.Test(leaf)
         if not fm.is_propositional(leaf):
             self.fail("a propositional step guard or '?'")
@@ -284,7 +278,7 @@ class _Parser:
         return MetricRule(head, tuple(body))
 
     def head(self):
-        if self.match("X"):
+        if self.match(_METRIC_HEAD):
             lo, hi = self.interval()
             return MetricHead(lo, hi, self.name())
         return PlainHead(self.name())

@@ -29,7 +29,7 @@ from enum import Enum
 
 from . import formula as fm
 from . import oracle
-from .afa import PBF, PBF_FALSE, PBF_TRUE, AndNode, FalseLeaf, OrNode, TrueLeaf, pbf_and, pbf_or
+from .afa import PBF, PBF_FALSE, PBF_TRUE, AndNode, FalseLeaf, OrNode, StateSet, TrueLeaf, pbf_and, pbf_or
 from .errors import UnsupportedOperatorError
 from .trace import Trace, check_letters, letters_over, resolve_alphabet
 
@@ -71,7 +71,7 @@ class TwoAFA:
         fm.check_fragment(root, past=True)
         self.ap: tuple[str, ...] = resolve_alphabet(fm.atoms(root), ap)
         self.letters: tuple = tuple(letters_over(self.ap))
-        self.states: fm.StateSet = fm.StateSet()
+        self.states: StateSet = StateSet()
         self.initial: int = self.states.add(root)
         self.transitions: dict = {}
         marked = (BEGIN, END) + self.letters

@@ -13,12 +13,13 @@ from tracelogic.afa import (
     PBF_TRUE,
     StateRef,
     TrueLeaf,
+    closure,
     minimal_sets,
     pbf_and,
     pbf_or,
 )
 from tracelogic.errors import AlphabetMismatchError, UnsupportedOperatorError
-from tracelogic.formula import closure, nnf, to_dynamic_core
+from tracelogic.formula import nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import enumerate_traces
 

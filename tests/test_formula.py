@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from conftest import exhaustive_core_formulas, random_any_formula
+from test_parser_properties import FORMULAS, SETTINGS, _node_types
+from tracelogic import formula as fm
 from tracelogic import oracle
+from tracelogic.afa import closure
 from tracelogic.formula import (
     TRUE,
     AT_MARKER,
@@ -18,11 +22,13 @@ from tracelogic.formula import (
     Step,
     Test,
     atoms,
-    closure,
+    check_fragment,
     format_formula,
     nnf,
+    nnf_not,
     to_dynamic_core,
 )
+from tracelogic.errors import UnsupportedOperatorError
 from tracelogic.parser import parse_formula
 from tracelogic.trace import enumerate_traces
 
@@ -189,7 +195,7 @@ def test_closure_snapshot_stable():
 
 
 def test_closure_members_cover_expansions():
-    from tracelogic.formula import expansion
+    from tracelogic.afa import expansion
 
     for f in exhaustive_core_formulas(4):
         states = closure(f)
@@ -216,3 +222,81 @@ def test_end_detector_formulas():
     assert oracle.end_value(AT_MARKER) is True
     assert oracle.holds(AT_MARKER, Trace(()))
     assert not oracle.holds(AT_MARKER, Trace((frozenset({"a"}),)))
+
+
+@pytest.mark.parametrize("fn", [nnf, nnf_not, to_dynamic_core, atoms, check_fragment, format_formula])
+@pytest.mark.parametrize("bad", ["a", Step(TRUE)], ids=["str", "path"])
+def test_non_nodes_raise_type_error(fn, bad):
+    with pytest.raises(TypeError):
+        fn(bad)
+
+
+@pytest.mark.parametrize("src", ["!(a & b)", "!(X a)", "a -> b", "X !(a & b)", "<(a -> b)?> c", "Y (a -> b)"])
+def test_core_rejects_non_nnf(src):
+    with pytest.raises(TypeError, match="not an NNF formula"):
+        to_dynamic_core(parse_formula(src))
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+SHAPES = (fm.Unary, fm.Binary, fm.Modal, fm.Metric, fm.PathBinary)
+LEAVES = {fm.Atom, fm.TrueFormula, fm.FalseFormula, fm.Step, fm.Test, fm.Star}
+FORMULA_CLASSES = {c for c in _subclasses(fm.Formula) if c not in SHAPES}
+PATH_CLASSES = {c for c in _subclasses(fm.PathExpr) if c not in SHAPES}
+
+
+def test_every_node_class_has_one_shape_or_is_a_leaf():
+    for cls in FORMULA_CLASSES | PATH_CLASSES:
+        shapes = [shape for shape in SHAPES if issubclass(cls, shape)]
+        assert len(shapes) == (0 if cls in LEAVES else 1), (cls, shapes)
+
+
+def test_dual_table_is_an_involution():
+    assert set(fm._DUAL) == FORMULA_CLASSES - {fm.Atom, fm.Not, fm.Implies}
+    for cls, dual in fm._DUAL.items():
+        assert dual is not cls
+        assert fm._DUAL[dual] is cls
+        assert [s for s in SHAPES if issubclass(cls, s)] == [s for s in SHAPES if issubclass(dual, s)]
+
+
+def test_syntax_table_covers_every_operator():
+    tables = (fm.BINARY_SYNTAX, fm.PREFIX_SYNTAX, fm.METRIC_SYNTAX, fm.MODAL_SYNTAX, fm.POSTFIX_SYNTAX)
+    covered = [cls for table in tables for cls in table]
+    assert len(covered) == len(set(covered))
+    assert set(covered) == (FORMULA_CLASSES | PATH_CLASSES) - {fm.Atom, fm.TrueFormula, fm.FalseFormula, fm.Step}
+
+
+def test_double_negation_is_nnf():
+    seen = set()
+
+    @SETTINGS
+    @given(FORMULAS)
+    def check(f):
+        seen.update(_node_types(f))
+        assert nnf_not(nnf_not(f)) == nnf(f)
+
+    check()
+    assert {cls.__name__ for cls in FORMULA_CLASSES | PATH_CLASSES} <= seen
+
+
+def test_core_of_nnf_is_in_the_two_way_fragment():
+    seen = set()
+
+    @SETTINGS
+    @given(FORMULAS)
+    def check(f):
+        names = _node_types(f)
+        seen.update(names)
+        core = to_dynamic_core(nnf(f))
+        if names & {"MetricNext", "WeakMetricNext"}:
+            with pytest.raises(UnsupportedOperatorError, match="metric backend"):
+                check_fragment(core, past=True)
+        else:
+            check_fragment(core, past=True)
+
+    check()
+    assert {cls.__name__ for cls in FORMULA_CLASSES | PATH_CLASSES} <= seen

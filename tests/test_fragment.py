@@ -2,10 +2,12 @@
 
 import pytest
 
+from tracelogic import oracle
 from tracelogic.afa import AFA
 from tracelogic.errors import UnsupportedOperatorError
 from tracelogic.formula import nnf, to_dynamic_core
 from tracelogic.parser import parse_formula
+from tracelogic.trace import enumerate_traces
 from tracelogic.twafa import TwoAFA
 
 
@@ -41,3 +43,13 @@ def test_metric_message_is_the_same_for_both_backends(src):
             build(_core(src))
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("src, states", [("<!(a & b)> c", 2), ("[a -> b] c", 5), ("<(!(a | c))*> b", 3)])
+def test_step_guards_need_not_be_in_nnf(src, states):
+    """Step guards are not checked: both automata read any propositional guard as it is."""
+    f = parse_formula(src)
+    one_way, two_way = AFA(f, ("a", "b", "c")), TwoAFA(f, ("a", "b", "c"))
+    assert len(one_way) == states
+    for t in enumerate_traces(("a", "b", "c"), 3):
+        assert one_way.accepts(t) == two_way.accepts(t) == oracle.holds(f, t)
