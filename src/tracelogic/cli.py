@@ -60,43 +60,39 @@ def _read(path: str) -> str:
         raise _CliError(f"cannot read {path}: {exc}", EXIT_INVALID) from exc
 
 
-def _formula_arg(parser: argparse.ArgumentParser, flag: str = "-f", dest: str = "formula"):
+# Each text input `<name>` comes inline (dest `<name>`) or from a file (dest
+# `<name>_file`), by two exclusive flags: (flags, dest, metavar, help) in help order.
+_INPUT_FLAGS = (
+    (("-f", "--formula"), "formula", "FORMULA", "inline formula text"),
+    (("--formula-file",), "formula_file", "PATH", "file containing the formula"),
+    (("-g", "--other"), "other", "FORMULA", "inline formula text"),
+    (("--other-file",), "other_file", "PATH", "file containing the formula"),
+    (("-t", "--trace"), "trace", "TRACE", "inline trace text"),
+    (("--trace-file",), "trace_file", "PATH", "file containing the trace"),
+    (("-p", "--program"), "program_file", "PATH", "metric program file"),
+    (("--program-text",), "program", "RULES", "inline program text"),
+)
+
+
+def _input_arg(parser: argparse.ArgumentParser, name: str) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument(flag, f"--{dest}", dest=dest, metavar="FORMULA", help="inline formula text")
-    group.add_argument(f"--{dest}-file", dest=f"{dest}_file", metavar="PATH", help="file containing the formula")
+    for flags, dest, metavar, text in _INPUT_FLAGS:
+        if dest in (name, f"{name}_file"):
+            group.add_argument(*flags, dest=dest, metavar=metavar, help=text)
 
 
-def _trace_arg(parser: argparse.ArgumentParser):
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("-t", "--trace", dest="trace", metavar="TRACE", help="inline trace text")
-    group.add_argument("--trace-file", dest="trace_file", metavar="PATH", help="file containing the trace")
-
-
-def _program_arg(parser: argparse.ArgumentParser):
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("-p", "--program", dest="program", metavar="PATH", help="metric program file")
-    group.add_argument("--program-text", dest="program_text", metavar="RULES", help="inline program text")
-
-
-def _get_formula(args, dest: str = "formula") -> fm.Formula:
-    text = getattr(args, dest)
-    if text is None:
-        text = _read(getattr(args, f"{dest}_file"))
-    return parse_formula(text)
-
-
-def _get_trace(args):
-    text = args.trace if args.trace is not None else _read(args.trace_file)
-    return parse_trace(text)
-
-
-def _get_program(args):
-    text = args.program_text if args.program_text is not None else _read(args.program)
-    return parse_program(text)
+def _input(args, name: str) -> str:
+    """The text of an input: given inline, or read from the named file."""
+    text = getattr(args, name)
+    return text if text is not None else _read(getattr(args, f"{name}_file"))
 
 
 def _parse_ap(text: str) -> set[str]:
-    return {name.strip() for name in text.split(",") if name.strip()}
+    names = [name.strip() for name in text.split(",")]
+    for name in names:
+        if name and not fm._ATOM_RE.match(name):
+            raise _CliError(f"invalid atom name: {name!r}", EXIT_INVALID)
+    return {name for name in names if name}
 
 
 def _core(f: fm.Formula) -> fm.Formula:
@@ -109,7 +105,7 @@ def _restricted(t, ap) -> Trace:
 
 
 def _cmd_parse(args) -> int:
-    print(fm.format_formula(_get_formula(args)))
+    print(fm.format_formula(parse_formula(_input(args, "formula"))))
     return EXIT_OK
 
 
@@ -142,7 +138,7 @@ def _size(automaton) -> str:
 
 
 def _cmd_compile(args) -> int:
-    automaton = _build(_core(_get_formula(args)), args.to)
+    automaton = _build(_core(parse_formula(_input(args, "formula"))), args.to)
     print(_size(automaton))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
@@ -151,8 +147,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_accepts(args) -> int:
-    f = _get_formula(args)
-    t = _get_trace(args)
+    f = parse_formula(_input(args, "formula"))
+    t = parse_trace(_input(args, "trace"))
     if args.backend == "oracle":
         verdict = oracle.holds(f, t)
     else:
@@ -169,7 +165,7 @@ def _cmd_accepts(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    f = _get_formula(args)
+    f = parse_formula(_input(args, "formula"))
     dfa = build_dfa(f)
     if args.negate:
         dfa = complement(dfa)
@@ -195,7 +191,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    f = _get_formula(args)
+    f = parse_formula(_input(args, "formula"))
     ap = _parse_ap(args.ap) | fm.atoms(f)
     check_enumeration_bound(ap, args.max_len)
     dfa = build_dfa(f, sorted(ap))
@@ -205,8 +201,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    f = _get_formula(args, "formula")
-    g = _get_formula(args, "other")
+    f = parse_formula(_input(args, "formula"))
+    g = parse_formula(_input(args, "other"))
     same, counterexample = equivalent(f, g)
     if same:
         print("EQUIVALENT")
@@ -216,8 +212,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_metric_check(args) -> int:
-    program = _get_program(args)
-    t = _get_trace(args)
+    program = parse_program(_input(args, "program"))
+    t = parse_trace(_input(args, "trace"))
     if not isinstance(t, TimedTrace):
         raise _CliError("metric check needs a timed trace (steps suffixed with @t)", EXIT_INVALID)
     violations = check_program(program, t)
@@ -227,8 +223,8 @@ def _cmd_metric_check(args) -> int:
 
 
 def _cmd_metric_times(args) -> int:
-    program = _get_program(args)
-    t = _get_trace(args)
+    program = parse_program(_input(args, "program"))
+    t = parse_trace(_input(args, "trace"))
     if isinstance(t, TimedTrace):
         raise _CliError("metric times derives timestamps; give an untimed trace", EXIT_INVALID)
     try:
@@ -246,7 +242,7 @@ def _cmd_metric_times(args) -> int:
 
 
 def _cmd_metric_enumerate(args) -> int:
-    program = _get_program(args)
+    program = parse_program(_input(args, "program"))
     ap = _parse_ap(args.ap) | program.universe()
     for t in enumerate_models(program, sorted(ap), args.horizon):
         print(format_trace(t))
@@ -258,54 +254,54 @@ def _build_argparser() -> argparse.ArgumentParser:
     sub = root.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="echo the canonical form of a formula")
-    _formula_arg(p)
+    _input_arg(p, "formula")
     p.set_defaults(handler=_cmd_parse)
 
     p = sub.add_parser("compile", help="compile a formula into an automaton")
-    _formula_arg(p)
+    _input_arg(p, "formula")
     p.add_argument("--to", choices=("afa", "nfa", "dfa", "min-dfa", "2afa"), required=True)
     p.add_argument("--dot", metavar="PATH", help="write a DOT rendering")
     p.set_defaults(handler=_cmd_compile)
 
     p = sub.add_parser("accepts", help="check one trace against a formula")
-    _formula_arg(p)
-    _trace_arg(p)
+    _input_arg(p, "formula")
+    _input_arg(p, "trace")
     p.add_argument("--backend", choices=("oracle", "afa", "nfa", "dfa", "2afa"), default="oracle")
     p.set_defaults(handler=_cmd_accepts)
 
     p = sub.add_parser("filter", help="keep traces satisfying (or violating) a formula")
-    _formula_arg(p)
+    _input_arg(p, "formula")
     p.add_argument("--traces", metavar="PATH", required=True, help="file with one trace per line")
     p.add_argument("--negate", action="store_true", help="keep the rejected traces instead")
     p.set_defaults(handler=_cmd_filter)
 
     p = sub.add_parser("enumerate", help="list all accepted traces up to a length")
-    _formula_arg(p)
+    _input_arg(p, "formula")
     p.add_argument("--ap", required=True, help="comma-separated alphabet")
     p.add_argument("--max-len", type=int, required=True)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("equiv", help="decide language equivalence of two formulas")
-    _formula_arg(p, "-f", "formula")
-    _formula_arg(p, "-g", "other")
+    _input_arg(p, "formula")
+    _input_arg(p, "other")
     p.set_defaults(handler=_cmd_equiv)
 
     metric = sub.add_parser("metric", help="metric program commands")
     msub = metric.add_subparsers(dest="metric_command", required=True)
 
     p = msub.add_parser("check", help="check a timed trace against a program")
-    _program_arg(p)
-    _trace_arg(p)
+    _input_arg(p, "program")
+    _input_arg(p, "trace")
     p.set_defaults(handler=_cmd_metric_check)
 
     p = msub.add_parser("times", help="derive minimal timestamps for an untimed trace")
-    _program_arg(p)
-    _trace_arg(p)
+    _input_arg(p, "program")
+    _input_arg(p, "trace")
     p.add_argument("--strict", action="store_true", help="require strictly increasing timestamps")
     p.set_defaults(handler=_cmd_metric_times)
 
     p = msub.add_parser("enumerate", help="list timed models up to a horizon")
-    _program_arg(p)
+    _input_arg(p, "program")
     p.add_argument("--ap", required=True, help="comma-separated alphabet")
     p.add_argument("--horizon", type=int, required=True)
     p.set_defaults(handler=_cmd_metric_enumerate)

@@ -1,18 +1,22 @@
 """Metric logic programs over the metric-next fragment.
 
-Rules are universal: every rule must hold at every letter position of a
-trace.  Heads may carry a metric next interval; checking a timed trace
-verifies the delays directly, while an untimed trace yields a system of
-difference constraints whose minimal solution (if any) derives timestamps.
+A rule `h :- b` is the formula `b -> h`, required at every letter position
+of a trace and checked there by the oracle; a head `X[l,u) a` is a metric
+next and an integrity constraint's head is `ff`.  Over an untimed trace a
+metric head is a plain next, and each step where it fires yields a
+difference constraint; the system's minimal solution derives timestamps.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator
 
+from . import formula as fm
 from .errors import TraceLogicError
+from .oracle import _evaluator, _members
 from .trace import TimedTrace, Trace, check_enumeration_bound, letters_over
 
 
@@ -109,32 +113,35 @@ def _body_holds(rule: MetricRule, letter) -> bool:
     return all((atom in letter) == positive for atom, positive in rule.body)
 
 
-def _head_holds(head, t: TimedTrace, i: int, check_time: bool) -> bool:
-    match head:
-        case None:
-            return False
-        case PlainHead(atom):
-            return atom in t.letters[i]
-        case MetricHead(lo, hi, atom):
-            if i + 1 >= len(t):
-                return False
-            if atom not in t.letters[i + 1]:
-                return False
-            if not check_time:
-                return True
-            delta = t.times[i + 1] - t.times[i]
-            return lo <= delta and (hi is None or delta < hi)
-    raise TypeError(f"not a rule head: {head!r}")
+def _rule_positions(program: MetricProgram, t, timed: bool) -> Iterator[tuple[int, MetricRule, int, int]]:
+    """Per rule, (index, rule, fires, broken): bit sets of the letter positions of t
+    where the body holds, and of those where the head fails too, by the oracle.
+    Every head is evaluated, fired or not; timed=False reads `X[l,u) a` as `X a`."""
+    ev = _evaluator(t)
+    letters = (1 << len(t)) - 1
+    for r, rule in enumerate(program.rules):
+        literals = [fm.Atom(atom) if positive else fm.Not(fm.Atom(atom)) for atom, positive in rule.body]
+        match rule.head:
+            case None:
+                head = fm.FALSE
+            case PlainHead(atom):
+                head = fm.Atom(atom)
+            case MetricHead(lo, hi, atom):
+                head = fm.MetricNext(lo, hi, fm.Atom(atom)) if timed else fm.Next(fm.Atom(atom))
+            case _:
+                raise TypeError(f"not a rule head: {rule.head!r}")
+        fires = ev.sat(reduce(fm.And, literals) if literals else fm.TRUE) & letters
+        yield r, rule, fires, fires & ~ev.sat(head)
 
 
 def check_program(program: MetricProgram, t: TimedTrace) -> list[tuple[int, int]]:
-    """All (rule index, position) pairs where a rule fires but its head fails."""
-    violations = []
-    for r, rule in enumerate(program.rules):
-        for i, letter in enumerate(t.letters):
-            if _body_holds(rule, letter) and not _head_holds(rule.head, t, i, check_time=True):
-                violations.append((r, i))
-    return violations
+    """All (rule index, position) pairs where a rule fires but its head fails.
+
+    Over an untimed trace, a program with a metric head raises
+    UntimedTraceError, even if that head never fires; plain rules and
+    integrity constraints are checked as usual.
+    """
+    return [(r, i) for r, _, _, broken in _rule_positions(program, t, timed=True) for i in _members(broken)]
 
 
 def extract_constraints(program: MetricProgram, t: Trace, strict: bool = False) -> ConstraintSystem:
@@ -144,17 +151,13 @@ def extract_constraints(program: MetricProgram, t: Trace, strict: bool = False) 
     already fails, UntimedViolationError reports the rule and position.
     With strict=True consecutive timestamps must increase by at least 1.
     """
-    dummy = TimedTrace(t.letters, tuple(0 for _ in t.letters))
     constraints = []
-    for r, rule in enumerate(program.rules):
-        for i, letter in enumerate(t.letters):
-            if not _body_holds(rule, letter):
-                continue
-            if not _head_holds(rule.head, dummy, i, check_time=False):
-                raise UntimedViolationError(r, i)
-            if isinstance(rule.head, MetricHead):
-                hi = None if rule.head.hi is None else rule.head.hi - 1
-                constraints.append(DiffConstraint(i, i + 1, rule.head.lo, hi))
+    for r, rule, fires, broken in _rule_positions(program, Trace(t.letters), timed=False):
+        if broken:
+            raise UntimedViolationError(r, _members(broken)[0])
+        if isinstance(rule.head, MetricHead):
+            hi = None if rule.head.hi is None else rule.head.hi - 1
+            constraints.extend(DiffConstraint(i, i + 1, rule.head.lo, hi) for i in _members(fires))
     minimum_gap = 1 if strict else 0
     for i in range(len(t) - 1):
         constraints.append(DiffConstraint(i, i + 1, minimum_gap, None))

@@ -145,6 +145,34 @@ def test_metric_enumerate(tmp_path):
     assert out.strip().splitlines() == ["{}@0", "{school}@0"]
 
 
+def test_alphabet_names_must_be_atoms():
+    code, out, err = invoke("enumerate", "-f", "a", "--ap", "a,B c,{x}", "--max-len", "1")
+    assert (code, out, err) == (2, "", "error: invalid atom name: 'B c'\n")
+    args = ("metric", "enumerate", "--program-text", "X[1,2) b :- a.", "--ap", "a;b", "--horizon", "1")
+    code, out, err = invoke(*args)
+    assert (code, out, err) == (2, "", "error: invalid atom name: 'a;b'\n")
+    code, out, _ = invoke("enumerate", "-f", "a", "--ap", "a,,b", "--max-len", "1")
+    assert (code, out.splitlines()) == (0, ["{a}", "{a,b}"])
+
+
+def test_every_input_reads_from_its_file(tmp_path):
+    def file(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    cases = [
+        (("accepts", "-f", "F b", "-t", "{a};{b}"),
+         ("accepts", "--formula-file", file("f", "F b"), "--trace-file", file("t", "{a};{b}"))),
+        (("equiv", "-f", "X a", "-g", "WX a"),
+         ("equiv", "-f", "X a", "--other-file", file("g", "WX a"))),
+        (("metric", "times", "--program-text", "X[2,5) b :- a.", "-t", "{a};{b}"),
+         ("metric", "times", "-p", file("p", "X[2,5) b :- a."), "--trace-file", file("u", "{a};{b}"))),
+    ]
+    for inline, from_files in cases:
+        assert invoke(*from_files) == invoke(*inline)
+
+
 def test_program_file_missing():
     code, _, err = invoke("metric", "check", "-p", "/nonexistent.mlp", "-t", "{a}@0")
     assert code == 2

@@ -1,14 +1,15 @@
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+import reference_metric as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracelogic import metric, oracle
 from tracelogic.cli import run
-from tracelogic.errors import SizeLimitError
+from tracelogic.errors import SizeLimitError, UntimedTraceError
 from tracelogic.metric import (
     ConstraintSystem,
     DiffConstraint,
@@ -25,7 +26,7 @@ from tracelogic.metric import (
     feasible,
 )
 from tracelogic.parser import parse_formula, parse_program, parse_trace
-from tracelogic.trace import TimedTrace, enumerate_traces, format_trace
+from tracelogic.trace import TimedTrace, Trace, enumerate_traces, format_trace
 
 SCHOOL = parse_program("X[20,40) school :- drive.")
 
@@ -124,6 +125,19 @@ def test_check_program_integrity_constraint():
 
 def test_check_program_needs_successor():
     assert check_program(SCHOOL, parse_trace("{drive}@0")) == [(0, 0)]
+
+
+def test_check_program_metric_head_needs_timed_trace():
+    with pytest.raises(UntimedTraceError):
+        check_program(parse_program("X[1,3) b :- a."), parse_trace("{a};{b}"))
+    # The metric head never fires here, and the trace is still refused.
+    with pytest.raises(UntimedTraceError):
+        check_program(parse_program("b :- a.\nX[1,3) b :- c."), parse_trace("{a,b};{b}"))
+
+
+def test_check_program_plain_rules_over_untimed_trace():
+    program = parse_program("b :- a.\n:- c.\nc.")
+    assert check_program(program, parse_trace("{a};{c};{a,b}")) == [(0, 0), (1, 1), (2, 0), (2, 2)]
 
 
 def test_extract_constraints_paper_example():
@@ -440,3 +454,106 @@ def test_metric_times_prints_cycle_in_walk_order(capsys):
     program = "X[20,40) school :- drive.\nX[1,3) school :- hurry."
     code = run(["metric", "times", "--program-text", program, "-t", "{drive};{school};{drive,hurry};{school}"])
     assert (code, capsys.readouterr().out) == (1, "INFEASIBLE\ncycle: 1, 2\n")
+
+
+# The rule checks against the per-position ones they replaced
+# (`reference_metric`): random programs of 1-4 rules over three atoms, with
+# empty bodies, negative literals, bounded and unbounded windows, on traces
+# of 0-12 letters whose timestamps repeat as often as they advance.
+ATOMS = ("a", "b", "c")
+
+
+@st.composite
+def rule_programs(draw):
+    rules = []
+    for _ in range(draw(st.integers(1, 4))):
+        body = tuple(draw(st.lists(st.tuples(st.sampled_from(ATOMS), st.booleans()), max_size=3)))
+        atom = draw(st.sampled_from(ATOMS))
+        kind = draw(st.sampled_from(("constraint", "plain", "metric")))
+        if kind == "constraint":
+            head = None
+        elif kind == "plain":
+            head = PlainHead(atom)
+        else:
+            lo = draw(st.integers(0, 4))
+            head = MetricHead(lo, draw(st.none() | st.integers(lo + 1, lo + 5)), atom)
+        rules.append(MetricRule(head, body))
+    return MetricProgram(tuple(rules))
+
+
+LETTERS = [frozenset(letter) for size in range(len(ATOMS) + 1) for letter in combinations(ATOMS, size)]
+
+
+def _meets(program, letter, due, last) -> bool:
+    """Whether letter holds the metric heads due from the step before and breaks no rule that it decides."""
+    for rule in program.rules:
+        if not reference._body_holds(rule, letter):
+            continue
+        if isinstance(rule.head, MetricHead):
+            if last:
+                return False
+        elif rule.head is None or rule.head.atom not in letter:
+            return False
+    return due <= letter
+
+
+@st.composite
+def programs_and_traces(draw):
+    """A program and a timed trace.
+
+    In half of the traces each step takes the first letter, in cyclic order
+    from the drawn one, that breaks no rule it decides; most of these traces
+    meet the untimed part and yield metric constraints.
+    """
+    program = draw(rule_programs())
+    repair = draw(st.booleans())
+    n = draw(st.integers(0, 12))
+    letters, due = [], frozenset()
+    for i in range(n):
+        k = draw(st.integers(0, len(LETTERS) - 1))
+        candidates = LETTERS[k:] + LETTERS[:k] if repair else [LETTERS[k]]
+        letter = next((c for c in candidates if _meets(program, c, due, i == n - 1)), LETTERS[k])
+        due = frozenset(
+            rule.head.atom
+            for rule in program.rules
+            if isinstance(rule.head, MetricHead) and reference._body_holds(rule, letter)
+        )
+        letters.append(letter)
+    times = [0] * min(n, 1)
+    for _ in range(n - 1):
+        times.append(times[-1] + draw(st.sampled_from((0, 0, 1, 2, 3, 5))))
+    return program, TimedTrace(tuple(letters), tuple(times))
+
+
+def _extracted(module, program, t, strict):
+    try:
+        system = module.extract_constraints(program, t, strict)
+    except UntimedViolationError as exc:
+        return ("untimed", exc.rule_index, exc.position)
+    return ("system", system.n_vars, [(c.i, c.j, c.lo, c.hi) for c in system.constraints])
+
+
+def test_rule_checks_match_reference():
+    seen = set()
+
+    @settings(derandomize=True, max_examples=500, deadline=None, database=None)
+    @given(programs_and_traces())
+    def check(case):
+        program, t = case
+        violations = check_program(program, t)
+        assert violations == reference.check_program(program, t)
+        seen.add(("violations", bool(violations)))
+        untimed = Trace(t.letters)
+        for strict in (False, True):
+            outcome = _extracted(metric, program, untimed, strict)
+            assert outcome == _extracted(reference, program, untimed, strict)
+            seen.add(outcome[0])
+            if outcome[0] == "system":
+                # The metric constraints come before the n - 1 monotonicity ones.
+                metric_part = outcome[2][: len(outcome[2]) - max(len(t) - 1, 0)]
+                seen.update(("metric", hi is None) for *_, hi in metric_part)
+
+    check()
+    assert seen == {
+        ("violations", False), ("violations", True), "untimed", "system", ("metric", False), ("metric", True),
+    }
