@@ -11,7 +11,6 @@ single letter, which is what keeps the construction total on formulas like
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from . import formula as fm
@@ -107,15 +106,14 @@ def _minsets(pbf: PBF) -> list[frozenset]:
         case StateRef(state):
             return [frozenset((state,))]
         case OrNode(l, r):
-            return _antichain(_minsets(l) + _minsets(r))
+            return _antichain({*_minsets(l), *_minsets(r)})
         case AndNode(l, r):
-            return _antichain([a | b for a in _minsets(l) for b in _minsets(r)])
+            return _antichain({a | b for a in _minsets(l) for b in _minsets(r)})
     raise TypeError(f"not a PBF: {pbf!r}")
 
 
-def _antichain(sets: list[frozenset]) -> list[frozenset]:
-    unique = set(sets)
-    return [s for s in unique if not any(t < s for t in unique)]
+def _antichain(sets: set[frozenset]) -> list[frozenset]:
+    return [s for s in sets if not any(t < s for t in sets)]
 
 
 def weak_state(f: fm.Formula) -> fm.Formula:
@@ -134,8 +132,12 @@ def weak_state(f: fm.Formula) -> fm.Formula:
 class StateSet:
     """Ordered, duplicate-free collection of automaton states.
 
-    Entries are hashable state labels (formulas, or wrapped formulas for
-    the two-way construction); ordinals follow insertion order.
+    Entries are hashable state labels (formulas, sets of ordinals, or
+    wrapped formulas for the two-way construction); ordinals follow
+    insertion order.  A loop over a StateSet may add to it while it runs:
+    it then visits every state, the added ones included, in insertion
+    order, which is breadth-first discovery order.  Every construction
+    explores its states this way.
     """
 
     def __init__(self):
@@ -204,13 +206,9 @@ def closure(f: fm.Formula) -> StateSet:
     """
     states = StateSet()
     states.add(f)
-    queue = deque([f])
-    while queue:
-        g = queue.popleft()
+    for g in states:
         for h in expansion(g):
-            if h not in states:
-                states.add(h)
-                queue.append(h)
+            states.add(h)
     return states
 
 

@@ -2,21 +2,21 @@
 
 The NFA states are antichain-pruned sets of AFA states; the DFA comes from
 the usual subset construction with an explicit rejecting sink so that its
-transition function is total.  Minimization is partition refinement
-followed by a breadth-first renumbering, which makes minimal automata
-canonical: two DFAs are isomorphic exactly when their minimized forms are
-equal.
+transition function is total.  Minimization refines the partition of the
+reachable states and numbers the quotient breadth-first from the initial
+block, which makes minimal automata canonical: two DFAs are isomorphic
+exactly when their minimized forms are equal.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from . import formula as fm
-from .afa import AFA, minimal_sets
+from .afa import AFA, StateSet, _antichain, minimal_sets
 from .errors import AlphabetMismatchError, BudgetError
 from .trace import Trace, check_letters, enumerate_traces, letters_over
 
@@ -45,11 +45,23 @@ class DFA:
     def n_states(self) -> int:
         return len(self.transitions)
 
+    @cached_property
+    def _columns(self) -> dict:
+        return {letter: a for a, letter in enumerate(self.letters)}
+
     def letter_index(self, letter) -> int:
         try:
-            return self.letters.index(letter)
-        except ValueError:
+            return self._columns[letter]
+        except KeyError:
             raise AlphabetMismatchError(f"letter {sorted(letter)} outside alphabet {list(self.ap)}") from None
+
+
+def _add(states: StateSet, state, max_states: int, stage: str) -> int:
+    """The ordinal of `state`, added to `states` if new; BudgetError past `max_states` states."""
+    ordinal = states.add(state)
+    if ordinal >= max_states:  # only a new state gets an ordinal this high
+        raise BudgetError(f"{stage} exceeded {max_states} states")
+    return ordinal
 
 
 def _conjunction_successors(automaton: AFA, members, letter) -> list[frozenset]:
@@ -59,37 +71,22 @@ def _conjunction_successors(automaton: AFA, members, letter) -> list[frozenset]:
         q_sets = minimal_sets(automaton.delta(q, letter))
         if not q_sets:
             return []
-        merged = {a | b for a in current for b in q_sets}
-        current = [s for s in merged if not any(t < s for t in merged)]
+        current = _antichain({a | b for a in current for b in q_sets})
     return sorted(current, key=lambda s: (len(s), sorted(s)))
 
 
 def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
     """Language-preserving conversion of an AFA into an NFA over state sets."""
     letters = tuple(letters_over(automaton.ap))
-    start = frozenset((automaton.initial,))
-    states: list[frozenset] = [start]
-    index: dict = {start: 0}
+    states = StateSet()
+    states.add(frozenset((automaton.initial,)))
     transitions: dict = {}
-    queue = deque([0])
-    while queue:
-        s = queue.popleft()
+    for s, members in enumerate(states):
         for letter in letters:
-            successors = _conjunction_successors(automaton, states[s], letter)
-            targets = []
-            for succ in successors:
-                t = index.get(succ)
-                if t is None:
-                    if len(states) >= max_states:
-                        raise BudgetError(f"dealternation exceeded {max_states} states")
-                    t = len(states)
-                    states.append(succ)
-                    index[succ] = t
-                    queue.append(t)
-                targets.append(t)
-            transitions[(s, letter)] = tuple(targets)
+            successors = _conjunction_successors(automaton, members, letter)
+            transitions[(s, letter)] = tuple(_add(states, succ, max_states, "dealternation") for succ in successors)
     accepting = tuple(all(automaton.final[q] for q in s) for s in states)
-    return NFA(automaton.ap, letters, states, transitions, accepting)
+    return NFA(automaton.ap, letters, states.states, transitions, accepting)
 
 
 def nfa_accepts(nfa: NFA, t: Trace) -> bool:
@@ -105,30 +102,14 @@ def nfa_accepts(nfa: NFA, t: Trace) -> bool:
 def determinize(nfa: NFA, max_states: int = DEFAULT_BUDGET) -> DFA:
     """Subset construction; the empty macro-state acts as the rejecting sink."""
     letters = nfa.letters
-    start = frozenset((nfa.initial,))
-    macro_states: list[frozenset] = [start]
-    index: dict = {start: 0}
-    rows: list[list[int]] = []
-    queue = deque([0])
-    while queue:
-        s = queue.popleft()
-        while len(rows) <= s:
-            rows.append([])
-        row = []
-        for letter in letters:
-            target = frozenset(t for member in macro_states[s] for t in nfa.transitions[(member, letter)])
-            t_idx = index.get(target)
-            if t_idx is None:
-                if len(macro_states) >= max_states:
-                    raise BudgetError(f"determinization exceeded {max_states} states")
-                t_idx = len(macro_states)
-                macro_states.append(target)
-                index[target] = t_idx
-                queue.append(t_idx)
-            row.append(t_idx)
-        rows[s] = row
+    macro_states = StateSet()
+    macro_states.add(frozenset((nfa.initial,)))
+    rows = []
+    for members in macro_states:
+        targets = (frozenset(t for m in members for t in nfa.transitions[(m, letter)]) for letter in letters)
+        rows.append(tuple(_add(macro_states, target, max_states, "determinization") for target in targets))
     accepting = tuple(any(nfa.accepting[m] for m in s) for s in macro_states)
-    return DFA(nfa.ap, letters, tuple(tuple(r) for r in rows), accepting)
+    return DFA(nfa.ap, letters, tuple(rows), accepting)
 
 
 def dfa_accepts(dfa: DFA, t: Trace) -> bool:
@@ -138,66 +119,39 @@ def dfa_accepts(dfa: DFA, t: Trace) -> bool:
     return dfa.accepting[state]
 
 
-def _reachable(dfa: DFA) -> list[int]:
-    seen = [dfa.initial]
-    index = {dfa.initial}
-    for s in seen:
-        for target in dfa.transitions[s]:
-            if target not in index:
-                index.add(target)
-                seen.append(target)
-    return seen
-
-
-def _renumber(dfa: DFA) -> DFA:
-    """Canonical breadth-first renumbering from the initial state."""
-    order = _reachable(dfa)
-    new_id = {old: new for new, old in enumerate(order)}
-    transitions = tuple(
-        tuple(new_id[dfa.transitions[old][a]] for a in range(len(dfa.letters))) for old in order
-    )
-    accepting = tuple(dfa.accepting[old] for old in order)
-    return DFA(dfa.ap, dfa.letters, transitions, accepting)
-
-
 def minimize(dfa: DFA, seed: int | None = None) -> DFA:
     """Unique minimal DFA for the same language.
 
-    Unreachable states are dropped first, then blocks are refined until
-    stable.  `seed` shuffles the refinement processing order; the final
-    breadth-first renumbering makes the result independent of it.
+    The reachable states are refined into blocks until stable; the
+    quotient is then numbered breadth-first from the initial block.
+    `seed` shuffles the refinement processing order, which that
+    numbering makes the result independent of.
     """
-    dfa = _renumber(dfa)
-    n = dfa.n_states
-    order = list(range(n))
+    reachable = StateSet()
+    reachable.add(dfa.initial)
+    for s in reachable:
+        for t in dfa.transitions[s]:
+            reachable.add(t)
+    order = list(reachable)
     if seed is not None:
         random.Random(seed).shuffle(order)
-    block = [1 if dfa.accepting[s] else 0 for s in range(n)]
+    block = [1 if accepting else 0 for accepting in dfa.accepting]
+    count = len({block[s] for s in order})
     while True:
         signatures: dict = {}
-        new_block = [0] * n
+        new_block = [0] * dfa.n_states
         for s in order:
             sig = (block[s], tuple(block[t] for t in dfa.transitions[s]))
-            assigned = signatures.get(sig)
-            if assigned is None:
-                assigned = len(signatures)
-                signatures[sig] = assigned
-            new_block[s] = assigned
-        if len(signatures) == len(set(block)):
+            new_block[s] = signatures.setdefault(sig, len(signatures))
+        if len(signatures) == count:
             break
-        block = new_block
-    representative: dict[int, int] = {}
-    for s in range(n):
-        representative.setdefault(block[s], s)
-    blocks = sorted(representative)
-    block_id = {b: i for i, b in enumerate(blocks)}
-    transitions = tuple(
-        tuple(block_id[block[dfa.transitions[representative[b]][a]]] for a in range(len(dfa.letters)))
-        for b in blocks
-    )
+        block, count = new_block, len(signatures)
+    representative = {block[s]: s for s in order}  # any member: a block's members agree on every letter
+    blocks = StateSet()
+    blocks.add(block[dfa.initial])
+    rows = [tuple(blocks.add(block[t]) for t in dfa.transitions[representative[b]]) for b in blocks]
     accepting = tuple(dfa.accepting[representative[b]] for b in blocks)
-    quotient = DFA(dfa.ap, dfa.letters, transitions, accepting, initial=block_id[block[dfa.initial]])
-    return _renumber(quotient)
+    return DFA(dfa.ap, dfa.letters, tuple(rows), accepting)
 
 
 def complement(dfa: DFA) -> DFA:
@@ -205,48 +159,53 @@ def complement(dfa: DFA) -> DFA:
     return DFA(dfa.ap, dfa.letters, dfa.transitions, tuple(not a for a in dfa.accepting), dfa.initial)
 
 
-def build_dfa(f: fm.Formula, ap=None, max_states: int = DEFAULT_BUDGET, minimized: bool = True) -> DFA:
+def build_dfa(f: fm.Formula, ap=None) -> DFA:
     """Full pipeline: normalize, translate, dealternate, determinize, minimize."""
     core = fm.to_dynamic_core(fm.nnf(f))
-    dfa = determinize(dealternate(AFA(core, ap), max_states), max_states)
-    return minimize(dfa) if minimized else dfa
+    return minimize(determinize(dealternate(AFA(core, ap))))
 
 
-def equivalent(f: fm.Formula, g: fm.Formula, max_states: int = DEFAULT_BUDGET):
+def _shortest_trace(letters, start, successors, goal):
+    """(True, None) when no node reachable from `start` meets `goal`, else (False, a shortest trace to one).
+
+    `successors(node)` gives the node's successors in the order of `letters`.
+    Each node found keeps its parent and the letter read, to spell the trace back.
+    """
+    nodes = StateSet()
+    nodes.add(start)
+    parent: list = [None]
+    for i, node in enumerate(nodes):
+        if goal(node):
+            path = []
+            while parent[i] is not None:
+                i, letter = parent[i]
+                path.append(letter)
+            return False, Trace(tuple(reversed(path)))
+        for letter, succ in zip(letters, successors(node)):
+            if succ not in nodes:
+                nodes.add(succ)
+                parent.append((i, letter))
+    return True, None
+
+
+def equivalent(f: fm.Formula, g: fm.Formula):
     """(True, None) if the languages agree, else (False, shortest distinguishing trace)."""
     ap = sorted(fm.atoms(f) | fm.atoms(g))
-    left = build_dfa(f, ap, max_states)
-    right = build_dfa(g, ap, max_states)
+    left = build_dfa(f, ap)
+    right = build_dfa(g, ap)
     if left == right:
         return True, None
-    queue = deque([(left.initial, right.initial, ())])
-    seen = {(left.initial, right.initial)}
-    while queue:
-        s1, s2, path = queue.popleft()
-        if left.accepting[s1] != right.accepting[s2]:
-            return False, Trace(path)
-        for a, letter in enumerate(left.letters):
-            pair = (left.transitions[s1][a], right.transitions[s2][a])
-            if pair not in seen:
-                seen.add(pair)
-                queue.append((*pair, path + (letter,)))
-    return True, None
+    return _shortest_trace(
+        left.letters,
+        (left.initial, right.initial),
+        lambda pair: zip(left.transitions[pair[0]], right.transitions[pair[1]]),
+        lambda pair: left.accepting[pair[0]] != right.accepting[pair[1]],
+    )
 
 
 def is_empty(dfa: DFA):
     """(True, None) when no trace is accepted, else (False, a shortest witness)."""
-    queue = deque([(dfa.initial, ())])
-    seen = {dfa.initial}
-    while queue:
-        s, path = queue.popleft()
-        if dfa.accepting[s]:
-            return False, Trace(path)
-        for a, letter in enumerate(dfa.letters):
-            target = dfa.transitions[s][a]
-            if target not in seen:
-                seen.add(target)
-                queue.append((target, path + (letter,)))
-    return True, None
+    return _shortest_trace(dfa.letters, dfa.initial, dfa.transitions.__getitem__, dfa.accepting.__getitem__)
 
 
 def enumerate_accepted(dfa: DFA, max_len: int) -> Iterator[Trace]:

@@ -12,6 +12,7 @@ Letter = frozenset  # set of true atoms at one position
 
 MAX_ALPHABET = 8
 MAX_ENUMERATION = 10**6
+_MAX_LETTER_ATOMS = 16
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,15 @@ def check_letters(t: Trace, ap) -> None:
 
 
 def letters_over(ap) -> list[Letter]:
-    """All letters over the alphabet, ordered by their sorted atom tuple."""
+    """All letters over the alphabet, ordered by their sorted atom tuple.
+
+    SizeLimitError, before any letter is built, on more than 16 atoms.
+    """
     names = sorted(ap)
+    if len(names) > _MAX_LETTER_ATOMS:
+        raise SizeLimitError(
+            f"alphabet of {len(names)} atoms has more than 2^{_MAX_LETTER_ATOMS} letters to spell out"
+        )
     subsets = [frozenset(c) for k in range(len(names) + 1) for c in combinations(names, k)]
     return sorted(subsets, key=lambda s: tuple(sorted(s)))
 

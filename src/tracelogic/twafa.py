@@ -75,11 +75,9 @@ class TwoAFA:
         self.initial: int = self.states.add(root)
         self.transitions: dict = {}
         marked = (BEGIN, END) + self.letters
-        i = 0
-        while i < len(self.states):
+        for q, entry in enumerate(self.states):
             for m in marked:
-                self.transitions[(i, m)] = self._trans(self.states[i], m)
-            i += 1
+                self.transitions[(q, m)] = self._trans(entry, m)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -216,10 +214,16 @@ class TwoAFA:
 
     def accepts(self, t: Trace) -> bool:
         check_letters(t, self.ap)
-        return self.fixpoint(t)[(self.initial, 0)]
+        return self._least(t)[len(self.states) + self.initial] == 1  # configuration (initial, 0)
 
     def fixpoint(self, t: Trace) -> dict:
-        """Least fixpoint over configurations (state, position), positions -1..len(t).
+        """Least fixpoint over configurations (state, position), positions -1..len(t)."""
+        width = len(self.states)
+        value = self._least(t)
+        return {(q, pos): value[(pos + 1) * width + q] == 1 for q in range(width) for pos in range(-1, len(t) + 1)}
+
+    def _least(self, t: Trace) -> bytearray:
+        """The least fixpoint as one byte per configuration: (q, pos) is at (pos + 1) * len(states) + q.
 
         A worklist computes it: a configuration is re-evaluated only when a
         configuration its transition reads has just turned true.
@@ -263,7 +267,7 @@ class TwoAFA:
                     if holds(self.transitions[(q, cells[source + 1])], source):
                         value[(source + 1) * width + q] = 1
                         work.append((q, source))
-        return {(q, pos): value[(pos + 1) * width + q] == 1 for q in range(width) for pos in range(-1, n + 1)}
+        return value
 
     def _readers(self) -> list:
         """For each state s, the pairs (q, step) whose transition from q at pos reads s at pos + step."""

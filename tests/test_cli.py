@@ -192,6 +192,20 @@ def test_size_limit_exit_three():
     assert "limit" in err.lower()
 
 
+def test_alphabet_too_wide_to_spell_out_exits_three(monkeypatch):
+    def no_letters(*args):
+        raise AssertionError("a letter was built over 17 atoms")
+
+    monkeypatch.setattr("tracelogic.trace.combinations", no_letters)
+    wide = " | ".join(f"a{i}" for i in range(17))
+    for target in ("dfa", "afa", "nfa", "min-dfa", "2afa"):
+        code, out, err = invoke("compile", "-f", wide, "--to", target)
+        assert (code, out) == (3, ""), target
+        assert err == "limit exceeded: alphabet of 17 atoms has more than 2^16 letters to spell out\n"
+    code, out, _ = invoke("accepts", "-f", wide, "-t", "{a3}", "--backend", "afa")
+    assert (code, out) == (0, "ACCEPTED\n")
+
+
 def test_backends_agree_on_small_corpus():
     formulas = ["a U b", "G (a -> F b)", "<(a? ; tt)*> b", "WX a", "!a R b"]
     traces = ["eps", "{}", "{a}", "{a};{b}", "{b};{a};{a,b}"]

@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_fa as ref
 from conftest import random_core_formula
 from tracelogic import oracle
-from tracelogic.afa import AFA
+from tracelogic.afa import AFA, closure
 from tracelogic.errors import AlphabetMismatchError, BudgetError
 from tracelogic.fa import (
+    DFA,
     build_dfa,
     complement,
     dealternate,
@@ -18,7 +22,7 @@ from tracelogic.fa import (
     minimize,
     nfa_accepts,
 )
-from tracelogic.formula import nnf, to_dynamic_core
+from tracelogic.formula import TRUE, And, Box, Diamond, Or, Star, Step, atoms, nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import Trace, enumerate_traces, format_trace
 
@@ -160,6 +164,66 @@ def test_budget_error():
         dealternate(_afa("[tt*] (a | <tt> b)"), max_states=1)
     with pytest.raises(BudgetError):
         determinize(dealternate(_afa("F a & F b")), max_states=1)
+
+
+def test_budget_error_names_the_stage():
+    with pytest.raises(BudgetError, match=r"^dealternation exceeded 1 states$"):
+        dealternate(_afa("[tt*] (a | <tt> b)"), max_states=1)
+    with pytest.raises(BudgetError, match=r"^determinization exceeded 1 states$"):
+        determinize(dealternate(_afa("F a & F b")), max_states=1)
+
+
+# The conftest formulas, combined by and, or, X, F and G: on their own they
+# rarely reach a letter with two successor sets.
+_STEP = Step(TRUE)
+_TEMPORAL = (lambda g: Diamond(_STEP, g), lambda g: Diamond(Star(_STEP), g), lambda g: Box(Star(_STEP), g))
+CORE_FORMULAS = st.recursive(
+    st.randoms(use_true_random=False).map(lambda rng: random_core_formula(rng, rng.randint(1, 9))),
+    lambda inner: st.one_of(
+        st.builds(lambda op, l, r: op(l, r), st.sampled_from((And, Or)), inner, inner),
+        st.builds(lambda op, g: op(g), st.sampled_from(_TEMPORAL), inner),
+    ),
+    max_leaves=4,
+)
+
+
+def _relabelled(dfa: DFA, seed: int) -> DFA:
+    """The same automaton with its states permuted, behind an unreachable accepting state 0 that loops on itself."""
+    new = list(range(1, dfa.n_states + 1))
+    random.Random(seed).shuffle(new)
+    rows = [(0,) * len(dfa.letters)] * (dfa.n_states + 1)
+    accepting = [True] * (dfa.n_states + 1)
+    for s, row in enumerate(dfa.transitions):
+        rows[new[s]] = tuple(new[t] for t in row)
+        accepting[new[s]] = dfa.accepting[s]
+    return DFA(dfa.ap, dfa.letters, tuple(rows), tuple(accepting), new[dfa.initial])
+
+
+def test_explorations_match_the_reference():
+    """Every construction gives the ordinals, automata and traces of `reference_fa`."""
+    seen = set()
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(CORE_FORMULAS, CORE_FORMULAS, st.sets(st.sampled_from(("a", "b", "c")), min_size=1), st.integers(0, 99))
+    def check(f, g, extra, seed):
+        assert closure(f).states == ref.closure(f).states
+        automaton = AFA(f, sorted(atoms(f) | extra))
+        nfa = dealternate(automaton)
+        assert nfa == ref.dealternate(automaton)
+        dfa = determinize(nfa)
+        assert dfa == ref.determinize(nfa)
+        for source in (dfa, _relabelled(dfa, seed)):
+            assert minimize(source) == ref.minimize(source)
+            assert minimize(source, seed=seed) == ref.minimize(source, seed=seed)
+            assert is_empty(source) == ref.is_empty(source)
+        verdict = equivalent(f, g)
+        assert verdict == ref.equivalent(f, g)
+        seen.add(("branching", any(len(targets) > 1 for targets in nfa.transitions.values())))
+        seen.add(("verdicts", is_empty(dfa)[0], verdict[0]))
+
+    check()
+    assert ("branching", True) in seen
+    assert {("verdicts", e, v) for e in (True, False) for v in (True, False)} <= seen
 
 
 def test_four_way_agreement_sampled():

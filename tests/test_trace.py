@@ -1,8 +1,11 @@
 import pytest
 
 from tracelogic import cli
+from tracelogic.afa import AFA
 from tracelogic.errors import SizeLimitError
-from tracelogic.parser import parse_trace
+from tracelogic.fa import build_dfa
+from tracelogic.formula import nnf, to_dynamic_core
+from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import (
     TimedTrace,
     Trace,
@@ -10,6 +13,7 @@ from tracelogic.trace import (
     format_trace,
     letters_over,
 )
+from tracelogic.twafa import TwoAFA
 
 
 def test_single_atom_enumeration():
@@ -72,6 +76,20 @@ def test_size_limit_before_building_letters():
     # 2^30 letters would not fit in memory; the bound must be tested first.
     with pytest.raises(SizeLimitError):
         next(enumerate_traces(tuple(f"p{i}" for i in range(30)), 1))
+
+
+def test_letters_over_bounds_the_alphabet():
+    wide = [f"a{i}" for i in range(17)]
+    with pytest.raises(SizeLimitError, match=r"^alphabet of 17 atoms has more than 2\^16 letters to spell out$"):
+        letters_over(wide)
+    f = parse_formula(" | ".join(wide))
+    core = to_dynamic_core(nnf(f))
+    with pytest.raises(SizeLimitError):
+        build_dfa(f)
+    with pytest.raises(SizeLimitError):
+        TwoAFA(core)
+    # The one-way AFA reads only the letters of the trace.
+    assert AFA(core).accepts(Trace((frozenset({"a3"}),))) is True
 
 
 def test_negative_length_rejected():
