@@ -7,6 +7,10 @@ universal and existential branching share one representation.  A per-call
 visited set cuts the unfolding of stars that make no progress within a
 single letter, which is what keeps the construction total on formulas like
 `<(tt?)*> a`.
+
+A state's image depends only on the atoms it reads before its next step
+(`reads`), so letters that agree on those atoms have the same image; the
+constructions in `fa` build one image per such letter class.
 """
 
 from __future__ import annotations
@@ -129,6 +133,42 @@ def weak_state(f: fm.Formula) -> fm.Formula:
     return fm.Or(f, fm.AT_MARKER)
 
 
+def reads(f: fm.Formula) -> frozenset[str]:
+    """The atoms the transition image of a dynamic-core formula depends on.
+
+    They are the atoms f tests at the current letter: its literals and the
+    guards and tests its paths meet before their first step.  What lies
+    behind a step is another state's business.
+    """
+    match f:
+        case fm.Atom(name) | fm.Not(fm.Atom(name)):
+            return frozenset((name,))
+        case fm.And(l, r) | fm.Or(l, r):
+            return reads(l) | reads(r)
+        case fm.Modal(p, g):
+            now, stepless = _path_reads(p)
+            return now | reads(g) if stepless else now
+    return frozenset()
+
+
+def _path_reads(p: fm.PathExpr) -> tuple[frozenset[str], bool]:
+    """The atoms p reads before its first step, and whether p can be passed without one."""
+    match p:
+        case fm.Step(guard):
+            return frozenset(fm.atoms(guard)), False
+        case fm.Test(e):
+            return reads(e), True
+        case fm.Seq(q, r):
+            (q_now, q_stepless), (r_now, r_stepless) = _path_reads(q), _path_reads(r)
+            return (q_now | r_now if q_stepless else q_now), q_stepless and r_stepless
+        case fm.Alt(q, r):
+            (q_now, q_stepless), (r_now, r_stepless) = _path_reads(q), _path_reads(r)
+            return q_now | r_now, q_stepless or r_stepless
+        case fm.Star(q):
+            return _path_reads(q)[0], True
+    raise TypeError(f"not a path expression: {p!r}")
+
+
 class StateSet:
     """Ordered, duplicate-free collection of automaton states.
 
@@ -221,7 +261,9 @@ class AFA:
         self.states: StateSet = closure(root)
         self.initial: int = 0
         self.final: tuple[bool, ...] = tuple(oracle.end_value(q) for q in self.states)
+        self.reads: tuple[frozenset[str], ...] = tuple(reads(q) for q in self.states)
         self._delta_memo: dict = {}
+        self._weak_refs: dict = {}  # body g of a step box -> reference to weak_state(g)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -288,7 +330,12 @@ class AFA:
     def _box(self, p, g, node, letter, visiting) -> PBF:
         match p:
             case fm.Step(guard):
-                return self._ref(weak_state(g)) if oracle.prop_sat(guard, letter) else PBF_TRUE
+                if not oracle.prop_sat(guard, letter):
+                    return PBF_TRUE
+                ref = self._weak_refs.get(g)
+                if ref is None:
+                    ref = self._weak_refs[g] = self._ref(weak_state(g))
+                return ref
             case fm.Test(e):
                 return pbf_or(self._image(fm.nnf_not(e), letter, visiting), self._image(g, letter, visiting))
             case fm.Seq(q, r):

@@ -124,25 +124,36 @@ def _build(core: fm.Formula, target: str):
 
 
 def _size(automaton) -> str:
-    """`states N transitions M`; alternating automata count the images that are not false."""
+    """`states N transitions M`; alternating automata count the images that are not false.
+
+    An AFA state's image depends only on the atoms it reads, so each image
+    over those atoms stands for the 2^(|AP| - |read atoms|) letters that
+    project onto it.
+    """
     if isinstance(automaton, DFA):
         return f"states {automaton.n_states} transitions {automaton.n_states * len(automaton.letters)}"
     if isinstance(automaton, NFA):
         return f"states {len(automaton.states)} transitions {sum(map(len, automaton.transitions.values()))}"
     if isinstance(automaton, TwoAFA):
-        images = automaton.transitions.values()
-    else:
-        letters = letters_over(automaton.ap)
-        images = (automaton.delta(q, letter) for q in range(len(automaton)) for letter in letters)
-    return f"states {len(automaton)} transitions {sum(not isinstance(pbf, FalseLeaf) for pbf in images)}"
+        return f"states {len(automaton)} transitions {_live(automaton.transitions.values())}"
+    count = 0
+    for q, local in enumerate(automaton.reads):
+        images = (automaton.delta(q, letter) for letter in letters_over(local))
+        count += 2 ** (len(automaton.ap) - len(local)) * _live(images)
+    return f"states {len(automaton)} transitions {count}"
+
+
+def _live(images) -> int:
+    return sum(not isinstance(pbf, FalseLeaf) for pbf in images)
 
 
 def _cmd_compile(args) -> int:
     automaton = _build(_core(parse_formula(_input(args, "formula"))), args.to)
+    dot = to_dot(automaton) if args.dot else None  # before the size line: it may exceed a limit
     print(_size(automaton))
-    if args.dot:
+    if dot is not None:
         with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(to_dot(automaton))
+            handle.write(dot)
     return EXIT_OK
 
 

@@ -6,6 +6,13 @@ transition function is total.  Minimization refines the partition of the
 reachable states and numbers the quotient breadth-first from the initial
 block, which makes minimal automata canonical: two DFAs are isomorphic
 exactly when their minimized forms are equal.
+
+Dealternation works per letter class.  An NFA state's successors depend
+only on the atoms its members read (`AFA.reads`), so they are computed once
+for each projection of the letters onto those atoms, and every letter of
+that class gets the same successors.  An NFA state whose members read k
+atoms thus costs 2^k successor computations rather than 2^|AP|; the NFA and
+DFA still keep an explicit entry for every letter.
 """
 
 from __future__ import annotations
@@ -64,11 +71,18 @@ def _add(states: StateSet, state, max_states: int, stage: str) -> int:
     return ordinal
 
 
-def _conjunction_successors(automaton: AFA, members, letter) -> list[frozenset]:
-    """Minimal satisfying sets of the conjoined transition images of `members`."""
+def _conjunction_successors(automaton: AFA, members, letter, images: dict) -> list[frozenset]:
+    """Minimal satisfying sets of the conjoined transition images of `members`.
+
+    `images` memoises the minimal sets of each member's image per AFA state
+    and the letter's projection onto the atoms that state reads.
+    """
     current: list[frozenset] = [frozenset()]
     for q in sorted(members):
-        q_sets = minimal_sets(automaton.delta(q, letter))
+        own = letter & automaton.reads[q]
+        q_sets = images.get((q, own))
+        if q_sets is None:
+            q_sets = images[(q, own)] = minimal_sets(automaton.delta(q, own))
         if not q_sets:
             return []
         current = _antichain({a | b for a in current for b in q_sets})
@@ -76,15 +90,28 @@ def _conjunction_successors(automaton: AFA, members, letter) -> list[frozenset]:
 
 
 def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
-    """Language-preserving conversion of an AFA into an NFA over state sets."""
+    """Language-preserving conversion of an AFA into an NFA over state sets.
+
+    An NFA state's letters fall into classes by their projection onto the
+    atoms its members read, and its successors are computed once per class.
+    Letters are visited in `letters_over` order, so the first letter of each
+    class adds the new states, in the order a loop over every letter would.
+    """
     letters = tuple(letters_over(automaton.ap))
     states = StateSet()
     states.add(frozenset((automaton.initial,)))
     transitions: dict = {}
+    images: dict = {}
     for s, members in enumerate(states):
+        local = frozenset().union(*(automaton.reads[q] for q in members))
+        classes: dict = {}
         for letter in letters:
-            successors = _conjunction_successors(automaton, members, letter)
-            transitions[(s, letter)] = tuple(_add(states, succ, max_states, "dealternation") for succ in successors)
+            key = letter & local
+            targets = classes.get(key)
+            if targets is None:
+                successors = _conjunction_successors(automaton, members, key, images)
+                targets = classes[key] = tuple(_add(states, succ, max_states, "dealternation") for succ in successors)
+            transitions[(s, letter)] = targets
     accepting = tuple(all(automaton.final[q] for q in s) for s in states)
     return NFA(automaton.ap, letters, states.states, transitions, accepting)
 

@@ -74,10 +74,17 @@ class TwoAFA:
         self.states: StateSet = StateSet()
         self.initial: int = self.states.add(root)
         self.transitions: dict = {}
-        marked = (BEGIN, END) + self.letters
         for q, entry in enumerate(self.states):
-            for m in marked:
+            for m in (BEGIN, END):
                 self.transitions[(q, m)] = self._trans(entry, m)
+            local = _letter_atoms(entry)
+            classes: dict = {}
+            for letter in self.letters:
+                key = letter & local
+                pbf = classes.get(key)
+                if pbf is None:
+                    pbf = classes[key] = self._trans(entry, key)
+                self.transitions[(q, letter)] = pbf
 
     def __len__(self) -> int:
         return len(self.states)
@@ -276,6 +283,23 @@ class TwoAFA:
             for ref in _move_refs(pbf):
                 readers[ref.state][(q, ref.move.value)] = None
         return [tuple(r) for r in readers]
+
+
+def _letter_atoms(entry) -> set[str]:
+    """The atoms an entry's transition at a letter reads; letters agreeing on them share it.
+
+    Only literals and step guards read the letter, and a box, which expands
+    its path eagerly, may read any guard in it.  Every other entry refers to
+    states without reading.
+    """
+    match entry:
+        case fm.Atom(name) | fm.Not(fm.Atom(name)):
+            return {name}
+        case fm.Diamond(fm.Step(guard), _):
+            return fm.atoms(guard)
+        case fm.Box():
+            return fm.atoms(entry)
+    return set()
 
 
 def _move_refs(pbf: PBF):

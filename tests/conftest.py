@@ -3,6 +3,7 @@
 import random
 from functools import lru_cache
 
+from tracelogic import formula as fm
 from tracelogic.formula import (
     FALSE,
     TRUE,
@@ -89,6 +90,15 @@ def _core_formulas(size: int) -> tuple:
 def exhaustive_core_formulas(max_size: int) -> list:
     """All NNF dynamic-core formulas of AST size <= max_size over atoms a, b."""
     return [f for size in range(1, max_size + 1) for f in _core_formulas(size)]
+
+
+def renamed(f, names: dict):
+    """f with every atom named in `names` renamed, the others kept."""
+    if isinstance(f, Atom):
+        return Atom(names.get(f.name, f.name))
+    rename = lambda g: renamed(g, names)  # noqa: E731
+    rename_path = lambda p: fm._rebuild_path(p, rename, rename_path)  # noqa: E731
+    return fm._rebuild(f, type(f), rename, rename_path)
 
 
 def random_prop(rng: random.Random, size: int):

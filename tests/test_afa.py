@@ -17,11 +17,12 @@ from tracelogic.afa import (
     minimal_sets,
     pbf_and,
     pbf_or,
+    reads,
 )
 from tracelogic.errors import AlphabetMismatchError, UnsupportedOperatorError
 from tracelogic.formula import nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
-from tracelogic.trace import enumerate_traces
+from tracelogic.trace import enumerate_traces, letters_over
 
 AP = ("a", "b")
 
@@ -156,3 +157,23 @@ def test_oracle_agreement_sampled():
         automaton = AFA(f, AP)
         for t in traces:
             assert automaton.accepts(t) == oracle.holds(f, t)
+
+
+def test_reads_stops_at_steps():
+    assert reads(_core("X a")) == frozenset()
+    assert reads(_core("F a")) == {"a"}
+    assert reads(_core("a U X b")) == {"a"}
+    assert reads(_core("<(a & !b)> c")) == {"a", "b"}
+    assert reads(_core("[(tt ; c?)*] d")) == {"d"}
+    assert reads(_core("<(a? + tt)*> (b | X c)")) == {"a", "b"}
+
+
+def test_image_depends_only_on_the_atoms_read():
+    rng = random.Random(44)
+    formulas = exhaustive_core_formulas(5) + [random_core_formula(rng, rng.randint(6, 12)) for _ in range(150)]
+    for f in formulas:
+        automaton = AFA(f, AP)
+        for q, local in enumerate(automaton.reads):
+            assert local <= set(AP)
+            for letter in letters_over(AP):
+                assert automaton.delta(q, letter) == automaton.delta(q, letter & local), (f, q, letter)

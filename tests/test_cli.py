@@ -2,15 +2,18 @@ import contextlib
 import io
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
-from tracelogic.cli import run
+from conftest import random_core_formula, renamed
+from tracelogic.cli import _size, run
 from tracelogic.dot import to_dot
 from tracelogic.fa import build_dfa
-from tracelogic.afa import AFA
-from tracelogic.formula import nnf, to_dynamic_core
+from tracelogic.afa import AFA, FalseLeaf
+from tracelogic.formula import And, nnf, to_dynamic_core
 from tracelogic.parser import parse_formula
+from tracelogic.trace import letters_over
 
 
 def invoke(*argv):
@@ -204,6 +207,29 @@ def test_alphabet_too_wide_to_spell_out_exits_three(monkeypatch):
         assert err == "limit exceeded: alphabet of 17 atoms has more than 2^16 letters to spell out\n"
     code, out, _ = invoke("accepts", "-f", wide, "-t", "{a3}", "--backend", "afa")
     assert (code, out) == (0, "ACCEPTED\n")
+
+
+def test_afa_size_over_seventeen_atoms(tmp_path):
+    # Each state reads at most one atom before its next step, so the count
+    # needs no letter over all 17; drawing the AFA spells them out.
+    wide = " & ".join(f"X a{i}" for i in range(17))
+    code, out, err = invoke("compile", "-f", wide, "--to", "afa")
+    assert (code, out, err) == (0, "states 50 transitions 5439488\n", "")
+    code, out, err = invoke("compile", "-f", wide, "--to", "afa", "--dot", str(tmp_path / "out.dot"))
+    assert (code, out) == (3, "")
+    assert err == "limit exceeded: alphabet of 17 atoms has more than 2^16 letters to spell out\n"
+    assert not (tmp_path / "out.dot").exists()
+
+
+def test_afa_size_matches_a_count_over_every_letter():
+    rng = random.Random(113)
+    for k in range(60):
+        right = renamed(random_core_formula(rng, rng.randint(1, 9)), {"a": "c"})
+        f = And(random_core_formula(rng, rng.randint(1, 9)), right)
+        automaton = AFA(f, ("a", "b", "c", "d")[: 3 + k % 2])
+        images = [automaton.delta(q, letter) for q in range(len(automaton)) for letter in letters_over(automaton.ap)]
+        count = sum(not isinstance(pbf, FalseLeaf) for pbf in images)
+        assert _size(automaton) == f"states {len(automaton)} transitions {count}"
 
 
 def test_backends_agree_on_small_corpus():

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_fa as ref
-from conftest import random_core_formula
-from tracelogic import oracle
+from conftest import random_core_formula, renamed
+from tracelogic import fa, oracle
 from tracelogic.afa import AFA, closure
 from tracelogic.errors import AlphabetMismatchError, BudgetError
 from tracelogic.fa import (
@@ -173,8 +173,33 @@ def test_budget_error_names_the_stage():
         determinize(dealternate(_afa("F a & F b")), max_states=1)
 
 
+def test_dealternation_successor_count_grows_as_three_to_the_k(monkeypatch):
+    """`F a0 & … & F a(k-1)`: one successor computation per NFA state and letter class."""
+    calls = []
+    counted = fa._conjunction_successors
+
+    def counting(*args):
+        calls.append(None)
+        return counted(*args)
+
+    monkeypatch.setattr(fa, "_conjunction_successors", counting)
+    made = {}
+    for k in range(3, 9):
+        calls.clear()
+        f = parse_formula(" & ".join(f"F a{i}" for i in range(k)))
+        nfa = dealternate(AFA(to_dynamic_core(nnf(f))))
+        made[k] = len(calls)
+        assert len(nfa.states) == 2**k + 1
+        assert minimize(determinize(nfa)).n_states == 2**k
+    # the initial state reads all k atoms; a state owing i eventualities reads i of them
+    assert made == {k: 3**k + 2**k for k in range(3, 9)}
+    assert list(made.values()) == [35, 97, 275, 793, 2315, 6817]
+
+
 # The conftest formulas, combined by and, or, X, F and G: on their own they
-# rarely reach a letter with two successor sets.
+# rarely reach a letter with two successor sets.  Their atoms are a and b;
+# conjoining one with a copy over c and d gives states that read only some
+# of the atoms, so an NFA state has fewer letter classes than letters.
 _STEP = Step(TRUE)
 _TEMPORAL = (lambda g: Diamond(_STEP, g), lambda g: Diamond(Star(_STEP), g), lambda g: Box(Star(_STEP), g))
 CORE_FORMULAS = st.recursive(
@@ -182,6 +207,7 @@ CORE_FORMULAS = st.recursive(
     lambda inner: st.one_of(
         st.builds(lambda op, l, r: op(l, r), st.sampled_from((And, Or)), inner, inner),
         st.builds(lambda op, g: op(g), st.sampled_from(_TEMPORAL), inner),
+        st.builds(lambda l, r: And(l, renamed(r, {"a": "c", "b": "d"})), inner, inner),
     ),
     max_leaves=4,
 )
@@ -204,12 +230,15 @@ def test_explorations_match_the_reference():
     seen = set()
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-    @given(CORE_FORMULAS, CORE_FORMULAS, st.sets(st.sampled_from(("a", "b", "c")), min_size=1), st.integers(0, 99))
+    @given(CORE_FORMULAS, CORE_FORMULAS, st.sets(st.sampled_from("abcde"), min_size=1), st.integers(0, 99))
     def check(f, g, extra, seed):
         assert closure(f).states == ref.closure(f).states
         automaton = AFA(f, sorted(atoms(f) | extra))
         nfa = dealternate(automaton)
         assert nfa == ref.dealternate(automaton)
+        for members in nfa.states:
+            local = frozenset().union(*(automaton.reads[q] for q in members))
+            seen.add(("classes", len({letter & local for letter in nfa.letters}) < len(nfa.letters)))
         dfa = determinize(nfa)
         assert dfa == ref.determinize(nfa)
         for source in (dfa, _relabelled(dfa, seed)):
@@ -223,6 +252,7 @@ def test_explorations_match_the_reference():
 
     check()
     assert ("branching", True) in seen
+    assert ("classes", True) in seen
     assert {("verdicts", e, v) for e in (True, False) for v in (True, False)} <= seen
 
 

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from conftest import random_core_formula, random_trace
+from conftest import random_core_formula, random_trace, renamed
 from tracelogic import oracle
 from tracelogic.afa import AFA, AndNode, FalseLeaf, OrNode, TrueLeaf
 from tracelogic.errors import UnsupportedOperatorError
-from tracelogic.formula import nnf, to_dynamic_core
+from tracelogic.formula import And, nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import Trace, enumerate_traces
 from tracelogic.twafa import BEGIN, END, Move, MoveRef, moves_in, TwoAFA
@@ -160,3 +160,18 @@ def test_since_trigger_examples():
     assert trigger.accepts(parse_trace("{b}")) is True
     assert trigger.accepts(parse_trace("{}")) is False
     assert trigger.accepts(parse_trace("eps")) is True
+
+
+def test_letter_classes_match_direct_transitions():
+    """Each letter's transition, built once per class, equals the one built for that letter alone."""
+    rng = random.Random(97)
+    for k in range(40):
+        left = random_core_formula(rng, rng.randint(3, 10), past=True)
+        right = renamed(random_core_formula(rng, rng.randint(3, 10), past=True), {"a": "c", "b": "d"})
+        ap = ("a", "b", "c", "d", "e", "f")[: 5 + k % 2]
+        automaton = TwoAFA(And(left, right), ap)
+        width = len(automaton)
+        assert len(automaton.transitions) == width * (2 + 2 ** len(ap))
+        for (q, m), pbf in automaton.transitions.items():
+            assert pbf == automaton._trans(automaton.states[q], m)
+        assert len(automaton) == width
