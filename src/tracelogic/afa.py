@@ -1,21 +1,34 @@
-"""Translation of dynamic-core formulas to alternating finite automata.
+"""Alternating automata over finite traces: the shared transition builder and the one-way AFA.
 
-States are the closure formulas: the root and every formula one
-transition can introduce, numbered in breadth-first order.  Transition
-images are positive boolean formulas (PBFs) over successor states, so
-universal and existential branching share one representation.  A per-call
-visited set cuts the unfolding of stars that make no progress within a
-single letter, which is what keeps the construction total on formulas like
-`<(tt?)*> a`.
+`transition` builds the transition of a dynamic-core or past formula at a
+letter (or at the end marker) as a positive boolean formula (PBF) over
+successor references, so universal and existential branching share one
+representation.  Each successor goes through a callback `ref(g, move,
+weak)`, and the callback decides what a successor is.  The two-way
+automaton in `twafa` makes every successor a state: a head move left (L),
+right (R) or stay-in-place (S) paired with a state, read in a least
+fixpoint.  A one-way automaton is a two-way automaton whose S moves are
+resolved within the letter (Vardi, ICALP 1998): the `AFA` here inlines
+every S move into the image, keeps R moves as references to closure states,
+and never meets an L move, since past operators are outside its fragment.
+Inlining takes a diamond star met again while it is being unrolled as false,
+which keeps the image finite on stars that make no progress within a letter,
+like `<(tt?)*> a`.
 
-A state's image depends only on the atoms it reads before its next step
-(`reads`), so letters that agree on those atoms have the same image; the
-constructions in `fa` build one image per such letter class.
+The AFA's states are the closure formulas: the root and every formula one
+expansion step can introduce, numbered in breadth-first order.  A state's
+image depends only on the atoms it reads before its next step (`reads`),
+so `AFA.delta` builds one image per letter class, and the constructions in
+`fa` ask for one image per class.  `AFA.accepts` evaluates only the states
+an image can refer to: the initial state and the targets of step
+modalities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
+from functools import cached_property
 
 from . import formula as fm
 from . import oracle
@@ -56,6 +69,38 @@ class OrNode(PBF):
     right: PBF
 
 
+class Move(Enum):
+    L = -1
+    S = 0
+    R = 1
+
+
+@dataclass(frozen=True)
+class MoveRef(PBF):
+    """PBF leaf of a two-way transition: the referenced state must hold after moving the head."""
+
+    state: int
+    move: Move
+
+
+@dataclass(frozen=True)
+class _Marker:
+    name: str
+
+
+_L, _S, _R = Move.L, Move.S, Move.R  # every transition reads them; an Enum member lookup is slow
+
+BEGIN = _Marker("begin")
+END = _Marker("end")
+
+
+@dataclass(frozen=True)
+class Weak:
+    """Two-way state wrapper: behaves like the formula at letters, holds weakly at markers."""
+
+    formula: fm.Formula
+
+
 PBF_TRUE = TrueLeaf()
 PBF_FALSE = FalseLeaf()
 
@@ -80,19 +125,19 @@ def pbf_or(left: PBF, right: PBF) -> PBF:
     return OrNode(left, right)
 
 
-def pbf_eval(pbf: PBF, assignment) -> bool:
-    """Evaluate with StateRef(r) read from assignment[r]."""
+def pbf_eval(pbf: PBF, leaf) -> bool:
+    """Evaluate with each reference r (a StateRef or a MoveRef) read as leaf(r)."""
     match pbf:
+        case StateRef() | MoveRef():
+            return leaf(pbf)
+        case AndNode(l, r):
+            return pbf_eval(l, leaf) and pbf_eval(r, leaf)
+        case OrNode(l, r):
+            return pbf_eval(l, leaf) or pbf_eval(r, leaf)
         case TrueLeaf():
             return True
         case FalseLeaf():
             return False
-        case StateRef(state):
-            return assignment[state]
-        case AndNode(l, r):
-            return pbf_eval(l, assignment) and pbf_eval(r, assignment)
-        case OrNode(l, r):
-            return pbf_eval(l, assignment) or pbf_eval(r, assignment)
     raise TypeError(f"not a PBF: {pbf!r}")
 
 
@@ -120,6 +165,73 @@ def _antichain(sets: set[frozenset]) -> list[frozenset]:
     return [s for s in sets if not any(t < s for t in sets)]
 
 
+def transition(f: fm.Formula, cell, ref) -> PBF:
+    """The transition of f at `cell`, a letter or the end marker, with successors `ref(g, move, weak)`.
+
+    `weak` asks for g's weak value at the markers; it is set on the
+    successors of boxes and of `Trigger`, whose obligations hold vacuously
+    past the ends of the trace.  Only literals and step guards read the
+    letter; the end marker has none, so there they fail, and a step box
+    holds.
+    """
+    match f:
+        case fm.Atom(name):
+            return PBF_TRUE if cell is not END and name in cell else PBF_FALSE
+        case fm.Diamond(fm.Step(guard), g):
+            return ref(g, _R) if cell is not END and oracle.prop_sat(guard, cell) else PBF_FALSE
+        case fm.Diamond(fm.Star(q), g):
+            return pbf_or(ref(g, _S), ref(fm.Diamond(q, f), _S))
+        case fm.Diamond(fm.Seq(q, r), g):
+            return ref(fm.Diamond(q, fm.Diamond(r, g)), _S)
+        case fm.Diamond(fm.Test(e), g):
+            return pbf_and(ref(e, _S), ref(g, _S))
+        case fm.Diamond(fm.Alt(q, r), g):
+            return pbf_or(ref(fm.Diamond(q, g), _S), ref(fm.Diamond(r, g), _S))
+        case fm.And(l, r):
+            return pbf_and(ref(l, _S), ref(r, _S))
+        case fm.Or(l, r):
+            return pbf_or(ref(l, _S), ref(r, _S))
+        case fm.Not(fm.Atom(name)):
+            return PBF_TRUE if cell is not END and name not in cell else PBF_FALSE
+        case fm.Box():
+            return _box(f, cell, ref, ())
+        case fm.TrueFormula():
+            return PBF_TRUE
+        case fm.FalseFormula():
+            return PBF_FALSE
+        case fm.Prev(g):
+            return pbf_and(ref(fm.STEP_POSSIBLE, _L), ref(g, _L))
+        case fm.WeakPrev(g):
+            return pbf_or(ref(fm.AT_MARKER, _L), ref(g, _L))
+        case fm.Since(l, r):
+            return pbf_or(ref(r, _S), pbf_and(ref(l, _S), ref(fm.Prev(f), _S)))
+        case fm.Trigger(l, r):
+            return pbf_and(ref(r, _S, True), pbf_or(ref(l, _S, True), ref(fm.WeakPrev(f), _S)))
+        case _:
+            raise UnsupportedOperatorError(f"cannot build transitions for {type(f).__name__}")
+
+
+def _box(b: fm.Box, cell, ref, expanding: tuple) -> PBF:
+    """Eager expansion of a box through its path; re-arrival at a star being expanded is vacuous."""
+    match b:
+        case fm.Box(fm.Step(guard), g):
+            return ref(g, _R, True) if cell is not END and oracle.prop_sat(guard, cell) else PBF_TRUE
+        case fm.Box(fm.Test(e), g):
+            unless = ref(fm.nnf_not(e), _S, True)
+            return pbf_or(unless, _box(g, cell, ref, expanding) if isinstance(g, fm.Box) else ref(g, _S, True))
+        case fm.Box(fm.Seq(q, r), g):
+            return _box(fm.Box(q, fm.Box(r, g)), cell, ref, expanding)
+        case fm.Box(fm.Alt(q, r), g):
+            return pbf_and(_box(fm.Box(q, g), cell, ref, expanding), _box(fm.Box(r, g), cell, ref, expanding))
+        case fm.Box(fm.Star(q), g):
+            if b in expanding:
+                return PBF_TRUE
+            inner = (*expanding, b)
+            arrive = _box(g, cell, ref, inner) if isinstance(g, fm.Box) else ref(g, _S, True)
+            return pbf_and(arrive, _box(fm.Box(q, b), cell, ref, inner))
+    raise TypeError(f"not a path expression: {b.path!r}")
+
+
 def weak_state(f: fm.Formula) -> fm.Formula:
     """State whose end acceptance is the weak value of f, letter behaviour unchanged.
 
@@ -134,11 +246,13 @@ def weak_state(f: fm.Formula) -> fm.Formula:
 
 
 def reads(f: fm.Formula) -> frozenset[str]:
-    """The atoms the transition image of a dynamic-core formula depends on.
+    """The atoms the transition of a dynamic-core or past formula depends on at a letter.
 
     They are the atoms f tests at the current letter: its literals and the
     guards and tests its paths meet before their first step.  What lies
-    behind a step is another state's business.
+    behind a step is another state's business.  This bounds the AFA image,
+    which inlines every S move, and so also the 2AFA transition, which
+    reads no more than the image does.
     """
     match f:
         case fm.Atom(name) | fm.Not(fm.Atom(name)):
@@ -211,8 +325,8 @@ class StateSet:
 def expansion(f: fm.Formula) -> list[fm.Formula]:
     """Formulas introduced by one transition-expansion step of a dynamic-core formula f.
 
-    They are the states `AFA._image` refers to: the body of a step-guarded
-    box is referenced as its `weak_state`.
+    They are the formulas an AFA image reaches, inlined or referenced: the
+    body of a step-guarded box is referenced as its `weak_state`.
     """
     match f:
         case fm.Atom() | fm.TrueFormula() | fm.FalseFormula() | fm.Not(fm.Atom()):
@@ -233,9 +347,8 @@ def expansion(f: fm.Formula) -> list[fm.Formula]:
                 case fm.Star(q):
                     return [g, mod(q, f)]
             raise TypeError(f"not a path expression: {p!r}")
-        case fm.Formula():
+        case _:
             raise UnsupportedOperatorError(f"cannot build transitions for {type(f).__name__}")
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def closure(f: fm.Formula) -> StateSet:
@@ -262,102 +375,66 @@ class AFA:
         self.initial: int = 0
         self.final: tuple[bool, ...] = tuple(oracle.end_value(q) for q in self.states)
         self.reads: tuple[frozenset[str], ...] = tuple(reads(q) for q in self.states)
-        self._delta_memo: dict = {}
+        self._delta_memo: dict = {}  # (q, letter & reads[q]) -> image
         self._weak_refs: dict = {}  # body g of a step box -> reference to weak_state(g)
 
     def __len__(self) -> int:
         return len(self.states)
 
     def delta(self, q: int, letter) -> PBF:
+        """The image of state q at a letter: its transition with every S move inlined."""
+        letter = letter & self.reads[q]
         key = (q, letter)
-        cached = self._delta_memo.get(key)
-        if cached is None:
-            cached = self._image(self.states[q], letter, frozenset())
-            self._delta_memo[key] = cached
-        return cached
+        image = self._delta_memo.get(key)
+        if image is None:
+            unrolling = []  # the diamond stars being unrolled, innermost last
 
-    def _ref(self, h: fm.Formula) -> PBF:
-        if isinstance(h, fm.TrueFormula):
+            def ref(g: fm.Formula, move: Move, weak: bool = False) -> PBF:
+                if move is _R:
+                    return self._step_ref(g, weak)
+                if isinstance(g, fm.Diamond) and isinstance(g.path, fm.Star):
+                    if g in unrolling:
+                        return PBF_FALSE
+                    unrolling.append(g)
+                    image = transition(g, letter, ref)
+                    unrolling.pop()
+                    return image
+                return transition(g, letter, ref)
+
+            image = self._delta_memo[key] = ref(self.states[q], _S)
+        return image
+
+    def _step_ref(self, g: fm.Formula, weak: bool) -> PBF:
+        """The reference to a step's target state g, or to weak_state(g) for a box."""
+        if weak:
+            target = self._weak_refs.get(g)
+            if target is None:
+                target = self._weak_refs[g] = self._step_ref(weak_state(g), False)
+            return target
+        if isinstance(g, fm.TrueFormula):
             return PBF_TRUE
-        if isinstance(h, fm.FalseFormula):
+        if isinstance(g, fm.FalseFormula):
             return PBF_FALSE
-        return StateRef(self.states.ordinal(h))
+        return StateRef(self.states.ordinal(g))
 
-    def _image(self, f: fm.Formula, letter, visiting: frozenset) -> PBF:
-        match f:
-            case fm.TrueFormula():
-                return PBF_TRUE
-            case fm.FalseFormula():
-                return PBF_FALSE
-            case fm.Atom(name):
-                return PBF_TRUE if name in letter else PBF_FALSE
-            case fm.Not(fm.Atom(name)):
-                return PBF_FALSE if name in letter else PBF_TRUE
-            case fm.And(l, r):
-                return pbf_and(self._image(l, letter, visiting), self._image(r, letter, visiting))
-            case fm.Or(l, r):
-                return pbf_or(self._image(l, letter, visiting), self._image(r, letter, visiting))
-            case fm.Diamond(p, g):
-                return self._diamond(p, g, f, letter, visiting)
-            case fm.Box(p, g):
-                return self._box(p, g, f, letter, visiting)
-            case _:
-                raise UnsupportedOperatorError(f"cannot build transitions for {type(f).__name__}")
-
-    def _diamond(self, p, g, node, letter, visiting) -> PBF:
-        match p:
-            case fm.Step(guard):
-                return self._ref(g) if oracle.prop_sat(guard, letter) else PBF_FALSE
-            case fm.Test(e):
-                return pbf_and(self._image(e, letter, visiting), self._image(g, letter, visiting))
-            case fm.Seq(q, r):
-                return self._image(fm.Diamond(q, fm.Diamond(r, g)), letter, visiting)
-            case fm.Alt(q, r):
-                return pbf_or(
-                    self._image(fm.Diamond(q, g), letter, visiting),
-                    self._image(fm.Diamond(r, g), letter, visiting),
-                )
-            case fm.Star(q):
-                if node in visiting:
-                    return PBF_FALSE
-                inner = visiting | {node}
-                return pbf_or(
-                    self._image(g, letter, inner),
-                    self._image(fm.Diamond(q, node), letter, inner),
-                )
-        raise TypeError(f"not a path expression: {p!r}")
-
-    def _box(self, p, g, node, letter, visiting) -> PBF:
-        match p:
-            case fm.Step(guard):
-                if not oracle.prop_sat(guard, letter):
-                    return PBF_TRUE
-                ref = self._weak_refs.get(g)
-                if ref is None:
-                    ref = self._weak_refs[g] = self._ref(weak_state(g))
-                return ref
-            case fm.Test(e):
-                return pbf_or(self._image(fm.nnf_not(e), letter, visiting), self._image(g, letter, visiting))
-            case fm.Seq(q, r):
-                return self._image(fm.Box(q, fm.Box(r, g)), letter, visiting)
-            case fm.Alt(q, r):
-                return pbf_and(
-                    self._image(fm.Box(q, g), letter, visiting),
-                    self._image(fm.Box(r, g), letter, visiting),
-                )
-            case fm.Star(q):
-                if node in visiting:
-                    return PBF_TRUE
-                inner = visiting | {node}
-                return pbf_and(
-                    self._image(g, letter, inner),
-                    self._image(fm.Box(q, node), letter, inner),
-                )
-        raise TypeError(f"not a path expression: {p!r}")
+    @cached_property
+    def _referenced(self) -> tuple[int, ...]:
+        """The initial state and every state an image can refer to: the targets of step modalities."""
+        targets = {self.initial}
+        for f in self.states:
+            if isinstance(f, fm.Modal) and isinstance(f.path, fm.Step):
+                target = self._step_ref(f.arg, isinstance(f, fm.Box))
+                if isinstance(target, StateRef):
+                    targets.add(target.state)
+        return tuple(sorted(targets))
 
     def accepts(self, t: Trace) -> bool:
         check_letters(t, self.ap)
+        referenced = self._referenced
         values = list(self.final)
+        leaf = lambda ref: values[ref.state]  # noqa: E731
         for letter in reversed(t.letters):
-            values = [pbf_eval(self.delta(q, letter), values) for q in range(len(self.states))]
+            row = [pbf_eval(self.delta(q, letter), leaf) for q in referenced]
+            for q, value in zip(referenced, row):
+                values[q] = value
         return values[self.initial]

@@ -9,9 +9,9 @@ conjunction node.
 from __future__ import annotations
 
 from . import formula as fm
-from .afa import AFA, AndNode, FalseLeaf, OrNode, PBF, StateRef, TrueLeaf
+from .afa import AFA, BEGIN, END, PBF, AndNode, FalseLeaf, MoveRef, OrNode, StateRef, TrueLeaf, Weak, _Marker
 from .fa import DFA, NFA
-from .twafa import BEGIN, END, MoveRef, TwoAFA, Weak, _Marker
+from .twafa import TwoAFA
 from .trace import format_letter, letters_over
 
 

@@ -7,7 +7,9 @@ its own queue, index and budget check, and `minimize` renumbers the
 reachable states and the quotient breadth-first.  `test_fa.py` requires
 the current constructions to give the same ordinals, automata, witnesses
 and counterexamples.  `build_dfa` and `_conjunction_successors` come
-along because `equivalent` and `dealternate` call them.  The file name does
+along because `equivalent` and `dealternate` call them.  The transition
+builders of the one-way and the two-way alternating automaton, as they were
+before they shared `afa.transition`, close the file.  The file name does
 not match `test_*.py`, so pytest does not collect it.
 """
 
@@ -17,10 +19,28 @@ import random
 from collections import deque
 
 from tracelogic import formula as fm
-from tracelogic.afa import AFA, StateSet, expansion, minimal_sets
-from tracelogic.errors import BudgetError
+from tracelogic import oracle
+from tracelogic.afa import (
+    AFA,
+    BEGIN,
+    END,
+    PBF,
+    PBF_FALSE,
+    PBF_TRUE,
+    Move,
+    MoveRef,
+    StateRef,
+    StateSet,
+    Weak,
+    expansion,
+    minimal_sets,
+    pbf_and,
+    pbf_or,
+    weak_state,
+)
+from tracelogic.errors import BudgetError, UnsupportedOperatorError
 from tracelogic.fa import DEFAULT_BUDGET, DFA, NFA
-from tracelogic.trace import Trace, letters_over
+from tracelogic.trace import Trace, letters_over, resolve_alphabet
 
 
 def closure(f: fm.Formula) -> StateSet:
@@ -214,3 +234,243 @@ def is_empty(dfa: DFA):
                 seen.add(target)
                 queue.append((target, path + (letter,)))
     return True, None
+
+
+# The transition builders as they were before one builder served both
+# alternating automata: the one-way image, which unrolls a letter's
+# stay-in-place steps itself, and the two-way automaton, which makes each of
+# them a state of its own.  `test_afa.py` requires the same image for every
+# state at every letter, and the same 2AFA states in the same order with the
+# same transitions.
+
+
+def afa_image(automaton: AFA, q: int, letter) -> PBF:
+    """The image of AFA state q at a letter."""
+    return _image(automaton, automaton.states[q], letter, frozenset())
+
+
+def _afa_ref(automaton: AFA, h: fm.Formula) -> PBF:
+    if isinstance(h, fm.TrueFormula):
+        return PBF_TRUE
+    if isinstance(h, fm.FalseFormula):
+        return PBF_FALSE
+    return StateRef(automaton.states.ordinal(h))
+
+
+def _image(automaton: AFA, f: fm.Formula, letter, visiting: frozenset) -> PBF:
+    match f:
+        case fm.TrueFormula():
+            return PBF_TRUE
+        case fm.FalseFormula():
+            return PBF_FALSE
+        case fm.Atom(name):
+            return PBF_TRUE if name in letter else PBF_FALSE
+        case fm.Not(fm.Atom(name)):
+            return PBF_FALSE if name in letter else PBF_TRUE
+        case fm.And(l, r):
+            return pbf_and(_image(automaton, l, letter, visiting), _image(automaton, r, letter, visiting))
+        case fm.Or(l, r):
+            return pbf_or(_image(automaton, l, letter, visiting), _image(automaton, r, letter, visiting))
+        case fm.Diamond(p, g):
+            return _afa_diamond(automaton, p, g, f, letter, visiting)
+        case fm.Box(p, g):
+            return _afa_box(automaton, p, g, f, letter, visiting)
+    raise UnsupportedOperatorError(f"cannot build transitions for {type(f).__name__}")
+
+
+def _afa_diamond(automaton: AFA, p, g, node, letter, visiting) -> PBF:
+    match p:
+        case fm.Step(guard):
+            return _afa_ref(automaton, g) if oracle.prop_sat(guard, letter) else PBF_FALSE
+        case fm.Test(e):
+            return pbf_and(_image(automaton, e, letter, visiting), _image(automaton, g, letter, visiting))
+        case fm.Seq(q, r):
+            return _image(automaton, fm.Diamond(q, fm.Diamond(r, g)), letter, visiting)
+        case fm.Alt(q, r):
+            return pbf_or(
+                _image(automaton, fm.Diamond(q, g), letter, visiting),
+                _image(automaton, fm.Diamond(r, g), letter, visiting),
+            )
+        case fm.Star(q):
+            if node in visiting:
+                return PBF_FALSE
+            inner = visiting | {node}
+            return pbf_or(_image(automaton, g, letter, inner), _image(automaton, fm.Diamond(q, node), letter, inner))
+    raise TypeError(f"not a path expression: {p!r}")
+
+
+def _afa_box(automaton: AFA, p, g, node, letter, visiting) -> PBF:
+    match p:
+        case fm.Step(guard):
+            return _afa_ref(automaton, weak_state(g)) if oracle.prop_sat(guard, letter) else PBF_TRUE
+        case fm.Test(e):
+            return pbf_or(_image(automaton, fm.nnf_not(e), letter, visiting), _image(automaton, g, letter, visiting))
+        case fm.Seq(q, r):
+            return _image(automaton, fm.Box(q, fm.Box(r, g)), letter, visiting)
+        case fm.Alt(q, r):
+            return pbf_and(
+                _image(automaton, fm.Box(q, g), letter, visiting),
+                _image(automaton, fm.Box(r, g), letter, visiting),
+            )
+        case fm.Star(q):
+            if node in visiting:
+                return PBF_TRUE
+            inner = visiting | {node}
+            return pbf_and(_image(automaton, g, letter, inner), _image(automaton, fm.Box(q, node), letter, inner))
+    raise TypeError(f"not a path expression: {p!r}")
+
+
+class ReferenceTwoAFA:
+    """The two-way automaton's states and transitions, built by its own builder."""
+
+    def __init__(self, root: fm.Formula, ap=None):
+        fm.check_fragment(root, past=True)
+        self.ap = resolve_alphabet(fm.atoms(root), ap)
+        self.letters = tuple(letters_over(self.ap))
+        self.states = StateSet()
+        self.initial = self.states.add(root)
+        self.transitions: dict = {}
+        for q, entry in enumerate(self.states):
+            for m in (BEGIN, END):
+                self.transitions[(q, m)] = self._trans(entry, m)
+            local = _letter_atoms(entry)
+            classes: dict = {}
+            for letter in self.letters:
+                key = letter & local
+                pbf = classes.get(key)
+                if pbf is None:
+                    pbf = classes[key] = self._trans(entry, key)
+                self.transitions[(q, letter)] = pbf
+
+    def _ref(self, entry, move: Move) -> PBF:
+        f = entry.formula if isinstance(entry, Weak) else entry
+        if isinstance(f, fm.TrueFormula):
+            return PBF_TRUE
+        if isinstance(f, fm.FalseFormula):
+            return PBF_FALSE
+        return MoveRef(self.states.add(entry), move)
+
+    def _trans(self, entry, m) -> PBF:
+        if isinstance(entry, Weak):
+            return self._trans_weak(entry.formula, m)
+        if m is BEGIN:
+            return self._trans_begin(entry)
+        return self._trans_main(entry, m)
+
+    def _trans_weak(self, f: fm.Formula, m) -> PBF:
+        if not _is_marker(m):
+            return self._ref(f, Move.S)
+        match f:
+            case fm.TrueFormula():
+                return PBF_TRUE
+            case fm.FalseFormula():
+                return PBF_FALSE
+            case fm.Atom() | fm.Not(fm.Atom()):
+                return PBF_TRUE
+            case fm.And(l, r):
+                return pbf_and(self._ref(Weak(l), Move.S), self._ref(Weak(r), Move.S))
+            case fm.Or(l, r):
+                return pbf_or(self._ref(Weak(l), Move.S), self._ref(Weak(r), Move.S))
+            case _:
+                return self._ref(f, Move.S)
+
+    def _trans_begin(self, f: fm.Formula) -> PBF:
+        match f:
+            case fm.TrueFormula() | fm.Box(_, _) | fm.WeakPrev(_) | fm.Trigger(_, _):
+                return PBF_TRUE
+            case _:
+                return PBF_FALSE
+
+    def _trans_main(self, f: fm.Formula, m) -> PBF:
+        at_end = m is END
+        match f:
+            case fm.TrueFormula():
+                return PBF_TRUE
+            case fm.FalseFormula():
+                return PBF_FALSE
+            case fm.Atom(name):
+                return PBF_FALSE if at_end else (PBF_TRUE if name in m else PBF_FALSE)
+            case fm.Not(fm.Atom(name)):
+                return PBF_FALSE if at_end else (PBF_FALSE if name in m else PBF_TRUE)
+            case fm.And(l, r):
+                return pbf_and(self._ref(l, Move.S), self._ref(r, Move.S))
+            case fm.Or(l, r):
+                return pbf_or(self._ref(l, Move.S), self._ref(r, Move.S))
+            case fm.Prev(g):
+                return pbf_and(self._ref(fm.STEP_POSSIBLE, Move.L), self._ref(g, Move.L))
+            case fm.WeakPrev(g):
+                return pbf_or(self._ref(fm.AT_MARKER, Move.L), self._ref(g, Move.L))
+            case fm.Since(l, r):
+                return pbf_or(
+                    self._ref(r, Move.S),
+                    pbf_and(self._ref(l, Move.S), self._ref(fm.Prev(f), Move.S)),
+                )
+            case fm.Trigger(l, r):
+                return pbf_and(
+                    self._ref(Weak(r), Move.S),
+                    pbf_or(self._ref(Weak(l), Move.S), self._ref(fm.WeakPrev(f), Move.S)),
+                )
+            case fm.Diamond(p, g):
+                return self._diamond(p, g, f, m)
+            case fm.Box(_, _):
+                return self._box(f, m, frozenset())
+        raise UnsupportedOperatorError(f"cannot build transitions for {type(f).__name__}")
+
+    def _diamond(self, p, g, node, m) -> PBF:
+        match p:
+            case fm.Step(guard):
+                if _is_marker(m):
+                    return PBF_FALSE
+                return self._ref(g, Move.R) if oracle.prop_sat(guard, m) else PBF_FALSE
+            case fm.Test(e):
+                return pbf_and(self._ref(e, Move.S), self._ref(g, Move.S))
+            case fm.Seq(q, r):
+                return self._ref(fm.Diamond(q, fm.Diamond(r, g)), Move.S)
+            case fm.Alt(q, r):
+                return pbf_or(self._ref(fm.Diamond(q, g), Move.S), self._ref(fm.Diamond(r, g), Move.S))
+            case fm.Star(q):
+                return pbf_or(self._ref(g, Move.S), self._ref(fm.Diamond(q, node), Move.S))
+        raise TypeError(f"not a path expression: {p!r}")
+
+    def _box(self, b: fm.Box, m, expanding: frozenset) -> PBF:
+        p, g = b.path, b.arg
+        match p:
+            case fm.Step(guard):
+                if _is_marker(m):
+                    return PBF_TRUE
+                return self._ref(Weak(g), Move.R) if oracle.prop_sat(guard, m) else PBF_TRUE
+            case fm.Test(e):
+                return pbf_or(self._ref(Weak(fm.nnf_not(e)), Move.S), self._arrive(g, m, expanding))
+            case fm.Seq(q, r):
+                return self._box(fm.Box(q, fm.Box(r, g)), m, expanding)
+            case fm.Alt(q, r):
+                return pbf_and(self._box(fm.Box(q, g), m, expanding), self._box(fm.Box(r, g), m, expanding))
+            case fm.Star(q):
+                if b in expanding:
+                    return PBF_TRUE
+                inner = expanding | {b}
+                return pbf_and(self._arrive(g, m, inner), self._box(fm.Box(q, b), m, inner))
+        raise TypeError(f"not a path expression: {p!r}")
+
+    def _arrive(self, g: fm.Formula, m, expanding: frozenset) -> PBF:
+        if g in expanding:
+            return PBF_TRUE
+        if isinstance(g, fm.Box):
+            return self._box(g, m, expanding)
+        return self._ref(Weak(g), Move.S)
+
+
+def _is_marker(m) -> bool:
+    return m is BEGIN or m is END
+
+
+def _letter_atoms(entry) -> set[str]:
+    """The atoms a 2AFA transition at a letter reads: literals, step guards and every atom of a box."""
+    match entry:
+        case fm.Atom(name) | fm.Not(fm.Atom(name)):
+            return {name}
+        case fm.Diamond(fm.Step(guard), _):
+            return fm.atoms(guard)
+        case fm.Box():
+            return fm.atoms(entry)
+    return set()

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from conftest import exhaustive_core_formulas, random_core_formula
+from reference_fa import ReferenceTwoAFA, afa_image
+from tracelogic import formula as fm
 from tracelogic import oracle
 from tracelogic.afa import (
     AFA,
@@ -23,6 +28,7 @@ from tracelogic.errors import AlphabetMismatchError, UnsupportedOperatorError
 from tracelogic.formula import nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import enumerate_traces, letters_over
+from tracelogic.twafa import TwoAFA, _move_refs
 
 AP = ("a", "b")
 
@@ -131,7 +137,9 @@ def test_positivity_of_images():
 def test_delta_is_reproducible():
     automaton = AFA(_core("<(a? ; tt)*> b"), AP)
     letter = frozenset({"a"})
-    assert automaton.delta(0, letter) == automaton._image(automaton.states[0], letter, frozenset())
+    image = automaton.delta(0, letter)
+    assert automaton.delta(0, letter) is image
+    assert AFA(_core("<(a? ; tt)*> b"), AP).delta(0, letter) == image
 
 
 def test_state_count_tracks_closure():
@@ -177,3 +185,102 @@ def test_image_depends_only_on_the_atoms_read():
             assert local <= set(AP)
             for letter in letters_over(AP):
                 assert automaton.delta(q, letter) == automaton.delta(q, letter & local), (f, q, letter)
+
+
+# Shapes the generators reach rarely: stars under boxes, tests inside stars,
+# tests nested in tests, and past operators inside paths and under stars.
+HAND_WRITTEN = (
+    "[(a? ; tt)*] b",
+    "[((a ; tt) + b?)*] (a | X b)",
+    "[tt*] [(b? ; tt)*] a",
+    "[(tt ; ([b*] a)?)*] c",
+    "<(a? ; tt)*> b",
+    "<((tt?) ; a?)*> b",
+    "<(tt?)*> a",
+    "[(b?)*] a",
+    "<((<b?> a)? ; tt)> c",
+    "[([a?] b)?] c",
+    "<(<(<a?> b)?> c)?> d",
+    "<((<(c? ; tt)*> a)? ; tt)*> [(b?)*] c",
+    "[((a S Y b)? ; tt)*] c",
+    "<((Y a)? ; tt)*> b",
+    "[((a T b)? ; tt)] WY c",
+    "[tt*] (a -> Y (b S c))",
+)
+
+
+def _reference_corpus() -> list:
+    rng = random.Random(45)
+    corpus = [_core(src) for src in HAND_WRITTEN]
+    corpus += exhaustive_core_formulas(5)
+    corpus += [random_core_formula(rng, rng.randint(1, 16)) for _ in range(900)]
+    corpus += [random_core_formula(rng, rng.randint(1, 16), past=True) for _ in range(900)]
+    return corpus
+
+
+def _has_past(f) -> bool:
+    try:
+        fm.check_fragment(f)
+    except UnsupportedOperatorError:
+        return True
+    return False
+
+
+def _state_refs(pbf):
+    if isinstance(pbf, StateRef):
+        yield pbf.state
+    elif isinstance(pbf, (AndNode, OrNode)):
+        yield from _state_refs(pbf.left)
+        yield from _state_refs(pbf.right)
+
+
+def test_transitions_match_the_reference():
+    """Both automata get from the shared builder what their own builders gave them.
+
+    Every AFA image at every letter equals the one its former builder made
+    from the full letter, and refers only to the states `accepts` tracks.
+    The 2AFA has the same states in the same order, the same transitions,
+    and a readers table equal to one built from every transition.
+    """
+    corpus = _reference_corpus()
+    assert len(corpus) >= 2000
+    assert sum(map(_has_past, corpus)) >= 400
+    for f in corpus:
+        ap = tuple(sorted(fm.atoms(f) | set(AP)))
+        if not _has_past(f):
+            automaton = AFA(f, ap)
+            for q in range(len(automaton)):
+                for letter in letters_over(ap):
+                    image = automaton.delta(q, letter)
+                    assert image == afa_image(automaton, q, letter), (f, q, letter)
+                    assert set(_state_refs(image)) <= set(automaton._referenced), (f, q, letter)
+        two_way, reference = TwoAFA(f, ap), ReferenceTwoAFA(f, ap)
+        assert two_way.states.states == reference.states.states, f
+        assert list(two_way.transitions.items()) == list(reference.transitions.items()), f
+        readers = [{} for _ in reference.states]
+        for (q, _), pbf in reference.transitions.items():
+            for ref in _move_refs(pbf):
+                readers[ref.state][(q, ref.move.value)] = None
+        assert two_way._readers == tuple(tuple(r) for r in readers), f
+
+
+def _nested_tests(depth: int) -> str:
+    """`<(a? ; (a? ; … (a? ; tt)))> c`, its path `depth` parentheses deep."""
+    return "<(" + "(a? ; " * (depth - 1) + "a? ; tt" + ")" * (depth - 1) + ")> c"
+
+
+def test_deep_path_nesting_compiles():
+    """A 180-deep sequence of tests compiles to both alternating automata and runs on the AFA.
+
+    The parser stops at about 195 levels; the builders may not stop first.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    formula = _nested_tests(180)
+    for argv in (
+        ["compile", "--to", "afa", "-f", formula],
+        ["compile", "--to", "2afa", "-f", formula],
+        ["accepts", "--backend", "afa", "-f", formula, "-t", "{a};{c}"],
+    ):
+        done = subprocess.run([sys.executable, "-m", "tracelogic.cli", *argv], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (argv[:3], done.stderr)

@@ -9,9 +9,23 @@ from tracelogic.errors import UnsupportedOperatorError
 from tracelogic.formula import And, nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import Trace, enumerate_traces
-from tracelogic.twafa import BEGIN, END, Move, MoveRef, moves_in, TwoAFA
+from tracelogic.twafa import BEGIN, END, Move, MoveRef, TwoAFA, _move_refs
 
 AP = ("a", "b")
+
+
+def moves_in(pbf) -> set:
+    """All head moves a transition formula can emit."""
+    return {ref.move for ref in _move_refs(pbf)}
+
+
+def marked_at(t: Trace, pos: int):
+    """The cell at a position of the marker-framed trace."""
+    if pos < 0:
+        return BEGIN
+    if pos >= len(t):
+        return END
+    return t.letters[pos]
 
 
 def _two(src, ap=None):
@@ -99,7 +113,7 @@ def _sweep_fixpoint(automaton, t):
                         case OrNode(l, r):
                             return ev(l) or ev(r)
 
-                if ev(automaton.transitions[(q, automaton.marked_at(t, pos))]):
+                if ev(automaton.transitions[(q, marked_at(t, pos))]):
                     state[(q, pos)] = True
                     changed = True
     return state
