@@ -13,6 +13,12 @@ for each projection of the letters onto those atoms, and every letter of
 that class gets the same successors.  An NFA state whose members read k
 atoms thus costs 2^k successor computations rather than 2^|AP|; the NFA and
 DFA still keep an explicit entry for every letter.
+
+Bounded enumeration walks the DFA depth-first by length and enters only
+successors that can still accept in the letters left (the `alive` table),
+so it builds no rejected trace and reruns no word from the initial state:
+O(max_len * states * letters) for the table, plus time in proportion to the
+accepted words and the pruned siblings of their letters.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Iterator
 from . import formula as fm
 from .afa import AFA, StateSet, _antichain, minimal_sets
 from .errors import AlphabetMismatchError, BudgetError
-from .trace import Trace, check_letters, enumerate_traces, letters_over
+from .trace import Trace, _walk, check_enumeration_bound, check_letters, letters_over
 
 DEFAULT_BUDGET = 2**20
 
@@ -236,7 +242,29 @@ def is_empty(dfa: DFA):
 
 
 def enumerate_accepted(dfa: DFA, max_len: int) -> Iterator[Trace]:
-    """Accepted traces of length <= max_len in enumeration order."""
-    for t in enumerate_traces(dfa.ap, max_len):
-        if dfa_accepts(dfa, t):
-            yield t
+    """Accepted traces of length <= max_len, shortest first, then in product order over `letters_over`.
+
+    Row r of `alive`, the states that accept in exactly r more letters, is
+    added before the traces of length r are walked.  The walk enters only
+    successors alive for the letters left, so only accepted words become
+    `Trace`s.  The table costs O(max_len * states * letters); the walk costs
+    time in proportion to the accepted words and the pruned siblings of
+    their letters.
+    """
+    check_enumeration_bound(dfa.ap, max_len)
+    alphabet = letters_over(dfa.ap)
+    columns = [(letter, dfa.letter_index(letter)) for letter in alphabet]
+    successors = [{letter: row[a] for letter, a in columns} for row in dfa.transitions]
+    alive = [dfa.accepting]
+
+    def child(state, letter, depth):  # the walk of one length runs before `length` moves on
+        successor = successors[state][letter]
+        return successor if alive[length - depth - 1][successor] else None
+
+    for length in range(max_len + 1):
+        if length:
+            below = alive[-1]
+            alive.append(tuple(any(below[t] for t in row) for row in dfa.transitions))
+        if alive[length][dfa.initial]:
+            for letters, _ in _walk(alphabet, length, dfa.initial, child):
+                yield Trace(letters)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterator
 
 from . import formula as fm
 from .errors import TraceLogicError
 from .oracle import _evaluator, _members
-from .trace import TimedTrace, Trace, check_enumeration_bound, letters_over
+from .trace import TimedTrace, Trace, _walk, check_enumeration_bound, letters_over
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,14 @@ class MetricProgram:
                 names.add(rule.head.atom)
             names.update(atom for atom, _ in rule.body)
         return names
+
+    @cached_property
+    def _formulas(self) -> tuple[tuple[fm.Formula, fm.Formula, fm.Formula], ...]:
+        """Per rule, its body and its head over timed and over untimed traces, as oracle formulas.
+
+        Over an untimed trace `X[l,u) a` reads as `X a`.  Built once per program.
+        """
+        return tuple(_rule_formulas(rule) for rule in self.rules)
 
 
 @dataclass(frozen=True)
@@ -113,25 +121,29 @@ def _body_holds(rule: MetricRule, letter) -> bool:
     return all((atom in letter) == positive for atom, positive in rule.body)
 
 
+def _rule_formulas(rule: MetricRule) -> tuple[fm.Formula, fm.Formula, fm.Formula]:
+    literals = [fm.Atom(atom) if positive else fm.Not(fm.Atom(atom)) for atom, positive in rule.body]
+    body = reduce(fm.And, literals) if literals else fm.TRUE
+    match rule.head:
+        case None:
+            return body, fm.FALSE, fm.FALSE
+        case PlainHead(atom):
+            return body, fm.Atom(atom), fm.Atom(atom)
+        case MetricHead(lo, hi, atom):
+            return body, fm.MetricNext(lo, hi, fm.Atom(atom)), fm.Next(fm.Atom(atom))
+        case _:
+            raise TypeError(f"not a rule head: {rule.head!r}")
+
+
 def _rule_positions(program: MetricProgram, t, timed: bool) -> Iterator[tuple[int, MetricRule, int, int]]:
     """Per rule, (index, rule, fires, broken): bit sets of the letter positions of t
     where the body holds, and of those where the head fails too, by the oracle.
     Every head is evaluated, fired or not; timed=False reads `X[l,u) a` as `X a`."""
     ev = _evaluator(t)
     letters = (1 << len(t)) - 1
-    for r, rule in enumerate(program.rules):
-        literals = [fm.Atom(atom) if positive else fm.Not(fm.Atom(atom)) for atom, positive in rule.body]
-        match rule.head:
-            case None:
-                head = fm.FALSE
-            case PlainHead(atom):
-                head = fm.Atom(atom)
-            case MetricHead(lo, hi, atom):
-                head = fm.MetricNext(lo, hi, fm.Atom(atom)) if timed else fm.Next(fm.Atom(atom))
-            case _:
-                raise TypeError(f"not a rule head: {rule.head!r}")
-        fires = ev.sat(reduce(fm.And, literals) if literals else fm.TRUE) & letters
-        yield r, rule, fires, fires & ~ev.sat(head)
+    for r, (rule, (body, timed_head, untimed_head)) in enumerate(zip(program.rules, program._formulas)):
+        fires = ev.sat(body) & letters
+        yield r, rule, fires, fires & ~ev.sat(timed_head if timed else untimed_head)
 
 
 def check_program(program: MetricProgram, t: TimedTrace) -> list[tuple[int, int]]:
@@ -248,55 +260,32 @@ def _trace_cycle(pred, start: int) -> tuple[int, ...]:
 def enumerate_models(program: MetricProgram, ap, horizon: int) -> Iterator[TimedTrace]:
     """Every length-`horizon` trace admitting timestamps, with its minimal witness.
 
-    Traces come in the order of `enumerate_traces`: a depth-first search
-    extends a prefix by each letter of `letters_over(ap)` in turn.  A rule
-    reads at most one letter ahead, so each rule is checked at a position
-    as soon as the letters it reads are known, and a prefix is cut at its
-    first untimed violation.  Complete traces are then solved for
+    Traces come in the order of `enumerate_traces`: the depth-first walk
+    of `trace._walk` extends a prefix by each letter of `letters_over(ap)`
+    in turn.  A rule reads at most one letter ahead, so each rule is checked
+    at a position as soon as the letters it reads are known, and a prefix is
+    cut at its first untimed violation.  Complete traces are then solved for
     timestamps.
     """
     check_enumeration_bound(ap, horizon)
     alphabet = letters_over(ap)
 
-    def fits(prefix) -> bool:
-        # The rules decided by the last letter: plain heads and integrity
-        # constraints at its position, metric heads at the position before it
-        # and, on the last step, at its own position, where no successor exists.
-        k = len(prefix) - 1
-        letter = prefix[k]
+    def fits(previous, letter, k):
+        # The rules decided by the letter at position k: plain heads and
+        # integrity constraints at k, metric heads at the position before it
+        # and, on the last step, at k itself, where no successor exists.
+        # The node of the walk is the previous letter; None cuts the prefix.
         for rule in program.rules:
             if isinstance(rule.head, MetricHead):
-                if k > 0 and _body_holds(rule, prefix[k - 1]) and rule.head.atom not in letter:
-                    return False
+                if k > 0 and _body_holds(rule, previous) and rule.head.atom not in letter:
+                    return None
                 if k == horizon - 1 and _body_holds(rule, letter):
-                    return False
+                    return None
             elif _body_holds(rule, letter) and (rule.head is None or rule.head.atom not in letter):
-                return False
-        return True
+                return None
+        return letter
 
-    def model(letters):
+    for letters, _ in _walk(alphabet, horizon, None, fits):
         solution = feasible(extract_constraints(program, Trace(letters)))
-        return TimedTrace(letters, solution.times) if isinstance(solution, Witness) else None
-
-    if horizon == 0:
-        yield model(())
-        return
-    prefix: list = []
-    branches = [iter(alphabet)]
-    while branches:
-        letter = next(branches[-1], None)
-        if letter is None:
-            branches.pop()
-            if prefix:
-                prefix.pop()
-            continue
-        prefix.append(letter)
-        if not fits(prefix):
-            prefix.pop()
-        elif len(prefix) < horizon:
-            branches.append(iter(alphabet))
-        else:
-            found = model(tuple(prefix))
-            if found is not None:
-                yield found
-            prefix.pop()
+        if isinstance(solution, Witness):
+            yield TimedTrace(letters, solution.times)

@@ -94,6 +94,45 @@ def enumerate_traces(ap, max_len: int) -> Iterator[Trace]:
             yield Trace(combo)
 
 
+def _walk(alphabet, length: int, start, child) -> Iterator[tuple[tuple[Letter, ...], object]]:
+    """(letters, node) for each word of `length` letters that `child` lets through, in product order.
+
+    A depth-first search extends a prefix by each letter of `alphabet` in
+    turn; `child(node, letter, depth)` gives the node after reading
+    `letter` at position `depth`, or None to cut the branch.  The stacks
+    hold one entry per position, so memory is O(length).
+    """
+    if length == 0:
+        yield (), start
+        return
+    last = length - 1
+    prefix: list = []
+    nodes = [start]
+    branches = [iter(alphabet)]
+    while branches:
+        depth = len(prefix)
+        if depth == last:  # the last letter: each child is a complete word
+            node = nodes.pop()
+            for letter in alphabet:
+                leaf = child(node, letter, depth)
+                if leaf is not None:
+                    yield (*prefix, letter), leaf
+            branches.pop()
+        else:
+            letter = next(branches[-1], None)
+            if letter is not None:
+                node = child(nodes[-1], letter, depth)
+                if node is not None:
+                    prefix.append(letter)
+                    nodes.append(node)
+                    branches.append(iter(alphabet))
+                continue
+            branches.pop()
+            nodes.pop()
+        if prefix:
+            prefix.pop()
+
+
 def format_letter(letter: Letter) -> str:
     return "{" + ",".join(sorted(letter)) + "}"
 

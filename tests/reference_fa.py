@@ -7,16 +7,20 @@ its own queue, index and budget check, and `minimize` renumbers the
 reachable states and the quotient breadth-first.  `test_fa.py` requires
 the current constructions to give the same ordinals, automata, witnesses
 and counterexamples.  `build_dfa` and `_conjunction_successors` come
-along because `equivalent` and `dealternate` call them.  The transition
-builders of the one-way and the two-way alternating automaton, as they were
-before they shared `afa.transition`, close the file.  The file name does
-not match `test_*.py`, so pytest does not collect it.
+along because `equivalent` and `dealternate` call them.  The brute-force
+`enumerate_accepted`, which ran every trace of the bounded space through
+`dfa_accepts`, follows; the pruned walk must yield the same traces in the
+same order.  The transition builders of the one-way and the two-way
+alternating automaton, as they were before they shared `afa.transition`,
+close the file.  The file name does not match `test_*.py`, so pytest does
+not collect it.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from typing import Iterator
 
 from tracelogic import formula as fm
 from tracelogic import oracle
@@ -39,8 +43,8 @@ from tracelogic.afa import (
     weak_state,
 )
 from tracelogic.errors import BudgetError, UnsupportedOperatorError
-from tracelogic.fa import DEFAULT_BUDGET, DFA, NFA
-from tracelogic.trace import Trace, letters_over, resolve_alphabet
+from tracelogic.fa import DEFAULT_BUDGET, DFA, NFA, dfa_accepts
+from tracelogic.trace import Trace, enumerate_traces, letters_over, resolve_alphabet
 
 
 def closure(f: fm.Formula) -> StateSet:
@@ -234,6 +238,13 @@ def is_empty(dfa: DFA):
                 seen.add(target)
                 queue.append((target, path + (letter,)))
     return True, None
+
+
+def enumerate_accepted(dfa: DFA, max_len: int) -> Iterator[Trace]:
+    """Accepted traces of length <= max_len in enumeration order."""
+    for t in enumerate_traces(dfa.ap, max_len):
+        if dfa_accepts(dfa, t):
+            yield t
 
 
 # The transition builders as they were before one builder served both

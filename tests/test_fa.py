@@ -8,7 +8,7 @@ import reference_fa as ref
 from conftest import random_core_formula, renamed
 from tracelogic import fa, oracle
 from tracelogic.afa import AFA, closure
-from tracelogic.errors import AlphabetMismatchError, BudgetError
+from tracelogic.errors import AlphabetMismatchError, BudgetError, SizeLimitError
 from tracelogic.fa import (
     DFA,
     build_dfa,
@@ -22,7 +22,7 @@ from tracelogic.fa import (
     minimize,
     nfa_accepts,
 )
-from tracelogic.formula import TRUE, And, Box, Diamond, Or, Star, Step, atoms, nnf, to_dynamic_core
+from tracelogic.formula import FALSE, TRUE, And, Box, Diamond, Or, Star, Step, atoms, nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import Trace, enumerate_traces, format_trace
 
@@ -146,6 +146,73 @@ def test_enumerate_accepted():
     assert list(enumerate_accepted(build_dfa(parse_formula("ff"), ("a",)), 3)) == []
     everything = [format_trace(t) for t in enumerate_accepted(build_dfa(parse_formula("tt"), ("a",)), 1)]
     assert everything == ["eps", "{}", "{a}"]
+
+
+def test_enumerate_accepted_checks_the_bound_on_the_first_next():
+    dfa = build_dfa(parse_formula("a"), ("a",))
+    with pytest.raises(ValueError):
+        next(enumerate_accepted(dfa, -1))
+    wide = build_dfa(parse_formula("a"), ("a", "b", "c", "d"))
+    walk = enumerate_accepted(wide, 12)  # a generator: nothing is checked before the first next()
+    with pytest.raises(SizeLimitError):
+        next(walk)
+
+
+def _permuted_columns(dfa: DFA, seed: int) -> DFA:
+    """The same automaton with its letter columns in a shuffled order."""
+    order = list(range(len(dfa.letters)))
+    random.Random(seed).shuffle(order)
+    rows = tuple(tuple(row[a] for a in order) for row in dfa.transitions)
+    return DFA(dfa.ap, tuple(dfa.letters[a] for a in order), rows, dfa.accepting, dfa.initial)
+
+
+def test_enumeration_matches_the_reference():
+    """The pruned walk yields the brute-force reference's traces in its order, for max_len 0-3."""
+    seen = set()
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(CORE_FORMULAS, st.integers(0, 99))
+    def check(f, seed):
+        dfa = build_dfa(f)
+        permuted = _permuted_columns(dfa, seed)
+        for source in (dfa, complement(dfa), permuted, build_dfa(TRUE, dfa.ap), build_dfa(FALSE, dfa.ap)):
+            for max_len in range(4):
+                expected = list(ref.enumerate_accepted(source, max_len))
+                assert list(enumerate_accepted(source, max_len)) == expected
+                space = sum(2 ** (len(source.ap) * n) for n in range(max_len + 1))
+                seen.add(("pruned", 0 < len(expected) < space))
+        seen.add(("permuted", permuted.letters != dfa.letters))
+        seen.add(("atoms", len(dfa.ap)))
+
+    check()
+    assert ("pruned", True) in seen
+    assert ("permuted", True) in seen
+    assert {("atoms", n) for n in range(5)} <= seen
+
+
+def test_enumeration_builds_only_accepted_traces(monkeypatch):
+    """Every `Trace` built is yielded, and no word is rerun through `dfa_accepts`."""
+    built = []
+    counted = fa.Trace
+
+    def counting(letters):
+        built.append(None)
+        return counted(letters)
+
+    def no_rerun(*args):
+        raise AssertionError("dfa_accepts called during enumeration")
+
+    monkeypatch.setattr(fa, "Trace", counting)
+    monkeypatch.setattr(fa, "dfa_accepts", no_rerun)
+    yielded = 0
+    ap = ("a", "b", "c", "d")
+    for src in ("G (a -> F b)", "a U (b | c)", "F a & G !(b & d)", "<(a? ; (b | c))*> d", "G (a -> WX !b)"):
+        dfa = build_dfa(parse_formula(src), ap)
+        for source in (dfa, complement(dfa)):
+            yielded += sum(1 for _ in enumerate_accepted(source, 3))
+    assert len(built) == yielded
+    # Each formula and its complement split the 4,369 words of length 3 or less over four atoms.
+    assert yielded == 5 * sum(16**n for n in range(4))
 
 
 def test_complement_partitions():
