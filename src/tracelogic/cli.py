@@ -100,8 +100,8 @@ def _core(f: fm.Formula) -> fm.Formula:
 
 
 def _restricted(t, ap) -> Trace:
-    alphabet = set(ap)
-    return Trace(tuple(frozenset(letter) & alphabet for letter in t.letters))
+    alphabet = frozenset(ap)
+    return Trace(tuple(letter & alphabet for letter in t.letters))
 
 
 def _cmd_parse(args) -> int:

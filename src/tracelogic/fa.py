@@ -146,9 +146,19 @@ def determinize(nfa: NFA, max_states: int = DEFAULT_BUDGET) -> DFA:
 
 
 def dfa_accepts(dfa: DFA, t: Trace) -> bool:
+    """Whether `dfa` accepts `t`; AlphabetMismatchError names the first letter outside `dfa.ap`.
+
+    The column table and the rows are fetched once, so a letter costs one dict and two tuple lookups.
+    """
+    columns = dfa._columns
+    transitions = dfa.transitions
     state = dfa.initial
-    for letter in t.letters:
-        state = dfa.transitions[state][dfa.letter_index(letter)]
+    try:
+        for letter in t.letters:
+            state = transitions[state][columns[letter]]
+    except KeyError as missing:
+        dfa.letter_index(missing.args[0])  # raises AlphabetMismatchError
+        raise
     return dfa.accepting[state]
 
 

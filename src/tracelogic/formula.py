@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from .errors import UnsupportedOperatorError
 
-_ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
+_ATOM_NAME = r"[a-z][a-zA-Z0-9_]*"
+_ATOM_RE = re.compile(_ATOM_NAME + r"\Z")
 
 
 class Formula:

@@ -1,6 +1,6 @@
 """Text grammars for formulas, traces, and metric programs.
 
-One compiled regular expression scans the whole input into plain
+One compiled regular expression scans a formula or a program into plain
 `(kind, text, line, column)` tuples before parsing starts.  Tokens are
 ASCII: natural numbers `[0-9]+`, identifiers `[A-Za-z_][A-Za-z0-9_]*` and
 the symbols below, whose kind is their own text.  `%` starts a line comment,
@@ -15,6 +15,15 @@ other operator token are derived from the syntax table in `formula`, which
 the printer reads too.  Prefix operators are collected in a loop and applied
 innermost first.  Every syntax error carries an exact 1-based line/column
 position.
+
+A trace builds no token list.  Its comments are overwritten by spaces,
+which keeps every offset, and one compiled pattern over the same ASCII
+classes reads a whole step: `{`, the names, `}`, an optional `@` stamp and
+the `;` that follows, with whitespace between them.  The letters of one call
+are interned by the text between the braces.  Where no step matches, the
+tokens of the input from that offset give `eps` or the error, so a trace
+reports what a token parse reports: a character that starts no token first,
+wherever it stands after that offset.
 """
 
 from __future__ import annotations
@@ -52,11 +61,19 @@ _STAR = fm.POSTFIX_SYNTAX[fm.Star]
 _TEST = fm.POSTFIX_SYNTAX[fm.Test]
 _METRIC_HEAD = fm.METRIC_SYNTAX[fm.MetricNext]
 
+# One trace step, read after its comments are blanked out: group 1 is the
+# text between the braces, 2 the stamp, 3 the `;` if another step follows.
+_WS = r"[ \t\r\n]*"
+_NAMES = rf"{_WS}(?:{fm._ATOM_NAME}{_WS}(?:,{_WS}{fm._ATOM_NAME}{_WS})*)?"
+_STEP_RE = re.compile(rf"{_WS}\{{({_NAMES})\}}{_WS}(?:@{_WS}([0-9]+){_WS})?(;|\Z)")
+_COMMENT_RE = re.compile(r"%[^\n]*")
 
-def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
+
+def _tokenize(src: str, pos: int = 0) -> list[tuple[str, str, int, int]]:
+    """The tokens of `src` from offset `pos`, which must not lie inside a token or a comment."""
     tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(src):
+    line, line_start = src.count("\n", 0, pos) + 1, src.rfind("\n", 0, pos) + 1
+    for m in _TOKEN_RE.finditer(src, pos):
         kind = m.lastgroup
         if kind == "newline":
             line += 1
@@ -76,8 +93,8 @@ def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
 
 
 class _Parser:
-    def __init__(self, src: str):
-        self.tokens = _tokenize(src)
+    def __init__(self, src: str, pos: int = 0):
+        self.tokens = _tokenize(src, pos)
         self.i = 0
 
     def peek(self) -> tuple[str, str, int, int]:
@@ -216,46 +233,6 @@ class _Parser:
             self.fail("a propositional step guard or '?'")
         return fm.Step(leaf)
 
-    # -- traces --------------------------------------------------------------
-
-    def trace(self) -> Trace | TimedTrace:
-        if self.match("eps"):
-            return Trace(())
-        letters: list[Letter] = []
-        times: list[int] = []
-        timed: bool | None = None
-        while True:
-            tok = self.peek()
-            letters.append(self.letter())
-            if self.match("@"):
-                if timed is False:
-                    raise ParseError(tok[2], tok[3], "an untimed step (no '@')", "a timestamp")
-                timed = True
-                _, text, line, column = self.expect("nat", "a timestamp")
-                stamp = int(text)
-                if times and stamp < times[-1]:
-                    raise ParseError(line, column, f"a timestamp >= {times[-1]}", text)
-                times.append(stamp)
-            else:
-                if timed is True:
-                    self.fail("'@' (all steps must be timed)")
-                timed = False
-            if not self.match(";"):
-                break
-        if timed:
-            return TimedTrace(tuple(letters), tuple(times))
-        return Trace(tuple(letters))
-
-    def letter(self) -> Letter:
-        self.expect("{", "'{'")
-        names = []
-        if self.peek()[0] != "}":
-            names.append(self.name())
-            while self.match(","):
-                names.append(self.name())
-        self.expect("}", "'}'")
-        return frozenset(names)
-
     # -- metric programs -----------------------------------------------------
 
     def program(self) -> MetricProgram:
@@ -310,7 +287,52 @@ def parse_formula(src: str) -> fm.Formula:
 
 def parse_trace(src: str) -> Trace | TimedTrace:
     """Parse `eps` or `;`-separated steps `{a,b}`, optionally all timed with `@t`."""
-    return _run(src, _Parser.trace, "';' or end of input")
+    letters: list[Letter] = []
+    times: list[int] = []
+    interned: dict[str, Letter] = {}
+    # Spaces in place of comments keep every offset where it was.
+    text = _COMMENT_RE.sub(lambda c: " " * len(c[0]), src) if "%" in src else src
+    step = _STEP_RE.match
+    pos = 0
+    while m := step(text, pos):
+        body, stamp, more = m.groups()
+        if stamp is None:
+            if times:
+                break
+        else:
+            time = int(stamp)
+            if len(times) != len(letters) or times and time < times[-1]:
+                break
+            times.append(time)
+        letter = interned.get(body)
+        if letter is None:
+            letter = interned[body] = frozenset(body.replace(",", " ").split())
+        letters.append(letter)
+        if not more:
+            return TimedTrace(tuple(letters), tuple(times)) if times else Trace(tuple(letters))
+        pos = m.end()
+    # The text at `pos` is no step, or one that breaks the stamp rules: its tokens give `eps` or the error.
+    p = _Parser(src, pos)
+    if not letters and p.match("eps"):
+        if p.peek()[0] == "eof":
+            return Trace(())
+        p.fail("';' or end of input")
+    _, _, line, column = p.peek()
+    p.expect("{", "'{'")
+    if not p.match("}"):
+        p.name()
+        while p.match(","):
+            p.name()
+        p.expect("}", "'}'")
+    if p.match("@"):
+        if letters and not times:
+            raise ParseError(line, column, "an untimed step (no '@')", "a timestamp")
+        _, digits, line, column = p.expect("nat", "a timestamp")
+        if times and int(digits) < times[-1]:
+            raise ParseError(line, column, f"a timestamp >= {times[-1]}", digits)
+    elif times:
+        p.fail("'@' (all steps must be timed)")
+    p.fail("';' or end of input")  # the step is whole, so this token is neither ';' nor the end
 
 
 def parse_program(src: str) -> MetricProgram:

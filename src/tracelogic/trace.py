@@ -15,7 +15,7 @@ MAX_ENUMERATION = 10**6
 _MAX_LETTER_ATOMS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
     letters: tuple[Letter, ...]
 
@@ -23,7 +23,7 @@ class Trace:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimedTrace:
     letters: tuple[Letter, ...]
     times: tuple[int, ...]

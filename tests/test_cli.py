@@ -6,6 +6,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from conftest import random_core_formula, renamed
 from tracelogic.cli import _size, run
 from tracelogic.dot import to_dot
@@ -302,6 +304,24 @@ def test_filter_reports_file_line(tmp_path):
     assert out.splitlines() == ["{a};{b}", "{b}"]
     assert err == f"parse error: {path}:3:5: expected '{{', found ';'\n"
     assert "kept" not in err
+
+
+@pytest.mark.parametrize(
+    "plan, where, message",
+    [
+        # 320 untimed steps, then a name that breaks the atom rule.
+        (";".join(["{a}", "{b}"] * 160) + ";{a,B}", "2:1284", "expected an atom, found 'B'"),
+        # 300 timed steps, then a stamp that goes back in time.
+        (";".join(f"{{a}}@{i}" for i in range(300)) + ";{b}@7", "2:2295", "expected a timestamp >= 299, found 7"),
+    ],
+)
+def test_filter_reports_the_column_deep_in_a_long_plan(tmp_path, plan, where, message):
+    path = tmp_path / "plans.txt"
+    path.write_text("{a};{b}\n" + plan + "\n{b}\n")
+    code, out, err = invoke("filter", "-f", "F b", "--traces", str(path))
+    assert code == 2
+    assert out == "{a};{b}\n"
+    assert err == f"parse error: {path}:{where}: {message}\n"
 
 
 def test_nesting_two_hundred_deep_parses():

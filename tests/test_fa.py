@@ -344,3 +344,10 @@ def test_nfa_accepts_checks_every_letter():
     nfa = dealternate(_afa("a"))
     with pytest.raises(AlphabetMismatchError):
         nfa_accepts(nfa, parse_trace("{};{c}"))
+
+
+def test_dfa_accepts_names_the_letter_outside_its_alphabet():
+    dfa = build_dfa(parse_formula("F a"), ("a", "b"))
+    # Every letter before the last is in the alphabet, and the first of them already leads to acceptance.
+    with pytest.raises(AlphabetMismatchError, match=r"^letter \['a', 'z'\] outside alphabet \['a', 'b'\]$"):
+        dfa_accepts(dfa, parse_trace("{a};{b};{};{a,z}"))

@@ -2,15 +2,20 @@
 
 `derandomize=True` makes every run draw the same examples, so these are
 reproducible tier-1 tests; each property also checks that its strategy
-reached every node type.
+reached every node type.  The last property holds the one-pass trace
+scanner to the token grammar of `reference_parser.py` on long, spaced,
+commented and mutated trace texts.
 """
 
 import dataclasses
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_parser import parse_trace as token_parse_trace
 from tracelogic import formula as fm
+from tracelogic.errors import ParseError
 from tracelogic.formula import format_formula
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import TimedTrace, Trace, format_trace
@@ -116,3 +121,77 @@ def test_trace_round_trip():
 def test_empty_timed_trace_reads_back_untimed():
     assert format_trace(TimedTrace((), ())) == "eps"
     assert parse_trace("eps") == Trace(())
+
+
+# Text put before every token of a generated trace: mostly nothing, else
+# whitespace or a comment (which may hold trace symbols) up to a newline.
+_GAPS = ("", "", "", "", " ", "\t", "\n", "\r\n", " \n\t ", "% note\n", "%{a};@1\n", "\n% }, %{\n")
+# Characters that the mutations insert: the trace symbols, whitespace, digits,
+# name characters, characters that start no token, a non-ASCII digit and a
+# superscript (which `\d` would read as digits) and Unicode spaces (which
+# `\s` would skip).
+_INSERT = "{},;@%\n \t\r0179abzeA_$" + "\u0663" * 6 + "\u00b2" * 2 + "\x0b\x0c\xa0\u2003\x1c"
+_TRACE_NAMES = ("a", "b", "c", "x_1", "aZ9", "eps", "tt", "not")
+
+
+def _trace_text(rng: random.Random, steps: int, timed: bool, odd: int = -1) -> str:
+    """`eps` or `steps` steps, with a gap before every token.
+
+    Stamps grow by 0, 1, 7 or up to 10**40; step `odd` alone is timed in an
+    untimed trace, or alone untimed in a timed one.
+    """
+    if steps == 0:
+        tokens = ["eps"]
+    else:
+        tokens, time = [], 0
+        for k in range(steps):
+            if k:
+                tokens.append(";")
+            tokens.append("{")
+            for i, name in enumerate(rng.sample(_TRACE_NAMES, rng.randint(0, 3))):
+                tokens += [",", name] if i else [name]
+            tokens.append("}")
+            time += rng.choice((0, 1, 7, 10 ** rng.randint(1, 40)))
+            if timed != (k == odd):
+                tokens += ["@", str(time)]
+    text = "".join(rng.choice(_GAPS) + token for token in tokens) + rng.choice(_GAPS)
+    # Input that ends inside a comment.
+    return text + "% end" if rng.random() < 0.2 else text
+
+
+def _read(parse, text: str):
+    try:
+        t = parse(text)
+    except ParseError as exc:
+        return ("error", exc.line, exc.column, exc.expected, exc.found)
+    return (type(t).__name__, t)
+
+
+def test_trace_scanner_agrees_with_the_token_grammar():
+    seen = set()
+
+    @SETTINGS
+    @given(
+        st.integers(0, 400),
+        st.booleans(),
+        st.sampled_from(("none", "insert", "delete", "odd step")),
+        st.integers(0, 2**32 - 1),
+    )
+    def check(steps, timed, mutation, seed):
+        rng = random.Random(seed)
+        odd = rng.randrange(steps) if mutation == "odd step" and steps else -1
+        text = _trace_text(rng, steps, timed, odd)
+        at = rng.randint(0, len(text))
+        if mutation == "insert":
+            text = text[:at] + rng.choice(_INSERT) + text[at:]
+        elif mutation == "delete":
+            text = text[:at] + text[at + 1 :]
+        outcome = _read(parse_trace, text)
+        assert outcome == _read(token_parse_trace, text)
+        seen.add((mutation, outcome[0]))
+        if steps >= 300:
+            seen.add("300+ steps")
+
+    check()
+    every = {("none", "Trace"), ("none", "TimedTrace"), ("insert", "error"), ("delete", "error"), ("odd step", "error")}
+    assert every | {"300+ steps"} <= seen, every - seen
