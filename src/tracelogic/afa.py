@@ -232,15 +232,16 @@ def _box(b: fm.Box, cell, ref, expanding: tuple) -> PBF:
     raise TypeError(f"not a path expression: {b.path!r}")
 
 
-def weak_state(f: fm.Formula) -> fm.Formula:
+def weak_state(f: fm.Formula, end=None) -> fm.Formula:
     """State whose end acceptance is the weak value of f, letter behaviour unchanged.
 
     Patches in `f | [tt] ff` when f holds weakly but not outright at the
-    end point; the extra disjunct only fires there.
+    end point; the extra disjunct only fires there.  `end` is an evaluator
+    over the empty trace (`oracle.end_evaluator`), made afresh when omitted.
     """
-    strong = oracle.end_value(f)
-    weak = not oracle.end_value(fm.nnf_not(f))
-    if strong == weak:
+    if end is None:
+        end = oracle.end_evaluator()
+    if end.sat(f) & 1 == end.weak(f) & 1:
         return f
     return fm.Or(f, fm.AT_MARKER)
 
@@ -322,11 +323,12 @@ class StateSet:
         return self.states[ordinal]
 
 
-def expansion(f: fm.Formula) -> list[fm.Formula]:
+def expansion(f: fm.Formula, end=None) -> list[fm.Formula]:
     """Formulas introduced by one transition-expansion step of a dynamic-core formula f.
 
     They are the formulas an AFA image reaches, inlined or referenced: the
-    body of a step-guarded box is referenced as its `weak_state`.
+    body of a step-guarded box is referenced as its `weak_state`, decided by
+    the empty-trace evaluator `end`.
     """
     match f:
         case fm.Atom() | fm.TrueFormula() | fm.FalseFormula() | fm.Not(fm.Atom()):
@@ -337,7 +339,7 @@ def expansion(f: fm.Formula) -> list[fm.Formula]:
             mod = type(f)
             match p:
                 case fm.Step(_):
-                    return [weak_state(g) if mod is fm.Box else g]
+                    return [weak_state(g, end) if mod is fm.Box else g]
                 case fm.Test(e):
                     return [fm.nnf_not(e) if mod is fm.Box else e, g]
                 case fm.Seq(q, r):
@@ -351,35 +353,55 @@ def expansion(f: fm.Formula) -> list[fm.Formula]:
             raise UnsupportedOperatorError(f"cannot build transitions for {type(f).__name__}")
 
 
-def closure(f: fm.Formula) -> StateSet:
+def closure(f: fm.Formula, end=None) -> StateSet:
     """Smallest StateSet containing f and closed under expansion.
 
     Insertion order is the breadth-first, left-to-right discovery order,
-    so ordinals are reproducible; the root always gets ordinal 0.
+    so ordinals are reproducible; the root always gets ordinal 0.  Every
+    expansion shares the empty-trace evaluator `end`, made once when omitted.
     """
+    if end is None:
+        end = oracle.end_evaluator()
     states = StateSet()
     states.add(f)
     for g in states:
-        for h in expansion(g):
+        for h in expansion(g, end):
             states.add(h)
     return states
 
 
 class AFA:
-    """Alternating automaton over letters drawn from subsets of `ap`."""
+    """Alternating automaton over letters drawn from subsets of `ap`.
+
+    A letter's code has bit j set when `ap[j]` is in it; `masks[q]` is the
+    code of `reads[q]`.  One evaluator over the empty trace decides the end
+    values of every state (`final`) and the weak states of step boxes.
+    """
 
     def __init__(self, root: fm.Formula, ap=None):
         fm.check_fragment(root)
         self.ap: tuple[str, ...] = resolve_alphabet(fm.atoms(root), ap)
-        self.states: StateSet = closure(root)
+        self._end = oracle.end_evaluator()
+        self.states: StateSet = closure(root, self._end)
         self.initial: int = 0
-        self.final: tuple[bool, ...] = tuple(oracle.end_value(q) for q in self.states)
+        self.final: tuple[bool, ...] = tuple(bool(self._end.sat(q) & 1) for q in self.states)
         self.reads: tuple[frozenset[str], ...] = tuple(reads(q) for q in self.states)
+        self._bits: dict = {name: 1 << j for j, name in enumerate(self.ap)}
+        self.masks: tuple[int, ...] = tuple(map(self.code, self.reads))
         self._delta_memo: dict = {}  # (q, letter & reads[q]) -> image
         self._weak_refs: dict = {}  # body g of a step box -> reference to weak_state(g)
 
     def __len__(self) -> int:
         return len(self.states)
+
+    def code(self, letter) -> int:
+        """The integer code of a letter over `ap`."""
+        bits = self._bits
+        return sum(bits[name] for name in letter)
+
+    def letter(self, code: int) -> frozenset[str]:
+        """The letter whose code is `code`."""
+        return frozenset(name for j, name in enumerate(self.ap) if code >> j & 1)
 
     def delta(self, q: int, letter) -> PBF:
         """The image of state q at a letter: its transition with every S move inlined."""
@@ -409,7 +431,7 @@ class AFA:
         if weak:
             target = self._weak_refs.get(g)
             if target is None:
-                target = self._weak_refs[g] = self._step_ref(weak_state(g), False)
+                target = self._weak_refs[g] = self._step_ref(weak_state(g, self._end), False)
             return target
         if isinstance(g, fm.TrueFormula):
             return PBF_TRUE

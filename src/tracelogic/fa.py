@@ -7,12 +7,16 @@ reachable states and numbers the quotient breadth-first from the initial
 block, which makes minimal automata canonical: two DFAs are isomorphic
 exactly when their minimized forms are equal.
 
-Dealternation works per letter class.  An NFA state's successors depend
-only on the atoms its members read (`AFA.reads`), so they are computed once
-for each projection of the letters onto those atoms, and every letter of
-that class gets the same successors.  An NFA state whose members read k
-atoms thus costs 2^k successor computations rather than 2^|AP|; the NFA and
-DFA still keep an explicit entry for every letter.
+Dealternation and determinization work per letter class.  A letter is an
+integer code (bit j set when the j-th atom of the sorted alphabet is in it),
+and each AFA state reads a mask of atoms (`AFA.masks`).  An NFA state's
+successors depend only on the atoms its members read, so the NFA keeps, per
+state, that `local` mask and one table from class code (`code & local`) to
+successors; `NFA.transitions` is a read-only per-letter view over these
+tables.  An NFA state whose members read k atoms thus costs 2^k successor
+computations rather than 2^|AP|, and a macro-state of the subset
+construction one union per class of its members' masks.  Only the DFA keeps
+an entry for every letter, filled by one AND and one lookup per letter.
 
 Bounded enumeration walks the DFA depth-first by length and enters only
 successors that can still accept in the letters left (the `alive` table),
@@ -24,6 +28,7 @@ accepted words and the pruned siblings of their letters.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -36,12 +41,47 @@ from .trace import Trace, _walk, check_enumeration_bound, check_letters, letters
 DEFAULT_BUDGET = 2**20
 
 
+class ClassTransitions(Mapping):
+    """Read-only view (state index, letter) -> successor tuple over one table per state.
+
+    `codes[i]` is the code of `letters[i]`; state s maps the class
+    `code & masks[s]` of each letter to its successors in `tables[s]`.
+    Keys run over the states, then over `letters`.
+    """
+
+    def __init__(self, letters, codes, masks: list[int], tables: list[dict]):
+        self.letters = letters
+        self.codes = codes
+        self.masks = masks
+        self.tables = tables
+        self._code = dict(zip(letters, codes))
+
+    def __getitem__(self, key) -> tuple[int, ...]:
+        s, letter = key
+        if s not in range(len(self.tables)):
+            raise KeyError(key)
+        return self.tables[s][self._code[letter] & self.masks[s]]
+
+    def __iter__(self):
+        return ((s, letter) for s in range(len(self.tables)) for letter in self.letters)
+
+    def __len__(self) -> int:
+        return len(self.tables) * len(self.letters)
+
+
 @dataclass
 class NFA:
+    """Nondeterministic automaton whose states are sets of AFA ordinals.
+
+    `transitions` maps (state index, letter) to the tuple of successor
+    indices.  `dealternate` makes it a `ClassTransitions` view, whose class
+    tables `determinize` reads; no per-letter entry is stored.
+    """
+
     ap: tuple[str, ...]
     letters: tuple[frozenset, ...]
     states: list[frozenset]  # sets of AFA ordinals
-    transitions: dict  # (state index, letter) -> tuple of successor indices
+    transitions: Mapping
     accepting: tuple[bool, ...]
     initial: int = 0
 
@@ -77,18 +117,24 @@ def _add(states: StateSet, state, max_states: int, stage: str) -> int:
     return ordinal
 
 
-def _conjunction_successors(automaton: AFA, members, letter, images: dict) -> list[frozenset]:
-    """Minimal satisfying sets of the conjoined transition images of `members`.
+def _classes(codes, mask: int) -> dict:
+    """The distinct `code & mask` over `codes` as keys, in the order of their first letter."""
+    return dict.fromkeys([code & mask for code in codes])
+
+
+def _conjunction_successors(automaton: AFA, members, key: int, images: dict) -> list[frozenset]:
+    """Minimal satisfying sets of the conjoined transition images of `members` at the letter class `key`.
 
     `images` memoises the minimal sets of each member's image per AFA state
-    and the letter's projection onto the atoms that state reads.
+    and the class's projection onto the atoms that state reads.
     """
+    masks = automaton.masks
     current: list[frozenset] = [frozenset()]
-    for q in sorted(members):
-        own = letter & automaton.reads[q]
+    for q in members:
+        own = key & masks[q]
         q_sets = images.get((q, own))
         if q_sets is None:
-            q_sets = images[(q, own)] = minimal_sets(automaton.delta(q, own))
+            q_sets = images[(q, own)] = minimal_sets(automaton.delta(q, automaton.letter(own)))
         if not q_sets:
             return []
         current = _antichain({a | b for a in current for b in q_sets})
@@ -99,27 +145,32 @@ def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
     """Language-preserving conversion of an AFA into an NFA over state sets.
 
     An NFA state's letters fall into classes by their projection onto the
-    atoms its members read, and its successors are computed once per class.
-    Letters are visited in `letters_over` order, so the first letter of each
-    class adds the new states, in the order a loop over every letter would.
+    atoms its members read, its `local` mask, and its successors are computed
+    and stored once per class.  Classes are taken in the order of their first
+    letter in `letters_over`, so new states are added in the order a loop over
+    every letter would add them.
     """
     letters = tuple(letters_over(automaton.ap))
+    codes = tuple(map(automaton.code, letters))
     states = StateSet()
     states.add(frozenset((automaton.initial,)))
-    transitions: dict = {}
+    read_masks = automaton.masks
+    masks: list[int] = []
+    tables: list[dict] = []
     images: dict = {}
-    for s, members in enumerate(states):
-        local = frozenset().union(*(automaton.reads[q] for q in members))
-        classes: dict = {}
-        for letter in letters:
-            key = letter & local
-            targets = classes.get(key)
-            if targets is None:
-                successors = _conjunction_successors(automaton, members, key, images)
-                targets = classes[key] = tuple(_add(states, succ, max_states, "dealternation") for succ in successors)
-            transitions[(s, letter)] = targets
+    for members in states:
+        ordered = sorted(members)
+        local = 0
+        for q in ordered:
+            local |= read_masks[q]
+        table = {}
+        for key in _classes(codes, local):
+            successors = _conjunction_successors(automaton, ordered, key, images)
+            table[key] = tuple(_add(states, succ, max_states, "dealternation") for succ in successors)
+        masks.append(local)
+        tables.append(table)
     accepting = tuple(all(automaton.final[q] for q in s) for s in states)
-    return NFA(automaton.ap, letters, states.states, transitions, accepting)
+    return NFA(automaton.ap, letters, states.states, ClassTransitions(letters, codes, masks, tables), accepting)
 
 
 def nfa_accepts(nfa: NFA, t: Trace) -> bool:
@@ -133,16 +184,28 @@ def nfa_accepts(nfa: NFA, t: Trace) -> bool:
 
 
 def determinize(nfa: NFA, max_states: int = DEFAULT_BUDGET) -> DFA:
-    """Subset construction; the empty macro-state acts as the rejecting sink."""
-    letters = nfa.letters
+    """Subset construction over the class tables of `dealternate`; the empty macro-state is the rejecting sink.
+
+    A macro-state's letters fall into classes by the union of its members'
+    masks; each class costs one union, taken in first-letter order, and
+    each letter's entry in the row one AND and one lookup.
+    """
+    moves = nfa.transitions
+    codes, masks, tables = moves.codes, moves.masks, moves.tables
     macro_states = StateSet()
     macro_states.add(frozenset((nfa.initial,)))
     rows = []
     for members in macro_states:
-        targets = (frozenset(t for m in members for t in nfa.transitions[(m, letter)]) for letter in letters)
-        rows.append(tuple(_add(macro_states, target, max_states, "determinization") for target in targets))
+        mask = 0
+        for m in members:
+            mask |= masks[m]
+        targets = {}
+        for key in _classes(codes, mask):
+            union = frozenset(t for m in members for t in tables[m][key & masks[m]])
+            targets[key] = _add(macro_states, union, max_states, "determinization")
+        rows.append(tuple([targets[code & mask] for code in codes]))
     accepting = tuple(any(nfa.accepting[m] for m in s) for s in macro_states)
-    return DFA(nfa.ap, letters, tuple(rows), accepting)
+    return DFA(nfa.ap, nfa.letters, tuple(rows), accepting)
 
 
 def dfa_accepts(dfa: DFA, t: Trace) -> bool:

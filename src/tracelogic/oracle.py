@@ -232,6 +232,15 @@ def path_relation(p: fm.PathExpr, t: Trace | TimedTrace) -> frozenset:
     return frozenset((i, j) for j in range(len(t) + 1) for i in _members(ev.pre(p, 1 << j)))
 
 
+def end_evaluator() -> _Evaluator:
+    """An evaluator over the empty trace: bit 0 of `sat(f)` is f's end value, of `weak(f)` its weak one.
+
+    Its memo is keyed by node identity and keeps the nodes alive, so one
+    evaluator can serve every formula of an automaton.
+    """
+    return _evaluator(EMPTY_TRACE)
+
+
 def end_value(f: fm.Formula) -> bool:
     """Truth of f at the letterless end point (evaluation over the empty trace)."""
     return evaluate(f, EMPTY_TRACE, 0)

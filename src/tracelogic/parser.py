@@ -29,6 +29,7 @@ wherever it stands after that offset.
 from __future__ import annotations
 
 import re
+import sys
 
 from . import formula as fm
 from .errors import ParseError
@@ -90,6 +91,17 @@ def _tokenize(src: str, pos: int = 0) -> list[tuple[str, str, int, int]]:
     end = src.find("%", line_start)
     tokens.append(("eof", "", line, (len(src) if end < 0 else end) - line_start + 1))
     return tokens
+
+
+def _natural(tok: tuple[str, str, int, int]) -> int:
+    """The value of a `nat` token; ParseError at the token past Python's limit on the digits `int` converts."""
+    _, digits, line, column = tok
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            line, column, f"a number of at most {sys.get_int_max_str_digits()} digits", f"{len(digits)} digits"
+        ) from None
 
 
 class _Parser:
@@ -169,12 +181,12 @@ class _Parser:
 
     def interval(self) -> tuple[int, int | None]:
         opening = self.expect("[", "'['")
-        lo = int(self.expect("nat", "a natural number")[1])
+        lo = _natural(self.expect("nat", "a natural number"))
         self.expect(",", "','")
         tok = self.peek()
         if tok[0] == "nat":
             self.i += 1
-            hi: int | None = int(tok[1])
+            hi: int | None = _natural(tok)
         elif self.match("inf"):
             hi = None
         else:
@@ -294,23 +306,26 @@ def parse_trace(src: str) -> Trace | TimedTrace:
     text = _COMMENT_RE.sub(lambda c: " " * len(c[0]), src) if "%" in src else src
     step = _STEP_RE.match
     pos = 0
-    while m := step(text, pos):
-        body, stamp, more = m.groups()
-        if stamp is None:
-            if times:
-                break
-        else:
-            time = int(stamp)
-            if len(times) != len(letters) or times and time < times[-1]:
-                break
-            times.append(time)
-        letter = interned.get(body)
-        if letter is None:
-            letter = interned[body] = frozenset(body.replace(",", " ").split())
-        letters.append(letter)
-        if not more:
-            return TimedTrace(tuple(letters), tuple(times)) if times else Trace(tuple(letters))
-        pos = m.end()
+    try:
+        while m := step(text, pos):
+            body, stamp, more = m.groups()
+            if stamp is None:
+                if times:
+                    break
+            else:
+                time = int(stamp)
+                if len(times) != len(letters) or times and time < times[-1]:
+                    break
+                times.append(time)
+            letter = interned.get(body)
+            if letter is None:
+                letter = interned[body] = frozenset(body.replace(",", " ").split())
+            letters.append(letter)
+            if not more:
+                return TimedTrace(tuple(letters), tuple(times)) if times else Trace(tuple(letters))
+            pos = m.end()
+    except ValueError:  # from `int(stamp)` only, past the digit limit; the tokens below place the error
+        pass
     # The text at `pos` is no step, or one that breaks the stamp rules: its tokens give `eps` or the error.
     p = _Parser(src, pos)
     if not letters and p.match("eps"):
@@ -327,9 +342,10 @@ def parse_trace(src: str) -> Trace | TimedTrace:
     if p.match("@"):
         if letters and not times:
             raise ParseError(line, column, "an untimed step (no '@')", "a timestamp")
-        _, digits, line, column = p.expect("nat", "a timestamp")
-        if times and int(digits) < times[-1]:
-            raise ParseError(line, column, f"a timestamp >= {times[-1]}", digits)
+        tok = p.expect("nat", "a timestamp")
+        time = _natural(tok)
+        if times and time < times[-1]:
+            raise ParseError(tok[2], tok[3], f"a timestamp >= {times[-1]}", tok[1])
     elif times:
         p.fail("'@' (all steps must be timed)")
     p.fail("';' or end of input")  # the step is whole, so this token is neither ';' nor the end

@@ -306,6 +306,16 @@ def test_filter_reports_file_line(tmp_path):
     assert "kept" not in err
 
 
+def test_filter_reports_a_stamp_past_the_digit_limit(tmp_path):
+    path = tmp_path / "plans.txt"
+    path.write_text("{a};{b}\n{a}@" + "9" * 5000 + "\n{b}\n")
+    code, out, err = invoke("filter", "-f", "F b", "--traces", str(path))
+    assert code == 2
+    assert out == "{a};{b}\n"
+    limit = sys.get_int_max_str_digits()
+    assert err == f"parse error: {path}:2:5: expected a number of at most {limit} digits, found 5000 digits\n"
+
+
 @pytest.mark.parametrize(
     "plan, where, message",
     [

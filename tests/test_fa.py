@@ -263,6 +263,40 @@ def test_dealternation_successor_count_grows_as_three_to_the_k(monkeypatch):
     assert list(made.values()) == [35, 97, 275, 793, 2315, 6817]
 
 
+def test_determinization_union_count_grows_as_three_to_the_k(monkeypatch):
+    """`F a0 & … & F a(k-1)`: one macro-state lookup per macro-state and letter class of its members."""
+    stages = []
+    counted = fa._add
+
+    def counting(states, state, max_states, stage):
+        stages.append(stage)
+        return counted(states, state, max_states, stage)
+
+    monkeypatch.setattr(fa, "_add", counting)
+    made = {}
+    for k in range(3, 9):
+        f = parse_formula(" & ".join(f"F a{i}" for i in range(k)))
+        nfa = dealternate(AFA(to_dynamic_core(nnf(f))))
+        stages.clear()
+        dfa = determinize(nfa)
+        made[k] = stages.count("determinization")
+        assert dfa.n_states == 2**k + 1
+    # the macro-states are the NFA's singletons, so they have its classes
+    assert made == {k: 3**k + 2**k for k in range(3, 9)}
+    assert list(made.values()) == [35, 97, 275, 793, 2315, 6817]
+
+
+def test_nfa_transitions_reject_assignment():
+    nfa = dealternate(_afa("F a & G b"))
+    key = next(iter(nfa.transitions))
+    with pytest.raises(TypeError):
+        nfa.transitions[key] = ()
+    with pytest.raises(TypeError):
+        del nfa.transitions[key]
+    assert (len(nfa.states), frozenset()) not in nfa.transitions
+    assert (0, frozenset({"z"})) not in nfa.transitions
+
+
 # The conftest formulas, combined by and, or, X, F and G: on their own they
 # rarely reach a letter with two successor sets.  Their atoms are a and b;
 # conjoining one with a copy over c and d gives states that read only some
@@ -321,6 +355,22 @@ def test_explorations_match_the_reference():
     assert ("branching", True) in seen
     assert ("classes", True) in seen
     assert {("verdicts", e, v) for e in (True, False) for v in (True, False)} <= seen
+
+
+def test_nfa_transitions_list_the_reference_entries_in_order():
+    """The class-table view yields the reference's per-letter dict items in its insertion order."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(CORE_FORMULAS, st.sets(st.sampled_from("abcde"), min_size=1))
+    def check(f, extra):
+        automaton = AFA(f, sorted(atoms(f) | extra))
+        nfa = dealternate(automaton)
+        expected = ref.dealternate(automaton).transitions
+        assert type(expected) is dict
+        assert list(nfa.transitions.items()) == list(expected.items())
+        assert len(nfa.transitions) == len(expected)
+
+    check()
 
 
 def test_four_way_agreement_sampled():

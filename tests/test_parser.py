@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -164,3 +165,26 @@ def test_tokens_are_ascii(parse, text, column, found):
     err = excinfo.value
     assert (err.line, err.column, err.expected, err.found) == (1, column, "a token", repr(found))
     assert str(err) == f"1:{column}: expected a token, found {found!r}"
+
+
+@pytest.mark.parametrize(
+    "parse, text, column",
+    [
+        (parse_trace, "{a}@" + "9" * 5000, 5),
+        (parse_trace, "{a}@1; {b}@" + "9" * 5000 + ";{c}@2", 12),
+        (parse_formula, "X[" + "5" * 5000 + ",inf) a", 3),
+        (parse_formula, "X[1," + "5" * 5000 + ") a", 5),
+    ],
+    ids=["first-stamp", "later-stamp", "lower-bound", "upper-bound"],
+)
+def test_numbers_past_the_digit_limit_are_positioned_errors(parse, text, column):
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    limit = sys.get_int_max_str_digits()
+    assert str(excinfo.value) == f"1:{column}: expected a number of at most {limit} digits, found 5000 digits"
+
+
+def test_numbers_at_the_digit_limit_parse():
+    digits = "9" * sys.get_int_max_str_digits()
+    assert parse_trace("{a}@" + digits).times == (int(digits),)
+    assert parse_formula(f"X[{digits},inf) a") == MetricNext(int(digits), None, Atom("a"))
