@@ -15,13 +15,14 @@ Inlining takes a diamond star met again while it is being unrolled as false,
 which keeps the image finite on stars that make no progress within a letter,
 like `<(tt?)*> a`.
 
-The AFA's states are the closure formulas: the root and every formula one
-expansion step can introduce, numbered in breadth-first order.  A state's
-image depends only on the atoms it reads before its next step (`reads`),
-so `AFA.delta` builds one image per letter class, and the constructions in
-`fa` ask for one image per class.  `AFA.accepts` evaluates only the states
-an image can refer to: the initial state and the targets of step
-modalities.
+The builder reads a cell only through a guard test `sat(guard)`, for
+literals and step guards alike, and asks about the same guards whatever
+they answer.  So a transition depends only on the atoms of the guards its
+first build tests, and both automata record them at the empty letter and
+build one transition per class: the two-way one for every state, the `AFA`
+(closure states in breadth-first order) when a state is first asked about
+(`AFA.reads`, `AFA.mask`).  `AFA.accepts` evaluates only the states an
+image can refer to: the initial state and the targets of step modalities.
 """
 
 from __future__ import annotations
@@ -165,20 +166,33 @@ def _antichain(sets: set[frozenset]) -> list[frozenset]:
     return [s for s in sets if not any(t < s for t in sets)]
 
 
-def transition(f: fm.Formula, cell, ref) -> PBF:
-    """The transition of f at `cell`, a letter or the end marker, with successors `ref(g, move, weak)`.
+def guard_test(cell, read: set | None = None):
+    """The `sat(guard)` of `transition` at `cell`: `oracle.prop_sat` at a letter, false at the end marker.
+
+    Given a set `read`, the test adds the atoms of every guard asked about to it.
+    """
+
+    def sat(guard: fm.Formula) -> bool:
+        if read is not None:
+            read.update(fm.atoms(guard))
+        return cell is not END and oracle.prop_sat(guard, cell)
+
+    return sat
+
+
+def transition(f: fm.Formula, sat, ref) -> PBF:
+    """The transition of f at a cell that `sat(guard)` tests, with successors `ref(g, move, weak)`.
 
     `weak` asks for g's weak value at the markers; it is set on the
     successors of boxes and of `Trigger`, whose obligations hold vacuously
-    past the ends of the trace.  Only literals and step guards read the
-    letter; the end marker has none, so there they fail, and a step box
-    holds.
+    past the ends of the trace.  Literals and step guards read the cell
+    through `sat`, each call made whatever the others answer.
     """
     match f:
-        case fm.Atom(name):
-            return PBF_TRUE if cell is not END and name in cell else PBF_FALSE
+        case fm.Atom() | fm.Not(fm.Atom()):
+            return PBF_TRUE if sat(f) else PBF_FALSE
         case fm.Diamond(fm.Step(guard), g):
-            return ref(g, _R) if cell is not END and oracle.prop_sat(guard, cell) else PBF_FALSE
+            return ref(g, _R) if sat(guard) else PBF_FALSE
         case fm.Diamond(fm.Star(q), g):
             return pbf_or(ref(g, _S), ref(fm.Diamond(q, f), _S))
         case fm.Diamond(fm.Seq(q, r), g):
@@ -191,10 +205,8 @@ def transition(f: fm.Formula, cell, ref) -> PBF:
             return pbf_and(ref(l, _S), ref(r, _S))
         case fm.Or(l, r):
             return pbf_or(ref(l, _S), ref(r, _S))
-        case fm.Not(fm.Atom(name)):
-            return PBF_TRUE if cell is not END and name not in cell else PBF_FALSE
         case fm.Box():
-            return _box(f, cell, ref, ())
+            return _box(f, sat, ref, ())
         case fm.TrueFormula():
             return PBF_TRUE
         case fm.FalseFormula():
@@ -211,24 +223,24 @@ def transition(f: fm.Formula, cell, ref) -> PBF:
             raise UnsupportedOperatorError(f"cannot build transitions for {type(f).__name__}")
 
 
-def _box(b: fm.Box, cell, ref, expanding: tuple) -> PBF:
+def _box(b: fm.Box, sat, ref, expanding: tuple) -> PBF:
     """Eager expansion of a box through its path; re-arrival at a star being expanded is vacuous."""
     match b:
         case fm.Box(fm.Step(guard), g):
-            return ref(g, _R, True) if cell is not END and oracle.prop_sat(guard, cell) else PBF_TRUE
+            return ref(g, _R, True) if sat(guard) else PBF_TRUE
         case fm.Box(fm.Test(e), g):
             unless = ref(fm.nnf_not(e), _S, True)
-            return pbf_or(unless, _box(g, cell, ref, expanding) if isinstance(g, fm.Box) else ref(g, _S, True))
+            return pbf_or(unless, _box(g, sat, ref, expanding) if isinstance(g, fm.Box) else ref(g, _S, True))
         case fm.Box(fm.Seq(q, r), g):
-            return _box(fm.Box(q, fm.Box(r, g)), cell, ref, expanding)
+            return _box(fm.Box(q, fm.Box(r, g)), sat, ref, expanding)
         case fm.Box(fm.Alt(q, r), g):
-            return pbf_and(_box(fm.Box(q, g), cell, ref, expanding), _box(fm.Box(r, g), cell, ref, expanding))
+            return pbf_and(_box(fm.Box(q, g), sat, ref, expanding), _box(fm.Box(r, g), sat, ref, expanding))
         case fm.Box(fm.Star(q), g):
             if b in expanding:
                 return PBF_TRUE
             inner = (*expanding, b)
-            arrive = _box(g, cell, ref, inner) if isinstance(g, fm.Box) else ref(g, _S, True)
-            return pbf_and(arrive, _box(fm.Box(q, b), cell, ref, inner))
+            arrive = _box(g, sat, ref, inner) if isinstance(g, fm.Box) else ref(g, _S, True)
+            return pbf_and(arrive, _box(fm.Box(q, b), sat, ref, inner))
     raise TypeError(f"not a path expression: {b.path!r}")
 
 
@@ -244,44 +256,6 @@ def weak_state(f: fm.Formula, end=None) -> fm.Formula:
     if end.sat(f) & 1 == end.weak(f) & 1:
         return f
     return fm.Or(f, fm.AT_MARKER)
-
-
-def reads(f: fm.Formula) -> frozenset[str]:
-    """The atoms the transition of a dynamic-core or past formula depends on at a letter.
-
-    They are the atoms f tests at the current letter: its literals and the
-    guards and tests its paths meet before their first step.  What lies
-    behind a step is another state's business.  This bounds the AFA image,
-    which inlines every S move, and so also the 2AFA transition, which
-    reads no more than the image does.
-    """
-    match f:
-        case fm.Atom(name) | fm.Not(fm.Atom(name)):
-            return frozenset((name,))
-        case fm.And(l, r) | fm.Or(l, r):
-            return reads(l) | reads(r)
-        case fm.Modal(p, g):
-            now, stepless = _path_reads(p)
-            return now | reads(g) if stepless else now
-    return frozenset()
-
-
-def _path_reads(p: fm.PathExpr) -> tuple[frozenset[str], bool]:
-    """The atoms p reads before its first step, and whether p can be passed without one."""
-    match p:
-        case fm.Step(guard):
-            return frozenset(fm.atoms(guard)), False
-        case fm.Test(e):
-            return reads(e), True
-        case fm.Seq(q, r):
-            (q_now, q_stepless), (r_now, r_stepless) = _path_reads(q), _path_reads(r)
-            return (q_now | r_now if q_stepless else q_now), q_stepless and r_stepless
-        case fm.Alt(q, r):
-            (q_now, q_stepless), (r_now, r_stepless) = _path_reads(q), _path_reads(r)
-            return q_now | r_now, q_stepless or r_stepless
-        case fm.Star(q):
-            return _path_reads(q)[0], True
-    raise TypeError(f"not a path expression: {p!r}")
 
 
 class StateSet:
@@ -373,7 +347,7 @@ def closure(f: fm.Formula, end=None) -> StateSet:
 class AFA:
     """Alternating automaton over letters drawn from subsets of `ap`.
 
-    A letter's code has bit j set when `ap[j]` is in it; `masks[q]` is the
+    A letter's code has bit j set when `ap[j]` is in it; `mask(q)` is the
     code of `reads[q]`.  One evaluator over the empty trace decides the end
     values of every state (`final`) and the weak states of step boxes.
     """
@@ -385,9 +359,9 @@ class AFA:
         self.states: StateSet = closure(root, self._end)
         self.initial: int = 0
         self.final: tuple[bool, ...] = tuple(bool(self._end.sat(q) & 1) for q in self.states)
-        self.reads: tuple[frozenset[str], ...] = tuple(reads(q) for q in self.states)
         self._bits: dict = {name: 1 << j for j, name in enumerate(self.ap)}
-        self.masks: tuple[int, ...] = tuple(map(self.code, self.reads))
+        self._reads: list = [None] * len(self.states)  # q -> the atoms its first image build tested
+        self._masks: list = [None] * len(self.states)  # q -> the code of _reads[q]
         self._delta_memo: dict = {}  # (q, letter & reads[q]) -> image
         self._weak_refs: dict = {}  # body g of a step box -> reference to weak_state(g)
 
@@ -403,28 +377,46 @@ class AFA:
         """The letter whose code is `code`."""
         return frozenset(name for j, name in enumerate(self.ap) if code >> j & 1)
 
+    @cached_property
+    def reads(self) -> tuple[frozenset[str], ...]:
+        """The atoms each state's image depends on; builds the image of every state not built yet."""
+        return tuple(self.letter(self.mask(q)) for q in range(len(self.states)))
+
+    def mask(self, q: int) -> int:
+        """The code of `reads[q]`: the atoms of the guards q's first image build, at the empty letter, tests."""
+        if self._masks[q] is None:
+            read: set = set()
+            self._delta_memo[(q, frozenset())] = self._image(q, guard_test(frozenset(), read))
+            self._reads[q] = frozenset(read)
+            self._masks[q] = self.code(read)
+        return self._masks[q]
+
     def delta(self, q: int, letter) -> PBF:
-        """The image of state q at a letter: its transition with every S move inlined."""
-        letter = letter & self.reads[q]
-        key = (q, letter)
+        """The image of state q at a letter: its transition with every S move inlined, built once per class."""
+        if self._masks[q] is None:
+            self.mask(q)
+        key = (q, letter & self._reads[q])
         image = self._delta_memo.get(key)
         if image is None:
-            unrolling = []  # the diamond stars being unrolled, innermost last
-
-            def ref(g: fm.Formula, move: Move, weak: bool = False) -> PBF:
-                if move is _R:
-                    return self._step_ref(g, weak)
-                if isinstance(g, fm.Diamond) and isinstance(g.path, fm.Star):
-                    if g in unrolling:
-                        return PBF_FALSE
-                    unrolling.append(g)
-                    image = transition(g, letter, ref)
-                    unrolling.pop()
-                    return image
-                return transition(g, letter, ref)
-
-            image = self._delta_memo[key] = ref(self.states[q], _S)
+            image = self._delta_memo[key] = self._image(q, guard_test(letter))
         return image
+
+    def _image(self, q: int, sat) -> PBF:
+        unrolling = []  # the diamond stars being unrolled, innermost last
+
+        def ref(g: fm.Formula, move: Move, weak: bool = False) -> PBF:
+            if move is _R:
+                return self._step_ref(g, weak)
+            if isinstance(g, fm.Diamond) and isinstance(g.path, fm.Star):
+                if g in unrolling:
+                    return PBF_FALSE
+                unrolling.append(g)
+                image = transition(g, sat, ref)
+                unrolling.pop()
+                return image
+            return transition(g, sat, ref)
+
+        return ref(self.states[q], _S)
 
     def _step_ref(self, g: fm.Formula, weak: bool) -> PBF:
         """The reference to a step's target state g, or to weak_state(g) for a box."""

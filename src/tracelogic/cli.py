@@ -60,6 +60,14 @@ def _read(path: str) -> str:
         raise _CliError(f"cannot read {path}: {exc}", EXIT_INVALID) from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}", EXIT_INVALID) from exc
+
+
 # Each text input `<name>` comes inline (dest `<name>`) or from a file (dest
 # `<name>_file`), by two exclusive flags: (flags, dest, metavar, help) in help order.
 _INPUT_FLAGS = (
@@ -149,11 +157,9 @@ def _live(images) -> int:
 
 def _cmd_compile(args) -> int:
     automaton = _build(_core(parse_formula(_input(args, "formula"))), args.to)
-    dot = to_dot(automaton) if args.dot else None  # before the size line: it may exceed a limit
+    if args.dot:  # before the size line: rendering may exceed a limit and writing may fail
+        _write(args.dot, to_dot(automaton))
     print(_size(automaton))
-    if dot is not None:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(dot)
     return EXIT_OK
 
 

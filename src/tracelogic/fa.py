@@ -9,7 +9,7 @@ exactly when their minimized forms are equal.
 
 Dealternation and determinization work per letter class.  A letter is an
 integer code (bit j set when the j-th atom of the sorted alphabet is in it),
-and each AFA state reads a mask of atoms (`AFA.masks`).  An NFA state's
+and each AFA state reads a mask of atoms (`AFA.mask`).  An NFA state's
 successors depend only on the atoms its members read, so the NFA keeps, per
 state, that `local` mask and one table from class code (`code & local`) to
 successors; `NFA.transitions` is a read-only per-letter view over these
@@ -128,17 +128,17 @@ def _conjunction_successors(automaton: AFA, members, key: int, images: dict) -> 
     `images` memoises the minimal sets of each member's image per AFA state
     and the class's projection onto the atoms that state reads.
     """
-    masks = automaton.masks
-    current: list[frozenset] = [frozenset()]
+    current = None
     for q in members:
-        own = key & masks[q]
+        own = key & automaton.mask(q)
         q_sets = images.get((q, own))
         if q_sets is None:
             q_sets = images[(q, own)] = minimal_sets(automaton.delta(q, automaton.letter(own)))
         if not q_sets:
             return []
-        current = _antichain({a | b for a in current for b in q_sets})
-    return sorted(current, key=lambda s: (len(s), sorted(s)))
+        # one image's minimal sets already are an antichain
+        current = q_sets if current is None else _antichain({a | b for a in current for b in q_sets})
+    return [frozenset()] if current is None else sorted(current, key=lambda s: (len(s), sorted(s)))
 
 
 def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
@@ -154,7 +154,6 @@ def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
     codes = tuple(map(automaton.code, letters))
     states = StateSet()
     states.add(frozenset((automaton.initial,)))
-    read_masks = automaton.masks
     masks: list[int] = []
     tables: list[dict] = []
     images: dict = {}
@@ -162,7 +161,7 @@ def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
         ordered = sorted(members)
         local = 0
         for q in ordered:
-            local |= read_masks[q]
+            local |= automaton.mask(q)
         table = {}
         for key in _classes(codes, local):
             successors = _conjunction_successors(automaton, ordered, key, images)

@@ -13,7 +13,8 @@ that make no progress simply stay false in the least fixpoint.  Universal
 re-arrivals at the same star at the same position, which keeps their
 vacuous loops out of the fixpoint while preserving the single
 least-fixpoint polarity.  A state's transition at a letter depends only on
-the atoms it reads (`afa.reads`), so it is built once per letter class.
+the atoms of the guards it tests, the same at every letter, so the build at
+the empty letter records them and the transition is built once per class.
 
 The fixpoint is computed by a worklist (Liu & Smolka, ICALP 1998).  A
 configuration starts true exactly when its transition is the true leaf.
@@ -42,10 +43,10 @@ from .afa import (
     StateSet,
     TrueLeaf,
     Weak,
+    guard_test,
     pbf_and,
     pbf_eval,
     pbf_or,
-    reads,
     transition,
 )
 from .trace import Trace, check_letters, letters_over, resolve_alphabet
@@ -65,8 +66,9 @@ class TwoAFA:
         for q, entry in enumerate(self.states):
             for m in (BEGIN, END):
                 self.transitions[(q, m)] = self._trans(entry, m)
-            local = frozenset() if isinstance(entry, Weak) else reads(entry)
-            classes: dict = {}
+            read: set = set()  # the atoms of the guards its transition tests, the same at every letter
+            classes: dict = {frozenset(): self._trans(entry, frozenset(), read)}  # `letters_over` starts with it
+            local = frozenset(read)
             for letter in self.letters:
                 key = letter & local
                 pbf = classes.get(key)
@@ -88,12 +90,12 @@ class TwoAFA:
             return PBF_FALSE
         return MoveRef(self.states.add(Weak(f) if weak else f), move)
 
-    def _trans(self, entry, m) -> PBF:
+    def _trans(self, entry, m, read: set | None = None) -> PBF:
         if isinstance(entry, Weak):
             return self._trans_weak(entry.formula, m)
         if m is BEGIN:
             return self._trans_begin(entry)
-        return transition(entry, m, self._ref)
+        return transition(entry, guard_test(m, read), self._ref)
 
     def _trans_weak(self, f: fm.Formula, m) -> PBF:
         if m is not BEGIN and m is not END:

@@ -3,6 +3,9 @@
 import random
 from functools import lru_cache
 
+import pytest
+
+from tracelogic import afa, twafa
 from tracelogic import formula as fm
 from tracelogic.formula import (
     FALSE,
@@ -202,3 +205,25 @@ def random_trace(rng: random.Random, max_len: int = 5, timed: bool = False, min_
         clock += rng.randint(0, 30)
         times.append(clock)
     return TimedTrace(letters, tuple(times))
+
+
+@pytest.fixture
+def guard_atoms(monkeypatch) -> set:
+    """A set to which every guard test of `transition`, in either automaton, adds the atoms of its guard.
+
+    The tests wrap the `sat` that each call of `transition` gets, so they
+    see the guards the builder asks about, not how the answers are computed.
+    """
+    asked: set = set()
+    build = afa.transition
+
+    def recording(f, sat, ref):
+        def test(guard):
+            asked.update(fm.atoms(guard))
+            return sat(guard)
+
+        return build(f, test, ref)
+
+    monkeypatch.setattr(afa, "transition", recording)
+    monkeypatch.setattr(twafa, "transition", recording)
+    return asked

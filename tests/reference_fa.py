@@ -12,8 +12,10 @@ along because `equivalent` and `dealternate` call them.  The brute-force
 `dfa_accepts`, follows; the pruned walk must yield the same traces in the
 same order.  The transition builders of the one-way and the two-way
 alternating automaton, as they were before they shared `afa.transition`,
-close the file.  The file name does not match `test_*.py`, so pytest does
-not collect it.
+come next.  `reads` and `_path_reads`, the structural account of the atoms
+an AFA image depends on that the automata used before they recorded the
+guards their builds test, close the file.  The file name does not match
+`test_*.py`, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -485,3 +487,41 @@ def _letter_atoms(entry) -> set[str]:
         case fm.Box():
             return fm.atoms(entry)
     return set()
+
+
+def reads(f: fm.Formula) -> frozenset[str]:
+    """The atoms the transition of a dynamic-core or past formula depends on at a letter.
+
+    They are the atoms f tests at the current letter: its literals and the
+    guards and tests its paths meet before their first step.  What lies
+    behind a step is another state's business.  This bounds the AFA image,
+    which inlines every S move, and so also the 2AFA transition, which
+    reads no more than the image does.
+    """
+    match f:
+        case fm.Atom(name) | fm.Not(fm.Atom(name)):
+            return frozenset((name,))
+        case fm.And(l, r) | fm.Or(l, r):
+            return reads(l) | reads(r)
+        case fm.Modal(p, g):
+            now, stepless = _path_reads(p)
+            return now | reads(g) if stepless else now
+    return frozenset()
+
+
+def _path_reads(p: fm.PathExpr) -> tuple[frozenset[str], bool]:
+    """The atoms p reads before its first step, and whether p can be passed without one."""
+    match p:
+        case fm.Step(guard):
+            return frozenset(fm.atoms(guard)), False
+        case fm.Test(e):
+            return reads(e), True
+        case fm.Seq(q, r):
+            (q_now, q_stepless), (r_now, r_stepless) = _path_reads(q), _path_reads(r)
+            return (q_now | r_now if q_stepless else q_now), q_stepless and r_stepless
+        case fm.Alt(q, r):
+            (q_now, q_stepless), (r_now, r_stepless) = _path_reads(q), _path_reads(r)
+            return q_now | r_now, q_stepless or r_stepless
+        case fm.Star(q):
+            return _path_reads(q)[0], True
+    raise TypeError(f"not a path expression: {p!r}")

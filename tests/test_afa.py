@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from conftest import exhaustive_core_formulas, random_core_formula
+import reference_fa as ref
 from reference_fa import ReferenceTwoAFA, afa_image
 from tracelogic import formula as fm
 from tracelogic import oracle
@@ -22,7 +23,6 @@ from tracelogic.afa import (
     minimal_sets,
     pbf_and,
     pbf_or,
-    reads,
 )
 from tracelogic.errors import AlphabetMismatchError, UnsupportedOperatorError
 from tracelogic.formula import nnf, to_dynamic_core
@@ -168,12 +168,12 @@ def test_oracle_agreement_sampled():
 
 
 def test_reads_stops_at_steps():
-    assert reads(_core("X a")) == frozenset()
-    assert reads(_core("F a")) == {"a"}
-    assert reads(_core("a U X b")) == {"a"}
-    assert reads(_core("<(a & !b)> c")) == {"a", "b"}
-    assert reads(_core("[(tt ; c?)*] d")) == {"d"}
-    assert reads(_core("<(a? + tt)*> (b | X c)")) == {"a", "b"}
+    assert AFA(_core("X a")).reads[0] == frozenset()
+    assert AFA(_core("F a")).reads[0] == {"a"}
+    assert AFA(_core("a U X b")).reads[0] == {"a"}
+    assert AFA(_core("<(a & !b)> c")).reads[0] == {"a", "b"}
+    assert AFA(_core("[(tt ; c?)*] d")).reads[0] == {"d"}
+    assert AFA(_core("<(a? + tt)*> (b | X c)")).reads[0] == {"a", "b"}
 
 
 def test_image_depends_only_on_the_atoms_read():
@@ -262,6 +262,49 @@ def test_transitions_match_the_reference():
             for ref in _move_refs(pbf):
                 readers[ref.state][(q, ref.move.value)] = None
         assert two_way._readers == tuple(tuple(r) for r in readers), f
+
+
+def test_recorded_reads_match_the_reference():
+    """Each AFA state reads the atoms the structural account of the former `afa.reads` gives."""
+    checked = 0
+    for f in _reference_corpus():
+        if _has_past(f):
+            continue
+        automaton = AFA(f, tuple(sorted(fm.atoms(f) | set(AP))))
+        assert automaton.reads == tuple(map(ref.reads, automaton.states)), f
+        checked += len(automaton)
+    assert checked >= 8000
+
+
+def test_builds_ask_about_the_same_guards_at_every_letter(guard_atoms):
+    """Whatever the guards answer, every AFA image build and 2AFA letter transition asks about the same guard atoms.
+
+    An AFA is made afresh for each letter, so every state's image is built
+    at that letter by the builder itself, not taken from the memo.
+    """
+    for f in _reference_corpus():
+        ap = tuple(sorted(fm.atoms(f) | set(AP)))
+        two_way = TwoAFA(f, ap)
+        for entry in two_way.states:
+            asked = set()
+            for letter in two_way.letters:
+                guard_atoms.clear()
+                two_way._trans(entry, letter)
+                asked.add(frozenset(guard_atoms))
+            assert len(asked) == 1, (f, entry)
+        if _has_past(f):
+            continue
+        asked_at = []
+        for letter in letters_over(ap):
+            automaton = AFA(f, ap)
+            asked = []
+            for q in range(len(automaton)):
+                guard_atoms.clear()
+                automaton.delta(q, letter)
+                asked.append(frozenset(guard_atoms))
+            asked_at.append(asked)
+        assert all(asked == asked_at[0] for asked in asked_at), f
+        assert asked_at[0] == list(AFA(f, ap).reads), f
 
 
 def _nested_tests(depth: int) -> str:

@@ -80,6 +80,21 @@ def test_compile_counts_and_dot(tmp_path):
     assert '"a"' in text
 
 
+def test_compile_dot_to_a_missing_directory_exits_two(tmp_path):
+    path = tmp_path / "missing" / "out.dot"
+    code, out, err = invoke("compile", "-f", "a U b", "--to", "dfa", "--dot", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
+def test_compile_dot_to_a_directory_exits_two(tmp_path):
+    code, out, err = invoke("compile", "-f", "a U b", "--to", "dfa", "--dot", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+
+
 def test_compile_all_targets():
     for target in ("afa", "nfa", "dfa", "min-dfa", "2afa"):
         code, out, _ = invoke("compile", "-f", "a U b", "--to", target)

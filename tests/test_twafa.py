@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_core_formula, random_trace, renamed
-from tracelogic import oracle
+from tracelogic import oracle, twafa
 from tracelogic.afa import AFA, AndNode, FalseLeaf, OrNode, TrueLeaf
 from tracelogic.errors import UnsupportedOperatorError
 from tracelogic.formula import And, nnf, to_dynamic_core
@@ -189,3 +189,19 @@ def test_letter_classes_match_direct_transitions():
         for (q, m), pbf in automaton.transitions.items():
             assert pbf == automaton._trans(automaton.states[q], m)
         assert len(automaton) == width
+
+
+def test_entries_that_test_no_guard_are_built_once_per_cell(monkeypatch):
+    """An `Or` entry tests no guard, so its transition is built at the end marker and one letter only."""
+    root = to_dynamic_core(nnf(parse_formula("(a & b & c & d & e & f) | X (Y a)")))
+    built = []
+    build = twafa.transition
+
+    def counting(f, sat, ref):
+        built.append(f)
+        return build(f, sat, ref)
+
+    monkeypatch.setattr(twafa, "transition", counting)
+    TwoAFA(root)
+    assert built.count(root) == 2
+    assert len(built) == 36
