@@ -17,12 +17,20 @@ like `<(tt?)*> a`.
 
 The builder reads a cell only through a guard test `sat(guard)`, for
 literals and step guards alike, and asks about the same guards whatever
-they answer.  So a transition depends only on the atoms of the guards its
-first build tests, and both automata record them at the empty letter and
-build one transition per class: the two-way one for every state, the `AFA`
-(closure states in breadth-first order) when a state is first asked about
-(`AFA.reads`, `AFA.mask`).  `AFA.accepts` evaluates only the states an
-image can refer to: the initial state and the targets of step modalities.
+they answer.  The test returns a PBF.  The two-way automaton answers at
+the cell with `PBF_TRUE` or `PBF_FALSE`, records the atoms of its first
+build's guards at the empty letter and builds each state's transition once
+per class.  The `AFA` leaves every guard open as a `GuardLeaf`, a predicate
+over letters as in symbolic automata (D'Antoni & Veanes, CAV 2017): it builds
+each state's guarded image once, when the state is first asked about
+(`AFA.mask`, `AFA.reads`), and the atoms of the guards that build tests are
+the state's reads.  Nodes built outside any diamond-star unrolling are
+memoised with their atoms, so states that share a tail share its build.
+`delta` specialises the guarded image per class, folding each guard to a
+constant (`specialise`), and `successor_sets` gives the minimal sets of the
+image at a class code straight from the guarded image, the one thing
+dealternation asks of it.  `AFA.accepts` evaluates only the states an image
+can refer to: the initial state and the targets of step modalities.
 """
 
 from __future__ import annotations
@@ -68,6 +76,14 @@ class AndNode(PBF):
 class OrNode(PBF):
     left: PBF
     right: PBF
+
+
+@dataclass(frozen=True)
+class GuardLeaf(PBF):
+    """Leaf of a guarded image: the value of a step guard or literal at the letter, negated unless `polarity`."""
+
+    guard: fm.Formula
+    polarity: bool = True
 
 
 class Move(Enum):
@@ -142,23 +158,49 @@ def pbf_eval(pbf: PBF, leaf) -> bool:
     raise TypeError(f"not a PBF: {pbf!r}")
 
 
-def minimal_sets(pbf: PBF) -> tuple[frozenset, ...]:
-    """The antichain of minimal satisfying state sets, canonically ordered."""
-    return tuple(sorted(_minsets(pbf), key=lambda s: (len(s), sorted(s))))
+def specialise(pbf: PBF, letter) -> PBF:
+    """The image a guarded image stands for at `letter`: each guard leaf replaced by its value, folded bottom-up.
+
+    Folding composes, so this equals the image built with the guards
+    answered at `letter` in the first place.
+    """
+    if isinstance(pbf, AndNode):
+        return pbf_and(specialise(pbf.left, letter), specialise(pbf.right, letter))
+    if isinstance(pbf, OrNode):
+        return pbf_or(specialise(pbf.left, letter), specialise(pbf.right, letter))
+    if isinstance(pbf, GuardLeaf):
+        return PBF_TRUE if oracle.prop_sat(pbf.guard, letter) == pbf.polarity else PBF_FALSE
+    return pbf
 
 
-def _minsets(pbf: PBF) -> list[frozenset]:
-    match pbf:
-        case TrueLeaf():
-            return [frozenset()]
-        case FalseLeaf():
-            return []
-        case StateRef(state):
-            return [frozenset((state,))]
-        case OrNode(l, r):
-            return _antichain({*_minsets(l), *_minsets(r)})
-        case AndNode(l, r):
-            return _antichain({a | b for a in _minsets(l) for b in _minsets(r)})
+def minimal_sets(pbf: PBF, letter=frozenset()) -> tuple[frozenset, ...]:
+    """The antichain of minimal satisfying state sets, canonically ordered; guard leaves are read at `letter`.
+
+    Of a guarded image this is the minimal sets of `specialise(pbf, letter)`,
+    computed without building that image.
+    """
+    return tuple(sorted(_minsets(pbf, letter), key=lambda s: (len(s), sorted(s))))
+
+
+def _minsets(pbf: PBF, letter) -> list[frozenset]:
+    if isinstance(pbf, AndNode):
+        left = _minsets(pbf.left, letter)
+        if not left:
+            return left
+        return _product(left, _minsets(pbf.right, letter))
+    if isinstance(pbf, OrNode):
+        left = _minsets(pbf.left, letter)
+        if frozenset() in left:
+            return left
+        return _antichain({*left, *_minsets(pbf.right, letter)})
+    if isinstance(pbf, StateRef):
+        return [frozenset((pbf.state,))]
+    if isinstance(pbf, GuardLeaf):
+        return [frozenset()] if oracle.prop_sat(pbf.guard, letter) == pbf.polarity else []
+    if isinstance(pbf, TrueLeaf):
+        return [frozenset()]
+    if isinstance(pbf, FalseLeaf):
+        return []
     raise TypeError(f"not a PBF: {pbf!r}")
 
 
@@ -166,16 +208,23 @@ def _antichain(sets: set[frozenset]) -> list[frozenset]:
     return [s for s in sets if not any(t < s for t in sets)]
 
 
+def _product(left, right) -> list[frozenset]:
+    """The minimal sets of a conjunction, from the antichains of minimal sets of its two sides."""
+    if len(left) == 1 == len(right):
+        return [left[0] | right[0]]
+    return _antichain({a | b for a in left for b in right})
+
+
 def guard_test(cell, read: set | None = None):
-    """The `sat(guard)` of `transition` at `cell`: `oracle.prop_sat` at a letter, false at the end marker.
+    """The two-way automaton's `sat(guard)` at `cell`: a PBF constant, from `oracle.prop_sat` at a letter, false at END.
 
     Given a set `read`, the test adds the atoms of every guard asked about to it.
     """
 
-    def sat(guard: fm.Formula) -> bool:
+    def sat(guard: fm.Formula) -> PBF:
         if read is not None:
             read.update(fm.atoms(guard))
-        return cell is not END and oracle.prop_sat(guard, cell)
+        return PBF_TRUE if cell is not END and oracle.prop_sat(guard, cell) else PBF_FALSE
 
     return sat
 
@@ -183,16 +232,20 @@ def guard_test(cell, read: set | None = None):
 def transition(f: fm.Formula, sat, ref) -> PBF:
     """The transition of f at a cell that `sat(guard)` tests, with successors `ref(g, move, weak)`.
 
-    `weak` asks for g's weak value at the markers; it is set on the
-    successors of boxes and of `Trigger`, whose obligations hold vacuously
-    past the ends of the trace.  Literals and step guards read the cell
-    through `sat`, each call made whatever the others answer.
+    `sat` returns a PBF: `PBF_TRUE` or `PBF_FALSE` when it answers at a
+    cell, a `GuardLeaf` when it leaves the guard open.  Literals and step
+    guards reach the cell only through it, each call made whatever the
+    others answer, and a step's successor is asked for only when its guard
+    is not false.  `weak` asks for g's weak value at the markers; it is set
+    on the successors of boxes and of `Trigger`, whose obligations hold
+    vacuously past the ends of the trace.
     """
     match f:
         case fm.Atom() | fm.Not(fm.Atom()):
-            return PBF_TRUE if sat(f) else PBF_FALSE
+            return sat(f)
         case fm.Diamond(fm.Step(guard), g):
-            return ref(g, _R) if sat(guard) else PBF_FALSE
+            test = sat(guard)
+            return PBF_FALSE if isinstance(test, FalseLeaf) else pbf_and(test, ref(g, _R))
         case fm.Diamond(fm.Star(q), g):
             return pbf_or(ref(g, _S), ref(fm.Diamond(q, f), _S))
         case fm.Diamond(fm.Seq(q, r), g):
@@ -227,7 +280,11 @@ def _box(b: fm.Box, sat, ref, expanding: tuple) -> PBF:
     """Eager expansion of a box through its path; re-arrival at a star being expanded is vacuous."""
     match b:
         case fm.Box(fm.Step(guard), g):
-            return ref(g, _R, True) if sat(guard) else PBF_TRUE
+            test = sat(guard)
+            if isinstance(test, FalseLeaf):
+                return PBF_TRUE
+            unless = GuardLeaf(test.guard, not test.polarity) if isinstance(test, GuardLeaf) else PBF_FALSE
+            return pbf_or(unless, ref(g, _R, True))
         case fm.Box(fm.Test(e), g):
             unless = ref(fm.nnf_not(e), _S, True)
             return pbf_or(unless, _box(g, sat, ref, expanding) if isinstance(g, fm.Box) else ref(g, _S, True))
@@ -360,9 +417,12 @@ class AFA:
         self.initial: int = 0
         self.final: tuple[bool, ...] = tuple(bool(self._end.sat(q) & 1) for q in self.states)
         self._bits: dict = {name: 1 << j for j, name in enumerate(self.ap)}
-        self._reads: list = [None] * len(self.states)  # q -> the atoms its first image build tested
+        self._guarded: list = [None] * len(self.states)  # q -> its guarded image
+        self._reads: list = [None] * len(self.states)  # q -> the atoms of the guards its guarded build tests
         self._masks: list = [None] * len(self.states)  # q -> the code of _reads[q]
+        self._nodes: dict = {}  # formula -> (guarded image, atoms read), built outside any diamond-star unrolling
         self._delta_memo: dict = {}  # (q, letter & reads[q]) -> image
+        self._sets_memo: dict = {}  # (q, code & masks[q]) -> minimal sets of the image
         self._weak_refs: dict = {}  # body g of a step box -> reference to weak_state(g)
 
     def __len__(self) -> int:
@@ -379,44 +439,82 @@ class AFA:
 
     @cached_property
     def reads(self) -> tuple[frozenset[str], ...]:
-        """The atoms each state's image depends on; builds the image of every state not built yet."""
-        return tuple(self.letter(self.mask(q)) for q in range(len(self.states)))
+        """The atoms each state's image depends on; builds the guarded image of every state not built yet."""
+        for q in range(len(self.states)):
+            self.mask(q)
+        return tuple(self._reads)
 
     def mask(self, q: int) -> int:
-        """The code of `reads[q]`: the atoms of the guards q's first image build, at the empty letter, tests."""
+        """The code of `reads[q]`: the atoms of the guards that q's guarded build tests, made on first call."""
         if self._masks[q] is None:
-            read: set = set()
-            self._delta_memo[(q, frozenset())] = self._image(q, guard_test(frozenset(), read))
-            self._reads[q] = frozenset(read)
+            self._guarded[q], read = self._node(self.states[q])
+            self._reads[q] = read
             self._masks[q] = self.code(read)
         return self._masks[q]
 
     def delta(self, q: int, letter) -> PBF:
-        """The image of state q at a letter: its transition with every S move inlined, built once per class."""
+        """The image of state q at a letter: its guarded image specialised there, once per class."""
         if self._masks[q] is None:
             self.mask(q)
         key = (q, letter & self._reads[q])
         image = self._delta_memo.get(key)
         if image is None:
-            image = self._delta_memo[key] = self._image(q, guard_test(letter))
+            image = self._delta_memo[key] = specialise(self._guarded[q], letter)
         return image
 
-    def _image(self, q: int, sat) -> PBF:
+    def successor_sets(self, q: int, code: int) -> tuple[frozenset, ...]:
+        """`minimal_sets(delta(q, letter))` for the letter whose code is `code`, once per class, without the image."""
+        key = (q, code & self.mask(q))
+        sets = self._sets_memo.get(key)
+        if sets is None:
+            sets = self._sets_memo[key] = minimal_sets(self._guarded[q], self.letter(key[1]))
+        return sets
+
+    def _node(self, root: fm.Formula) -> tuple[PBF, frozenset]:
+        """The guarded image of `root`, with every S move inlined, and the atoms its guards read.
+
+        Each node built outside any diamond-star unrolling is memoised with
+        its atoms, so states that share a tail share its build.  Within an
+        unrolling a node's image depends on the stars being unrolled, and a
+        diamond star met again is false, so nodes there are built afresh.
+        """
+        nodes = self._nodes
         unrolling = []  # the diamond stars being unrolled, innermost last
+        reading = [set()]  # the atoms read by each memoised node being built, innermost last
+
+        def sat(guard: fm.Formula) -> PBF:
+            if isinstance(guard, fm.TrueFormula):  # the guard of every X, F and G
+                return PBF_TRUE
+            reading[-1].update(fm.atoms(guard))
+            return GuardLeaf(guard)
 
         def ref(g: fm.Formula, move: Move, weak: bool = False) -> PBF:
             if move is _R:
                 return self._step_ref(g, weak)
-            if isinstance(g, fm.Diamond) and isinstance(g.path, fm.Star):
+            star = isinstance(g, fm.Diamond) and isinstance(g.path, fm.Star)
+            if unrolling:
+                if not star:
+                    return transition(g, sat, ref)
                 if g in unrolling:
                     return PBF_FALSE
                 unrolling.append(g)
                 image = transition(g, sat, ref)
                 unrolling.pop()
                 return image
-            return transition(g, sat, ref)
+            entry = nodes.get(g)
+            if entry is None:
+                reading.append(set())
+                if star:
+                    unrolling.append(g)
+                image = transition(g, sat, ref)
+                if star:
+                    unrolling.pop()
+                entry = nodes[g] = (image, frozenset(reading.pop()))
+            reading[-1].update(entry[1])
+            return entry[0]
 
-        return ref(self.states[q], _S)
+        ref(root, _S)
+        return nodes[root]
 
     def _step_ref(self, g: fm.Formula, weak: bool) -> PBF:
         """The reference to a step's target state g, or to weak_state(g) for a box."""

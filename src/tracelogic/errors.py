@@ -29,7 +29,18 @@ class AlphabetMismatchError(TraceLogicError):
 
 
 class BudgetError(TraceLogicError):
-    """Automaton construction exceeded its state budget."""
+    """Automaton construction exceeded its state budget.
+
+    `stage` names the construction, `limit` is its budget of states and
+    `reached` the number of states it had made when it stopped; each is
+    None when the raiser did not give it.
+    """
+
+    def __init__(self, message: str, *, stage: str | None = None, limit: int | None = None, reached: int | None = None):
+        super().__init__(message)
+        self.stage = stage
+        self.limit = limit
+        self.reached = reached
 
 
 class SizeLimitError(TraceLogicError):

@@ -13,8 +13,11 @@ and each AFA state reads a mask of atoms (`AFA.mask`).  An NFA state's
 successors depend only on the atoms its members read, so the NFA keeps, per
 state, that `local` mask and one table from class code (`code & local`) to
 successors; `NFA.transitions` is a read-only per-letter view over these
-tables.  An NFA state whose members read k atoms thus costs 2^k successor
-computations rather than 2^|AP|, and a macro-state of the subset
+tables.  A class's successors conjoin the minimal sets that the AFA gives
+for each member at the class code (`AFA.successor_sets`, read from the
+member's guarded image and memoised per member and class), so no image is
+built per class.  An NFA state whose members read k atoms thus costs 2^k
+successor computations rather than 2^|AP|, and a macro-state of the subset
 construction one union per class of its members' masks.  Only the DFA keeps
 an entry for every letter, filled by one AND and one lookup per letter.
 
@@ -34,7 +37,7 @@ from functools import cached_property
 from typing import Iterator
 
 from . import formula as fm
-from .afa import AFA, StateSet, _antichain, minimal_sets
+from .afa import AFA, StateSet, _product
 from .errors import AlphabetMismatchError, BudgetError
 from .trace import Trace, _walk, check_enumeration_bound, check_letters, letters_over
 
@@ -113,7 +116,7 @@ def _add(states: StateSet, state, max_states: int, stage: str) -> int:
     """The ordinal of `state`, added to `states` if new; BudgetError past `max_states` states."""
     ordinal = states.add(state)
     if ordinal >= max_states:  # only a new state gets an ordinal this high
-        raise BudgetError(f"{stage} exceeded {max_states} states")
+        raise BudgetError(f"{stage} exceeded {max_states} states", stage=stage, limit=max_states, reached=len(states))
     return ordinal
 
 
@@ -122,22 +125,15 @@ def _classes(codes, mask: int) -> dict:
     return dict.fromkeys([code & mask for code in codes])
 
 
-def _conjunction_successors(automaton: AFA, members, key: int, images: dict) -> list[frozenset]:
-    """Minimal satisfying sets of the conjoined transition images of `members` at the letter class `key`.
-
-    `images` memoises the minimal sets of each member's image per AFA state
-    and the class's projection onto the atoms that state reads.
-    """
+def _conjunction_successors(automaton: AFA, members, key: int) -> list[frozenset]:
+    """Minimal satisfying sets of the conjoined transition images of `members` at the letter class `key`."""
     current = None
     for q in members:
-        own = key & automaton.mask(q)
-        q_sets = images.get((q, own))
-        if q_sets is None:
-            q_sets = images[(q, own)] = minimal_sets(automaton.delta(q, automaton.letter(own)))
+        q_sets = automaton.successor_sets(q, key)
         if not q_sets:
             return []
         # one image's minimal sets already are an antichain
-        current = q_sets if current is None else _antichain({a | b for a in current for b in q_sets})
+        current = q_sets if current is None else _product(current, q_sets)
     return [frozenset()] if current is None else sorted(current, key=lambda s: (len(s), sorted(s)))
 
 
@@ -156,7 +152,6 @@ def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
     states.add(frozenset((automaton.initial,)))
     masks: list[int] = []
     tables: list[dict] = []
-    images: dict = {}
     for members in states:
         ordered = sorted(members)
         local = 0
@@ -164,7 +159,7 @@ def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
             local |= automaton.mask(q)
         table = {}
         for key in _classes(codes, local):
-            successors = _conjunction_successors(automaton, ordered, key, images)
+            successors = _conjunction_successors(automaton, ordered, key)
             table[key] = tuple(_add(states, succ, max_states, "dealternation") for succ in successors)
         masks.append(local)
         tables.append(table)

@@ -239,8 +239,3 @@ def end_evaluator() -> _Evaluator:
     evaluator can serve every formula of an automaton.
     """
     return _evaluator(EMPTY_TRACE)
-
-
-def end_value(f: fm.Formula) -> bool:
-    """Truth of f at the letterless end point (evaluation over the empty trace)."""
-    return evaluate(f, EMPTY_TRACE, 0)

@@ -2,12 +2,14 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from conftest import exhaustive_core_formulas, random_core_formula
 import reference_fa as ref
 from reference_fa import ReferenceTwoAFA, afa_image
+from tracelogic import afa
 from tracelogic import formula as fm
 from tracelogic import oracle
 from tracelogic.afa import (
@@ -25,6 +27,7 @@ from tracelogic.afa import (
     pbf_or,
 )
 from tracelogic.errors import AlphabetMismatchError, UnsupportedOperatorError
+from tracelogic.fa import dealternate
 from tracelogic.formula import nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import enumerate_traces, letters_over
@@ -188,7 +191,8 @@ def test_image_depends_only_on_the_atoms_read():
 
 
 # Shapes the generators reach rarely: stars under boxes, tests inside stars,
-# tests nested in tests, and past operators inside paths and under stars.
+# tests nested in tests, past operators inside paths and under stars, and
+# step guards wider than one literal.
 HAND_WRITTEN = (
     "[(a? ; tt)*] b",
     "[((a ; tt) + b?)*] (a | X b)",
@@ -206,6 +210,16 @@ HAND_WRITTEN = (
     "<((Y a)? ; tt)*> b",
     "[((a T b)? ; tt)] WY c",
     "[tt*] (a -> Y (b S c))",
+    # Compound step guards, so that states read three to six atoms and a
+    # guarded image keeps guard leaves of either polarity under stars.
+    "<(a & !b)> c",
+    "[(a | b & c)] d",
+    "<((a & b)? ; (c | !d))*> e",
+    "[((a | b) ; c?)*] d",
+    "[((a & !c) + (b | d))*] (e | X a)",
+    "<(a & !b & c)> [(d | !e)] f",
+    "<((a | b) ; (c & !d))*> (e | X a)",
+    "[(a | !b)] <((c & d) | e)> f & [tt*] <(a & (b | !c))> d",
 )
 
 
@@ -279,8 +293,12 @@ def test_recorded_reads_match_the_reference():
 def test_builds_ask_about_the_same_guards_at_every_letter(guard_atoms):
     """Whatever the guards answer, every AFA image build and 2AFA letter transition asks about the same guard atoms.
 
-    An AFA is made afresh for each letter, so every state's image is built
-    at that letter by the builder itself, not taken from the memo.
+    The 2AFA answers each guard at the letter.  The AFA leaves its guards
+    open and builds each state's guarded image once; an AFA is made afresh
+    for each letter and state, so the build asks about every guard of that
+    state itself rather than taking shared nodes from the memo of an earlier
+    state's build, and `AFA.reads`, recorded with that sharing, must name
+    the same atoms.
     """
     for f in _reference_corpus():
         ap = tuple(sorted(fm.atoms(f) | set(AP)))
@@ -294,11 +312,12 @@ def test_builds_ask_about_the_same_guards_at_every_letter(guard_atoms):
             assert len(asked) == 1, (f, entry)
         if _has_past(f):
             continue
+        n = len(AFA(f, ap))
         asked_at = []
         for letter in letters_over(ap):
-            automaton = AFA(f, ap)
             asked = []
-            for q in range(len(automaton)):
+            for q in range(n):
+                automaton = AFA(f, ap)
                 guard_atoms.clear()
                 automaton.delta(q, letter)
                 asked.append(frozenset(guard_atoms))
@@ -327,3 +346,60 @@ def test_deep_path_nesting_compiles():
     ):
         done = subprocess.run([sys.executable, "-m", "tracelogic.cli", *argv], env=env, capture_output=True, text=True)
         assert done.returncode == 0, (argv[:3], done.stderr)
+
+
+@pytest.fixture
+def builds(monkeypatch) -> Counter:
+    """A counter of the `afa.transition` calls per formula node."""
+    made: Counter = Counter()
+    build = afa.transition
+
+    def counting(f, sat, ref):
+        made[f] += 1
+        return build(f, sat, ref)
+
+    monkeypatch.setattr(afa, "transition", counting)
+    return made
+
+
+def test_each_state_gets_one_guarded_build(builds):
+    """`F a0 & … & F a(k-1)`: dealternation builds each state once, not once per letter class.
+
+    The root reads all k atoms and has 2^k classes; its guarded image is
+    built once and specialised per class, and every other node of the
+    closure is built once, inside the root's build or on its own.
+    """
+    for k in range(6, 11):
+        builds.clear()
+        root = _core(" & ".join(f"F a{i}" for i in range(k)))
+        automaton = AFA(root)
+        nfa = dealternate(automaton)
+        asked = {q for members in nfa.states for q in members}
+        assert len(asked) == k + 1
+        assert builds[root] == 1
+        assert all(builds[automaton.states[q]] == 1 for q in asked)
+        assert sum(builds.values()) == len(automaton) == 4 * k - 1
+
+
+def test_chain_images_take_linear_builder_calls(builds):
+    """Every image of `<(a? ; (a? ; … tt))> c` at every letter: builder calls grow linearly with the depth.
+
+    Each state's image shares the guarded image of the chain below it, so
+    doubling the depth at most doubles the calls (allowing 2.2x); inlining
+    the tail afresh for each state would quadruple them.
+    """
+    made = {}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4000))  # the counting wrapper adds a frame to each nested build
+    try:
+        for depth in (45, 90, 180):
+            builds.clear()
+            automaton = AFA(_core(_nested_tests(depth)))
+            for q, local in enumerate(automaton.reads):
+                for letter in letters_over(local):
+                    automaton.delta(q, letter)
+            made[depth] = sum(builds.values())
+    finally:
+        sys.setrecursionlimit(limit)
+    assert made[90] <= 2.2 * made[45]
+    assert made[180] <= 2.2 * made[90]

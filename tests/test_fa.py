@@ -240,6 +240,18 @@ def test_budget_error_names_the_stage():
         determinize(dealternate(_afa("F a & F b")), max_states=1)
 
 
+def test_budget_error_carries_its_fields():
+    """The stage, the budget and the number of states made when the budget ran out."""
+    with pytest.raises(BudgetError) as dealternation:
+        dealternate(_afa("[tt*] (a | <tt> b)"), max_states=1)
+    with pytest.raises(BudgetError) as determinization:
+        determinize(dealternate(_afa("F a & F b")), max_states=3)
+    fields = [(e.value.stage, e.value.limit, e.value.reached) for e in (dealternation, determinization)]
+    assert fields == [("dealternation", 1, 2), ("determinization", 3, 4)]
+    plain = BudgetError("no fields")
+    assert (str(plain), plain.stage, plain.limit, plain.reached) == ("no fields", None, None, None)
+
+
 def test_dealternation_successor_count_grows_as_three_to_the_k(monkeypatch):
     """`F a0 & … & F a(k-1)`: one successor computation per NFA state and letter class."""
     calls = []
