@@ -27,10 +27,11 @@ each state's guarded image once, when the state is first asked about
 the state's reads.  Nodes built outside any diamond-star unrolling are
 memoised with their atoms, so states that share a tail share its build.
 `delta` specialises the guarded image per class, folding each guard to a
-constant (`specialise`), and `successor_sets` gives the minimal sets of the
-image at a class code straight from the guarded image, the one thing
-dealternation asks of it.  `AFA.accepts` evaluates only the states an image
-can refer to: the initial state and the targets of step modalities.
+constant (`specialise`, the one place a guard leaf is read at a letter),
+and `successor_sets` memoises the minimal sets of that image per class
+code, the one thing dealternation asks of it.  `AFA.accepts` evaluates only
+the states an image can refer to: the initial state and the targets of
+step modalities.
 """
 
 from __future__ import annotations
@@ -173,30 +174,24 @@ def specialise(pbf: PBF, letter) -> PBF:
     return pbf
 
 
-def minimal_sets(pbf: PBF, letter=frozenset()) -> tuple[frozenset, ...]:
-    """The antichain of minimal satisfying state sets, canonically ordered; guard leaves are read at `letter`.
-
-    Of a guarded image this is the minimal sets of `specialise(pbf, letter)`,
-    computed without building that image.
-    """
-    return tuple(sorted(_minsets(pbf, letter), key=lambda s: (len(s), sorted(s))))
+def minimal_sets(pbf: PBF) -> tuple[frozenset, ...]:
+    """The antichain of minimal satisfying state sets, canonically ordered."""
+    return tuple(sorted(_minsets(pbf), key=lambda s: (len(s), sorted(s))))
 
 
-def _minsets(pbf: PBF, letter) -> list[frozenset]:
+def _minsets(pbf: PBF) -> list[frozenset]:
     if isinstance(pbf, AndNode):
-        left = _minsets(pbf.left, letter)
+        left = _minsets(pbf.left)
         if not left:
             return left
-        return _product(left, _minsets(pbf.right, letter))
+        return _product(left, _minsets(pbf.right))
     if isinstance(pbf, OrNode):
-        left = _minsets(pbf.left, letter)
+        left = _minsets(pbf.left)
         if frozenset() in left:
             return left
-        return _antichain({*left, *_minsets(pbf.right, letter)})
+        return _antichain({*left, *_minsets(pbf.right)})
     if isinstance(pbf, StateRef):
         return [frozenset((pbf.state,))]
-    if isinstance(pbf, GuardLeaf):
-        return [frozenset()] if oracle.prop_sat(pbf.guard, letter) == pbf.polarity else []
     if isinstance(pbf, TrueLeaf):
         return [frozenset()]
     if isinstance(pbf, FalseLeaf):
@@ -463,11 +458,11 @@ class AFA:
         return image
 
     def successor_sets(self, q: int, code: int) -> tuple[frozenset, ...]:
-        """`minimal_sets(delta(q, letter))` for the letter whose code is `code`, once per class, without the image."""
+        """`minimal_sets(delta(q, letter))` for the letter whose code is `code`, once per class."""
         key = (q, code & self.mask(q))
         sets = self._sets_memo.get(key)
         if sets is None:
-            sets = self._sets_memo[key] = minimal_sets(self._guarded[q], self.letter(key[1]))
+            sets = self._sets_memo[key] = minimal_sets(self.delta(q, self.letter(key[1])))
         return sets
 
     def _node(self, root: fm.Formula) -> tuple[PBF, frozenset]:

@@ -32,8 +32,10 @@ class BudgetError(TraceLogicError):
     """Automaton construction exceeded its state budget.
 
     `stage` names the construction, `limit` is its budget of states and
-    `reached` the number of states it had made when it stopped; each is
-    None when the raiser did not give it.
+    `reached` the number of states it had made when it stopped.  The
+    constructions stop at the first state past the budget, so `reached` is
+    `limit + 1` for every error they raise.  Each is None when the raiser
+    did not give it.
     """
 
     def __init__(self, message: str, *, stage: str | None = None, limit: int | None = None, reached: int | None = None):

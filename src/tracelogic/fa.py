@@ -14,10 +14,10 @@ successors depend only on the atoms its members read, so the NFA keeps, per
 state, that `local` mask and one table from class code (`code & local`) to
 successors; `NFA.transitions` is a read-only per-letter view over these
 tables.  A class's successors conjoin the minimal sets that the AFA gives
-for each member at the class code (`AFA.successor_sets`, read from the
-member's guarded image and memoised per member and class), so no image is
-built per class.  An NFA state whose members read k atoms thus costs 2^k
-successor computations rather than 2^|AP|, and a macro-state of the subset
+for each member at the class code (`AFA.successor_sets`, memoised per
+member and class), so each member's image is specialised once per class.
+An NFA state whose members read k atoms thus costs 2^k successor
+computations rather than 2^|AP|, and a macro-state of the subset
 construction one union per class of its members' masks.  Only the DFA keeps
 an entry for every letter, filled by one AND and one lookup per letter.
 

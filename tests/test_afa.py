@@ -293,12 +293,14 @@ def test_recorded_reads_match_the_reference():
 def test_builds_ask_about_the_same_guards_at_every_letter(guard_atoms):
     """Whatever the guards answer, every AFA image build and 2AFA letter transition asks about the same guard atoms.
 
-    The 2AFA answers each guard at the letter.  The AFA leaves its guards
-    open and builds each state's guarded image once; an AFA is made afresh
-    for each letter and state, so the build asks about every guard of that
-    state itself rather than taking shared nodes from the memo of an earlier
-    state's build, and `AFA.reads`, recorded with that sharing, must name
-    the same atoms.
+    The 2AFA answers each guard at the letter, so each of its states is
+    built at every letter.  The AFA leaves its guards open: its one guarded
+    build per state never sees a letter, and its images at every letter
+    must come from that build without asking about any guard again.  The
+    node memo is emptied before each state's build, so the build asks about
+    every guard of that state itself rather than taking shared nodes from
+    an earlier state's build, and `AFA.reads`, recorded with that sharing,
+    must name the same atoms.
     """
     for f in _reference_corpus():
         ap = tuple(sorted(fm.atoms(f) | set(AP)))
@@ -312,18 +314,17 @@ def test_builds_ask_about_the_same_guards_at_every_letter(guard_atoms):
             assert len(asked) == 1, (f, entry)
         if _has_past(f):
             continue
-        n = len(AFA(f, ap))
-        asked_at = []
-        for letter in letters_over(ap):
-            asked = []
-            for q in range(n):
-                automaton = AFA(f, ap)
-                guard_atoms.clear()
+        automaton, asked = AFA(f, ap), []
+        for q in range(len(automaton)):
+            automaton._nodes.clear()
+            guard_atoms.clear()
+            automaton.mask(q)
+            asked.append(frozenset(guard_atoms))
+            guard_atoms.clear()
+            for letter in letters_over(ap):
                 automaton.delta(q, letter)
-                asked.append(frozenset(guard_atoms))
-            asked_at.append(asked)
-        assert all(asked == asked_at[0] for asked in asked_at), f
-        assert asked_at[0] == list(AFA(f, ap).reads), f
+            assert not guard_atoms, (f, q)
+        assert asked == list(AFA(f, ap).reads), f
 
 
 def _nested_tests(depth: int) -> str:
