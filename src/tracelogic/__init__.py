@@ -6,7 +6,7 @@ a direct semantic oracle; metric timing rules compile into difference
 constraints for timestamp checking and derivation.
 """
 
-from .afa import AFA, closure
+from .afa import AFA
 from .dot import to_dot
 from .errors import (
     AlphabetMismatchError,
@@ -81,7 +81,6 @@ __all__ = [
     "atoms",
     "build_dfa",
     "check_program",
-    "closure",
     "complement",
     "dealternate",
     "determinize",

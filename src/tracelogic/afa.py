@@ -9,8 +9,8 @@ automaton in `twafa` makes every successor a state: a head move left (L),
 right (R) or stay-in-place (S) paired with a state, read in a least
 fixpoint.  A one-way automaton is a two-way automaton whose S moves are
 resolved within the letter (Vardi, ICALP 1998): the `AFA` here inlines
-every S move into the image, keeps R moves as references to closure states,
-and never meets an L move, since past operators are outside its fragment.
+every S move into the image, keeps R moves as references to states, and
+never meets an L move, since past operators are outside its fragment.
 Inlining takes a diamond star met again while it is being unrolled as false,
 which keeps the image finite on stars that make no progress within a letter,
 like `<(tt?)*> a`.
@@ -21,24 +21,25 @@ they answer.  The test returns a PBF.  The two-way automaton answers at
 the cell with `PBF_TRUE` or `PBF_FALSE`, records the atoms of its first
 build's guards at the empty letter and builds each state's transition once
 per class.  The `AFA` leaves every guard open as a `GuardLeaf`, a predicate
-over letters as in symbolic automata (D'Antoni & Veanes, CAV 2017): it builds
-each state's guarded image once, when the state is first asked about
-(`AFA.mask`, `AFA.reads`), and the atoms of the guards that build tests are
-the state's reads.  Nodes built outside any diamond-star unrolling are
-memoised with their atoms, so states that share a tail share its build.
-`delta` specialises the guarded image per class, folding each guard to a
-constant (`specialise`, the one place a guard leaf is read at a letter),
-and `successor_sets` memoises the minimal sets of that image per class
-code, the one thing dealternation asks of it.  `AFA.accepts` evaluates only
-the states an image can refer to: the initial state and the targets of
-step modalities.
+over letters as in symbolic automata (D'Antoni & Veanes, CAV 2017).  It
+discovers its states by building their guarded images: starting from the
+root, each state's image is built once, and the targets of its step
+modalities are the states it adds, as the transitions name them
+(De Giacomo & Vardi, IJCAI 2013).  The atoms of the guards a build tests
+are the state's reads (`AFA.reads`, coded in `AFA.masks`).  Nodes built
+outside any diamond-star unrolling are memoised with their atoms, so
+states that share a tail share its build.  `delta` specialises the guarded
+image per class, folding each guard to a constant (`specialise`, the one
+place a guard leaf is read at a letter), and `successor_sets` memoises the
+minimal sets of that image per class code, the one thing dealternation
+asks of it.  Every state is the root or a step target, so `AFA.accepts`
+evaluates them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from . import formula as fm
 from . import oracle
@@ -302,6 +303,10 @@ def weak_state(f: fm.Formula, end=None) -> fm.Formula:
     Patches in `f | [tt] ff` when f holds weakly but not outright at the
     end point; the extra disjunct only fires there.  `end` is an evaluator
     over the empty trace (`oracle.end_evaluator`), made afresh when omitted.
+    It decides from the empty trace, so it is for future formulas only: the
+    weak end value of a past formula depends on the letters before the end
+    (`a & Y b` holds weakly after `{b}` but not after `{a}`), and the
+    two-way automaton keeps its own weak states for them.
     """
     if end is None:
         end = oracle.end_evaluator()
@@ -333,12 +338,6 @@ class StateSet:
             self.index[state] = ordinal
         return ordinal
 
-    def ordinal(self, state) -> int:
-        return self.index[state]
-
-    def __contains__(self, state) -> bool:
-        return state in self.index
-
     def __len__(self) -> int:
         return len(self.states)
 
@@ -349,57 +348,10 @@ class StateSet:
         return self.states[ordinal]
 
 
-def expansion(f: fm.Formula, end=None) -> list[fm.Formula]:
-    """Formulas introduced by one transition-expansion step of a dynamic-core formula f.
-
-    They are the formulas an AFA image reaches, inlined or referenced: the
-    body of a step-guarded box is referenced as its `weak_state`, decided by
-    the empty-trace evaluator `end`.
-    """
-    match f:
-        case fm.Atom() | fm.TrueFormula() | fm.FalseFormula() | fm.Not(fm.Atom()):
-            return []
-        case fm.And(l, r) | fm.Or(l, r):
-            return [l, r]
-        case fm.Modal(p, g):
-            mod = type(f)
-            match p:
-                case fm.Step(_):
-                    return [weak_state(g, end) if mod is fm.Box else g]
-                case fm.Test(e):
-                    return [fm.nnf_not(e) if mod is fm.Box else e, g]
-                case fm.Seq(q, r):
-                    return [mod(q, mod(r, g))]
-                case fm.Alt(q, r):
-                    return [mod(q, g), mod(r, g)]
-                case fm.Star(q):
-                    return [g, mod(q, f)]
-            raise TypeError(f"not a path expression: {p!r}")
-        case _:
-            raise UnsupportedOperatorError(f"cannot build transitions for {type(f).__name__}")
-
-
-def closure(f: fm.Formula, end=None) -> StateSet:
-    """Smallest StateSet containing f and closed under expansion.
-
-    Insertion order is the breadth-first, left-to-right discovery order,
-    so ordinals are reproducible; the root always gets ordinal 0.  Every
-    expansion shares the empty-trace evaluator `end`, made once when omitted.
-    """
-    if end is None:
-        end = oracle.end_evaluator()
-    states = StateSet()
-    states.add(f)
-    for g in states:
-        for h in expansion(g, end):
-            states.add(h)
-    return states
-
-
 class AFA:
     """Alternating automaton over letters drawn from subsets of `ap`.
 
-    A letter's code has bit j set when `ap[j]` is in it; `mask(q)` is the
+    A letter's code has bit j set when `ap[j]` is in it; `masks[q]` is the
     code of `reads[q]`.  One evaluator over the empty trace decides the end
     values of every state (`final`) and the weak states of step boxes.
     """
@@ -407,18 +359,24 @@ class AFA:
     def __init__(self, root: fm.Formula, ap=None):
         fm.check_fragment(root)
         self.ap: tuple[str, ...] = resolve_alphabet(fm.atoms(root), ap)
-        self._end = oracle.end_evaluator()
-        self.states: StateSet = closure(root, self._end)
-        self.initial: int = 0
-        self.final: tuple[bool, ...] = tuple(bool(self._end.sat(q) & 1) for q in self.states)
         self._bits: dict = {name: 1 << j for j, name in enumerate(self.ap)}
-        self._guarded: list = [None] * len(self.states)  # q -> its guarded image
-        self._reads: list = [None] * len(self.states)  # q -> the atoms of the guards its guarded build tests
-        self._masks: list = [None] * len(self.states)  # q -> the code of _reads[q]
+        self._end = oracle.end_evaluator()
         self._nodes: dict = {}  # formula -> (guarded image, atoms read), built outside any diamond-star unrolling
+        self._weak_refs: dict = {}  # body g of a step box -> reference to weak_state(g)
         self._delta_memo: dict = {}  # (q, letter & reads[q]) -> image
         self._sets_memo: dict = {}  # (q, code & masks[q]) -> minimal sets of the image
-        self._weak_refs: dict = {}  # body g of a step box -> reference to weak_state(g)
+        self.states: StateSet = StateSet()
+        self.initial: int = self.states.add(root)
+        guarded, reads, final = [], [], []
+        for f in self.states:  # each build adds the targets of its steps
+            image, read = self._node(f)
+            guarded.append(image)
+            reads.append(read)
+            final.append(bool(self._end.sat(f) & 1))
+        self._guarded: tuple[PBF, ...] = tuple(guarded)
+        self.reads: tuple[frozenset[str], ...] = tuple(reads)  # the atoms of the guards each state's build tests
+        self.masks: tuple[int, ...] = tuple(map(self.code, reads))
+        self.final: tuple[bool, ...] = tuple(final)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -432,26 +390,9 @@ class AFA:
         """The letter whose code is `code`."""
         return frozenset(name for j, name in enumerate(self.ap) if code >> j & 1)
 
-    @cached_property
-    def reads(self) -> tuple[frozenset[str], ...]:
-        """The atoms each state's image depends on; builds the guarded image of every state not built yet."""
-        for q in range(len(self.states)):
-            self.mask(q)
-        return tuple(self._reads)
-
-    def mask(self, q: int) -> int:
-        """The code of `reads[q]`: the atoms of the guards that q's guarded build tests, made on first call."""
-        if self._masks[q] is None:
-            self._guarded[q], read = self._node(self.states[q])
-            self._reads[q] = read
-            self._masks[q] = self.code(read)
-        return self._masks[q]
-
     def delta(self, q: int, letter) -> PBF:
         """The image of state q at a letter: its guarded image specialised there, once per class."""
-        if self._masks[q] is None:
-            self.mask(q)
-        key = (q, letter & self._reads[q])
+        key = (q, letter & self.reads[q])
         image = self._delta_memo.get(key)
         if image is None:
             image = self._delta_memo[key] = specialise(self._guarded[q], letter)
@@ -459,7 +400,7 @@ class AFA:
 
     def successor_sets(self, q: int, code: int) -> tuple[frozenset, ...]:
         """`minimal_sets(delta(q, letter))` for the letter whose code is `code`, once per class."""
-        key = (q, code & self.mask(q))
+        key = (q, code & self.masks[q])
         sets = self._sets_memo.get(key)
         if sets is None:
             sets = self._sets_memo[key] = minimal_sets(self.delta(q, self.letter(key[1])))
@@ -512,7 +453,7 @@ class AFA:
         return nodes[root]
 
     def _step_ref(self, g: fm.Formula, weak: bool) -> PBF:
-        """The reference to a step's target state g, or to weak_state(g) for a box."""
+        """The reference to a step's target state g, or to weak_state(g) for a box; a target met first becomes a new state."""
         if weak:
             target = self._weak_refs.get(g)
             if target is None:
@@ -522,26 +463,12 @@ class AFA:
             return PBF_TRUE
         if isinstance(g, fm.FalseFormula):
             return PBF_FALSE
-        return StateRef(self.states.ordinal(g))
-
-    @cached_property
-    def _referenced(self) -> tuple[int, ...]:
-        """The initial state and every state an image can refer to: the targets of step modalities."""
-        targets = {self.initial}
-        for f in self.states:
-            if isinstance(f, fm.Modal) and isinstance(f.path, fm.Step):
-                target = self._step_ref(f.arg, isinstance(f, fm.Box))
-                if isinstance(target, StateRef):
-                    targets.add(target.state)
-        return tuple(sorted(targets))
+        return StateRef(self.states.add(g))
 
     def accepts(self, t: Trace) -> bool:
         check_letters(t, self.ap)
-        referenced = self._referenced
-        values = list(self.final)
+        values = self.final
         leaf = lambda ref: values[ref.state]  # noqa: E731
         for letter in reversed(t.letters):
-            row = [pbf_eval(self.delta(q, letter), leaf) for q in referenced]
-            for q, value in zip(referenced, row):
-                values[q] = value
+            values = [pbf_eval(self.delta(q, letter), leaf) for q in range(len(self.states))]
         return values[self.initial]

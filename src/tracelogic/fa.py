@@ -9,11 +9,11 @@ exactly when their minimized forms are equal.
 
 Dealternation and determinization work per letter class.  A letter is an
 integer code (bit j set when the j-th atom of the sorted alphabet is in it),
-and each AFA state reads a mask of atoms (`AFA.mask`).  An NFA state's
-successors depend only on the atoms its members read, so the NFA keeps, per
-state, that `local` mask and one table from class code (`code & local`) to
-successors; `NFA.transitions` is a read-only per-letter view over these
-tables.  A class's successors conjoin the minimal sets that the AFA gives
+and each AFA state reads the atoms its guarded build tests (`AFA.reads`,
+coded as `AFA.masks`).  An NFA state's successors depend only on the atoms
+its members read, so the NFA keeps, per state, that `local` mask and one
+table from class code (`code & local`) to successors; `NFA.transitions` is
+a read-only per-letter view over these tables.  A class's successors conjoin the minimal sets that the AFA gives
 for each member at the class code (`AFA.successor_sets`, memoised per
 member and class), so each member's image is specialised once per class.
 An NFA state whose members read k atoms thus costs 2^k successor
@@ -156,7 +156,7 @@ def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
         ordered = sorted(members)
         local = 0
         for q in ordered:
-            local |= automaton.mask(q)
+            local |= automaton.masks[q]
         table = {}
         for key in _classes(codes, local):
             successors = _conjunction_successors(automaton, ordered, key)

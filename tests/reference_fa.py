@@ -1,12 +1,12 @@
 """The automaton constructions as they were before they shared one explorer.
 
-These are the hand-written breadth-first explorations that `afa.closure`,
-`fa.dealternate`, `fa.determinize`, `fa.minimize`, `fa.is_empty` and
-`fa.equivalent` replaced with loops over a growing `StateSet`: each keeps
-its own queue, index and budget check, and `minimize` renumbers the
-reachable states and the quotient breadth-first.  `test_fa.py` requires
-the current constructions to give the same ordinals, automata, witnesses
-and counterexamples.  `build_dfa` and `_conjunction_successors` come
+These are the hand-written breadth-first explorations that `fa.dealternate`,
+`fa.determinize`, `fa.minimize`, `fa.is_empty` and `fa.equivalent`
+replaced with loops over a growing `StateSet`: each keeps its own queue,
+index and budget check, and `minimize` renumbers the reachable states and
+the quotient breadth-first.  `test_fa.py` requires the current
+constructions to give the same ordinals, automata, witnesses and
+counterexamples.  `build_dfa` and `_conjunction_successors` come
 along because `equivalent` and `dealternate` call them.  The brute-force
 `enumerate_accepted`, which ran every trace of the bounded space through
 `dfa_accepts`, follows; the pruned walk must yield the same traces in the
@@ -38,7 +38,6 @@ from tracelogic.afa import (
     StateRef,
     StateSet,
     Weak,
-    expansion,
     minimal_sets,
     pbf_and,
     pbf_or,
@@ -47,24 +46,6 @@ from tracelogic.afa import (
 from tracelogic.errors import BudgetError, UnsupportedOperatorError
 from tracelogic.fa import DEFAULT_BUDGET, DFA, NFA, dfa_accepts
 from tracelogic.trace import Trace, enumerate_traces, letters_over, resolve_alphabet
-
-
-def closure(f: fm.Formula) -> StateSet:
-    """Smallest StateSet containing f and closed under expansion.
-
-    Insertion order is the breadth-first, left-to-right discovery order,
-    so ordinals are reproducible; the root always gets ordinal 0.
-    """
-    states = StateSet()
-    states.add(f)
-    queue = deque([f])
-    while queue:
-        g = queue.popleft()
-        for h in expansion(g):
-            if h not in states:
-                states.add(h)
-                queue.append(h)
-    return states
 
 
 def _conjunction_successors(automaton: AFA, members, letter) -> list[frozenset]:
@@ -267,7 +248,7 @@ def _afa_ref(automaton: AFA, h: fm.Formula) -> PBF:
         return PBF_TRUE
     if isinstance(h, fm.FalseFormula):
         return PBF_FALSE
-    return StateRef(automaton.states.ordinal(h))
+    return StateRef(automaton.states.index[h])
 
 
 def _image(automaton: AFA, f: fm.Formula, letter, visiting: frozenset) -> PBF:

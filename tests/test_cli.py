@@ -231,7 +231,7 @@ def test_afa_size_over_seventeen_atoms(tmp_path):
     # needs no letter over all 17; drawing the AFA spells them out.
     wide = " & ".join(f"X a{i}" for i in range(17))
     code, out, err = invoke("compile", "-f", wide, "--to", "afa")
-    assert (code, out, err) == (0, "states 50 transitions 5439488\n", "")
+    assert (code, out, err) == (0, "states 18 transitions 1245184\n", "")
     code, out, err = invoke("compile", "-f", wide, "--to", "afa", "--dot", str(tmp_path / "out.dot"))
     assert (code, out) == (3, "")
     assert err == "limit exceeded: alphabet of 17 atoms has more than 2^16 letters to spell out\n"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import reference_fa as ref
 from conftest import random_core_formula, renamed
 from tracelogic import fa, oracle
-from tracelogic.afa import AFA, closure
+from tracelogic.afa import AFA
 from tracelogic.errors import AlphabetMismatchError, BudgetError, SizeLimitError
 from tracelogic.fa import (
     DFA,
@@ -345,7 +345,6 @@ def test_explorations_match_the_reference():
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(CORE_FORMULAS, CORE_FORMULAS, st.sets(st.sampled_from("abcde"), min_size=1), st.integers(0, 99))
     def check(f, g, extra, seed):
-        assert closure(f).states == ref.closure(f).states
         automaton = AFA(f, sorted(atoms(f) | extra))
         nfa = dealternate(automaton)
         assert nfa == ref.dealternate(automaton)

@@ -9,12 +9,12 @@ import pytest
 from tracelogic.cli import run
 
 GOLDEN = [
-    ("a U b", "afa", 6, 15, "f2935301a72bda9326612c3a3ca9b4d6356e92783ab7deb8e77e26b87a9ef8d3"),
+    ("a U b", "afa", 1, 3, "045272c40e5ca6f22d7bf759fb47184ed6d0bf678f081256b73dbf83905865ae"),
     ("a U b", "nfa", 2, 7, "6a9f0f5069a5272d548dd293f046ee75dcaad79c6d5b0081fc94fad5bdf84f04"),
     ("a U b", "dfa", 3, 12, "f600844f35bd50bbe5a2d315bd359ad1102d3d6d43a5c88b554a09f2b43ecd7c"),
     ("a U b", "min-dfa", 3, 12, "f600844f35bd50bbe5a2d315bd359ad1102d3d6d43a5c88b554a09f2b43ecd7c"),
     ("a U b", "2afa", 6, 23, "1100f771a9d5b24689460b54c45ce959a349432d17118ef2158e0752b85bf3ff"),
-    ("G (a -> F b)", "afa", 7, 24, "e34265ed80c0c7cdc5530af1eab92ec76af5d6c9eff9ae0d740be4b4be5e2057"),
+    ("G (a -> F b)", "afa", 2, 8, "e85943b753fa7b0f6e12460cbafefd9d373c68d70d7a77c0cdf07151af136fc2"),
     ("G (a -> F b)", "nfa", 2, 8, "c1317410f226bb950280e1ba7961d271f0d8e80618453c4840f1fba90d5449eb"),
     ("G (a -> F b)", "dfa", 2, 8, "f76dc78cd214174afee04b954480fcccde31b03824ce381238989c31910c1df9"),
     ("G (a -> F b)", "min-dfa", 2, 8, "f76dc78cd214174afee04b954480fcccde31b03824ce381238989c31910c1df9"),

@@ -47,6 +47,21 @@ def test_past_inside_future():
     assert automaton.accepts(parse_trace("{b};{a}")) is False
 
 
+@pytest.mark.parametrize("src", ["WX (a & Y b)", "[tt ; tt*] (a & Y b)"])
+def test_weak_end_value_of_a_past_formula_reads_the_last_letter(src):
+    """Past the last letter, a box's `a & Y b` holds weakly exactly when that letter has b.
+
+    `weak_state` decides from the empty trace, where `Y b` is false, so it
+    keeps the plain state, which is false at the end: a weak state taken
+    from it would reject both formulas on `{b}`.
+    """
+    f = to_dynamic_core(nnf(parse_formula(src)))
+    for trace, verdict in (("{b}", True), ("{a}", False)):
+        t = parse_trace(trace)
+        assert oracle.holds(f, t) is verdict, trace
+        assert TwoAFA(f).accepts(t) is verdict, trace
+
+
 def test_progress_free_star_everywhere_false():
     automaton = _two("<(tt?)*> ff")
     for t in enumerate_traces((), 3):
