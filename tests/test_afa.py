@@ -267,8 +267,8 @@ def test_transitions_match_the_reference():
         assert two_way._readers == tuple(tuple(r) for r in readers), f
 
 
-def test_every_state_but_the_root_is_a_step_target(monkeypatch):
-    """The AFA's states are its root and the step targets that its guarded images name, and no other.
+def test_state_count_tracks_closure(monkeypatch):
+    """The AFA's states are the closure of its root under the step targets its guarded images name.
 
     Every `StateRef` names one of the states.  Folding a constant into an
     image can drop a target's name (`[(!b)] a & ff` names `a | [tt] ff` and

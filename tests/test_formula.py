@@ -194,6 +194,17 @@ def test_closure_snapshot_stable():
     assert len(first) == 3
 
 
+def test_closure_members_cover_expansions():
+    """Every state of the AFA steps only to states of the AFA, at every letter."""
+    for f in exhaustive_core_formulas(6):
+        automaton = AFA(f, ("a", "b"))
+        states = set(range(len(automaton)))
+        for q in states:
+            for code in range(1 << len(automaton.ap)):
+                for members in automaton.successor_sets(q, code):
+                    assert members <= states, (f, q, code)
+
+
 def test_format_examples():
     assert format_formula(And(Atom("a"), Atom("b"))) == "a & b"
     assert format_formula(MetricNext(20, 40, Atom("school"))) == "X[20,40) school"
