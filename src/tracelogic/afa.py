@@ -34,6 +34,11 @@ place a guard leaf is read at a letter), and `successor_sets` memoises the
 minimal sets of that image per class code, the one thing dealternation
 asks of it.  Every state is the root or a step target, so `AFA.accepts`
 evaluates them all.
+
+Both automata mark an obligation that holds weakly at the trace ends as
+the state `Weak(g)`.  The AFA makes a box's step target weak only where g's
+weak and plain end values, read off the empty trace (exact for future
+formulas), differ; `Weak(g)` has g's guarded image and g's weak end value.
 """
 
 from __future__ import annotations
@@ -115,7 +120,7 @@ END = _Marker("end")
 
 @dataclass(frozen=True)
 class Weak:
-    """Two-way state wrapper: behaves like the formula at letters, holds weakly at markers."""
+    """State of either alternating automaton: behaves like the formula at letters, holds weakly at the trace ends."""
 
     formula: fm.Formula
 
@@ -297,33 +302,14 @@ def _box(b: fm.Box, sat, ref, expanding: tuple) -> PBF:
     raise TypeError(f"not a path expression: {b.path!r}")
 
 
-def weak_state(f: fm.Formula, end=None) -> fm.Formula:
-    """State whose end acceptance is the weak value of f, letter behaviour unchanged.
-
-    Patches in `f | [tt] ff` when f holds weakly but not outright at the
-    end point; the extra disjunct only fires there.  `end` is an evaluator
-    over the empty trace (`oracle.end_evaluator`), made afresh when omitted.
-    It decides from the empty trace, so it is for future formulas only: the
-    weak end value of a past formula depends on the letters before the end
-    (`a & Y b` holds weakly after `{b}` but not after `{a}`), and the
-    two-way automaton keeps its own weak states for them.
-    """
-    if end is None:
-        end = oracle.end_evaluator()
-    if end.sat(f) & 1 == end.weak(f) & 1:
-        return f
-    return fm.Or(f, fm.AT_MARKER)
-
-
 class StateSet:
     """Ordered, duplicate-free collection of automaton states.
 
     Entries are hashable state labels (formulas, sets of ordinals, or
-    wrapped formulas for the two-way construction); ordinals follow
-    insertion order.  A loop over a StateSet may add to it while it runs:
-    it then visits every state, the added ones included, in insertion
-    order, which is breadth-first discovery order.  Every construction
-    explores its states this way.
+    `Weak` formulas); ordinals follow insertion order.  A loop over a
+    StateSet may add to it while it runs: it then visits every state, the
+    added ones included, in insertion order, which is breadth-first
+    discovery order.  Every construction explores its states this way.
     """
 
     def __init__(self):
@@ -353,7 +339,7 @@ class AFA:
 
     A letter's code has bit j set when `ap[j]` is in it; `masks[q]` is the
     code of `reads[q]`.  One evaluator over the empty trace decides the end
-    values of every state (`final`) and the weak states of step boxes.
+    values of every state (`final`) and which step targets of boxes are weak.
     """
 
     def __init__(self, root: fm.Formula, ap=None):
@@ -362,17 +348,18 @@ class AFA:
         self._bits: dict = {name: 1 << j for j, name in enumerate(self.ap)}
         self._end = oracle.end_evaluator()
         self._nodes: dict = {}  # formula -> (guarded image, atoms read), built outside any diamond-star unrolling
-        self._weak_refs: dict = {}  # body g of a step box -> reference to weak_state(g)
         self._delta_memo: dict = {}  # (q, letter & reads[q]) -> image
         self._sets_memo: dict = {}  # (q, code & masks[q]) -> minimal sets of the image
         self.states: StateSet = StateSet()
         self.initial: int = self.states.add(root)
         guarded, reads, final = [], [], []
-        for f in self.states:  # each build adds the targets of its steps
+        for state in self.states:  # each build adds the targets of its steps
+            weak = isinstance(state, Weak)
+            f = state.formula if weak else state
             image, read = self._node(f)
             guarded.append(image)
             reads.append(read)
-            final.append(bool(self._end.sat(f) & 1))
+            final.append(bool((self._end.weak if weak else self._end.sat)(f) & 1))
         self._guarded: tuple[PBF, ...] = tuple(guarded)
         self.reads: tuple[frozenset[str], ...] = tuple(reads)  # the atoms of the guards each state's build tests
         self.masks: tuple[int, ...] = tuple(map(self.code, reads))
@@ -453,16 +440,13 @@ class AFA:
         return nodes[root]
 
     def _step_ref(self, g: fm.Formula, weak: bool) -> PBF:
-        """The reference to a step's target state g, or to weak_state(g) for a box; a target met first becomes a new state."""
-        if weak:
-            target = self._weak_refs.get(g)
-            if target is None:
-                target = self._weak_refs[g] = self._step_ref(weak_state(g, self._end), False)
-            return target
+        """The reference to step target g, or to Weak(g) for a box if g holds weakly but not outright at the end."""
         if isinstance(g, fm.TrueFormula):
             return PBF_TRUE
         if isinstance(g, fm.FalseFormula):
             return PBF_FALSE
+        if weak and self._end.weak(g) & 1 != self._end.sat(g) & 1:
+            g = Weak(g)
         return StateRef(self.states.add(g))
 
     def accepts(self, t: Trace) -> bool:

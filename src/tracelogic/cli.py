@@ -117,18 +117,15 @@ def _cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _build(core: fm.Formula, target: str):
-    """The automaton named by a `compile --to` target or an `accepts --backend`."""
-    if target == "2afa":
-        return TwoAFA(core)
-    automaton = AFA(core)
-    if target != "afa":
-        automaton = dealternate(automaton)
-    if target in ("dfa", "min-dfa"):
-        automaton = determinize(automaton)
-    if target == "min-dfa":
-        automaton = minimize(automaton)
-    return automaton
+# Each `compile --to` target and `accepts --backend` automaton: how it is built
+# from the dynamic core, and how it reads a trace over its alphabet.
+_BACKENDS = {
+    "afa": (AFA, AFA.accepts),
+    "nfa": (lambda core: dealternate(AFA(core)), nfa_accepts),
+    "dfa": (lambda core: determinize(dealternate(AFA(core))), dfa_accepts),
+    "min-dfa": (lambda core: minimize(determinize(dealternate(AFA(core)))), dfa_accepts),
+    "2afa": (TwoAFA, TwoAFA.accepts),
+}
 
 
 def _size(automaton) -> str:
@@ -156,7 +153,8 @@ def _live(images) -> int:
 
 
 def _cmd_compile(args) -> int:
-    automaton = _build(_core(parse_formula(_input(args, "formula"))), args.to)
+    build, _ = _BACKENDS[args.to]
+    automaton = build(_core(parse_formula(_input(args, "formula"))))
     if args.dot:  # before the size line: rendering may exceed a limit and writing may fail
         _write(args.dot, to_dot(automaton))
     print(_size(automaton))
@@ -169,14 +167,9 @@ def _cmd_accepts(args) -> int:
     if args.backend == "oracle":
         verdict = oracle.holds(f, t)
     else:
-        automaton = _build(_core(f), args.backend)
-        plain = _restricted(t, automaton.ap)
-        if isinstance(automaton, NFA):
-            verdict = nfa_accepts(automaton, plain)
-        elif isinstance(automaton, DFA):
-            verdict = dfa_accepts(automaton, plain)
-        else:
-            verdict = automaton.accepts(plain)
+        build, accepts = _BACKENDS[args.backend]
+        automaton = build(_core(f))
+        verdict = accepts(automaton, _restricted(t, automaton.ap))
     print("ACCEPTED" if verdict else "REJECTED")
     return EXIT_OK if verdict else EXIT_NEGATIVE
 
@@ -276,7 +269,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile a formula into an automaton")
     _input_arg(p, "formula")
-    p.add_argument("--to", choices=("afa", "nfa", "dfa", "min-dfa", "2afa"), required=True)
+    p.add_argument("--to", choices=tuple(_BACKENDS), required=True)
     p.add_argument("--dot", metavar="PATH", help="write a DOT rendering")
     p.set_defaults(handler=_cmd_compile)
 

@@ -41,7 +41,6 @@ from tracelogic.afa import (
     minimal_sets,
     pbf_and,
     pbf_or,
-    weak_state,
 )
 from tracelogic.errors import BudgetError, UnsupportedOperatorError
 from tracelogic.fa import DEFAULT_BUDGET, DFA, NFA, dfa_accepts
@@ -239,11 +238,18 @@ def enumerate_accepted(dfa: DFA, max_len: int) -> Iterator[Trace]:
 
 
 def afa_image(automaton: AFA, q: int, letter) -> PBF:
-    """The image of AFA state q at a letter."""
-    return _image(automaton, automaton.states[q], letter, frozenset())
+    """The image of AFA state q at a letter; a `Weak` state has the image of its formula."""
+    state = automaton.states[q]
+    return _image(automaton, state.formula if isinstance(state, Weak) else state, letter, frozenset())
 
 
-def _afa_ref(automaton: AFA, h: fm.Formula) -> PBF:
+def _weak_target(g: fm.Formula) -> fm.Formula:
+    """The AFA state a box's step leads to: `Weak(g)` if g holds weakly but not outright at the end, else g."""
+    end = oracle.end_evaluator()
+    return Weak(g) if end.weak(g) & 1 != end.sat(g) & 1 else g
+
+
+def _afa_ref(automaton: AFA, h) -> PBF:
     if isinstance(h, fm.TrueFormula):
         return PBF_TRUE
     if isinstance(h, fm.FalseFormula):
@@ -296,7 +302,7 @@ def _afa_diamond(automaton: AFA, p, g, node, letter, visiting) -> PBF:
 def _afa_box(automaton: AFA, p, g, node, letter, visiting) -> PBF:
     match p:
         case fm.Step(guard):
-            return _afa_ref(automaton, weak_state(g)) if oracle.prop_sat(guard, letter) else PBF_TRUE
+            return _afa_ref(automaton, _weak_target(g)) if oracle.prop_sat(guard, letter) else PBF_TRUE
         case fm.Test(e):
             return pbf_or(_image(automaton, fm.nnf_not(e), letter, visiting), _image(automaton, g, letter, visiting))
         case fm.Seq(q, r):

@@ -289,6 +289,16 @@ def test_dot_contains_closure_state():
     assert 'label="a"' in text
 
 
+def test_afa_dot_draws_a_weak_state(tmp_path):
+    """The AFA draws a box's weak step target as the 2AFA does: `weak(b)`."""
+    path = tmp_path / "afa.dot"
+    code, out, _ = invoke("compile", "-f", "[a] b", "--to", "afa", "--dot", str(path))
+    assert (code, out) == (0, "states 2 transitions 6\n")
+    text = path.read_text(encoding="utf-8")
+    assert '  q1 [shape=doublecircle label="weak(b)"];\n' in text
+    assert "[tt] ff" not in text
+
+
 def test_dfa_dot_true_formula():
     text = to_dot(build_dfa(parse_formula("tt"), ("a",)))
     assert text.count("doublecircle") == 1
@@ -368,6 +378,28 @@ def test_negative_lengths_are_invalid():
     code, out, err = invoke("metric", "enumerate", "--program-text", "a :- b.", "--ap", "a,b", "--horizon", "-2")
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "-f", "tt", "--ap", "a", "--max-len", "9" * 20],
+        ["metric", "enumerate", "--program-text", "a.", "--ap", "a", "--horizon", "9" * 20],
+        ["enumerate", "-f", "tt", "--ap", "", "--max-len", "1000000"],
+    ],
+)
+def test_huge_lengths_exit_three(argv):
+    """A 20-digit length is refused without computing 2^(|ap| * length), and the empty alphabet has a length bound.
+
+    Each runs in a subprocess under a timeout, so that a bound that builds
+    the number fails the test instead of hanging the suite.
+    """
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = [sys.executable, "-m", "tracelogic.cli", *argv]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("limit exceeded: trace enumeration over ")
 
 
 def test_closed_stdout_is_not_a_verdict():

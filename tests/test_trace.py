@@ -7,8 +7,11 @@ from tracelogic.fa import build_dfa
 from tracelogic.formula import nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import (
+    MAX_ALPHABET,
+    MAX_ENUMERATION,
     TimedTrace,
     Trace,
+    check_enumeration_bound,
     enumerate_traces,
     format_trace,
     letters_over,
@@ -46,6 +49,27 @@ def test_size_limit():
         list(enumerate_traces(tuple("abcdefghi"), 1))
     with pytest.raises(SizeLimitError):
         list(enumerate_traces(("a", "b", "c", "d"), 12))
+
+
+def _refused(ap, max_len) -> bool:
+    try:
+        check_enumeration_bound(ap, max_len)
+    except SizeLimitError:
+        return True
+    return False
+
+
+def test_bound_compares_exponents():
+    """The bound refuses what 2^(|ap| * max_len) > MAX_ENUMERATION refuses, and the empty alphabet's 10^6 lengths."""
+    for width in range(MAX_ALPHABET + 2):
+        ap = tuple(f"p{i}" for i in range(width))
+        for max_len in range(45):
+            expected = width > MAX_ALPHABET or 2 ** (width * max_len) > MAX_ENUMERATION
+            assert _refused(ap, max_len) is expected, (width, max_len)
+    assert not _refused((), MAX_ENUMERATION - 1)
+    assert _refused((), MAX_ENUMERATION)
+    for width in range(MAX_ALPHABET + 1):
+        assert _refused(tuple(f"p{i}" for i in range(width)), 10**19 - 1), width
 
 
 def test_letter_order():

@@ -51,9 +51,9 @@ def test_past_inside_future():
 def test_weak_end_value_of_a_past_formula_reads_the_last_letter(src):
     """Past the last letter, a box's `a & Y b` holds weakly exactly when that letter has b.
 
-    `weak_state` decides from the empty trace, where `Y b` is false, so it
-    keeps the plain state, which is false at the end: a weak state taken
-    from it would reject both formulas on `{b}`.
+    The AFA decides its weak states from the empty trace, where `Y b` is
+    false, so it would keep the plain state, which is false at the end: a
+    weak state chosen that way would reject both formulas on `{b}`.
     """
     f = to_dynamic_core(nnf(parse_formula(src)))
     for trace, verdict in (("{b}", True), ("{a}", False)):
