@@ -12,7 +12,7 @@ import sys
 
 from . import formula as fm
 from . import oracle
-from .afa import AFA, FalseLeaf
+from .afa import AFA, BEGIN, END, FalseLeaf
 from .dot import to_dot
 from .errors import (
     AlphabetMismatchError,
@@ -129,22 +129,22 @@ _BACKENDS = {
 
 
 def _size(automaton) -> str:
-    """`states N transitions M`; alternating automata count the images that are not false.
+    """`states N transitions M`; alternating automata count the transitions that are not false.
 
-    An AFA state's image depends only on the atoms it reads, so each image
-    over those atoms stands for the 2^(|AP| - |read atoms|) letters that
-    project onto it.
+    A state's transition at a letter depends only on the atoms it reads, so
+    each one over those atoms stands for the 2^(|AP| - |read atoms|) letters
+    that project onto it; the 2AFA adds its transitions at the two markers.
     """
     if isinstance(automaton, DFA):
         return f"states {automaton.n_states} transitions {automaton.n_states * len(automaton.letters)}"
     if isinstance(automaton, NFA):
         return f"states {len(automaton.states)} transitions {sum(map(len, automaton.transitions.values()))}"
-    if isinstance(automaton, TwoAFA):
-        return f"states {len(automaton)} transitions {_live(automaton.transitions.values())}"
     count = 0
     for q, local in enumerate(automaton.reads):
         images = (automaton.delta(q, letter) for letter in letters_over(local))
         count += 2 ** (len(automaton.ap) - len(local)) * _live(images)
+    if isinstance(automaton, TwoAFA):
+        count += _live(automaton.delta(q, m) for q in range(len(automaton)) for m in (BEGIN, END))
     return f"states {len(automaton)} transitions {count}"
 
 

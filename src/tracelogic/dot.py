@@ -25,7 +25,7 @@ def _state_label(state) -> str:
     return fm.format_formula(state)
 
 
-def _marked_label(m) -> str:
+def _cell_label(m) -> str:
     if isinstance(m, _Marker):
         return m.name.upper()
     return format_letter(m)
@@ -104,15 +104,12 @@ def _digraph(name, labels, final, initial, body) -> str:
 def to_dot(automaton) -> str:
     """Render any of the four automaton kinds as a DOT digraph."""
     if isinstance(automaton, AFA):
-        letters = letters_over(automaton.ap)
-        name, final = "afa", automaton.final
-        items = [(q, format_letter(a), automaton.delta(q, a)) for q in range(len(automaton)) for a in letters]
+        name, final, cells = "afa", automaton.final, letters_over(automaton.ap)
     elif isinstance(automaton, TwoAFA):
-        marked = (BEGIN, END) + automaton.letters
-        name, final = "twafa", [False] * len(automaton)
-        items = [(q, _marked_label(m), automaton.transitions[(q, m)]) for q in range(len(automaton)) for m in marked]
+        name, final, cells = "twafa", [False] * len(automaton), [BEGIN, END, *letters_over(automaton.ap)]
     else:
         return _fa_dot(automaton)
+    items = [(q, _cell_label(m), automaton.delta(q, m)) for q in range(len(automaton)) for m in cells]
     labels = map(_state_label, automaton.states)
     return _digraph(name, labels, final, automaton.initial, _alternating_body(items))
 

@@ -77,11 +77,12 @@ def check_enumeration_bound(ap, max_len: int) -> None:
 
     Callers test it before any of the 2^|ap| letters, or an automaton over them, is built.
     It compares exponents, as 2^x > MAX_ENUMERATION exactly when x reaches
-    its bit length; the empty alphabet's max_len + 1 traces are bounded too.
+    its bit length; the empty alphabet's traces, of max_len(max_len + 1)/2 letters in all, are bounded too.
     """
     if max_len < 0:
         raise ValueError(f"trace length bound {max_len} is negative")
-    if len(ap) > MAX_ALPHABET or max_len >= MAX_ENUMERATION or len(ap) * max_len >= MAX_ENUMERATION.bit_length():
+    letters = max_len * (max_len + 1) // 2  # in the traces over the empty alphabet, which the exponents leave unbounded
+    if len(ap) > MAX_ALPHABET or letters >= MAX_ENUMERATION or len(ap) * max_len >= MAX_ENUMERATION.bit_length():
         raise SizeLimitError(
             f"trace enumeration over {len(ap)} atoms up to length {max_len} exceeds the size bound"
         )

@@ -14,17 +14,18 @@ re-arrivals at the same star at the same position, which keeps their
 vacuous loops out of the fixpoint while preserving the single
 least-fixpoint polarity.  A state's transition at a letter depends only on
 the atoms of the guards it tests, the same at every letter, so the build at
-the empty letter records them and the transition is built once per class.
+the empty letter records them (`reads`); one transition is stored per class,
+in `letters_over` order (the order letters meet them), and `delta` finds it.
 
 The fixpoint is computed by a worklist (Liu & Smolka, ICALP 1998).  A
 configuration starts true exactly when its transition is the true leaf.
 Each configuration that turns true is pushed once; popping it
 re-evaluates the false configurations whose transitions may read it,
-found from a table, built once per automaton from its distinct
+found from a table, built once per automaton from its stored
 transitions, that lists for each state the (state, head move) pairs with a
 transition referring to it.  A configuration is thus evaluated at most
 once per reference in its transitions, so a run is linear in the trace
-length.
+length; it looks up the transitions of each distinct cell of the trace once.
 """
 
 from __future__ import annotations
@@ -58,30 +59,31 @@ class TwoAFA:
     def __init__(self, root: fm.Formula, ap=None):
         fm.check_fragment(root, past=True)
         self.ap: tuple[str, ...] = resolve_alphabet(fm.atoms(root), ap)
-        self.letters: tuple = tuple(letters_over(self.ap))
         self.states: StateSet = StateSet()
         self.initial: int = self.states.add(root)
-        self.transitions: dict = {}
-        readers: dict = {}  # state s -> {(q, step): None} for the transitions from q reading s at pos + step
+        self.transitions: dict = {}  # (q, BEGIN, END or a class over reads[q]) -> transition
+        reads = []
         for q, entry in enumerate(self.states):
             for m in (BEGIN, END):
                 self.transitions[(q, m)] = self._trans(entry, m)
             read: set = set()  # the atoms of the guards its transition tests, the same at every letter
-            classes: dict = {frozenset(): self._trans(entry, frozenset(), read)}  # `letters_over` starts with it
-            local = frozenset(read)
-            for letter in self.letters:
-                key = letter & local
-                pbf = classes.get(key)
-                if pbf is None:
-                    pbf = classes[key] = self._trans(entry, key)
-                self.transitions[(q, letter)] = pbf
-            for pbf in (self.transitions[(q, BEGIN)], self.transitions[(q, END)], *classes.values()):
-                for ref in _move_refs(pbf):
-                    readers.setdefault(ref.state, {})[(q, ref.move.value)] = None
+            self.transitions[(q, frozenset())] = self._trans(entry, frozenset(), read)  # `letters_over` starts with it
+            for letter in letters_over(read)[1:]:
+                self.transitions[(q, letter)] = self._trans(entry, letter)
+            reads.append(frozenset(read))
+        self.reads: tuple[frozenset[str], ...] = tuple(reads)
+        readers: dict = {}  # state s -> {(q, step): None} for the transitions from q reading s at pos + step
+        for (q, _), pbf in self.transitions.items():
+            for ref in _move_refs(pbf):
+                readers.setdefault(ref.state, {})[(q, ref.move.value)] = None
         self._readers: tuple = tuple(tuple(readers.get(s, ())) for s in range(len(self.states)))
 
     def __len__(self) -> int:
         return len(self.states)
+
+    def delta(self, q: int, cell) -> PBF:
+        """The transition of state q at a marker, or at a letter through its class over `reads[q]`."""
+        return self.transitions[(q, cell if cell is BEGIN or cell is END else cell & self.reads[q])]
 
     def _ref(self, f: fm.Formula, move: Move, weak: bool = False) -> PBF:
         if isinstance(f, fm.TrueFormula):
@@ -151,23 +153,21 @@ class TwoAFA:
             target = source + ref.move.value
             return -1 <= target <= n and value[(target + 1) * width + ref.state] == 1
 
+        rows = {cell: [self.delta(q, cell) for q in range(width)] for cell in set(cells)}  # per distinct cell
         # Transitions are constant-folded, so with every configuration false
         # exactly those whose transition is the true leaf hold.
-        seeds = {
-            cell: [q for q in range(width) if isinstance(self.transitions[(q, cell)], TrueLeaf)] for cell in set(cells)
-        }
-        work = []
-        for pos, cell in enumerate(cells, -1):
-            for q in seeds[cell]:
-                value[(pos + 1) * width + q] = 1
-                work.append((q, pos))
+        seeds = {cell: [q for q, pbf in enumerate(row) if isinstance(pbf, TrueLeaf)] for cell, row in rows.items()}
+        work = [(q, pos) for pos, cell in enumerate(cells, -1) for q in seeds[cell]]
+        for q, pos in work:
+            value[(pos + 1) * width + q] = 1
+        at = [rows[cell] for cell in cells]  # the transitions at position pos are at[pos + 1]
         readers = self._readers
         while work:
             state, pos = work.pop()
             for q, step in readers[state]:
                 source = pos - step
                 if -1 <= source <= n and not value[(source + 1) * width + q]:
-                    if pbf_eval(self.transitions[(q, cells[source + 1])], leaf):
+                    if pbf_eval(at[source + 1][q], leaf):
                         value[(source + 1) * width + q] = 1
                         work.append((q, source))
         return value

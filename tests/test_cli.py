@@ -218,12 +218,27 @@ def test_alphabet_too_wide_to_spell_out_exits_three(monkeypatch):
 
     monkeypatch.setattr("tracelogic.trace.combinations", no_letters)
     wide = " | ".join(f"a{i}" for i in range(17))
-    for target in ("dfa", "afa", "nfa", "min-dfa", "2afa"):
+    for target in ("dfa", "afa", "nfa", "min-dfa"):
         code, out, err = invoke("compile", "-f", wide, "--to", target)
         assert (code, out) == (3, ""), target
         assert err == "limit exceeded: alphabet of 17 atoms has more than 2^16 letters to spell out\n"
     code, out, _ = invoke("accepts", "-f", wide, "-t", "{a3}", "--backend", "afa")
     assert (code, out) == (0, "ACCEPTED\n")
+
+
+def test_two_way_automaton_over_seventeen_atoms(tmp_path):
+    # Each state of the 2AFA of `a0 | … | a16` reads at most one atom, so
+    # building, counting and running it spells out no letter over all 17;
+    # drawing it does.
+    wide = " | ".join(f"a{i}" for i in range(17))
+    code, out, err = invoke("compile", "-f", wide, "--to", "2afa")
+    assert (code, out, err) == (0, "states 33 transitions 3211280\n", "")
+    code, out, err = invoke("accepts", "-f", wide, "-t", "{a3}", "--backend", "2afa")
+    assert (code, out, err) == (0, "ACCEPTED\n", "")
+    code, out, err = invoke("compile", "-f", wide, "--to", "2afa", "--dot", str(tmp_path / "out.dot"))
+    assert (code, out) == (3, "")
+    assert err == "limit exceeded: alphabet of 17 atoms has more than 2^16 letters to spell out\n"
+    assert not (tmp_path / "out.dot").exists()
 
 
 def test_afa_size_over_seventeen_atoms(tmp_path):
@@ -386,6 +401,7 @@ def test_negative_lengths_are_invalid():
         ["enumerate", "-f", "tt", "--ap", "a", "--max-len", "9" * 20],
         ["metric", "enumerate", "--program-text", "a.", "--ap", "a", "--horizon", "9" * 20],
         ["enumerate", "-f", "tt", "--ap", "", "--max-len", "1000000"],
+        ["enumerate", "-f", "tt", "--ap", "", "--max-len", "1414"],
     ],
 )
 def test_huge_lengths_exit_three(argv):

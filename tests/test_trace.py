@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from tracelogic import cli
@@ -60,14 +62,18 @@ def _refused(ap, max_len) -> bool:
 
 
 def test_bound_compares_exponents():
-    """The bound refuses what 2^(|ap| * max_len) > MAX_ENUMERATION refuses, and the empty alphabet's 10^6 lengths."""
+    """The bound refuses what 2^(|ap| * max_len) > MAX_ENUMERATION refuses.
+
+    Over the empty alphabet it refuses the lengths whose traces hold
+    max_len * (max_len + 1) / 2 >= MAX_ENUMERATION letters in all.
+    """
     for width in range(MAX_ALPHABET + 2):
         ap = tuple(f"p{i}" for i in range(width))
         for max_len in range(45):
             expected = width > MAX_ALPHABET or 2 ** (width * max_len) > MAX_ENUMERATION
             assert _refused(ap, max_len) is expected, (width, max_len)
-    assert not _refused((), MAX_ENUMERATION - 1)
-    assert _refused((), MAX_ENUMERATION)
+    assert not _refused((), 1413)
+    assert _refused((), 1414)
     for width in range(MAX_ALPHABET + 1):
         assert _refused(tuple(f"p{i}" for i in range(width)), 10**19 - 1), width
 
@@ -75,6 +81,22 @@ def test_bound_compares_exponents():
 def test_letter_order():
     letters = letters_over(("b", "a"))
     assert letters == [frozenset(), frozenset({"a"}), frozenset({"a", "b"}), frozenset({"b"})]
+
+
+def test_classes_first_met_in_letter_order():
+    """Over the letters of ap in order, the classes `letter & r` first appear in the order of `letters_over(r)`.
+
+    The 2AFA builds each state's classes over its read atoms r in
+    `letters_over(r)` order, so its states are discovered in the order
+    a walk over every letter of the alphabet would meet them.
+    """
+    for width in range(8):
+        ap = tuple(f"p{i}" for i in range(width))
+        letters = letters_over(ap)
+        for k in range(width + 1):
+            for r in combinations(ap, k):
+                local = frozenset(r)
+                assert list(dict.fromkeys(letter & local for letter in letters)) == letters_over(local), r
 
 
 def test_format_examples():
@@ -110,10 +132,9 @@ def test_letters_over_bounds_the_alphabet():
     core = to_dynamic_core(nnf(f))
     with pytest.raises(SizeLimitError):
         build_dfa(f)
-    with pytest.raises(SizeLimitError):
-        TwoAFA(core)
-    # The one-way AFA reads only the letters of the trace.
+    # Both alternating automata read only the letters of the trace.
     assert AFA(core).accepts(Trace((frozenset({"a3"}),))) is True
+    assert TwoAFA(core).accepts(Trace((frozenset({"a3"}),))) is True
 
 
 def test_negative_length_rejected():

@@ -8,7 +8,7 @@ from tracelogic.afa import AFA, AndNode, FalseLeaf, OrNode, TrueLeaf
 from tracelogic.errors import UnsupportedOperatorError
 from tracelogic.formula import And, nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
-from tracelogic.trace import Trace, enumerate_traces
+from tracelogic.trace import Trace, enumerate_traces, letters_over
 from tracelogic.twafa import BEGIN, END, Move, MoveRef, TwoAFA, _move_refs
 
 AP = ("a", "b")
@@ -128,7 +128,7 @@ def _sweep_fixpoint(automaton, t):
                         case OrNode(l, r):
                             return ev(l) or ev(r)
 
-                if ev(automaton.transitions[(q, marked_at(t, pos))]):
+                if ev(automaton.delta(q, marked_at(t, pos))):
                     state[(q, pos)] = True
                     changed = True
     return state
@@ -200,9 +200,12 @@ def test_letter_classes_match_direct_transitions():
         ap = ("a", "b", "c", "d", "e", "f")[: 5 + k % 2]
         automaton = TwoAFA(And(left, right), ap)
         width = len(automaton)
-        assert len(automaton.transitions) == width * (2 + 2 ** len(ap))
+        assert len(automaton.transitions) == sum(2 + 2 ** len(r) for r in automaton.reads)
         for (q, m), pbf in automaton.transitions.items():
             assert pbf == automaton._trans(automaton.states[q], m)
+        for q, entry in enumerate(automaton.states):
+            for m in (BEGIN, END, *letters_over(ap)):
+                assert automaton.delta(q, m) == automaton._trans(entry, m)
         assert len(automaton) == width
 
 
