@@ -28,14 +28,11 @@ class AlphabetMismatchError(TraceLogicError):
     """Trace letters mention atoms outside the automaton alphabet."""
 
 
-class BudgetError(TraceLogicError):
-    """Automaton construction exceeded its state budget.
+class _LimitError(TraceLogicError):
+    """An error that stops work at a size limit.
 
-    `stage` names the construction, `limit` is its budget of states and
-    `reached` the number of states it had made when it stopped.  The
-    constructions stop at the first state past the budget, so `reached` is
-    `limit + 1` for every error they raise.  Each is None when the raiser
-    did not give it.
+    `stage` names the work, `limit` is its limit and `reached` the size it
+    had reached when it stopped.  Each is None when the raiser did not give it.
     """
 
     def __init__(self, message: str, *, stage: str | None = None, limit: int | None = None, reached: int | None = None):
@@ -45,5 +42,20 @@ class BudgetError(TraceLogicError):
         self.reached = reached
 
 
-class SizeLimitError(TraceLogicError):
-    """Requested enumeration exceeds the configured size bound."""
+class BudgetError(_LimitError):
+    """Automaton construction exceeded its state budget.
+
+    `limit` is the construction's budget of states and `reached` the number
+    of states it had made.  The constructions stop at the first state past
+    the budget, so `reached` is `limit + 1` for every error they raise.
+    """
+
+
+class SizeLimitError(_LimitError):
+    """Requested enumeration exceeds the configured size bound.
+
+    `stage` is "letters" when an alphabet has too many atoms to spell out
+    its letters, with `limit` the atom bound and `reached` the atom count,
+    and "enumeration" when a trace enumeration is too large.  Its `reached`
+    is None when the bound compares exponents, as the size is never built.
+    """

@@ -5,6 +5,16 @@ of a trace and checked there by the oracle; a head `X[l,u) a` is a metric
 next and an integrity constraint's head is `ff`.  Over an untimed trace a
 metric head is a plain next, and each step where it fires yields a
 difference constraint; the system's minimal solution derives timestamps.
+
+Every constraint joins two neighbouring positions: a head `X[l,u)` fired
+at i gives l <= t_(i+1) - t_i <= u - 1, and each step has a minimum gap
+of 0.  So a trace's system is a chain.  It is feasible exactly when at
+every step the largest lower bound is at most the smallest upper bound,
+and its least solution from t_0 = 0 is the running sum of each step's
+largest lower bound.  `feasible` solves any system; `enumerate_models`
+reads each step's bounds from a table over the letters instead, in
+O(|letters| * |rules|) once, then O(1) per walk child and O(horizon) per
+model.
 """
 
 from __future__ import annotations
@@ -260,32 +270,38 @@ def _trace_cycle(pred, start: int) -> tuple[int, ...]:
 def enumerate_models(program: MetricProgram, ap, horizon: int) -> Iterator[TimedTrace]:
     """Every length-`horizon` trace admitting timestamps, with its minimal witness.
 
-    Traces come in the order of `enumerate_traces`: the depth-first walk
-    of `trace._walk` extends a prefix by each letter of `letters_over(ap)`
-    in turn.  A rule reads at most one letter ahead, so each rule is checked
-    at a position as soon as the letters it reads are known, and a prefix is
-    cut at its first untimed violation.  Complete traces are then solved for
-    timestamps.
+    Traces come in the order of `enumerate_traces`, from the depth-first
+    walk of `trace._walk` over `letters_over(ap)`.  A step's bounds depend
+    on its first letter alone (the chain argument of the module docstring),
+    so one table, built in O(|letters| * |rules|), holds per letter the
+    atoms the next letter must hold and the least gap to it.  Letters that
+    break a plain rule or an integrity constraint, or whose step has no
+    gap, are left out; a prefix is cut at its first missing atom, and the
+    last letter must fire no metric rule.  A walk child costs O(1) and a
+    model O(horizon) to yield.
     """
     check_enumeration_bound(ap, horizon)
-    alphabet = letters_over(ap)
+    needs, gaps = {}, {}
+    for letter in letters_over(ap):
+        fired = [rule.head for rule in program.rules if _body_holds(rule, letter)]
+        if any(not isinstance(head, MetricHead) and (head is None or head.atom not in letter) for head in fired):
+            continue
+        window = [head for head in fired if isinstance(head, MetricHead)]
+        gap = max((head.lo for head in window), default=0)
+        if gap <= min((head.hi - 1 for head in window if head.hi is not None), default=gap):
+            needs[letter] = frozenset(head.atom for head in window)
+            gaps[letter] = gap
+    last = horizon - 1
 
-    def fits(previous, letter, k):
-        # The rules decided by the letter at position k: plain heads and
-        # integrity constraints at k, metric heads at the position before it
-        # and, on the last step, at k itself, where no successor exists.
-        # The node of the walk is the previous letter; None cuts the prefix.
-        for rule in program.rules:
-            if isinstance(rule.head, MetricHead):
-                if k > 0 and _body_holds(rule, previous) and rule.head.atom not in letter:
-                    return None
-                if k == horizon - 1 and _body_holds(rule, letter):
-                    return None
-            elif _body_holds(rule, letter) and (rule.head is None or rule.head.atom not in letter):
-                return None
-        return letter
+    def fits(due, letter, k):
+        # The node is the set of atoms due at position k; the last letter must leave none due.
+        if due <= letter and (k < last or not needs[letter]):
+            return needs[letter]
+        return None
 
-    for letters, _ in _walk(alphabet, horizon, None, fits):
-        solution = feasible(extract_constraints(program, Trace(letters)))
-        if isinstance(solution, Witness):
-            yield TimedTrace(letters, solution.times)
+    for letters, _ in _walk(list(needs), horizon, frozenset(), fits):
+        times, time = [], 0
+        for letter in letters:
+            times.append(time)
+            time += gaps[letter]
+        yield TimedTrace(letters, tuple(times))

@@ -43,10 +43,9 @@ EMPTY_TRACE = Trace(())
 
 def resolve_alphabet(names, ap=None) -> tuple[str, ...]:
     """The sorted alphabet `ap`, or `names` when ap is None; ap must cover names."""
-    if ap is None:
-        ap = names
-    elif not set(names) <= set(ap):
-        raise AlphabetMismatchError(f"alphabet {sorted(ap)} misses atoms {sorted(set(names) - set(ap))}")
+    ap = set(names if ap is None else ap)
+    if not set(names) <= ap:
+        raise AlphabetMismatchError(f"alphabet {sorted(ap)} misses atoms {sorted(set(names) - ap)}")
     return tuple(sorted(ap))
 
 
@@ -59,14 +58,15 @@ def check_letters(t: Trace, ap) -> None:
 
 
 def letters_over(ap) -> list[Letter]:
-    """All letters over the alphabet, ordered by their sorted atom tuple.
+    """All letters over the atoms of ap, ordered by their sorted atom tuple.
 
     SizeLimitError, before any letter is built, on more than 16 atoms.
     """
-    names = sorted(ap)
+    names = sorted(set(ap))
     if len(names) > _MAX_LETTER_ATOMS:
         raise SizeLimitError(
-            f"alphabet of {len(names)} atoms has more than 2^{_MAX_LETTER_ATOMS} letters to spell out"
+            f"alphabet of {len(names)} atoms has more than 2^{_MAX_LETTER_ATOMS} letters to spell out",
+            stage="letters", limit=_MAX_LETTER_ATOMS, reached=len(names),
         )
     subsets = [frozenset(c) for k in range(len(names) + 1) for c in combinations(names, k)]
     return sorted(subsets, key=lambda s: tuple(sorted(s)))
@@ -81,11 +81,13 @@ def check_enumeration_bound(ap, max_len: int) -> None:
     """
     if max_len < 0:
         raise ValueError(f"trace length bound {max_len} is negative")
+    width = len(set(ap))
+    message = f"trace enumeration over {width} atoms up to length {max_len} exceeds the size bound"
+    if width > MAX_ALPHABET:
+        raise SizeLimitError(message, stage="enumeration", limit=MAX_ALPHABET, reached=width)
     letters = max_len * (max_len + 1) // 2  # in the traces over the empty alphabet, which the exponents leave unbounded
-    if len(ap) > MAX_ALPHABET or letters >= MAX_ENUMERATION or len(ap) * max_len >= MAX_ENUMERATION.bit_length():
-        raise SizeLimitError(
-            f"trace enumeration over {len(ap)} atoms up to length {max_len} exceeds the size bound"
-        )
+    if letters >= MAX_ENUMERATION or width * max_len >= MAX_ENUMERATION.bit_length():
+        raise SizeLimitError(message, stage="enumeration", limit=MAX_ENUMERATION)
 
 
 def enumerate_traces(ap, max_len: int) -> Iterator[Trace]:

@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 import reference_metric as reference
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracelogic import metric, oracle
@@ -368,18 +368,28 @@ def test_long_plans_agree_with_chain_solver(steps, infeasible):
     assert closes_positive_walk(system, actual.cycle)
 
 
-def reference_models(program, ap, horizon):
-    """Filter every trace up to the horizon, then solve each one from scratch."""
+def reference_models(program, ap, horizon, rejected=None):
+    """Filter every trace up to the horizon, then solve each one from scratch.
+
+    Adds "untimed", "infeasible" or "infeasible by 1" to the set `rejected`,
+    if given, for each kind of full-length trace it drops.
+    """
+    rejected = set() if rejected is None else rejected
     for t in enumerate_traces(ap, horizon):
         if len(t) != horizon:
             continue
         try:
             system = extract_constraints(program, t)
         except UntimedViolationError:
+            rejected.add("untimed")
             continue
         solution = feasible(system)
         if isinstance(solution, Witness):
             yield TimedTrace(t.letters, solution.times)
+        else:
+            _, _, listed = chain_solution(system)
+            margin = max(c.lo for c in listed) - min(c.hi for c in listed if c.hi is not None)
+            rejected.add("infeasible by 1" if margin == 1 else "infeasible")
 
 
 # Windows that often miss each other, so that rules sharing a trigger clash.
@@ -416,20 +426,73 @@ def test_enumerate_models_matches_reference():
             assert list(enumerate_models(program, atoms, horizon)) == expected, (program, horizon)
 
 
-def test_enumerate_models_solves_only_full_untimed_models(monkeypatch):
+@st.composite
+def shared_body_cases(draw):
+    """A program, an alphabet of 0-3 atoms and a horizon of 0-4.
+
+    Each of the program's 1-2 bodies fires up to three metric heads at once,
+    with one head atom, beside a plain head or an integrity constraint.  The
+    windows come from WINDOWS, so that heads on one body overlap, miss each
+    other, meet at an end or run unbounded.  At most one atom lies outside
+    the alphabet.
+    """
+    ap = ATOMS[: draw(st.integers(0, 3))]
+    atoms = st.sampled_from(ATOMS[: len(ap) + 1])
+    rules = []
+    for _ in range(draw(st.integers(1, 2))):
+        body = tuple(draw(st.lists(st.tuples(atoms, st.booleans()), min_size=1, max_size=2)))
+        # Two heads listed first, as draws lean towards the first choice: a pair can clash.
+        windows = [draw(st.sampled_from(WINDOWS)) for _ in range(draw(st.sampled_from((2, 3, 0, 1))))]
+        atom = draw(atoms)
+        heads = [MetricHead(*window, atom) for window in windows]
+        match draw(st.sampled_from((None, "plain", "constraint"))):
+            case "plain":
+                heads.append(PlainHead(draw(atoms)))
+            case "constraint":
+                heads.append(None)
+        rules.extend(MetricRule(head, body) for head in heads)
+    return MetricProgram(tuple(rules)), ap, draw(st.integers(0, 4))
+
+
+def test_enumerate_models_matches_reference_on_shared_bodies():
+    seen = set()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(shared_body_cases())
+    @example((parse_program("X[1,3) b :- a.\nX[3,5) b :- a."), ("a", "b"), 2))  # 3 <= d <= 2 at {a};{b}
+    def check(case):
+        program, ap, horizon = case
+        models = list(enumerate_models(program, ap, horizon))
+        assert models == list(reference_models(program, ap, horizon, seen))
+        for model in models:
+            assert check_program(program, model) == []
+        seen.update(("model", model.times[-1] > 0) for model in models if model.times)
+
+    check()
+    # "infeasible by 1": a step whose largest lower bound exceeds its smallest upper bound by exactly 1.
+    assert seen == {("model", False), ("model", True), "untimed", "infeasible", "infeasible by 1"}
+
+
+def test_one_trigger_with_disjoint_windows_has_no_model_before_the_last_letter(capsys):
+    # `a` asks for `b` exactly 1 and 3 to 4 time units later, both at once.
+    text = "X[1,2) b :- a.\nX[3,5) b :- a."
+    program = parse_program(text)
+    for horizon in range(1, 5):
+        models = list(enumerate_models(program, ("a", "b"), horizon))
+        assert len(models) == 2**horizon  # `b` free at each position, `a` nowhere
+        assert not any("a" in letter for model in models for letter in model.letters)
+    assert run(["metric", "times", "--program-text", text, "-t", "{a};{b}"]) == 1
+    assert capsys.readouterr().out.startswith("INFEASIBLE\n")
+
+
+def test_enumerate_models_solves_only_full_untimed_models():
     program = parse_program(":- a.\nX[1,2) b :- c.")
-    solved = []
-    real = metric.extract_constraints
-
-    def recording(program, t, strict=False):
-        solved.append(len(t))
-        return real(program, t, strict)
-
-    monkeypatch.setattr(metric, "extract_constraints", recording)
     models = list(enumerate_models(program, ("a", "b", "c"), 3))
     # No `a` anywhere, and every `c` before the last step is followed by `b`.
-    assert len(models) == len(solved) == 18  # of 64 traces without `a`, 512 in all
-    assert set(solved) == {3}
+    assert len(models) == 18  # of 64 traces without `a`, 512 in all
+    for model in models:
+        assert len(model.letters) == 3
+        assert model.times == feasible(extract_constraints(program, Trace(model.letters))).times
 
 
 def test_enumerate_models_horizon_zero():

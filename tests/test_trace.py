@@ -5,9 +5,10 @@ import pytest
 from tracelogic import cli
 from tracelogic.afa import AFA
 from tracelogic.errors import SizeLimitError
-from tracelogic.fa import build_dfa
+from tracelogic.fa import build_dfa, enumerate_accepted
 from tracelogic.formula import nnf, to_dynamic_core
-from tracelogic.parser import parse_formula, parse_trace
+from tracelogic.metric import enumerate_models
+from tracelogic.parser import parse_formula, parse_program, parse_trace
 from tracelogic.trace import (
     MAX_ALPHABET,
     MAX_ENUMERATION,
@@ -17,6 +18,7 @@ from tracelogic.trace import (
     enumerate_traces,
     format_trace,
     letters_over,
+    resolve_alphabet,
 )
 from tracelogic.twafa import TwoAFA
 
@@ -152,3 +154,43 @@ def test_cli_enumerate_tests_the_bound_before_compiling(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "limit exceeded: trace enumeration over 17 atoms up to length 2 exceeds the size bound\n"
+
+
+def test_repeated_atoms_name_one_alphabet():
+    """An atom listed twice in `ap` is one atom: no letter, trace, column or model repeats."""
+    assert letters_over(["a", "a"]) == letters_over(["a"])
+    assert list(enumerate_traces(["a", "a"], 1)) == list(enumerate_traces(["a"], 1))
+    assert len(list(enumerate_traces(["a", "a"], 1))) == 3
+    assert resolve_alphabet(["a"], ["b", "a", "b"]) == resolve_alphabet(["a"], ["a", "b"]) == ("a", "b")
+    assert resolve_alphabet(["a", "a"]) == ("a",)
+    wide = [f"p{i}" for i in range(MAX_ALPHABET)]
+    assert [_refused(wide + wide, n) for n in range(4)] == [_refused(wide, n) for n in range(4)] == [False] * 3 + [True]
+    f = parse_formula("F a")
+    repeated, single = build_dfa(f, ["a", "a"]), build_dfa(f, ["a"])
+    assert repeated == single and len(repeated.letters) == 2
+    assert list(enumerate_accepted(repeated, 2)) == list(enumerate_accepted(single, 2))
+    program = parse_program("b :- a.")
+    models = [format_trace(t) for t in enumerate_models(program, ["a", "a", "b"], 1)]
+    assert models == [format_trace(t) for t in enumerate_models(program, ["a", "b"], 1)]
+    assert models == ["{}@0", "{a,b}@0", "{b}@0"]
+
+
+def test_size_limit_errors_carry_their_fields():
+    with pytest.raises(SizeLimitError) as letters:
+        letters_over([f"a{i}" for i in range(17)])
+    with pytest.raises(SizeLimitError) as alphabet:
+        check_enumeration_bound([f"p{i}" for i in range(MAX_ALPHABET + 1)], 1)
+    with pytest.raises(SizeLimitError) as exponent:
+        check_enumeration_bound(("a", "b", "c", "d"), 12)
+    with pytest.raises(SizeLimitError) as empty:
+        check_enumeration_bound((), 1414)
+    fields = [(e.value.stage, e.value.limit, e.value.reached) for e in (letters, alphabet, exponent, empty)]
+    assert fields == [
+        ("letters", 16, 17),
+        ("enumeration", MAX_ALPHABET, MAX_ALPHABET + 1),
+        ("enumeration", MAX_ENUMERATION, None),
+        ("enumeration", MAX_ENUMERATION, None),
+    ]
+    assert str(exponent.value) == "trace enumeration over 4 atoms up to length 12 exceeds the size bound"
+    plain = SizeLimitError("no fields")
+    assert (str(plain), plain.stage, plain.limit, plain.reached) == ("no fields", None, None, None)
