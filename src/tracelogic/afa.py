@@ -33,7 +33,10 @@ image per class, folding each guard to a constant (`specialise`, the one
 place a guard leaf is read at a letter), and `successor_sets` memoises the
 minimal sets of that image per class code, the one thing dealternation
 asks of it.  Every state is the root or a step target, so `AFA.accepts`
-evaluates them all.
+evaluates them all, from the end values backwards: it compiles each image
+once per class into the state ordinals it reads (`_compile`, shared with
+the two-way automaton), looks up each distinct letter's row once, and
+evaluates each state at a letter by reading the next letter's values.
 
 Both automata mark an obligation that holds weakly at the trace ends as
 the state `Weak(g)`.  The AFA makes a box's step target weak only where g's
@@ -149,20 +152,42 @@ def pbf_or(left: PBF, right: PBF) -> PBF:
     return OrNode(left, right)
 
 
-def pbf_eval(pbf: PBF, leaf) -> bool:
-    """Evaluate with each reference r (a StateRef or a MoveRef) read as leaf(r)."""
-    match pbf:
-        case StateRef() | MoveRef():
-            return leaf(pbf)
-        case AndNode(l, r):
-            return pbf_eval(l, leaf) and pbf_eval(r, leaf)
-        case OrNode(l, r):
-            return pbf_eval(l, leaf) or pbf_eval(r, leaf)
-        case TrueLeaf():
-            return True
-        case FalseLeaf():
+def _compile(pbf: PBF, width: int = 0):
+    """The form in which the automata evaluate a transition, built once per PBF object: see `_holds`.
+
+    A `StateRef` becomes its ordinal and a `MoveRef` the offset `move * width
+    + state`, for configurations stored `width` to a position; the constants
+    become `True` and `False`, and an `AndNode` or `OrNode` the triple
+    `(is_and, left, right)`.  Its size is the PBF's: no normal form is taken.
+    """
+
+    def code(node: PBF):
+        if isinstance(node, (AndNode, OrNode)):
+            return (isinstance(node, AndNode), code(node.left), code(node.right))
+        if isinstance(node, StateRef):
+            return node.state
+        if isinstance(node, MoveRef):
+            return node.move.value * width + node.state
+        if isinstance(node, (TrueLeaf, FalseLeaf)):
+            return isinstance(node, TrueLeaf)
+        raise TypeError(f"not a PBF: {node!r}")
+
+    return code(pbf)
+
+
+def _holds(code, value, base: int):
+    """Whether a compiled transition holds with the reference at offset o read as `value[base + o]`."""
+    while code.__class__ is tuple:  # right operands in the loop: at most one frame per level of the PBF
+        is_and, left, right = code
+        if _holds(left, value, base):
+            if not is_and:
+                return True
+        elif is_and:
             return False
-    raise TypeError(f"not a PBF: {pbf!r}")
+        code = right
+    if code.__class__ is int:
+        return value[base + code]
+    return code
 
 
 def specialise(pbf: PBF, letter) -> PBF:
@@ -349,6 +374,7 @@ class AFA:
         self._end = oracle.end_evaluator()
         self._nodes: dict = {}  # formula -> (guarded image, atoms read), built outside any diamond-star unrolling
         self._delta_memo: dict = {}  # (q, letter & reads[q]) -> image
+        self._code_memo: dict = {}  # (q, letter & reads[q]) -> the image compiled
         self._sets_memo: dict = {}  # (q, code & masks[q]) -> minimal sets of the image
         self.states: StateSet = StateSet()
         self.initial: int = self.states.add(root)
@@ -449,10 +475,19 @@ class AFA:
             g = Weak(g)
         return StateRef(self.states.add(g))
 
+    def _code(self, q: int, letter):
+        """`delta(q, letter)` compiled, once per class."""
+        key = (q, letter & self.reads[q])
+        code = self._code_memo.get(key)
+        if code is None:
+            code = self._code_memo[key] = _compile(self.delta(q, letter))
+        return code
+
     def accepts(self, t: Trace) -> bool:
         check_letters(t, self.ap)
+        states = range(len(self.states))
+        rows = {letter: [self._code(q, letter) for q in states] for letter in set(t.letters)}
         values = self.final
-        leaf = lambda ref: values[ref.state]  # noqa: E731
         for letter in reversed(t.letters):
-            values = [pbf_eval(self.delta(q, letter), leaf) for q in range(len(self.states))]
+            values = [_holds(code, values, 0) for code in rows[letter]]
         return values[self.initial]

@@ -17,15 +17,20 @@ the atoms of the guards it tests, the same at every letter, so the build at
 the empty letter records them (`reads`); one transition is stored per class,
 in `letters_over` order (the order letters meet them), and `delta` finds it.
 
-The fixpoint is computed by a worklist (Liu & Smolka, ICALP 1998).  A
-configuration starts true exactly when its transition is the true leaf.
-Each configuration that turns true is pushed once; popping it
-re-evaluates the false configurations whose transitions may read it,
-found from a table, built once per automaton from its stored
+The fixpoint is computed by a worklist (Liu & Smolka, ICALP 1998) over a
+byte tape: one row of `len(states)` bytes per position, from the begin
+marker to the end marker, between two rows of zeros.  Each stored
+transition is compiled once per object, when the automaton is built, into
+integer offsets from its own row: a reference to state s after head move m
+is `m * len(states) + s`.  A configuration starts true exactly when its
+transition is the true leaf.  Each configuration that turns true is pushed
+once; popping it re-evaluates the false configurations whose transitions
+may read it, found from a table, built in the same pass as the compiled
 transitions, that lists for each state the (state, head move) pairs with a
-transition referring to it.  A configuration is thus evaluated at most
-once per reference in its transitions, so a run is linear in the trace
-length; it looks up the transitions of each distinct cell of the trace once.
+transition referring to it.  A configuration is thus evaluated at most once
+per reference in its transitions, each reference read as one byte, so a
+run is linear in the trace length; it looks up the transitions of each
+distinct cell of the trace once.
 """
 
 from __future__ import annotations
@@ -42,11 +47,11 @@ from .afa import (
     MoveRef,
     OrNode,
     StateSet,
-    TrueLeaf,
     Weak,
+    _compile,
+    _holds,
     guard_test,
     pbf_and,
-    pbf_eval,
     pbf_or,
     transition,
 )
@@ -72,18 +77,27 @@ class TwoAFA:
                 self.transitions[(q, letter)] = self._trans(entry, letter)
             reads.append(frozenset(read))
         self.reads: tuple[frozenset[str], ...] = tuple(reads)
+        width = len(self.states)
+        compiled: dict = {}  # id(transition) -> the transition compiled; classes share transition objects
         readers: dict = {}  # state s -> {(q, step): None} for the transitions from q reading s at pos + step
-        for (q, _), pbf in self.transitions.items():
+        self._code: dict = {}  # keyed as `transitions`: the transition compiled
+        for key, pbf in self.transitions.items():
+            if id(pbf) not in compiled:
+                compiled[id(pbf)] = _compile(pbf, width)
+            self._code[key] = compiled[id(pbf)]
             for ref in _move_refs(pbf):
-                readers.setdefault(ref.state, {})[(q, ref.move.value)] = None
-        self._readers: tuple = tuple(tuple(readers.get(s, ())) for s in range(len(self.states)))
+                readers.setdefault(ref.state, {})[(key[0], ref.move.value)] = None
+        self._readers: tuple = tuple(tuple(readers.get(s, ())) for s in range(width))
 
     def __len__(self) -> int:
         return len(self.states)
 
     def delta(self, q: int, cell) -> PBF:
         """The transition of state q at a marker, or at a letter through its class over `reads[q]`."""
-        return self.transitions[(q, cell if cell is BEGIN or cell is END else cell & self.reads[q])]
+        return self.transitions[self._key(q, cell)]
+
+    def _key(self, q: int, cell) -> tuple:
+        return (q, cell if cell is BEGIN or cell is END else cell & self.reads[q])
 
     def _ref(self, f: fm.Formula, move: Move, weak: bool = False) -> PBF:
         if isinstance(f, fm.TrueFormula):
@@ -129,47 +143,44 @@ class TwoAFA:
 
     def accepts(self, t: Trace) -> bool:
         check_letters(t, self.ap)
-        return self._least(t)[len(self.states) + self.initial] == 1  # configuration (initial, 0)
+        return self._least(t)[2 * len(self.states) + self.initial] == 1  # configuration (initial, 0)
 
     def fixpoint(self, t: Trace) -> dict:
         """Least fixpoint over configurations (state, position), positions -1..len(t)."""
         width = len(self.states)
         value = self._least(t)
-        return {(q, pos): value[(pos + 1) * width + q] == 1 for q in range(width) for pos in range(-1, len(t) + 1)}
+        return {(q, pos): value[(pos + 2) * width + q] == 1 for q in range(width) for pos in range(-1, len(t) + 1)}
 
     def _least(self, t: Trace) -> bytearray:
-        """The least fixpoint as one byte per configuration: (q, pos) is at (pos + 1) * len(states) + q.
+        """The least fixpoint as one byte per configuration: (q, pos) is at (pos + 2) * len(states) + q.
 
-        A worklist computes it: a configuration is re-evaluated only when a
-        configuration its transition reads has just turned true.
+        Rows of zeros at positions -2 and len(t) + 1 pad the tape, with false
+        transitions, so a reader of a marker configuration that would sit
+        off the tape, and any move off it, lands on a zero: no bounds test
+        runs.  A configuration is re-evaluated only when a configuration its
+        transition reads has just turned true.
         """
-        n = len(t)
         width = len(self.states)
         cells = (BEGIN, *t.letters, END)  # the cell at position pos is cells[pos + 1]
-        value = bytearray(width * (n + 2))  # configuration (q, pos) is value[(pos + 1) * width + q]
-        source = -1  # the position of the configuration being evaluated
-
-        def leaf(ref: MoveRef) -> bool:
-            target = source + ref.move.value
-            return -1 <= target <= n and value[(target + 1) * width + ref.state] == 1
-
-        rows = {cell: [self.delta(q, cell) for q in range(width)] for cell in set(cells)}  # per distinct cell
+        value = bytearray(width * (len(t) + 4))  # configuration (q, pos) is value[(pos + 2) * width + q]
+        rows = {cell: [self._code[self._key(q, cell)] for q in range(width)] for cell in set(cells)}  # per distinct cell
         # Transitions are constant-folded, so with every configuration false
         # exactly those whose transition is the true leaf hold.
-        seeds = {cell: [q for q, pbf in enumerate(row) if isinstance(pbf, TrueLeaf)] for cell, row in rows.items()}
-        work = [(q, pos) for pos, cell in enumerate(cells, -1) for q in seeds[cell]]
-        for q, pos in work:
-            value[(pos + 1) * width + q] = 1
-        at = [rows[cell] for cell in cells]  # the transitions at position pos are at[pos + 1]
+        seeds = {cell: [q for q, code in enumerate(row) if code is True] for cell, row in rows.items()}
+        work = [(q, row) for row, cell in enumerate(cells, 1) for q in seeds[cell]]  # (state, pos + 2)
+        for q, row in work:
+            value[row * width + q] = 1
+        pad = [False] * width
+        at = [pad, *(rows[cell] for cell in cells), pad]  # the transitions at position pos are at[pos + 2]
         readers = self._readers
         while work:
-            state, pos = work.pop()
+            state, row = work.pop()
             for q, step in readers[state]:
-                source = pos - step
-                if -1 <= source <= n and not value[(source + 1) * width + q]:
-                    if pbf_eval(at[source + 1][q], leaf):
-                        value[(source + 1) * width + q] = 1
-                        work.append((q, source))
+                source = row - step
+                base = source * width
+                if not value[base + q] and _holds(at[source][q], value, base):
+                    value[base + q] = 1
+                    work.append((q, source))
         return value
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_core_formula, random_trace, renamed
-from tracelogic import oracle, twafa
+from tracelogic import afa, oracle, twafa
 from tracelogic.afa import AFA, AndNode, FalseLeaf, OrNode, TrueLeaf
 from tracelogic.errors import UnsupportedOperatorError
 from tracelogic.formula import And, nnf, to_dynamic_core
@@ -223,3 +223,82 @@ def test_entries_that_test_no_guard_are_built_once_per_cell(monkeypatch):
     TwoAFA(root)
     assert built.count(root) == 2
     assert len(built) == 36
+
+
+_LONG_TRACES = (
+    random_trace(random.Random(101), 200, min_len=200),
+    Trace((frozenset({"a"}),) * 200),
+    Trace(tuple(frozenset({"b"} if i % 2 else {"a", "b"}) for i in range(200))),
+)
+
+
+@pytest.mark.parametrize(
+    "src, future",
+    [
+        ("Y a", False),
+        ("WY a", False),
+        ("Y Y a", False),
+        ("a S b", False),
+        ("a T b", False),
+        ("G (a -> Y b)", False),
+        ("X a", True),
+        ("WX a", True),
+        ("<tt> tt", True),
+        ("[tt] a", True),
+    ],
+)
+def test_looking_past_the_tape_ends(src, future):
+    """Formulas that look past either end of the trace: the rows that pad the tape never read as true."""
+    f = to_dynamic_core(nnf(parse_formula(src)))
+    automaton = TwoAFA(f, AP)
+    one_way = AFA(f, AP) if future else None
+    for t in (*enumerate_traces(AP, 3), *_LONG_TRACES):
+        assert automaton.fixpoint(t) == _sweep_fixpoint(automaton, t), (src, t)
+        assert automaton.accepts(t) == oracle.holds(f, t), (src, t)
+        if future:
+            assert one_way.accepts(t) == oracle.holds(f, t), (src, t)
+
+
+def _recorded_compiles(monkeypatch, module) -> list:
+    """Patch `module._compile` to record each PBF it is called on; returns the record."""
+    compiled = []
+    compile_ = module._compile
+
+    def recording(pbf, *width):
+        compiled.append(pbf)
+        return compile_(pbf, *width)
+
+    monkeypatch.setattr(module, "_compile", recording)
+    return compiled
+
+
+def test_transitions_are_compiled_once_per_object(monkeypatch):
+    """Classes share transition objects; each object is compiled once, when the automaton is built."""
+    compiled = _recorded_compiles(monkeypatch, twafa)
+    automaton = _two("G (p & q & r & s -> F (t & u))")
+    assert len(automaton.transitions) == 78
+    assert len(compiled) == len({id(pbf) for pbf in automaton.transitions.values()}) == 39
+    assert automaton.accepts(parse_trace("{p,q,r,s};{t};{t,u};{}")) is True
+    assert automaton.accepts(parse_trace("{p,q,r,s};{}")) is False
+    assert len(compiled) == 39
+
+
+def test_afa_images_are_compiled_once_per_class(monkeypatch):
+    """A run compiles each image it reads once per class; a second run on the same letters compiles nothing."""
+    compiled = _recorded_compiles(monkeypatch, afa)
+    automaton = AFA(to_dynamic_core(nnf(parse_formula("G (p -> F q)"))))
+    t = parse_trace("{p};{};{q};{p,q}")
+    assert automaton.accepts(t) is True
+    assert 0 < len(compiled) <= len(automaton) * len(set(t.letters))
+    first = len(compiled)
+    assert automaton.accepts(parse_trace("{q};{p,q};{};{p}")) is False
+    assert len(compiled) == first
+
+
+def test_deepest_image_agrees_everywhere():
+    """`X a & … & X a` with 450 conjuncts, the deepest image that builds: its AFA image nests 450 deep."""
+    f = to_dynamic_core(nnf(parse_formula(" & ".join(["X a"] * 450))))
+    one_way, two_way = AFA(f), TwoAFA(f)
+    for src, verdict in (("{a};{a}", True), ("{a};{}", False)):
+        t = parse_trace(src)
+        assert one_way.accepts(t) is two_way.accepts(t) is oracle.holds(f, t) is verdict
