@@ -212,15 +212,9 @@ def minimal_sets(pbf: PBF) -> tuple[frozenset, ...]:
 
 def _minsets(pbf: PBF) -> list[frozenset]:
     if isinstance(pbf, AndNode):
-        left = _minsets(pbf.left)
-        if not left:
-            return left
-        return _product(left, _minsets(pbf.right))
+        return _product(_minsets(pbf.left), _minsets(pbf.right))
     if isinstance(pbf, OrNode):
-        left = _minsets(pbf.left)
-        if frozenset() in left:
-            return left
-        return _antichain({*left, *_minsets(pbf.right)})
+        return _antichain({*_minsets(pbf.left), *_minsets(pbf.right)})
     if isinstance(pbf, StateRef):
         return [frozenset((pbf.state,))]
     if isinstance(pbf, TrueLeaf):

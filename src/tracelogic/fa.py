@@ -3,9 +3,9 @@
 The NFA states are antichain-pruned sets of AFA states; the DFA comes from
 the usual subset construction with an explicit rejecting sink so that its
 transition function is total.  Minimization refines the partition of the
-reachable states and numbers the quotient breadth-first from the initial
-block, which makes minimal automata canonical: two DFAs are isomorphic
-exactly when their minimized forms are equal.
+states and numbers the quotient breadth-first from the initial block, which
+makes minimal automata canonical: two DFAs are isomorphic exactly when
+their minimized forms are equal.
 
 Dealternation and determinization work per letter class.  A letter is an
 integer code (bit j set when the j-th atom of the sorted alphabet is in it),
@@ -222,17 +222,14 @@ def dfa_accepts(dfa: DFA, t: Trace) -> bool:
 def minimize(dfa: DFA, seed: int | None = None) -> DFA:
     """Unique minimal DFA for the same language.
 
-    The reachable states are refined into blocks until stable; the
-    quotient is then numbered breadth-first from the initial block.
-    `seed` shuffles the refinement processing order, which that
-    numbering makes the result independent of.
+    The states are refined into blocks until stable; the quotient is then
+    numbered breadth-first from the initial block.  No reachability pass is
+    needed: a block with no reachable member is never numbered, and an
+    unreachable member of a numbered block agrees with the others on every
+    successor block.  `seed` shuffles the refinement processing order,
+    which that numbering makes the result independent of.
     """
-    reachable = StateSet()
-    reachable.add(dfa.initial)
-    for s in reachable:
-        for t in dfa.transitions[s]:
-            reachable.add(t)
-    order = list(reachable)
+    order = list(range(dfa.n_states))
     if seed is not None:
         random.Random(seed).shuffle(order)
     block = [1 if accepting else 0 for accepting in dfa.accepting]

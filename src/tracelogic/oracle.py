@@ -14,12 +14,13 @@ operators are shifts.  Since is one forward sweep over the positions,
 done as a carry-propagating addition, and until is the same sweep over
 the reversed bit order.  A path modality is a pre-image: `<p> g` holds
 where some p-path leads into the positions of g, and a star is the least
-fixpoint of its body's pre-image.  Universal operators are the
-complements of their existential duals over the NNF negation.  Every
-node is evaluated, so a metric operator over an untimed trace always
-raises, whatever the letters.  A trace of length n costs
-O(n/w) machine-word operations per operator, times the fixpoint rounds of
-a star (at most n+1).
+fixpoint of its body's pre-image.  Every universal operator is evaluated
+by one rule, as the finite-trace dynamic logics define it: it holds where
+its existential dual over the negated operands (the NNF negation, which
+takes the dual from `formula._DUAL`) fails.  Every node is evaluated, so
+a metric operator over an untimed trace always raises, whatever the
+letters.  A trace of length n costs O(n/w) machine-word operations per
+operator, times the fixpoint rounds of a star (at most n+1).
 
 Every automaton backend is cross-validated against this module.
 """
@@ -154,32 +155,23 @@ class _Evaluator:
                 return self.sat(self.negation(l)) | self.sat(r)
             case fm.Next(g):
                 return self.sat(g) >> 1
-            case fm.WeakNext(g):
-                return (self.weak(g) >> 1) | (1 << self.length)
             case fm.Until(l, r):
                 return self.until(self.sat(l), self.sat(r))
-            case fm.Release(l, r):
-                return full & ~self.until(self.sat(self.negation(l)), self.sat(self.negation(r)))
             case fm.Eventually(g):
                 return _eventually(self.sat(g))
-            case fm.Always(g):
-                return full & ~_eventually(self.sat(self.negation(g)))
             case fm.Prev(g):
                 return (self.sat(g) << 1) & full
-            case fm.WeakPrev(g):
-                return ((self.weak(g) << 1) & full) | 1
             case fm.Since(l, r):
                 return _since(self.sat(l), self.sat(r))
-            case fm.Trigger(l, r):
-                return full & ~_since(self.sat(self.negation(l)), self.sat(self.negation(r)))
             case fm.Diamond(p, g):
                 return self.pre(p, self.sat(g))
-            case fm.Box(p, g):
-                return full & ~self.pre(p, self.sat(self.negation(g)))
             case fm.MetricNext(lo, hi, g):
                 return self.delays(lo, hi) & (self.sat(g) >> 1)
-            case fm.WeakMetricNext(lo, hi, g):
-                return full & ~(self.delays(lo, hi) & ~(self.sat(g) >> 1))
+            case fm.WeakNext() | fm.Release() | fm.Always() | fm.WeakPrev() | fm.Trigger() | fm.Box() | fm.WeakMetricNext():
+                # Where the existential dual over the negated operands fails,
+                # the end point included.  And and Or are duals too but stay
+                # out: at the letterless end `a | b` is false, yet weakly true.
+                return self.weak(f)
             case _:
                 raise TypeError(f"not a formula: {f!r}")
 

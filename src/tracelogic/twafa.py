@@ -117,12 +117,9 @@ class TwoAFA:
         if m is not BEGIN and m is not END:
             return self._ref(f, Move.S)
         # Weak value at a marker: literals hold, boolean structure recurses,
-        # everything else coincides with the plain state.
+        # everything else coincides with the plain state.  `_ref` folds tt
+        # and ff to leaves before it would wrap them, so f is never either.
         match f:
-            case fm.TrueFormula():
-                return PBF_TRUE
-            case fm.FalseFormula():
-                return PBF_FALSE
             case fm.Atom() | fm.Not(fm.Atom()):
                 return PBF_TRUE
             case fm.And(l, r):

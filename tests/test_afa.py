@@ -53,6 +53,22 @@ def test_minimal_sets_antichain():
     assert minimal_sets(pbf) == (frozenset({0}),)
     pbf = pbf_and(pbf_or(StateRef(0), StateRef(1)), StateRef(2))
     assert minimal_sets(pbf) == (frozenset({0, 2}), frozenset({1, 2}))
+    # Unfolded constant children give the minimal sets of the folded PBF.
+    cases = (
+        (AndNode(PBF_FALSE, StateRef(0)), PBF_FALSE),
+        (AndNode(StateRef(0), PBF_FALSE), PBF_FALSE),
+        (OrNode(PBF_TRUE, StateRef(1)), PBF_TRUE),
+        (OrNode(StateRef(1), PBF_TRUE), PBF_TRUE),
+        (AndNode(PBF_TRUE, OrNode(PBF_FALSE, StateRef(2))), StateRef(2)),
+        (OrNode(AndNode(PBF_FALSE, StateRef(0)), AndNode(StateRef(1), OrNode(PBF_TRUE, StateRef(2)))), StateRef(1)),
+        (AndNode(OrNode(PBF_TRUE, StateRef(0)), OrNode(AndNode(StateRef(1), PBF_FALSE), PBF_FALSE)), PBF_FALSE),
+        (
+            OrNode(AndNode(OrNode(StateRef(0), PBF_TRUE), StateRef(1)), AndNode(PBF_TRUE, StateRef(0))),
+            pbf_or(StateRef(1), StateRef(0)),
+        ),
+    )
+    for unfolded, folded in cases:
+        assert minimal_sets(unfolded) == minimal_sets(folded), unfolded
 
 
 def test_atom_automaton():
@@ -130,6 +146,10 @@ def test_alphabet_mismatch():
     automaton = AFA(_core("a"))
     with pytest.raises(AlphabetMismatchError):
         automaton.accepts(parse_trace("{c}"))
+    for build in (AFA, TwoAFA):
+        with pytest.raises(AlphabetMismatchError) as error:
+            build(_core("a & b"), ap=("a",))
+        assert (error.type, str(error.value)) == (AlphabetMismatchError, "alphabet ['a'] misses atoms ['b']"), build
 
 
 def test_positivity_of_images():
@@ -265,8 +285,10 @@ def test_transitions_match_the_reference():
     Every AFA image at every letter equals the one its former builder made
     from the full letter.  The 2AFA has the same states in the same order,
     the same transitions, and a readers table equal to one built from every
-    transition.
+    transition.  Neither automaton has a `Weak(tt)` or `Weak(ff)` state:
+    both fold a constant step target to a leaf before they would wrap it.
     """
+    constant_weak = {Weak(fm.TRUE), Weak(fm.FALSE)}
     corpus = _reference_corpus()
     assert len(corpus) >= 2000
     assert sum(map(_has_past, corpus)) >= 400
@@ -274,12 +296,14 @@ def test_transitions_match_the_reference():
         ap = tuple(sorted(fm.atoms(f) | set(AP)))
         if not _has_past(f):
             automaton = AFA(f, ap)
+            assert constant_weak.isdisjoint(automaton.states), f
             for q in range(len(automaton)):
                 for letter in letters_over(ap):
                     image = automaton.delta(q, letter)
                     assert image == afa_image(automaton, q, letter), (f, q, letter)
         two_way, reference = TwoAFA(f, ap), ReferenceTwoAFA(f, ap)
         assert two_way.states.states == reference.states.states, f
+        assert constant_weak.isdisjoint(two_way.states), f
         assert all(two_way.delta(*key) == pbf for key, pbf in reference.transitions.items()), f
         readers = [{} for _ in reference.states]
         for (q, _), pbf in reference.transitions.items():

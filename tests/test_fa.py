@@ -338,8 +338,23 @@ def _relabelled(dfa: DFA, seed: int) -> DFA:
     return DFA(dfa.ap, dfa.letters, tuple(rows), tuple(accepting), new[dfa.initial])
 
 
+def _has_universal_state(dfa: DFA) -> bool:
+    """Whether some state accepts every trace, as the unreachable state 0 of `_relabelled` does."""
+    doomed = {s for s in range(dfa.n_states) if not dfa.accepting[s]}  # states that reach a rejecting one
+    while True:
+        grown = doomed | {s for s, row in enumerate(dfa.transitions) if doomed.intersection(row)}
+        if grown == doomed:
+            return len(doomed) < dfa.n_states
+        doomed = grown
+
+
 def test_explorations_match_the_reference():
-    """Every construction gives the ordinals, automata and traces of `reference_fa`."""
+    """Every construction gives the ordinals, automata and traces of `reference_fa`.
+
+    `minimize` refines every state, reachable or not; `_relabelled` adds an
+    unreachable state that shares a block with a reachable one in some
+    cases and has a block of its own in others.
+    """
     seen = set()
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -357,6 +372,7 @@ def test_explorations_match_the_reference():
             assert minimize(source) == ref.minimize(source)
             assert minimize(source, seed=seed) == ref.minimize(source, seed=seed)
             assert is_empty(source) == ref.is_empty(source)
+        seen.add(("unreachable state shares a block", _has_universal_state(dfa)))
         verdict = equivalent(f, g)
         assert verdict == ref.equivalent(f, g)
         seen.add(("branching", any(len(targets) > 1 for targets in nfa.transitions.values())))
@@ -365,6 +381,7 @@ def test_explorations_match_the_reference():
     check()
     assert ("branching", True) in seen
     assert ("classes", True) in seen
+    assert {("unreachable state shares a block", shares) for shares in (True, False)} <= seen
     assert {("verdicts", e, v) for e in (True, False) for v in (True, False)} <= seen
 
 

@@ -47,6 +47,12 @@ def test_metric_interval_validation():
     assert MetricNext(5, None, TRUE).hi is None
 
 
+def test_step_guard_must_be_propositional():
+    with pytest.raises(ValueError) as error:
+        Step(fm.Next(Atom("a")))
+    assert (error.type, str(error.value)) == (ValueError, "step guard must be propositional")
+
+
 def test_nnf_de_morgan():
     assert nnf(parse_formula("!(a & b)")) == parse_formula("!a | !b")
 

@@ -511,6 +511,37 @@ def test_enumerate_models_bounds(capsys):
     assert err == "limit exceeded: trace enumeration over 11 atoms up to length 1 exceeds the size bound\n"
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DiffConstraint(0, 0, 0, None), "difference constraint needs two distinct variables"),
+        (lambda: DiffConstraint(0, 1, 5, 4), "empty bound [5,4]"),
+        (
+            lambda: ConstraintSystem(1, (DiffConstraint(0, 1, 0, None),)),
+            "constraint DiffConstraint(i=0, j=1, lo=0, hi=None) references a missing variable",
+        ),
+        (lambda: MetricHead(3, 3, "a"), "empty metric interval [3,3)"),
+    ],
+    ids=["same-variable", "empty-bound", "missing-variable", "empty-head-interval"],
+)
+def test_malformed_constraints_and_heads_raise_value_error(build, message):
+    with pytest.raises(ValueError) as error:
+        build()
+    assert (error.type, str(error.value)) == (ValueError, message)
+
+
+@pytest.mark.parametrize(
+    "command, trace, message",
+    [
+        ("check", "{drive};{school}", "error: metric check needs a timed trace (steps suffixed with @t)\n"),
+        ("times", "{drive}@0;{school}@25", "error: metric times derives timestamps; give an untimed trace\n"),
+    ],
+)
+def test_metric_commands_reject_the_other_kind_of_trace(capsys, command, trace, message):
+    code = run(["metric", command, "--program-text", "X[20,40) school :- drive.", "-t", trace])
+    assert (code, *capsys.readouterr()) == (2, "", message)
+
+
 def test_metric_times_prints_cycle_in_walk_order(capsys):
     # Constraint 1 is drive's [20,40) at step 2 and constraint 2 is hurry's [1,3)
     # there: the walk goes forward by 20 and back by at most 2.

@@ -9,11 +9,26 @@ import random
 
 import reference_oracle as reference
 from conftest import random_any_formula, random_core_formula, random_path, random_trace
+from tracelogic import formula as fm
 from tracelogic import oracle
 from tracelogic.formula import format_formula
 from tracelogic.trace import TimedTrace, enumerate_traces
 
 SMALL_TRACES = list(enumerate_traces(("a", "b"), 3))
+
+# The oracle evaluates these by one rule, through their existential duals.
+UNIVERSAL = {fm.WeakNext, fm.Release, fm.Always, fm.WeakPrev, fm.Trigger, fm.Box, fm.WeakMetricNext}
+
+
+def _operators(formulas) -> set:
+    """The node types of the formulas' negation normal forms, paths included: the nodes the oracle evaluates."""
+    types = set()
+    stack = [fm.nnf(f) for f in formulas]
+    while stack:
+        node = stack.pop()
+        types.add(type(node))
+        stack.extend(fm.children(node))
+    return types
 
 
 def _has_metric(f) -> bool:
@@ -38,14 +53,18 @@ def _untimed_formulas(rng, count):
 
 def test_all_traces_up_to_length_three():
     rng = random.Random(401)
-    for f in _untimed_formulas(rng, 60):
+    formulas = _untimed_formulas(rng, 60)
+    assert UNIVERSAL - {fm.WeakMetricNext} <= _operators(formulas)
+    for f in formulas:
         for t in SMALL_TRACES:
             _agree(f, t)
 
 
 def test_random_traces_of_length_four_to_eight():
     rng = random.Random(409)
-    for f in _untimed_formulas(rng, 100):
+    formulas = _untimed_formulas(rng, 100)
+    assert UNIVERSAL - {fm.WeakMetricNext} <= _operators(formulas)
+    for f in formulas:
         for _ in range(4):
             _agree(f, random_trace(rng, 8, min_len=4))
 
@@ -53,13 +72,16 @@ def test_random_traces_of_length_four_to_eight():
 def test_metric_formulas_on_timed_traces():
     rng = random.Random(419)
     checked = 0
+    formulas = []
     while checked < 300:
         f = random_any_formula(rng, rng.randint(2, 10))
         t = random_trace(rng, 8, timed=True)
         if not isinstance(t, TimedTrace):
             continue  # an empty trace carries no times
         _agree(f, t)
+        formulas.append(f)
         checked += _has_metric(f)
+    assert UNIVERSAL <= _operators(formulas)
 
 
 def test_path_relation_on_random_paths():
