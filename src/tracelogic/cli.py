@@ -133,12 +133,17 @@ def _size(automaton) -> str:
 
     A state's transition at a letter depends only on the atoms it reads, so
     each one over those atoms stands for the 2^(|AP| - |read atoms|) letters
-    that project onto it; the 2AFA adds its transitions at the two markers.
+    that project onto it, as does each successor in an NFA state's class
+    table; the 2AFA adds its transitions at the two markers.
     """
     if isinstance(automaton, DFA):
         return f"states {automaton.n_states} transitions {automaton.n_states * len(automaton.letters)}"
     if isinstance(automaton, NFA):
-        return f"states {len(automaton.states)} transitions {sum(map(len, automaton.transitions.values()))}"
+        count = sum(
+            2 ** (len(automaton.ap) - mask.bit_count()) * sum(map(len, table.values()))
+            for mask, table in zip(automaton.masks, automaton.tables)
+        )
+        return f"states {len(automaton.states)} transitions {count}"
     count = 0
     for q, local in enumerate(automaton.reads):
         images = (automaton.delta(q, letter) for letter in letters_over(local))

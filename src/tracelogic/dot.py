@@ -116,8 +116,8 @@ def to_dot(automaton) -> str:
 
 def _fa_dot(automaton) -> str:
     if isinstance(automaton, NFA):
-        name, moves = "nfa", automaton.transitions
-        edges = ((s, a, t) for s in range(len(automaton.states)) for a in automaton.letters for t in moves[(s, a)])
+        name, successors = "nfa", automaton.successors
+        edges = ((s, a, t) for s in range(len(automaton.states)) for a in automaton.letters for t in successors(s, a))
     elif isinstance(automaton, DFA):
         name, letters = "dfa", automaton.letters
         edges = ((s, a, t) for s, row in enumerate(automaton.transitions) for a, t in zip(letters, row))

@@ -12,10 +12,11 @@ integer code (bit j set when the j-th atom of the sorted alphabet is in it),
 and each AFA state reads the atoms its guarded build tests (`AFA.reads`,
 coded as `AFA.masks`).  An NFA state's successors depend only on the atoms
 its members read, so the NFA keeps, per state, that `local` mask and one
-table from class code (`code & local`) to successors; `NFA.transitions` is
-a read-only per-letter view over these tables.  A class's successors conjoin the minimal sets that the AFA gives
-for each member at the class code (`AFA.successor_sets`, memoised per
-member and class), so each member's image is specialised once per class.
+table from class code (`code & local`) to successors, and `NFA.successors`
+reads a letter's entry there.  A class's successors conjoin the minimal
+sets that the AFA gives for each member at the class code
+(`AFA.successor_sets`, memoised per member and class), so each member's
+image is specialised once per class.
 An NFA state whose members read k atoms thus costs 2^k successor
 computations rather than 2^|AP|, and a macro-state of the subset
 construction one union per class of its members' masks.  Only the DFA keeps
@@ -30,63 +31,47 @@ accepted words and the pruned siblings of their letters.
 
 from __future__ import annotations
 
-import random
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
 from . import formula as fm
 from .afa import AFA, StateSet, _product
-from .errors import AlphabetMismatchError, BudgetError
-from .trace import Trace, _walk, check_enumeration_bound, check_letters, letters_over
+from .errors import BudgetError
+from .trace import Trace, _walk, check_enumeration_bound, check_letters, letters_over, outside_alphabet
 
 DEFAULT_BUDGET = 2**20
-
-
-class ClassTransitions(Mapping):
-    """Read-only view (state index, letter) -> successor tuple over one table per state.
-
-    `codes[i]` is the code of `letters[i]`; state s maps the class
-    `code & masks[s]` of each letter to its successors in `tables[s]`.
-    Keys run over the states, then over `letters`.
-    """
-
-    def __init__(self, letters, codes, masks: list[int], tables: list[dict]):
-        self.letters = letters
-        self.codes = codes
-        self.masks = masks
-        self.tables = tables
-        self._code = dict(zip(letters, codes))
-
-    def __getitem__(self, key) -> tuple[int, ...]:
-        s, letter = key
-        if s not in range(len(self.tables)):
-            raise KeyError(key)
-        return self.tables[s][self._code[letter] & self.masks[s]]
-
-    def __iter__(self):
-        return ((s, letter) for s in range(len(self.tables)) for letter in self.letters)
-
-    def __len__(self) -> int:
-        return len(self.tables) * len(self.letters)
 
 
 @dataclass
 class NFA:
     """Nondeterministic automaton whose states are sets of AFA ordinals.
 
-    `transitions` maps (state index, letter) to the tuple of successor
-    indices.  `dealternate` makes it a `ClassTransitions` view, whose class
-    tables `determinize` reads; no per-letter entry is stored.
+    `codes[i]` is the code of `letters[i]`; state s maps the class
+    `code & masks[s]` of each letter to the tuple of its successor indices
+    in `tables[s]`.  No per-letter entry is stored.
     """
 
     ap: tuple[str, ...]
     letters: tuple[frozenset, ...]
+    codes: tuple[int, ...]
     states: list[frozenset]  # sets of AFA ordinals
-    transitions: Mapping
+    masks: list[int]
+    tables: list[dict]
     accepting: tuple[bool, ...]
     initial: int = 0
+
+    @cached_property
+    def _code(self) -> dict:
+        return dict(zip(self.letters, self.codes))
+
+    def successors(self, s: int, letter) -> tuple[int, ...]:
+        """The successor indices of state `s` at `letter`; AlphabetMismatchError for a letter outside `ap`."""
+        try:
+            code = self._code[letter]
+        except KeyError:
+            raise outside_alphabet(letter, self.ap) from None
+        return self.tables[s][code & self.masks[s]]
 
 
 @dataclass(frozen=True)
@@ -109,7 +94,7 @@ class DFA:
         try:
             return self._columns[letter]
         except KeyError:
-            raise AlphabetMismatchError(f"letter {sorted(letter)} outside alphabet {list(self.ap)}") from None
+            raise outside_alphabet(letter, self.ap) from None
 
 
 def _add(states: StateSet, state, max_states: int, stage: str) -> int:
@@ -164,14 +149,14 @@ def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
         masks.append(local)
         tables.append(table)
     accepting = tuple(all(automaton.final[q] for q in s) for s in states)
-    return NFA(automaton.ap, letters, states.states, ClassTransitions(letters, codes, masks, tables), accepting)
+    return NFA(automaton.ap, letters, codes, states.states, masks, tables, accepting)
 
 
 def nfa_accepts(nfa: NFA, t: Trace) -> bool:
     check_letters(t, nfa.ap)
     current = {nfa.initial}
     for letter in t.letters:
-        current = {t2 for s in current for t2 in nfa.transitions[(s, letter)]}
+        current = {t2 for s in current for t2 in nfa.successors(s, letter)}
         if not current:
             return False
     return any(nfa.accepting[s] for s in current)
@@ -184,8 +169,7 @@ def determinize(nfa: NFA, max_states: int = DEFAULT_BUDGET) -> DFA:
     masks; each class costs one union, taken in first-letter order, and
     each letter's entry in the row one AND and one lookup.
     """
-    moves = nfa.transitions
-    codes, masks, tables = moves.codes, moves.masks, moves.tables
+    codes, masks, tables = nfa.codes, nfa.masks, nfa.tables
     macro_states = StateSet()
     macro_states.add(frozenset((nfa.initial,)))
     rows = []
@@ -219,31 +203,28 @@ def dfa_accepts(dfa: DFA, t: Trace) -> bool:
     return dfa.accepting[state]
 
 
-def minimize(dfa: DFA, seed: int | None = None) -> DFA:
+def minimize(dfa: DFA) -> DFA:
     """Unique minimal DFA for the same language.
 
     The states are refined into blocks until stable; the quotient is then
-    numbered breadth-first from the initial block.  No reachability pass is
-    needed: a block with no reachable member is never numbered, and an
-    unreachable member of a numbered block agrees with the others on every
-    successor block.  `seed` shuffles the refinement processing order,
-    which that numbering makes the result independent of.
+    numbered breadth-first from the initial block, which makes the result
+    independent of the order the states are refined in.  No reachability
+    pass is needed: a block with no reachable member is never numbered, and
+    an unreachable member of a numbered block agrees with the others on
+    every successor block.
     """
-    order = list(range(dfa.n_states))
-    if seed is not None:
-        random.Random(seed).shuffle(order)
     block = [1 if accepting else 0 for accepting in dfa.accepting]
-    count = len({block[s] for s in order})
+    count = len(set(block))
     while True:
         signatures: dict = {}
         new_block = [0] * dfa.n_states
-        for s in order:
-            sig = (block[s], tuple(block[t] for t in dfa.transitions[s]))
+        for s, row in enumerate(dfa.transitions):
+            sig = (block[s], tuple(block[t] for t in row))
             new_block[s] = signatures.setdefault(sig, len(signatures))
         if len(signatures) == count:
             break
         block, count = new_block, len(signatures)
-    representative = {block[s]: s for s in order}  # any member: a block's members agree on every letter
+    representative = {b: s for s, b in enumerate(block)}  # any member: a block's members agree on every letter
     blocks = StateSet()
     blocks.add(block[dfa.initial])
     rows = [tuple(blocks.add(block[t]) for t in dfa.transitions[representative[b]]) for b in blocks]

@@ -49,12 +49,17 @@ def resolve_alphabet(names, ap=None) -> tuple[str, ...]:
     return tuple(sorted(ap))
 
 
+def outside_alphabet(letter, ap) -> AlphabetMismatchError:
+    """The error for a letter that is not a subset of ap."""
+    return AlphabetMismatchError(f"letter {sorted(letter)} outside alphabet {list(ap)}")
+
+
 def check_letters(t: Trace, ap) -> None:
     """Raise AlphabetMismatchError unless every letter of t is a subset of ap."""
     alphabet = set(ap)
     for letter in t.letters:
         if not letter <= alphabet:
-            raise AlphabetMismatchError(f"letter {sorted(letter)} outside alphabet {list(ap)}")
+            raise outside_alphabet(letter, ap)
 
 
 def letters_over(ap) -> list[Letter]:

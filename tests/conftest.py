@@ -7,6 +7,7 @@ import pytest
 
 from tracelogic import afa, twafa
 from tracelogic import formula as fm
+from tracelogic.fa import DFA
 from tracelogic.formula import (
     FALSE,
     TRUE,
@@ -102,6 +103,18 @@ def renamed(f, names: dict):
     rename = lambda g: renamed(g, names)  # noqa: E731
     rename_path = lambda p: fm._rebuild_path(p, rename, rename_path)  # noqa: E731
     return fm._rebuild(f, type(f), rename, rename_path)
+
+
+def relabelled(dfa: DFA, seed: int) -> DFA:
+    """The same automaton with its states permuted, behind an unreachable accepting state 0 that loops on itself."""
+    new = list(range(1, dfa.n_states + 1))
+    random.Random(seed).shuffle(new)
+    rows = [(0,) * len(dfa.letters)] * (dfa.n_states + 1)
+    accepting = [True] * (dfa.n_states + 1)
+    for s, row in enumerate(dfa.transitions):
+        rows[new[s]] = tuple(new[t] for t in row)
+        accepting[new[s]] = dfa.accepting[s]
+    return DFA(dfa.ap, dfa.letters, tuple(rows), tuple(accepting), new[dfa.initial])
 
 
 def random_prop(rng: random.Random, size: int):

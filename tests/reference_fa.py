@@ -6,7 +6,9 @@ replaced with loops over a growing `StateSet`: each keeps its own queue,
 index and budget check, and `minimize` renumbers the reachable states and
 the quotient breadth-first.  `test_fa.py` requires the current
 constructions to give the same ordinals, automata, witnesses and
-counterexamples.  `build_dfa` and `_conjunction_successors` come
+counterexamples.  `dealternate` returns the per-letter `NFA` that the
+class tables replaced, a dict from (state index, letter) to successors, and
+`determinize` reads it.  `build_dfa` and `_conjunction_successors` come
 along because `equivalent` and `dealternate` call them.  The brute-force
 `enumerate_accepted`, which ran every trace of the bounded space through
 `dfa_accepts`, follows; the pruned walk must yield the same traces in the
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterator
 
 from tracelogic import formula as fm
@@ -43,8 +46,20 @@ from tracelogic.afa import (
     pbf_or,
 )
 from tracelogic.errors import BudgetError, UnsupportedOperatorError
-from tracelogic.fa import DEFAULT_BUDGET, DFA, NFA, dfa_accepts
+from tracelogic.fa import DEFAULT_BUDGET, DFA, dfa_accepts
 from tracelogic.trace import Trace, enumerate_traces, letters_over, resolve_alphabet
+
+
+@dataclass
+class NFA:
+    """Nondeterministic automaton whose `transitions` map (state index, letter) to successor indices."""
+
+    ap: tuple[str, ...]
+    letters: tuple[frozenset, ...]
+    states: list[frozenset]
+    transitions: dict
+    accepting: tuple[bool, ...]
+    initial: int = 0
 
 
 def _conjunction_successors(automaton: AFA, members, letter) -> list[frozenset]:
