@@ -18,10 +18,11 @@ like `<(tt?)*> a`.
 The builder reads a cell only through a guard test `sat(guard)`, for
 literals and step guards alike, and asks about the same guards whatever
 they answer.  The test returns a PBF.  The two-way automaton answers at
-the cell with `PBF_TRUE` or `PBF_FALSE`, records the atoms of its first
-build's guards at the empty letter and builds each state's transition once
-per class.  The `AFA` leaves every guard open as a `GuardLeaf`, a predicate
-over letters as in symbolic automata (D'Antoni & Veanes, CAV 2017).  It
+the cell with `PBF_TRUE` or `PBF_FALSE`, records the guards its build at
+the end marker asks about, and builds each state's transition once per
+class over their atoms, or keeps that one build when it asks about none.
+The `AFA` leaves every guard open as a `GuardLeaf`, a predicate over
+letters as in symbolic automata (D'Antoni & Veanes, CAV 2017).  It
 discovers its states by building their guarded images: starting from the
 root, each state's image is built once, and the targets of its step
 modalities are the states it adds, as the transitions name them
@@ -52,7 +53,7 @@ from enum import Enum
 from . import formula as fm
 from . import oracle
 from .errors import UnsupportedOperatorError
-from .trace import Trace, check_letters, resolve_alphabet
+from .trace import Trace, check_letters, outside_alphabet, resolve_alphabet
 
 
 class PBF:
@@ -152,13 +153,13 @@ def pbf_or(left: PBF, right: PBF) -> PBF:
     return OrNode(left, right)
 
 
-def _compile(pbf: PBF, width: int = 0):
+def _compile(pbf: PBF, offset=None):
     """The form in which the automata evaluate a transition, built once per PBF object: see `_holds`.
 
-    A `StateRef` becomes its ordinal and a `MoveRef` the offset `move * width
-    + state`, for configurations stored `width` to a position; the constants
-    become `True` and `False`, and an `AndNode` or `OrNode` the triple
-    `(is_and, left, right)`.  Its size is the PBF's: no normal form is taken.
+    A `StateRef` becomes its ordinal and a `MoveRef` the integer
+    `offset(ref)`; the constants become `True` and `False`, and an
+    `AndNode` or `OrNode` the triple `(is_and, left, right)`.  Its size is
+    the PBF's: no normal form is taken.
     """
 
     def code(node: PBF):
@@ -167,7 +168,7 @@ def _compile(pbf: PBF, width: int = 0):
         if isinstance(node, StateRef):
             return node.state
         if isinstance(node, MoveRef):
-            return node.move.value * width + node.state
+            return offset(node)
         if isinstance(node, (TrueLeaf, FalseLeaf)):
             return isinstance(node, TrueLeaf)
         raise TypeError(f"not a PBF: {node!r}")
@@ -235,16 +236,16 @@ def _product(left, right) -> list[frozenset]:
     return _antichain({a | b for a in left for b in right})
 
 
-def guard_test(cell, read: set | None = None):
-    """The two-way automaton's `sat(guard)` at `cell`: a PBF constant, from `oracle.prop_sat` at a letter, false at END.
+def guard_test(cell, asked: list | None = None):
+    """The two-way automaton's `sat(guard)` at `cell`: a PBF constant, `oracle.prop_sat` at a letter, false at a marker.
 
-    Given a set `read`, the test adds the atoms of every guard asked about to it.
+    Given a list `asked`, the test appends every guard it is asked about to it.
     """
 
     def sat(guard: fm.Formula) -> PBF:
-        if read is not None:
-            read.update(fm.atoms(guard))
-        return PBF_TRUE if cell is not END and oracle.prop_sat(guard, cell) else PBF_FALSE
+        if asked is not None:
+            asked.append(guard)
+        return PBF_TRUE if cell is not BEGIN and cell is not END and oracle.prop_sat(guard, cell) else PBF_FALSE
 
     return sat
 
@@ -398,7 +399,9 @@ class AFA:
         return frozenset(name for j, name in enumerate(self.ap) if code >> j & 1)
 
     def delta(self, q: int, letter) -> PBF:
-        """The image of state q at a letter: its guarded image specialised there, once per class."""
+        """The image of state q at a letter of `ap`: its guarded image specialised there, once per class."""
+        if not letter.issubset(self.ap):
+            raise outside_alphabet(letter, self.ap)
         key = (q, letter & self.reads[q])
         image = self._delta_memo.get(key)
         if image is None:

@@ -2,7 +2,9 @@
 
 Formulas combine propositional connectives, future and past temporal
 operators, dynamic path modalities, and a metric next constrained by an
-integer interval.  All nodes are immutable and compared structurally.
+integer interval.  All nodes are immutable and compared structurally, and
+each computes its dataclass hash once and keeps it (`_Node`), so memo and
+state-set lookups do not rehash a subtree.
 
 Every operator node has one of five shapes: `Unary`, `Binary`, `Modal`,
 `Metric` or `PathBinary`.  Atoms, constants and the path nodes `Step`, `Test`
@@ -26,13 +28,48 @@ _ATOM_NAME = r"[a-z][a-zA-Z0-9_]*"
 _ATOM_RE = re.compile(_ATOM_NAME + r"\Z")
 
 
-class Formula:
+class _Node:
+    """Base class of formula and path nodes: each node hashes its fields once and keeps the value.
+
+    The value is the generated dataclass hash, `hash` of the field tuple in
+    field order.  `__init_subclass__` puts `__hash__` into every subclass's
+    own namespace, where `dataclass` keeps an explicit hash.  Only the
+    `__hash__` frame is on the stack per nesting level of a first hash, as
+    with the generated one, so deep trees hash as deep as before.  Copies
+    and pickles are rebuilt from the fields, so no cached value crosses an
+    interpreter with another hash seed.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__hash__ = _Node.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(_fields(self))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __reduce__(self):
+        return type(self), _fields(self)
+
+
+def _fields(node: _Node) -> tuple:
+    """A node's fields in field order (`__match_args__`, which `dataclass` sets to them)."""
+    return tuple([getattr(node, name) for name in node.__match_args__])
+
+
+class Formula(_Node):
     """Base class for formula nodes."""
 
     __slots__ = ()
 
 
-class PathExpr:
+class PathExpr(_Node):
     """Base class for path-expression nodes used by the modalities."""
 
     __slots__ = ()

@@ -12,21 +12,25 @@ that make no progress simply stay false in the least fixpoint.  Universal
 (box) obligations are expanded eagerly through their path, dropping
 re-arrivals at the same star at the same position, which keeps their
 vacuous loops out of the fixpoint while preserving the single
-least-fixpoint polarity.  A state's transition at a letter depends only on
-the atoms of the guards it tests, the same at every letter, so the build at
-the empty letter records them (`reads`); one transition is stored per class,
-in `letters_over` order (the order letters meet them), and `delta` finds it.
+least-fixpoint polarity.  A state's transition depends on its cell only
+through the guards it tests, the same at the end marker and at every letter
+(a weak state's boolean structure tests the guard tt, which fails only at
+the markers), so the build at the end marker records them.  A state that
+tests none keeps that transition object at every letter and reads nothing;
+otherwise the atoms of its guards are its `reads`, and one transition is
+built and stored per class over them, in `letters_over` order (the order
+letters meet them).  `delta` finds it.
 
 The fixpoint is computed by a worklist (Liu & Smolka, ICALP 1998) over a
 byte tape: one row of `len(states)` bytes per position, from the begin
-marker to the end marker, between two rows of zeros.  Each stored
-transition is compiled once per object, when the automaton is built, into
+marker to the end marker, between two rows of zeros.  Each distinct
+transition object is compiled once, when the automaton is built, into
 integer offsets from its own row: a reference to state s after head move m
 is `m * len(states) + s`.  A configuration starts true exactly when its
 transition is the true leaf.  Each configuration that turns true is pushed
 once; popping it re-evaluates the false configurations whose transitions
-may read it, found from a table, built in the same pass as the compiled
-transitions, that lists for each state the (state, head move) pairs with a
+may read it, found from a table that the same walk as the compilation
+fills, listing for each state the (state, head move) pairs with a
 transition referring to it.  A configuration is thus evaluated at most once
 per reference in its transitions, each reference read as one byte, so a
 run is linear in the trace length; it looks up the transitions of each
@@ -42,12 +46,13 @@ from .afa import (
     PBF,
     PBF_FALSE,
     PBF_TRUE,
-    AndNode,
     Move,
     MoveRef,
-    OrNode,
     StateSet,
     Weak,
+    _L,
+    _R,
+    _S,
     _compile,
     _holds,
     guard_test,
@@ -55,7 +60,7 @@ from .afa import (
     pbf_or,
     transition,
 )
-from .trace import Trace, check_letters, letters_over, resolve_alphabet
+from .trace import Trace, check_letters, letters_over, outside_alphabet, resolve_alphabet
 
 
 class TwoAFA:
@@ -69,31 +74,42 @@ class TwoAFA:
         self.transitions: dict = {}  # (q, BEGIN, END or a class over reads[q]) -> transition
         reads = []
         for q, entry in enumerate(self.states):
-            for m in (BEGIN, END):
-                self.transitions[(q, m)] = self._trans(entry, m)
-            read: set = set()  # the atoms of the guards its transition tests, the same at every letter
-            self.transitions[(q, frozenset())] = self._trans(entry, frozenset(), read)  # `letters_over` starts with it
-            for letter in letters_over(read)[1:]:
-                self.transitions[(q, letter)] = self._trans(entry, letter)
-            reads.append(frozenset(read))
+            self.transitions[(q, BEGIN)] = self._trans(entry, BEGIN)
+            asked: list = []  # the guards its build tests: the same at END and at every letter
+            end = self.transitions[(q, END)] = self._trans(entry, END, asked)
+            read = frozenset().union(*map(fm.atoms, asked))
+            if asked:
+                for letter in letters_over(read):  # the empty letter first
+                    self.transitions[(q, letter)] = self._trans(entry, letter)
+            else:  # it reads nothing of its cell, so END's transition is its transition at every letter
+                self.transitions[(q, frozenset())] = end
+            reads.append(read)
         self.reads: tuple[frozenset[str], ...] = tuple(reads)
         width = len(self.states)
-        compiled: dict = {}  # id(transition) -> the transition compiled; classes share transition objects
-        readers: dict = {}  # state s -> {(q, step): None} for the transitions from q reading s at pos + step
+        readers: list = [{} for _ in range(width)]  # s -> {(q, step): None} for transitions from q reading s at pos + step
+
+        def offset(ref: MoveRef) -> int:  # q is the state whose transition is being compiled
+            step = 1 if ref.move is _R else -1 if ref.move is _L else 0
+            readers[ref.state][(q, step)] = None
+            return step * width + ref.state
+
+        compiled: dict = {}  # id(transition) -> the transition compiled, its readers recorded
         self._code: dict = {}  # keyed as `transitions`: the transition compiled
         for key, pbf in self.transitions.items():
-            if id(pbf) not in compiled:
-                compiled[id(pbf)] = _compile(pbf, width)
-            self._code[key] = compiled[id(pbf)]
-            for ref in _move_refs(pbf):
-                readers.setdefault(ref.state, {})[(key[0], ref.move.value)] = None
-        self._readers: tuple = tuple(tuple(readers.get(s, ())) for s in range(width))
+            code = compiled.get(id(pbf))
+            if code is None:  # a transition object is shared only within a state, or is a leaf
+                q = key[0]
+                code = compiled[id(pbf)] = _compile(pbf, offset)
+            self._code[key] = code
+        self._readers: tuple = tuple(map(tuple, readers))
 
     def __len__(self) -> int:
         return len(self.states)
 
     def delta(self, q: int, cell) -> PBF:
-        """The transition of state q at a marker, or at a letter through its class over `reads[q]`."""
+        """The transition of state q at a marker, or at a letter of `ap` through its class over `reads[q]`."""
+        if cell is not BEGIN and cell is not END and not cell.issubset(self.ap):
+            raise outside_alphabet(cell, self.ap)
         return self.transitions[self._key(q, cell)]
 
     def _key(self, q: int, cell) -> tuple:
@@ -106,28 +122,26 @@ class TwoAFA:
             return PBF_FALSE
         return MoveRef(self.states.add(Weak(f) if weak else f), move)
 
-    def _trans(self, entry, m, read: set | None = None) -> PBF:
+    def _trans(self, entry, m, asked: list | None = None) -> PBF:
         if isinstance(entry, Weak):
-            return self._trans_weak(entry.formula, m)
+            return self._trans_weak(entry.formula, guard_test(m, asked))
         if m is BEGIN:
             return self._trans_begin(entry)
-        return transition(entry, guard_test(m, read), self._ref)
+        return transition(entry, guard_test(m, asked), self._ref)
 
-    def _trans_weak(self, f: fm.Formula, m) -> PBF:
-        if m is not BEGIN and m is not END:
-            return self._ref(f, Move.S)
-        # Weak value at a marker: literals hold, boolean structure recurses,
-        # everything else coincides with the plain state.  `_ref` folds tt
-        # and ff to leaves before it would wrap them, so f is never either.
-        match f:
-            case fm.Atom() | fm.Not(fm.Atom()):
-                return PBF_TRUE
-            case fm.And(l, r):
-                return pbf_and(self._ref(l, Move.S, True), self._ref(r, Move.S, True))
-            case fm.Or(l, r):
-                return pbf_or(self._ref(l, Move.S, True), self._ref(r, Move.S, True))
-            case _:
-                return self._ref(f, Move.S)
+    def _trans_weak(self, f: fm.Formula, sat) -> PBF:
+        # At a letter, where the guard tt holds, a weak state is its plain
+        # state.  At a marker literals hold, boolean structure recurses, and
+        # everything else coincides with the plain state, so only the
+        # literals and the boolean structure ask.  `_ref` folds tt and ff to
+        # leaves before it would wrap them, so f is never either.
+        if isinstance(f, (fm.Atom, fm.Not, fm.And, fm.Or)) and sat(fm.TRUE) is PBF_FALSE:
+            if isinstance(f, fm.And):
+                return pbf_and(self._ref(f.left, _S, True), self._ref(f.right, _S, True))
+            if isinstance(f, fm.Or):
+                return pbf_or(self._ref(f.left, _S, True), self._ref(f.right, _S, True))
+            return PBF_TRUE
+        return self._ref(f, _S)
 
     def _trans_begin(self, f: fm.Formula) -> PBF:
         # The begin marker is only inspected through the guard states of the
@@ -139,7 +153,6 @@ class TwoAFA:
                 return PBF_FALSE
 
     def accepts(self, t: Trace) -> bool:
-        check_letters(t, self.ap)
         return self._least(t)[2 * len(self.states) + self.initial] == 1  # configuration (initial, 0)
 
     def fixpoint(self, t: Trace) -> dict:
@@ -155,8 +168,10 @@ class TwoAFA:
         transitions, so a reader of a marker configuration that would sit
         off the tape, and any move off it, lands on a zero: no bounds test
         runs.  A configuration is re-evaluated only when a configuration its
-        transition reads has just turned true.
+        transition reads has just turned true.  AlphabetMismatchError for a
+        letter of t outside `ap`.
         """
+        check_letters(t, self.ap)
         width = len(self.states)
         cells = (BEGIN, *t.letters, END)  # the cell at position pos is cells[pos + 1]
         value = bytearray(width * (len(t) + 4))  # configuration (q, pos) is value[(pos + 2) * width + q]
@@ -180,11 +195,3 @@ class TwoAFA:
                     work.append((q, source))
         return value
 
-
-def _move_refs(pbf: PBF):
-    match pbf:
-        case MoveRef():
-            yield pbf
-        case AndNode(l, r) | OrNode(l, r):
-            yield from _move_refs(l)
-            yield from _move_refs(r)

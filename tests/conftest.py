@@ -220,6 +220,15 @@ def random_trace(rng: random.Random, max_len: int = 5, timed: bool = False, min_
     return TimedTrace(letters, tuple(times))
 
 
+def move_refs(pbf):
+    """The `MoveRef` leaves of a two-way transition, left to right."""
+    if isinstance(pbf, afa.MoveRef):
+        yield pbf
+    elif isinstance(pbf, (afa.AndNode, afa.OrNode)):
+        yield from move_refs(pbf.left)
+        yield from move_refs(pbf.right)
+
+
 @pytest.fixture
 def guard_atoms(monkeypatch) -> set:
     """A set to which every guard test of `transition`, in either automaton, adds the atoms of its guard.

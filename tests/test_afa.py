@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import exhaustive_core_formulas, random_core_formula
+from conftest import exhaustive_core_formulas, move_refs, random_core_formula
 import reference_fa as ref
 from reference_fa import ReferenceTwoAFA, afa_image
 from tracelogic import afa
@@ -31,7 +31,7 @@ from tracelogic.fa import dealternate
 from tracelogic.formula import nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import enumerate_traces, letters_over
-from tracelogic.twafa import TwoAFA, _move_refs
+from tracelogic.twafa import END, TwoAFA
 
 AP = ("a", "b")
 
@@ -150,6 +150,22 @@ def test_alphabet_mismatch():
         with pytest.raises(AlphabetMismatchError) as error:
             build(_core("a & b"), ap=("a",))
         assert (error.type, str(error.value)) == (AlphabetMismatchError, "alphabet ['a'] misses atoms ['b']"), build
+
+
+def test_delta_rejects_letters_outside_the_alphabet():
+    """`delta` at a letter outside `ap` raises, for a state that reads nothing too, before and after a memoised image."""
+    automaton = AFA(_core("a U b"))
+    for q in range(len(automaton)):
+        for letter in (frozenset({"zzz"}), frozenset({"zzz", "a"})):
+            with pytest.raises(AlphabetMismatchError) as error:
+                automaton.delta(q, letter)
+            assert str(error.value) == f"letter {sorted(letter)} outside alphabet ['a', 'b']"
+        automaton.delta(q, frozenset({"a"}))
+        with pytest.raises(AlphabetMismatchError):
+            automaton.delta(q, frozenset({"a", "zzz"}))
+    assert AFA(_core("X tt")).reads[0] == frozenset()
+    with pytest.raises(AlphabetMismatchError):
+        AFA(_core("X tt")).delta(0, frozenset({"zzz"}))
 
 
 def test_positivity_of_images():
@@ -287,8 +303,11 @@ def test_transitions_match_the_reference():
     the same transitions, and a readers table equal to one built from every
     transition.  Neither automaton has a `Weak(tt)` or `Weak(ff)` state:
     both fold a constant step target to a leaf before they would wrap it.
+    A 2AFA state whose END build asks about no guard reads nothing and
+    keeps its END transition object at the empty letter.
     """
     constant_weak = {Weak(fm.TRUE), Weak(fm.FALSE)}
+    kinds = Counter()  # states by whether their END build asks about a guard, and whether they read atoms
     corpus = _reference_corpus()
     assert len(corpus) >= 2000
     assert sum(map(_has_past, corpus)) >= 400
@@ -307,9 +326,17 @@ def test_transitions_match_the_reference():
         assert all(two_way.delta(*key) == pbf for key, pbf in reference.transitions.items()), f
         readers = [{} for _ in reference.states]
         for (q, _), pbf in reference.transitions.items():
-            for ref in _move_refs(pbf):
+            for ref in move_refs(pbf):
                 readers[ref.state][(q, ref.move.value)] = None
         assert two_way._readers == tuple(tuple(r) for r in readers), f
+        for q, entry in enumerate(two_way.states):
+            asked = []
+            two_way._trans(entry, END, asked)
+            if not asked:
+                assert two_way.reads[q] == frozenset(), (f, q)
+                assert two_way.transitions[(q, END)] is two_way.transitions[(q, frozenset())], (f, q)
+            kinds[bool(asked), bool(two_way.reads[q])] += 1
+    assert kinds.keys() == {(False, False), (True, False), (True, True)}, kinds
 
 
 def test_state_count_tracks_closure(monkeypatch):
@@ -464,3 +491,25 @@ def test_chain_images_take_linear_builder_calls(builds):
         sys.setrecursionlimit(limit)
     assert made[90] <= 2.2 * made[45]
     assert made[180] <= 2.2 * made[90]
+
+
+def test_chain_hashes_each_node_once(monkeypatch):
+    """`AFA()` of the 180-deep `<(a? ; (a? ; … tt))> c` hashes the fields of each formula node at most once.
+
+    A node keeps its hash, so the memo and state-set lookups that meet a
+    node again do not rehash its subtree.  Every node that computes its
+    hash is kept alive, so no two of them share an `id`.
+    """
+    root = _core(_nested_tests(180))
+    computed, kept = Counter(), []
+    fields = fm._fields
+
+    def counting(node):
+        computed[id(node)] += 1
+        kept.append(node)
+        return fields(node)
+
+    monkeypatch.setattr(fm, "_fields", counting)
+    AFA(root)
+    assert len(computed) > 180
+    assert max(computed.values()) == 1

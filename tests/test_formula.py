@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -307,3 +309,11 @@ def test_core_of_nnf_is_in_the_two_way_fragment():
 
     check()
     assert {cls.__name__ for cls in FORMULA_CLASSES | PATH_CLASSES} <= seen
+
+
+def test_hashed_nodes_copy_and_pickle():
+    """A node that keeps its hash copies and pickles from its fields; the copies are equal and hash equal."""
+    f = parse_formula("<(a? ; b)*> (c U X[1,3) d) & !e & [tt*] WX[2,inf) a")
+    value = hash(f)
+    for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert copied == f and hash(copied) == value

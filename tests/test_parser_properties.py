@@ -83,6 +83,12 @@ def _node_types(node) -> set:
     return names
 
 
+_EVERY_NODE_TYPE = {cls.__name__ for cls in UNARY + BINARY} | {
+    "Atom", "TrueFormula", "FalseFormula", "MetricNext", "MetricNextInf", "WeakMetricNext",
+    "WeakMetricNextInf", "Diamond", "Box", "Step", "Test", "Seq", "Alt", "Star",
+}
+
+
 def test_formula_round_trip():
     seen = set()
 
@@ -93,11 +99,47 @@ def test_formula_round_trip():
         assert parse_formula(format_formula(f)) == f
 
     check()
-    every = {cls.__name__ for cls in UNARY + BINARY} | {
-        "Atom", "TrueFormula", "FalseFormula", "MetricNext", "MetricNextInf", "WeakMetricNext",
-        "WeakMetricNextInf", "Diamond", "Box", "Step", "Test", "Seq", "Alt", "Star",
-    }
-    assert every <= seen, every - seen
+    assert _EVERY_NODE_TYPE <= seen, _EVERY_NODE_TYPE - seen
+
+
+def _nodes(node):
+    """Every formula and path node of a tree, children before their parent."""
+    for field in dataclasses.fields(node):
+        child = getattr(node, field.name)
+        if isinstance(child, (fm.Formula, fm.PathExpr)):
+            yield from _nodes(child)
+    yield node
+
+
+def _field_tuple(node) -> tuple:
+    return tuple(getattr(node, field.name) for field in dataclasses.fields(node))
+
+
+def test_node_hash_is_the_field_tuple_hash():
+    """A node hashes as the generated dataclass hash would, before and after its first hash.
+
+    Two separate parses give equal trees of distinct nodes (the constants
+    aside).  In one the root is hashed first, so each node's first hash
+    hashes its children for the first time too; in the other each node is
+    hashed first after its children, and its hash is compared with its
+    field tuple's just before and just after.
+    """
+    seen = set()
+
+    @SETTINGS
+    @given(FORMULAS)
+    def check(f):
+        seen.update(_node_types(f))
+        text = format_formula(f)
+        first, second = parse_formula(text), parse_formula(text)
+        hash(first)
+        for a, b in zip(_nodes(first), _nodes(second)):  # the roots last
+            assert a is not b or isinstance(a, (fm.TrueFormula, fm.FalseFormula))
+            expected = hash(_field_tuple(b))
+            assert hash(b) == expected == hash(_field_tuple(b)) == hash(b) == hash(a)
+
+    check()
+    assert _EVERY_NODE_TYPE <= seen, _EVERY_NODE_TYPE - seen
 
 
 def test_trace_round_trip():

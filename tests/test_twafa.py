@@ -2,21 +2,21 @@ import random
 
 import pytest
 
-from conftest import random_core_formula, random_trace, renamed
+from conftest import move_refs, random_core_formula, random_trace, renamed
 from tracelogic import afa, oracle, twafa
 from tracelogic.afa import AFA, AndNode, FalseLeaf, OrNode, TrueLeaf
-from tracelogic.errors import UnsupportedOperatorError
+from tracelogic.errors import AlphabetMismatchError, UnsupportedOperatorError
 from tracelogic.formula import And, nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import Trace, enumerate_traces, letters_over
-from tracelogic.twafa import BEGIN, END, Move, MoveRef, TwoAFA, _move_refs
+from tracelogic.twafa import BEGIN, END, Move, MoveRef, TwoAFA
 
 AP = ("a", "b")
 
 
 def moves_in(pbf) -> set:
     """All head moves a transition formula can emit."""
-    return {ref.move for ref in _move_refs(pbf)}
+    return {ref.move for ref in move_refs(pbf)}
 
 
 def marked_at(t: Trace, pos: int):
@@ -72,6 +72,21 @@ def test_empty_trace_truth():
     assert _two("tt").accepts(parse_trace("eps")) is True
     assert _two("WY a").accepts(parse_trace("eps")) is True
     assert _two("[tt*] a").accepts(parse_trace("eps")) is True
+
+
+def test_delta_rejects_letters_outside_the_alphabet():
+    """`delta` at a letter outside `ap` raises for every state, one that reads nothing too; the markers pass."""
+    automaton = _two("a U Y b")
+    assert frozenset() in automaton.reads
+    for q in range(len(automaton)):
+        for letter in (frozenset({"zzz"}), frozenset({"zzz", "a"})):
+            with pytest.raises(AlphabetMismatchError) as error:
+                automaton.delta(q, letter)
+            assert str(error.value) == f"letter {sorted(letter)} outside alphabet ['a', 'b']"
+        assert automaton.delta(q, BEGIN) is automaton.transitions[(q, BEGIN)]
+        assert automaton.delta(q, END) is automaton.transitions[(q, END)]
+    with pytest.raises(AlphabetMismatchError):
+        automaton.fixpoint(parse_trace("{a};{zzz}"))
 
 
 def test_metric_rejected():
@@ -210,7 +225,7 @@ def test_letter_classes_match_direct_transitions():
 
 
 def test_entries_that_test_no_guard_are_built_once_per_cell(monkeypatch):
-    """An `Or` entry tests no guard, so its transition is built at the end marker and one letter only."""
+    """An `Or` entry tests no guard, so its transition is built once, at the end marker, and serves every letter."""
     root = to_dynamic_core(nnf(parse_formula("(a & b & c & d & e & f) | X (Y a)")))
     built = []
     build = twafa.transition
@@ -221,8 +236,8 @@ def test_entries_that_test_no_guard_are_built_once_per_cell(monkeypatch):
 
     monkeypatch.setattr(twafa, "transition", counting)
     TwoAFA(root)
-    assert built.count(root) == 2
-    assert len(built) == 36
+    assert built.count(root) == 1
+    assert len(built) == 29
 
 
 _LONG_TRACES = (
@@ -277,10 +292,10 @@ def test_transitions_are_compiled_once_per_object(monkeypatch):
     compiled = _recorded_compiles(monkeypatch, twafa)
     automaton = _two("G (p & q & r & s -> F (t & u))")
     assert len(automaton.transitions) == 78
-    assert len(compiled) == len({id(pbf) for pbf in automaton.transitions.values()}) == 39
+    assert len(compiled) == len({id(pbf) for pbf in automaton.transitions.values()}) == 31
     assert automaton.accepts(parse_trace("{p,q,r,s};{t};{t,u};{}")) is True
     assert automaton.accepts(parse_trace("{p,q,r,s};{}")) is False
-    assert len(compiled) == 39
+    assert len(compiled) == 31
 
 
 def test_afa_images_are_compiled_once_per_class(monkeypatch):
