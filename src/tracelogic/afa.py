@@ -91,10 +91,9 @@ class OrNode(PBF):
 
 @dataclass(frozen=True)
 class GuardLeaf(PBF):
-    """Leaf of a guarded image: the value of a step guard or literal at the letter, negated unless `polarity`."""
+    """Leaf of a guarded image: the value at the letter of a literal, a step guard or a box's negated step guard."""
 
     guard: fm.Formula
-    polarity: bool = True
 
 
 class Move(Enum):
@@ -162,9 +161,9 @@ def _compile(pbf: PBF, offset=None):
     the PBF's: no normal form is taken.
     """
 
-    def code(node: PBF):
+    def compiled(node: PBF):
         if isinstance(node, (AndNode, OrNode)):
-            return (isinstance(node, AndNode), code(node.left), code(node.right))
+            return (isinstance(node, AndNode), compiled(node.left), compiled(node.right))
         if isinstance(node, StateRef):
             return node.state
         if isinstance(node, MoveRef):
@@ -173,22 +172,22 @@ def _compile(pbf: PBF, offset=None):
             return isinstance(node, TrueLeaf)
         raise TypeError(f"not a PBF: {node!r}")
 
-    return code(pbf)
+    return compiled(pbf)
 
 
-def _holds(code, value, base: int):
+def _holds(compiled, value, base: int):
     """Whether a compiled transition holds with the reference at offset o read as `value[base + o]`."""
-    while code.__class__ is tuple:  # right operands in the loop: at most one frame per level of the PBF
-        is_and, left, right = code
+    while compiled.__class__ is tuple:  # right operands in the loop: at most one frame per level of the PBF
+        is_and, left, right = compiled
         if _holds(left, value, base):
             if not is_and:
                 return True
         elif is_and:
             return False
-        code = right
-    if code.__class__ is int:
-        return value[base + code]
-    return code
+        compiled = right
+    if compiled.__class__ is int:
+        return value[base + compiled]
+    return compiled
 
 
 def specialise(pbf: PBF, letter) -> PBF:
@@ -202,7 +201,7 @@ def specialise(pbf: PBF, letter) -> PBF:
     if isinstance(pbf, OrNode):
         return pbf_or(specialise(pbf.left, letter), specialise(pbf.right, letter))
     if isinstance(pbf, GuardLeaf):
-        return PBF_TRUE if oracle.prop_sat(pbf.guard, letter) == pbf.polarity else PBF_FALSE
+        return PBF_TRUE if oracle.prop_sat(pbf.guard, letter) else PBF_FALSE
     return pbf
 
 
@@ -304,7 +303,7 @@ def _box(b: fm.Box, sat, ref, expanding: tuple) -> PBF:
             test = sat(guard)
             if isinstance(test, FalseLeaf):
                 return PBF_TRUE
-            unless = GuardLeaf(test.guard, not test.polarity) if isinstance(test, GuardLeaf) else PBF_FALSE
+            unless = GuardLeaf(fm.Not(guard)) if isinstance(test, GuardLeaf) else PBF_FALSE
             return pbf_or(unless, ref(g, _R, True))
         case fm.Box(fm.Test(e), g):
             unless = ref(fm.nnf_not(e), _S, True)
@@ -369,7 +368,7 @@ class AFA:
         self._end = oracle.end_evaluator()
         self._nodes: dict = {}  # formula -> (guarded image, atoms read), built outside any diamond-star unrolling
         self._delta_memo: dict = {}  # (q, letter & reads[q]) -> image
-        self._code_memo: dict = {}  # (q, letter & reads[q]) -> the image compiled
+        self._compiled_memo: dict = {}  # (q, letter & reads[q]) -> the image compiled
         self._sets_memo: dict = {}  # (q, code & masks[q]) -> minimal sets of the image
         self.states: StateSet = StateSet()
         self.initial: int = self.states.add(root)
@@ -472,19 +471,19 @@ class AFA:
             g = Weak(g)
         return StateRef(self.states.add(g))
 
-    def _code(self, q: int, letter):
+    def _compiled(self, q: int, letter):
         """`delta(q, letter)` compiled, once per class."""
         key = (q, letter & self.reads[q])
-        code = self._code_memo.get(key)
-        if code is None:
-            code = self._code_memo[key] = _compile(self.delta(q, letter))
-        return code
+        compiled = self._compiled_memo.get(key)
+        if compiled is None:
+            compiled = self._compiled_memo[key] = _compile(self.delta(q, letter))
+        return compiled
 
     def accepts(self, t: Trace) -> bool:
         check_letters(t, self.ap)
         states = range(len(self.states))
-        rows = {letter: [self._code(q, letter) for q in states] for letter in set(t.letters)}
+        rows = {letter: [self._compiled(q, letter) for q in states] for letter in set(t.letters)}
         values = self.final
         for letter in reversed(t.letters):
-            values = [_holds(code, values, 0) for code in rows[letter]]
+            values = [_holds(compiled, values, 0) for compiled in rows[letter]]
         return values[self.initial]

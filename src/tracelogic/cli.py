@@ -228,7 +228,7 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_metric_check(args) -> int:
     program = parse_program(_input(args, "program"))
-    t = parse_trace(_input(args, "trace"))
+    t = parse_trace(_input(args, "trace")) or TimedTrace((), ())  # `eps` has no step to carry a time
     if not isinstance(t, TimedTrace):
         raise _CliError("metric check needs a timed trace (steps suffixed with @t)", EXIT_INVALID)
     violations = check_program(program, t)

@@ -90,12 +90,6 @@ class DFA:
     def _columns(self) -> dict:
         return {letter: a for a, letter in enumerate(self.letters)}
 
-    def letter_index(self, letter) -> int:
-        try:
-            return self._columns[letter]
-        except KeyError:
-            raise outside_alphabet(letter, self.ap) from None
-
 
 def _add(states: StateSet, state, max_states: int, stage: str) -> int:
     """The ordinal of `state`, added to `states` if new; BudgetError past `max_states` states."""
@@ -198,8 +192,7 @@ def dfa_accepts(dfa: DFA, t: Trace) -> bool:
         for letter in t.letters:
             state = transitions[state][columns[letter]]
     except KeyError as missing:
-        dfa.letter_index(missing.args[0])  # raises AlphabetMismatchError
-        raise
+        raise outside_alphabet(missing.args[0], dfa.ap) from None
     return dfa.accepting[state]
 
 
@@ -298,7 +291,7 @@ def enumerate_accepted(dfa: DFA, max_len: int) -> Iterator[Trace]:
     """
     check_enumeration_bound(dfa.ap, max_len)
     alphabet = letters_over(dfa.ap)
-    columns = [(letter, dfa.letter_index(letter)) for letter in alphabet]
+    columns = [(letter, dfa._columns[letter]) for letter in alphabet]  # keyed by the letters `_walk` hands `child`
     successors = [{letter: row[a] for letter, a in columns} for row in dfa.transitions]
     alive = [dfa.accepting]
 

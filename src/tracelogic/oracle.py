@@ -200,18 +200,14 @@ class _Evaluator:
                 raise TypeError(f"not a path expression: {p!r}")
 
 
-def _position_checked(t, i: int) -> None:
-    if not 0 <= i <= len(t):
-        raise ValueError(f"position {i} outside 0..{len(t)}")
-
-
 def _evaluator(t: Trace | TimedTrace) -> _Evaluator:
     return _Evaluator(t.letters, t.times if isinstance(t, TimedTrace) else None)
 
 
 def evaluate(f: fm.Formula, t: Trace | TimedTrace, i: int = 0) -> bool:
     """Truth of f at position i; metric connectives require a timed trace."""
-    _position_checked(t, i)
+    if not 0 <= i <= len(t):
+        raise ValueError(f"position {i} outside 0..{len(t)}")
     return bool(_evaluator(t).sat(f) >> i & 1)
 
 

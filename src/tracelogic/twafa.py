@@ -93,14 +93,14 @@ class TwoAFA:
             readers[ref.state][(q, step)] = None
             return step * width + ref.state
 
-        compiled: dict = {}  # id(transition) -> the transition compiled, its readers recorded
-        self._code: dict = {}  # keyed as `transitions`: the transition compiled
+        by_object: dict = {}  # id(transition) -> the transition compiled, its readers recorded
+        self._compiled: dict = {}  # keyed as `transitions`: the transition compiled
         for key, pbf in self.transitions.items():
-            code = compiled.get(id(pbf))
-            if code is None:  # a transition object is shared only within a state, or is a leaf
+            compiled = by_object.get(id(pbf))
+            if compiled is None:  # a transition object is shared only within a state, or is a leaf
                 q = key[0]
-                code = compiled[id(pbf)] = _compile(pbf, offset)
-            self._code[key] = code
+                compiled = by_object[id(pbf)] = _compile(pbf, offset)
+            self._compiled[key] = compiled
         self._readers: tuple = tuple(map(tuple, readers))
 
     def __len__(self) -> int:
@@ -175,10 +175,10 @@ class TwoAFA:
         width = len(self.states)
         cells = (BEGIN, *t.letters, END)  # the cell at position pos is cells[pos + 1]
         value = bytearray(width * (len(t) + 4))  # configuration (q, pos) is value[(pos + 2) * width + q]
-        rows = {cell: [self._code[self._key(q, cell)] for q in range(width)] for cell in set(cells)}  # per distinct cell
+        rows = {cell: [self._compiled[self._key(q, cell)] for q in range(width)] for cell in set(cells)}  # per distinct cell
         # Transitions are constant-folded, so with every configuration false
         # exactly those whose transition is the true leaf hold.
-        seeds = {cell: [q for q, code in enumerate(row) if code is True] for cell, row in rows.items()}
+        seeds = {cell: [q for q, compiled in enumerate(row) if compiled is True] for cell, row in rows.items()}
         work = [(q, row) for row, cell in enumerate(cells, 1) for q in seeds[cell]]  # (state, pos + 2)
         for q, row in work:
             value[row * width + q] = 1

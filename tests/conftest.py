@@ -4,6 +4,7 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import strategies as st
 
 from tracelogic import afa, twafa
 from tracelogic import formula as fm
@@ -203,6 +204,57 @@ def random_any_formula(rng: random.Random, size: int):
         "not": Not, "next": Next, "wnext": WeakNext, "even": Eventually,
         "always": Always, "prev": Prev, "wprev": WeakPrev,
     }[kind](arg)
+
+
+_SURFACE_LITERALS = st.sampled_from(tuple(Atom(n) for n in "abc") + tuple(Not(Atom(n)) for n in "abc"))
+_SURFACE_UNARY, _SURFACE_BINARY = (Not, Next, WeakNext, Eventually, Always), (And, Or, Implies, Until, Release)
+
+
+@st.composite
+def surface_formulas(draw, past: bool = False):
+    """Formulas of AST size 6 to 14 over {a, b, c} in the surface syntax, with past operators if `past`.
+
+    Unlike `random_core_formula`, which rarely builds a non-trivial
+    automaton, the draws use temporal sugar, implication, stars and
+    compound step guards such as `a & !b`, and have no `tt` or `ff` leaf.
+    """
+    unary, binary = _SURFACE_UNARY, _SURFACE_BINARY
+    if past:
+        unary, binary = unary + (Prev, WeakPrev), binary + (Since, Trigger)
+
+    def split(size):
+        left = draw(st.integers(1, size - 2))
+        return left, size - 1 - left
+
+    def guard(size):
+        if size <= 2:
+            return draw(_SURFACE_LITERALS)
+        left, right = split(size)
+        return draw(st.sampled_from((And, Or)))(guard(left), guard(right))
+
+    def path(size):
+        kind = draw(st.sampled_from(("step", "test", "star", "seq", "alt") if size > 2 else ("step", "test")))
+        if kind == "step":
+            return Step(guard(size - 1) if size > 1 and draw(st.booleans()) else TRUE)
+        if kind == "test":
+            return Test(formula(max(size - 1, 1)))
+        if kind == "star":
+            return Star(path(size - 1))
+        left, right = split(size)
+        return (Seq if kind == "seq" else Alt)(path(left), path(right))
+
+    def formula(size):
+        if size <= 1:
+            return draw(_SURFACE_LITERALS)
+        kind = draw(st.sampled_from(("unary", "binary", "modal") if size > 2 else ("unary",)))
+        if kind == "unary":
+            return draw(st.sampled_from(unary))(formula(size - 1))
+        left, right = split(size)
+        if kind == "binary":
+            return draw(st.sampled_from(binary))(formula(left), formula(right))
+        return draw(st.sampled_from((Diamond, Box)))(path(left), formula(right))
+
+    return formula(draw(st.integers(6, 14)))
 
 
 def random_trace(rng: random.Random, max_len: int = 5, timed: bool = False, min_len: int = 0):

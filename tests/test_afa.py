@@ -253,7 +253,7 @@ HAND_WRITTEN = (
     "[((a T b)? ; tt)] WY c",
     "[tt*] (a -> Y (b S c))",
     # Compound step guards, so that states read three to six atoms and a
-    # guarded image keeps guard leaves of either polarity under stars.
+    # guarded image keeps guard leaves and negated ones under stars.
     "<(a & !b)> c",
     "[(a | b & c)] d",
     "<((a & b)? ; (c | !d))*> e",

@@ -165,6 +165,17 @@ def test_metric_enumerate(tmp_path):
     assert out.strip().splitlines() == ["{}@0", "{school}@0"]
 
 
+def test_metric_check_accepts_every_enumerated_model():
+    """`metric enumerate` prints `eps` for the empty model, and `metric check` reads it as the empty timed trace."""
+    for program, ap, horizon in ((":- a.", "a", "0"), ("X[1,3) b :- a.", "a,b", "2")):
+        code, out, _ = invoke("metric", "enumerate", "--program-text", program, "--ap", ap, "--horizon", horizon)
+        assert code == 0 and out
+        for model in out.splitlines():
+            assert invoke("metric", "check", "--program-text", program, "-t", model) == (0, "", ""), model
+    code, _, err = invoke("metric", "check", "--program-text", ":- a.", "-t", "{b}")
+    assert (code, err) == (2, "error: metric check needs a timed trace (steps suffixed with @t)\n")
+
+
 def test_alphabet_names_must_be_atoms():
     code, out, err = invoke("enumerate", "-f", "a", "--ap", "a,B c,{x}", "--max-len", "1")
     assert (code, out, err) == (2, "", "error: invalid atom name: 'B c'\n")

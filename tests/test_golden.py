@@ -1,4 +1,4 @@
-"""Pinned `compile` output: sizes per target and the sha256 of every DOT file."""
+"""Pinned `compile` output: sizes per target, the sha256 of every DOT file, and one digest over the reference corpus."""
 
 import contextlib
 import hashlib
@@ -6,7 +6,13 @@ import io
 
 import pytest
 
-from tracelogic.cli import run
+from test_afa import AP, _has_past, _reference_corpus
+from tracelogic import formula as fm
+from tracelogic.afa import AFA
+from tracelogic.cli import _size, run
+from tracelogic.dot import to_dot
+from tracelogic.fa import dealternate, determinize, minimize
+from tracelogic.twafa import TwoAFA
 
 GOLDEN = [
     ("a U b", "afa", 1, 3, "045272c40e5ca6f22d7bf759fb47184ed6d0bf678f081256b73dbf83905865ae"),
@@ -32,3 +38,28 @@ def test_compile_golden(tmp_path, formula, target, states, transitions, digest):
     assert code == 0
     assert out.getvalue() == f"states {states} transitions {transitions}\n"
     assert hashlib.sha256(dot_path.read_bytes()).hexdigest() == digest
+
+
+CORPUS_DIGEST = "7f644d3f4cc4291d0a0849983a816f50fc3300581044c01c7d07d5dfbc1b2b51"
+
+
+def test_corpus_digest():
+    """The size line and DOT bytes of every automaton of the reference corpus, hashed together.
+
+    Each formula is compiled over its atoms plus `AP`: the 2AFA always, and
+    the AFA, NFA, DFA and minimal DFA when it has no past operator.  The
+    digest pins sizes, state order and DOT bytes for all 2,606 formulas.
+    """
+    digest = hashlib.sha256()
+    for f in _reference_corpus():
+        ap = tuple(sorted(fm.atoms(f) | set(AP)))
+        automata = [TwoAFA(f, ap)]
+        if not _has_past(f):
+            one_way = AFA(f, ap)
+            nfa = dealternate(one_way)
+            dfa = determinize(nfa)
+            automata += [one_way, nfa, dfa, minimize(dfa)]
+        for automaton in automata:
+            digest.update(_size(automaton).encode())
+            digest.update(to_dot(automaton).encode())
+    assert digest.hexdigest() == CORPUS_DIGEST
