@@ -22,11 +22,11 @@ computations rather than 2^|AP|, and a macro-state of the subset
 construction one union per class of its members' masks.  Only the DFA keeps
 an entry for every letter, filled by one AND and one lookup per letter.
 
-Bounded enumeration walks the DFA depth-first by length and enters only
-successors that can still accept in the letters left (the `alive` table),
-so it builds no rejected trace and reruns no word from the initial state:
-O(max_len * states * letters) for the table, plus time in proportion to the
-accepted words and the pruned siblings of their letters.
+Bounded enumeration hands the DFA rows, as `(letter, successor)` pairs, to
+`trace.accepted_words`, which walks them depth-first by length and enters
+only successors that can still accept in the letters left.  So it builds no
+rejected trace and reruns no word from the initial state:
+O(max_len * states * letters) for the table, then O(length) per trace.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Iterator
 from . import formula as fm
 from .afa import AFA, StateSet, _product
 from .errors import BudgetError
-from .trace import Trace, _walk, check_enumeration_bound, check_letters, letters_over, outside_alphabet
+from .trace import Trace, accepted_words, check_enumeration_bound, check_letters, letters_over, outside_alphabet
 
 DEFAULT_BUDGET = 2**20
 
@@ -282,27 +282,13 @@ def is_empty(dfa: DFA):
 def enumerate_accepted(dfa: DFA, max_len: int) -> Iterator[Trace]:
     """Accepted traces of length <= max_len, shortest first, then in product order over `letters_over`.
 
-    Row r of `alive`, the states that accept in exactly r more letters, is
-    added before the traces of length r are walked.  The walk enters only
-    successors alive for the letters left, so only accepted words become
-    `Trace`s.  The table costs O(max_len * states * letters); the walk costs
-    time in proportion to the accepted words and the pruned siblings of
-    their letters.
+    Each DFA row becomes its `(letter, successor)` pairs in that order, and
+    `trace.accepted_words` walks only successors that accept in the letters
+    left, so only accepted words become `Trace`s.  The table costs
+    O(max_len * states * letters), then each trace O(length).
     """
     check_enumeration_bound(dfa.ap, max_len)
-    alphabet = letters_over(dfa.ap)
-    columns = [(letter, dfa._columns[letter]) for letter in alphabet]  # keyed by the letters `_walk` hands `child`
-    successors = [{letter: row[a] for letter, a in columns} for row in dfa.transitions]
-    alive = [dfa.accepting]
-
-    def child(state, letter, depth):  # the walk of one length runs before `length` moves on
-        successor = successors[state][letter]
-        return successor if alive[length - depth - 1][successor] else None
-
-    for length in range(max_len + 1):
-        if length:
-            below = alive[-1]
-            alive.append(tuple(any(below[t] for t in row) for row in dfa.transitions))
-        if alive[length][dfa.initial]:
-            for letters, _ in _walk(alphabet, length, dfa.initial, child):
-                yield Trace(letters)
+    columns = [(letter, dfa._columns[letter]) for letter in letters_over(dfa.ap)]
+    table = [tuple([(letter, row[a]) for letter, a in columns]) for row in dfa.transitions]
+    for letters in accepted_words(table, dfa.accepting, dfa.initial, range(max_len + 1)):
+        yield Trace(letters)

@@ -13,8 +13,7 @@ every step the largest lower bound is at most the smallest upper bound,
 and its least solution from t_0 = 0 is the running sum of each step's
 largest lower bound.  `feasible` solves any system; `enumerate_models`
 reads each step's bounds from a table over the letters instead, in
-O(|letters| * |rules|) once, then O(1) per walk child and O(horizon) per
-model.
+O(|letters| * |rules|) once, then O(horizon) per model.
 """
 
 from __future__ import annotations
@@ -25,9 +24,10 @@ from functools import cached_property, reduce
 from typing import Iterator
 
 from . import formula as fm
+from .afa import StateSet
 from .errors import TraceLogicError
 from .oracle import _evaluator, _members
-from .trace import TimedTrace, Trace, _walk, check_enumeration_bound, letters_over
+from .trace import TimedTrace, Trace, accepted_words, check_enumeration_bound, letters_over
 
 
 @dataclass(frozen=True)
@@ -270,15 +270,15 @@ def _trace_cycle(pred, start: int) -> tuple[int, ...]:
 def enumerate_models(program: MetricProgram, ap, horizon: int) -> Iterator[TimedTrace]:
     """Every length-`horizon` trace admitting timestamps, with its minimal witness.
 
-    Traces come in the order of `enumerate_traces`, from the depth-first
-    walk of `trace._walk` over `letters_over(ap)`.  A step's bounds depend
+    Traces come in the order of `enumerate_traces`.  A step's bounds depend
     on its first letter alone (the chain argument of the module docstring),
     so one table, built in O(|letters| * |rules|), holds per letter the
     atoms the next letter must hold and the least gap to it.  Letters that
     break a plain rule or an integrity constraint, or whose step has no
-    gap, are left out; a prefix is cut at its first missing atom, and the
-    last letter must fire no metric rule.  A walk child costs O(1) and a
-    model O(horizon) to yield.
+    gap, are left out.  The sets of atoms due are numbered as the nodes of
+    `trace.accepted_words`, from `frozenset()`: a node moves by each letter
+    that holds its atoms to that letter's needs, and accepts when nothing is
+    due.  So only models are walked, each in O(horizon).
     """
     check_enumeration_bound(ap, horizon)
     needs, gaps = {}, {}
@@ -291,15 +291,10 @@ def enumerate_models(program: MetricProgram, ap, horizon: int) -> Iterator[Timed
         if gap <= min((head.hi - 1 for head in window if head.hi is not None), default=gap):
             needs[letter] = frozenset(head.atom for head in window)
             gaps[letter] = gap
-    last = horizon - 1
-
-    def fits(due, letter, k):
-        # The node is the set of atoms due at position k; the last letter must leave none due.
-        if due <= letter and (k < last or not needs[letter]):
-            return needs[letter]
-        return None
-
-    for letters, _ in _walk(list(needs), horizon, frozenset(), fits):
+    nodes = StateSet()
+    nodes.add(frozenset())
+    table = [tuple([(letter, nodes.add(need)) for letter, need in needs.items() if due <= letter]) for due in nodes]
+    for letters in accepted_words(table, [not due for due in nodes], 0, (horizon,)):
         times, time = [], 0
         for letter in letters:
             times.append(time)

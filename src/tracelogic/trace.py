@@ -1,4 +1,9 @@
-"""Trace data model and exhaustive small-trace enumeration."""
+"""Trace data model, exhaustive small-trace enumeration, and the bounded-enumeration kernel.
+
+`accepted_words` walks an explicit successor table depth-first and enters
+only successors that still accept in the letters left; `fa.enumerate_accepted`
+and `metric.enumerate_models` both enumerate through it.
+"""
 
 from __future__ import annotations
 
@@ -104,43 +109,52 @@ def enumerate_traces(ap, max_len: int) -> Iterator[Trace]:
             yield Trace(combo)
 
 
-def _walk(alphabet, length: int, start, child) -> Iterator[tuple[tuple[Letter, ...], object]]:
-    """(letters, node) for each word of `length` letters that `child` lets through, in product order.
+def accepted_words(table, accepting, start: int, lengths) -> Iterator[tuple[Letter, ...]]:
+    """The words of each length in `lengths` (ascending) that lead from node `start` to an accepting one.
 
-    A depth-first search extends a prefix by each letter of `alphabet` in
-    turn; `child(node, letter, depth)` gives the node after reading
-    `letter` at position `depth`, or None to cut the branch.  The stacks
-    hold one entry per position, so memory is O(length).
+    `table[s]` holds node s's `(letter, successor)` pairs in letter order,
+    so words come in product order.  Before the words of length r,
+    `live[r][s]` keeps the pairs of `table[s]` whose successor accepts in
+    exactly r - 1 more letters (`live[0]` is `accepting`), and `last[s]`
+    the letters of `live[1][s]`.  The walk enters only live pairs, so every
+    branch reaches a word.  It is a depth-first search with one iterator per
+    position on an explicit stack and a list prefix; each word tuple is
+    built once per second-to-last letter and extended by each `last` letter.
+    O(max(lengths) * |pairs|) for the table, then O(length) per word.
     """
-    if length == 0:
-        yield (), start
-        return
-    last = length - 1
-    prefix: list = []
-    nodes = [start]
-    branches = [iter(alphabet)]
-    while branches:
-        depth = len(prefix)
-        if depth == last:  # the last letter: each child is a complete word
-            node = nodes.pop()
-            for letter in alphabet:
-                leaf = child(node, letter, depth)
-                if leaf is not None:
-                    yield (*prefix, letter), leaf
-            branches.pop()
-        else:
-            letter = next(branches[-1], None)
-            if letter is not None:
-                node = child(nodes[-1], letter, depth)
-                if node is not None:
-                    prefix.append(letter)
-                    nodes.append(node)
-                    branches.append(iter(alphabet))
+    live: list = [accepting]
+    last: list = []
+    for length in lengths:
+        while len(live) <= length:
+            below = live[-1]
+            live.append([tuple([pair for pair in pairs if below[pair[1]]]) for pairs in table])
+            if len(live) == 2:
+                last = [tuple([letter for letter, _ in pairs]) for pairs in live[1]]
+        if not live[length][start]:
+            continue
+        if length < 2:  # no second-to-last letter
+            yield from [(letter,) for letter in last[start]] if length else [()]
+            continue
+        top = length - 2  # the position of the second-to-last letter
+        prefix: list = [None] * top
+        branches: list = [None] * (top + 1)
+        branches[0] = iter(live[length][start])
+        depth = 0
+        while depth >= 0:
+            if depth == top:
+                for letter, node in branches[top]:
+                    word = (*prefix, letter)
+                    for final in last[node]:
+                        yield word + (final,)
+                depth -= 1
                 continue
-            branches.pop()
-            nodes.pop()
-        if prefix:
-            prefix.pop()
+            for letter, node in branches[depth]:  # the next live letter at this position, if any
+                prefix[depth] = letter
+                depth += 1
+                branches[depth] = iter(live[length - depth][node])
+                break
+            else:
+                depth -= 1
 
 
 def format_letter(letter: Letter) -> str:

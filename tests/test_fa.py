@@ -192,6 +192,27 @@ def test_enumeration_matches_the_reference():
     assert {("atoms", n) for n in range(5)} <= seen
 
 
+def test_deep_enumeration_matches_the_reference():
+    """As above for max_len 4-6 over at most two atoms, where the walk backs up to four letters from the last."""
+    seen = set()
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(CORE_FORMULAS.filter(lambda f: len(atoms(f)) <= 2))
+    def check(f):
+        dfa = build_dfa(f)
+        for source in (dfa, complement(dfa)):
+            for max_len in range(4, 7):
+                expected = list(ref.enumerate_accepted(source, max_len))
+                assert list(enumerate_accepted(source, max_len)) == expected
+                space = sum(2 ** (len(source.ap) * n) for n in range(max_len + 1))
+                seen.add(("pruned", 0 < len(expected) < space))
+        seen.add(("atoms", len(dfa.ap)))
+
+    check()
+    assert ("pruned", True) in seen
+    assert {("atoms", 1), ("atoms", 2)} <= seen  # `test_enumeration_reaches_the_deepest_bound` walks the empty alphabet
+
+
 def test_enumeration_builds_only_accepted_traces(monkeypatch):
     """Every `Trace` built is yielded, and no word is rerun through `dfa_accepts`."""
     built = []

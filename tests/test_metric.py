@@ -495,6 +495,30 @@ def test_enumerate_models_solves_only_full_untimed_models():
         assert model.times == feasible(extract_constraints(program, Trace(model.letters))).times
 
 
+def test_enumerate_models_builds_only_the_models_it_yields(monkeypatch):
+    """Every `TimedTrace` built is yielded: no prefix that cannot end in a model becomes one."""
+    built = []
+    counted = metric.TimedTrace
+
+    def counting(letters, times):
+        built.append(None)
+        return counted(letters, times)
+
+    monkeypatch.setattr(metric, "TimedTrace", counting)
+    yielded = 0
+    cases = (
+        (SCHOOL, ("drive", "school")),
+        (parse_program(":- a.\nX[1,2) b :- c."), ("a", "b", "c")),
+        (parse_program("X[1,2) b :- a.\nX[3,5) b :- a."), ("a", "b")),
+    )
+    for program, ap in cases:
+        for horizon in range(5):
+            yielded += sum(1 for _ in enumerate_models(program, ap, horizon))
+    assert len(built) == yielded
+    # Of the 341, 4,681 and 341 traces of length 4 or less; the last program never takes `a`.
+    assert yielded == 81 + 81 + 31
+
+
 def test_enumerate_models_horizon_zero():
     assert [format_trace(t) for t in enumerate_models(SCHOOL, ("drive", "school"), 0)] == ["eps"]
 

@@ -7,7 +7,7 @@ from tracelogic.afa import AFA
 from tracelogic.errors import SizeLimitError
 from tracelogic.fa import build_dfa, enumerate_accepted
 from tracelogic.formula import nnf, to_dynamic_core
-from tracelogic.metric import enumerate_models
+from tracelogic.metric import MetricProgram, enumerate_models
 from tracelogic.parser import parse_formula, parse_program, parse_trace
 from tracelogic.trace import (
     MAX_ALPHABET,
@@ -78,6 +78,20 @@ def test_bound_compares_exponents():
     assert _refused((), 1414)
     for width in range(MAX_ALPHABET + 1):
         assert _refused(tuple(f"p{i}" for i in range(width)), 10**19 - 1), width
+
+
+def test_enumeration_reaches_the_deepest_bound():
+    """At the longest length the bound admits, the walk keeps one stack entry per position and recurses nowhere.
+
+    Counts only: over the empty alphabet `tt` accepts one trace per length,
+    and the empty program has one model, every letter empty and at time 0.
+    """
+    traces = list(enumerate_accepted(build_dfa(parse_formula("tt"), ()), 1413))
+    assert len(traces) == 1414
+    assert [len(t) for t in traces] == list(range(1414))
+    assert all(letter == frozenset() for letter in traces[-1].letters)
+    models = list(enumerate_models(MetricProgram(()), (), 1413))
+    assert models == [TimedTrace((frozenset(),) * 1413, (0,) * 1413)]
 
 
 def test_letter_order():
