@@ -1,10 +1,13 @@
 """Metric logic programs over the metric-next fragment.
 
 A rule `h :- b` is the formula `b -> h`, required at every letter position
-of a trace and checked there by the oracle; a head `X[l,u) a` is a metric
+of a trace and checked there by the oracle, which spells the masks of the
+program's atoms in one walk over the letters; a head `X[l,u) a` is a metric
 next and an integrity constraint's head is `ff`.  Over an untimed trace a
 metric head is a plain next, and each step where it fires yields a
 difference constraint; the system's minimal solution derives timestamps.
+A constraint is a validated tuple `(i, j, lo, hi)`, which the solver
+unpacks without an attribute read.
 
 Every constraint joins two neighbouring positions: a head `X[l,u)` fired
 at i gives l <= t_(i+1) - t_i <= u - 1, and each step has a minimum gap
@@ -21,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import formula as fm
 from .afa import StateSet
@@ -75,24 +78,33 @@ class MetricProgram:
         return tuple(_rule_formulas(rule) for rule in self.rules)
 
 
-@dataclass(frozen=True)
-class DiffConstraint:
-    """lo <= t_j - t_i <= hi over timestamp variables (hi None is unbounded)."""
-
+class _DiffFields(NamedTuple):
     i: int
     j: int
     lo: int
     hi: int | None
 
-    def __post_init__(self):
-        if self.i == self.j:
+
+class DiffConstraint(_DiffFields):
+    """lo <= t_j - t_i <= hi over timestamp variables (hi None is unbounded).
+
+    An immutable tuple `(i, j, lo, hi)` with named fields, checked when
+    built; as a tuple it also equals the plain tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int, lo: int, hi: int | None):
+        if i == j:
             raise ValueError("difference constraint needs two distinct variables")
-        if self.hi is not None and self.lo > self.hi:
-            raise ValueError(f"empty bound [{self.lo},{self.hi}]")
+        if hi is not None and lo > hi:
+            raise ValueError(f"empty bound [{lo},{hi}]")
+        return tuple.__new__(cls, (i, j, lo, hi))
 
     def satisfied(self, times) -> bool:
-        delta = times[self.j] - times[self.i]
-        return self.lo <= delta and (self.hi is None or delta <= self.hi)
+        i, j, lo, hi = self
+        delta = times[j] - times[i]
+        return lo <= delta and (hi is None or delta <= hi)
 
 
 @dataclass(frozen=True)
@@ -103,8 +115,10 @@ class ConstraintSystem:
     constraints: tuple[DiffConstraint, ...]
 
     def __post_init__(self):
+        n = self.n_vars
         for c in self.constraints:
-            if not (0 <= c.i < self.n_vars and 0 <= c.j < self.n_vars):
+            i, j, _, _ = c
+            if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"constraint {c} references a missing variable")
 
 
@@ -150,6 +164,7 @@ def _rule_positions(program: MetricProgram, t, timed: bool) -> Iterator[tuple[in
     where the body holds, and of those where the head fails too, by the oracle.
     Every head is evaluated, fired or not; timed=False reads `X[l,u) a` as `X a`."""
     ev = _evaluator(t)
+    ev.spell(program.universe())
     letters = (1 << len(t)) - 1
     for r, (rule, (body, timed_head, untimed_head)) in enumerate(zip(program.rules, program._formulas)):
         fires = ev.sat(body) & letters
@@ -174,15 +189,15 @@ def extract_constraints(program: MetricProgram, t: Trace, strict: bool = False) 
     With strict=True consecutive timestamps must increase by at least 1.
     """
     constraints = []
-    for r, rule, fires, broken in _rule_positions(program, Trace(t.letters), timed=False):
+    for r, rule, fires, broken in _rule_positions(program, t, timed=False):
         if broken:
             raise UntimedViolationError(r, _members(broken)[0])
         if isinstance(rule.head, MetricHead):
-            hi = None if rule.head.hi is None else rule.head.hi - 1
-            constraints.extend(DiffConstraint(i, i + 1, rule.head.lo, hi) for i in _members(fires))
+            lo, hi = rule.head.lo, rule.head.hi
+            hi = None if hi is None else hi - 1
+            constraints += [DiffConstraint(i, i + 1, lo, hi) for i in _members(fires)]
     minimum_gap = 1 if strict else 0
-    for i in range(len(t) - 1):
-        constraints.append(DiffConstraint(i, i + 1, minimum_gap, None))
+    constraints += [DiffConstraint(i, i + 1, minimum_gap, None) for i in range(len(t) - 1)]
     return ConstraintSystem(len(t), tuple(constraints))
 
 
@@ -207,10 +222,10 @@ def feasible(system: ConstraintSystem) -> Witness | Infeasible:
     if n == 0:
         return Witness(())
     out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # (dst, weight, constraint idx)
-    for idx, c in enumerate(system.constraints):
-        out[c.i].append((c.j, c.lo, idx))
-        if c.hi is not None:
-            out[c.j].append((c.i, -c.hi, idx))
+    for idx, (i, j, lo, hi) in enumerate(system.constraints):
+        out[i].append((j, lo, idx))
+        if hi is not None:
+            out[j].append((i, -hi, idx))
 
     dist = [0] * n
     pred: list[tuple[int, int | None] | None] = [(0, None)] * n
@@ -248,11 +263,12 @@ def feasible(system: ConstraintSystem) -> Witness | Infeasible:
                 queued[v] = True
                 queue.append(v)
 
-    times = tuple(dist)
     for c in system.constraints:
-        if not c.satisfied(times):
+        i, j, lo, hi = c
+        delta = dist[j] - dist[i]
+        if delta < lo or (hi is not None and delta > hi):
             raise TraceLogicError(f"solver produced an invalid witness for {c}")
-    return Witness(times)
+    return Witness(tuple(dist))
 
 
 def _trace_cycle(pred, start: int) -> tuple[int, ...]:

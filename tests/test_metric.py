@@ -1,4 +1,8 @@
+import copy
+import hashlib
+import pickle
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 
@@ -535,6 +539,33 @@ def test_enumerate_models_bounds(capsys):
     assert err == "limit exceeded: trace enumeration over 11 atoms up to length 1 exceeds the size bound\n"
 
 
+def test_diff_constraint_is_a_validated_tuple():
+    """A constraint is an immutable tuple record `(i, j, lo, hi)` with the checks of its constructor.
+
+    Construction, field names, repr, equality and hashing between
+    constraints, immutability, pickling and copying behave as they did for
+    the frozen dataclass.  The one visible difference: a constraint now
+    also equals the plain tuple `(i, j, lo, hi)`.
+    """
+    c = DiffConstraint(0, 1, 2, None)
+    assert c == DiffConstraint(i=0, j=1, lo=2, hi=None) == DiffConstraint(0, 1, lo=2, hi=None)
+    assert (c.i, c.j, c.lo, c.hi) == (0, 1, 2, None)
+    assert repr(c) == "DiffConstraint(i=0, j=1, lo=2, hi=None)"
+    assert c != DiffConstraint(0, 1, 2, 3) and c != DiffConstraint(1, 0, 2, None)
+    assert hash(c) == hash(DiffConstraint(0, 1, 2, None))
+    assert len({c, DiffConstraint(0, 1, 2, None), DiffConstraint(0, 1, 2, 2)}) == 2
+    with pytest.raises(AttributeError):
+        c.lo = 5
+    with pytest.raises(AttributeError):
+        c.note = "extra"
+    for again in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+        assert again == c and type(again) is DiffConstraint
+    assert c == (0, 1, 2, None)
+    assert c.satisfied((0, 2)) and c.satisfied((0, 90)) and not c.satisfied((0, 1))
+    backward = DiffConstraint(2, 0, 1, 3)
+    assert [backward.satisfied((t, 0, 0)) for t in range(5)] == [False, True, True, True, False]
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -675,3 +706,115 @@ def test_rule_checks_match_reference():
     assert seen == {
         ("violations", False), ("violations", True), "untimed", "system", ("metric", False), ("metric", True),
     }
+
+
+FEASIBLE_DIGEST = "74c04447a5da760eb09664e7c984106fe49860f7411a957e774e4beac117aa0b"
+
+
+def test_feasible_digest():
+    """The repr of every answer of `feasible` on a fixed set of systems, hashed together.
+
+    The systems are the routine plans of 99, 198, 399 and 999 steps, without
+    and with a planted `hurry` six steps from the end, extracted with and
+    without `strict`, then the 500 random systems that
+    `test_criterion_7_difference_constraint_oracle` draws from
+    `random.Random(2)`.  So every witness and every cycle, in its order, is
+    pinned.
+    """
+    digest = hashlib.sha256()
+    for n in (99, 198, 399, 999):
+        for hurry_at in (None, n - 6):
+            for strict in (False, True):
+                digest.update(repr(feasible(extract_constraints(ROUTINE, routine_plan(n, hurry_at), strict))).encode())
+    rng = random.Random(2)
+    for _ in range(500):
+        n = rng.randint(2, 4)
+        constraints = []
+        for _ in range(rng.randint(1, 6)):
+            i, j = rng.sample(range(n), 2)
+            lo = rng.randint(0, 50)
+            constraints.append(DiffConstraint(i, j, lo, rng.choice([None, rng.randint(lo, 50)])))
+        digest.update(repr(feasible(ConstraintSystem(n, tuple(constraints)))).encode())
+    assert digest.hexdigest() == FEASIBLE_DIGEST
+
+
+# Long traces over the three program atoms and a fourth one, `d`, that no
+# program names; each trace holds only some of the atoms, so program atoms
+# may hold in no letter.
+LONG_ATOMS = ATOMS + ("d",)
+
+
+@st.composite
+def long_programs_and_traces(draw):
+    """A program and a timed trace of 0-200 letters, drawn like `programs_and_traces`."""
+    program = draw(rule_programs())
+    rng = draw(st.randoms(use_true_random=False))
+    held = [atom for atom in LONG_ATOMS if rng.random() < 0.75]
+    pool = [frozenset(letter) for size in range(len(held) + 1) for letter in combinations(held, size)]
+    repair = rng.random() < 0.5
+    n = draw(st.integers(0, 200))
+    letters, due = [], frozenset()
+    for i in range(n):
+        k = rng.randrange(len(pool))
+        candidates = pool[k:] + pool[:k] if repair else [pool[k]]
+        letter = next((c for c in candidates if _meets(program, c, due, i == n - 1)), pool[k])
+        due = frozenset(
+            rule.head.atom
+            for rule in program.rules
+            if isinstance(rule.head, MetricHead) and reference._body_holds(rule, letter)
+        )
+        letters.append(letter)
+    times = [0] * min(n, 1)
+    for _ in range(n - 1):
+        times.append(times[-1] + rng.choice((0, 0, 1, 2, 3, 5)))
+    return program, TimedTrace(tuple(letters), tuple(times))
+
+
+def test_rule_checks_match_reference_on_long_traces():
+    seen = set()
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(long_programs_and_traces())
+    def check(case):
+        program, t = case
+        violations = check_program(program, t)
+        assert violations == reference.check_program(program, t)
+        seen.add(("violations", bool(violations)))
+        for strict in (False, True):
+            outcome = _extracted(reference, program, t, strict)
+            assert _extracted(metric, program, Trace(t.letters), strict) == outcome
+            assert _extracted(metric, program, t, strict) == outcome
+            seen.add(outcome[0])
+        held = set().union(*t.letters)
+        if "d" in held:
+            seen.add("unnamed atom")
+        if program.universe() - held:
+            seen.add("program atom held nowhere")
+        if len(t) > 100:
+            seen.add("over 100 letters")
+
+    check()
+    assert seen == {
+        ("violations", False), ("violations", True), "untimed", "system",
+        "unnamed atom", "program atom held nowhere", "over 100 letters",
+    }
+
+
+def test_check_program_memory_grows_with_the_program_not_the_trace():
+    """Peak allocation, in bytes, of a timed check whose every letter holds a fresh atom.
+
+    Every gap differs too.  One row per atom of the trace would peak near
+    25 MB at 5,000 letters; a row per program atom stays far below 4 MB.
+    """
+    n = 5000
+    letters = tuple(frozenset({f"p{i}", "a"} if i % 2 else {f"p{i}"}) for i in range(n))
+    t = TimedTrace(letters, tuple(i * (i + 1) // 2 for i in range(n)))
+    program = parse_program("X[1,5000) a :- b.\nb :- a.\nX[3,inf) c :- a, not c.")
+    tracemalloc.start()
+    try:
+        violations = check_program(program, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert violations == reference.check_program(program, t)
+    assert peak < 4_000_000
