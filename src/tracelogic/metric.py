@@ -1,8 +1,7 @@
 """Metric logic programs over the metric-next fragment.
 
 A rule `h :- b` is the formula `b -> h`, required at every letter position
-of a trace and checked there by the oracle, which spells the masks of the
-program's atoms in one walk over the letters; a head `X[l,u) a` is a metric
+of a trace and checked there by the oracle; a head `X[l,u) a` is a metric
 next and an integrity constraint's head is `ff`.  Over an untimed trace a
 metric head is a plain next, and each step where it fires yields a
 difference constraint; the system's minimal solution derives timestamps.
@@ -88,8 +87,11 @@ class _DiffFields(NamedTuple):
 class DiffConstraint(_DiffFields):
     """lo <= t_j - t_i <= hi over timestamp variables (hi None is unbounded).
 
-    An immutable tuple `(i, j, lo, hi)` with named fields, checked when
-    built; as a tuple it also equals the plain tuple of its fields.
+    An immutable tuple `(i, j, lo, hi)` with named fields, checked however
+    it is built (`_make` and `_replace` go through `__new__`).  It behaves as
+    a tuple in general: it equals and orders against tuples, has length 4,
+    indexes, unpacks and concatenates, and has `_asdict` and `_fields`; it
+    is not a dataclass, so `dataclasses.replace` and `asdict` reject it.
     """
 
     __slots__ = ()
@@ -100,6 +102,10 @@ class DiffConstraint(_DiffFields):
         if hi is not None and lo > hi:
             raise ValueError(f"empty bound [{lo},{hi}]")
         return tuple.__new__(cls, (i, j, lo, hi))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def satisfied(self, times) -> bool:
         i, j, lo, hi = self
@@ -117,8 +123,7 @@ class ConstraintSystem:
     def __post_init__(self):
         n = self.n_vars
         for c in self.constraints:
-            i, j, _, _ = c
-            if not (0 <= i < n and 0 <= j < n):
+            if not (0 <= c.i < n and 0 <= c.j < n):
                 raise ValueError(f"constraint {c} references a missing variable")
 
 
@@ -164,7 +169,6 @@ def _rule_positions(program: MetricProgram, t, timed: bool) -> Iterator[tuple[in
     where the body holds, and of those where the head fails too, by the oracle.
     Every head is evaluated, fired or not; timed=False reads `X[l,u) a` as `X a`."""
     ev = _evaluator(t)
-    ev.spell(program.universe())
     letters = (1 << len(t)) - 1
     for r, (rule, (body, timed_head, untimed_head)) in enumerate(zip(program.rules, program._formulas)):
         fires = ev.sat(body) & letters
@@ -264,9 +268,7 @@ def feasible(system: ConstraintSystem) -> Witness | Infeasible:
                 queue.append(v)
 
     for c in system.constraints:
-        i, j, lo, hi = c
-        delta = dist[j] - dist[i]
-        if delta < lo or (hi is not None and delta > hi):
+        if not c.satisfied(dist):
             raise TraceLogicError(f"solver produced an invalid witness for {c}")
     return Witness(tuple(dist))
 

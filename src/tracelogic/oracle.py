@@ -79,8 +79,8 @@ def _members(bits: int) -> list[int]:
 class _Evaluator:
     """Position sets of the subformulas over one trace.
 
-    Atom masks are spelled on first use, one walk over the letters each, or
-    by `spell` for many atoms in one walk; timestamp gaps are computed once.
+    Atom masks are spelled on first use, one walk over the letters each;
+    timestamp gaps are computed once, on the first metric next.
 
     Memo keys are node identities.  Nodes cache their hashes, but a node key
     still costs a Python-level `__hash__` call per lookup, and keying these
@@ -121,18 +121,6 @@ class _Evaluator:
             digits = "".join("1" if name in letter else "0" for letter in reversed(self.letters))
             bits = self._atoms[name] = int("0" + digits, 2)
         return bits
-
-    def spell(self, names) -> None:
-        """Fill the masks of the named atoms, and of no others, in one walk over the letters."""
-        n = self.length
-        rows = {name: bytearray(b"0" * (n + 1)) for name in names if name not in self._atoms}
-        for i, letter in enumerate(self.letters):
-            for name in letter:
-                row = rows.get(name)
-                if row is not None:
-                    row[n - i] = 49  # "1"; row[0] is the end point, where no atom holds
-        for name, row in rows.items():
-            self._atoms[name] = int(row, 2)
 
     @cached_property
     def _reversed_gaps(self) -> list[int]:

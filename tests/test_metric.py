@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import pickle
 import random
@@ -544,8 +545,11 @@ def test_diff_constraint_is_a_validated_tuple():
 
     Construction, field names, repr, equality and hashing between
     constraints, immutability, pickling and copying behave as they did for
-    the frozen dataclass.  The one visible difference: a constraint now
-    also equals the plain tuple `(i, j, lo, hi)`.
+    the frozen dataclass.  Tuple behaviour in general is now part of the
+    contract: a constraint equals and orders against the plain tuple
+    `(i, j, lo, hi)`, has length 4, indexes, unpacks and concatenates, and
+    has `_asdict`, `_fields`, `_make` and `_replace` (the last two checked
+    like the constructor).  It is no longer a dataclass.
     """
     c = DiffConstraint(0, 1, 2, None)
     assert c == DiffConstraint(i=0, j=1, lo=2, hi=None) == DiffConstraint(0, 1, lo=2, hi=None)
@@ -561,6 +565,16 @@ def test_diff_constraint_is_a_validated_tuple():
     for again in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
         assert again == c and type(again) is DiffConstraint
     assert c == (0, 1, 2, None)
+    assert sorted([DiffConstraint(1, 0, 0, 0), c, DiffConstraint(0, 1, 1, None)]) == [
+        DiffConstraint(0, 1, 1, None), c, DiffConstraint(1, 0, 0, 0),
+    ]
+    assert (len(c), c[2], c + (5,)) == (4, 2, (0, 1, 2, None, 5))
+    i, j, lo, hi = c
+    assert (i, j, lo, hi) == (0, 1, 2, None)
+    assert c._fields == ("i", "j", "lo", "hi") and c._asdict() == {"i": 0, "j": 1, "lo": 2, "hi": None}
+    for built in (c._replace(hi=7), DiffConstraint._make([0, 1, 2, 7])):
+        assert built == DiffConstraint(0, 1, 2, 7) and type(built) is DiffConstraint
+    assert not dataclasses.is_dataclass(c)
     assert c.satisfied((0, 2)) and c.satisfied((0, 90)) and not c.satisfied((0, 1))
     backward = DiffConstraint(2, 0, 1, 3)
     assert [backward.satisfied((t, 0, 0)) for t in range(5)] == [False, True, True, True, False]
@@ -576,8 +590,12 @@ def test_diff_constraint_is_a_validated_tuple():
             "constraint DiffConstraint(i=0, j=1, lo=0, hi=None) references a missing variable",
         ),
         (lambda: MetricHead(3, 3, "a"), "empty metric interval [3,3)"),
+        (lambda: DiffConstraint(0, 1, 0, None)._replace(j=0), "difference constraint needs two distinct variables"),
+        (lambda: DiffConstraint(0, 1, 0, None)._replace(lo=5, hi=4), "empty bound [5,4]"),
+        (lambda: DiffConstraint._make((0, 1, 5, 4)), "empty bound [5,4]"),
     ],
-    ids=["same-variable", "empty-bound", "missing-variable", "empty-head-interval"],
+    ids=["same-variable", "empty-bound", "missing-variable", "empty-head-interval", "replace-same-variable",
+         "replace-empty-bound", "make-empty-bound"],
 )
 def test_malformed_constraints_and_heads_raise_value_error(build, message):
     with pytest.raises(ValueError) as error:
@@ -803,8 +821,9 @@ def test_rule_checks_match_reference_on_long_traces():
 def test_check_program_memory_grows_with_the_program_not_the_trace():
     """Peak allocation, in bytes, of a timed check whose every letter holds a fresh atom.
 
-    Every gap differs too.  One row per atom of the trace would peak near
-    25 MB at 5,000 letters; a row per program atom stays far below 4 MB.
+    Every gap differs too.  One mask row per atom of the trace would peak
+    near 25 MB at 5,000 letters; masks of the program's atoms only stay far
+    below 4 MB.
     """
     n = 5000
     letters = tuple(frozenset({f"p{i}", "a"} if i % 2 else {f"p{i}"}) for i in range(n))
