@@ -115,15 +115,19 @@ def to_dot(automaton) -> str:
 
 
 def _fa_dot(automaton) -> str:
+    if not isinstance(automaton, (NFA, DFA)):
+        raise TypeError(f"cannot render {type(automaton).__name__} as DOT")
+    suffixes = [f" [label={_quote(format_letter(a))}];" for a in automaton.letters]  # one per letter column
+    body: list[str] = []
     if isinstance(automaton, NFA):
         name, successors = "nfa", automaton.successors
-        edges = ((s, a, t) for s in range(len(automaton.states)) for a in automaton.letters for t in successors(s, a))
-    elif isinstance(automaton, DFA):
-        name, letters = "dfa", automaton.letters
-        edges = ((s, a, t) for s, row in enumerate(automaton.transitions) for a, t in zip(letters, row))
+        for s in range(len(automaton.states)):
+            head = f"  q{s} -> q"
+            body += [f"{head}{t}{suffix}" for a, suffix in zip(automaton.letters, suffixes) for t in successors(s, a)]
     else:
-        raise TypeError(f"cannot render {type(automaton).__name__} as DOT")
-    text = {a: _quote(format_letter(a)) for a in automaton.letters}
-    body = (f"  q{s} -> q{t} [label={text[a]}];" for s, a, t in edges)
+        name = "dfa"
+        for s, row in enumerate(automaton.transitions):
+            head = f"  q{s} -> q"
+            body += [f"{head}{t}{suffix}" for t, suffix in zip(row, suffixes)]
     labels = [str(s) for s in range(len(automaton.accepting))]
     return _digraph(name, labels, automaton.accepting, automaton.initial, body)

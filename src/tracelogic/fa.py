@@ -13,14 +13,21 @@ and each AFA state reads the atoms its guarded build tests (`AFA.reads`,
 coded as `AFA.masks`).  An NFA state's successors depend only on the atoms
 its members read, so the NFA keeps, per state, that `local` mask and one
 table from class code (`code & local`) to successors, and `NFA.successors`
-reads a letter's entry there.  A class's successors conjoin the minimal
-sets that the AFA gives for each member at the class code
-(`AFA.successor_sets`, memoised per member and class), so each member's
-image is specialised once per class.
-An NFA state whose members read k atoms thus costs 2^k successor
-computations rather than 2^|AP|, and a macro-state of the subset
-construction one union per class of its members' masks.  Only the DFA keeps
-an entry for every letter, filled by one AND and one lookup per letter.
+reads a letter's entry there.  Each AFA state gets its own class table once,
+the minimal sets of its image per class over its mask
+(`AFA.successor_sets`), and an NFA state's table folds its members' tables
+in one at a time: the first member's table is taken as it is, and each
+later member extends every class built so far by the atoms only it reads,
+one lookup in its table and at most one product per new class (an empty
+side gives nothing, two single sets one union).  So an NFA state whose
+members read k atoms costs at most 2^k steps per member rather than 2^|AP|,
+and members that read one new atom each cost about 2^(k+1) in all.  A
+macro-state of the subset construction costs one union per class of its
+members' masks, and a singleton `{m}` takes the entries of `tables[m]` with
+no union.
+Only the DFA keeps an entry for every letter, filled by one AND and one
+lookup per letter; minimization spells each row's blocks, and numbers its
+quotient, in C-level loops over the row.
 
 Bounded enumeration hands the DFA rows, as `(letter, successor)` pairs, to
 `trace.accepted_words`, which walks them depth-first by length and enters
@@ -49,7 +56,8 @@ class NFA:
 
     `codes[i]` is the code of `letters[i]`; state s maps the class
     `code & masks[s]` of each letter to the tuple of its successor indices
-    in `tables[s]`.  No per-letter entry is stored.
+    in `tables[s]`, whose keys are those classes in the order of their first
+    letter.  No per-letter entry is stored.
     """
 
     ap: tuple[str, ...]
@@ -104,16 +112,50 @@ def _classes(codes, mask: int) -> dict:
     return dict.fromkeys([code & mask for code in codes])
 
 
-def _conjunction_successors(automaton: AFA, members, key: int) -> list[frozenset]:
-    """Minimal satisfying sets of the conjoined transition images of `members` at the letter class `key`."""
-    current = None
-    for q in members:
-        q_sets = automaton.successor_sets(q, key)
-        if not q_sets:
-            return []
-        # one image's minimal sets already are an antichain
-        current = q_sets if current is None else _product(current, q_sets)
-    return [frozenset()] if current is None else sorted(current, key=lambda s: (len(s), sorted(s)))
+def _submasks(mask: int) -> list[int]:
+    """Every code whose bits all lie in `mask`, 0 first: the classes of the letters over `mask`."""
+    subs = [0]
+    while mask:
+        bit = mask & -mask
+        subs += [sub | bit for sub in subs]
+        mask ^= bit
+    return subs
+
+
+def _class_sets(automaton: AFA, q: int) -> dict:
+    """The minimal sets of q's image at each class over its mask (`AFA.successor_sets`); `()` where it is false."""
+    return {key: automaton.successor_sets(q, key) for key in _submasks(automaton.masks[q])}
+
+
+def _conjunctions(members, masks, own) -> dict:
+    """The antichains of minimal sets of the conjoined images of `members`, per class over their masks.
+
+    `own[q]` is `_class_sets` of member q.  The members are folded in one at
+    a time over a table from class (over the masks folded so far) to the
+    conjunction's minimal sets: the first member's table is taken as it is,
+    and each later member extends each entry by the combinations of the
+    atoms only it reads, one lookup in its own table and at most one product
+    per new entry.  A class whose conjunction is false has no entry or `()`.
+    """
+    if not members:
+        return {0: (frozenset(),)}
+    first, *rest = members
+    folded, conj = masks[first], own[first]
+    for q in rest:
+        mask, sets_at = masks[q], own[q]
+        extras = _submasks(mask & ~folded)
+        grown = {}
+        for key, left in conj.items():
+            if not left:
+                continue
+            single = len(left) == 1
+            for extra in extras:
+                full = key | extra
+                right = sets_at[full & mask]
+                if right:
+                    grown[full] = [left[0] | right[0]] if single and len(right) == 1 else _product(left, right)
+        folded, conj = folded | mask, grown
+    return conj
 
 
 def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
@@ -121,12 +163,15 @@ def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
 
     An NFA state's letters fall into classes by their projection onto the
     atoms its members read, its `local` mask, and its successors are computed
-    and stored once per class.  Classes are taken in the order of their first
-    letter in `letters_over`, so new states are added in the order a loop over
-    every letter would add them.
+    and stored once per class: `_conjunctions` folds the members' class
+    tables into one, and only then are its classes walked in the order of
+    their first letter in `letters_over`, so new states are added in the
+    order a loop over every letter would add them.
     """
     letters = tuple(letters_over(automaton.ap))
     codes = tuple(map(automaton.code, letters))
+    afa_masks = automaton.masks
+    own: list = [None] * len(automaton)  # AFA state -> `_class_sets`, made when a member first needs it
     states = StateSet()
     states.add(frozenset((automaton.initial,)))
     masks: list[int] = []
@@ -135,11 +180,16 @@ def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
         ordered = sorted(members)
         local = 0
         for q in ordered:
-            local |= automaton.masks[q]
+            local |= afa_masks[q]
+            if own[q] is None:
+                own[q] = _class_sets(automaton, q)
+        conj = _conjunctions(ordered, afa_masks, own)
         table = {}
         for key in _classes(codes, local):
-            successors = _conjunction_successors(automaton, ordered, key)
-            table[key] = tuple(_add(states, succ, max_states, "dealternation") for succ in successors)
+            successors = conj.get(key, ())
+            if len(successors) > 1:
+                successors = sorted(successors, key=lambda s: (len(s), sorted(s)))
+            table[key] = tuple([_add(states, succ, max_states, "dealternation") for succ in successors])
         masks.append(local)
         tables.append(table)
     accepting = tuple(all(automaton.final[q] for q in s) for s in states)
@@ -161,20 +211,30 @@ def determinize(nfa: NFA, max_states: int = DEFAULT_BUDGET) -> DFA:
 
     A macro-state's letters fall into classes by the union of its members'
     masks; each class costs one union, taken in first-letter order, and
-    each letter's entry in the row one AND and one lookup.
+    each letter's entry in the row one AND and one lookup.  A singleton
+    `{m}` has the classes of `tables[m]`, already in first-letter order, so
+    it takes each entry as its macro-state with no union.
     """
     codes, masks, tables = nfa.codes, nfa.masks, nfa.tables
     macro_states = StateSet()
     macro_states.add(frozenset((nfa.initial,)))
     rows = []
     for members in macro_states:
-        mask = 0
-        for m in members:
-            mask |= masks[m]
-        targets = {}
-        for key in _classes(codes, mask):
-            union = frozenset(t for m in members for t in tables[m][key & masks[m]])
-            targets[key] = _add(macro_states, union, max_states, "determinization")
+        if len(members) == 1:
+            (m,) = members
+            mask = masks[m]
+            targets = {
+                key: _add(macro_states, frozenset(successors), max_states, "determinization")
+                for key, successors in tables[m].items()
+            }
+        else:
+            mask = 0
+            for m in members:
+                mask |= masks[m]
+            targets = {}
+            for key in _classes(codes, mask):
+                union = frozenset(t for m in members for t in tables[m][key & masks[m]])
+                targets[key] = _add(macro_states, union, max_states, "determinization")
         rows.append(tuple([targets[code & mask] for code in codes]))
     accepting = tuple(any(nfa.accepting[m] for m in s) for s in macro_states)
     return DFA(nfa.ap, nfa.letters, tuple(rows), accepting)
@@ -206,21 +266,29 @@ def minimize(dfa: DFA) -> DFA:
     an unreachable member of a numbered block agrees with the others on
     every successor block.
     """
+    transitions = dfa.transitions
     block = [1 if accepting else 0 for accepting in dfa.accepting]
     count = len(set(block))
     while True:
         signatures: dict = {}
-        new_block = [0] * dfa.n_states
-        for s, row in enumerate(dfa.transitions):
-            sig = (block[s], tuple(block[t] for t in row))
-            new_block[s] = signatures.setdefault(sig, len(signatures))
+        spell = block.__getitem__
+        new_block = [
+            signatures.setdefault((b, tuple(map(spell, row))), len(signatures)) for b, row in zip(block, transitions)
+        ]
         if len(signatures) == count:
             break
         block, count = new_block, len(signatures)
-    representative = {b: s for s, b in enumerate(block)}  # any member: a block's members agree on every letter
+    # The partition is stable, so each block has one signature: its row of successor blocks.
+    block_rows = {b: row for b, row in signatures}
     blocks = StateSet()
     blocks.add(block[dfa.initial])
-    rows = [tuple(blocks.add(block[t]) for t in dfa.transitions[representative[b]]) for b in blocks]
+    rows = []
+    for b in blocks:
+        row = block_rows[b]
+        for target in dict.fromkeys(row):  # numbered in first-occurrence order, as one `add` per entry would
+            blocks.add(target)
+        rows.append(tuple(map(blocks.index.__getitem__, row)))
+    representative = {b: s for s, b in enumerate(block)}  # any member: a block's members agree on acceptance
     accepting = tuple(dfa.accepting[representative[b]] for b in blocks)
     return DFA(dfa.ap, dfa.letters, tuple(rows), accepting)
 

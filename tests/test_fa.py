@@ -276,26 +276,40 @@ def test_budget_error_carries_its_fields():
 
 
 def test_dealternation_successor_count_grows_as_three_to_the_k(monkeypatch):
-    """`F a0 & … & F a(k-1)`: one successor computation per NFA state and letter class."""
-    calls = []
-    counted = fa._conjunction_successors
+    """`F a0 & … & F a(k-1)`: one class-table entry per NFA state and letter class, and 2·3^k - 4·2^k + 2 fold steps.
 
-    def counting(*args):
-        calls.append(None)
-        return counted(*args)
+    The initial state reads all k atoms and a state owing i eventualities
+    reads i of them, so the tables hold 2^k + 3^k entries.  A fold step is
+    one lookup in a member's own class table: the first member's table is
+    taken as it is, and the j-th member (j >= 2) of a state owing i
+    eventualities, each reading one atom of its own, extends each of the
+    2^(j-1) entries by its atom's two values, which is 2^(i+1) - 4 steps for
+    the state, 0 for i <= 1.  Summed over the subsets that is
+    2·3^k - 4·2^k + 2, against the (2k/3)·3^k member steps of a conjunction
+    made per class.
+    """
+    steps = []
+    counted = fa._class_sets
 
-    monkeypatch.setattr(fa, "_conjunction_successors", counting)
-    made = {}
+    class Counting(dict):
+        def __getitem__(self, key):
+            steps.append(None)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(fa, "_class_sets", lambda automaton, q: Counting(counted(automaton, q)))
+    entries, folded = {}, {}
     for k in range(3, 9):
-        calls.clear()
+        steps.clear()
         f = parse_formula(" & ".join(f"F a{i}" for i in range(k)))
         nfa = dealternate(AFA(to_dynamic_core(nnf(f))))
-        made[k] = len(calls)
+        entries[k] = sum(len(table) for table in nfa.tables)
+        folded[k] = len(steps)
         assert len(nfa.states) == 2**k + 1
         assert minimize(determinize(nfa)).n_states == 2**k
-    # the initial state reads all k atoms; a state owing i eventualities reads i of them
-    assert made == {k: 3**k + 2**k for k in range(3, 9)}
-    assert list(made.values()) == [35, 97, 275, 793, 2315, 6817]
+    assert entries == {k: 3**k + 2**k for k in range(3, 9)}
+    assert list(entries.values()) == [35, 97, 275, 793, 2315, 6817]
+    assert folded == {k: 2 * 3**k - 4 * 2**k + 2 for k in range(3, 9)}
+    assert list(folded.values()) == [24, 100, 360, 1204, 3864, 12100]
 
 
 def test_determinization_union_count_grows_as_three_to_the_k(monkeypatch):
@@ -385,6 +399,89 @@ def test_explorations_match_the_reference():
     assert ("classes", True) in seen
     assert {("unreachable state shares a block", shares) for shares in (True, False)} <= seen
     assert {("verdicts", e, v) for e in (True, False) for v in (True, False)} <= seen
+
+
+def _partly_overlapping(automaton: AFA, nfa) -> bool:
+    """Whether some NFA state has a member, in the order they are folded, that reads atoms both read and unread before it."""
+    for members in nfa.states:
+        folded = 0
+        for q in sorted(members):
+            mask = automaton.masks[q]
+            if mask & folded and mask & ~folded:
+                return True
+            folded |= mask
+    return False
+
+
+_OVERLAPPING_SOURCES = (
+    "G (a -> F b) & G (b -> F c) & F (a & c)",
+    "G (a -> F (b & c)) & G (c -> X (a | d))",
+    "F (a & b) & F (b & c) & F (c & a)",
+    "(a U b) & (b R c) & G (c -> F a)",
+)
+# A conftest formula over a and b conjoined with one over b and c: the two
+# halves' states read partly overlapping atoms.
+OVERLAPPING_FORMULAS = st.one_of(
+    st.sampled_from([to_dynamic_core(nnf(parse_formula(src))) for src in _OVERLAPPING_SOURCES]),
+    st.builds(lambda l, r: And(l, renamed(r, {"a": "b", "b": "c"})), CORE_FORMULAS, CORE_FORMULAS),
+    CORE_FORMULAS,
+)
+
+
+def test_dealternation_of_partly_overlapping_members_matches_the_reference():
+    """Members that read partly overlapping atoms extend a class by only the atoms they add.
+
+    Over such conjunctions, with an atom more in `ap` than the formula reads,
+    `dealternate` gives the reference's states and, at every letter, its
+    successor ordinals in its order.
+    """
+    seen = set()
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(OVERLAPPING_FORMULAS, st.sampled_from("cde"))
+    def check(f, extra):
+        automaton = AFA(f, sorted(atoms(f) | {extra}))
+        nfa = dealternate(automaton)
+        expected = ref.dealternate(automaton)
+        assert (nfa.ap, nfa.letters, nfa.states, nfa.accepting) == (
+            expected.ap, expected.letters, expected.states, expected.accepting,
+        )
+        entries = [((s, a), nfa.successors(s, a)) for s in range(len(nfa.states)) for a in nfa.letters]
+        assert entries == list(expected.transitions.items())
+        seen.add(("partly overlapping", _partly_overlapping(automaton, nfa)))
+        seen.add(("branching", any(len(targets) > 1 for table in nfa.tables for targets in table.values())))
+
+    check()
+    assert {("partly overlapping", True), ("partly overlapping", False), ("branching", True)} <= seen
+
+
+def test_budget_errors_match_the_reference():
+    """`F a0 & … & F a3` under every budget from 1 to 2^4 + 1, the first that both stages fit in.
+
+    Each stage raises exactly when the reference does, with its message,
+    and names the stage, the budget and the state count one past it.
+    """
+    f = parse_formula(" & ".join(f"F a{i}" for i in range(4)))
+    automaton = AFA(to_dynamic_core(nnf(f)))
+    nfa, reference_nfa = dealternate(automaton), ref.dealternate(automaton)
+    raised = []
+    for budget in range(1, 2**4 + 2):
+        runs = (
+            ("dealternation", dealternate, automaton, ref.dealternate, automaton),
+            ("determinization", determinize, nfa, ref.determinize, reference_nfa),
+        )
+        for stage, ours, source, theirs, reference_source in runs:
+            try:
+                theirs(reference_source, max_states=budget)
+            except BudgetError as expected:
+                with pytest.raises(BudgetError) as error:
+                    ours(source, max_states=budget)
+                fields = (str(error.value), error.value.stage, error.value.limit, error.value.reached)
+                assert fields == (str(expected), stage, budget, budget + 1)
+                raised.append((stage, budget))
+            else:
+                ours(source, max_states=budget)
+    assert raised == [(stage, budget) for budget in range(1, 2**4 + 1) for stage in ("dealternation", "determinization")]
 
 
 def test_nfa_successors_list_the_reference_entries_in_order():
