@@ -285,7 +285,7 @@ def test_dealternation_successor_count_grows_as_three_to_the_k(monkeypatch):
     eventualities, each reading one atom of its own, extends each of the
     2^(j-1) entries by its atom's two values, which is 2^(i+1) - 4 steps for
     the state, 0 for i <= 1.  Summed over the subsets that is
-    2·3^k - 4·2^k + 2, against the (2k/3)·3^k member steps of a conjunction
+    2·3^k - 4·2^k + 2, against the (2k/3)·3^k + 2^k member steps of a conjunction
     made per class.
     """
     steps = []
