@@ -30,10 +30,11 @@ modalities are the states it adds, as the transitions name them
 are the state's reads (`AFA.reads`, coded in `AFA.masks`).  Nodes built
 outside any diamond-star unrolling are memoised with their atoms, so
 states that share a tail share its build.  `delta` specialises the guarded
-image per class, folding each guard to a constant (`specialise`, the one
-place a guard leaf is read at a letter), and `successor_sets` memoises the
-minimal sets of that image per class code, the one thing dealternation
-asks of it.  Every state is the root or a step target, so `AFA.accepts`
+image once per class (`specialise`); dealternation reads `class_table`, a
+state's minimal successor sets per class, built bottom-up over its guarded
+image once per node (so a shared tail is tabled once): one `prop_sat` per
+letter over a guard leaf's atoms and one `_join` per And or Or node.
+Every state is the root or a step target, so `AFA.accepts`
 evaluates them all, from the end values backwards: it compiles each image
 once per class into the state ordinals it reads (`_compile`, shared with
 the two-way automaton), looks up each distinct letter's row once, and
@@ -53,7 +54,7 @@ from enum import Enum
 from . import formula as fm
 from . import oracle
 from .errors import UnsupportedOperatorError
-from .trace import Trace, check_letters, outside_alphabet, resolve_alphabet
+from .trace import Trace, check_letters, letters_over, outside_alphabet, resolve_alphabet
 
 
 class PBF:
@@ -205,9 +206,14 @@ def specialise(pbf: PBF, letter) -> PBF:
     return pbf
 
 
+def _set_order(s: frozenset):
+    """The canonical order of minimal sets: smaller first, then by their sorted members."""
+    return len(s), sorted(s)
+
+
 def minimal_sets(pbf: PBF) -> tuple[frozenset, ...]:
     """The antichain of minimal satisfying state sets, canonically ordered."""
-    return tuple(sorted(_minsets(pbf), key=lambda s: (len(s), sorted(s))))
+    return tuple(sorted(_minsets(pbf), key=_set_order))
 
 
 def _minsets(pbf: PBF) -> list[frozenset]:
@@ -233,6 +239,42 @@ def _product(left, right) -> list[frozenset]:
     if len(left) == 1 == len(right):
         return [left[0] | right[0]]
     return _antichain({a | b for a in left for b in right})
+
+
+def _submasks(mask: int) -> list[int]:
+    """Every code whose bits all lie in `mask`, 0 first: the classes of the letters over `mask`."""
+    subs = [0]
+    while mask:
+        bit = mask & -mask
+        subs += [sub | bit for sub in subs]
+        mask ^= bit
+    return subs
+
+
+def _join(left, right, conj: bool):
+    """The class table of the conjunction (`conj`) or the disjunction of two class tables.
+
+    A class table `(mask, {code: antichain of minimal sets})` has an entry for
+    every code over `mask`, `()` where false.  Each left entry is extended over
+    the atoms only `right` reads, one lookup in `right` per new class; a false
+    left entry of a conjunction needs none.
+    """
+    left_mask, left_table = left
+    right_mask, right_table = right
+    extras = _submasks(right_mask & ~left_mask)
+    joined = {}
+    for key, sets in left_table.items():
+        if conj and not sets:
+            joined.update(dict.fromkeys([key | extra for extra in extras], ()))
+            continue
+        for extra in extras:
+            full = key | extra
+            other = right_table[full & right_mask]
+            if conj:
+                joined[full] = _product(sets, other) if other else ()
+            else:
+                joined[full] = _antichain({*sets, *other}) if sets and other else sets or other
+    return left_mask | right_mask, joined
 
 
 def guard_test(cell, asked: list | None = None):
@@ -369,7 +411,7 @@ class AFA:
         self._nodes: dict = {}  # formula -> (guarded image, atoms read), built outside any diamond-star unrolling
         self._delta_memo: dict = {}  # (q, letter & reads[q]) -> image
         self._compiled_memo: dict = {}  # (q, letter & reads[q]) -> the image compiled
-        self._sets_memo: dict = {}  # (q, code & masks[q]) -> minimal sets of the image
+        self._tables: dict = {}  # id of an image node, held by `_guarded` -> its class table
         self.states: StateSet = StateSet()
         self.initial: int = self.states.add(root)
         guarded, reads, final = [], [], []
@@ -389,13 +431,12 @@ class AFA:
         return len(self.states)
 
     def code(self, letter) -> int:
-        """The integer code of a letter over `ap`."""
+        """The integer code of a letter over `ap`; AlphabetMismatchError for a letter outside `ap`."""
         bits = self._bits
-        return sum(bits[name] for name in letter)
-
-    def letter(self, code: int) -> frozenset[str]:
-        """The letter whose code is `code`."""
-        return frozenset(name for j, name in enumerate(self.ap) if code >> j & 1)
+        try:
+            return sum(bits[name] for name in letter)
+        except KeyError:
+            raise outside_alphabet(letter, self.ap) from None
 
     def delta(self, q: int, letter) -> PBF:
         """The image of state q at a letter of `ap`: its guarded image specialised there, once per class."""
@@ -407,13 +448,21 @@ class AFA:
             image = self._delta_memo[key] = specialise(self._guarded[q], letter)
         return image
 
-    def successor_sets(self, q: int, code: int) -> tuple[frozenset, ...]:
-        """`minimal_sets(delta(q, letter))` for the letter whose code is `code`, once per class."""
-        key = (q, code & self.masks[q])
-        sets = self._sets_memo.get(key)
-        if sets is None:
-            sets = self._sets_memo[key] = minimal_sets(self.delta(q, self.letter(key[1])))
-        return sets
+    def class_table(self, q: int) -> tuple[int, dict]:
+        """The class table of `minimal_sets(delta(q, letter))`, over the atoms of the guards left in q's image."""
+        return self._table(self._guarded[q])
+
+    def _table(self, node: PBF) -> tuple[int, dict]:
+        table = self._tables.get(id(node))
+        if table is None:
+            if isinstance(node, (AndNode, OrNode)):
+                table = _join(self._table(node.left), self._table(node.right), isinstance(node, AndNode))
+            else:  # a guard leaf, a state or a constant: its minimal sets at each letter over its atoms
+                names = fm.atoms(node.guard) if isinstance(node, GuardLeaf) else ()
+                sets = {self.code(x): tuple(_minsets(specialise(node, x))) for x in letters_over(names)}
+                table = self.code(names), sets
+            self._tables[id(node)] = table
+        return table
 
     def _node(self, root: fm.Formula) -> tuple[PBF, frozenset]:
         """The guarded image of `root`, with every S move inlined, and the atoms its guards read.

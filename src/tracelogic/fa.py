@@ -13,18 +13,16 @@ and each AFA state reads the atoms its guarded build tests (`AFA.reads`,
 coded as `AFA.masks`).  An NFA state's successors depend only on the atoms
 its members read, so the NFA keeps, per state, that `local` mask and one
 table from class code (`code & local`) to successors, and `NFA.successors`
-reads a letter's entry there.  Each AFA state gets its own class table once,
-the minimal sets of its image per class over its mask
-(`AFA.successor_sets`), and an NFA state's table folds its members' tables
-in one at a time: the first member's table is taken as it is, and each
+reads a letter's entry there.  An NFA state's table folds its members'
+class tables (`AFA.class_table`) in one at a time with the join that builds
+them (`afa._join`): the first member's table is taken as it is, and each
 later member extends every class built so far by the atoms only it reads,
-one lookup in its table and at most one product per new class (an empty
-side gives nothing, two single sets one union).  So an NFA state whose
-members read k atoms costs at most 2^k steps per member rather than 2^|AP|,
-and members that read one new atom each cost about 2^(k+1) in all.  A
-macro-state of the subset construction costs one union per class of its
-members' masks, and a singleton `{m}` takes the entries of `tables[m]` with
-no union.
+one lookup in its table and at most one product per new class.  So an NFA
+state whose members read k atoms costs at most 2^k steps per member rather
+than 2^|AP|, and members that read one new atom each cost about 2^(k+1) in
+all.  A macro-state of the subset construction costs one union per class of
+its members' masks, and a singleton `{m}` takes the entries of `tables[m]`
+with no union.
 Only the DFA keeps an entry for every letter, filled by one AND and one
 lookup per letter; minimization spells each row's blocks, and numbers its
 quotient, in C-level loops over the row.
@@ -43,7 +41,7 @@ from functools import cached_property
 from typing import Iterator
 
 from . import formula as fm
-from .afa import AFA, StateSet, _product
+from .afa import AFA, StateSet, _join, _set_order
 from .errors import BudgetError
 from .trace import Trace, accepted_words, check_enumeration_bound, check_letters, letters_over, outside_alphabet
 
@@ -112,83 +110,32 @@ def _classes(codes, mask: int) -> dict:
     return dict.fromkeys([code & mask for code in codes])
 
 
-def _submasks(mask: int) -> list[int]:
-    """Every code whose bits all lie in `mask`, 0 first: the classes of the letters over `mask`."""
-    subs = [0]
-    while mask:
-        bit = mask & -mask
-        subs += [sub | bit for sub in subs]
-        mask ^= bit
-    return subs
-
-
-def _class_sets(automaton: AFA, q: int) -> dict:
-    """The minimal sets of q's image at each class over its mask (`AFA.successor_sets`); `()` where it is false."""
-    return {key: automaton.successor_sets(q, key) for key in _submasks(automaton.masks[q])}
-
-
-def _conjunctions(members, masks, own) -> dict:
-    """The antichains of minimal sets of the conjoined images of `members`, per class over their masks.
-
-    `own[q]` is `_class_sets` of member q.  The members are folded in one at
-    a time over a table from class (over the masks folded so far) to the
-    conjunction's minimal sets: the first member's table is taken as it is,
-    and each later member extends each entry by the combinations of the
-    atoms only it reads, one lookup in its own table and at most one product
-    per new entry.  A class whose conjunction is false has no entry or `()`.
-    """
-    if not members:
-        return {0: (frozenset(),)}
-    first, *rest = members
-    folded, conj = masks[first], own[first]
-    for q in rest:
-        mask, sets_at = masks[q], own[q]
-        extras = _submasks(mask & ~folded)
-        grown = {}
-        for key, left in conj.items():
-            if not left:
-                continue
-            single = len(left) == 1
-            for extra in extras:
-                full = key | extra
-                right = sets_at[full & mask]
-                if right:
-                    grown[full] = [left[0] | right[0]] if single and len(right) == 1 else _product(left, right)
-        folded, conj = folded | mask, grown
-    return conj
-
-
 def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
     """Language-preserving conversion of an AFA into an NFA over state sets.
 
-    An NFA state's letters fall into classes by their projection onto the
-    atoms its members read, its `local` mask, and its successors are computed
-    and stored once per class: `_conjunctions` folds the members' class
-    tables into one, and only then are its classes walked in the order of
-    their first letter in `letters_over`, so new states are added in the
-    order a loop over every letter would add them.
+    An NFA state's successors are stored once per class of its `local` mask,
+    the atoms its members read: `_join` conjoins the members' class tables,
+    then the classes are walked in the order of their first letter in
+    `letters_over`, so new states are added as a loop over every letter would.
     """
     letters = tuple(letters_over(automaton.ap))
     codes = tuple(map(automaton.code, letters))
-    afa_masks = automaton.masks
-    own: list = [None] * len(automaton)  # AFA state -> `_class_sets`, made when a member first needs it
+    afa_masks, class_table = automaton.masks, automaton.class_table
     states = StateSet()
     states.add(frozenset((automaton.initial,)))
     masks: list[int] = []
     tables: list[dict] = []
     for members in states:
-        ordered = sorted(members)
+        folded, conj = 0, {0: (frozenset(),)}  # the empty conjunction, while no member is folded in
         local = 0
-        for q in ordered:
+        for i, q in enumerate(sorted(members)):
             local |= afa_masks[q]
-            if own[q] is None:
-                own[q] = _class_sets(automaton, q)
-        conj = _conjunctions(ordered, afa_masks, own)
+            folded, conj = _join((folded, conj), class_table(q), True) if i else class_table(q)
         table = {}
         for key in _classes(codes, local):
-            successors = conj.get(key, ())
+            successors = conj[key & folded]
             if len(successors) > 1:
-                successors = sorted(successors, key=lambda s: (len(s), sorted(s)))
+                successors = sorted(successors, key=_set_order)
             table[key] = tuple([_add(states, succ, max_states, "dealternation") for succ in successors])
         masks.append(local)
         tables.append(table)

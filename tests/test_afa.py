@@ -71,6 +71,48 @@ def test_minimal_sets_antichain():
         assert minimal_sets(unfolded) == minimal_sets(folded), unfolded
 
 
+_PARTLY_OVERLAPPING = (
+    "<(a & !b)> c | <(b | c)> d",
+    "(a U b) | (c R !a)",
+    "(a U b) & (c R !a)",
+    "G (a -> F (b & c)) | [(a | d)] (c & !b)",
+    "<(a & b)*> c & [(b | !c)] (d | X a)",
+    "(a | X (b & c)) & (!b | X (a & d)) | (c & [(d | a)] b)",
+)
+
+
+def test_class_tables_match_the_minimal_sets_of_each_image():
+    """`class_table(q)` holds `minimal_sets(delta(q, letter))` at every letter's class, complete over its mask.
+
+    The fixed formulas join tables whose masks overlap in part, and their
+    `|` nodes meet a false left entry and two sides of which one subsumes
+    the other; the exhaustive and random formulas cover the rest.
+    """
+    rng = random.Random(29)
+    formulas = [_core(src) for src in _PARTLY_OVERLAPPING] + exhaustive_core_formulas(5)
+    for _ in range(60):
+        left, right = random_core_formula(rng, rng.randint(1, 7)), random_core_formula(rng, rng.randint(1, 7))
+        formulas.append(rng.choice((fm.And, fm.Or))(left, fm.Diamond(fm.Step(fm.Atom("c")), right)))
+    for f in formulas:
+        automaton = AFA(f)
+        for q in range(len(automaton)):
+            mask, table = automaton.class_table(q)
+            assert mask & ~automaton.masks[q] == 0 and len(table) == 1 << mask.bit_count(), (f, q)
+            for letter in letters_over(automaton.ap):
+                sets = table[automaton.code(letter) & mask]
+                expected = minimal_sets(automaton.delta(q, letter))
+                assert (len(sets), set(sets)) == (len(expected), set(expected)), (f, q, letter)
+
+
+def test_code_rejects_letters_outside_the_alphabet():
+    automaton = AFA(_core("a U b"))
+    assert automaton.code(frozenset({"a", "b"})) == 3
+    for letter in (frozenset({"zz"}), frozenset({"a", "zz"})):
+        with pytest.raises(AlphabetMismatchError) as error:
+            automaton.code(letter)
+        assert str(error.value) == f"letter {sorted(letter)} outside alphabet ['a', 'b']"
+
+
 def test_atom_automaton():
     automaton = AFA(_core("a"))
     assert automaton.accepts(parse_trace("{a}")) is True

@@ -23,7 +23,7 @@ from tracelogic.fa import (
     minimize,
     nfa_accepts,
 )
-from tracelogic.formula import FALSE, TRUE, And, Box, Diamond, Or, Star, Step, atoms, nnf, to_dynamic_core
+from tracelogic.formula import FALSE, TRUE, And, Box, Diamond, Not, Or, Star, Step, atoms, nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import Trace, enumerate_traces, format_trace
 
@@ -289,14 +289,15 @@ def test_dealternation_successor_count_grows_as_three_to_the_k(monkeypatch):
     made per class.
     """
     steps = []
-    counted = fa._class_sets
+    join = fa._join
 
     class Counting(dict):
         def __getitem__(self, key):
             steps.append(None)
             return super().__getitem__(key)
 
-    monkeypatch.setattr(fa, "_class_sets", lambda automaton, q: Counting(counted(automaton, q)))
+    # only the fold's lookups count: the class walk's reads of a lone member's table are not fold steps
+    monkeypatch.setattr(fa, "_join", lambda left, right, conj: join(left, (right[0], Counting(right[1])), conj))
     entries, folded = {}, {}
     for k in range(3, 9):
         steps.clear()
@@ -310,6 +311,36 @@ def test_dealternation_successor_count_grows_as_three_to_the_k(monkeypatch):
     assert list(entries.values()) == [35, 97, 275, 793, 2315, 6817]
     assert folded == {k: 2 * 3**k - 4 * 2**k + 2 for k in range(3, 9)}
     assert list(folded.values()) == [24, 100, 360, 1204, 3864, 12100]
+
+
+def test_mutex_class_tables_evaluate_each_guard_leaf_once(monkeypatch):
+    """`G !(a0 & a1) & … & G !(a(2k-2) & a(2k-1))`: dealternation makes exactly 4k guard evaluations.
+
+    Clause i is the box star `[tt*] (!a(2i) | !a(2i+1))`, whose guarded
+    image `(!a(2i) | !a(2i+1)) & q_i` has two guard leaves of one atom each,
+    q_i being the clause's own state.  The root's image conjoins the k clause
+    images, the very nodes the states q_i have, and a node is tabled once, so
+    each of the 2k leaves is evaluated at the 2 letters over its atom: 4k
+    calls.  Specialising each state's whole image once per class of its mask
+    makes 2k·4^k + 8k (80 at k = 2, 49,200 at k = 6).
+    """
+    calls = []
+    prop_sat = oracle.prop_sat
+
+    def counting(guard, letter):
+        calls.append(guard)  # the recursion into the guard's parts goes through this wrapper too
+        return prop_sat(guard, letter)
+
+    evaluations = {}
+    for k in range(2, 7):
+        automaton = _afa(" & ".join(f"G !(a{2 * i} & a{2 * i + 1})" for i in range(k)))
+        monkeypatch.setattr(oracle, "prop_sat", counting)
+        calls.clear()
+        nfa = dealternate(automaton)
+        monkeypatch.setattr(oracle, "prop_sat", prop_sat)
+        evaluations[k] = sum(1 for guard in calls if isinstance(guard, Not))  # each leaf guard is a negated atom
+        assert len(calls) == 2 * evaluations[k] and len(nfa.states) == 2
+    assert evaluations == {k: 4 * k for k in range(2, 7)}
 
 
 def test_determinization_union_count_grows_as_three_to_the_k(monkeypatch):

@@ -208,8 +208,9 @@ def test_closure_members_cover_expansions():
         automaton = AFA(f, ("a", "b"))
         states = set(range(len(automaton)))
         for q in states:
+            mask, table = automaton.class_table(q)
             for code in range(1 << len(automaton.ap)):
-                for members in automaton.successor_sets(q, code):
+                for members in table[code & mask]:
                     assert members <= states, (f, q, code)
 
 
