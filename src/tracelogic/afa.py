@@ -27,18 +27,19 @@ discovers its states by building their guarded images: starting from the
 root, each state's image is built once, and the targets of its step
 modalities are the states it adds, as the transitions name them
 (De Giacomo & Vardi, IJCAI 2013).  The atoms of the guards a build tests
-are the state's reads (`AFA.reads`, coded in `AFA.masks`).  Nodes built
-outside any diamond-star unrolling are memoised with their atoms, so
-states that share a tail share its build.  `delta` specialises the guarded
-image once per class (`specialise`); dealternation reads `class_table`, a
-state's minimal successor sets per class, built bottom-up over its guarded
-image once per node (so a shared tail is tabled once): one `prop_sat` per
-letter over a guard leaf's atoms and one `_join` per And or Or node.
-Every state is the root or a step target, so `AFA.accepts`
-evaluates them all, from the end values backwards: it compiles each image
-once per class into the state ordinals it reads (`_compile`, shared with
-the two-way automaton), looks up each distinct letter's row once, and
-evaluates each state at a letter by reading the next letter's values.
+are the state's reads (`AFA.reads`).  Nodes built outside any diamond-star
+unrolling are memoised with their atoms, so states that share a tail share
+its build.  `delta` specialises the guarded image once per class
+(`specialise`); dealternation reads `class_table`, a state's minimal
+successor sets per class, built bottom-up over its guarded image once per
+node (so a shared tail is tabled once): one `prop_sat` per letter over a
+guard leaf's atoms and one `_join` per And or Or node; folding may leave a
+table's mask fewer atoms than its state reads.  Every state is the root or
+a step target, so `AFA.accepts` evaluates them all, from the end values
+backwards: it compiles each image once per class into the state ordinals it
+reads (`_compile`, shared with the two-way automaton), looks up each
+distinct letter's row once, and evaluates each state at a letter by reading
+the next letter's values.
 
 Both automata mark an obligation that holds weakly at the trace ends as
 the state `Weak(g)`.  The AFA makes a box's step target weak only where g's
@@ -242,11 +243,11 @@ def _product(left, right) -> list[frozenset]:
 
 
 def _submasks(mask: int) -> list[int]:
-    """Every code whose bits all lie in `mask`, 0 first: the classes of the letters over `mask`."""
+    """Every code whose bits all lie in `mask`, built in the order of `trace.letters_over` over its atoms."""
     subs = [0]
     while mask:
-        bit = mask & -mask
-        subs += [sub | bit for sub in subs]
+        bit = 1 << (mask.bit_length() - 1)
+        subs[1:1] = [bit | sub for sub in subs]
         mask ^= bit
     return subs
 
@@ -398,9 +399,9 @@ class StateSet:
 class AFA:
     """Alternating automaton over letters drawn from subsets of `ap`.
 
-    A letter's code has bit j set when `ap[j]` is in it; `masks[q]` is the
-    code of `reads[q]`.  One evaluator over the empty trace decides the end
-    values of every state (`final`) and which step targets of boxes are weak.
+    A letter's code has bit j set when `ap[j]` is in it.  One evaluator
+    over the empty trace decides the end values of every state (`final`)
+    and which step targets of boxes are weak.
     """
 
     def __init__(self, root: fm.Formula, ap=None):
@@ -424,7 +425,6 @@ class AFA:
             final.append(bool((self._end.weak if weak else self._end.sat)(f) & 1))
         self._guarded: tuple[PBF, ...] = tuple(guarded)
         self.reads: tuple[frozenset[str], ...] = tuple(reads)  # the atoms of the guards each state's build tests
-        self.masks: tuple[int, ...] = tuple(map(self.code, reads))
         self.final: tuple[bool, ...] = tuple(final)
 
     def __len__(self) -> int:
@@ -459,8 +459,9 @@ class AFA:
                 table = _join(self._table(node.left), self._table(node.right), isinstance(node, AndNode))
             else:  # a guard leaf, a state or a constant: its minimal sets at each letter over its atoms
                 names = fm.atoms(node.guard) if isinstance(node, GuardLeaf) else ()
-                sets = {self.code(x): tuple(_minsets(specialise(node, x))) for x in letters_over(names)}
-                table = self.code(names), sets
+                mask = self.code(names)
+                letters = zip(_submasks(mask), letters_over(names))
+                table = mask, {key: tuple(_minsets(specialise(node, x))) for key, x in letters}
             self._tables[id(node)] = table
         return table
 

@@ -8,21 +8,20 @@ makes minimal automata canonical: two DFAs are isomorphic exactly when
 their minimized forms are equal.
 
 Dealternation and determinization work per letter class.  A letter is an
-integer code (bit j set when the j-th atom of the sorted alphabet is in it),
-and each AFA state reads the atoms its guarded build tests (`AFA.reads`,
-coded as `AFA.masks`).  An NFA state's successors depend only on the atoms
-its members read, so the NFA keeps, per state, that `local` mask and one
-table from class code (`code & local`) to successors, and `NFA.successors`
-reads a letter's entry there.  An NFA state's table folds its members'
-class tables (`AFA.class_table`) in one at a time with the join that builds
-them (`afa._join`): the first member's table is taken as it is, and each
-later member extends every class built so far by the atoms only it reads,
-one lookup in its table and at most one product per new class.  So an NFA
+integer code (bit j set when the j-th atom of the sorted alphabet is in it).
+An NFA state folds its members' class tables (`AFA.class_table`) in one at
+a time with the join that builds them (`afa._join`), and keeps the mask of
+the result, the atoms its successors depend on, with one table from class
+code (`code & mask`) to successors, which `NFA.successors` reads at a
+letter's class.  The first member's table is taken as it is, and each later
+member extends every class built so far by the atoms only it reads, one
+lookup in its table and at most one product per new class.  So an NFA
 state whose members read k atoms costs at most 2^k steps per member rather
 than 2^|AP|, and members that read one new atom each cost about 2^(k+1) in
-all.  A macro-state of the subset construction costs one union per class of
-its members' masks, and a singleton `{m}` takes the entries of `tables[m]`
-with no union.
+all.  Every class walk lists a mask's classes with `afa._submasks`, in
+first-letter order.  A macro-state of the subset construction costs one
+union per class of its members' masks, and a singleton `{m}` takes the
+entries of `tables[m]` with no union.
 Only the DFA keeps an entry for every letter, filled by one AND and one
 lookup per letter; minimization spells each row's blocks, and numbers its
 quotient, in C-level loops over the row.
@@ -41,7 +40,7 @@ from functools import cached_property
 from typing import Iterator
 
 from . import formula as fm
-from .afa import AFA, StateSet, _join, _set_order
+from .afa import AFA, StateSet, _join, _set_order, _submasks
 from .errors import BudgetError
 from .trace import Trace, accepted_words, check_enumeration_bound, check_letters, letters_over, outside_alphabet
 
@@ -53,9 +52,9 @@ class NFA:
     """Nondeterministic automaton whose states are sets of AFA ordinals.
 
     `codes[i]` is the code of `letters[i]`; state s maps the class
-    `code & masks[s]` of each letter to the tuple of its successor indices
-    in `tables[s]`, whose keys are those classes in the order of their first
-    letter.  No per-letter entry is stored.
+    `code & masks[s]` of each letter (the mask of its members' joined class
+    table) to its successor indices in `tables[s]`, keyed in the order of
+    their first letter.  No per-letter entry is stored.
     """
 
     ap: tuple[str, ...]
@@ -105,39 +104,32 @@ def _add(states: StateSet, state, max_states: int, stage: str) -> int:
     return ordinal
 
 
-def _classes(codes, mask: int) -> dict:
-    """The distinct `code & mask` over `codes` as keys, in the order of their first letter."""
-    return dict.fromkeys([code & mask for code in codes])
-
-
 def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
     """Language-preserving conversion of an AFA into an NFA over state sets.
 
-    An NFA state's successors are stored once per class of its `local` mask,
-    the atoms its members read: `_join` conjoins the members' class tables,
-    then the classes are walked in the order of their first letter in
-    `letters_over`, so new states are added as a loop over every letter would.
+    `_join` conjoins an NFA state's members' class tables; the state keeps
+    the mask of that table and stores its successors once per class, walked
+    in `_submasks` order, the order of their first letter in `letters_over`,
+    so new states are added as a loop over every letter would add them.
     """
     letters = tuple(letters_over(automaton.ap))
-    codes = tuple(map(automaton.code, letters))
-    afa_masks, class_table = automaton.masks, automaton.class_table
+    codes = tuple(_submasks((1 << len(automaton.ap)) - 1))
+    class_table = automaton.class_table
     states = StateSet()
     states.add(frozenset((automaton.initial,)))
     masks: list[int] = []
     tables: list[dict] = []
     for members in states:
-        folded, conj = 0, {0: (frozenset(),)}  # the empty conjunction, while no member is folded in
-        local = 0
+        mask, conj = 0, {0: (frozenset(),)}  # the empty conjunction, while no member is folded in
         for i, q in enumerate(sorted(members)):
-            local |= afa_masks[q]
-            folded, conj = _join((folded, conj), class_table(q), True) if i else class_table(q)
+            mask, conj = _join((mask, conj), class_table(q), True) if i else class_table(q)
         table = {}
-        for key in _classes(codes, local):
-            successors = conj[key & folded]
+        for key in _submasks(mask):
+            successors = conj[key]
             if len(successors) > 1:
                 successors = sorted(successors, key=_set_order)
             table[key] = tuple([_add(states, succ, max_states, "dealternation") for succ in successors])
-        masks.append(local)
+        masks.append(mask)
         tables.append(table)
     accepting = tuple(all(automaton.final[q] for q in s) for s in states)
     return NFA(automaton.ap, letters, codes, states.states, masks, tables, accepting)
@@ -157,7 +149,7 @@ def determinize(nfa: NFA, max_states: int = DEFAULT_BUDGET) -> DFA:
     """Subset construction over the class tables of `dealternate`; the empty macro-state is the rejecting sink.
 
     A macro-state's letters fall into classes by the union of its members'
-    masks; each class costs one union, taken in first-letter order, and
+    masks; each class costs one union, taken in `_submasks` order, and
     each letter's entry in the row one AND and one lookup.  A singleton
     `{m}` has the classes of `tables[m]`, already in first-letter order, so
     it takes each entry as its macro-state with no union.
@@ -179,7 +171,7 @@ def determinize(nfa: NFA, max_states: int = DEFAULT_BUDGET) -> DFA:
             for m in members:
                 mask |= masks[m]
             targets = {}
-            for key in _classes(codes, mask):
+            for key in _submasks(mask):
                 union = frozenset(t for m in members for t in tables[m][key & masks[m]])
                 targets[key] = _add(macro_states, union, max_states, "determinization")
         rows.append(tuple([targets[code & mask] for code in codes]))

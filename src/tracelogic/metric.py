@@ -122,6 +122,8 @@ class ConstraintSystem:
 
     def __post_init__(self):
         n = self.n_vars
+        if n < 0:
+            raise ValueError(f"negative variable count {n}")
         for c in self.constraints:
             if not (0 <= c.i < n and 0 <= c.j < n):
                 raise ValueError(f"constraint {c} references a missing variable")

@@ -8,7 +8,7 @@ and `metric.enumerate_models` both enumerate through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator
 
 from .errors import AlphabetMismatchError, SizeLimitError
@@ -68,9 +68,11 @@ def check_letters(t: Trace, ap) -> None:
 
 
 def letters_over(ap) -> list[Letter]:
-    """All letters over the atoms of ap, ordered by their sorted atom tuple.
+    """All letters over the atoms of ap, built in the order of their sorted atom tuples.
 
-    SizeLimitError, before any letter is built, on more than 16 atoms.
+    Each atom, from the highest down, puts the letters that hold it after the
+    empty letter, as `afa._submasks` puts codes.  SizeLimitError, before any
+    letter is built, on more than 16 atoms.
     """
     names = sorted(set(ap))
     if len(names) > _MAX_LETTER_ATOMS:
@@ -78,8 +80,10 @@ def letters_over(ap) -> list[Letter]:
             f"alphabet of {len(names)} atoms has more than 2^{_MAX_LETTER_ATOMS} letters to spell out",
             stage="letters", limit=_MAX_LETTER_ATOMS, reached=len(names),
         )
-    subsets = [frozenset(c) for k in range(len(names) + 1) for c in combinations(names, k)]
-    return sorted(subsets, key=lambda s: tuple(sorted(s)))
+    letters = [frozenset()]
+    for name in reversed(names):
+        letters[1:1] = [letter | {name} for letter in letters]
+    return letters
 
 
 def check_enumeration_bound(ap, max_len: int) -> None:

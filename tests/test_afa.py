@@ -97,7 +97,7 @@ def test_class_tables_match_the_minimal_sets_of_each_image():
         automaton = AFA(f)
         for q in range(len(automaton)):
             mask, table = automaton.class_table(q)
-            assert mask & ~automaton.masks[q] == 0 and len(table) == 1 << mask.bit_count(), (f, q)
+            assert mask & ~automaton.code(automaton.reads[q]) == 0 and len(table) == 1 << mask.bit_count(), (f, q)
             for letter in letters_over(automaton.ap):
                 sets = table[automaton.code(letter) & mask]
                 expected = minimal_sets(automaton.delta(q, letter))

@@ -227,7 +227,7 @@ def test_alphabet_too_wide_to_spell_out_exits_three(monkeypatch):
     def no_letters(*args):
         raise AssertionError("a letter was built over 17 atoms")
 
-    monkeypatch.setattr("tracelogic.trace.combinations", no_letters)
+    monkeypatch.setattr("tracelogic.trace.frozenset", no_letters, raising=False)
     wide = " | ".join(f"a{i}" for i in range(17))
     for target in ("dfa", "afa", "nfa", "min-dfa"):
         code, out, err = invoke("compile", "-f", wide, "--to", target)

@@ -76,6 +76,28 @@ def test_eventually_two_states():
     assert dfa.n_states == 2
 
 
+def test_each_nfa_state_keeps_the_mask_of_its_joined_class_table():
+    """An NFA state's mask is its members' class-table masks joined, not the atoms they read.
+
+    Folding `<b> ff` to false leaves `a | <b> ff` reading b with a class
+    table over a alone, so its NFA state has 2 classes, not 4.  Merged
+    classes share their successors, so the size line is unchanged.
+    """
+    for src, folded, masks, classes, size in (
+        ("a | <b> ff", 0, [1, 0], [2, 1], "states 2 transitions 6"),
+        ("X (a | <b> ff) & X c", 1, [0, 5, 0], [1, 4, 1], "states 3 transitions 18"),
+    ):
+        automaton = _afa(src)
+        nfa = dealternate(automaton)
+        assert (automaton.code(automaton.reads[folded]), automaton.class_table(folded)[0]) == (3, 1), src
+        assert (nfa.masks, [len(table) for table in nfa.tables], _size(nfa)) == (masks, classes, size), src
+        for members, mask in zip(nfa.states, nfa.masks):  # a singleton's mask is its member's table's
+            joined = 0
+            for q in members:
+                joined |= automaton.class_table(q)[0]
+            assert mask == joined, src
+
+
 def test_minimize_idempotent_and_examples():
     dfa = build_dfa(parse_formula("G a"))
     assert dfa.n_states == 2
@@ -437,7 +459,7 @@ def _partly_overlapping(automaton: AFA, nfa) -> bool:
     for members in nfa.states:
         folded = 0
         for q in sorted(members):
-            mask = automaton.masks[q]
+            mask = automaton.code(automaton.reads[q])
             if mask & folded and mask & ~folded:
                 return True
             folded |= mask

@@ -589,13 +589,14 @@ def test_diff_constraint_is_a_validated_tuple():
             lambda: ConstraintSystem(1, (DiffConstraint(0, 1, 0, None),)),
             "constraint DiffConstraint(i=0, j=1, lo=0, hi=None) references a missing variable",
         ),
+        (lambda: feasible(ConstraintSystem(-1, ())), "negative variable count -1"),
         (lambda: MetricHead(3, 3, "a"), "empty metric interval [3,3)"),
         (lambda: DiffConstraint(0, 1, 0, None)._replace(j=0), "difference constraint needs two distinct variables"),
         (lambda: DiffConstraint(0, 1, 0, None)._replace(lo=5, hi=4), "empty bound [5,4]"),
         (lambda: DiffConstraint._make((0, 1, 5, 4)), "empty bound [5,4]"),
     ],
-    ids=["same-variable", "empty-bound", "missing-variable", "empty-head-interval", "replace-same-variable",
-         "replace-empty-bound", "make-empty-bound"],
+    ids=["same-variable", "empty-bound", "missing-variable", "negative-variable-count", "empty-head-interval",
+         "replace-same-variable", "replace-empty-bound", "make-empty-bound"],
 )
 def test_malformed_constraints_and_heads_raise_value_error(build, message):
     with pytest.raises(ValueError) as error:

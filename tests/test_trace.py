@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from tracelogic import cli
-from tracelogic.afa import AFA
+from tracelogic.afa import AFA, _submasks
 from tracelogic.errors import SizeLimitError
 from tracelogic.fa import build_dfa, enumerate_accepted
 from tracelogic.formula import nnf, to_dynamic_core
@@ -97,22 +97,33 @@ def test_enumeration_reaches_the_deepest_bound():
 def test_letter_order():
     letters = letters_over(("b", "a"))
     assert letters == [frozenset(), frozenset({"a"}), frozenset({"a", "b"}), frozenset({"b"})]
+    for width in range(11):  # every subset, ordered by its sorted atom tuple
+        ap = [f"p{i:02d}" for i in reversed(range(width))]
+        subsets = [frozenset(c) for k in range(width + 1) for c in combinations(sorted(ap), k)]
+        assert letters_over(ap) == sorted(subsets, key=lambda s: tuple(sorted(s))), width
 
 
 def test_classes_first_met_in_letter_order():
     """Over the letters of ap in order, the classes `letter & r` first appear in the order of `letters_over(r)`.
 
     The 2AFA builds each state's classes over its read atoms r in
-    `letters_over(r)` order, so its states are discovered in the order
-    a walk over every letter of the alphabet would meet them.
+    `letters_over(r)` order, and the one-way pipeline walks the classes of
+    a mask in `_submasks` order, the codes of `letters_over(r)` in the same
+    order; so states are discovered in the order a walk over every letter of
+    the alphabet would meet them.
     """
     for width in range(8):
         ap = tuple(f"p{i}" for i in range(width))
+        bits = {name: 1 << j for j, name in enumerate(ap)}
         letters = letters_over(ap)
+        codes = _submasks((1 << width) - 1)
         for k in range(width + 1):
             for r in combinations(ap, k):
                 local = frozenset(r)
                 assert list(dict.fromkeys(letter & local for letter in letters)) == letters_over(local), r
+                mask = sum(bits[name] for name in r)
+                assert _submasks(mask) == [sum(bits[name] for name in x) for x in letters_over(r)], r
+                assert list(dict.fromkeys(code & mask for code in codes)) == _submasks(mask), r
 
 
 def test_format_examples():
