@@ -2,30 +2,30 @@
 
 `transition` builds the transition of a dynamic-core or past formula at a
 letter (or at the end marker) as a positive boolean formula (PBF) over
-successor references, so universal and existential branching share one
-representation.  Each successor goes through a callback `ref(g, move,
-weak)`, and the callback decides what a successor is.  The two-way
-automaton in `twafa` makes every successor a state: a head move left (L),
-right (R) or stay-in-place (S) paired with a state, read in a least
-fixpoint.  A one-way automaton is a two-way automaton whose S moves are
-resolved within the letter (Vardi, ICALP 1998): the `AFA` here inlines
-every S move into the image, keeps R moves as references to states, and
-never meets an L move, since past operators are outside its fragment.
-Inlining takes a diamond star met again while it is being unrolled as false,
-which keeps the image finite on stars that make no progress within a letter,
-like `<(tt?)*> a`.
+successor references, with the constants `True` and `False`, so universal
+and existential branching share one representation.  Each successor goes
+through a callback `ref(g, move, weak)`, and the callback decides what a
+successor is.  The two-way automaton in `twafa` makes every successor a
+state: a head move -1 (left, L), 1 (right, R) or 0 (stay in place, S)
+paired with a state, read in a least fixpoint.  A one-way automaton is a
+two-way automaton whose S moves are resolved within the letter (Vardi,
+ICALP 1998): the `AFA` here inlines every S move into the image, keeps R
+moves as references to states, and never meets an L move, since past
+operators are outside its fragment.  Inlining takes a diamond star met
+again while it is being unrolled as false, which keeps the image finite on
+stars that make no progress within a letter, like `<(tt?)*> a`.
 
 The builder reads a cell only through a guard test `sat(guard)`, for
 literals and step guards alike, and asks about the same guards whatever
-they answer.  The test returns a PBF.  The two-way automaton answers at
-the cell with `PBF_TRUE` or `PBF_FALSE`, records the guards its build at
-the end marker asks about, and builds each state's transition once per
-class over their atoms, or keeps that one build when it asks about none.
-The `AFA` leaves every guard open as a `GuardLeaf`, a predicate over
-letters as in symbolic automata (D'Antoni & Veanes, CAV 2017).  It
-discovers its states by building their guarded images: starting from the
-root, each state's image is built once, and the targets of its step
-modalities are the states it adds, as the transitions name them
+they answer.  The test returns a PBF.  The two-way automaton answers at the
+cell with `oracle.prop_sat`'s `True` or `False` as it is, records the
+guards its build at the end marker asks about, and builds each state's
+transition once per class over their atoms, or keeps that one build when it
+asks about none.  The `AFA` leaves every guard open as a `GuardLeaf`, a
+predicate over letters as in symbolic automata (D'Antoni & Veanes, CAV
+2017).  It discovers its states by building their guarded images: starting
+from the root, each state's image is built once, and the targets of its
+step modalities are the states it adds, as the transitions name them
 (De Giacomo & Vardi, IJCAI 2013).  The atoms of the guards a build tests
 are the state's reads (`AFA.reads`).  Nodes built outside any diamond-star
 unrolling are memoised with their atoms, so states that share a tail share
@@ -50,7 +50,6 @@ formulas), differ; `Weak(g)` has g's guarded image and g's weak end value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from . import formula as fm
 from . import oracle
@@ -59,19 +58,9 @@ from .trace import Trace, check_letters, letters_over, outside_alphabet, resolve
 
 
 class PBF:
-    """Positive boolean formula over state ordinals."""
+    """Positive boolean formula over state ordinals; its constants are `True` and `False`."""
 
     __slots__ = ()
-
-
-@dataclass(frozen=True)
-class TrueLeaf(PBF):
-    pass
-
-
-@dataclass(frozen=True)
-class FalseLeaf(PBF):
-    pass
 
 
 @dataclass(frozen=True)
@@ -98,18 +87,15 @@ class GuardLeaf(PBF):
     guard: fm.Formula
 
 
-class Move(Enum):
-    L = -1
-    S = 0
-    R = 1
-
-
 @dataclass(frozen=True)
 class MoveRef(PBF):
-    """PBF leaf of a two-way transition: the referenced state must hold after moving the head."""
+    """Leaf of a two-way transition, in B+({-1, 0, 1} x Q) (Vardi, ICALP 1998): `state` after a head move.
+
+    `move` is the head's displacement: -1 (left), 0 (stay in place) or 1 (right).
+    """
 
     state: int
-    move: Move
+    move: int
 
 
 @dataclass(frozen=True)
@@ -117,7 +103,7 @@ class _Marker:
     name: str
 
 
-_L, _S, _R = Move.L, Move.S, Move.R  # every transition reads them; an Enum member lookup is slow
+_L, _S, _R = -1, 0, 1  # head moves: left, stay in place, right
 
 BEGIN = _Marker("begin")
 END = _Marker("end")
@@ -130,26 +116,22 @@ class Weak:
     formula: fm.Formula
 
 
-PBF_TRUE = TrueLeaf()
-PBF_FALSE = FalseLeaf()
-
-
 def pbf_and(left: PBF, right: PBF) -> PBF:
-    if isinstance(left, FalseLeaf) or isinstance(right, FalseLeaf):
-        return PBF_FALSE
-    if isinstance(left, TrueLeaf):
+    if left is False or right is False:
+        return False
+    if left is True:
         return right
-    if isinstance(right, TrueLeaf):
+    if right is True:
         return left
     return AndNode(left, right)
 
 
 def pbf_or(left: PBF, right: PBF) -> PBF:
-    if isinstance(left, TrueLeaf) or isinstance(right, TrueLeaf):
-        return PBF_TRUE
-    if isinstance(left, FalseLeaf):
+    if left is True or right is True:
+        return True
+    if left is False:
         return right
-    if isinstance(right, FalseLeaf):
+    if right is False:
         return left
     return OrNode(left, right)
 
@@ -158,9 +140,9 @@ def _compile(pbf: PBF, offset=None):
     """The form in which the automata evaluate a transition, built once per PBF object: see `_holds`.
 
     A `StateRef` becomes its ordinal and a `MoveRef` the integer
-    `offset(ref)`; the constants become `True` and `False`, and an
-    `AndNode` or `OrNode` the triple `(is_and, left, right)`.  Its size is
-    the PBF's: no normal form is taken.
+    `offset(ref)`; the constants `True` and `False` stay as they are, and
+    an `AndNode` or `OrNode` becomes the triple `(is_and, left, right)`.
+    Its size is the PBF's: no normal form is taken.
     """
 
     def compiled(node: PBF):
@@ -170,8 +152,8 @@ def _compile(pbf: PBF, offset=None):
             return node.state
         if isinstance(node, MoveRef):
             return offset(node)
-        if isinstance(node, (TrueLeaf, FalseLeaf)):
-            return isinstance(node, TrueLeaf)
+        if node is True or node is False:
+            return node
         raise TypeError(f"not a PBF: {node!r}")
 
     return compiled(pbf)
@@ -203,7 +185,7 @@ def specialise(pbf: PBF, letter) -> PBF:
     if isinstance(pbf, OrNode):
         return pbf_or(specialise(pbf.left, letter), specialise(pbf.right, letter))
     if isinstance(pbf, GuardLeaf):
-        return PBF_TRUE if oracle.prop_sat(pbf.guard, letter) else PBF_FALSE
+        return oracle.prop_sat(pbf.guard, letter)
     return pbf
 
 
@@ -224,9 +206,9 @@ def _minsets(pbf: PBF) -> list[frozenset]:
         return _antichain({*_minsets(pbf.left), *_minsets(pbf.right)})
     if isinstance(pbf, StateRef):
         return [frozenset((pbf.state,))]
-    if isinstance(pbf, TrueLeaf):
+    if pbf is True:
         return [frozenset()]
-    if isinstance(pbf, FalseLeaf):
+    if pbf is False:
         return []
     raise TypeError(f"not a PBF: {pbf!r}")
 
@@ -279,7 +261,7 @@ def _join(left, right, conj: bool):
 
 
 def guard_test(cell, asked: list | None = None):
-    """The two-way automaton's `sat(guard)` at `cell`: a PBF constant, `oracle.prop_sat` at a letter, false at a marker.
+    """The two-way automaton's `sat(guard)` at `cell`: `oracle.prop_sat` at a letter, `False` at a marker.
 
     Given a list `asked`, the test appends every guard it is asked about to it.
     """
@@ -287,7 +269,7 @@ def guard_test(cell, asked: list | None = None):
     def sat(guard: fm.Formula) -> PBF:
         if asked is not None:
             asked.append(guard)
-        return PBF_TRUE if cell is not BEGIN and cell is not END and oracle.prop_sat(guard, cell) else PBF_FALSE
+        return cell is not BEGIN and cell is not END and oracle.prop_sat(guard, cell)
 
     return sat
 
@@ -295,8 +277,8 @@ def guard_test(cell, asked: list | None = None):
 def transition(f: fm.Formula, sat, ref) -> PBF:
     """The transition of f at a cell that `sat(guard)` tests, with successors `ref(g, move, weak)`.
 
-    `sat` returns a PBF: `PBF_TRUE` or `PBF_FALSE` when it answers at a
-    cell, a `GuardLeaf` when it leaves the guard open.  Literals and step
+    `sat` returns a PBF: `True` or `False` when it answers at a cell, a
+    `GuardLeaf` when it leaves the guard open.  Literals and step
     guards reach the cell only through it, each call made whatever the
     others answer, and a step's successor is asked for only when its guard
     is not false.  `weak` asks for g's weak value at the markers; it is set
@@ -308,7 +290,7 @@ def transition(f: fm.Formula, sat, ref) -> PBF:
             return sat(f)
         case fm.Diamond(fm.Step(guard), g):
             test = sat(guard)
-            return PBF_FALSE if isinstance(test, FalseLeaf) else pbf_and(test, ref(g, _R))
+            return False if test is False else pbf_and(test, ref(g, _R))
         case fm.Diamond(fm.Star(q), g):
             return pbf_or(ref(g, _S), ref(fm.Diamond(q, f), _S))
         case fm.Diamond(fm.Seq(q, r), g):
@@ -324,9 +306,9 @@ def transition(f: fm.Formula, sat, ref) -> PBF:
         case fm.Box():
             return _box(f, sat, ref, ())
         case fm.TrueFormula():
-            return PBF_TRUE
+            return True
         case fm.FalseFormula():
-            return PBF_FALSE
+            return False
         case fm.Prev(g):
             return pbf_and(ref(fm.STEP_POSSIBLE, _L), ref(g, _L))
         case fm.WeakPrev(g):
@@ -344,9 +326,9 @@ def _box(b: fm.Box, sat, ref, expanding: tuple) -> PBF:
     match b:
         case fm.Box(fm.Step(guard), g):
             test = sat(guard)
-            if isinstance(test, FalseLeaf):
-                return PBF_TRUE
-            unless = GuardLeaf(fm.Not(guard)) if isinstance(test, GuardLeaf) else PBF_FALSE
+            if test is False:
+                return True
+            unless = GuardLeaf(fm.Not(guard)) if isinstance(test, GuardLeaf) else False
             return pbf_or(unless, ref(g, _R, True))
         case fm.Box(fm.Test(e), g):
             unless = ref(fm.nnf_not(e), _S, True)
@@ -357,7 +339,7 @@ def _box(b: fm.Box, sat, ref, expanding: tuple) -> PBF:
             return pbf_and(_box(fm.Box(q, g), sat, ref, expanding), _box(fm.Box(r, g), sat, ref, expanding))
         case fm.Box(fm.Star(q), g):
             if b in expanding:
-                return PBF_TRUE
+                return True
             inner = (*expanding, b)
             arrive = _box(g, sat, ref, inner) if isinstance(g, fm.Box) else ref(g, _S, True)
             return pbf_and(arrive, _box(fm.Box(q, b), sat, ref, inner))
@@ -479,19 +461,19 @@ class AFA:
 
         def sat(guard: fm.Formula) -> PBF:
             if isinstance(guard, fm.TrueFormula):  # the guard of every X, F and G
-                return PBF_TRUE
+                return True
             reading[-1].update(fm.atoms(guard))
             return GuardLeaf(guard)
 
-        def ref(g: fm.Formula, move: Move, weak: bool = False) -> PBF:
-            if move is _R:
+        def ref(g: fm.Formula, move: int, weak: bool = False) -> PBF:
+            if move == _R:
                 return self._step_ref(g, weak)
             star = isinstance(g, fm.Diamond) and isinstance(g.path, fm.Star)
             if unrolling:
                 if not star:
                     return transition(g, sat, ref)
                 if g in unrolling:
-                    return PBF_FALSE
+                    return False
                 unrolling.append(g)
                 image = transition(g, sat, ref)
                 unrolling.pop()
@@ -514,9 +496,9 @@ class AFA:
     def _step_ref(self, g: fm.Formula, weak: bool) -> PBF:
         """The reference to step target g, or to Weak(g) for a box if g holds weakly but not outright at the end."""
         if isinstance(g, fm.TrueFormula):
-            return PBF_TRUE
+            return True
         if isinstance(g, fm.FalseFormula):
-            return PBF_FALSE
+            return False
         if weak and self._end.weak(g) & 1 != self._end.sat(g) & 1:
             g = Weak(g)
         return StateRef(self.states.add(g))

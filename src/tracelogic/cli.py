@@ -12,7 +12,7 @@ import sys
 
 from . import formula as fm
 from . import oracle
-from .afa import AFA, BEGIN, END, FalseLeaf
+from .afa import AFA, BEGIN, END
 from .dot import to_dot
 from .errors import (
     AlphabetMismatchError,
@@ -154,7 +154,7 @@ def _size(automaton) -> str:
 
 
 def _live(images) -> int:
-    return sum(not isinstance(pbf, FalseLeaf) for pbf in images)
+    return sum(pbf is not False for pbf in images)
 
 
 def _cmd_compile(args) -> int:

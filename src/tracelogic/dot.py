@@ -9,7 +9,7 @@ conjunction node.
 from __future__ import annotations
 
 from . import formula as fm
-from .afa import AFA, BEGIN, END, PBF, AndNode, FalseLeaf, MoveRef, OrNode, StateRef, TrueLeaf, Weak, _Marker
+from .afa import AFA, BEGIN, END, PBF, AndNode, MoveRef, OrNode, StateRef, Weak, _Marker
 from .fa import DFA, NFA
 from .twafa import TwoAFA
 from .trace import format_letter, letters_over
@@ -34,9 +34,9 @@ def _cell_label(m) -> str:
 def _dnf(pbf: PBF) -> list[tuple]:
     """Disjuncts of leaf sets; each set is one hyper-edge."""
     match pbf:
-        case TrueLeaf():
+        case True:  # literal patterns compare True and False by identity
             return [()]
-        case FalseLeaf():
+        case False:
             return []
         case StateRef() | MoveRef():
             return [(pbf,)]
@@ -53,7 +53,7 @@ def _dnf(pbf: PBF) -> list[tuple]:
 
 def _leaf_target(leaf) -> tuple[int, str]:
     if isinstance(leaf, MoveRef):
-        return leaf.state, leaf.move.name
+        return leaf.state, "LSR"[leaf.move + 1]
     return leaf.state, ""
 
 

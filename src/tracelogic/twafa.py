@@ -5,29 +5,30 @@ paired with a tape position, and acceptance is membership of the initial
 configuration in the least fixpoint of the transition system.  The
 transitions come from `afa.transition`, the builder the one-way AFA uses
 too; here every successor it names, a stay-in-place (S) one included,
-becomes a state of its own, paired with its head move.  Past operators walk
-left; the marker cells let the translation detect the ends of the trace,
-so star unfoldings need no construction-time recursion: existential loops
-that make no progress simply stay false in the least fixpoint.  Universal
-(box) obligations are expanded eagerly through their path, dropping
-re-arrivals at the same star at the same position, which keeps their
-vacuous loops out of the fixpoint while preserving the single
-least-fixpoint polarity.  A state's transition depends on its cell only
-through the guards it tests, the same at the end marker and at every letter
-(a weak state's boolean structure tests the guard tt, which fails only at
-the markers), so the build at the end marker records them.  A state that
-tests none keeps that transition object at every letter and reads nothing;
-otherwise the atoms of its guards are its `reads`, and one transition is
-built and stored per class over them, in `letters_over` order (the order
-letters meet them).  `delta` finds it.
+becomes a state of its own, paired with its head move, so a transition is a
+positive boolean formula over {-1, 0, 1} x Q with the constants `True` and
+`False`.  Past operators walk left; the marker cells let the translation
+detect the ends of the trace, so star unfoldings need no construction-time
+recursion: existential loops that make no progress simply stay false in the
+least fixpoint.  Universal (box) obligations are expanded eagerly through
+their path, dropping re-arrivals at the same star at the same position,
+which keeps their vacuous loops out of the fixpoint while preserving the
+single least-fixpoint polarity.  A state's transition depends on its cell
+only through the guards it tests, the same at the end marker and at every
+letter (a weak state's boolean structure tests the guard tt, which fails
+only at the markers), so the build at the end marker records them.  A state
+that tests none keeps that transition object at every letter and reads
+nothing; otherwise the atoms of its guards are its `reads`, and one
+transition is built and stored per class over them, in `letters_over` order
+(the order letters meet them).  `delta` finds it.
 
 The fixpoint is computed by a worklist (Liu & Smolka, ICALP 1998) over a
 byte tape: one row of `len(states)` bytes per position, from the begin
 marker to the end marker, between two rows of zeros.  Each distinct
 transition object is compiled once, when the automaton is built, into
 integer offsets from its own row: a reference to state s after head move m
-is `m * len(states) + s`.  A configuration starts true exactly when its
-transition is the true leaf.  Each configuration that turns true is pushed
+(-1, 0 or 1) is `m * len(states) + s`.  A configuration starts true exactly
+when its transition is `True`.  Each configuration that turns true is pushed
 once; popping it re-evaluates the false configurations whose transitions
 may read it, found from a table that the same walk as the compilation
 fills, listing for each state the (state, head move) pairs with a
@@ -44,14 +45,9 @@ from .afa import (
     BEGIN,
     END,
     PBF,
-    PBF_FALSE,
-    PBF_TRUE,
-    Move,
     MoveRef,
     StateSet,
     Weak,
-    _L,
-    _R,
     _S,
     _compile,
     _holds,
@@ -89,15 +85,14 @@ class TwoAFA:
         readers: list = [{} for _ in range(width)]  # s -> {(q, step): None} for transitions from q reading s at pos + step
 
         def offset(ref: MoveRef) -> int:  # q is the state whose transition is being compiled
-            step = 1 if ref.move is _R else -1 if ref.move is _L else 0
-            readers[ref.state][(q, step)] = None
-            return step * width + ref.state
+            readers[ref.state][(q, ref.move)] = None
+            return ref.move * width + ref.state
 
         by_object: dict = {}  # id(transition) -> the transition compiled, its readers recorded
         self._compiled: dict = {}  # keyed as `transitions`: the transition compiled
         for key, pbf in self.transitions.items():
             compiled = by_object.get(id(pbf))
-            if compiled is None:  # a transition object is shared only within a state, or is a leaf
+            if compiled is None:  # a transition object is shared only within a state, or is a constant
                 q = key[0]
                 compiled = by_object[id(pbf)] = _compile(pbf, offset)
             self._compiled[key] = compiled
@@ -115,11 +110,11 @@ class TwoAFA:
     def _key(self, q: int, cell) -> tuple:
         return (q, cell if cell is BEGIN or cell is END else cell & self.reads[q])
 
-    def _ref(self, f: fm.Formula, move: Move, weak: bool = False) -> PBF:
+    def _ref(self, f: fm.Formula, move: int, weak: bool = False) -> PBF:
         if isinstance(f, fm.TrueFormula):
-            return PBF_TRUE
+            return True
         if isinstance(f, fm.FalseFormula):
-            return PBF_FALSE
+            return False
         return MoveRef(self.states.add(Weak(f) if weak else f), move)
 
     def _trans(self, entry, m, asked: list | None = None) -> PBF:
@@ -134,23 +129,23 @@ class TwoAFA:
         # state.  At a marker literals hold, boolean structure recurses, and
         # everything else coincides with the plain state, so only the
         # literals and the boolean structure ask.  `_ref` folds tt and ff to
-        # leaves before it would wrap them, so f is never either.
-        if isinstance(f, (fm.Atom, fm.Not, fm.And, fm.Or)) and sat(fm.TRUE) is PBF_FALSE:
+        # constants before it would wrap them, so f is never either.
+        if isinstance(f, (fm.Atom, fm.Not, fm.And, fm.Or)) and sat(fm.TRUE) is False:
             if isinstance(f, fm.And):
                 return pbf_and(self._ref(f.left, _S, True), self._ref(f.right, _S, True))
             if isinstance(f, fm.Or):
                 return pbf_or(self._ref(f.left, _S, True), self._ref(f.right, _S, True))
-            return PBF_TRUE
+            return True
         return self._ref(f, _S)
 
     def _trans_begin(self, f: fm.Formula) -> PBF:
         # The begin marker is only inspected through the guard states of the
-        # past operators, so plain leaf values suffice; no move is emitted.
+        # past operators, so plain constants suffice; no move is emitted.
         match f:
             case fm.TrueFormula() | fm.Box(_, _) | fm.WeakPrev(_) | fm.Trigger(_, _):
-                return PBF_TRUE
+                return True
             case _:
-                return PBF_FALSE
+                return False
 
     def accepts(self, t: Trace) -> bool:
         return self._least(t)[2 * len(self.states) + self.initial] == 1  # configuration (initial, 0)
@@ -177,7 +172,7 @@ class TwoAFA:
         value = bytearray(width * (len(t) + 4))  # configuration (q, pos) is value[(pos + 2) * width + q]
         rows = {cell: [self._compiled[self._key(q, cell)] for q in range(width)] for cell in set(cells)}  # per distinct cell
         # Transitions are constant-folded, so with every configuration false
-        # exactly those whose transition is the true leaf hold.
+        # exactly those whose transition is `True` hold.
         seeds = {cell: [q for q, compiled in enumerate(row) if compiled is True] for cell, row in rows.items()}
         work = [(q, row) for row, cell in enumerate(cells, 1) for q in seeds[cell]]  # (state, pos + 2)
         for q, row in work:

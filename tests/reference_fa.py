@@ -34,13 +34,13 @@ from tracelogic.afa import (
     BEGIN,
     END,
     PBF,
-    PBF_FALSE,
-    PBF_TRUE,
-    Move,
     MoveRef,
     StateRef,
     StateSet,
     Weak,
+    _L,
+    _R,
+    _S,
     minimal_sets,
     pbf_and,
     pbf_or,
@@ -266,22 +266,22 @@ def _weak_target(g: fm.Formula) -> fm.Formula:
 
 def _afa_ref(automaton: AFA, h) -> PBF:
     if isinstance(h, fm.TrueFormula):
-        return PBF_TRUE
+        return True
     if isinstance(h, fm.FalseFormula):
-        return PBF_FALSE
+        return False
     return StateRef(automaton.states.index[h])
 
 
 def _image(automaton: AFA, f: fm.Formula, letter, visiting: frozenset) -> PBF:
     match f:
         case fm.TrueFormula():
-            return PBF_TRUE
+            return True
         case fm.FalseFormula():
-            return PBF_FALSE
+            return False
         case fm.Atom(name):
-            return PBF_TRUE if name in letter else PBF_FALSE
+            return True if name in letter else False
         case fm.Not(fm.Atom(name)):
-            return PBF_FALSE if name in letter else PBF_TRUE
+            return False if name in letter else True
         case fm.And(l, r):
             return pbf_and(_image(automaton, l, letter, visiting), _image(automaton, r, letter, visiting))
         case fm.Or(l, r):
@@ -296,7 +296,7 @@ def _image(automaton: AFA, f: fm.Formula, letter, visiting: frozenset) -> PBF:
 def _afa_diamond(automaton: AFA, p, g, node, letter, visiting) -> PBF:
     match p:
         case fm.Step(guard):
-            return _afa_ref(automaton, g) if oracle.prop_sat(guard, letter) else PBF_FALSE
+            return _afa_ref(automaton, g) if oracle.prop_sat(guard, letter) else False
         case fm.Test(e):
             return pbf_and(_image(automaton, e, letter, visiting), _image(automaton, g, letter, visiting))
         case fm.Seq(q, r):
@@ -308,7 +308,7 @@ def _afa_diamond(automaton: AFA, p, g, node, letter, visiting) -> PBF:
             )
         case fm.Star(q):
             if node in visiting:
-                return PBF_FALSE
+                return False
             inner = visiting | {node}
             return pbf_or(_image(automaton, g, letter, inner), _image(automaton, fm.Diamond(q, node), letter, inner))
     raise TypeError(f"not a path expression: {p!r}")
@@ -317,7 +317,7 @@ def _afa_diamond(automaton: AFA, p, g, node, letter, visiting) -> PBF:
 def _afa_box(automaton: AFA, p, g, node, letter, visiting) -> PBF:
     match p:
         case fm.Step(guard):
-            return _afa_ref(automaton, _weak_target(g)) if oracle.prop_sat(guard, letter) else PBF_TRUE
+            return _afa_ref(automaton, _weak_target(g)) if oracle.prop_sat(guard, letter) else True
         case fm.Test(e):
             return pbf_or(_image(automaton, fm.nnf_not(e), letter, visiting), _image(automaton, g, letter, visiting))
         case fm.Seq(q, r):
@@ -329,7 +329,7 @@ def _afa_box(automaton: AFA, p, g, node, letter, visiting) -> PBF:
             )
         case fm.Star(q):
             if node in visiting:
-                return PBF_TRUE
+                return True
             inner = visiting | {node}
             return pbf_and(_image(automaton, g, letter, inner), _image(automaton, fm.Box(q, node), letter, inner))
     raise TypeError(f"not a path expression: {p!r}")
@@ -357,12 +357,12 @@ class ReferenceTwoAFA:
                     pbf = classes[key] = self._trans(entry, key)
                 self.transitions[(q, letter)] = pbf
 
-    def _ref(self, entry, move: Move) -> PBF:
+    def _ref(self, entry, move: int) -> PBF:
         f = entry.formula if isinstance(entry, Weak) else entry
         if isinstance(f, fm.TrueFormula):
-            return PBF_TRUE
+            return True
         if isinstance(f, fm.FalseFormula):
-            return PBF_FALSE
+            return False
         return MoveRef(self.states.add(entry), move)
 
     def _trans(self, entry, m) -> PBF:
@@ -374,56 +374,56 @@ class ReferenceTwoAFA:
 
     def _trans_weak(self, f: fm.Formula, m) -> PBF:
         if not _is_marker(m):
-            return self._ref(f, Move.S)
+            return self._ref(f, _S)
         match f:
             case fm.TrueFormula():
-                return PBF_TRUE
+                return True
             case fm.FalseFormula():
-                return PBF_FALSE
+                return False
             case fm.Atom() | fm.Not(fm.Atom()):
-                return PBF_TRUE
+                return True
             case fm.And(l, r):
-                return pbf_and(self._ref(Weak(l), Move.S), self._ref(Weak(r), Move.S))
+                return pbf_and(self._ref(Weak(l), _S), self._ref(Weak(r), _S))
             case fm.Or(l, r):
-                return pbf_or(self._ref(Weak(l), Move.S), self._ref(Weak(r), Move.S))
+                return pbf_or(self._ref(Weak(l), _S), self._ref(Weak(r), _S))
             case _:
-                return self._ref(f, Move.S)
+                return self._ref(f, _S)
 
     def _trans_begin(self, f: fm.Formula) -> PBF:
         match f:
             case fm.TrueFormula() | fm.Box(_, _) | fm.WeakPrev(_) | fm.Trigger(_, _):
-                return PBF_TRUE
+                return True
             case _:
-                return PBF_FALSE
+                return False
 
     def _trans_main(self, f: fm.Formula, m) -> PBF:
         at_end = m is END
         match f:
             case fm.TrueFormula():
-                return PBF_TRUE
+                return True
             case fm.FalseFormula():
-                return PBF_FALSE
+                return False
             case fm.Atom(name):
-                return PBF_FALSE if at_end else (PBF_TRUE if name in m else PBF_FALSE)
+                return False if at_end else (True if name in m else False)
             case fm.Not(fm.Atom(name)):
-                return PBF_FALSE if at_end else (PBF_FALSE if name in m else PBF_TRUE)
+                return False if at_end else (False if name in m else True)
             case fm.And(l, r):
-                return pbf_and(self._ref(l, Move.S), self._ref(r, Move.S))
+                return pbf_and(self._ref(l, _S), self._ref(r, _S))
             case fm.Or(l, r):
-                return pbf_or(self._ref(l, Move.S), self._ref(r, Move.S))
+                return pbf_or(self._ref(l, _S), self._ref(r, _S))
             case fm.Prev(g):
-                return pbf_and(self._ref(fm.STEP_POSSIBLE, Move.L), self._ref(g, Move.L))
+                return pbf_and(self._ref(fm.STEP_POSSIBLE, _L), self._ref(g, _L))
             case fm.WeakPrev(g):
-                return pbf_or(self._ref(fm.AT_MARKER, Move.L), self._ref(g, Move.L))
+                return pbf_or(self._ref(fm.AT_MARKER, _L), self._ref(g, _L))
             case fm.Since(l, r):
                 return pbf_or(
-                    self._ref(r, Move.S),
-                    pbf_and(self._ref(l, Move.S), self._ref(fm.Prev(f), Move.S)),
+                    self._ref(r, _S),
+                    pbf_and(self._ref(l, _S), self._ref(fm.Prev(f), _S)),
                 )
             case fm.Trigger(l, r):
                 return pbf_and(
-                    self._ref(Weak(r), Move.S),
-                    pbf_or(self._ref(Weak(l), Move.S), self._ref(fm.WeakPrev(f), Move.S)),
+                    self._ref(Weak(r), _S),
+                    pbf_or(self._ref(Weak(l), _S), self._ref(fm.WeakPrev(f), _S)),
                 )
             case fm.Diamond(p, g):
                 return self._diamond(p, g, f, m)
@@ -435,16 +435,16 @@ class ReferenceTwoAFA:
         match p:
             case fm.Step(guard):
                 if _is_marker(m):
-                    return PBF_FALSE
-                return self._ref(g, Move.R) if oracle.prop_sat(guard, m) else PBF_FALSE
+                    return False
+                return self._ref(g, _R) if oracle.prop_sat(guard, m) else False
             case fm.Test(e):
-                return pbf_and(self._ref(e, Move.S), self._ref(g, Move.S))
+                return pbf_and(self._ref(e, _S), self._ref(g, _S))
             case fm.Seq(q, r):
-                return self._ref(fm.Diamond(q, fm.Diamond(r, g)), Move.S)
+                return self._ref(fm.Diamond(q, fm.Diamond(r, g)), _S)
             case fm.Alt(q, r):
-                return pbf_or(self._ref(fm.Diamond(q, g), Move.S), self._ref(fm.Diamond(r, g), Move.S))
+                return pbf_or(self._ref(fm.Diamond(q, g), _S), self._ref(fm.Diamond(r, g), _S))
             case fm.Star(q):
-                return pbf_or(self._ref(g, Move.S), self._ref(fm.Diamond(q, node), Move.S))
+                return pbf_or(self._ref(g, _S), self._ref(fm.Diamond(q, node), _S))
         raise TypeError(f"not a path expression: {p!r}")
 
     def _box(self, b: fm.Box, m, expanding: frozenset) -> PBF:
@@ -452,27 +452,27 @@ class ReferenceTwoAFA:
         match p:
             case fm.Step(guard):
                 if _is_marker(m):
-                    return PBF_TRUE
-                return self._ref(Weak(g), Move.R) if oracle.prop_sat(guard, m) else PBF_TRUE
+                    return True
+                return self._ref(Weak(g), _R) if oracle.prop_sat(guard, m) else True
             case fm.Test(e):
-                return pbf_or(self._ref(Weak(fm.nnf_not(e)), Move.S), self._arrive(g, m, expanding))
+                return pbf_or(self._ref(Weak(fm.nnf_not(e)), _S), self._arrive(g, m, expanding))
             case fm.Seq(q, r):
                 return self._box(fm.Box(q, fm.Box(r, g)), m, expanding)
             case fm.Alt(q, r):
                 return pbf_and(self._box(fm.Box(q, g), m, expanding), self._box(fm.Box(r, g), m, expanding))
             case fm.Star(q):
                 if b in expanding:
-                    return PBF_TRUE
+                    return True
                 inner = expanding | {b}
                 return pbf_and(self._arrive(g, m, inner), self._box(fm.Box(q, b), m, inner))
         raise TypeError(f"not a path expression: {p!r}")
 
     def _arrive(self, g: fm.Formula, m, expanding: frozenset) -> PBF:
         if g in expanding:
-            return PBF_TRUE
+            return True
         if isinstance(g, fm.Box):
             return self._box(g, m, expanding)
-        return self._ref(Weak(g), Move.S)
+        return self._ref(Weak(g), _S)
 
 
 def _is_marker(m) -> bool:

@@ -15,12 +15,8 @@ from tracelogic import oracle
 from tracelogic.afa import (
     AFA,
     AndNode,
-    FalseLeaf,
     OrNode,
-    PBF_FALSE,
-    PBF_TRUE,
     StateRef,
-    TrueLeaf,
     Weak,
     minimal_sets,
     pbf_and,
@@ -42,10 +38,10 @@ def _core(src):
 
 def test_simplification():
     ref = StateRef(0)
-    assert pbf_and(PBF_TRUE, ref) == ref
-    assert pbf_and(PBF_FALSE, ref) == PBF_FALSE
-    assert pbf_or(PBF_FALSE, ref) == ref
-    assert pbf_or(PBF_TRUE, ref) == PBF_TRUE
+    assert pbf_and(True, ref) == ref
+    assert pbf_and(False, ref) is False
+    assert pbf_or(False, ref) == ref
+    assert pbf_or(True, ref) is True
 
 
 def test_minimal_sets_antichain():
@@ -55,15 +51,15 @@ def test_minimal_sets_antichain():
     assert minimal_sets(pbf) == (frozenset({0, 2}), frozenset({1, 2}))
     # Unfolded constant children give the minimal sets of the folded PBF.
     cases = (
-        (AndNode(PBF_FALSE, StateRef(0)), PBF_FALSE),
-        (AndNode(StateRef(0), PBF_FALSE), PBF_FALSE),
-        (OrNode(PBF_TRUE, StateRef(1)), PBF_TRUE),
-        (OrNode(StateRef(1), PBF_TRUE), PBF_TRUE),
-        (AndNode(PBF_TRUE, OrNode(PBF_FALSE, StateRef(2))), StateRef(2)),
-        (OrNode(AndNode(PBF_FALSE, StateRef(0)), AndNode(StateRef(1), OrNode(PBF_TRUE, StateRef(2)))), StateRef(1)),
-        (AndNode(OrNode(PBF_TRUE, StateRef(0)), OrNode(AndNode(StateRef(1), PBF_FALSE), PBF_FALSE)), PBF_FALSE),
+        (AndNode(False, StateRef(0)), False),
+        (AndNode(StateRef(0), False), False),
+        (OrNode(True, StateRef(1)), True),
+        (OrNode(StateRef(1), True), True),
+        (AndNode(True, OrNode(False, StateRef(2))), StateRef(2)),
+        (OrNode(AndNode(False, StateRef(0)), AndNode(StateRef(1), OrNode(True, StateRef(2)))), StateRef(1)),
+        (AndNode(OrNode(True, StateRef(0)), OrNode(AndNode(StateRef(1), False), False)), False),
         (
-            OrNode(AndNode(OrNode(StateRef(0), PBF_TRUE), StateRef(1)), AndNode(PBF_TRUE, StateRef(0))),
+            OrNode(AndNode(OrNode(StateRef(0), True), StateRef(1)), AndNode(True, StateRef(0))),
             pbf_or(StateRef(1), StateRef(0)),
         ),
     )
@@ -151,14 +147,14 @@ def test_a_weak_step_target_is_a_weak_state():
 
 def test_delta_examples():
     automaton = AFA(_core("a"))
-    assert automaton.delta(0, frozenset({"a"})) == PBF_TRUE
+    assert automaton.delta(0, frozenset({"a"})) is True
 
     step = AFA(_core("<tt> a"))
     image = step.delta(0, frozenset())
     assert image == StateRef(step.states.index[parse_formula("a")])
 
     guarded = AFA(_core("<(tt?)*> a"))
-    assert guarded.delta(0, frozenset()) == PBF_FALSE
+    assert guarded.delta(0, frozenset()) is False
 
 
 def test_finalval_examples():
@@ -212,7 +208,7 @@ def test_delta_rejects_letters_outside_the_alphabet():
 
 def test_positivity_of_images():
     def check(pbf):
-        assert isinstance(pbf, (TrueLeaf, FalseLeaf, StateRef, AndNode, OrNode))
+        assert pbf is True or pbf is False or isinstance(pbf, (StateRef, AndNode, OrNode))
         if isinstance(pbf, (AndNode, OrNode)):
             check(pbf.left)
             check(pbf.right)
@@ -369,7 +365,7 @@ def test_transitions_match_the_reference():
         readers = [{} for _ in reference.states]
         for (q, _), pbf in reference.transitions.items():
             for ref in move_refs(pbf):
-                readers[ref.state][(q, ref.move.value)] = None
+                readers[ref.state][(q, ref.move)] = None
         assert two_way._readers == tuple(tuple(r) for r in readers), f
         for q, entry in enumerate(two_way.states):
             asked = []
@@ -379,6 +375,48 @@ def test_transitions_match_the_reference():
                 assert two_way.transitions[(q, END)] is two_way.transitions[(q, frozenset())], (f, q)
             kinds[bool(asked), bool(two_way.reads[q])] += 1
     assert kinds.keys() == {(False, False), (True, False), (True, True)}, kinds
+
+
+def test_constants_are_bools_folded_out_of_every_node():
+    """Every constant of a transition is `True` or `False` itself, and no And or Or node has one as a child.
+
+    The automata test constants by identity (`is True`, `case False:`), so a
+    constant that only compares equal to a bool, or one left under a node,
+    would change what they build and run without failing an equality.  The
+    walk covers every 2AFA transition, every AFA guarded image and every
+    AFA image at a letter over its state's reads; the constants at letters
+    are `oracle.prop_sat`'s answers, a `bool` for every guard shape.
+    """
+    seen = Counter()
+
+    def walk(pbf):
+        if isinstance(pbf, (AndNode, OrNode)):
+            for child in (pbf.left, pbf.right):
+                assert isinstance(child, afa.PBF), pbf  # a constant child is folded away
+                walk(child)
+        elif isinstance(pbf, afa.MoveRef):
+            assert type(pbf.move) is int and pbf.move in (-1, 0, 1), pbf
+        elif not isinstance(pbf, afa.PBF):
+            assert type(pbf) is bool, pbf
+            seen[pbf] += 1
+        seen["nodes"] += 1
+
+    for f in _reference_corpus():
+        ap = tuple(sorted(fm.atoms(f) | set(AP)))
+        if not _has_past(f):
+            automaton = AFA(f, ap)
+            for q, guarded in enumerate(automaton._guarded):
+                walk(guarded)
+                for letter in letters_over(automaton.reads[q]):
+                    walk(automaton.delta(q, letter))
+        for pbf in TwoAFA(f, ap).transitions.values():
+            walk(pbf)
+    assert seen[True] > 10_000 and seen[False] > 10_000 and seen["nodes"] > 60_000, seen
+    a, b = fm.Atom("a"), fm.Atom("b")
+    shapes = (a, fm.Not(a), fm.TRUE, fm.FALSE, fm.And(a, b), fm.Or(a, fm.Not(b)), fm.Implies(a, b))
+    for guard in (*shapes, fm.Not(fm.And(a, fm.Or(fm.FALSE, fm.Implies(b, a))))):
+        for letter in letters_over(("a", "b")):
+            assert type(oracle.prop_sat(guard, letter)) is bool, (guard, letter)
 
 
 def test_state_count_tracks_closure(monkeypatch):

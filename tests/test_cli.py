@@ -12,7 +12,7 @@ from conftest import random_core_formula, renamed
 from tracelogic.cli import _size, run
 from tracelogic.dot import to_dot
 from tracelogic.fa import build_dfa
-from tracelogic.afa import AFA, FalseLeaf
+from tracelogic.afa import AFA
 from tracelogic.formula import And, nnf, to_dynamic_core
 from tracelogic.parser import parse_formula
 from tracelogic.trace import letters_over
@@ -271,7 +271,7 @@ def test_afa_size_matches_a_count_over_every_letter():
         f = And(random_core_formula(rng, rng.randint(1, 9)), right)
         automaton = AFA(f, ("a", "b", "c", "d")[: 3 + k % 2])
         images = [automaton.delta(q, letter) for q in range(len(automaton)) for letter in letters_over(automaton.ap)]
-        count = sum(not isinstance(pbf, FalseLeaf) for pbf in images)
+        count = sum(pbf is not False for pbf in images)
         assert _size(automaton) == f"states {len(automaton)} transitions {count}"
 
 

@@ -4,12 +4,12 @@ import pytest
 
 from conftest import move_refs, random_core_formula, random_trace, renamed
 from tracelogic import afa, oracle, twafa
-from tracelogic.afa import AFA, AndNode, FalseLeaf, OrNode, TrueLeaf
+from tracelogic.afa import AFA, AndNode, OrNode, _L, _R
 from tracelogic.errors import AlphabetMismatchError, UnsupportedOperatorError
 from tracelogic.formula import And, nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import Trace, enumerate_traces, letters_over
-from tracelogic.twafa import BEGIN, END, Move, MoveRef, TwoAFA
+from tracelogic.twafa import BEGIN, END, MoveRef, TwoAFA
 
 AP = ("a", "b")
 
@@ -107,10 +107,10 @@ def test_move_audit():
         for (q, marked), pbf in automaton.transitions.items():
             moves = moves_in(pbf)
             if marked is BEGIN:
-                assert Move.L not in moves
-                assert Move.R not in moves  # begin transitions are plain leaves
+                assert _L not in moves
+                assert _R not in moves  # begin transitions are plain leaves
             if marked is END:
-                assert Move.R not in moves
+                assert _R not in moves
 
 
 def _sweep_fixpoint(automaton, t):
@@ -131,12 +131,12 @@ def _sweep_fixpoint(automaton, t):
                     continue
                 def ev(pbf, pos=pos):
                     match pbf:
-                        case TrueLeaf():
+                        case True:
                             return True
-                        case FalseLeaf():
+                        case False:
                             return False
                         case MoveRef():
-                            target = pos + pbf.move.value
+                            target = pos + pbf.move
                             return -1 <= target <= len(t) and state[(pbf.state, target)]
                         case AndNode(l, r):
                             return ev(l) and ev(r)
