@@ -21,20 +21,21 @@ they answer.  The test returns a PBF.  The two-way automaton answers at the
 cell with `oracle.prop_sat`'s `True` or `False` as it is, records the
 guards its build at the end marker asks about, and builds each state's
 transition once per class over their atoms, or keeps that one build when it
-asks about none.  The `AFA` leaves every guard open as a `GuardLeaf`, a
-predicate over letters as in symbolic automata (D'Antoni & Veanes, CAV
-2017).  It discovers its states by building their guarded images: starting
-from the root, each state's image is built once, and the targets of its
-step modalities are the states it adds, as the transitions name them
-(De Giacomo & Vardi, IJCAI 2013).  The atoms of the guards a build tests
+asks about none.  The `AFA` leaves every guard open: the guard formula is
+the leaf, a predicate over letters as in symbolic automata (D'Antoni &
+Veanes, CAV 2017), and the leaf of a step target is its state's ordinal.
+It discovers its states by building their guarded images: starting from
+the root, each state's image is built once, and the targets of its step
+modalities are the states it adds, as the transitions name them (De
+Giacomo & Vardi, IJCAI 2013).  The atoms of the guards a build tests
 are the state's reads (`AFA.reads`).  Nodes built outside any diamond-star
 unrolling are memoised with their atoms, so states that share a tail share
 its build.  `delta` specialises the guarded image once per class
 (`specialise`); dealternation reads `class_table`, a state's minimal
 successor sets per class, built bottom-up over its guarded image once per
 node (so a shared tail is tabled once): one `prop_sat` per letter over a
-guard leaf's atoms and one `_join` per And or Or node; folding may leave a
-table's mask fewer atoms than its state reads.  Every state is the root or
+guard formula's atoms and one `_join` per And or Or node; folding may leave
+a table's mask fewer atoms than its state reads.  Every state is the root or
 a step target, so `AFA.accepts` evaluates them all, from the end values
 backwards: it compiles each image once per class into the state ordinals it
 reads (`_compile`, shared with the two-way automaton), looks up each
@@ -58,14 +59,9 @@ from .trace import Trace, check_letters, letters_over, outside_alphabet, resolve
 
 
 class PBF:
-    """Positive boolean formula over state ordinals; its constants are `True` and `False`."""
+    """Node of a positive boolean formula; its plain leaves are `True`, `False`, state ordinals and open guards."""
 
     __slots__ = ()
-
-
-@dataclass(frozen=True)
-class StateRef(PBF):
-    state: int
 
 
 @dataclass(frozen=True)
@@ -78,13 +74,6 @@ class AndNode(PBF):
 class OrNode(PBF):
     left: PBF
     right: PBF
-
-
-@dataclass(frozen=True)
-class GuardLeaf(PBF):
-    """Leaf of a guarded image: the value at the letter of a literal, a step guard or a box's negated step guard."""
-
-    guard: fm.Formula
 
 
 @dataclass(frozen=True)
@@ -139,20 +128,18 @@ def pbf_or(left: PBF, right: PBF) -> PBF:
 def _compile(pbf: PBF, offset=None):
     """The form in which the automata evaluate a transition, built once per PBF object: see `_holds`.
 
-    A `StateRef` becomes its ordinal and a `MoveRef` the integer
-    `offset(ref)`; the constants `True` and `False` stay as they are, and
-    an `AndNode` or `OrNode` becomes the triple `(is_and, left, right)`.
+    A `MoveRef` becomes the integer `offset(ref)`; a state ordinal and the
+    constants `True` and `False` stay as they are, and an `AndNode` or
+    `OrNode` becomes the triple `(is_and, left, right)`.
     Its size is the PBF's: no normal form is taken.
     """
 
     def compiled(node: PBF):
         if isinstance(node, (AndNode, OrNode)):
             return (isinstance(node, AndNode), compiled(node.left), compiled(node.right))
-        if isinstance(node, StateRef):
-            return node.state
         if isinstance(node, MoveRef):
             return offset(node)
-        if node is True or node is False:
+        if node.__class__ is int or node is True or node is False:
             return node
         raise TypeError(f"not a PBF: {node!r}")
 
@@ -175,7 +162,7 @@ def _holds(compiled, value, base: int):
 
 
 def specialise(pbf: PBF, letter) -> PBF:
-    """The image a guarded image stands for at `letter`: each guard leaf replaced by its value, folded bottom-up.
+    """The image a guarded image stands for at `letter`: each guard formula replaced by its value, folded bottom-up.
 
     Folding composes, so this equals the image built with the guards
     answered at `letter` in the first place.
@@ -184,8 +171,8 @@ def specialise(pbf: PBF, letter) -> PBF:
         return pbf_and(specialise(pbf.left, letter), specialise(pbf.right, letter))
     if isinstance(pbf, OrNode):
         return pbf_or(specialise(pbf.left, letter), specialise(pbf.right, letter))
-    if isinstance(pbf, GuardLeaf):
-        return oracle.prop_sat(pbf.guard, letter)
+    if isinstance(pbf, fm.Formula):
+        return oracle.prop_sat(pbf, letter)
     return pbf
 
 
@@ -204,8 +191,8 @@ def _minsets(pbf: PBF) -> list[frozenset]:
         return _product(_minsets(pbf.left), _minsets(pbf.right))
     if isinstance(pbf, OrNode):
         return _antichain({*_minsets(pbf.left), *_minsets(pbf.right)})
-    if isinstance(pbf, StateRef):
-        return [frozenset((pbf.state,))]
+    if pbf.__class__ is int:  # a state ordinal: `True` is an int too
+        return [frozenset((pbf,))]
     if pbf is True:
         return [frozenset()]
     if pbf is False:
@@ -277,8 +264,8 @@ def guard_test(cell, asked: list | None = None):
 def transition(f: fm.Formula, sat, ref) -> PBF:
     """The transition of f at a cell that `sat(guard)` tests, with successors `ref(g, move, weak)`.
 
-    `sat` returns a PBF: `True` or `False` when it answers at a cell, a
-    `GuardLeaf` when it leaves the guard open.  Literals and step
+    `sat` returns a PBF: `True` or `False` when it answers at a cell, the
+    guard formula itself when it leaves the guard open.  Literals and step
     guards reach the cell only through it, each call made whatever the
     others answer, and a step's successor is asked for only when its guard
     is not false.  `weak` asks for g's weak value at the markers; it is set
@@ -328,7 +315,7 @@ def _box(b: fm.Box, sat, ref, expanding: tuple) -> PBF:
             test = sat(guard)
             if test is False:
                 return True
-            unless = GuardLeaf(fm.Not(guard)) if isinstance(test, GuardLeaf) else False
+            unless = False if test is True else fm.Not(guard)
             return pbf_or(unless, ref(g, _R, True))
         case fm.Box(fm.Test(e), g):
             unless = ref(fm.nnf_not(e), _S, True)
@@ -439,8 +426,8 @@ class AFA:
         if table is None:
             if isinstance(node, (AndNode, OrNode)):
                 table = _join(self._table(node.left), self._table(node.right), isinstance(node, AndNode))
-            else:  # a guard leaf, a state or a constant: its minimal sets at each letter over its atoms
-                names = fm.atoms(node.guard) if isinstance(node, GuardLeaf) else ()
+            else:  # a guard formula, a state or a constant: its minimal sets at each letter over its atoms
+                names = fm.atoms(node) if isinstance(node, fm.Formula) else ()
                 mask = self.code(names)
                 letters = zip(_submasks(mask), letters_over(names))
                 table = mask, {key: tuple(_minsets(specialise(node, x))) for key, x in letters}
@@ -463,7 +450,7 @@ class AFA:
             if isinstance(guard, fm.TrueFormula):  # the guard of every X, F and G
                 return True
             reading[-1].update(fm.atoms(guard))
-            return GuardLeaf(guard)
+            return guard
 
         def ref(g: fm.Formula, move: int, weak: bool = False) -> PBF:
             if move == _R:
@@ -501,7 +488,7 @@ class AFA:
             return False
         if weak and self._end.weak(g) & 1 != self._end.sat(g) & 1:
             g = Weak(g)
-        return StateRef(self.states.add(g))
+        return self.states.add(g)
 
     def _compiled(self, q: int, letter):
         """`delta(q, letter)` compiled, once per class."""

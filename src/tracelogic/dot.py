@@ -9,7 +9,7 @@ conjunction node.
 from __future__ import annotations
 
 from . import formula as fm
-from .afa import AFA, BEGIN, END, PBF, AndNode, MoveRef, OrNode, StateRef, Weak, _Marker
+from .afa import AFA, BEGIN, END, PBF, AndNode, MoveRef, OrNode, Weak, _Marker
 from .fa import DFA, NFA
 from .twafa import TwoAFA
 from .trace import format_letter, letters_over
@@ -38,7 +38,7 @@ def _dnf(pbf: PBF) -> list[tuple]:
             return [()]
         case False:
             return []
-        case StateRef() | MoveRef():
+        case int() | MoveRef():  # after the constants: True and False are ints too
             return [(pbf,)]
         case OrNode(l, r):
             out = _dnf(l)
@@ -54,37 +54,30 @@ def _dnf(pbf: PBF) -> list[tuple]:
 def _leaf_target(leaf) -> tuple[int, str]:
     if isinstance(leaf, MoveRef):
         return leaf.state, "LSR"[leaf.move + 1]
-    return leaf.state, ""
-
-
-def _alternating_edges(lines, q, label, pbf, edge_id):
-    accept_all = False
-    for d, leaves in enumerate(_dnf(pbf)):
-        if not leaves:
-            accept_all = True
-            continue
-        if len(leaves) == 1:
-            target, move = _leaf_target(leaves[0])
-            text = f"{label} {move}".strip()
-            lines.append(f'  q{q} -> q{target} [label={_quote(text)}];')
-        else:
-            conj = f"c{edge_id}_{d}"
-            lines.append(f'  {conj} [shape=point label=""];')
-            lines.append(f'  q{q} -> {conj} [label={_quote(label)} arrowhead=none];')
-            for leaf in leaves:
-                target, move = _leaf_target(leaf)
-                lines.append(f'  {conj} -> q{target} [label={_quote(move)}];' if move
-                             else f'  {conj} -> q{target};')
-    if accept_all:
-        lines.append(f'  q{q} -> accept_all [label={_quote(label)}];')
-    return accept_all
+    return leaf, ""
 
 
 def _alternating_body(image_items) -> list[str]:
     lines: list[str] = []
     used_accept_all = False
     for edge_id, (q, label, pbf) in enumerate(image_items):
-        used_accept_all |= _alternating_edges(lines, q, label, pbf, edge_id)
+        dnf = _dnf(pbf)
+        for d, leaves in enumerate(dnf):
+            if len(leaves) == 1:
+                target, move = _leaf_target(leaves[0])
+                text = f"{label} {move}".strip()
+                lines.append(f'  q{q} -> q{target} [label={_quote(text)}];')
+            elif leaves:
+                conj = f"c{edge_id}_{d}"
+                lines.append(f'  {conj} [shape=point label=""];')
+                lines.append(f'  q{q} -> {conj} [label={_quote(label)} arrowhead=none];')
+                for leaf in leaves:
+                    target, move = _leaf_target(leaf)
+                    lines.append(f'  {conj} -> q{target} [label={_quote(move)}];' if move
+                                 else f'  {conj} -> q{target};')
+        if () in dnf:
+            lines.append(f'  q{q} -> accept_all [label={_quote(label)}];')
+            used_accept_all = True
     if used_accept_all:
         lines.append('  accept_all [shape=doublecircle label="tt"];')
     return lines

@@ -35,7 +35,6 @@ from tracelogic.afa import (
     END,
     PBF,
     MoveRef,
-    StateRef,
     StateSet,
     Weak,
     _L,
@@ -269,7 +268,7 @@ def _afa_ref(automaton: AFA, h) -> PBF:
         return True
     if isinstance(h, fm.FalseFormula):
         return False
-    return StateRef(automaton.states.index[h])
+    return automaton.states.index[h]
 
 
 def _image(automaton: AFA, f: fm.Formula, letter, visiting: frozenset) -> PBF:

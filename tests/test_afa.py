@@ -16,7 +16,6 @@ from tracelogic.afa import (
     AFA,
     AndNode,
     OrNode,
-    StateRef,
     Weak,
     minimal_sets,
     pbf_and,
@@ -37,30 +36,30 @@ def _core(src):
 
 
 def test_simplification():
-    ref = StateRef(0)
-    assert pbf_and(True, ref) == ref
+    ref = 7
+    assert pbf_and(True, ref) is ref and pbf_and(ref, True) is ref
     assert pbf_and(False, ref) is False
-    assert pbf_or(False, ref) == ref
+    assert pbf_or(False, ref) is ref and pbf_or(ref, False) is ref
     assert pbf_or(True, ref) is True
 
 
 def test_minimal_sets_antichain():
-    pbf = pbf_or(StateRef(0), pbf_and(StateRef(0), StateRef(1)))
+    pbf = pbf_or(0, pbf_and(0, 1))
     assert minimal_sets(pbf) == (frozenset({0}),)
-    pbf = pbf_and(pbf_or(StateRef(0), StateRef(1)), StateRef(2))
+    pbf = pbf_and(pbf_or(0, 1), 2)
     assert minimal_sets(pbf) == (frozenset({0, 2}), frozenset({1, 2}))
     # Unfolded constant children give the minimal sets of the folded PBF.
     cases = (
-        (AndNode(False, StateRef(0)), False),
-        (AndNode(StateRef(0), False), False),
-        (OrNode(True, StateRef(1)), True),
-        (OrNode(StateRef(1), True), True),
-        (AndNode(True, OrNode(False, StateRef(2))), StateRef(2)),
-        (OrNode(AndNode(False, StateRef(0)), AndNode(StateRef(1), OrNode(True, StateRef(2)))), StateRef(1)),
-        (AndNode(OrNode(True, StateRef(0)), OrNode(AndNode(StateRef(1), False), False)), False),
+        (AndNode(False, 0), False),
+        (AndNode(0, False), False),
+        (OrNode(True, 1), True),
+        (OrNode(1, True), True),
+        (AndNode(True, OrNode(False, 2)), 2),
+        (OrNode(AndNode(False, 0), AndNode(1, OrNode(True, 2))), 1),
+        (AndNode(OrNode(True, 0), OrNode(AndNode(1, False), False)), False),
         (
-            OrNode(AndNode(OrNode(StateRef(0), True), StateRef(1)), AndNode(True, StateRef(0))),
-            pbf_or(StateRef(1), StateRef(0)),
+            OrNode(AndNode(OrNode(0, True), 1), AndNode(True, 0)),
+            pbf_or(1, 0),
         ),
     )
     for unfolded, folded in cases:
@@ -151,7 +150,7 @@ def test_delta_examples():
 
     step = AFA(_core("<tt> a"))
     image = step.delta(0, frozenset())
-    assert image == StateRef(step.states.index[parse_formula("a")])
+    assert (type(image), image) == (int, step.states.index[parse_formula("a")])
 
     guarded = AFA(_core("<(tt?)*> a"))
     assert guarded.delta(0, frozenset()) is False
@@ -208,7 +207,7 @@ def test_delta_rejects_letters_outside_the_alphabet():
 
 def test_positivity_of_images():
     def check(pbf):
-        assert pbf is True or pbf is False or isinstance(pbf, (StateRef, AndNode, OrNode))
+        assert pbf is True or pbf is False or pbf.__class__ is int or isinstance(pbf, (AndNode, OrNode))
         if isinstance(pbf, (AndNode, OrNode)):
             check(pbf.left)
             check(pbf.right)
@@ -229,7 +228,7 @@ def test_delta_is_reproducible():
     letter = frozenset({"a"})
     image = automaton.delta(0, letter)
     assert automaton.delta(0, letter) is image
-    assert AFA(_core("<(a? ; tt)*> b"), AP).delta(0, letter) == image
+    assert repr(AFA(_core("<(a? ; tt)*> b"), AP).delta(0, letter)) == repr(image)  # by repr, as True == 1
 
 
 def test_linear_growth_for_nested_next():
@@ -267,7 +266,7 @@ def test_image_depends_only_on_the_atoms_read():
         for q, local in enumerate(automaton.reads):
             assert local <= set(AP)
             for letter in letters_over(AP):
-                assert automaton.delta(q, letter) == automaton.delta(q, letter & local), (f, q, letter)
+                assert repr(automaton.delta(q, letter)) == repr(automaton.delta(q, letter & local)), (f, q, letter)
 
 
 # Shapes the generators reach rarely: stars under boxes, tests inside stars,
@@ -326,8 +325,8 @@ def _formula(state):
 
 
 def _state_refs(pbf):
-    if isinstance(pbf, StateRef):
-        yield pbf.state
+    if pbf.__class__ is int:
+        yield pbf
     elif isinstance(pbf, (AndNode, OrNode)):
         yield from _state_refs(pbf.left)
         yield from _state_refs(pbf.right)
@@ -357,7 +356,7 @@ def test_transitions_match_the_reference():
             for q in range(len(automaton)):
                 for letter in letters_over(ap):
                     image = automaton.delta(q, letter)
-                    assert image == afa_image(automaton, q, letter), (f, q, letter)
+                    assert repr(image) == repr(afa_image(automaton, q, letter)), (f, q, letter)  # by repr, as True == 1
         two_way, reference = TwoAFA(f, ap), ReferenceTwoAFA(f, ap)
         assert two_way.states.states == reference.states.states, f
         assert constant_weak.isdisjoint(two_way.states), f
@@ -382,36 +381,50 @@ def test_constants_are_bools_folded_out_of_every_node():
 
     The automata test constants by identity (`is True`, `case False:`), so a
     constant that only compares equal to a bool, or one left under a node,
-    would change what they build and run without failing an equality.  The
-    walk covers every 2AFA transition, every AFA guarded image and every
+    would change what they build and run without failing an equality.  A
+    state leaf is a plain `int` ordinal of one of the automaton's states (in
+    a `MoveRef` for the 2AFA), and guard formulas are left open only in
+    AFA guarded images, never in an image at a letter or a 2AFA transition.
+    The walk covers every 2AFA transition, every AFA guarded image and every
     AFA image at a letter over its state's reads; the constants at letters
     are `oracle.prop_sat`'s answers, a `bool` for every guard shape.
     """
     seen = Counter()
 
-    def walk(pbf):
+    def walk(pbf, kinds: set, width: int):
         if isinstance(pbf, (AndNode, OrNode)):
             for child in (pbf.left, pbf.right):
-                assert isinstance(child, afa.PBF), pbf  # a constant child is folded away
-                walk(child)
+                assert type(child) is not bool, pbf  # a constant child is folded away
+                walk(child, kinds, width)
+            kind = "nodes"
         elif isinstance(pbf, afa.MoveRef):
             assert type(pbf.move) is int and pbf.move in (-1, 0, 1), pbf
-        elif not isinstance(pbf, afa.PBF):
+            assert type(pbf.state) is int and 0 <= pbf.state < width, pbf
+            kind = "moves"
+        elif isinstance(pbf, fm.Formula):
+            kind = "guards"
+        elif type(pbf) is int:
+            assert 0 <= pbf < width, pbf
+            kind = "states"
+        else:
             assert type(pbf) is bool, pbf
-            seen[pbf] += 1
-        seen["nodes"] += 1
+            kind = pbf
+        assert kind in kinds or type(kind) is bool, (kind, pbf)
+        seen[kind] += 1
 
     for f in _reference_corpus():
         ap = tuple(sorted(fm.atoms(f) | set(AP)))
         if not _has_past(f):
             automaton = AFA(f, ap)
             for q, guarded in enumerate(automaton._guarded):
-                walk(guarded)
+                walk(guarded, {"nodes", "states", "guards"}, len(automaton))
                 for letter in letters_over(automaton.reads[q]):
-                    walk(automaton.delta(q, letter))
-        for pbf in TwoAFA(f, ap).transitions.values():
-            walk(pbf)
-    assert seen[True] > 10_000 and seen[False] > 10_000 and seen["nodes"] > 60_000, seen
+                    walk(automaton.delta(q, letter), {"nodes", "states"}, len(automaton))
+        two_way = TwoAFA(f, ap)
+        for pbf in two_way.transitions.values():
+            walk(pbf, {"nodes", "moves"}, len(two_way))
+    assert seen[True] > 10_000 and seen[False] > 10_000 and seen["nodes"] > 8_000 and seen["moves"] > 15_000, seen
+    assert seen["states"] > 1_000 and seen["guards"] > 2_500 and sum(seen.values()) > 60_000, seen
     a, b = fm.Atom("a"), fm.Atom("b")
     shapes = (a, fm.Not(a), fm.TRUE, fm.FALSE, fm.And(a, b), fm.Or(a, fm.Not(b)), fm.Implies(a, b))
     for guard in (*shapes, fm.Not(fm.And(a, fm.Or(fm.FALSE, fm.Implies(b, a))))):
@@ -422,11 +435,11 @@ def test_constants_are_bools_folded_out_of_every_node():
 def test_state_count_tracks_closure(monkeypatch):
     """The AFA's states are the closure of its root under the step targets its guarded images name.
 
-    Every `StateRef` names one of the states.  Folding a constant into an
-    image can drop a target's name (`[(!b)] a & ff` names `Weak(a)` and
-    folds to false), so the builds are repeated with folding turned off:
-    they give the same states, and each state but the root is then named
-    by a `StateRef` in some state's guarded image.
+    Every state ordinal an image names is one of the states.  Folding a
+    constant into an image can drop a target's name (`[(!b)] a & ff` names
+    `Weak(a)` and folds to false), so the builds are repeated with folding
+    turned off: they give the same states, and each state but the root is
+    then named by its ordinal in some state's guarded image.
     """
     formulas = [f for f in _reference_corpus() if not _has_past(f)]
     folded = []
@@ -485,7 +498,8 @@ def test_builds_ask_about_the_same_guards_at_every_letter(guard_atoms):
         for q, state in enumerate(automaton.states):
             automaton._nodes.clear()
             guard_atoms.clear()
-            assert automaton._node(_formula(state)) == (automaton._guarded[q], automaton.reads[q]), (f, q)
+            image, read = automaton._node(_formula(state))
+            assert repr(image) == repr(automaton._guarded[q]) and read == automaton.reads[q], (f, q)
             assert guard_atoms == automaton.reads[q], (f, q)
             guard_atoms.clear()
             for letter in letters_over(ap):

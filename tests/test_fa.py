@@ -235,6 +235,23 @@ def test_deep_enumeration_matches_the_reference():
     assert {("atoms", 1), ("atoms", 2)} <= seen  # `test_enumeration_reaches_the_deepest_bound` walks the empty alphabet
 
 
+def test_enumeration_of_words_that_end_at_an_exact_length():
+    """`X X (a & !X X tt)` accepts only words of exactly three letters, the last holding a.
+
+    Up to length 5 its DFA has states that accept only after an exact
+    number of further letters, two and more letters deep, so a walk that
+    enters successors accepting in one letter more than are left loses
+    every word.
+    """
+    found = {}
+    for ap in (("a",), ("a", "b")):
+        dfa = build_dfa(parse_formula("X X (a & !X X tt)"), ap)
+        found[ap] = list(enumerate_accepted(dfa, 5))
+        assert found[ap] == list(ref.enumerate_accepted(dfa, 5)), ap
+    assert [format_trace(t) for t in found["a",]] == ["{};{};{a}", "{};{a};{a}", "{a};{};{a}", "{a};{a};{a}"]
+    assert len(found["a", "b"]) == 32
+
+
 def test_enumeration_builds_only_accepted_traces(monkeypatch):
     """Every `Trace` built is yielded, and no word is rerun through `dfa_accepts`."""
     built = []
