@@ -13,8 +13,9 @@ at i gives l <= t_(i+1) - t_i <= u - 1, and each step has a minimum gap
 of 0.  So a trace's system is a chain.  It is feasible exactly when at
 every step the largest lower bound is at most the smallest upper bound,
 and its least solution from t_0 = 0 is the running sum of each step's
-largest lower bound.  `feasible` solves any system; `enumerate_models`
-reads each step's bounds from a table over the letters instead, in
+largest lower bound.  `feasible` solves a chain by one pass over its
+constraints and any other system by a worklist; `enumerate_models` reads
+each step's bounds from a table over the letters instead, in
 O(|letters| * |rules|) once, then O(horizon) per model.
 """
 
@@ -210,6 +211,60 @@ def extract_constraints(program: MetricProgram, t: Trace, strict: bool = False) 
 def feasible(system: ConstraintSystem) -> Witness | Infeasible:
     """Minimal non-negative integer solution, or a contradictory constraint cycle.
 
+    A chain, where every constraint joins some i to i + 1 with lo >= 0 (as
+    every system `extract_constraints` builds), is solved by one pass over
+    its constraints that takes each step's largest lower bound L_i and
+    smallest upper bound H_i.  Then t_0 = 0 and t_(i+1) = t_i + L_i; a step
+    with no constraint resets to t_(i+1) = 0, as only non-negativity holds
+    there.  At the first step where L_i > H_i the cycle is (k_lo, k_up):
+    the lowest index among that step's constraints with lo == L_i, then
+    the lowest with hi < L_i.  That is the cycle `_longest_paths` reports,
+    in walk order, since its sweep reaches no other step first.  Any other
+    system goes to `_longest_paths`.  Either way the witness is checked
+    against every constraint.
+    """
+    times = _chain_times(system)
+    if times is None:
+        times = _longest_paths(system)
+    if isinstance(times, Infeasible):
+        return times
+    for c in system.constraints:
+        i, j, lo, hi = c
+        delta = times[j] - times[i]
+        if not (lo <= delta and (hi is None or delta <= hi)):
+            raise TraceLogicError(f"solver produced an invalid witness for {c}")
+    return Witness(tuple(times))
+
+
+def _chain_times(system: ConstraintSystem) -> list[int] | Infeasible | None:
+    """The least times of a chain, its cycle when it has none, or None if the system is not a chain."""
+    n = system.n_vars
+    lows = [-1] * n  # -1: no constraint on the step i -> i + 1
+    highs = [float("inf")] * n
+    for i, j, lo, hi in system.constraints:
+        if j != i + 1 or lo < 0:
+            return None
+        if lo > lows[i]:
+            lows[i] = lo
+        if hi is not None and hi < highs[i]:
+            highs[i] = hi
+    times = [0] * n
+    time = 0
+    for i in range(n - 1):
+        lo = lows[i]
+        if lo > highs[i]:
+            constraints = system.constraints
+            k_lo = next(k for k, c in enumerate(constraints) if c.i == i and c.lo == lo)
+            k_up = next(k for k, c in enumerate(constraints) if c.i == i and c.hi is not None and c.hi < lo)
+            return Infeasible((k_lo, k_up))
+        time = time + lo if lo >= 0 else 0
+        times[i + 1] = time
+    return times
+
+
+def _longest_paths(system: ConstraintSystem) -> list[int] | Infeasible:
+    """Least times of any system, or a cycle, by a worklist longest-path solver.
+
     Solved as a longest-path problem from the anchor t_0 = 0: each lower
     bound contributes an edge i -> j of weight lo, each finite upper bound
     an edge j -> i of weight -hi, and every variable starts at 0 as if
@@ -222,11 +277,10 @@ def feasible(system: ConstraintSystem) -> Witness | Infeasible:
     t_v, and its members are skipped when popped until raised again); if
     u lies inside that subtree, the tree path v ~> u and the edge u -> v
     form a cycle of positive weight, which certifies infeasibility
-    (subtree disassembly, Tarjan 1981).
+    (subtree disassembly, Tarjan 1981).  A system without constraints is a
+    chain, so here n_vars >= 2.
     """
     n = system.n_vars
-    if n == 0:
-        return Witness(())
     out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # (dst, weight, constraint idx)
     for idx, (i, j, lo, hi) in enumerate(system.constraints):
         out[i].append((j, lo, idx))
@@ -269,10 +323,7 @@ def feasible(system: ConstraintSystem) -> Witness | Infeasible:
                 queued[v] = True
                 queue.append(v)
 
-    for c in system.constraints:
-        if not c.satisfied(dist):
-            raise TraceLogicError(f"solver produced an invalid witness for {c}")
-    return Witness(tuple(dist))
+    return dist
 
 
 def _trace_cycle(pred, start: int) -> tuple[int, ...]:

@@ -72,6 +72,31 @@ FAULTS = (
             "tests/test_metric.py::test_enumerate_models_matches_reference",
         ),
     ),
+    Fault(  # the cycle of an infeasible chain step opened by the last lower bound that ties for the largest
+        "chain-cycle-from-the-last-tied-lower-bound", "metric.py",
+        "k_lo = next(k for k, c in enumerate(constraints) if c.i == i and c.lo == lo)",
+        "k_lo = [k for k, c in enumerate(constraints) if c.i == i and c.lo == lo][-1]",
+        (
+            "tests/test_metric.py::test_feasible_matches_the_worklist_reference",
+            "tests/test_metric.py::test_feasible_pinned_answers",
+        ),
+    ),
+    Fault(  # a step with no constraint keeps the time before it, where only non-negativity bounds it
+        "chain-step-without-constraint-keeps-the-time", "metric.py",
+        "time = time + lo if lo >= 0 else 0", "time = time + max(lo, 0)",
+        (
+            "tests/test_metric.py::test_feasible_matches_the_worklist_reference",
+            "tests/test_metric.py::test_feasible_pinned_answers",
+        ),
+    ),
+    Fault(
+        "chain-test-lets-a-negative-lower-bound-through", "metric.py",
+        "if j != i + 1 or lo < 0:", "if j != i + 1:",
+        (
+            "tests/test_metric.py::test_feasible_matches_the_worklist_reference",
+            "tests/test_metric.py::test_feasible_pinned_answers",
+        ),
+    ),
     Fault(
         "oracle-delays-without-upper-bound", "oracle.py",
         "lo <= gap and (hi is None or gap < hi)", "lo <= gap",

@@ -1,22 +1,29 @@
-"""The per-position rule checks, kept as ground truth for the bit-set ones.
+"""The per-position rule checks and the worklist solver, kept as ground truth.
 
-These are `check_program` and `extract_constraints` as `tracelogic.metric`
-had them before rules were checked as formulas by the oracle: each rule is
+`check_program` and `extract_constraints` are as `tracelogic.metric` had
+them before rules were checked as formulas by the oracle: each rule is
 tested at each position by `_body_holds` and `_head_holds`, and the untimed
-check runs on a copy of the trace with zero timestamps.  The file name does
-not match `test_*.py`, so pytest does not collect it.
+check runs on a copy of the trace with zero timestamps.  `feasible` and
+`_trace_cycle` are as it had them before chains were solved by one pass:
+every system goes through the worklist longest-path solver.  The file name
+does not match `test_*.py`, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
+from tracelogic.errors import TraceLogicError
 from tracelogic.metric import (
     ConstraintSystem,
     DiffConstraint,
+    Infeasible,
     MetricHead,
     MetricProgram,
     MetricRule,
     PlainHead,
     UntimedViolationError,
+    Witness,
 )
 from tracelogic.trace import TimedTrace, Trace
 
@@ -75,3 +82,83 @@ def extract_constraints(program: MetricProgram, t: Trace, strict: bool = False) 
     for i in range(len(t) - 1):
         constraints.append(DiffConstraint(i, i + 1, minimum_gap, None))
     return ConstraintSystem(len(t), tuple(constraints))
+
+
+def feasible(system: ConstraintSystem) -> Witness | Infeasible:
+    """Minimal non-negative integer solution, or a contradictory constraint cycle.
+
+    Solved as a longest-path problem from the anchor t_0 = 0: each lower
+    bound contributes an edge i -> j of weight lo, each finite upper bound
+    an edge j -> i of weight -hi, and every variable starts at 0 as if
+    reached from the anchor by a zero-weight edge (non-negativity).
+
+    A FIFO worklist scans the out-edges of each variable whose value rose,
+    so a chain of constraints is solved in one sweep.  The longest-path
+    tree is kept as child sets.  When an edge u -> v raises t_v, the
+    subtree below v is taken out of the tree (its values rest on the old
+    t_v, and its members are skipped when popped until raised again); if
+    u lies inside that subtree, the tree path v ~> u and the edge u -> v
+    form a cycle of positive weight, which certifies infeasibility
+    (subtree disassembly, Tarjan 1981).
+    """
+    n = system.n_vars
+    if n == 0:
+        return Witness(())
+    out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # (dst, weight, constraint idx)
+    for idx, (i, j, lo, hi) in enumerate(system.constraints):
+        out[i].append((j, lo, idx))
+        if hi is not None:
+            out[j].append((i, -hi, idx))
+
+    dist = [0] * n
+    pred: list[tuple[int, int | None] | None] = [(0, None)] * n
+    pred[0] = None
+    children: list[set[int]] = [set() for _ in range(n)]
+    children[0].update(range(1, n))
+    in_tree = [True] * n
+    queued = [True] * n
+    queue = deque(range(n))
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        if not in_tree[u]:
+            continue
+        for v, weight, idx in out[u]:
+            value = dist[u] + weight
+            if value <= dist[v]:
+                continue
+            dist[v] = value
+            stack = [v]
+            while stack:
+                x = stack.pop()
+                if x == u:
+                    pred[v] = (u, idx)
+                    return Infeasible(_trace_cycle(pred, v))
+                in_tree[x] = False
+                stack.extend(children[x])
+                children[x].clear()
+            # v is not the anchor: every scanned node lies below t_0, so raising it returned above.
+            children[pred[v][0]].discard(v)
+            pred[v] = (u, idx)
+            children[u].add(v)
+            in_tree[v] = True
+            if not queued[v]:
+                queued[v] = True
+                queue.append(v)
+
+    for c in system.constraints:
+        if not c.satisfied(dist):
+            raise TraceLogicError(f"solver produced an invalid witness for {c}")
+    return Witness(tuple(dist))
+
+
+def _trace_cycle(pred, start: int) -> tuple[int, ...]:
+    """Constraint indices, in walk order, of the tree path back to start and its closing edge."""
+    indices = []
+    node = start
+    while True:
+        node, idx = pred[node]
+        if idx is not None:  # non-negativity edges from the anchor name no constraint
+            indices.append(idx)
+        if node == start:
+            return tuple(reversed(indices))

@@ -757,6 +757,110 @@ def test_feasible_digest():
     assert digest.hexdigest() == FEASIBLE_DIGEST
 
 
+BREAKERS = ("backward", "skip", "negative lo")
+
+
+@st.composite
+def shuffled_chains(draw):
+    """A chain over 0-8 variables with its constraints shuffled, and in some systems one that breaks it.
+
+    Each step has 0-4 constraints.  Lower bounds of 0-4, and upper bounds at
+    most 2 above their own lower bound, make the largest lower bound often
+    tie and often exceed several upper bounds.  The breaker is a backward
+    constraint, one from i to i + 2, or a step's one constraint with a
+    negative lower bound.
+    """
+    n = draw(st.integers(0, 8))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def bounds(lo):
+        return lo, rng.choice((None, max(lo, 0) + rng.randint(0, 2)))
+
+    constraints = [
+        DiffConstraint(i, i + 1, *bounds(rng.randint(0, 4))) for i in range(n - 1) for _ in range(rng.randint(0, 4))
+    ]
+    breaker = rng.choice((None, None, None, *BREAKERS)) if n >= 3 else None
+    if breaker == "negative lo":
+        # The only constraint on a step after the first, where the time before it often exceeds |lo|.
+        i = rng.randint(1, n - 2)
+        constraints = [c for c in constraints if c.i != i]
+        constraints.append(DiffConstraint(i, i + 1, *bounds(rng.randint(-4, -1))))
+    elif breaker is not None:
+        i = rng.randint(0, n - 3)
+        i, j = (i + 1, i) if breaker == "backward" else (i, i + 2)
+        constraints.append(DiffConstraint(i, j, *bounds(rng.randint(0, 4))))
+    rng.shuffle(constraints)
+    return breaker, ConstraintSystem(n, tuple(constraints))
+
+
+def test_feasible_matches_the_worklist_reference():
+    """`feasible` answers as the worklist solver it replaced on chains, and hands it every other system."""
+    seen = set()
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(shuffled_chains())
+    def check(case):
+        breaker, system = case
+        answer = feasible(system)
+        assert repr(answer) == repr(reference.feasible(system))
+        if system.n_vars < 2:
+            seen.add(f"{system.n_vars} variables")
+        if breaker is not None:
+            seen.add(breaker)
+            return
+        listed = [[c for c in system.constraints if c.i == i] for i in range(system.n_vars - 1)]
+        if isinstance(answer, Witness):
+            seen.add("witness")
+            if any(not step and answer.times[i] for i, step in enumerate(listed)):
+                seen.add("reset after a positive time")
+            return
+        step = system.constraints[answer.cycle[0]].i
+        largest = max(c.lo for c in listed[step])
+        seen.add("cycle at step 0" if step == 0 else "cycle after step 0")
+        if sum(c.lo == largest for c in listed[step]) > 1:
+            seen.add("tie in the largest lower bound")
+        if sum(c.hi is not None and c.hi < largest for c in listed[step]) > 1:
+            seen.add("several upper bounds below it")
+
+    check()
+    assert seen == {
+        "0 variables", "1 variables", *BREAKERS, "witness", "reset after a positive time",
+        "cycle at step 0", "cycle after step 0", "tie in the largest lower bound", "several upper bounds below it",
+    }
+
+
+@pytest.mark.parametrize(
+    "n, constraints, answer",
+    [
+        # Lower bounds 7 tie and upper bounds 5 and 4 fall below them: the first of each, in index order.
+        (2, [(0, 1, 0, None), (0, 1, 7, 9), (0, 1, 3, 5), (0, 1, 7, None), (0, 1, 2, 4)], Infeasible((1, 2))),
+        # Only non-negativity bounds t_2, which a step with no constraint resets to 0.
+        (3, [(0, 1, 5, None)], Witness((0, 5, 0))),
+        # A negative lower bound is no chain step: t_2 >= t_1 - 3 = 1.
+        (3, [(1, 2, -3, None), (0, 1, 4, None)], Witness((0, 4, 1))),
+    ],
+)
+def test_feasible_pinned_answers(n, constraints, answer):
+    system = ConstraintSystem(n, tuple(DiffConstraint(*c) for c in constraints))
+    assert feasible(system) == answer
+    assert reference.feasible(system) == answer
+
+
+def test_routine_plans_never_reach_the_worklist(monkeypatch):
+    """Routine plans of 1k-4k steps, feasible and with a planted `hurry`, are all answered by the chain pass."""
+
+    def worklist(system):
+        raise AssertionError(f"a system of {system.n_vars} variables reached the worklist")
+
+    monkeypatch.setattr(metric, "_longest_paths", worklist)
+    with pytest.raises(AssertionError, match="reached the worklist"):
+        feasible(ConstraintSystem(2, (DiffConstraint(1, 0, 0, None),)))
+    for n in (999, 1998, 3999):
+        for hurry_at in (None, n - 6):
+            system = extract_constraints(ROUTINE, routine_plan(n, hurry_at))
+            assert repr(feasible(system)) == repr(reference.feasible(system))
+
+
 # Long traces over the three program atoms and a fourth one, `d`, that no
 # program names; each trace holds only some of the atoms, so program atoms
 # may hold in no letter.
