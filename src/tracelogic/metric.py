@@ -6,7 +6,9 @@ next and an integrity constraint's head is `ff`.  Over an untimed trace a
 metric head is a plain next, and each step where it fires yields a
 difference constraint; the system's minimal solution derives timestamps.
 A constraint is a validated tuple `(i, j, lo, hi)`, which the solver
-unpacks without an attribute read.
+unpacks without an attribute read.  `extract_constraints` builds each
+rule's step constraints `(i, i + 1, lo, hi)`, and the minimum gaps, as one
+batch in one C-level pass, and validates the bound a batch shares once.
 
 Every constraint joins two neighbouring positions: a head `X[l,u)` fired
 at i gives l <= t_(i+1) - t_i <= u - 1, and each step has a minimum gap
@@ -24,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from . import formula as fm
@@ -89,7 +92,10 @@ class DiffConstraint(_DiffFields):
     """lo <= t_j - t_i <= hi over timestamp variables (hi None is unbounded).
 
     An immutable tuple `(i, j, lo, hi)` with named fields, checked however
-    it is built (`_make` and `_replace` go through `__new__`).  It behaves as
+    it is built (`_make` and `_replace` go through `__new__`).  The one
+    exception is a batch of `extract_constraints`, built by `tuple.__new__`:
+    its members share one bound, which one validating `DiffConstraint(0, 1,
+    lo, hi)` checks, and i != i + 1 holds for each.  It behaves as
     a tuple in general: it equals and orders against tuples, has length 4,
     indexes, unpacks and concatenates, and has `_asdict` and `_fields`; it
     is not a dataclass, so `dataclasses.replace` and `asdict` reject it.
@@ -202,10 +208,22 @@ def extract_constraints(program: MetricProgram, t: Trace, strict: bool = False) 
         if isinstance(rule.head, MetricHead):
             lo, hi = rule.head.lo, rule.head.hi
             hi = None if hi is None else hi - 1
-            constraints += [DiffConstraint(i, i + 1, lo, hi) for i in _members(fires)]
+            constraints += _steps(_members(fires), lo, hi)
     minimum_gap = 1 if strict else 0
-    constraints += [DiffConstraint(i, i + 1, minimum_gap, None) for i in range(len(t) - 1)]
+    constraints += _steps(range(len(t) - 1), minimum_gap, None)
     return ConstraintSystem(len(t), tuple(constraints))
+
+
+def _steps(starts, lo: int, hi: int | None) -> Iterator[DiffConstraint]:
+    """The constraints (i, i + 1, lo, hi) for each i of starts, in order, built in one C-level pass.
+
+    They share one bound, which one validating `DiffConstraint` checks if
+    the batch is not empty, and i != i + 1 always holds, so each is built by
+    `tuple.__new__` alone.
+    """
+    if starts:
+        DiffConstraint(0, 1, lo, hi)
+    return map(tuple.__new__, repeat(DiffConstraint), zip(starts, map((1).__add__, starts), repeat(lo), repeat(hi)))
 
 
 def feasible(system: ConstraintSystem) -> Witness | Infeasible:

@@ -9,11 +9,17 @@ positions, so only end-of-trace behaviour distinguishes them.
 
 Each subformula is evaluated once per trace into a bit set over all
 positions, a Python int whose bit i is position i.  Literals are masks
-built once per atom; the boolean connectives are bitwise; the next
-operators are shifts.  Since is one forward sweep over the positions,
-done as a carry-propagating addition, and until is the same sweep over
-the reversed bit order.  A path modality is a pre-image: `<p> g` holds
-where some p-path leads into the positions of g, and a star is the least
+built once per atom.  The trace is spelled once, last letter first, as
+one character per letter, whose code numbers the distinct letters; an
+atom's mask is then one `str.translate` of the spelling, by a table over
+the distinct letters, read by `int(..., 2)`.  So the Python work per
+atom grows with the distinct letters, not with the trace length.  The
+gaps of a timed trace are spelled the same way for the metric nexts.
+The boolean connectives are bitwise; the next operators are shifts.
+Since is one forward sweep over the positions, done as a
+carry-propagating addition, and until is the same sweep over the
+reversed bit order.  A path modality is a pre-image: `<p> g` holds where
+some p-path leads into the positions of g, and a star is the least
 fixpoint of its body's pre-image.  Every universal operator is evaluated
 by one rule, as the finite-trace dynamic logics define it: it holds where
 its existential dual over the negated operands (the NNF negation, which
@@ -27,7 +33,8 @@ Every automaton backend is cross-validated against this module.
 
 from __future__ import annotations
 
-from functools import cached_property
+from itertools import compress, count
+from operator import sub
 
 from . import formula as fm
 from .errors import UntimedTraceError
@@ -71,16 +78,46 @@ def _eventually(bits: int) -> int:
     return (1 << bits.bit_length()) - 1
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as the bytes 0 and 1, false and true for `compress`
+
+
 def _members(bits: int) -> list[int]:
     """The positions in a bit set, in increasing order."""
-    return [i for i, digit in enumerate(bin(bits)[:1:-1]) if digit == "1"]
+    return list(compress(count(), bin(bits)[:1:-1].encode().translate(_BITS)))
+
+
+_CODES = 0x110000  # `chr` stops at 0x10FFFF
+
+
+def _spell(items: list) -> tuple[str | None, list]:
+    """items spelled as one character per item, whose code numbers the distinct items, and those items by code.
+
+    Past the 0x110000 codes that `chr` has, the spelling is None and the
+    items are listed as they are, so that a table over them holds the
+    digits in order.
+    """
+    distinct = list(dict.fromkeys(items))
+    if len(distinct) > _CODES:
+        return None, items
+    codes = dict(zip(distinct, map(chr, count())))
+    return "".join(map(codes.__getitem__, items)), distinct
+
+
+def _mask(spelled: str | None, table: list[str], end: str) -> int:
+    """The bit set whose binary digits, most significant first, are end and then the table's digit per code spelled.
+
+    One `str.translate` puts the digits in; end is added after translating,
+    since codes 48 and 49 are the characters "0" and "1".
+    """
+    digits = "".join(table) if spelled is None else spelled.translate(table)
+    return int(end + digits, 2)
 
 
 class _Evaluator:
     """Position sets of the subformulas over one trace.
 
-    Atom masks are spelled on first use, one walk over the letters each;
-    timestamp gaps are computed once, on the first metric next.
+    The letters are spelled on the first atom, the timestamp gaps on the
+    first metric next; each mask is then one translation of a spelling.
 
     Memo keys are node identities.  Nodes cache their hashes, but a node key
     still costs a Python-level `__hash__` call per lookup, and keying these
@@ -97,6 +134,8 @@ class _Evaluator:
         self._memo: dict = {}
         self._neg: dict = {}
         self._atoms: dict = {}
+        self._spelled_letters = None
+        self._spelled_gaps = None
 
     def negation(self, f: fm.Formula) -> fm.Formula:
         hit = self._neg.get(id(f))
@@ -117,24 +156,24 @@ class _Evaluator:
     def atom(self, name: str) -> int:
         bits = self._atoms.get(name)
         if bits is None:
+            if self._spelled_letters is None:
+                self._spelled_letters = _spell(self.letters[::-1])
+            spelled, distinct = self._spelled_letters
             # The leading "0" is the end point, where no atom holds.
-            digits = "".join("1" if name in letter else "0" for letter in reversed(self.letters))
-            bits = self._atoms[name] = int("0" + digits, 2)
+            bits = self._atoms[name] = _mask(spelled, ["1" if name in letter else "0" for letter in distinct], "0")
         return bits
-
-    @cached_property
-    def _reversed_gaps(self) -> list[int]:
-        gaps = [later - earlier for earlier, later in zip(self.times, self.times[1:])]
-        gaps.reverse()
-        return gaps
 
     def delays(self, lo: int, hi: int | None) -> int:
         """Positions i with a letter at i + 1 reached after a delay in [lo, hi)."""
         if self.times is None:
             raise UntimedTraceError("metric next needs a timed trace")
-        digits = "".join(["1" if lo <= gap and (hi is None or gap < hi) else "0" for gap in self._reversed_gaps])
+        if self._spelled_gaps is None:
+            gaps = list(map(sub, self.times[1:], self.times))
+            gaps.reverse()
+            self._spelled_gaps = _spell(gaps)
+        spelled, distinct = self._spelled_gaps
         # The leading "00" are the last letter and the end point, which have no next letter.
-        return int("00" + digits, 2)
+        return _mask(spelled, ["1" if lo <= gap and (hi is None or gap < hi) else "0" for gap in distinct], "00")
 
     def until(self, left: int, right: int) -> int:
         width = self.length + 1

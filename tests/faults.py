@@ -105,6 +105,44 @@ FAULTS = (
             "tests/test_metric.py::test_check_program_paper_example",
         ),
     ),
+    Fault(  # atom masks with position 0 as the most significant digit
+        "oracle-mask-spelled-in-forward-order", "oracle.py",
+        "_spell(self.letters[::-1])", "_spell(self.letters)",
+        (
+            "tests/test_oracle_reference.py::test_spelled_masks_match_the_per_position_spelling",
+            "tests/test_oracle_reference.py::test_random_traces_of_length_four_to_eight",
+        ),
+    ),
+    Fault(
+        "oracle-delays-spelled-in-forward-order", "oracle.py",
+        "            gaps.reverse()\n", "",
+        (
+            "tests/test_oracle_reference.py::test_spelled_masks_match_the_per_position_spelling",
+            "tests/test_oracle_reference.py::test_metric_formulas_on_timed_traces",
+        ),
+    ),
+    Fault(  # the end-point digits translated as codes 48 and 49 once a trace has 49 distinct letters or gaps
+        "oracle-end-point-spelled-before-translating", "oracle.py",
+        '"".join(table) if spelled is None else spelled.translate(table)\n    return int(end + digits, 2)',
+        'end + "".join(table) if spelled is None else (end + spelled).translate(table)\n    return int(digits, 2)',
+        ("tests/test_oracle_reference.py::test_spelled_masks_match_the_per_position_spelling",),
+    ),
+    Fault(
+        "oracle-members-counted-from-one", "oracle.py",
+        "compress(count(), bin(bits)", "compress(count(1), bin(bits)",
+        (
+            "tests/test_oracle_reference.py::test_spelled_masks_match_the_per_position_spelling",
+            "tests/test_metric.py::test_check_program_paper_example",
+        ),
+    ),
+    Fault(  # each step constraint of a batch joins a position to itself
+        "metric-step-batch-with-j-equal-to-i", "metric.py",
+        "zip(starts, map((1).__add__, starts)", "zip(starts, starts",
+        (
+            "tests/test_metric.py::test_extract_constraints_matches_the_one_by_one_reference",
+            "tests/test_metric.py::test_extract_constraints_paper_example",
+        ),
+    ),
     Fault(  # the prune looking one row too far: successors that accept in one letter fewer than are left
         "accepted-words-prune-one-letter-short", "trace.py",
         "branches[depth] = iter(live[length - depth][node])", "branches[depth] = iter(live[length - depth - 1][node])",

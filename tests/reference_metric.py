@@ -5,14 +5,18 @@ them before rules were checked as formulas by the oracle: each rule is
 tested at each position by `_body_holds` and `_head_holds`, and the untimed
 check runs on a copy of the trace with zero timestamps.  `feasible` and
 `_trace_cycle` are as it had them before chains were solved by one pass:
-every system goes through the worklist longest-path solver.  The file name
-does not match `test_*.py`, so pytest does not collect it.
+every system goes through the worklist longest-path solver.
+`extract_constraints_one_by_one` is `extract_constraints` as it was before
+step constraints were built in batches: one validating `DiffConstraint`
+per constraint, over the oracle's rule positions.  The file name does not
+match `test_*.py`, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from reference_oracle import _members
 from tracelogic.errors import TraceLogicError
 from tracelogic.metric import (
     ConstraintSystem,
@@ -24,6 +28,7 @@ from tracelogic.metric import (
     PlainHead,
     UntimedViolationError,
     Witness,
+    _rule_positions,
 )
 from tracelogic.trace import TimedTrace, Trace
 
@@ -81,6 +86,26 @@ def extract_constraints(program: MetricProgram, t: Trace, strict: bool = False) 
     minimum_gap = 1 if strict else 0
     for i in range(len(t) - 1):
         constraints.append(DiffConstraint(i, i + 1, minimum_gap, None))
+    return ConstraintSystem(len(t), tuple(constraints))
+
+
+def extract_constraints_one_by_one(program: MetricProgram, t: Trace, strict: bool = False) -> ConstraintSystem:
+    """Difference constraints that timestamps for t must satisfy.
+
+    The untimed part is verified first (metric intervals ignored); if it
+    already fails, UntimedViolationError reports the rule and position.
+    With strict=True consecutive timestamps must increase by at least 1.
+    """
+    constraints = []
+    for r, rule, fires, broken in _rule_positions(program, t, timed=False):
+        if broken:
+            raise UntimedViolationError(r, _members(broken)[0])
+        if isinstance(rule.head, MetricHead):
+            lo, hi = rule.head.lo, rule.head.hi
+            hi = None if hi is None else hi - 1
+            constraints += [DiffConstraint(i, i + 1, lo, hi) for i in _members(fires)]
+    minimum_gap = 1 if strict else 0
+    constraints += [DiffConstraint(i, i + 1, minimum_gap, None) for i in range(len(t) - 1)]
     return ConstraintSystem(len(t), tuple(constraints))
 
 

@@ -5,10 +5,17 @@ before it switched to bit sets: every operator is read off its defining
 quantifiers, and path relations are materialised as sets of position
 pairs with a naive transitive closure for `*`.  That closure is O(n^4)
 in the trace length, so the tests use this module only on short traces.
-The file name does not match `test_*.py`, so pytest does not collect it.
+
+`_members` and `Spelling` keep the bit-set oracle's masks as it spelled
+them before it spelled each trace once: one digit joined per position,
+for every atom and every metric next.  They are linear and serve on long
+traces.  The file name does not match `test_*.py`, so pytest does not
+collect it.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from tracelogic import formula as fm
 from tracelogic.errors import UntimedTraceError
@@ -160,3 +167,39 @@ def truth_values(f: fm.Formula, t) -> list[bool]:
     times = t.times if isinstance(t, TimedTrace) else None
     ev = _Evaluator(t.letters, times)
     return [ev.sat(f, i) for i in range(len(t) + 1)]
+
+
+def _members(bits: int) -> list[int]:
+    """The positions in a bit set, in increasing order."""
+    return [i for i, digit in enumerate(bin(bits)[:1:-1]) if digit == "1"]
+
+
+class Spelling:
+    """The masks of atoms and of metric delays, spelled one position at a time."""
+
+    def __init__(self, letters, times):
+        self.letters = letters
+        self.times = times
+        self._atoms: dict = {}
+
+    def atom(self, name: str) -> int:
+        bits = self._atoms.get(name)
+        if bits is None:
+            # The leading "0" is the end point, where no atom holds.
+            digits = "".join("1" if name in letter else "0" for letter in reversed(self.letters))
+            bits = self._atoms[name] = int("0" + digits, 2)
+        return bits
+
+    @cached_property
+    def _reversed_gaps(self) -> list[int]:
+        gaps = [later - earlier for earlier, later in zip(self.times, self.times[1:])]
+        gaps.reverse()
+        return gaps
+
+    def delays(self, lo: int, hi: int | None) -> int:
+        """Positions i with a letter at i + 1 reached after a delay in [lo, hi)."""
+        if self.times is None:
+            raise UntimedTraceError("metric next needs a timed trace")
+        digits = "".join(["1" if lo <= gap and (hi is None or gap < hi) else "0" for gap in self._reversed_gaps])
+        # The leading "00" are the last letter and the end point, which have no next letter.
+        return int("00" + digits, 2)

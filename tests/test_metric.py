@@ -923,6 +923,48 @@ def test_rule_checks_match_reference_on_long_traces():
     }
 
 
+def _built(build, program, t, strict):
+    try:
+        system = build(program, t, strict)
+    except UntimedViolationError as exc:
+        return ("untimed", exc.rule_index, exc.position, str(exc))
+    return ("system", system.n_vars, system.constraints, [type(c) for c in system.constraints])
+
+
+def test_extract_constraints_matches_the_one_by_one_reference():
+    """The batches of `extract_constraints` are the constraints that one validating `DiffConstraint` per step built.
+
+    Equal tuples in the same order, each of type `DiffConstraint`, or the
+    same `UntimedViolationError`, with and without `strict`, on programs and
+    traces of 0-200 letters and on routine plans.
+    """
+    seen = set()
+
+    def compare(program, t):
+        for strict in (False, True):
+            outcome = _built(extract_constraints, program, t, strict)
+            assert outcome == _built(reference.extract_constraints_one_by_one, program, t, strict)
+            seen.add((outcome[0], strict))
+            if outcome[0] == "system":
+                assert set(outcome[3]) <= {DiffConstraint}
+                metric_part = outcome[2][: len(outcome[2]) - max(len(t) - 1, 0)]
+                seen.update(("metric", hi is None) for *_, hi in metric_part)
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(long_programs_and_traces())
+    def check(case):
+        program, t = case
+        compare(program, Trace(t.letters))
+
+    check()
+    for n in (99, 399):
+        for hurry_at in (None, n - 6):
+            compare(ROUTINE, routine_plan(n, hurry_at))
+    assert seen == {
+        ("untimed", False), ("untimed", True), ("system", False), ("system", True), ("metric", False), ("metric", True),
+    }
+
+
 def test_check_program_memory_grows_with_the_program_not_the_trace():
     """Peak allocation, in bytes, of a timed check whose every letter holds a fresh atom.
 
