@@ -2,10 +2,10 @@
 
 `transition` builds the transition of a dynamic-core or past formula at a
 letter (or at the end marker) as a positive boolean formula (PBF) over
-successor references, with the constants `True` and `False`, so universal
-and existential branching share one representation.  Each successor goes
-through a callback `ref(g, move, weak)`, and the callback decides what a
-successor is.  The two-way automaton in `twafa` makes every successor a
+successor references, with the constants `True` and `False` and the And
+and Or nodes `(is_and, left, right)`, so universal and existential branching
+share one representation.  Each successor goes through a callback
+`ref(g, move, weak)`, and the callback decides what a successor is.  The two-way automaton in `twafa` makes every successor a
 state: a head move -1 (left, L), 1 (right, R) or 0 (stay in place, S)
 paired with a state, read in a least fixpoint.  A one-way automaton is a
 two-way automaton whose S moves are resolved within the letter (Vardi,
@@ -37,10 +37,10 @@ node (so a shared tail is tabled once): one `prop_sat` per letter over a
 guard formula's atoms and one `_join` per And or Or node; folding may leave
 a table's mask fewer atoms than its state reads.  Every state is the root or
 a step target, so `AFA.accepts` evaluates them all, from the end values
-backwards: it compiles each image once per class into the state ordinals it
-reads (`_compile`, shared with the two-way automaton), looks up each
-distinct letter's row once, and evaluates each state at a letter by reading
-the next letter's values.
+backwards: it looks up each distinct letter's row of images once, and
+evaluates each image at a letter as `delta` built it, reading its state
+ordinals from the next letter's values (`_holds`, which the two-way
+automaton runs on its compiled transitions too).
 
 Both automata mark an obligation that holds weakly at the trace ends as
 the state `Weak(g)`.  The AFA makes a box's step target weak only where g's
@@ -58,26 +58,8 @@ from .errors import UnsupportedOperatorError
 from .trace import Trace, check_letters, letters_over, outside_alphabet, resolve_alphabet
 
 
-class PBF:
-    """Node of a positive boolean formula; its plain leaves are `True`, `False`, state ordinals and open guards."""
-
-    __slots__ = ()
-
-
 @dataclass(frozen=True)
-class AndNode(PBF):
-    left: PBF
-    right: PBF
-
-
-@dataclass(frozen=True)
-class OrNode(PBF):
-    left: PBF
-    right: PBF
-
-
-@dataclass(frozen=True)
-class MoveRef(PBF):
+class MoveRef:
     """Leaf of a two-way transition, in B+({-1, 0, 1} x Q) (Vardi, ICALP 1998): `state` after a head move.
 
     `move` is the head's displacement: -1 (left), 0 (stay in place) or 1 (right).
@@ -85,6 +67,11 @@ class MoveRef(PBF):
 
     state: int
     move: int
+
+
+# A positive boolean formula: `True`, `False`, a state ordinal, a `MoveRef`, an
+# open guard formula, or an And or Or node, the triple `(is_and, left, right)`.
+PBF = bool | int | tuple | MoveRef | fm.Formula
 
 
 @dataclass(frozen=True)
@@ -112,7 +99,7 @@ def pbf_and(left: PBF, right: PBF) -> PBF:
         return right
     if right is True:
         return left
-    return AndNode(left, right)
+    return True, left, right
 
 
 def pbf_or(left: PBF, right: PBF) -> PBF:
@@ -122,43 +109,22 @@ def pbf_or(left: PBF, right: PBF) -> PBF:
         return right
     if right is False:
         return left
-    return OrNode(left, right)
+    return False, left, right
 
 
-def _compile(pbf: PBF, offset=None):
-    """The form in which the automata evaluate a transition, built once per PBF object: see `_holds`.
-
-    A `MoveRef` becomes the integer `offset(ref)`; a state ordinal and the
-    constants `True` and `False` stay as they are, and an `AndNode` or
-    `OrNode` becomes the triple `(is_and, left, right)`.
-    Its size is the PBF's: no normal form is taken.
-    """
-
-    def compiled(node: PBF):
-        if isinstance(node, (AndNode, OrNode)):
-            return (isinstance(node, AndNode), compiled(node.left), compiled(node.right))
-        if isinstance(node, MoveRef):
-            return offset(node)
-        if node.__class__ is int or node is True or node is False:
-            return node
-        raise TypeError(f"not a PBF: {node!r}")
-
-    return compiled(pbf)
-
-
-def _holds(compiled, value, base: int):
-    """Whether a compiled transition holds with the reference at offset o read as `value[base + o]`."""
-    while compiled.__class__ is tuple:  # right operands in the loop: at most one frame per level of the PBF
-        is_and, left, right = compiled
+def _holds(node: PBF, value, base: int):
+    """Whether a PBF over integer leaves holds with the leaf o read as `value[base + o]`."""
+    while node.__class__ is tuple:  # right operands in the loop: at most one frame per level of the PBF
+        is_and, left, right = node
         if _holds(left, value, base):
             if not is_and:
                 return True
         elif is_and:
             return False
-        compiled = right
-    if compiled.__class__ is int:
-        return value[base + compiled]
-    return compiled
+        node = right
+    if node.__class__ is int:
+        return value[base + node]
+    return node
 
 
 def specialise(pbf: PBF, letter) -> PBF:
@@ -167,10 +133,9 @@ def specialise(pbf: PBF, letter) -> PBF:
     Folding composes, so this equals the image built with the guards
     answered at `letter` in the first place.
     """
-    if isinstance(pbf, AndNode):
-        return pbf_and(specialise(pbf.left, letter), specialise(pbf.right, letter))
-    if isinstance(pbf, OrNode):
-        return pbf_or(specialise(pbf.left, letter), specialise(pbf.right, letter))
+    if pbf.__class__ is tuple:
+        is_and, left, right = pbf
+        return (pbf_and if is_and else pbf_or)(specialise(left, letter), specialise(right, letter))
     if isinstance(pbf, fm.Formula):
         return oracle.prop_sat(pbf, letter)
     return pbf
@@ -187,10 +152,10 @@ def minimal_sets(pbf: PBF) -> tuple[frozenset, ...]:
 
 
 def _minsets(pbf: PBF) -> list[frozenset]:
-    if isinstance(pbf, AndNode):
-        return _product(_minsets(pbf.left), _minsets(pbf.right))
-    if isinstance(pbf, OrNode):
-        return _antichain({*_minsets(pbf.left), *_minsets(pbf.right)})
+    if pbf.__class__ is tuple:
+        is_and, left, right = pbf
+        left, right = _minsets(left), _minsets(right)
+        return _product(left, right) if is_and else _antichain({*left, *right})
     if pbf.__class__ is int:  # a state ordinal: `True` is an int too
         return [frozenset((pbf,))]
     if pbf is True:
@@ -380,7 +345,6 @@ class AFA:
         self._end = oracle.end_evaluator()
         self._nodes: dict = {}  # formula -> (guarded image, atoms read), built outside any diamond-star unrolling
         self._delta_memo: dict = {}  # (q, letter & reads[q]) -> image
-        self._compiled_memo: dict = {}  # (q, letter & reads[q]) -> the image compiled
         self._tables: dict = {}  # id of an image node, held by `_guarded` -> its class table
         self.states: StateSet = StateSet()
         self.initial: int = self.states.add(root)
@@ -424,8 +388,8 @@ class AFA:
     def _table(self, node: PBF) -> tuple[int, dict]:
         table = self._tables.get(id(node))
         if table is None:
-            if isinstance(node, (AndNode, OrNode)):
-                table = _join(self._table(node.left), self._table(node.right), isinstance(node, AndNode))
+            if node.__class__ is tuple:
+                table = _join(self._table(node[1]), self._table(node[2]), node[0])
             else:  # a guard formula, a state or a constant: its minimal sets at each letter over its atoms
                 names = fm.atoms(node) if isinstance(node, fm.Formula) else ()
                 mask = self.code(names)
@@ -490,19 +454,11 @@ class AFA:
             g = Weak(g)
         return self.states.add(g)
 
-    def _compiled(self, q: int, letter):
-        """`delta(q, letter)` compiled, once per class."""
-        key = (q, letter & self.reads[q])
-        compiled = self._compiled_memo.get(key)
-        if compiled is None:
-            compiled = self._compiled_memo[key] = _compile(self.delta(q, letter))
-        return compiled
-
     def accepts(self, t: Trace) -> bool:
         check_letters(t, self.ap)
         states = range(len(self.states))
-        rows = {letter: [self._compiled(q, letter) for q in states] for letter in set(t.letters)}
+        rows = {letter: [self.delta(q, letter) for q in states] for letter in set(t.letters)}
         values = self.final
         for letter in reversed(t.letters):
-            values = [_holds(compiled, values, 0) for compiled in rows[letter]]
+            values = [_holds(image, values, 0) for image in rows[letter]]
         return values[self.initial]

@@ -3,13 +3,14 @@
 Output is deterministic for a fixed input: states are walked in ordinal
 order and letters in canonical order.  Alternating transitions whose
 image needs several successor states at once are routed through a small
-conjunction node.
+conjunction node: a transition is read as a disjunction of leaf sets, from
+its And nodes `(True, left, right)` and Or nodes `(False, left, right)`.
 """
 
 from __future__ import annotations
 
 from . import formula as fm
-from .afa import AFA, BEGIN, END, PBF, AndNode, MoveRef, OrNode, Weak, _Marker
+from .afa import AFA, BEGIN, END, PBF, MoveRef, Weak, _Marker
 from .fa import DFA, NFA
 from .twafa import TwoAFA
 from .trace import format_letter, letters_over
@@ -40,14 +41,14 @@ def _dnf(pbf: PBF) -> list[tuple]:
             return []
         case int() | MoveRef():  # after the constants: True and False are ints too
             return [(pbf,)]
-        case OrNode(l, r):
+        case (True, l, r):
+            return [a + b for a in _dnf(l) for b in _dnf(r)]
+        case (False, l, r):
             out = _dnf(l)
             for leaves in _dnf(r):
                 if leaves not in out:
                     out.append(leaves)
             return out
-        case AndNode(l, r):
-            return [a + b for a in _dnf(l) for b in _dnf(r)]
     raise TypeError(f"not a transition formula: {pbf!r}")
 
 

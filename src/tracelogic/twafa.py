@@ -26,16 +26,17 @@ The fixpoint is computed by a worklist (Liu & Smolka, ICALP 1998) over a
 byte tape: one row of `len(states)` bytes per position, from the begin
 marker to the end marker, between two rows of zeros.  Each distinct
 transition object is compiled once, when the automaton is built, into
-integer offsets from its own row: a reference to state s after head move m
-(-1, 0 or 1) is `m * len(states) + s`.  A configuration starts true exactly
-when its transition is `True`.  Each configuration that turns true is pushed
-once; popping it re-evaluates the false configurations whose transitions
-may read it, found from a table that the same walk as the compilation
-fills, listing for each state the (state, head move) pairs with a
-transition referring to it.  A configuration is thus evaluated at most once
-per reference in its transitions, each reference read as one byte, so a
-run is linear in the trace length; it looks up the transitions of each
-distinct cell of the trace once.
+integer offsets from its own row (`_compile`): a reference to state s after
+head move m (-1, 0 or 1) is `m * len(states) + s`.  (The one-way AFA runs
+its images as built: their leaves are already the ordinals it reads.)  A
+configuration starts true exactly when its transition is `True`.  Each
+configuration that turns true is pushed once; popping it re-evaluates the
+false configurations whose transitions may read it, found from a table that
+the same walk as the compilation fills, listing for each state the (state,
+head move) pairs with a transition referring to it.  A configuration is
+thus evaluated at most once per reference in its transitions, each
+reference read as one byte, so a run is linear in the trace length; it
+looks up the transitions of each distinct cell of the trace once.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .afa import (
     StateSet,
     Weak,
     _S,
-    _compile,
     _holds,
     guard_test,
     pbf_and,
@@ -57,6 +57,18 @@ from .afa import (
     transition,
 )
 from .trace import Trace, check_letters, letters_over, outside_alphabet, resolve_alphabet
+
+
+def _compile(pbf: PBF, offset) -> PBF:
+    """The transition in the form `_holds` evaluates, of the same size: each `MoveRef` leaf becomes `offset(ref)`."""
+
+    def compiled(node: PBF) -> PBF:
+        if node.__class__ is tuple:
+            is_and, left, right = node
+            return is_and, compiled(left), compiled(right)
+        return offset(node) if node.__class__ is MoveRef else node
+
+    return compiled(pbf)
 
 
 class TwoAFA:

@@ -276,9 +276,9 @@ def move_refs(pbf):
     """The `MoveRef` leaves of a two-way transition, left to right."""
     if isinstance(pbf, afa.MoveRef):
         yield pbf
-    elif isinstance(pbf, (afa.AndNode, afa.OrNode)):
-        yield from move_refs(pbf.left)
-        yield from move_refs(pbf.right)
+    elif pbf.__class__ is tuple:  # an And or Or node (is_and, left, right)
+        yield from move_refs(pbf[1])
+        yield from move_refs(pbf[2])
 
 
 @pytest.fixture

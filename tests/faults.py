@@ -209,6 +209,22 @@ FAULTS = (
             "tests/test_afa.py::test_class_tables_match_the_minimal_sets_of_each_image",
         ),
     ),
+    Fault(  # each And node of a guarded image specialised as an Or node, and each Or node as an And node
+        "specialise-folds-with-the-connectives-swapped", "afa.py",
+        "pbf_and if is_and else pbf_or", "pbf_or if is_and else pbf_and",
+        (
+            "tests/test_afa.py::test_transitions_match_the_reference",
+            "tests/test_twafa.py::test_matches_afa_on_future_fragment",
+        ),
+    ),
+    Fault(  # class tables join the children of an And node as a disjunction, and of an Or node as a conjunction
+        "class-table-joins-with-the-connective-negated", "afa.py",
+        "node[0])", "not node[0])",
+        (
+            "tests/test_afa.py::test_class_tables_match_the_minimal_sets_of_each_image",
+            "tests/test_golden.py::test_corpus_digest",
+        ),
+    ),
     Fault(
         "submasks-in-bit-counting-order", "afa.py",
         "subs[1:1] = [bit | sub for sub in subs]", "subs += [bit | sub for sub in subs]",
@@ -265,9 +281,26 @@ FAULTS = (
             "tests/test_twafa.py::test_matches_oracle_with_past",
         ),
     ),
+    Fault(  # every compiled node of a 2AFA transition an And node
+        "compile-makes-every-node-a-conjunction", "twafa.py",
+        "return is_and, compiled(left), compiled(right)", "return True, compiled(left), compiled(right)",
+        (
+            "tests/test_twafa.py::test_matches_oracle_with_past",
+            "tests/test_twafa.py::test_since_trigger_examples",
+        ),
+    ),
     Fault(
         "dot-move-names-reversed", "dot.py",
         '"LSR"[leaf.move + 1]', '"RSL"[leaf.move + 1]',
+        (
+            "tests/test_golden.py::test_compile_golden",
+            "tests/test_golden.py::test_corpus_digest",
+        ),
+    ),
+    Fault(  # an And node drawn as a choice of its leaf sets, and an Or node as one hyper-edge
+        "dot-and-or-patterns-swapped", "dot.py",
+        "case (True, l, r):\n            return [a + b for a in _dnf(l) for b in _dnf(r)]\n        case (False, l, r):",
+        "case (False, l, r):\n            return [a + b for a in _dnf(l) for b in _dnf(r)]\n        case (True, l, r):",
         (
             "tests/test_golden.py::test_compile_golden",
             "tests/test_golden.py::test_corpus_digest",

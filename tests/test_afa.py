@@ -14,9 +14,8 @@ from tracelogic import formula as fm
 from tracelogic import oracle
 from tracelogic.afa import (
     AFA,
-    AndNode,
-    OrNode,
     Weak,
+    _holds,
     minimal_sets,
     pbf_and,
     pbf_or,
@@ -29,6 +28,7 @@ from tracelogic.trace import enumerate_traces, letters_over
 from tracelogic.twafa import END, TwoAFA
 
 AP = ("a", "b")
+AND, OR = True, False  # the first member of an And or Or node (is_and, left, right)
 
 
 def _core(src):
@@ -50,20 +50,39 @@ def test_minimal_sets_antichain():
     assert minimal_sets(pbf) == (frozenset({0, 2}), frozenset({1, 2}))
     # Unfolded constant children give the minimal sets of the folded PBF.
     cases = (
-        (AndNode(False, 0), False),
-        (AndNode(0, False), False),
-        (OrNode(True, 1), True),
-        (OrNode(1, True), True),
-        (AndNode(True, OrNode(False, 2)), 2),
-        (OrNode(AndNode(False, 0), AndNode(1, OrNode(True, 2))), 1),
-        (AndNode(OrNode(True, 0), OrNode(AndNode(1, False), False)), False),
+        ((AND, False, 0), False),
+        ((AND, 0, False), False),
+        ((OR, True, 1), True),
+        ((OR, 1, True), True),
+        ((AND, True, (OR, False, 2)), 2),
+        ((OR, (AND, False, 0), (AND, 1, (OR, True, 2))), 1),
+        ((AND, (OR, True, 0), (OR, (AND, 1, False), False)), False),
         (
-            OrNode(AndNode(OrNode(0, True), 1), AndNode(True, 0)),
+            (OR, (AND, (OR, 0, True), 1), (AND, True, 0)),
             pbf_or(1, 0),
         ),
     )
     for unfolded, folded in cases:
         assert minimal_sets(unfolded) == minimal_sets(folded), unfolded
+
+
+def test_ordinals_zero_and_one_are_states_not_constants():
+    """`True == 1` and `False == 0`, so the triple encoding must tell the ordinals 0 and 1 from the constants.
+
+    Folding and every reader test the constants by identity: a node whose
+    children are the states 1 and 0 is a node, whichever its connective.
+    """
+    conj = pbf_and(1, 0)
+    assert conj == (True, 1, 0) and type(conj[1]) is int and type(conj[2]) is int
+    assert minimal_sets(conj) == (frozenset({0, 1}),)
+    disj = pbf_or(0, 1)
+    assert disj.__class__ is tuple and disj is not True
+    assert disj == (False, 0, 1) and type(disj[1]) is int and type(disj[2]) is int
+    assert minimal_sets(disj) == (frozenset({0}), frozenset({1}))
+    assert _holds((False, 1, 0), [False, True], 0) is True
+    assert _holds((True, 1, 0), [False, True], 0) is False
+    assert _holds((True, 1, 0), [True, True], 0) is True
+    assert _holds((False, 1, 0), [False, False], 0) is False
 
 
 _PARTLY_OVERLAPPING = (
@@ -207,10 +226,11 @@ def test_delta_rejects_letters_outside_the_alphabet():
 
 def test_positivity_of_images():
     def check(pbf):
-        assert pbf is True or pbf is False or pbf.__class__ is int or isinstance(pbf, (AndNode, OrNode))
-        if isinstance(pbf, (AndNode, OrNode)):
-            check(pbf.left)
-            check(pbf.right)
+        assert pbf is True or pbf is False or pbf.__class__ is int or pbf.__class__ is tuple
+        if pbf.__class__ is tuple:
+            assert len(pbf) == 3 and type(pbf[0]) is bool, pbf
+            check(pbf[1])
+            check(pbf[2])
 
     rng = random.Random(41)
     from tracelogic.trace import letters_over
@@ -327,9 +347,9 @@ def _formula(state):
 def _state_refs(pbf):
     if pbf.__class__ is int:
         yield pbf
-    elif isinstance(pbf, (AndNode, OrNode)):
-        yield from _state_refs(pbf.left)
-        yield from _state_refs(pbf.right)
+    elif pbf.__class__ is tuple:
+        yield from _state_refs(pbf[1])
+        yield from _state_refs(pbf[2])
 
 
 def test_transitions_match_the_reference():
@@ -392,8 +412,10 @@ def test_constants_are_bools_folded_out_of_every_node():
     seen = Counter()
 
     def walk(pbf, kinds: set, width: int):
-        if isinstance(pbf, (AndNode, OrNode)):
-            for child in (pbf.left, pbf.right):
+        if pbf.__class__ is tuple:
+            is_and, *children = pbf
+            assert type(is_and) is bool and len(children) == 2, pbf
+            for child in children:
                 assert type(child) is not bool, pbf  # a constant child is folded away
                 walk(child, kinds, width)
             kind = "nodes"
@@ -448,8 +470,8 @@ def test_state_count_tracks_closure(monkeypatch):
         named = {q for image in automaton._guarded for q in _state_refs(image)}
         assert named <= set(range(len(automaton))), f
         folded.append(automaton.states.states)
-    monkeypatch.setattr(afa, "pbf_and", AndNode)
-    monkeypatch.setattr(afa, "pbf_or", OrNode)
+    monkeypatch.setattr(afa, "pbf_and", lambda left, right: (True, left, right))
+    monkeypatch.setattr(afa, "pbf_or", lambda left, right: (False, left, right))
     for f, states in zip(formulas, folded):
         automaton = AFA(f, tuple(sorted(fm.atoms(f) | set(AP))))
         named = {q for image in automaton._guarded for q in _state_refs(image)}

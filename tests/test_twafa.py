@@ -3,8 +3,8 @@ import random
 import pytest
 
 from conftest import move_refs, random_core_formula, random_trace, renamed
-from tracelogic import afa, oracle, twafa
-from tracelogic.afa import AFA, AndNode, OrNode, _L, _R
+from tracelogic import oracle, twafa
+from tracelogic.afa import AFA, _L, _R
 from tracelogic.errors import AlphabetMismatchError, UnsupportedOperatorError
 from tracelogic.formula import And, nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
@@ -138,9 +138,9 @@ def _sweep_fixpoint(automaton, t):
                         case MoveRef():
                             target = pos + pbf.move
                             return -1 <= target <= len(t) and state[(pbf.state, target)]
-                        case AndNode(l, r):
+                        case (True, l, r):
                             return ev(l) and ev(r)
-                        case OrNode(l, r):
+                        case (False, l, r):
                             return ev(l) or ev(r)
 
                 if ev(automaton.delta(q, marked_at(t, pos))):
@@ -298,16 +298,15 @@ def test_transitions_are_compiled_once_per_object(monkeypatch):
     assert len(compiled) == 31
 
 
-def test_afa_images_are_compiled_once_per_class(monkeypatch):
-    """A run compiles each image it reads once per class; a second run on the same letters compiles nothing."""
-    compiled = _recorded_compiles(monkeypatch, afa)
+def test_afa_images_are_specialised_once_per_class():
+    """A run specialises each image it reads once per class; a second run on the same letters specialises nothing."""
     automaton = AFA(to_dynamic_core(nnf(parse_formula("G (p -> F q)"))))
     t = parse_trace("{p};{};{q};{p,q}")
     assert automaton.accepts(t) is True
-    assert 0 < len(compiled) <= len(automaton) * len(set(t.letters))
-    first = len(compiled)
+    assert 0 < len(automaton._delta_memo) <= len(automaton) * len(set(t.letters))
+    first = len(automaton._delta_memo)
     assert automaton.accepts(parse_trace("{q};{p,q};{};{p}")) is False
-    assert len(compiled) == first
+    assert len(automaton._delta_memo) == first
 
 
 def test_deepest_image_agrees_everywhere():
