@@ -13,7 +13,8 @@ ICALP 1998): the `AFA` here inlines every S move into the image, keeps R
 moves as references to states, and never meets an L move, since past
 operators are outside its fragment.  Inlining takes a diamond star met
 again while it is being unrolled as false, which keeps the image finite on
-stars that make no progress within a letter, like `<(tt?)*> a`.
+stars that make no progress within a letter, like `<(tt?)*> a`, and a box
+star met again while it is being expanded as true, each found by hash.
 
 The builder reads a cell only through a guard test `sat(guard)`, for
 literals and step guards alike, and asks about the same guards whatever
@@ -28,9 +29,11 @@ It discovers its states by building their guarded images: starting from
 the root, each state's image is built once, and the targets of its step
 modalities are the states it adds, as the transitions name them (De
 Giacomo & Vardi, IJCAI 2013).  The atoms of the guards a build tests
-are the state's reads (`AFA.reads`).  Nodes built outside any diamond-star
-unrolling are memoised with their atoms, so states that share a tail share
-its build.  `delta` specialises the guarded image once per class
+are the state's reads (`AFA.reads`).  Each node is built once per frame
+and memoised there with its atoms: the automaton keeps its outermost
+frame, so states that share a tail share its build, and each diamond star
+being unrolled opens a frame of its own, dropped when its unrolling ends.
+`delta` specialises the guarded image once per class
 (`specialise`); dealternation reads `class_table`, a state's minimal
 successor sets per class, built bottom-up over its guarded image once per
 node (so a shared tail is tabled once): one `prop_sat` per letter over a
@@ -256,7 +259,7 @@ def transition(f: fm.Formula, sat, ref) -> PBF:
         case fm.Or(l, r):
             return pbf_or(ref(l, _S), ref(r, _S))
         case fm.Box():
-            return _box(f, sat, ref, ())
+            return _box(f, sat, ref, frozenset())
         case fm.TrueFormula():
             return True
         case fm.FalseFormula():
@@ -273,8 +276,8 @@ def transition(f: fm.Formula, sat, ref) -> PBF:
             raise UnsupportedOperatorError(f"cannot build transitions for {type(f).__name__}")
 
 
-def _box(b: fm.Box, sat, ref, expanding: tuple) -> PBF:
-    """Eager expansion of a box through its path; re-arrival at a star being expanded is vacuous."""
+def _box(b: fm.Box, sat, ref, expanding: frozenset) -> PBF:
+    """Eager expansion of a box through its path; re-arrival at a star being expanded (found by hash) is vacuous."""
     match b:
         case fm.Box(fm.Step(guard), g):
             test = sat(guard)
@@ -292,7 +295,7 @@ def _box(b: fm.Box, sat, ref, expanding: tuple) -> PBF:
         case fm.Box(fm.Star(q), g):
             if b in expanding:
                 return True
-            inner = (*expanding, b)
+            inner = expanding | {b}
             arrive = _box(g, sat, ref, inner) if isinstance(g, fm.Box) else ref(g, _S, True)
             return pbf_and(arrive, _box(fm.Box(q, b), sat, ref, inner))
     raise TypeError(f"not a path expression: {b.path!r}")
@@ -343,7 +346,7 @@ class AFA:
         self.ap: tuple[str, ...] = resolve_alphabet(fm.atoms(root), ap)
         self._bits: dict = {name: 1 << j for j, name in enumerate(self.ap)}
         self._end = oracle.end_evaluator()
-        self._nodes: dict = {}  # formula -> (guarded image, atoms read), built outside any diamond-star unrolling
+        self._nodes: dict = {}  # the outermost frame of `_node`: formula -> (guarded image, atoms read)
         self._delta_memo: dict = {}  # (q, letter & reads[q]) -> image
         self._tables: dict = {}  # id of an image node, held by `_guarded` -> its class table
         self.states: StateSet = StateSet()
@@ -401,14 +404,15 @@ class AFA:
     def _node(self, root: fm.Formula) -> tuple[PBF, frozenset]:
         """The guarded image of `root`, with every S move inlined, and the atoms its guards read.
 
-        Each node built outside any diamond-star unrolling is memoised with
-        its atoms, so states that share a tail share its build.  Within an
-        unrolling a node's image depends on the stars being unrolled, and a
-        diamond star met again is false, so nodes there are built afresh.
+        Each node is built once per frame and memoised there with its atoms.
+        The outermost frame, `_nodes`, is kept across builds, so states that
+        share a tail share its build.  Each diamond star being unrolled opens
+        a frame, dropped when its unrolling ends: the images built there take
+        that star, met again, as false, and it is found by hash.
         """
-        nodes = self._nodes
-        unrolling = []  # the diamond stars being unrolled, innermost last
-        reading = [set()]  # the atoms read by each memoised node being built, innermost last
+        frames = [self._nodes]  # the memo of each open frame, innermost last
+        unrolling = set()  # the diamond stars being unrolled
+        reading = [set()]  # the atoms read by each node being built, innermost last
 
         def sat(guard: fm.Formula) -> PBF:
             if isinstance(guard, fm.TrueFormula):  # the guard of every X, F and G
@@ -419,30 +423,25 @@ class AFA:
         def ref(g: fm.Formula, move: int, weak: bool = False) -> PBF:
             if move == _R:
                 return self._step_ref(g, weak)
-            star = isinstance(g, fm.Diamond) and isinstance(g.path, fm.Star)
-            if unrolling:
-                if not star:
-                    return transition(g, sat, ref)
-                if g in unrolling:
-                    return False
-                unrolling.append(g)
-                image = transition(g, sat, ref)
-                unrolling.pop()
-                return image
-            entry = nodes.get(g)
+            entry = frames[-1].get(g)
             if entry is None:
-                reading.append(set())
+                star = isinstance(g, fm.Diamond) and isinstance(g.path, fm.Star)
                 if star:
-                    unrolling.append(g)
+                    if g in unrolling:
+                        return False
+                    unrolling.add(g)
+                    frames.append({})
+                reading.append(set())
                 image = transition(g, sat, ref)
                 if star:
-                    unrolling.pop()
-                entry = nodes[g] = (image, frozenset(reading.pop()))
+                    frames.pop()
+                    unrolling.remove(g)
+                entry = frames[-1][g] = (image, frozenset(reading.pop()))
             reading[-1].update(entry[1])
             return entry[0]
 
         ref(root, _S)
-        return nodes[root]
+        return self._nodes[root]
 
     def _step_ref(self, g: fm.Formula, weak: bool) -> PBF:
         """The reference to step target g, or to Weak(g) for a box if g holds weakly but not outright at the end."""

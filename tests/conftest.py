@@ -272,6 +272,26 @@ def random_trace(rng: random.Random, max_len: int = 5, timed: bool = False, min_
     return TimedTrace(letters, tuple(times))
 
 
+def until_chain(depth: int) -> str:
+    """`a U b U … U a` with `depth` untils, which nest to the right."""
+    return " U ".join(("ab" * depth)[: depth + 1])
+
+
+def release_chain(depth: int) -> str:
+    """`a R b R … R a` with `depth` releases, which nest to the right."""
+    return until_chain(depth).replace(" U ", " R ")
+
+
+def eventually_chain(depth: int) -> str:
+    """`F (b & F (a & … & tt))` with `depth` eventualities, which alternate between b and a."""
+    return "".join(f"F ({'ba'[i % 2]} & " for i in range(depth)) + "tt" + ")" * depth
+
+
+def alternation(n: int) -> str:
+    """`<((a? + b?) ; … ; (a? + b?))* ; tt> c`, a star over a sequence of `n` alternations of tests."""
+    return "<(" + " ; ".join(["(a? + b?)"] * n) + ")* ; tt> c"
+
+
 def move_refs(pbf):
     """The `MoveRef` leaves of a two-way transition, left to right."""
     if isinstance(pbf, afa.MoveRef):

@@ -241,6 +241,24 @@ FAULTS = (
             "tests/test_fa.py::test_each_nfa_state_keeps_the_mask_of_its_joined_class_table",
         ),
     ),
+    Fault(  # nodes built within a diamond-star unrolling memoised in the frame outside it, where their images differ
+        "unrolling-frame-not-opened", "afa.py",
+        "frames.append({})", "frames.append(frames[-1])",
+        (
+            "tests/test_afa.py::test_transitions_match_the_reference",
+            "tests/test_golden.py::test_corpus_digest",
+        ),
+    ),
+    Fault(  # a diamond star met again found by comparing it with each star being unrolled
+        "diamond-rearrival-by-scan", "afa.py",
+        "g in unrolling", "any(g == s for s in unrolling)",
+        ("tests/test_afa.py::test_deep_chains_compare_formulas_at_most_depth_squared_times",),
+    ),
+    Fault(  # a box star met again found by comparing it with each star being expanded
+        "box-rearrival-by-scan", "afa.py",
+        "b in expanding", "any(b == s for s in expanding)",
+        ("tests/test_afa.py::test_deep_chains_compare_formulas_at_most_depth_squared_times",),
+    ),
     Fault(
         "since-steps-back-through-weak-prev", "afa.py",
         "ref(fm.Prev(f), _S)))", "ref(fm.WeakPrev(f), _S)))",

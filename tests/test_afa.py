@@ -6,7 +6,15 @@ from collections import Counter
 
 import pytest
 
-from conftest import exhaustive_core_formulas, move_refs, random_core_formula
+from conftest import (
+    alternation,
+    eventually_chain,
+    exhaustive_core_formulas,
+    move_refs,
+    random_core_formula,
+    release_chain,
+    until_chain,
+)
 import reference_fa as ref
 from reference_fa import ReferenceTwoAFA, afa_image
 from tracelogic import afa
@@ -629,3 +637,57 @@ def test_chain_hashes_each_node_once(monkeypatch):
     AFA(root)
     assert len(computed) > 180
     assert max(computed.values()) == 1
+
+
+def _node_classes(cls=fm._Node):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _node_classes(sub)
+
+
+@pytest.fixture
+def node_eqs(monkeypatch) -> Counter:
+    """A counter of the calls to the generated `__eq__` of every formula and path node dataclass."""
+    calls: Counter = Counter()
+    for cls in set(_node_classes()):
+        if "__eq__" in vars(cls):
+
+            def counting(self, other, eq=vars(cls)["__eq__"]):
+                calls["eq"] += 1
+                return eq(self, other)
+
+            monkeypatch.setattr(cls, "__eq__", counting)
+    return calls
+
+
+def test_deep_chains_compare_formulas_at_most_depth_squared_times(node_eqs):
+    """Both automata of the depth-64 until, F and release chains compare formula nodes at most d^2 times (c = 1).
+
+    Stars being unrolled or expanded are found by hash, and each node is
+    built once per frame, so nodes are compared only where a lookup meets
+    an equal node that is a distinct object.  The one-way builds compare
+    none on the until and F chains and d(d - 1)/2 on the release chain; a
+    scan of the stars being unrolled or expanded makes millions.
+    """
+    depth, counts = 64, {}
+    for name, text in (("U", until_chain(depth)), ("F", eventually_chain(depth)), ("R", release_chain(depth))):
+        root = _core(text)
+        for build in (AFA, TwoAFA):
+            node_eqs.clear()
+            build(root)
+            counts[name, build.__name__] = node_eqs["eq"]
+    assert max(counts.values()) <= depth * depth, counts
+    assert counts["U", "AFA"] == counts["F", "AFA"] == 0, counts
+
+
+def test_alternations_under_a_star_take_linear_builder_calls(builds):
+    """`<((a? + b?) ; … ; (a? + b?))* ; tt> c`: the AFA build makes at most 5n `transition` calls for n alternations.
+
+    Within the star's unrolling each node is built once (4n + 5 calls);
+    built afresh at each occurrence, the nodes after each alternation are
+    built twice as often as those before it.
+    """
+    for n in (8, 12, 16):
+        builds.clear()
+        AFA(_core(alternation(n)))
+        assert sum(builds.values()) <= 5 * n, (n, sum(builds.values()))

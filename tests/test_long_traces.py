@@ -9,13 +9,22 @@ import dataclasses
 import random
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_any_formula, random_core_formula, random_trace, surface_formulas
+from conftest import (
+    alternation,
+    eventually_chain,
+    random_any_formula,
+    random_core_formula,
+    random_trace,
+    release_chain,
+    surface_formulas,
+    until_chain,
+)
 from tracelogic import oracle
 from tracelogic.afa import AFA
-from tracelogic.fa import dealternate, determinize, dfa_accepts, minimize, nfa_accepts
+from tracelogic.fa import build_dfa, dealternate, determinize, dfa_accepts, minimize, nfa_accepts
 from tracelogic.formula import Box, Prev, Since, Star, Trigger, WeakPrev, format_formula, nnf, to_dynamic_core
 from tracelogic.parser import parse_formula
 from tracelogic.trace import Trace
@@ -132,3 +141,54 @@ def test_backends_match_oracle_on_surface_formulas():
     check()
     assert seen["branching"] >= seen["examples"] / 5, seen
     assert seen["star under box"] and seen["nested past"], seen
+
+
+DEEP_LETTERS = st.sampled_from(tuple(map(frozenset, ({"a"}, {"b"}, {"a", "b"}, (), {"c"}, {"a", "c"}, {"b", "c"}))))
+BA = (frozenset("b"), frozenset("a"))
+# Traces of 0 to 200 letters: a block repeated, so that deep chains meet long alternations, then a free tail.
+DEEP_TRACES = st.builds(
+    lambda block, times, tail: Trace(tuple((block * times + tail)[:200])),
+    st.lists(DEEP_LETTERS, min_size=1, max_size=4),
+    st.integers(0, 60),
+    st.lists(DEEP_LETTERS, max_size=20),
+)
+
+
+def test_deep_formulas_match_oracle():
+    """Both automata agree with the oracle on deep formulas: nested chains and alternations under a star.
+
+    The until, F and release chains are built at depths 32 and 64, the
+    alternation family `<((a? + b?) ; … ; (a? + b?))* ; tt> c` at n = 8 and
+    12, and the minimal DFA of `build_dfa` on the F chains of depth 8 and
+    16.  Each example draws a trace of 0 to 200 letters over {a, b, c}, and
+    each formula must be seen both to hold and to fail; two explicit
+    examples alternate b and a, which F chains need.  The examples are
+    few because the 2AFA's run on a release chain costs about d^3 per letter
+    (up to 2 s for a 200-letter trace at depth 64).
+    """
+    ap = ("a", "b", "c")
+    texts = [chain(depth) for chain in (until_chain, eventually_chain, release_chain) for depth in (32, 64)]
+    texts += [alternation(n) for n in (8, 12)]
+    formulas = [parse_formula(text) for text in texts]
+    automata = [(AFA(core, ap), TwoAFA(core, ap)) for core in (to_dynamic_core(nnf(f)) for f in formulas)]
+    shallow = {text: parse_formula(text) for text in map(eventually_chain, (8, 16))}
+    dfas = [build_dfa(f, ap) for f in shallow.values()]
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=6, deadline=None, database=None)
+    @given(DEEP_TRACES)
+    @example(Trace(BA * 100))  # every F chain holds: it needs one letter per eventuality
+    @example(Trace(BA * 24))  # F chains up to depth 48 hold
+    def check(t):
+        for text, f, (one_way, two_way) in zip(texts, formulas, automata):
+            verdict = oracle.holds(f, t)
+            assert one_way.accepts(t) == verdict, (text[:24], t)
+            assert two_way.accepts(t) == verdict, (text[:24], t)
+            seen[text, verdict] += 1
+        for (text, f), dfa in zip(shallow.items(), dfas):
+            verdict = oracle.holds(f, t)
+            assert dfa_accepts(dfa, t) == verdict, (text, t)
+            seen[text, verdict] += 1
+
+    check()
+    assert all(seen[text, True] and seen[text, False] for text in [*texts, *shallow]), seen
