@@ -5,15 +5,23 @@ order and letters in canonical order.  Alternating transitions whose
 image needs several successor states at once are routed through a small
 conjunction node: a transition is read as a disjunction of leaf sets, from
 its And nodes `(True, left, right)` and Or nodes `(False, left, right)`.
+That form can be exponential in the transition, so one rendering draws at
+most MAX_DISJUNCTS disjuncts, and the product that would pass it raises
+SizeLimitError (stage "dot") before it is built.
 """
 
 from __future__ import annotations
 
 from . import formula as fm
 from .afa import AFA, BEGIN, END, PBF, MoveRef, Weak, _Marker
+from .errors import SizeLimitError
 from .fa import DFA, NFA
 from .twafa import TwoAFA
 from .trace import format_letter, letters_over
+
+# Disjuncts, each one edge or one conjunction node, that one rendering may
+# draw: a release chain's 2AFA needs about 2^(d + 3) at depth d.
+MAX_DISJUNCTS = 2**16
 
 
 def _quote(text: str) -> str:
@@ -32,8 +40,21 @@ def _cell_label(m) -> str:
     return format_letter(m)
 
 
-def _dnf(pbf: PBF) -> list[tuple]:
-    """Disjuncts of leaf sets; each set is one hyper-edge."""
+def _check_size(rendered: int, more: int) -> None:
+    """SizeLimitError when `more` disjuncts after the `rendered` ones pass MAX_DISJUNCTS."""
+    if rendered + more > MAX_DISJUNCTS:
+        raise SizeLimitError(
+            f"DOT rendering needs more than {MAX_DISJUNCTS} disjuncts",
+            stage="dot", limit=MAX_DISJUNCTS, reached=rendered + more,
+        )
+
+
+def _dnf(pbf: PBF, rendered: int) -> list[tuple]:
+    """Disjuncts of leaf sets; each set is one hyper-edge.
+
+    Each product is sized before it is built: SizeLimitError when it and
+    the `rendered` disjuncts of the transitions before it pass MAX_DISJUNCTS.
+    """
     match pbf:
         case True:  # literal patterns compare True and False by identity
             return [()]
@@ -42,10 +63,12 @@ def _dnf(pbf: PBF) -> list[tuple]:
         case int() | MoveRef():  # after the constants: True and False are ints too
             return [(pbf,)]
         case (True, l, r):
-            return [a + b for a in _dnf(l) for b in _dnf(r)]
+            left, right = _dnf(l, rendered), _dnf(r, rendered)
+            _check_size(rendered, len(left) * len(right))
+            return [a + b for a in left for b in right]
         case (False, l, r):
-            out = _dnf(l)
-            for leaves in _dnf(r):
+            out = _dnf(l, rendered)
+            for leaves in _dnf(r, rendered):
                 if leaves not in out:
                     out.append(leaves)
             return out
@@ -61,8 +84,11 @@ def _leaf_target(leaf) -> tuple[int, str]:
 def _alternating_body(image_items) -> list[str]:
     lines: list[str] = []
     used_accept_all = False
+    rendered = 0
     for edge_id, (q, label, pbf) in enumerate(image_items):
-        dnf = _dnf(pbf)
+        dnf = _dnf(pbf, rendered)
+        _check_size(rendered, len(dnf))
+        rendered += len(dnf)
         for d, leaves in enumerate(dnf):
             if len(leaves) == 1:
                 target, move = _leaf_target(leaves[0])

@@ -56,6 +56,8 @@ class SizeLimitError(_LimitError):
 
     `stage` is "letters" when an alphabet has too many atoms to spell out
     its letters, with `limit` the atom bound and `reached` the atom count,
-    and "enumeration" when a trace enumeration is too large.  Its `reached`
-    is None when the bound compares exponents, as the size is never built.
+    "enumeration" when a trace enumeration is too large, and "dot" when a
+    DOT rendering would draw more disjuncts than its bound.  The enumeration
+    error's `reached` is None when the bound compares exponents, as the size
+    is never built.
     """

@@ -42,7 +42,9 @@ from typing import Iterator
 from . import formula as fm
 from .afa import AFA, StateSet, _join, _set_order, _submasks
 from .errors import BudgetError
-from .trace import Trace, accepted_words, check_enumeration_bound, check_letters, letters_over, outside_alphabet
+from .trace import (
+    Trace, accepted_words, check_enumeration_bound, check_letters, letters_over, outside_alphabet, traces_of,
+)
 
 DEFAULT_BUDGET = 2**20
 
@@ -291,11 +293,12 @@ def enumerate_accepted(dfa: DFA, max_len: int) -> Iterator[Trace]:
 
     Each DFA row becomes its `(letter, successor)` pairs in that order, and
     `trace.accepted_words` walks only successors that accept in the letters
-    left, so only accepted words become `Trace`s.  The table costs
-    O(max_len * states * letters), then each trace O(length).
+    left, so only accepted words become `Trace`s, each built by
+    `trace.traces_of` with no `__init__` frame.  The table costs
+    O(max_len * states * letters), then each trace O(length).  A generator:
+    the bound is checked on the first `next`.
     """
     check_enumeration_bound(dfa.ap, max_len)
     columns = [(letter, dfa._columns[letter]) for letter in letters_over(dfa.ap)]
     table = [tuple([(letter, row[a]) for letter, a in columns]) for row in dfa.transitions]
-    for letters in accepted_words(table, dfa.accepting, dfa.initial, range(max_len + 1)):
-        yield Trace(letters)
+    yield from traces_of(accepted_words(table, dfa.accepting, dfa.initial, range(max_len + 1)))

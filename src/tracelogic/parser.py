@@ -16,7 +16,14 @@ the printer reads too.  Prefix operators are collected in a loop and applied
 innermost first.  Every syntax error carries an exact 1-based line/column
 position.
 
-A trace builds no token list.  Its comments are overwritten by spaces,
+A trace in the form `format_trace` writes for an untimed, non-empty trace
+(`{` first, `}` last, no whitespace, comment or `@`) is read by C-level
+passes: the text splits on `};{`, each distinct step body splits on `,`
+into a letter, and each distinct name is checked against the atom rule once.
+A name that fails the rule sends the text to the step scanner, which reads
+every other text and places every error.
+
+The scanner builds no token list.  Comments are overwritten by spaces,
 which keeps every offset, and one compiled pattern over the same ASCII
 classes reads a whole step: `{`, the names, `}`, an optional `@` stamp and
 the `;` that follows, with whitespace between them.  The letters of one call
@@ -68,6 +75,7 @@ _WS = r"[ \t\r\n]*"
 _NAMES = rf"{_WS}(?:{fm._ATOM_NAME}{_WS}(?:,{_WS}{fm._ATOM_NAME}{_WS})*)?"
 _STEP_RE = re.compile(rf"{_WS}\{{({_NAMES})\}}{_WS}(?:@{_WS}([0-9]+){_WS})?(;|\Z)")
 _COMMENT_RE = re.compile(r"%[^\n]*")
+_ATOM_MATCH = fm._ATOM_RE.match
 
 
 def _tokenize(src: str, pos: int = 0) -> list[tuple[str, str, int, int]]:
@@ -297,8 +305,31 @@ def parse_formula(src: str) -> fm.Formula:
     return _run(src, _Parser.formula, "end of input")
 
 
+def _canonical_letters(src: str) -> tuple[Letter, ...] | None:
+    """The letters of `src` if it is in the untimed form `format_trace` writes, else None.
+
+    The text between the outer braces splits on `};{` into one body per
+    step, and each distinct body on `,` into one letter.  The body `""` is
+    `{}`, the empty letter.  Every name of the other letters must pass the
+    atom rule, checked once per distinct name: a space, a comment, a stamp
+    or any other symbol leaves some name that does not.
+    """
+    if src[:1] != "{" or src[-1:] != "}":
+        return None
+    bodies = src[1:-1].split("};{")
+    letters = {body: frozenset(body.split(",")) for body in set(bodies)}
+    empty = letters.pop("", None)  # {""}, which names no atom
+    if not all(map(_ATOM_MATCH, frozenset().union(*letters.values()))):
+        return None
+    if empty is not None:
+        letters[""] = frozenset()
+    return tuple(map(letters.__getitem__, bodies))
+
+
 def parse_trace(src: str) -> Trace | TimedTrace:
     """Parse `eps` or `;`-separated steps `{a,b}`, optionally all timed with `@t`."""
+    if (canonical := _canonical_letters(src)) is not None:
+        return Trace(canonical)
     letters: list[Letter] = []
     times: list[int] = []
     interned: dict[str, Letter] = {}

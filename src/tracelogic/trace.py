@@ -2,7 +2,9 @@
 
 `accepted_words` walks an explicit successor table depth-first and enters
 only successors that still accept in the letters left; `fa.enumerate_accepted`
-and `metric.enumerate_models` both enumerate through it.
+and `metric.enumerate_models` both enumerate through it.  `traces_of` builds
+the `Trace` of each enumerated word, for `enumerate_traces` and
+`fa.enumerate_accepted`, with no Python frame per trace.
 """
 
 from __future__ import annotations
@@ -44,6 +46,20 @@ class TimedTrace:
 
 
 EMPTY_TRACE = Trace(())
+
+
+def traces_of(words) -> Iterator[Trace]:
+    """One new `Trace` per word of `words`, each built with no `__init__` frame.
+
+    Each is a bare `Trace` whose `letters` slot is filled through the slot's
+    descriptor, which the frozen `__setattr__` does not guard.  `Trace`
+    defines no `__post_init__`, so that skips no check.
+    """
+    new, fill = object.__new__, Trace.letters.__set__
+    for word in words:
+        t = new(Trace)
+        fill(t, word)
+        yield t
 
 
 def resolve_alphabet(names, ap=None) -> tuple[str, ...]:
@@ -109,8 +125,7 @@ def enumerate_traces(ap, max_len: int) -> Iterator[Trace]:
     check_enumeration_bound(ap, max_len)
     alphabet = letters_over(ap)
     for length in range(max_len + 1):
-        for combo in product(alphabet, repeat=length):
-            yield Trace(combo)
+        yield from traces_of(product(alphabet, repeat=length))
 
 
 def accepted_words(table, accepting, start: int, lengths) -> Iterator[tuple[Letter, ...]]:

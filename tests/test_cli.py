@@ -8,14 +8,16 @@ import sys
 
 import pytest
 
-from conftest import random_core_formula, renamed
+from conftest import random_core_formula, release_chain, renamed
 from tracelogic.cli import _size, run
 from tracelogic.dot import to_dot
 from tracelogic.fa import build_dfa
 from tracelogic.afa import AFA
+from tracelogic.errors import SizeLimitError
 from tracelogic.formula import And, nnf, to_dynamic_core
 from tracelogic.parser import parse_formula
 from tracelogic.trace import letters_over
+from tracelogic.twafa import TwoAFA
 
 
 def invoke(*argv):
@@ -262,6 +264,23 @@ def test_afa_size_over_seventeen_atoms(tmp_path):
     assert (code, out) == (3, "")
     assert err == "limit exceeded: alphabet of 17 atoms has more than 2^16 letters to spell out\n"
     assert not (tmp_path / "out.dot").exists()
+
+
+def test_dot_of_a_deep_release_chain_exits_three(tmp_path):
+    """A release chain's 2AFA draws about 2^(d + 3) disjuncts: depth 12 renders, depth 16 passes the bound.
+
+    The product that would pass 2^16 disjuncts raises before it is built,
+    and the CLI writes no DOT file.
+    """
+    shallow = to_dot(TwoAFA(to_dynamic_core(nnf(parse_formula(release_chain(12))))))
+    assert (len(shallow), shallow.count(" -> ")) == (14_296_291, 426_089)
+    with pytest.raises(SizeLimitError) as limit:
+        to_dot(TwoAFA(to_dynamic_core(nnf(parse_formula(release_chain(16))))))
+    assert (limit.value.stage, limit.value.limit, limit.value.reached) == ("dot", 2**16, 2**16 + 2)
+    path = tmp_path / "out.dot"
+    code, out, err = invoke("compile", "-f", release_chain(16), "--to", "2afa", "--dot", str(path))
+    assert (code, out, err) == (3, "", "limit exceeded: DOT rendering needs more than 65536 disjuncts\n")
+    assert not path.exists()
 
 
 def test_afa_size_matches_a_count_over_every_letter():

@@ -253,28 +253,39 @@ def test_enumeration_of_words_that_end_at_an_exact_length():
 
 
 def test_enumeration_builds_only_accepted_traces(monkeypatch):
-    """Every `Trace` built is yielded, and no word is rerun through `dfa_accepts`."""
+    """Every `Trace` built is yielded, one new object per word, and no word is rerun through `dfa_accepts`.
+
+    Enumeration builds its traces through `trace.traces_of` alone; the
+    counter takes each trace as the helper yields it, and `Trace` itself
+    must not be called.
+    """
     built = []
-    counted = fa.Trace
+    helper = fa.traces_of
 
-    def counting(letters):
-        built.append(None)
-        return counted(letters)
+    def counting(words):
+        for t in helper(words):
+            built.append(t)
+            yield t
 
-    def no_rerun(*args):
-        raise AssertionError("dfa_accepts called during enumeration")
+    def refused(name):
+        def call(*args):
+            raise AssertionError(f"{name} called during enumeration")
 
-    monkeypatch.setattr(fa, "Trace", counting)
-    monkeypatch.setattr(fa, "dfa_accepts", no_rerun)
-    yielded = 0
+        return call
+
+    monkeypatch.setattr(fa, "traces_of", counting)
+    monkeypatch.setattr(fa, "Trace", refused("Trace"))
+    monkeypatch.setattr(fa, "dfa_accepts", refused("dfa_accepts"))
+    yielded = []
     ap = ("a", "b", "c", "d")
     for src in ("G (a -> F b)", "a U (b | c)", "F a & G !(b & d)", "<(a? ; (b | c))*> d", "G (a -> WX !b)"):
         dfa = build_dfa(parse_formula(src), ap)
         for source in (dfa, complement(dfa)):
-            yielded += sum(1 for _ in enumerate_accepted(source, 3))
-    assert len(built) == yielded
+            yielded += enumerate_accepted(source, 3)
+    assert len(built) == len(yielded) and all(a is b for a, b in zip(built, yielded))
+    assert len({id(t) for t in yielded}) == len(yielded)  # all alive, so distinct ids are distinct objects
     # Each formula and its complement split the 4,369 words of length 3 or less over four atoms.
-    assert yielded == 5 * sum(16**n for n in range(4))
+    assert len(yielded) == 5 * sum(16**n for n in range(4))
 
 
 def test_complement_partitions():

@@ -95,6 +95,30 @@ def test_parse_trace_eps_and_empty_letters():
     assert parse_trace("{a,b};{}") == Trace((frozenset({"a", "b"}), frozenset()))
 
 
+def test_canonical_traces_read_by_splitting():
+    """Texts in the form `format_trace` writes read as the scanner reads them; a name off the atom rule is its error."""
+    a, ab, empty = frozenset({"a"}), frozenset({"a", "b"}), frozenset()
+    assert parse_trace("{};{}") == Trace((empty, empty))
+    assert parse_trace("{a,b};{};{b,a,a};{a}") == Trace((ab, empty, ab, a))
+    t = parse_trace("{a};{tt,eps};{a}")
+    assert t == Trace((a, frozenset({"tt", "eps"}), a)) and t.letters[0] is t.letters[2]
+    for text, column, expected, found in (
+        ("{a};{B}", 6, "an atom", "'B'"),
+        ("{a};{b,}", 8, "an atom", "'}'"),
+        ("{a,,b}", 4, "an atom", "','"),
+        ("{a};;{b}", 5, "'{'", "';'"),
+        ("{a}};{b}", 4, "';' or end of input", "'}'"),
+        ("{a};{b}@1;{c}", 5, "an untimed step (no '@')", "a timestamp"),
+    ):
+        with pytest.raises(ParseError) as error:
+            parse_trace(text)
+        assert (error.value.line, error.value.column, error.value.expected, error.value.found) == (
+            1, column, expected, found,
+        ), text
+    # Spaces and comments leave names off the rule, and the scanner reads them.
+    assert parse_trace("{a} ;{b}") == parse_trace("{a};{b}%;{c}") == Trace((a, frozenset({"b"})))
+
+
 def test_parse_trace_errors():
     with pytest.raises(ParseError):
         parse_trace("{a}@5;{b}@3")  # decreasing timestamps

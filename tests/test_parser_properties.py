@@ -2,9 +2,10 @@
 
 `derandomize=True` makes every run draw the same examples, so these are
 reproducible tier-1 tests; each property also checks that its strategy
-reached every node type.  The last property holds the one-pass trace
-scanner to the token grammar of `reference_parser.py` on long, spaced,
-commented and mutated trace texts.
+reached every node type.  The last property holds the trace parser, the
+split of canonical texts and the one-pass step scanner, to the token grammar
+of `reference_parser.py` on long, spaced, commented, canonical and mutated
+trace texts.
 """
 
 import dataclasses
@@ -176,11 +177,12 @@ _INSERT = "{},;@%\n \t\r0179abzeA_$" + "\u0663" * 6 + "\u00b2" * 2 + "\x0b\x0c\x
 _TRACE_NAMES = ("a", "b", "c", "x_1", "aZ9", "eps", "tt", "not")
 
 
-def _trace_text(rng: random.Random, steps: int, timed: bool, odd: int = -1) -> str:
-    """`eps` or `steps` steps, with a gap before every token.
+def _trace_text(rng: random.Random, steps: int, timed: bool, odd: int = -1, canonical: bool = False) -> str:
+    """`eps` or `steps` steps, with a gap before every token unless `canonical`.
 
     Stamps grow by 0, 1, 7 or up to 10**40; step `odd` alone is timed in an
-    untimed trace, or alone untimed in a timed one.
+    untimed trace, or alone untimed in a timed one.  A `canonical` text is
+    untimed, with no gap and no comment: the form `format_trace` writes.
     """
     if steps == 0:
         tokens = ["eps"]
@@ -196,6 +198,8 @@ def _trace_text(rng: random.Random, steps: int, timed: bool, odd: int = -1) -> s
             time += rng.choice((0, 1, 7, 10 ** rng.randint(1, 40)))
             if timed != (k == odd):
                 tokens += ["@", str(time)]
+    if canonical:
+        return "".join(tokens)
     text = "".join(rng.choice(_GAPS) + token for token in tokens) + rng.choice(_GAPS)
     # Input that ends inside a comment.
     return text + "% end" if rng.random() < 0.2 else text
@@ -210,23 +214,30 @@ def _read(parse, text: str):
 
 
 def test_trace_scanner_agrees_with_the_token_grammar():
+    """The scanner, and the split of canonical texts before it, read what the token grammar reads.
+
+    The `canonical` mutations draw untimed texts with no gap, which the
+    split reads, and insert or delete one character, which it must refuse
+    or read alike.
+    """
     seen = set()
 
     @SETTINGS
     @given(
         st.integers(0, 400),
         st.booleans(),
-        st.sampled_from(("none", "insert", "delete", "odd step")),
+        st.sampled_from(("none", "insert", "delete", "odd step", "canonical", "canonical insert", "canonical delete")),
         st.integers(0, 2**32 - 1),
     )
     def check(steps, timed, mutation, seed):
         rng = random.Random(seed)
         odd = rng.randrange(steps) if mutation == "odd step" and steps else -1
-        text = _trace_text(rng, steps, timed, odd)
+        canonical = mutation.startswith("canonical")
+        text = _trace_text(rng, steps, timed and not canonical, odd, canonical)
         at = rng.randint(0, len(text))
-        if mutation == "insert":
+        if mutation.endswith("insert"):
             text = text[:at] + rng.choice(_INSERT) + text[at:]
-        elif mutation == "delete":
+        elif mutation.endswith("delete"):
             text = text[:at] + text[at + 1 :]
         outcome = _read(parse_trace, text)
         assert outcome == _read(token_parse_trace, text)
@@ -236,4 +247,5 @@ def test_trace_scanner_agrees_with_the_token_grammar():
 
     check()
     every = {("none", "Trace"), ("none", "TimedTrace"), ("insert", "error"), ("delete", "error"), ("odd step", "error")}
+    every |= {("canonical", "Trace"), ("canonical insert", "error"), ("canonical delete", "error")}
     assert every | {"300+ steps"} <= seen, every - seen

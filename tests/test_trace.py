@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,7 @@ from tracelogic.trace import (
     format_trace,
     letters_over,
     resolve_alphabet,
+    traces_of,
 )
 from tracelogic.twafa import TwoAFA
 
@@ -136,6 +138,25 @@ def test_format_examples():
 def test_format_round_trip():
     for t in enumerate_traces(("a", "b"), 3):
         assert parse_trace(format_trace(t)) == t
+
+
+def test_helper_traces_are_plain_frozen_traces():
+    """`traces_of` builds one new `Trace` per word that equals, hashes and prints like `Trace(word)`.
+
+    It skips `__init__`, which checks nothing only while `Trace` has no
+    `__post_init__`; its traces stay frozen.
+    """
+    assert not hasattr(Trace, "__post_init__")
+    words = [(), (frozenset(),), (frozenset({"a"}), frozenset()), (frozenset({"a"}), frozenset())]
+    built = list(traces_of(iter(words)))
+    assert len(built) == len(words) and len({id(t) for t in built}) == len(words)
+    for t, word in zip(built, words):
+        assert type(t) is Trace and t.letters is word
+        assert t == Trace(word) and hash(t) == hash(Trace(word)) and repr(t) == repr(Trace(word))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.letters = ()
+        assert t.letters is word
+    assert list(traces_of([])) == []
 
 
 def test_timed_trace_validation():
