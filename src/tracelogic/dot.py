@@ -66,10 +66,12 @@ def _dnf(pbf: PBF, rendered: int) -> list[tuple]:
             left, right = _dnf(l, rendered), _dnf(r, rendered)
             _check_size(rendered, len(left) * len(right))
             return [a + b for a in left for b in right]
-        case (False, l, r):
+        case (False, l, r):  # the left's own duplicates, which products make, are kept
             out = _dnf(l, rendered)
+            seen = set(out)
             for leaves in _dnf(r, rendered):
-                if leaves not in out:
+                if leaves not in seen:
+                    seen.add(leaves)
                     out.append(leaves)
             return out
     raise TypeError(f"not a transition formula: {pbf!r}")

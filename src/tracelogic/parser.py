@@ -16,21 +16,18 @@ the printer reads too.  Prefix operators are collected in a loop and applied
 innermost first.  Every syntax error carries an exact 1-based line/column
 position.
 
-A trace in the form `format_trace` writes for an untimed, non-empty trace
-(`{` first, `}` last, no whitespace, comment or `@`) is read by C-level
-passes: the text splits on `};{`, each distinct step body splits on `,`
-into a letter, and each distinct name is checked against the atom rule once.
-A name that fails the rule sends the text to the step scanner, which reads
-every other text and places every error.
-
-The scanner builds no token list.  Comments are overwritten by spaces,
-which keeps every offset, and one compiled pattern over the same ASCII
-classes reads a whole step: `{`, the names, `}`, an optional `@` stamp and
-the `;` that follows, with whitespace between them.  The letters of one call
-are interned by the text between the braces.  Where no step matches, the
-tokens of the input from that offset give `eps` or the error, so a trace
-reports what a token parse reports: a character that starts no token first,
-wherever it stands after that offset.
+A trace has two readers.  The first splits: a text in the form
+`format_trace` writes (`{` first, the steps joined by `;`, no whitespace or
+comment) splits on `};{`, or on `;{` and `}@` when it is timed, and each
+distinct step body splits on `,` into a letter.  Every distinct name is
+checked against the atom rule once, every stamp must be ASCII digits that
+`int` converts, and the stamps must not decrease.  A text it refuses is tried
+once more without its comments and without its whitespace, unless whitespace
+separates two word characters: no two word tokens meet in a valid trace, so
+that whitespace is an error, and all other whitespace is insignificant.  The
+second reader is the token grammar's `trace` production, for `eps` and for
+every error, so an error reports what a token parse reports: a character that
+starts no token first, wherever it stands.
 """
 
 from __future__ import annotations
@@ -69,20 +66,16 @@ _STAR = fm.POSTFIX_SYNTAX[fm.Star]
 _TEST = fm.POSTFIX_SYNTAX[fm.Test]
 _METRIC_HEAD = fm.METRIC_SYNTAX[fm.MetricNext]
 
-# One trace step, read after its comments are blanked out: group 1 is the
-# text between the braces, 2 the stamp, 3 the `;` if another step follows.
-_WS = r"[ \t\r\n]*"
-_NAMES = rf"{_WS}(?:{fm._ATOM_NAME}{_WS}(?:,{_WS}{fm._ATOM_NAME}{_WS})*)?"
-_STEP_RE = re.compile(rf"{_WS}\{{({_NAMES})\}}{_WS}(?:@{_WS}([0-9]+){_WS})?(;|\Z)")
+# Whitespace between two word characters, which no valid trace holds.
+_WORD_GAP_RE = re.compile(r"[A-Za-z0-9_][ \t\r\n]+[A-Za-z0-9_]")
+_NO_SPACES = dict.fromkeys(map(ord, " \t\r\n"))  # a `str.translate` table that deletes them
 _COMMENT_RE = re.compile(r"%[^\n]*")
-_ATOM_MATCH = fm._ATOM_RE.match
 
 
-def _tokenize(src: str, pos: int = 0) -> list[tuple[str, str, int, int]]:
-    """The tokens of `src` from offset `pos`, which must not lie inside a token or a comment."""
+def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
     tokens = []
-    line, line_start = src.count("\n", 0, pos) + 1, src.rfind("\n", 0, pos) + 1
-    for m in _TOKEN_RE.finditer(src, pos):
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(src):
         kind = m.lastgroup
         if kind == "newline":
             line += 1
@@ -113,8 +106,8 @@ def _natural(tok: tuple[str, str, int, int]) -> int:
 
 
 class _Parser:
-    def __init__(self, src: str, pos: int = 0):
-        self.tokens = _tokenize(src, pos)
+    def __init__(self, src: str):
+        self.tokens = _tokenize(src)
         self.i = 0
 
     def peek(self) -> tuple[str, str, int, int]:
@@ -253,6 +246,39 @@ class _Parser:
             self.fail("a propositional step guard or '?'")
         return fm.Step(leaf)
 
+    # -- traces ------------------------------------------------------------
+
+    def trace(self) -> Trace | TimedTrace:
+        if self.match("eps"):
+            return Trace(())
+        letters: list[Letter] = []
+        times: list[int] = []
+        while True:
+            _, _, line, column = self.peek()
+            letters.append(self.letter())
+            if self.match("@"):
+                if len(letters) > 1 and not times:
+                    raise ParseError(line, column, "an untimed step (no '@')", "a timestamp")
+                tok = self.expect("nat", "a timestamp")
+                time = _natural(tok)
+                if times and time < times[-1]:
+                    raise ParseError(tok[2], tok[3], f"a timestamp >= {times[-1]}", tok[1])
+                times.append(time)
+            elif times:
+                self.fail("'@' (all steps must be timed)")
+            if not self.match(";"):
+                return TimedTrace(tuple(letters), tuple(times)) if times else Trace(tuple(letters))
+
+    def letter(self) -> Letter:
+        self.expect("{", "'{'")
+        names = []
+        if not self.match("}"):
+            names.append(self.name())
+            while self.match(","):
+                names.append(self.name())
+            self.expect("}", "'}'")
+        return frozenset(names)
+
     # -- metric programs -----------------------------------------------------
 
     def program(self) -> MetricProgram:
@@ -305,81 +331,50 @@ def parse_formula(src: str) -> fm.Formula:
     return _run(src, _Parser.formula, "end of input")
 
 
-def _canonical_letters(src: str) -> tuple[Letter, ...] | None:
-    """The letters of `src` if it is in the untimed form `format_trace` writes, else None.
+def _split_trace(src: str) -> Trace | TimedTrace | None:
+    """The trace `src` in the form `format_trace` writes, else None.
 
-    The text between the outer braces splits on `};{` into one body per
-    step, and each distinct body on `,` into one letter.  The body `""` is
-    `{}`, the empty letter.  Every name of the other letters must pass the
-    atom rule, checked once per distinct name: a space, a comment, a stamp
-    or any other symbol leaves some name that does not.
+    Untimed text splits on `};{` into one body per step; timed text splits
+    on `;{` into steps and each step on its first `}@` into a body and a
+    stamp.  The body `""` is `{}`, the empty letter.  Every stamp must be
+    ASCII digits that `int` converts, the stamps must not decrease, and the
+    names of the other letters must pass the atom rule, checked once per
+    distinct name: a space, a comment or any other symbol leaves some name or
+    stamp that does not.
     """
-    if src[:1] != "{" or src[-1:] != "}":
+    if src[:1] != "{":
         return None
-    bodies = src[1:-1].split("};{")
+    if src[-1:] == "}":
+        bodies, times = src[1:-1].split("};{"), None
+    else:
+        bodies, _, stamps = zip(*[step.partition("}@") for step in src[1:].split(";{")])
+        digits = "".join(stamps)
+        if "" in stamps or not (digits.isascii() and digits.isdigit()):  # "" where a step lacks `}@`
+            return None
+        try:
+            times = tuple(map(int, stamps))
+        except ValueError:  # past the digit limit; the grammar places the error
+            return None
+        if list(times) != sorted(times):
+            return None
     letters = {body: frozenset(body.split(",")) for body in set(bodies)}
     empty = letters.pop("", None)  # {""}, which names no atom
-    if not all(map(_ATOM_MATCH, frozenset().union(*letters.values()))):
+    if not all(map(fm._ATOM_RE.match, frozenset().union(*letters.values()))):
         return None
     if empty is not None:
         letters[""] = frozenset()
-    return tuple(map(letters.__getitem__, bodies))
+    steps = tuple(map(letters.__getitem__, bodies))
+    return Trace(steps) if times is None else TimedTrace(steps, times)
 
 
 def parse_trace(src: str) -> Trace | TimedTrace:
     """Parse `eps` or `;`-separated steps `{a,b}`, optionally all timed with `@t`."""
-    if (canonical := _canonical_letters(src)) is not None:
-        return Trace(canonical)
-    letters: list[Letter] = []
-    times: list[int] = []
-    interned: dict[str, Letter] = {}
-    # Spaces in place of comments keep every offset where it was.
-    text = _COMMENT_RE.sub(lambda c: " " * len(c[0]), src) if "%" in src else src
-    step = _STEP_RE.match
-    pos = 0
-    try:
-        while m := step(text, pos):
-            body, stamp, more = m.groups()
-            if stamp is None:
-                if times:
-                    break
-            else:
-                time = int(stamp)
-                if len(times) != len(letters) or times and time < times[-1]:
-                    break
-                times.append(time)
-            letter = interned.get(body)
-            if letter is None:
-                letter = interned[body] = frozenset(body.replace(",", " ").split())
-            letters.append(letter)
-            if not more:
-                return TimedTrace(tuple(letters), tuple(times)) if times else Trace(tuple(letters))
-            pos = m.end()
-    except ValueError:  # from `int(stamp)` only, past the digit limit; the tokens below place the error
-        pass
-    # The text at `pos` is no step, or one that breaks the stamp rules: its tokens give `eps` or the error.
-    p = _Parser(src, pos)
-    if not letters and p.match("eps"):
-        if p.peek()[0] == "eof":
-            return Trace(())
-        p.fail("';' or end of input")
-    _, _, line, column = p.peek()
-    p.expect("{", "'{'")
-    if not p.match("}"):
-        p.name()
-        while p.match(","):
-            p.name()
-        p.expect("}", "'}'")
-    if p.match("@"):
-        if letters and not times:
-            raise ParseError(line, column, "an untimed step (no '@')", "a timestamp")
-        tok = p.expect("nat", "a timestamp")
-        time = _natural(tok)
-        if times and time < times[-1]:
-            raise ParseError(tok[2], tok[3], f"a timestamp >= {times[-1]}", tok[1])
-    elif times:
-        p.fail("'@' (all steps must be timed)")
-    p.fail("';' or end of input")  # the step is whole, so this token is neither ';' nor the end
+    trace = _split_trace(src)
+    if trace is None:
+        text = _COMMENT_RE.sub("", src) if "%" in src else src
+        if not _WORD_GAP_RE.search(text):
+            trace = _split_trace(text.translate(_NO_SPACES))
+    return trace if trace is not None else _run(src, _Parser.trace, "';' or end of input")
 
 
 def parse_program(src: str) -> MetricProgram:

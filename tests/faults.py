@@ -175,7 +175,7 @@ FAULTS = (
     ),
     Fault(  # a canonical text read whatever its names are: spaces, stamps and bad names go through
         "canonical-trace-skips-the-atom-check", "parser.py",
-        "if not all(map(_ATOM_MATCH, frozenset().union(*letters.values()))):", "if False:",
+        "if not all(map(fm._ATOM_RE.match, frozenset().union(*letters.values()))):", "if False:",
         (
             "tests/test_parser.py::test_canonical_traces_read_by_splitting",
             "tests/test_parser_properties.py::test_trace_scanner_agrees_with_the_token_grammar",
@@ -188,6 +188,31 @@ FAULTS = (
             "tests/test_parser.py::test_parse_trace_eps_and_empty_letters",
             "tests/test_parser.py::test_canonical_traces_read_by_splitting",
             "tests/test_parser_properties.py::test_trace_round_trip",
+        ),
+    ),
+    Fault(  # a stamp of digits that are not ASCII, such as `٣`, read by `int` as a number
+        "split-trace-stamps-checked-with-isdigit-alone", "parser.py",
+        "not (digits.isascii() and digits.isdigit())", "not digits.isdigit()",
+        (
+            "tests/test_parser.py::test_tokens_are_ascii",
+            "tests/test_parser.py::test_canonical_traces_read_by_splitting",
+        ),
+    ),
+    Fault(  # decreasing stamps reach `TimedTrace`, whose ValueError is no ParseError
+        "split-trace-skips-the-decreasing-stamp-check", "parser.py",
+        "        if list(times) != sorted(times):\n            return None\n", "",
+        (
+            "tests/test_parser.py::test_parse_trace_errors",
+            "tests/test_parser.py::test_canonical_traces_read_by_splitting",
+            "tests/test_parser_properties.py::test_trace_scanner_agrees_with_the_token_grammar",
+        ),
+    ),
+    Fault(  # whitespace deleted between word characters, so `{a b}` reads as `{ab}`
+        "split-trace-skips-the-word-gap-check", "parser.py",
+        "if not _WORD_GAP_RE.search(text):", "if True:",
+        (
+            "tests/test_parser.py::test_canonical_traces_read_by_splitting",
+            "tests/test_parser_properties.py::test_trace_scanner_agrees_with_the_token_grammar",
         ),
     ),
     Fault(  # words listed in the DFA's column order, not in the order of `letters_over`

@@ -1,10 +1,11 @@
-"""The trace grammar as it was read before the one-pass step scanner.
+"""The trace grammar written out on the token list, as the reference for the trace parser.
 
-`parse_trace` here is the token production that `tracelogic.parser` used
-for traces: the whole input goes through `_tokenize` first, so a character
-that starts no token is reported before any grammar error, and `trace` and
+`parse_trace` here tokenizes the whole input first, so a character that
+starts no token is reported before any grammar error, and `trace` and
 `letter` then consume the `(kind, text, line, column)` tuples one at a time.
-`test_parser_properties.py` requires the scanner to return the same value,
+`tracelogic.parser` reads every valid trace by splitting and gives `eps` and
+every error from its own `trace` production, which this one overrides.
+`test_parser_properties.py` requires the library to return the same value,
 or raise a `ParseError` with the same fields, on long generated and mutated
 trace texts.  The file name does not match `test_*.py`, so pytest does not
 collect it.

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import random_core_formula, release_chain, renamed
 from tracelogic.cli import _size, run
-from tracelogic.dot import to_dot
+from tracelogic.dot import _dnf, to_dot
 from tracelogic.fa import build_dfa
 from tracelogic.afa import AFA
 from tracelogic.errors import SizeLimitError
@@ -281,6 +281,18 @@ def test_dot_of_a_deep_release_chain_exits_three(tmp_path):
     code, out, err = invoke("compile", "-f", release_chain(16), "--to", "2afa", "--dot", str(path))
     assert (code, out, err) == (3, "", "limit exceeded: DOT rendering needs more than 65536 disjuncts\n")
     assert not path.exists()
+
+
+def test_dnf_keeps_the_duplicates_of_products():
+    """A product keeps its duplicate leaf sets, and a disjunction keeps its left side's: the bytes depend on it.
+
+    The right side of a disjunction adds only the sets not drawn yet, its own
+    duplicates included.
+    """
+    product = (True, (False, 1, (True, 1, 2)), (False, (True, 2, 3), 3))
+    assert _dnf(product, 0) == [(1, 2, 3), (1, 3), (1, 2, 2, 3), (1, 2, 3)]
+    assert _dnf((False, product, product), 0) == _dnf(product, 0)
+    assert _dnf((False, 3, product), 0) == [(3,), (1, 2, 3), (1, 3), (1, 2, 2, 3)]
 
 
 def test_afa_size_matches_a_count_over_every_letter():

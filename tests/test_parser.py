@@ -96,12 +96,20 @@ def test_parse_trace_eps_and_empty_letters():
 
 
 def test_canonical_traces_read_by_splitting():
-    """Texts in the form `format_trace` writes read as the scanner reads them; a name off the atom rule is its error."""
-    a, ab, empty = frozenset({"a"}), frozenset({"a", "b"}), frozenset()
+    """Texts in the form `format_trace` writes, timed or not, read as the token grammar reads them.
+
+    A name off the atom rule, a stamp that is missing, not ASCII digits or
+    smaller than the one before, and whitespace between two word characters
+    are errors that the grammar places.  Other whitespace and comments are
+    insignificant.
+    """
+    a, b, ab, empty = frozenset({"a"}), frozenset({"b"}), frozenset({"a", "b"}), frozenset()
     assert parse_trace("{};{}") == Trace((empty, empty))
     assert parse_trace("{a,b};{};{b,a,a};{a}") == Trace((ab, empty, ab, a))
     t = parse_trace("{a};{tt,eps};{a}")
     assert t == Trace((a, frozenset({"tt", "eps"}), a)) and t.letters[0] is t.letters[2]
+    t = parse_trace("{a}@0;{a,b}@5;{}@5;{a}@007")
+    assert t == TimedTrace((a, ab, empty, a), (0, 5, 5, 7)) and t.letters[0] is t.letters[3]
     for text, column, expected, found in (
         ("{a};{B}", 6, "an atom", "'B'"),
         ("{a};{b,}", 8, "an atom", "'}'"),
@@ -109,14 +117,26 @@ def test_canonical_traces_read_by_splitting():
         ("{a};;{b}", 5, "'{'", "';'"),
         ("{a}};{b}", 4, "';' or end of input", "'}'"),
         ("{a};{b}@1;{c}", 5, "an untimed step (no '@')", "a timestamp"),
+        ("{a}@5;{b}@3", 11, "a timestamp >= 5", "3"),
+        ("{a}@1;{b}", 10, "'@' (all steps must be timed)", "end of input"),
+        ("{a}@1;{b};{c}@2", 10, "'@' (all steps must be timed)", "';'"),
+        ("{a}@;{b}@1", 5, "a timestamp", "';'"),
+        ("{a}@1٣;{b}@20", 6, "a token", "'٣'"),
+        ("{a}@1;{b}@5;", 13, "'{'", "end of input"),
+        ("{a}@1}@2", 6, "';' or end of input", "'}'"),
+        ("{a b}", 4, "'}'", "'b'"),
+        ("{a}@1 2", 7, "';' or end of input", "'2'"),
+        ("{a}@1;{b} @ 2 3", 15, "';' or end of input", "'3'"),
     ):
         with pytest.raises(ParseError) as error:
             parse_trace(text)
         assert (error.value.line, error.value.column, error.value.expected, error.value.found) == (
             1, column, expected, found,
         ), text
-    # Spaces and comments leave names off the rule, and the scanner reads them.
-    assert parse_trace("{a} ;{b}") == parse_trace("{a};{b}%;{c}") == Trace((a, frozenset({"b"})))
+    assert parse_trace("{a} ;{b}") == parse_trace("{a};{b}%;{c}") == Trace((a, b))
+    assert parse_trace(" { a } @ 0 ;\n{b}@5 % x") == parse_trace("{a % c\n}@0;\r\n{b}@5") == TimedTrace((a, b), (0, 5))
+    assert parse_trace("{a,\n b}@1 % c\n;{b}@1") == TimedTrace((ab, b), (1, 1))
+    assert parse_trace(" eps % the empty trace") == Trace(())
 
 
 def test_parse_trace_errors():
@@ -179,6 +199,7 @@ def test_trace_round_trip_random():
         (parse_trace, "{a}@²", 5, "²"),
         (parse_formula, "X[²,3) a", 3, "²"),
         (parse_trace, "{a}@1;{b}@٣", 11, "٣"),
+        (parse_trace, "{a}@٣;{b}@5", 5, "٣"),
         (parse_formula, "aé", 2, "é"),
         (parse_trace, "{é}", 2, "é"),
     ],

@@ -2,10 +2,10 @@
 
 `derandomize=True` makes every run draw the same examples, so these are
 reproducible tier-1 tests; each property also checks that its strategy
-reached every node type.  The last property holds the trace parser, the
-split of canonical texts and the one-pass step scanner, to the token grammar
-of `reference_parser.py` on long, spaced, commented, canonical and mutated
-trace texts.
+reached every node type.  The last property holds the trace parser, whose
+split reader reads every valid trace and whose `trace` production gives
+`eps` and every error, to the token grammar of `reference_parser.py` on
+long, spaced, commented, canonical and mutated trace texts, timed or not.
 """
 
 import dataclasses
@@ -181,8 +181,8 @@ def _trace_text(rng: random.Random, steps: int, timed: bool, odd: int = -1, cano
     """`eps` or `steps` steps, with a gap before every token unless `canonical`.
 
     Stamps grow by 0, 1, 7 or up to 10**40; step `odd` alone is timed in an
-    untimed trace, or alone untimed in a timed one.  A `canonical` text is
-    untimed, with no gap and no comment: the form `format_trace` writes.
+    untimed trace, or alone untimed in a timed one.  A `canonical` text has
+    no gap and no comment: the form `format_trace` writes.
     """
     if steps == 0:
         tokens = ["eps"]
@@ -214,11 +214,13 @@ def _read(parse, text: str):
 
 
 def test_trace_scanner_agrees_with_the_token_grammar():
-    """The scanner, and the split of canonical texts before it, read what the token grammar reads.
+    """The split reader, and the `trace` production behind it, read what the token grammar reads.
 
-    The `canonical` mutations draw untimed texts with no gap, which the
-    split reads, and insert or delete one character, which it must refuse
-    or read alike.
+    The `canonical` mutations draw texts with no gap, timed or not, which
+    the split reads as they are, and insert or delete one character, which
+    it must refuse or read alike.  The other mutations draw spaced and
+    commented texts, which it reads once their comments and whitespace are
+    gone.
     """
     seen = set()
 
@@ -233,7 +235,7 @@ def test_trace_scanner_agrees_with_the_token_grammar():
         rng = random.Random(seed)
         odd = rng.randrange(steps) if mutation == "odd step" and steps else -1
         canonical = mutation.startswith("canonical")
-        text = _trace_text(rng, steps, timed and not canonical, odd, canonical)
+        text = _trace_text(rng, steps, timed, odd, canonical)
         at = rng.randint(0, len(text))
         if mutation.endswith("insert"):
             text = text[:at] + rng.choice(_INSERT) + text[at:]
@@ -242,10 +244,13 @@ def test_trace_scanner_agrees_with_the_token_grammar():
         outcome = _read(parse_trace, text)
         assert outcome == _read(token_parse_trace, text)
         seen.add((mutation, outcome[0]))
+        if canonical and timed and steps:
+            seen.add(("timed " + mutation, outcome[0]))
         if steps >= 300:
             seen.add("300+ steps")
 
     check()
     every = {("none", "Trace"), ("none", "TimedTrace"), ("insert", "error"), ("delete", "error"), ("odd step", "error")}
     every |= {("canonical", "Trace"), ("canonical insert", "error"), ("canonical delete", "error")}
+    every |= {("canonical", "TimedTrace"), ("timed canonical insert", "error"), ("timed canonical delete", "error")}
     assert every | {"300+ steps"} <= seen, every - seen
