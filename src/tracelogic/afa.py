@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from . import formula as fm
 from . import oracle
 from .errors import UnsupportedOperatorError
-from .trace import Trace, check_letters, letters_over, outside_alphabet, resolve_alphabet
+from .trace import Trace, letters_over, outside_alphabet, resolve_alphabet
 
 
 @dataclass(frozen=True)
@@ -454,9 +454,9 @@ class AFA:
         return self.states.add(g)
 
     def accepts(self, t: Trace) -> bool:
-        check_letters(t, self.ap)
+        """Whether t is accepted; `delta`, building the rows in trace order, names t's first letter outside `ap`."""
         states = range(len(self.states))
-        rows = {letter: [self.delta(q, letter) for q in states] for letter in set(t.letters)}
+        rows = {letter: [self.delta(q, letter) for q in states] for letter in dict.fromkeys(t.letters)}
         values = self.final
         for letter in reversed(t.letters):
             values = [_holds(image, values, 0) for image in rows[letter]]

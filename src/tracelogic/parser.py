@@ -21,8 +21,9 @@ A trace has two readers.  The first splits: a text in the form
 comment) splits on `};{`, or on `;{` and `}@` when it is timed, and each
 distinct step body splits on `,` into a letter.  Every distinct name is
 checked against the atom rule once, every stamp must be ASCII digits that
-`int` converts, and the stamps must not decrease.  A text it refuses is tried
-once more without its comments and without its whitespace, unless whitespace
+`int` converts, and `TimedTrace`, the one owner of the rule that stamps do
+not decrease, must accept them.  A text it refuses is tried once more
+without its comments and without its whitespace, unless whitespace
 separates two word characters: no two word tokens meet in a valid trace, so
 that whitespace is an error, and all other whitespace is insignificant.  The
 second reader is the token grammar's `trace` production, for `eps` and for
@@ -337,25 +338,19 @@ def _split_trace(src: str) -> Trace | TimedTrace | None:
     Untimed text splits on `};{` into one body per step; timed text splits
     on `;{` into steps and each step on its first `}@` into a body and a
     stamp.  The body `""` is `{}`, the empty letter.  Every stamp must be
-    ASCII digits that `int` converts, the stamps must not decrease, and the
-    names of the other letters must pass the atom rule, checked once per
-    distinct name: a space, a comment or any other symbol leaves some name or
-    stamp that does not.
+    ASCII digits that `int` converts, `TimedTrace` must find them
+    non-decreasing, and the names of the other letters must pass the atom
+    rule, checked once per distinct name: a space, a comment or any other
+    symbol leaves some name or stamp that does not.
     """
     if src[:1] != "{":
         return None
     if src[-1:] == "}":
-        bodies, times = src[1:-1].split("};{"), None
+        bodies, stamps = src[1:-1].split("};{"), None
     else:
         bodies, _, stamps = zip(*[step.partition("}@") for step in src[1:].split(";{")])
         digits = "".join(stamps)
         if "" in stamps or not (digits.isascii() and digits.isdigit()):  # "" where a step lacks `}@`
-            return None
-        try:
-            times = tuple(map(int, stamps))
-        except ValueError:  # past the digit limit; the grammar places the error
-            return None
-        if list(times) != sorted(times):
             return None
     letters = {body: frozenset(body.split(",")) for body in set(bodies)}
     empty = letters.pop("", None)  # {""}, which names no atom
@@ -364,7 +359,10 @@ def _split_trace(src: str) -> Trace | TimedTrace | None:
     if empty is not None:
         letters[""] = frozenset()
     steps = tuple(map(letters.__getitem__, bodies))
-    return Trace(steps) if times is None else TimedTrace(steps, times)
+    try:
+        return Trace(steps) if stamps is None else TimedTrace(steps, tuple(map(int, stamps)))
+    except ValueError:  # a stamp past the digit limit, or decreasing stamps; the grammar places the error
+        return None
 
 
 def parse_trace(src: str) -> Trace | TimedTrace:

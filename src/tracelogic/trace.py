@@ -38,7 +38,7 @@ class TimedTrace:
     def __post_init__(self):
         if len(self.letters) != len(self.times):
             raise ValueError("one timestamp per letter required")
-        if any(b < a for a, b in zip(self.times, self.times[1:])):
+        if list(self.times) != sorted(self.times):
             raise ValueError("timestamps must be non-decreasing")
 
     def __len__(self) -> int:
@@ -76,9 +76,9 @@ def outside_alphabet(letter, ap) -> AlphabetMismatchError:
 
 
 def check_letters(t: Trace, ap) -> None:
-    """Raise AlphabetMismatchError unless every letter of t is a subset of ap."""
+    """Raise AlphabetMismatchError, naming t's first such letter, unless each distinct letter of t is a subset of ap."""
     alphabet = set(ap)
-    for letter in t.letters:
+    for letter in dict.fromkeys(t.letters):
         if not letter <= alphabet:
             raise outside_alphabet(letter, ap)
 

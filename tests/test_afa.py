@@ -29,7 +29,7 @@ from tracelogic.afa import (
     pbf_or,
 )
 from tracelogic.errors import AlphabetMismatchError, UnsupportedOperatorError
-from tracelogic.fa import dealternate
+from tracelogic.fa import dealternate, nfa_accepts
 from tracelogic.formula import nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import enumerate_traces, letters_over
@@ -214,6 +214,24 @@ def test_alphabet_mismatch():
         with pytest.raises(AlphabetMismatchError) as error:
             build(_core("a & b"), ap=("a",))
         assert (error.type, str(error.value)) == (AlphabetMismatchError, "alphabet ['a'] misses atoms ['b']"), build
+
+
+def test_runs_name_the_first_letter_outside_the_alphabet():
+    """AFA, 2AFA and NFA runs name the trace's first letter outside `ap`, for each rotation of five such letters.
+
+    Each rotation starts with another letter, so no one order of a set of
+    them can pass: each run must check the letters in trace order.
+    """
+    automaton = AFA(_core("a"))
+    nfa = dealternate(automaton)
+    runs = (automaton.accepts, TwoAFA(_core("a")).accepts, lambda t: nfa_accepts(nfa, t))
+    outside = ["{c}", "{d}", "{a,e}", "{f}", "{c,d}"]
+    for k in range(len(outside)):
+        t = parse_trace(";".join(["{a}", "{}", *outside[k:], *outside[:k], "{a}"]))
+        for run in runs:
+            with pytest.raises(AlphabetMismatchError) as error:
+                run(t)
+            assert str(error.value) == f"letter {sorted(t.letters[2])} outside alphabet ['a']", (k, run)
 
 
 def test_delta_rejects_letters_outside_the_alphabet():

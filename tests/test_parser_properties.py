@@ -218,9 +218,10 @@ def test_trace_scanner_agrees_with_the_token_grammar():
 
     The `canonical` mutations draw texts with no gap, timed or not, which
     the split reads as they are, and insert or delete one character, which
-    it must refuse or read alike.  The other mutations draw spaced and
-    commented texts, which it reads once their comments and whitespace are
-    gone.
+    it must refuse or read alike; `canonical stamp digit` puts the Arabic-Indic
+    digit three, which `int` reads as 3, into the last stamp of a timed one.
+    The other mutations draw spaced and commented texts, which it reads once
+    their comments and whitespace are gone.
     """
     seen = set()
 
@@ -228,19 +229,25 @@ def test_trace_scanner_agrees_with_the_token_grammar():
     @given(
         st.integers(0, 400),
         st.booleans(),
-        st.sampled_from(("none", "insert", "delete", "odd step", "canonical", "canonical insert", "canonical delete")),
+        st.sampled_from(
+            ("none", "insert", "delete", "odd step", "canonical", "canonical insert", "canonical delete", "canonical stamp digit")
+        ),
         st.integers(0, 2**32 - 1),
     )
     def check(steps, timed, mutation, seed):
         rng = random.Random(seed)
         odd = rng.randrange(steps) if mutation == "odd step" and steps else -1
         canonical = mutation.startswith("canonical")
+        timed = timed or mutation == "canonical stamp digit"
         text = _trace_text(rng, steps, timed, odd, canonical)
         at = rng.randint(0, len(text))
         if mutation.endswith("insert"):
             text = text[:at] + rng.choice(_INSERT) + text[at:]
         elif mutation.endswith("delete"):
             text = text[:at] + text[at + 1 :]
+        elif mutation == "canonical stamp digit" and steps:  # the last stamp, which no later stamp bounds
+            at = rng.randint(text.rindex("@") + 1, len(text))
+            text = text[:at] + "\u0663" + text[at:]
         outcome = _read(parse_trace, text)
         assert outcome == _read(token_parse_trace, text)
         seen.add((mutation, outcome[0]))
@@ -253,4 +260,5 @@ def test_trace_scanner_agrees_with_the_token_grammar():
     every = {("none", "Trace"), ("none", "TimedTrace"), ("insert", "error"), ("delete", "error"), ("odd step", "error")}
     every |= {("canonical", "Trace"), ("canonical insert", "error"), ("canonical delete", "error")}
     every |= {("canonical", "TimedTrace"), ("timed canonical insert", "error"), ("timed canonical delete", "error")}
+    every |= {("canonical stamp digit", "error")}
     assert every | {"300+ steps"} <= seen, every - seen

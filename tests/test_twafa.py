@@ -204,6 +204,11 @@ def test_since_trigger_examples():
     assert trigger.accepts(parse_trace("{b}")) is True
     assert trigger.accepts(parse_trace("{}")) is False
     assert trigger.accepts(parse_trace("eps")) is True
+    # A trigger one step past the last letter, where its left operand holds weakly.
+    for src in ("X (a T b)", "WX (a T b)"):
+        f = to_dynamic_core(nnf(parse_formula(src)))
+        for t in map(parse_trace, ("{}", "{a}")):
+            assert TwoAFA(f, AP).accepts(t) == oracle.holds(f, t) is True, (src, t)
 
 
 def test_letter_classes_match_direct_transitions():
