@@ -6,15 +6,18 @@ integer interval.  All nodes are immutable and compared structurally, and
 each computes its dataclass hash once and keeps it (`_Node`), so memo and
 state-set lookups do not rehash a subtree.
 
-Every operator node has one of five shapes: `Unary`, `Binary`, `Modal`,
-`Metric` or `PathBinary`.  Atoms, constants and the path nodes `Step`, `Test`
-and `Star` are the only other nodes.  The operator table is `_DUAL`, which
-pairs each operator with its dual under negation, plus the surface syntax
+A node's fields, in `__match_args__` order, are its structure: `children`
+are the node-valued ones, and `_rebuild` maps them and keeps the others (an
+atom's name, a metric interval).  Negation normal form, the rewriting into
+the dynamic core, atom collection and the fragment check are folds over the
+fields, so only the operators a fold treats specially have cases of their
+own.  Every operator node has one of five shapes: `Unary`, `Binary`,
+`Modal`, `Metric` or `PathBinary`.  Atoms, constants and the path nodes
+`Step`, `Test` and `Star` are the only other nodes.  The shapes are read by
+the printer and keyed by the operator table: `_DUAL`, which pairs each
+operator with its dual under negation, plus the surface syntax
 (`BINARY_SYNTAX`, `PREFIX_SYNTAX`, `METRIC_SYNTAX`, `MODAL_SYNTAX`,
 `POSTFIX_SYNTAX`), which the printer here and the parser both read.
-Negation normal form, the rewriting into the dynamic core, atom collection
-and the fragment check are folds over the shapes, so only the operators a
-fold treats specially have cases of their own.
 """
 
 from __future__ import annotations
@@ -271,57 +274,38 @@ POSTFIX_SYNTAX = {Star: "*", Test: "?"}
 
 
 # ---------------------------------------------------------------------------
-# Traversal by shape.
+# Traversal by fields.  They are read in plain loops: a comprehension is a
+# frame of its own per nesting level on Python 3.10 and 3.11.
 
 
 def children(node) -> tuple:
     """The direct subformulas and subpaths of a formula or path node, in field order."""
-    match node:
-        case Atom() | TrueFormula() | FalseFormula():
-            return ()
-        case Unary(g) | Metric(_, _, g) | Step(g) | Test(g) | Star(g):
-            return (g,)
-        case Binary(l, r) | Modal(l, r) | PathBinary(l, r):
-            return (l, r)
-        case _:
-            raise TypeError(f"not a formula or path expression: {node!r}")
+    found = []
+    for name in node.__match_args__:
+        value = getattr(node, name)
+        if isinstance(value, _Node):
+            found.append(value)
+    return tuple(found)
 
 
-def _rebuild(f: Formula, cls: type, sub, path_sub) -> Formula:
-    """A `cls` node of f's shape: f's subformulas mapped by `sub`, its path by `path_sub`."""
-    match f:
-        case Unary(g):
-            return cls(sub(g))
-        case Binary(l, r):
-            return cls(sub(l), sub(r))
-        case Modal(p, g):
-            return cls(path_sub(p), sub(g))
-        case Metric(lo, hi, g):
-            return cls(lo, hi, sub(g))
-        case TrueFormula() | FalseFormula():
-            return cls()
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-
-
-def _rebuild_path(p: PathExpr, sub, path_sub) -> PathExpr:
-    """p with the formulas of its steps and tests mapped by `sub`, its subpaths by `path_sub`."""
-    match p:
-        case Step(g) | Test(g):
-            return type(p)(sub(g))
-        case PathBinary(l, r):
-            return type(p)(path_sub(l), path_sub(r))
-        case Star(q):
-            return Star(path_sub(q))
-        case _:
-            raise TypeError(f"not a path expression: {p!r}")
+def _rebuild(node: _Node, cls: type, sub, path_sub) -> _Node:
+    """A `cls` node of node's fields: its formulas mapped by `sub`, its paths by `path_sub`, the rest kept."""
+    args = []
+    for name in node.__match_args__:
+        value = getattr(node, name)
+        if isinstance(value, Formula):
+            value = sub(value)
+        elif isinstance(value, PathExpr):
+            value = path_sub(value)
+        args.append(value)
+    return cls(*args)
 
 
 def is_propositional(f: Formula) -> bool:
     """True if f uses only atoms, constants, and boolean connectives."""
-    if isinstance(f, (Atom, TrueFormula, FalseFormula)):
-        return True
-    return isinstance(f, (Not, And, Or, Implies)) and all(is_propositional(g) for g in children(f))
+    return isinstance(f, (Atom, TrueFormula, FalseFormula)) or (
+        isinstance(f, (Not, And, Or, Implies)) and all(map(is_propositional, children(f)))
+    )
 
 
 TRUE = TrueFormula()
@@ -344,8 +328,7 @@ def atoms(f: Formula) -> set[str]:
         node = pending.pop()
         if isinstance(node, Atom):
             found.add(node.name)
-        else:
-            pending.extend(children(node))
+        pending.extend(children(node))
     return found
 
 
@@ -358,6 +341,8 @@ def nnf(f: Formula) -> Formula:
             return Or(nnf_not(l), nnf(r))
         case Atom() | TrueFormula() | FalseFormula():
             return f
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
     return _rebuild(f, type(f), nnf, _nnf_path)
 
 
@@ -370,11 +355,13 @@ def nnf_not(f: Formula) -> Formula:
             return nnf(g)
         case Implies(l, r):
             return And(nnf(l), nnf_not(r))
-    return _rebuild(f, _DUAL.get(type(f)), nnf_not, _nnf_path)
+    if type(f) not in _DUAL:
+        raise TypeError(f"not a formula: {f!r}")
+    return _rebuild(f, _DUAL[type(f)], nnf_not, _nnf_path)
 
 
 def _nnf_path(p: PathExpr) -> PathExpr:
-    return _rebuild_path(p, nnf, _nnf_path)
+    return _rebuild(p, type(p), nnf, _nnf_path)
 
 
 def to_dynamic_core(f: Formula) -> Formula:
@@ -402,11 +389,13 @@ def to_dynamic_core(f: Formula) -> Formula:
             return f
         case Not() | Implies():
             raise TypeError(f"not an NNF formula: {f!r}")
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
     return _rebuild(f, type(f), to_dynamic_core, _core_path)
 
 
 def _core_path(p: PathExpr) -> PathExpr:
-    return p if isinstance(p, Step) else _rebuild_path(p, to_dynamic_core, _core_path)
+    return p if isinstance(p, Step) else _rebuild(p, type(p), to_dynamic_core, _core_path)
 
 
 def check_fragment(f: Formula, past: bool = False) -> None:
@@ -423,7 +412,7 @@ def check_fragment(f: Formula, past: bool = False) -> None:
     while pending:
         node = pending.pop()
         match node:
-            case Atom() | TrueFormula() | FalseFormula() | Not(Atom()) | Step():
+            case Not(Atom()) | Step():
                 continue
             case Metric():
                 raise UnsupportedOperatorError(f"metric operator {type(node).__name__} needs the metric backend")

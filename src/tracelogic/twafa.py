@@ -153,11 +153,7 @@ class TwoAFA:
     def _trans_begin(self, f: fm.Formula) -> PBF:
         # The begin marker is only inspected through the guard states of the
         # past operators, so plain constants suffice; no move is emitted.
-        match f:
-            case fm.TrueFormula() | fm.Box(_, _) | fm.WeakPrev(_) | fm.Trigger(_, _):
-                return True
-            case _:
-                return False
+        return isinstance(f, (fm.TrueFormula, fm.Box, fm.WeakPrev, fm.Trigger))
 
     def accepts(self, t: Trace) -> bool:
         return self._least(t)[2 * len(self.states) + self.initial] == 1  # configuration (initial, 0)

@@ -102,7 +102,7 @@ def renamed(f, names: dict):
     if isinstance(f, Atom):
         return Atom(names.get(f.name, f.name))
     rename = lambda g: renamed(g, names)  # noqa: E731
-    rename_path = lambda p: fm._rebuild_path(p, rename, rename_path)  # noqa: E731
+    rename_path = lambda p: fm._rebuild(p, type(p), rename, rename_path)  # noqa: E731
     return fm._rebuild(f, type(f), rename, rename_path)
 
 

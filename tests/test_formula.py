@@ -13,10 +13,12 @@ from tracelogic.afa import AFA
 from tracelogic.formula import (
     TRUE,
     AT_MARKER,
+    STEP_TRUE,
     And,
     Atom,
     Box,
     Diamond,
+    Implies,
     MetricNext,
     Not,
     Seq,
@@ -107,6 +109,29 @@ def test_core_rewrites():
     assert to_dynamic_core(nnf(parse_formula("WX a"))) == parse_formula("[tt] a")
     assert to_dynamic_core(nnf(parse_formula("G a"))) == parse_formula("[tt*] a")
     assert to_dynamic_core(nnf(parse_formula("a R b"))) == parse_formula("[((!a)? ; tt)*] b")
+
+
+def test_core_keeps_step_guards_as_they_are():
+    """Step guards are propositional and are not rewritten, so a guard that is not in NNF stays as it is."""
+    a, b, c = Atom("a"), Atom("b"), Atom("c")
+    core = to_dynamic_core(parse_formula("<!(a & b)> X c"))
+    assert core == Diamond(Step(Not(And(a, b))), Diamond(STEP_TRUE, c))
+    core = to_dynamic_core(parse_formula("[a -> b] F c"))
+    assert core == Box(Step(Implies(a, b)), Diamond(Star(STEP_TRUE), c))
+
+
+@pytest.mark.parametrize(
+    "src, past, message",
+    [
+        ("X a & Y b", False, "Next must be rewritten"),
+        ("Y b & X a", False, "past operator Prev"),
+        ("X a & Y b", True, "Next must be rewritten"),
+        ("Y b & X a", True, "Next must be rewritten"),
+    ],
+)
+def test_fragment_reports_the_first_offender_in_preorder(src, past, message):
+    with pytest.raises(UnsupportedOperatorError, match=message):
+        check_fragment(parse_formula(src), past=past)
 
 
 def test_core_removes_future_sugar():

@@ -7,6 +7,7 @@ which the old quadratic and quartic evaluation cores were impractical.
 
 import dataclasses
 import random
+import sys
 from collections import Counter
 
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from conftest import (
 )
 from tracelogic import oracle
 from tracelogic.afa import AFA
+from tracelogic.errors import ParseError
 from tracelogic.fa import build_dfa, dealternate, determinize, dfa_accepts, minimize, nfa_accepts
 from tracelogic.formula import Box, Prev, Since, Star, Trigger, WeakPrev, format_formula, nnf, to_dynamic_core
 from tracelogic.parser import parse_formula
@@ -192,3 +194,31 @@ def test_deep_formulas_match_oracle():
 
     check()
     assert all(seen[text, True] and seen[text, False] for text in [*texts, *shallow]), seen
+
+
+def test_deepest_parsed_next_chain_runs_through_every_backend():
+    """The deepest `X (X (… a …))` that `parse_formula` reads holds on `{a}` repeated depth + 1 times everywhere.
+
+    The depth is found by stepping down from half the recursion limit, which
+    the parser, at more than two frames per nesting level, cannot reach; so
+    each Python version finds its own limit (237 under pytest on CPython
+    3.11).  Normal forms, fragment check, atoms, the automata and the oracle
+    must then take no more frames per nesting level than the parser.  The
+    minimal DFA counts the depth + 1 letters up to the `a` and has an
+    accepting and a rejecting sink.
+    """
+    start = depth = sys.getrecursionlimit() // 2
+    while True:
+        try:
+            f = parse_formula("X (" * depth + "a" + ")" * depth)
+            break
+        except ParseError:
+            depth -= 1
+    assert depth < start
+    t = Trace((frozenset({"a"}),) * (depth + 1))
+    core = to_dynamic_core(nnf(f))
+    one_way = AFA(core)
+    assert oracle.holds(f, t) and one_way.accepts(t) and TwoAFA(core).accepts(t)
+    assert nfa_accepts(dealternate(one_way), t)
+    dfa = build_dfa(f)
+    assert dfa_accepts(dfa, t) and dfa.n_states == depth + 3
