@@ -11,6 +11,7 @@ from .dot import to_dot
 from .errors import (
     AlphabetMismatchError,
     BudgetError,
+    InvalidValueError,
     ParseError,
     SizeLimitError,
     TraceLogicError,
@@ -65,6 +66,7 @@ __all__ = [
     "DFA",
     "DiffConstraint",
     "Infeasible",
+    "InvalidValueError",
     "MetricProgram",
     "MetricRule",
     "NFA",

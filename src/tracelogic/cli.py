@@ -1,7 +1,8 @@
 """Command-line surface for the toolkit.
 
 Exit codes: 0 success/accepted, 1 negative verdict (rejected, inequivalent,
-violations, infeasible), 2 parse or validation errors, 3 exceeded budgets.
+violations, infeasible), 2 parse or validation errors, 3 exceeded budgets,
+70 an internal error (`EX_SOFTWARE`).
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ from . import formula as fm
 from . import oracle
 from .afa import AFA, BEGIN, END
 from .dot import to_dot
-from .errors import (
-    AlphabetMismatchError,
-    BudgetError,
-    ParseError,
-    SizeLimitError,
-    UnsupportedOperatorError,
-    UntimedTraceError,
-)
+from .errors import BudgetError, ParseError, SizeLimitError, TraceLogicError
 from .fa import (
     DFA,
     NFA,
@@ -44,28 +38,23 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
-
-
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+EXIT_INTERNAL = 70
 
 
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}", EXIT_INVALID) from exc
+    except (OSError, ValueError) as exc:  # ValueError: a file that is not UTF-8, or a NUL byte in the path
+        raise TraceLogicError(f"cannot read {path}: {exc}") from exc
 
 
 def _write(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    except OSError as exc:
-        raise _CliError(f"cannot write {path}: {exc}", EXIT_INVALID) from exc
+    except (OSError, ValueError) as exc:
+        raise TraceLogicError(f"cannot write {path}: {exc}") from exc
 
 
 # Each text input `<name>` comes inline (dest `<name>`) or from a file (dest
@@ -96,11 +85,8 @@ def _input(args, name: str) -> str:
 
 
 def _parse_ap(text: str) -> set[str]:
-    names = [name.strip() for name in text.split(",")]
-    for name in names:
-        if name and not fm._ATOM_RE.match(name):
-            raise _CliError(f"invalid atom name: {name!r}", EXIT_INVALID)
-    return {name for name in names if name}
+    """The names of a comma-separated alphabet, each checked by `Atom`; empty entries are skipped."""
+    return {fm.Atom(name).name for name in map(str.strip, text.split(",")) if name}
 
 
 def _core(f: fm.Formula) -> fm.Formula:
@@ -230,7 +216,7 @@ def _cmd_metric_check(args) -> int:
     program = parse_program(_input(args, "program"))
     t = parse_trace(_input(args, "trace")) or TimedTrace((), ())  # `eps` has no step to carry a time
     if not isinstance(t, TimedTrace):
-        raise _CliError("metric check needs a timed trace (steps suffixed with @t)", EXIT_INVALID)
+        raise TraceLogicError("metric check needs a timed trace (steps suffixed with @t)")
     violations = check_program(program, t)
     for rule, step in violations:
         print(f"rule {rule} at step {step}")
@@ -241,7 +227,7 @@ def _cmd_metric_times(args) -> int:
     program = parse_program(_input(args, "program"))
     t = parse_trace(_input(args, "trace"))
     if isinstance(t, TimedTrace):
-        raise _CliError("metric times derives timestamps; give an untimed trace", EXIT_INVALID)
+        raise TraceLogicError("metric times derives timestamps; give an untimed trace")
     try:
         system = extract_constraints(program, t, strict=args.strict)
     except UntimedViolationError as exc:
@@ -333,18 +319,15 @@ def run(argv=None) -> int:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (UnsupportedOperatorError, AlphabetMismatchError, UntimedTraceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (BudgetError, SizeLimitError) as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except TraceLogicError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except RecursionError:
         print("error: input nested too deeply (maximum recursion depth exceeded)", file=sys.stderr)
         return EXIT_INVALID
@@ -355,7 +338,12 @@ def main() -> None:
     # action, as it ends `cat`, rather than by an exit status that reads as a verdict.
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(run())
+    try:
+        code = run()
+    except Exception:  # a fault of the program: its traceback, and a status that no verdict or input error has
+        sys.excepthook(*sys.exc_info())  # the traceback Python prints for an uncaught exception
+        code = EXIT_INTERNAL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

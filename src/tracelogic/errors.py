@@ -5,6 +5,10 @@ class TraceLogicError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidValueError(TraceLogicError, ValueError):
+    """A value breaks an invariant of the value it builds or the call it is given."""
+
+
 class ParseError(TraceLogicError):
     """Syntax error with a 1-based source position."""
 
@@ -56,8 +60,9 @@ class SizeLimitError(_LimitError):
 
     `stage` is "letters" when an alphabet has too many atoms to spell out
     its letters, with `limit` the atom bound and `reached` the atom count,
-    "enumeration" when a trace enumeration is too large, and "dot" when a
-    DOT rendering would draw more disjuncts than its bound.  The enumeration
-    error's `reached` is None when the bound compares exponents, as the size
-    is never built.
+    "enumeration" when a trace enumeration is too large, "dot" when a DOT
+    rendering would draw more disjuncts than its bound, and "format" when a
+    timestamp has more digits than `limit`, Python's bound on printing an int.
+    The enumeration error's `reached` is None when the bound compares
+    exponents, as the size is never built.
     """

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import UnsupportedOperatorError
+from .errors import InvalidValueError, UnsupportedOperatorError
 
 _ATOM_NAME = r"[a-z][a-zA-Z0-9_]*"
 _ATOM_RE = re.compile(_ATOM_NAME + r"\Z")
@@ -84,7 +84,7 @@ class Atom(Formula):
 
     def __post_init__(self):
         if not _ATOM_RE.match(self.name):
-            raise ValueError(f"invalid atom name: {self.name!r}")
+            raise InvalidValueError(f"invalid atom name: {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class Metric(Formula):
 
     def __post_init__(self):
         if self.lo < 0 or (self.hi is not None and self.lo >= self.hi):
-            raise ValueError(f"empty metric interval [{self.lo},{self.hi})")
+            raise InvalidValueError(f"empty metric interval [{self.lo},{self.hi})")
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ class Step(PathExpr):
 
     def __post_init__(self):
         if not is_propositional(self.guard):
-            raise ValueError("step guard must be propositional")
+            raise InvalidValueError("step guard must be propositional")
 
 
 @dataclass(frozen=True)

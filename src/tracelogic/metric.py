@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple
 
 from . import formula as fm
 from .afa import StateSet
-from .errors import TraceLogicError
+from .errors import InvalidValueError, TraceLogicError
 from .oracle import _evaluator, _members
 from .trace import TimedTrace, Trace, accepted_words, check_enumeration_bound, letters_over
 
@@ -49,7 +49,7 @@ class MetricHead:
 
     def __post_init__(self):
         if self.lo < 0 or (self.hi is not None and self.lo >= self.hi):
-            raise ValueError(f"empty metric interval [{self.lo},{self.hi})")
+            raise InvalidValueError(f"empty metric interval [{self.lo},{self.hi})")
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,7 @@ class MetricProgram:
     rules: tuple[MetricRule, ...]
 
     def universe(self) -> set[str]:
-        names: set[str] = set()
-        for rule in self.rules:
-            if rule.head is not None:
-                names.add(rule.head.atom)
-            names.update(atom for atom, _ in rule.body)
-        return names
+        return set().union(*[fm.atoms(f) for body, head, _ in self._formulas for f in (body, head)])
 
     @cached_property
     def _formulas(self) -> tuple[tuple[fm.Formula, fm.Formula, fm.Formula], ...]:
@@ -105,9 +100,9 @@ class DiffConstraint(_DiffFields):
 
     def __new__(cls, i: int, j: int, lo: int, hi: int | None):
         if i == j:
-            raise ValueError("difference constraint needs two distinct variables")
+            raise InvalidValueError("difference constraint needs two distinct variables")
         if hi is not None and lo > hi:
-            raise ValueError(f"empty bound [{lo},{hi}]")
+            raise InvalidValueError(f"empty bound [{lo},{hi}]")
         return tuple.__new__(cls, (i, j, lo, hi))
 
     @classmethod
@@ -130,10 +125,10 @@ class ConstraintSystem:
     def __post_init__(self):
         n = self.n_vars
         if n < 0:
-            raise ValueError(f"negative variable count {n}")
+            raise InvalidValueError(f"negative variable count {n}")
         for c in self.constraints:
             if not (0 <= c.i < n and 0 <= c.j < n):
-                raise ValueError(f"constraint {c} references a missing variable")
+                raise InvalidValueError(f"constraint {c} references a missing variable")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from itertools import compress, count
 from operator import sub
 
 from . import formula as fm
-from .errors import UntimedTraceError
+from .errors import InvalidValueError, UntimedTraceError
 from .trace import EMPTY_TRACE, TimedTrace, Trace
 
 
@@ -256,7 +256,7 @@ def _evaluator(t: Trace | TimedTrace) -> _Evaluator:
 def evaluate(f: fm.Formula, t: Trace | TimedTrace, i: int = 0) -> bool:
     """Truth of f at position i; metric connectives require a timed trace."""
     if not 0 <= i <= len(t):
-        raise ValueError(f"position {i} outside 0..{len(t)}")
+        raise InvalidValueError(f"position {i} outside 0..{len(t)}")
     return bool(_evaluator(t).sat(f) >> i & 1)
 
 

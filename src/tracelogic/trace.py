@@ -9,11 +9,12 @@ the `Trace` of each enumerated word, for `enumerate_traces` and
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .errors import AlphabetMismatchError, SizeLimitError
+from .errors import AlphabetMismatchError, InvalidValueError, SizeLimitError
 
 Letter = frozenset  # set of true atoms at one position
 
@@ -37,9 +38,9 @@ class TimedTrace:
 
     def __post_init__(self):
         if len(self.letters) != len(self.times):
-            raise ValueError("one timestamp per letter required")
+            raise InvalidValueError("one timestamp per letter required")
         if list(self.times) != sorted(self.times):
-            raise ValueError("timestamps must be non-decreasing")
+            raise InvalidValueError("timestamps must be non-decreasing")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -103,14 +104,14 @@ def letters_over(ap) -> list[Letter]:
 
 
 def check_enumeration_bound(ap, max_len: int) -> None:
-    """Raise ValueError on a negative length, SizeLimitError on a space over the size bound.
+    """Raise InvalidValueError on a negative length, SizeLimitError on a space over the size bound.
 
     Callers test it before any of the 2^|ap| letters, or an automaton over them, is built.
     It compares exponents, as 2^x > MAX_ENUMERATION exactly when x reaches
     its bit length; the empty alphabet's traces, of max_len(max_len + 1)/2 letters in all, are bounded too.
     """
     if max_len < 0:
-        raise ValueError(f"trace length bound {max_len} is negative")
+        raise InvalidValueError(f"trace length bound {max_len} is negative")
     width = len(set(ap))
     message = f"trace enumeration over {width} atoms up to length {max_len} exceeds the size bound"
     if width > MAX_ALPHABET:
@@ -181,9 +182,13 @@ def format_letter(letter: Letter) -> str:
 
 
 def format_trace(t: Trace | TimedTrace) -> str:
-    """Canonical text form; parse_trace maps it back to an equal value."""
+    """Canonical text form; parse_trace maps it back to an equal value.  SizeLimitError on a stamp too long to print."""
     if len(t) == 0:
         return "eps"
     if isinstance(t, TimedTrace):
-        return ";".join(f"{format_letter(l)}@{time}" for l, time in zip(t.letters, t.times))
+        try:
+            return ";".join(f"{format_letter(l)}@{time}" for l, time in zip(t.letters, t.times))
+        except ValueError:  # past `sys.get_int_max_str_digits()`, the one ValueError of the join
+            limit = sys.get_int_max_str_digits()
+            raise SizeLimitError(f"a timestamp has more than {limit} digits to print", stage="format", limit=limit) from None
     return ";".join(format_letter(l) for l in t.letters)

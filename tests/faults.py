@@ -201,7 +201,7 @@ FAULTS = (
     ),
     Fault(  # decreasing stamps accepted by `TimedTrace`, so the split reader reads them
         "timed-trace-skips-the-stamp-order-check", "trace.py",
-        '        if list(self.times) != sorted(self.times):\n            raise ValueError("timestamps must be non-decreasing")\n',
+        '        if list(self.times) != sorted(self.times):\n            raise InvalidValueError("timestamps must be non-decreasing")\n',
         "",
         (
             "tests/test_trace.py::test_timed_trace_validation",
@@ -418,6 +418,45 @@ FAULTS = (
         "children-in-reverse-field-order", "formula.py",
         "found = []\n    for name in node.__match_args__:", "found = []\n    for name in reversed(node.__match_args__):",
         ("tests/test_formula.py::test_fragment_reports_the_first_offender_in_preorder",),
+    ),
+    Fault(
+        "limit-errors-exit-as-invalid-input", "cli.py",
+        "return EXIT_BUDGET", "return EXIT_INVALID",
+        (
+            "tests/test_cli.py::test_size_limit_exit_three",
+            "tests/test_cli.py::test_dot_of_a_deep_release_chain_exits_three",
+        ),
+    ),
+    Fault(  # a library caller's `except ValueError` then misses an invalid value
+        "invalid-value-error-not-a-value-error", "errors.py",
+        "class InvalidValueError(TraceLogicError, ValueError):", "class InvalidValueError(TraceLogicError):",
+        ("tests/test_trace.py::test_timed_trace_validation",),
+    ),
+    Fault(  # a file that is not UTF-8 then escapes `run` as a bare UnicodeDecodeError
+        "read-catches-only-os-errors", "cli.py",
+        "        return handle.read()\n    except (OSError, ValueError) as exc:",
+        "        return handle.read()\n    except OSError as exc:",
+        ("tests/test_cli.py::test_a_file_that_is_not_utf8_is_named",),
+    ),
+    Fault(  # a stamp past the digit limit then escapes `run` as a bare ValueError
+        "format-trace-lets-the-digit-limit-through", "trace.py",
+        "        except ValueError:  # past", "        except ArithmeticError:  # past",
+        ("tests/test_cli.py::test_a_stamp_too_long_to_print_exits_three",),
+    ),
+    Fault(
+        "alphabet-names-unchecked", "cli.py",
+        "{fm.Atom(name).name for name", "{name for name",
+        ("tests/test_cli.py::test_alphabet_names_must_be_atoms",),
+    ),
+    Fault(  # an internal ValueError then reads as invalid input
+        "run-catches-value-errors", "cli.py",
+        "except TraceLogicError as exc:", "except (TraceLogicError, ValueError) as exc:",
+        ("tests/test_cli.py::test_a_value_error_inside_the_pipeline_is_not_an_input_error",),
+    ),
+    Fault(  # a crash then ends in status 1, which reads as a verdict
+        "main-reraises-a-crash", "cli.py",
+        "        code = EXIT_INTERNAL\n", "        raise\n",
+        ("tests/test_cli.py::test_a_crash_exits_seventy_with_its_traceback",),
     ),
 )
 

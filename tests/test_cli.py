@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from conftest import random_core_formula, release_chain, renamed
+from tracelogic import cli
 from tracelogic.cli import _size, run
 from tracelogic.dot import _dnf, to_dot
 from tracelogic.fa import build_dfa
@@ -471,3 +472,54 @@ def test_closed_stdout_is_not_a_verdict():
         err = proc.stderr.read()
     assert "Traceback" not in err
     assert code not in (0, 1, 2, 3)
+
+
+def test_a_value_error_inside_the_pipeline_is_not_an_input_error(monkeypatch):
+    """Only typed errors are exit 2: a bare ValueError from the library is a bug, and `run` lets it through."""
+    def broken(*args):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "build_dfa", broken)
+    with pytest.raises(ValueError, match="^internal bug$"):
+        run(["enumerate", "-f", "a", "--ap", "a", "--max-len", "1"])
+
+
+def test_a_file_that_is_not_utf8_is_named(tmp_path):
+    path = tmp_path / "plans.txt"
+    path.write_bytes(b"\xff{a};{b}\n")
+    code, out, err = invoke("filter", "-f", "F b", "--traces", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    code, out, err = invoke("parse", "--formula-file", "a\0b")
+    assert (code, out, err) == (2, "", "error: cannot read a\0b: embedded null byte\n")
+
+
+def test_a_stamp_too_long_to_print_exits_three():
+    """A bound with as many nines as Python converts to text: the stamps that pass it cannot be printed.
+
+    `metric enumerate` prints the models before the first such stamp, then stops.
+    """
+    limit = sys.get_int_max_str_digits()
+    program = f"X[{'9' * limit},inf) b :- a."
+    runs = [
+        (("metric", "times", "--program-text", program, "-t", "{a};{b,a};{b}"), 0),
+        (("metric", "enumerate", "--program-text", program, "--ap", "a,b", "--horizon", "3"), 6),
+    ]
+    for argv, models in runs:
+        code, out, err = invoke(*argv)
+        assert (code, len(out.splitlines())) == (3, models), argv[1]
+        assert err == f"limit exceeded: a timestamp has more than {limit} digits to print\n", argv[1]
+
+
+def test_a_crash_exits_seventy_with_its_traceback(monkeypatch, capsys):
+    """An exception that escapes `run` is a fault of the program: status 70 (EX_SOFTWARE), never 1, which reads as a verdict."""
+    def crash(argv=None):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "run", crash)
+    monkeypatch.setattr(cli.signal, "signal", lambda *args: None)  # keeps this process's SIGPIPE action
+    with pytest.raises(SystemExit) as stop:
+        cli.main()
+    assert stop.value.code == 70
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n") and err.endswith("KeyError: 'internal'\n")

@@ -32,7 +32,7 @@ from tracelogic.formula import (
     nnf_not,
     to_dynamic_core,
 )
-from tracelogic.errors import UnsupportedOperatorError
+from tracelogic.errors import InvalidValueError, UnsupportedOperatorError
 from tracelogic.parser import parse_formula
 from tracelogic.trace import enumerate_traces
 
@@ -54,7 +54,7 @@ def test_metric_interval_validation():
 def test_step_guard_must_be_propositional():
     with pytest.raises(ValueError) as error:
         Step(fm.Next(Atom("a")))
-    assert (error.type, str(error.value)) == (ValueError, "step guard must be propositional")
+    assert (error.type, str(error.value)) == (InvalidValueError, "step guard must be propositional")
 
 
 def test_nnf_de_morgan():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tracelogic import metric, oracle
 from tracelogic.cli import run
-from tracelogic.errors import SizeLimitError, UntimedTraceError
+from tracelogic.errors import InvalidValueError, SizeLimitError, UntimedTraceError
 from tracelogic.metric import (
     ConstraintSystem,
     DiffConstraint,
@@ -601,7 +601,7 @@ def test_diff_constraint_is_a_validated_tuple():
 def test_malformed_constraints_and_heads_raise_value_error(build, message):
     with pytest.raises(ValueError) as error:
         build()
-    assert (error.type, str(error.value)) == (ValueError, message)
+    assert (error.type, str(error.value)) == (InvalidValueError, message)
 
 
 @pytest.mark.parametrize(
