@@ -8,6 +8,7 @@ violations, infeasible), 2 parse or validation errors, 3 exceeded budgets,
 from __future__ import annotations
 
 import argparse
+import re
 import signal
 import sys
 
@@ -47,6 +48,19 @@ def _read(path: str) -> str:
             return handle.read()
     except (OSError, ValueError) as exc:  # ValueError: a file that is not UTF-8, or a NUL byte in the path
         raise TraceLogicError(f"cannot read {path}: {exc}") from exc
+
+
+def _lines(path: str):
+    """The lines of a file as `str.splitlines` splits them, read one at a time; a byte that is not UTF-8 reads as `_UNDECODED`."""
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as handle:
+            for chunk in handle:  # ends at `\n`, `\r` or `\r\n`, each of which `splitlines` splits at too
+                yield from chunk.splitlines()
+    except (OSError, ValueError) as exc:
+        raise TraceLogicError(f"cannot read {path}: {exc}") from exc
+
+
+_UNDECODED = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, as `surrogateescape` decodes it
 
 
 def _write(path: str, text: str) -> None:
@@ -172,12 +186,16 @@ def _cmd_filter(args) -> int:
         dfa = complement(dfa)
     kept = 0
     total = 0
-    for number, raw in enumerate(_read(args.traces).splitlines(), 1):
+    for number, raw in enumerate(_lines(args.traces), 1):
         line = raw.strip()
         if not line:
             continue
         total += 1
+        undecoded = None if raw.isascii() else _UNDECODED.search(raw)  # `isascii` reads a flag of the string
         try:
+            if undecoded:
+                byte = ord(undecoded.group()) - 0xDC00
+                raise ParseError(number, undecoded.start() + 1, "UTF-8 text", f"byte {byte:#04x}")
             t = parse_trace(raw)
         except ParseError as exc:
             # Lines kept so far are already on stdout; the summary is not printed.

@@ -14,7 +14,10 @@ formulas, `+` (1) and `;` (2) for path expressions.  These tables and every
 other operator token are derived from the syntax table in `formula`, which
 the printer reads too.  Prefix operators are collected in a loop and applied
 innermost first.  Every syntax error carries an exact 1-based line/column
-position.
+position.  A path operand is a formula, read as a step or, before `?`, as a
+test; only where that fails at a `(` is it read again as a group `( path )`.
+So `formula` keeps each formula it reads by its start token (a read that
+fails is not kept), and reading the group again reads none of them twice.
 
 A trace has two readers.  The first splits: a text in the form
 `format_trace` writes (`{` first, the steps joined by `;`, no whitespace or
@@ -37,7 +40,7 @@ import re
 import sys
 
 from . import formula as fm
-from .errors import ParseError
+from .errors import InvalidValueError, ParseError
 from .metric import MetricHead, MetricProgram, MetricRule, PlainHead
 from .trace import Letter, TimedTrace, Trace
 
@@ -110,6 +113,7 @@ class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.i = 0
+        self.formulas: dict[int, tuple[fm.Formula, int]] = {}  # start token -> (formula, end token)
 
     def peek(self) -> tuple[str, str, int, int]:
         return self.tokens[self.i]
@@ -154,7 +158,11 @@ class _Parser:
     # -- formulas ----------------------------------------------------------
 
     def formula(self) -> fm.Formula:
-        return self.climb(_FORMULA_OPS, self.unary)
+        start = self.i
+        if start not in self.formulas:
+            self.formulas[start] = self.climb(_FORMULA_OPS, self.unary), self.i
+        f, self.i = self.formulas[start]
+        return f
 
     def unary(self) -> fm.Formula:
         prefixes = []
@@ -185,14 +193,7 @@ class _Parser:
         opening = self.expect("[", "'['")
         lo = _natural(self.expect("nat", "a natural number"))
         self.expect(",", "','")
-        tok = self.peek()
-        if tok[0] == "nat":
-            self.i += 1
-            hi: int | None = _natural(tok)
-        elif self.match("inf"):
-            hi = None
-        else:
-            self.fail("a natural number or 'inf'")
+        hi = None if self.match("inf") else _natural(self.expect("nat", "a natural number or 'inf'"))
         self.expect(")", "')'")
         if hi is not None and lo >= hi:
             raise ParseError(opening[2], opening[3], "a non-empty interval (lower < upper)", f"[{lo},{hi})")
@@ -223,29 +224,24 @@ class _Parser:
         return base
 
     def path_base(self) -> fm.PathExpr:
-        if self.peek()[0] == "(":
-            # A parenthesized formula (possibly a test) or a grouped path.
-            save = self.i
-            try:
-                self.i += 1
-                inner = self.formula()
-                self.expect(")", "')'")
-                return self.step_or_test(inner)
-            except ParseError:
-                self.i = save
-            self.expect("(", "'('")
-            grouped = self.path()
-            self.expect(")", "')'")
-            return grouped
-        leaf = self.formula()
-        return self.step_or_test(leaf)
+        start = self.i
+        try:
+            return self.step_or_test(self.formula())
+        except ParseError:
+            if self.tokens[start][0] != "(":
+                raise
+        self.i = start + 1  # a grouped path
+        grouped = self.path()
+        self.expect(")", "')'")
+        return grouped
 
     def step_or_test(self, leaf: fm.Formula) -> fm.PathExpr:
         if self.match(_TEST):
             return fm.Test(leaf)
-        if not fm.is_propositional(leaf):
+        try:
+            return fm.Step(leaf)
+        except InvalidValueError:
             self.fail("a propositional step guard or '?'")
-        return fm.Step(leaf)
 
     # -- traces ------------------------------------------------------------
 

@@ -15,7 +15,9 @@ process, which exits early unless it imports `tracelogic` from the copy.
 The fault is killed when every named test fails (a parametrised test when
 one of its cases fails); a run over `TIMEOUT_S` counts as a kill and is
 reported as a timeout.  First, every named test must pass on an unchanged
-copy, so that a kill is the fault's doing.
+copy, so that a kill is the fault's doing.  Then the planted copies run on
+`os.cpu_count()` worker threads, each with its own directory and `pytest`
+process, and the verdicts are printed in catalogue order.
 
 A survivor is a fault that no test is known to kill, and its named tests
 must pass.  A test that starts to kill it thus fails the runner, and the
@@ -34,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -171,6 +174,19 @@ FAULTS = (
             "tests/test_trace.py::test_helper_traces_are_plain_frozen_traces",
             "tests/test_fa.py::test_enumeration_builds_only_accepted_traces",
             "tests/test_trace.py::test_no_duplicates_and_ordering",
+        ),
+    ),
+    Fault(  # every formula read again from its first token, so a path operand read again as a group doubles the work
+        "formula-read-again-at-each-start", "parser.py",
+        "if start not in self.formulas:", "if True:",
+        ("tests/test_parser.py::test_nested_path_operands_are_read_a_bounded_number_of_times",),
+    ),
+    Fault(  # a path operand that fails to read as a step or a test read again as a group, wherever it starts
+        "path-base-falls-back-on-every-operand", "parser.py",
+        'if self.tokens[start][0] != "(":', "if False:",
+        (
+            "tests/test_parser.py::test_path_grammar_shapes",
+            "tests/test_parser_properties.py::test_path_operands_agree_with_the_two_branch_grammar",
         ),
     ),
     Fault(  # a canonical text read whatever its names are: spaces, stamps and bad names go through
@@ -432,11 +448,19 @@ FAULTS = (
         "class InvalidValueError(TraceLogicError, ValueError):", "class InvalidValueError(TraceLogicError):",
         ("tests/test_trace.py::test_timed_trace_validation",),
     ),
-    Fault(  # a file that is not UTF-8 then escapes `run` as a bare UnicodeDecodeError
+    Fault(  # a NUL byte in a path, or an input file that is not UTF-8, then escapes `run` as a bare ValueError
         "read-catches-only-os-errors", "cli.py",
         "        return handle.read()\n    except (OSError, ValueError) as exc:",
         "        return handle.read()\n    except OSError as exc:",
         ("tests/test_cli.py::test_a_file_that_is_not_utf8_is_named",),
+    ),
+    Fault(  # a plan byte that is not UTF-8 read as a character that starts no token
+        "filter-reads-undecoded-bytes-as-plan-text", "cli.py",
+        "else _UNDECODED.search(raw)", "else None",
+        (
+            "tests/test_cli.py::test_filter_prints_the_plans_before_a_byte_that_is_not_utf8",
+            "tests/test_cli.py::test_a_file_that_is_not_utf8_is_named",
+        ),
     ),
     Fault(  # a stamp past the digit limit then escapes `run` as a bare ValueError
         "format-trace-lets-the-digit-limit-through", "trace.py",
@@ -503,6 +527,30 @@ def _spared(fault: Fault, output: str) -> list[str]:
     return [test for test in fault.tests if not re.search(f"^FAILED {re.escape(test)}(\\[| |$)", output, re.M)]
 
 
+def _run_planted(fault: Fault) -> tuple[str, float, str] | ValueError:
+    try:
+        return run(fault.tests, fault)
+    except ValueError as error:  # the snippet does not occur exactly once
+        return error
+
+
+def _report(fault: Fault, outcome: str, seconds: float, output: str) -> bool:
+    """Print the verdict on one planted fault; True if it is the expected one."""
+    spared = _spared(fault, output) if outcome == "failed" else []
+    if outcome == "passed":
+        verdict, ok = "survived", fault.survives
+    elif outcome == "timeout" or (outcome == "failed" and not spared):
+        verdict, ok = ("killed" if outcome == "failed" else "killed (timeout)"), not fault.survives
+    else:
+        verdict, ok = ("not killed by " + ", ".join(spared) if spared else "error"), False
+    note = "" if ok else f"  <- expected {'to survive' if fault.survives else 'every named test to fail'}"
+    print(f"{fault.name}: {verdict} in {seconds:.1f} s{note}", flush=True)
+    if not ok:
+        print(output[-4000:])
+    return ok
+
+
+
 def main(names) -> int:
     unknown = set(names) - {fault.name for fault in FAULTS}
     if unknown:
@@ -516,25 +564,13 @@ def main(names) -> int:
         print(output)
         return 1
     wrong = 0
-    for fault in chosen:
-        try:
-            outcome, seconds, output = run(fault.tests, fault)
-        except ValueError as error:
-            print(f"{fault.name}: {error}")
-            wrong += 1
-            continue
-        spared = _spared(fault, output) if outcome == "failed" else []
-        if outcome == "passed":
-            verdict, ok = "survived", fault.survives
-        elif outcome == "timeout" or (outcome == "failed" and not spared):
-            verdict, ok = ("killed" if outcome == "failed" else "killed (timeout)"), not fault.survives
-        else:
-            verdict, ok = ("not killed by " + ", ".join(spared) if spared else "error"), False
-        note = "" if ok else f"  <- expected {'to survive' if fault.survives else 'every named test to fail'}"
-        print(f"{fault.name}: {verdict} in {seconds:.1f} s{note}", flush=True)
-        if not ok:
-            print(output[-4000:])
-            wrong += 1
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        for fault, result in zip(chosen, pool.map(_run_planted, chosen)):
+            if isinstance(result, ValueError):
+                print(f"{fault.name}: {result}")
+                wrong += 1
+                continue
+            wrong += not _report(fault, *result)
     print(f"{len(chosen)} faults, {sum(f.survives for f in chosen)} expected survivors, {wrong} not as expected")
     return 1 if wrong else 0
 

@@ -1,24 +1,58 @@
-"""The trace grammar written out on the token list, as the reference for the trace parser.
+"""The earlier path and trace grammars, as the reference for the parser.
 
-`parse_trace` here tokenizes the whole input first, so a character that
-starts no token is reported before any grammar error, and `trace` and
-`letter` then consume the `(kind, text, line, column)` tuples one at a time.
-`tracelogic.parser` reads every valid trace by splitting and gives `eps` and
-every error from its own `trace` production, which this one overrides.
-`test_parser_properties.py` requires the library to return the same value,
-or raise a `ParseError` with the same fields, on long generated and mutated
-trace texts.  The file name does not match `test_*.py`, so pytest does not
-collect it.
+`ReferenceParser` overrides four productions of `tracelogic.parser._Parser`.
+Its `formula` keeps nothing it has read, and its `path_base` has two
+branches: at `(` it first reads `( formula )` as a step or a test and, when
+that fails, reads a grouped path `( path )` instead, so each level of
+nesting doubles the work.  The library reads a formula from every path
+operand and falls back to a group only where that fails at a `(`; its one
+difference is that a guard that starts with `(` may go on with a formula
+operator.  `parse_trace` here tokenizes the whole input first, so a character
+that starts no token is reported before any grammar error, and `trace` and
+`letter` then consume the `(kind, text, line, column)` tuples one at a time;
+the library reads every valid trace by splitting.  `test_parser_properties.py`
+requires the library to return the same value, or raise a `ParseError` with
+the same fields, on generated and mutated texts.  The file name does not
+match `test_*.py`, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
+from tracelogic import formula as fm
 from tracelogic.errors import ParseError
-from tracelogic.parser import _Parser
+from tracelogic.parser import _FORMULA_OPS, _TEST, _Parser
 from tracelogic.trace import Letter, TimedTrace, Trace
 
 
-class TokenParser(_Parser):
+class ReferenceParser(_Parser):
+    def formula(self) -> fm.Formula:
+        return self.climb(_FORMULA_OPS, self.unary)
+
+    def path_base(self) -> fm.PathExpr:
+        if self.peek()[0] == "(":
+            # A parenthesized formula (possibly a test) or a grouped path.
+            save = self.i
+            try:
+                self.i += 1
+                inner = self.formula()
+                self.expect(")", "')'")
+                return self.step_or_test(inner)
+            except ParseError:
+                self.i = save
+            self.expect("(", "'('")
+            grouped = self.path()
+            self.expect(")", "')'")
+            return grouped
+        leaf = self.formula()
+        return self.step_or_test(leaf)
+
+    def step_or_test(self, leaf: fm.Formula) -> fm.PathExpr:
+        if self.match(_TEST):
+            return fm.Test(leaf)
+        if not fm.is_propositional(leaf):
+            self.fail("a propositional step guard or '?'")
+        return fm.Step(leaf)
+
     def trace(self) -> Trace | TimedTrace:
         if self.match("eps"):
             return Trace(())
@@ -58,9 +92,17 @@ class TokenParser(_Parser):
         return frozenset(names)
 
 
-def parse_trace(src: str) -> Trace | TimedTrace:
-    parser = TokenParser(src)
-    result = parser.trace()
+def _parse(src: str, production, expected_tail: str):
+    parser = ReferenceParser(src)
+    result = production(parser)
     if parser.peek()[0] != "eof":
-        parser.fail("';' or end of input")
+        parser.fail(expected_tail)
     return result
+
+
+def parse_formula(src: str) -> fm.Formula:
+    return _parse(src, ReferenceParser.formula, "end of input")
+
+
+def parse_trace(src: str) -> Trace | TimedTrace:
+    return _parse(src, ReferenceParser.trace, "';' or end of input")

@@ -489,9 +489,23 @@ def test_a_file_that_is_not_utf8_is_named(tmp_path):
     path.write_bytes(b"\xff{a};{b}\n")
     code, out, err = invoke("filter", "-f", "F b", "--traces", str(path))
     assert (code, out) == (2, "")
-    assert err == f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    assert err == f"parse error: {path}:1:1: expected UTF-8 text, found byte 0xff\n"
     code, out, err = invoke("parse", "--formula-file", "a\0b")
     assert (code, out, err) == (2, "", "error: cannot read a\0b: embedded null byte\n")
+
+
+def test_filter_prints_the_plans_before_a_byte_that_is_not_utf8(tmp_path):
+    """Plans are read line by line: the lines kept before the first byte that is not UTF-8 are printed, and it is placed."""
+    path = tmp_path / "late.txt"
+    path.write_bytes(b"{a};{b}\n{b}\n{a}\xff\n")
+    code, out, err = invoke("filter", "-f", "F b", "--traces", str(path))
+    assert (code, out) == (2, "{a};{b}\n{b}\n")
+    assert err == f"parse error: {path}:3:4: expected UTF-8 text, found byte 0xff\n"
+    # Lines end where `str.splitlines` ends them, and a comment must be UTF-8 too.
+    path.write_bytes(b"{b}\r{a}\x0b{b}\r\n{b} % caf\xe9\n{b}\n")
+    code, out, err = invoke("filter", "-f", "F b", "--traces", str(path))
+    assert (code, out) == (2, "{b}\n{b}\n")
+    assert err == f"parse error: {path}:4:10: expected UTF-8 text, found byte 0xe9\n"
 
 
 def test_a_stamp_too_long_to_print_exits_three():

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from conftest import random_any_formula, random_trace
+from tracelogic import parser
 from tracelogic.errors import ParseError
 from tracelogic.formula import (
     Atom,
@@ -73,6 +74,47 @@ def test_path_grammar_shapes():
     assert parse_formula("<tt*> a") == parse_formula("<(tt)*> a")
     with pytest.raises(ParseError):
         parse_formula("<a*?> b")
+    # A guard that starts with `(` may go on as a formula.
+    assert parse_formula("<(a | b) & c> d") == parse_formula("<((a | b) & c)> d")
+    assert parse_formula("<(a) -> b> c") == parse_formula("<(a -> b)> c")
+    for text, column, expected, found in (
+        ("<(a ; b) & c> d", 10, "'>'", "'&'"),
+        ("<(X a) ; b> c", 6, "a propositional step guard or '?'", "')'"),
+    ):
+        with pytest.raises(ParseError) as error:
+            parse_formula(text)
+        assert (error.value.line, error.value.column, error.value.expected, error.value.found) == (
+            1, column, expected, found,
+        ), text
+
+
+def _tests_in_groups(depth: int) -> str:
+    return "<(" * depth + "a" + "? ; b)> c" * depth
+
+
+def _tests_in_stars(depth: int) -> str:
+    text = "a"
+    for _ in range(depth):
+        text = f"<(({text})? ; b)*> c"
+    return text
+
+
+@pytest.mark.parametrize("family", [_tests_in_groups, _tests_in_stars])
+def test_nested_path_operands_are_read_a_bounded_number_of_times(monkeypatch, family):
+    """Each level of nesting adds a bounded number of `unary` calls, where re-reading each operand doubled them."""
+    unary = parser._Parser.unary
+    calls = 0
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return unary(self)
+
+    monkeypatch.setattr(parser._Parser, "unary", counted)
+    for depth in (3, 6, 12):
+        calls = 0
+        parse_formula(family(depth))
+        assert calls <= 5 * depth, (depth, calls)
 
 
 def test_error_position_bounded():

@@ -2,10 +2,12 @@
 
 `derandomize=True` makes every run draw the same examples, so these are
 reproducible tier-1 tests; each property also checks that its strategy
-reached every node type.  The last property holds the trace parser, whose
-split reader reads every valid trace and whose `trace` production gives
-`eps` and every error, to the token grammar of `reference_parser.py` on
-long, spaced, commented, canonical and mutated trace texts, timed or not.
+reached every node type or outcome.  Two properties hold the parser to
+`reference_parser.py`: the trace parser, whose split reader reads every
+valid trace and whose `trace` production gives `eps` and every error, to
+the token grammar on long, spaced, commented, canonical and mutated trace
+texts, timed or not; and the path operand rule to the earlier two-branch
+`path_base` on nested, path-heavy and mutated formula texts.
 """
 
 import dataclasses
@@ -14,11 +16,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_parser import parse_formula as reference_parse_formula
 from reference_parser import parse_trace as token_parse_trace
 from tracelogic import formula as fm
 from tracelogic.errors import ParseError
 from tracelogic.formula import format_formula
-from tracelogic.parser import parse_formula, parse_trace
+from tracelogic.parser import _Parser, _tokenize, parse_formula, parse_trace
 from tracelogic.trace import TimedTrace, Trace, format_trace
 
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -262,3 +265,126 @@ def test_trace_scanner_agrees_with_the_token_grammar():
     every |= {("canonical", "TimedTrace"), ("timed canonical insert", "error"), ("timed canonical delete", "error")}
     every |= {("canonical stamp digit", "error")}
     assert every | {"300+ steps"} <= seen, every - seen
+
+
+_GUARDS = ("a", "b", "tt", "!a", "a & b", "(a | b)", "!(a -> c)")
+_LEAVES = ("a", "b", "c", "tt", "ff")
+_PREFIXES = ("!", "X ", "F ", "G ", "X[1,3) ", "N ", "Y ")
+_BINARY = ("&", "|", "->", "U", "R", "S", "T")
+# Characters that the mutations insert: path and formula symbols, names and a space.
+_PATH_INSERT = "()<>[]?;+*&|!-abX "
+
+
+def _formula_text(rng: random.Random, depth: int) -> str:
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(_LEAVES)
+    kind = rng.choice(("prefix", "binary", "diamond", "box", "group"))
+    if kind == "prefix":
+        return rng.choice(_PREFIXES) + _operand(rng, depth - 1)
+    if kind == "binary":
+        return f"{_operand(rng, depth - 1)} {rng.choice(_BINARY)} {_operand(rng, depth - 1)}"
+    if kind == "group":
+        return f"({_formula_text(rng, depth - 1)})"
+    opening, closing = ("<", ">") if kind == "diamond" else ("[", "]")
+    return f"{opening}{_path_text(rng, depth - 1)}{closing} {_operand(rng, depth - 1)}"
+
+
+def _operand(rng: random.Random, depth: int) -> str:
+    text = _formula_text(rng, depth)
+    return f"({text})" if " " in text and rng.random() < 0.8 else text
+
+
+def _path_text(rng: random.Random, depth: int) -> str:
+    """A path: steps, tests of temporal formulas, groups, stars, sequences, alternations and guards that start with `(`."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(_GUARDS)
+    kind = rng.choice(("test", "group", "star", "seq", "alt", "guard"))
+    if kind == "test":
+        return _operand(rng, depth - 1) + "?"
+    if kind == "group":
+        return f"({_path_text(rng, depth - 1)})"
+    if kind == "star":
+        return f"({_path_text(rng, depth - 1)})*"
+    if kind in ("seq", "alt"):
+        return f"{_path_text(rng, depth - 1)} {';' if kind == 'seq' else '+'} {_path_text(rng, depth - 1)}"
+    # A guard that starts with `(` and goes on with a formula operator: a
+    # step when it stays propositional, else a test or an error.
+    guard = f"({rng.choice(_GUARDS)}) {rng.choice(('&', '|', '->'))} {_operand(rng, depth - 1)}"
+    return guard + "?" if rng.random() < 0.5 else guard
+
+
+_OPERAND_START = {"<", "[", ";", "+", "("}  # the tokens after which a path operand can start
+
+
+def _guards_wrapped(text: str) -> tuple[str, list[int]]:
+    """`text` with each guard that starts with `(` and goes on past its `)` with a formula operator wrapped in `( )`.
+
+    A guard is a `( … )` after `<`, `[`, `;`, `+` or `(` whose `)` a
+    formula operator follows, up to the end of the formula read from its
+    `(`, which must be propositional or go on with `?`; a formula group
+    that starts a formula group is wrapped too, which leaves its tree as it
+    is.  Also returns, for each offset of the result and its end, the
+    offset in `text` that it stands for.
+    """
+    tokens = _tokenize(text)
+    inserts, opened = [], []
+    for k, (kind, _, _, column) in enumerate(tokens):
+        if kind in ("(", "[", "<"):
+            opened.append(k)
+        elif kind in (")", "]", ">") and opened:
+            j = opened.pop()
+            if kind == ")" and tokens[j][0] == "(" and j and tokens[j - 1][0] in _OPERAND_START and tokens[k + 1][1] in _BINARY:
+                reader = _Parser(text)
+                reader.i = j
+                try:
+                    guard = reader.formula()
+                except ParseError:
+                    continue
+                if tokens[reader.i][0] != "?" and not fm.is_propositional(guard):
+                    continue  # neither a test nor a step: read as a group, as before
+                inserts += [(tokens[j][3] - 1, "("), (tokens[reader.i][3] - 1, ")")]
+    pieces, origin, last = [], [], 0
+    for offset, char in sorted(inserts):
+        pieces += [text[last:offset], char]
+        origin += [*range(last, offset), offset]
+        last = offset
+    return "".join(pieces) + text[last:], origin + list(range(last, len(text) + 1))
+
+
+def test_path_operands_agree_with_the_two_branch_grammar():
+    """Path operands are read once per start token, and read what the reference's two branches read.
+
+    The texts nest groups, tests of temporal formulas, stars, alternations
+    and guards that start with `(` and go on with `&`, `|` or `->`, up to
+    depth 6, and some get one character inserted or deleted.  Each must give
+    the reference's tree or its `ParseError` fields, except a text that the
+    reference rejects at a formula operator right after a parenthesised
+    guard: that text must read as the reference reads it with the whole
+    guard wrapped in one more pair of parentheses.
+    """
+    seen = set()
+
+    @SETTINGS
+    @given(st.integers(1, 6), st.sampled_from(("none", "insert", "delete")), st.integers(0, 2**32 - 1))
+    def check(depth, mutation, seed):
+        rng = random.Random(seed)
+        text = f"<{_path_text(rng, depth)}> c" if rng.random() < 0.5 else _formula_text(rng, depth)
+        at = rng.randint(0, len(text))
+        if mutation == "insert":
+            text = text[:at] + rng.choice(_PATH_INSERT) + text[at:]
+        elif mutation == "delete":
+            text = text[:at] + text[at + 1 :]
+        outcome, reference = _read(parse_formula, text), _read(reference_parse_formula, text)
+        if outcome == reference:
+            seen.add(("same", "error" if outcome[0] == "error" else "tree"))
+            return
+        assert reference[0] == "error", text
+        wrapped, origin = _guards_wrapped(text)
+        expected = _read(reference_parse_formula, wrapped)
+        if expected[0] == "error":
+            expected = (*expected[:2], origin[expected[2] - 1] + 1, *expected[3:])
+        assert wrapped != text and outcome == expected, (text, wrapped, outcome, expected)
+        seen.add(("former error", "error" if outcome[0] == "error" else "tree"))
+
+    check()
+    assert {("same", "tree"), ("same", "error"), ("former error", "tree")} <= seen, seen
