@@ -16,8 +16,8 @@ the printer reads too.  Prefix operators are collected in a loop and applied
 innermost first.  Every syntax error carries an exact 1-based line/column
 position.  A path operand is a formula, read as a step or, before `?`, as a
 test; only where that fails at a `(` is it read again as a group `( path )`.
-So `formula` keeps each formula it reads by its start token (a read that
-fails is not kept), and reading the group again reads none of them twice.
+So `formula` keeps what it reads from each start token, the formula or the
+`ParseError` the read raised, and reading the group again reads nothing twice.
 
 A trace has two readers.  The first splits: a text in the form
 `format_trace` writes (`{` first, the steps joined by `;`, no whitespace or
@@ -113,7 +113,8 @@ class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.i = 0
-        self.formulas: dict[int, tuple[fm.Formula, int]] = {}  # start token -> (formula, end token)
+        # start token -> (formula, end token), or (the ParseError its read raised, start token)
+        self.formulas: dict[int, tuple[fm.Formula | ParseError, int]] = {}
 
     def peek(self) -> tuple[str, str, int, int]:
         return self.tokens[self.i]
@@ -159,9 +160,16 @@ class _Parser:
 
     def formula(self) -> fm.Formula:
         start = self.i
-        if start not in self.formulas:
-            self.formulas[start] = self.climb(_FORMULA_OPS, self.unary), self.i
-        f, self.i = self.formulas[start]
+        kept = self.formulas.get(start)
+        if kept is None:
+            try:
+                kept = self.climb(_FORMULA_OPS, self.unary), self.i
+            except ParseError as error:  # not a RecursionError, which depends on the depth the read starts at
+                kept = error, start
+            self.formulas[start] = kept
+        f, self.i = kept
+        if isinstance(f, ParseError):
+            raise f.with_traceback(None)
         return f
 
     def unary(self) -> fm.Formula:

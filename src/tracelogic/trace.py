@@ -46,9 +46,6 @@ class TimedTrace:
         return len(self.letters)
 
 
-EMPTY_TRACE = Trace(())
-
-
 def traces_of(words) -> Iterator[Trace]:
     """One new `Trace` per word of `words`, each built with no `__init__` frame.
 

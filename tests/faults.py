@@ -178,8 +178,16 @@ FAULTS = (
     ),
     Fault(  # every formula read again from its first token, so a path operand read again as a group doubles the work
         "formula-read-again-at-each-start", "parser.py",
-        "if start not in self.formulas:", "if True:",
-        ("tests/test_parser.py::test_nested_path_operands_are_read_a_bounded_number_of_times",),
+        "if kept is None:", "if True:",
+        (
+            "tests/test_parser.py::test_nested_path_operands_are_read_a_bounded_number_of_times",
+            "tests/test_parser.py::test_group_only_paths_read_each_failing_formula_once",
+        ),
+    ),
+    Fault(  # a read that fails not kept, so a path of groups reads the failing formula again at every level
+        "failed-formula-read-not-kept", "parser.py",
+        "kept = error, start", "raise",
+        ("tests/test_parser.py::test_group_only_paths_read_each_failing_formula_once",),
     ),
     Fault(  # a path operand that fails to read as a step or a test read again as a group, wherever it starts
         "path-base-falls-back-on-every-operand", "parser.py",
@@ -317,6 +325,33 @@ FAULTS = (
         (
             "tests/test_afa.py::test_transitions_match_the_reference",
             "tests/test_golden.py::test_corpus_digest",
+        ),
+    ),
+    Fault(  # a star taken as a step at the end point, so `<tt*> tt` is false there
+        "end-value-star-does-not-pass", "afa.py",
+        "return self._passes(l) or self._passes(r)\n        return True",
+        "return self._passes(l) or self._passes(r)\n        return False",
+        (
+            "tests/test_afa.py::test_end_values_are_the_oracles_at_the_end_point",
+            "tests/test_golden.py::test_corpus_digest",
+        ),
+    ),
+    Fault(  # `[p] g` at the end point read off g's outright value, so `G a` is false there
+        "end-value-box-reads-the-outright-value", "afa.py",
+        "self._end_values(g)[1],) * 2", "self._end_values(g)[0],) * 2",
+        (
+            "tests/test_afa.py::test_end_values_are_the_oracles_at_the_end_point",
+            "tests/test_afa.py::test_finalval_examples",
+            "tests/test_golden.py::test_corpus_digest",
+        ),
+    ),
+    Fault(  # a literal false weakly at the end point too, so no box's step target is weak
+        "end-value-literal-not-weakly-true", "afa.py",
+        "return False, True", "return False, False",
+        (
+            "tests/test_afa.py::test_end_values_are_the_oracles_at_the_end_point",
+            "tests/test_afa.py::test_a_weak_step_target_is_a_weak_state",
+            "tests/test_cli.py::test_afa_dot_draws_a_weak_state",
         ),
     ),
     Fault(  # the rows built in set order, so a run may name a later letter outside the alphabet

@@ -171,6 +171,30 @@ def test_a_weak_step_target_is_a_weak_state():
     assert automaton.accepts(parse_trace("{a};{}")) is False
 
 
+def _subformulas(f) -> list:
+    found, pending = [], [f]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, fm.Formula):
+            found.append(node)
+        pending.extend(fm.children(node))
+    return found
+
+
+def test_end_values_are_the_oracles_at_the_end_point():
+    """The fold's (outright, weak) end values are bit 0 of the oracle's `sat` and `weak` over the empty trace.
+
+    Every subformula counts, test formulas inside paths included: all core
+    formulas of size 5 or less and a seeded corpus of larger ones.
+    """
+    rng = random.Random(43)
+    corpus = exhaustive_core_formulas(5) + [random_core_formula(rng, rng.randint(6, 14)) for _ in range(600)]
+    for f in corpus:
+        automaton, end = AFA(f), oracle.end_evaluator()
+        for g in _subformulas(f):
+            assert automaton._end_values(g) == (bool(end.sat(g) & 1), bool(end.weak(g) & 1)), (f, g)
+
+
 def test_delta_examples():
     automaton = AFA(_core("a"))
     assert automaton.delta(0, frozenset({"a"})) is True

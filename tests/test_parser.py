@@ -117,6 +117,24 @@ def test_nested_path_operands_are_read_a_bounded_number_of_times(monkeypatch, fa
         assert calls <= 5 * depth, (depth, calls)
 
 
+def test_group_only_paths_read_each_failing_formula_once(monkeypatch):
+    """A path that is only groups fails as a formula at every level; each failure is kept, so `unary` runs about once per level."""
+    expected = parse_formula("<a ; b> c")
+    unary = parser._Parser.unary
+    calls = 0
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return unary(self)
+
+    monkeypatch.setattr(parser._Parser, "unary", counted)
+    for depth in (25, 50, 100):
+        calls = 0
+        assert parse_formula("<" + "(" * depth + "a ; b" + ")" * depth + "> c") == expected
+        assert calls <= 2 * depth, (depth, calls)
+
+
 def test_error_position_bounded():
     bad_inputs = ["a U", "<a", "X[", "{", "a &&& b", "(((", "a @"]
     for text in bad_inputs:
