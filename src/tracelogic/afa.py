@@ -200,25 +200,19 @@ def _join(left, right, conj: bool):
     """The class table of the conjunction (`conj`) or the disjunction of two class tables.
 
     A class table `(mask, {code: antichain of minimal sets})` has an entry for
-    every code over `mask`, `()` where false.  Each left entry is extended over
-    the atoms only `right` reads, one lookup in `right` per new class; a false
-    left entry of a conjunction needs none.
+    every code over `mask`, `()` where false, keyed in `_submasks` order.  The
+    joined table walks the classes of the joined mask in that order and reads
+    each side at its own part of the class, one lookup in each.
     """
     left_mask, left_table = left
     right_mask, right_table = right
-    extras = _submasks(right_mask & ~left_mask)
     joined = {}
-    for key, sets in left_table.items():
-        if conj and not sets:
-            joined.update(dict.fromkeys([key | extra for extra in extras], ()))
-            continue
-        for extra in extras:
-            full = key | extra
-            other = right_table[full & right_mask]
-            if conj:
-                joined[full] = _product(sets, other) if other else ()
-            else:
-                joined[full] = _antichain({*sets, *other}) if sets and other else sets or other
+    for key in _submasks(left_mask | right_mask):
+        sets, other = left_table[key & left_mask], right_table[key & right_mask]
+        if conj:
+            joined[key] = _product(sets, other) if sets and other else ()
+        else:
+            joined[key] = _antichain({*sets, *other}) if sets and other else sets or other
     return left_mask | right_mask, joined
 
 

@@ -139,13 +139,14 @@ def to_dot(automaton) -> str:
 def _fa_dot(automaton) -> str:
     if not isinstance(automaton, (NFA, DFA)):
         raise TypeError(f"cannot render {type(automaton).__name__} as DOT")
-    suffixes = [f" [label={_quote(format_letter(a))}];" for a in automaton.letters]  # one per letter column
+    letters = letters_over(automaton.ap) if isinstance(automaton, NFA) else automaton.letters
+    suffixes = [f" [label={_quote(format_letter(a))}];" for a in letters]  # one per letter column
     body: list[str] = []
     if isinstance(automaton, NFA):
         name, successors = "nfa", automaton.successors
         for s in range(len(automaton.states)):
             head = f"  q{s} -> q"
-            body += [f"{head}{t}{suffix}" for a, suffix in zip(automaton.letters, suffixes) for t in successors(s, a)]
+            body += [f"{head}{t}{suffix}" for a, suffix in zip(letters, suffixes) for t in successors(s, a)]
     else:
         name = "dfa"
         for s, row in enumerate(automaton.transitions):

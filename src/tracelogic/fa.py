@@ -14,17 +14,17 @@ a time with the join that builds them (`afa._join`), and keeps the mask of
 the result, the atoms its successors depend on, with one table from class
 code (`code & mask`) to successors, which `NFA.successors` reads at a
 letter's class.  The first member's table is taken as it is, and each later
-member extends every class built so far by the atoms only it reads, one
-lookup in its table and at most one product per new class.  So an NFA
-state whose members read k atoms costs at most 2^k steps per member rather
-than 2^|AP|, and members that read one new atom each cost about 2^(k+1) in
-all.  Every class walk lists a mask's classes with `afa._submasks`, in
-first-letter order.  A macro-state of the subset construction costs one
-union per class of its members' masks, and a singleton `{m}` takes the
-entries of `tables[m]` with no union.
-Only the DFA keeps an entry for every letter, filled by one AND and one
-lookup per letter; minimization spells each row's blocks, and numbers its
-quotient, in C-level loops over the row.
+member costs one lookup in its table, one in the table built so far and at
+most one product per class of the joined mask.  So an NFA state whose
+members read k atoms costs at most 2^k steps per member rather than 2^|AP|,
+and members that read one new atom each cost about 2^(k+1) in all.  Every
+class table lists its mask's classes in `afa._submasks` order, the order of
+their first letter, as the join walks them.  A macro-state of the subset
+construction costs one union per class of its members' masks, and a
+singleton `{m}` takes the entries of `tables[m]` with no union.
+Dealternation spells no letter; only the DFA keeps an entry for every
+letter, filled by one AND and one lookup per letter; minimization spells
+each row's blocks, and numbers its quotient, in C-level loops over the row.
 
 Bounded enumeration hands the DFA rows, as `(letter, successor)` pairs, to
 `trace.accepted_words`, which walks them depth-first by length and enters
@@ -43,7 +43,8 @@ from . import formula as fm
 from .afa import AFA, StateSet, _join, _set_order, _submasks
 from .errors import BudgetError
 from .trace import (
-    Trace, accepted_words, check_enumeration_bound, check_letters, letters_over, outside_alphabet, traces_of,
+    Trace, accepted_words, check_enumeration_bound, check_letters, check_spellable, letters_over, outside_alphabet,
+    traces_of,
 )
 
 DEFAULT_BUDGET = 2**20
@@ -53,15 +54,13 @@ DEFAULT_BUDGET = 2**20
 class NFA:
     """Nondeterministic automaton whose states are sets of AFA ordinals.
 
-    `codes[i]` is the code of `letters[i]`; state s maps the class
-    `code & masks[s]` of each letter (the mask of its members' joined class
-    table) to its successor indices in `tables[s]`, keyed in the order of
-    their first letter.  No per-letter entry is stored.
+    State s maps the class `code & masks[s]` of each letter's code (the mask
+    of its members' joined class table) to its successor indices in
+    `tables[s]`, keyed in the order of their first letter.  No letter is
+    stored; the first `successors` call spells the codes of all of them.
     """
 
     ap: tuple[str, ...]
-    letters: tuple[frozenset, ...]
-    codes: tuple[int, ...]
     states: list[frozenset]  # sets of AFA ordinals
     masks: list[int]
     tables: list[dict]
@@ -70,7 +69,7 @@ class NFA:
 
     @cached_property
     def _code(self) -> dict:
-        return dict(zip(self.letters, self.codes))
+        return dict(zip(letters_over(self.ap), _submasks((1 << len(self.ap)) - 1)))
 
     def successors(self, s: int, letter) -> tuple[int, ...]:
         """The successor indices of state `s` at `letter`; AlphabetMismatchError for a letter outside `ap`."""
@@ -110,12 +109,12 @@ def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
     """Language-preserving conversion of an AFA into an NFA over state sets.
 
     `_join` conjoins an NFA state's members' class tables; the state keeps
-    the mask of that table and stores its successors once per class, walked
-    in `_submasks` order, the order of their first letter in `letters_over`,
-    so new states are added as a loop over every letter would add them.
+    the mask of that table and stores its successors once per class, in the
+    table's order, the order of their first letter in `letters_over`, so new
+    states are added as a loop over every letter would add them.  It spells
+    no letter, but first refuses an alphabet too wide for the DFA to spell.
     """
-    letters = tuple(letters_over(automaton.ap))
-    codes = tuple(_submasks((1 << len(automaton.ap)) - 1))
+    check_spellable(automaton.ap)
     class_table = automaton.class_table
     states = StateSet()
     states.add(frozenset((automaton.initial,)))
@@ -126,15 +125,14 @@ def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
         for i, q in enumerate(sorted(members)):
             mask, conj = _join((mask, conj), class_table(q), True) if i else class_table(q)
         table = {}
-        for key in _submasks(mask):
-            successors = conj[key]
+        for key, successors in conj.items():
             if len(successors) > 1:
                 successors = sorted(successors, key=_set_order)
             table[key] = tuple([_add(states, succ, max_states, "dealternation") for succ in successors])
         masks.append(mask)
         tables.append(table)
     accepting = tuple(all(automaton.final[q] for q in s) for s in states)
-    return NFA(automaton.ap, letters, codes, states.states, masks, tables, accepting)
+    return NFA(automaton.ap, states.states, masks, tables, accepting)
 
 
 def nfa_accepts(nfa: NFA, t: Trace) -> bool:
@@ -156,7 +154,8 @@ def determinize(nfa: NFA, max_states: int = DEFAULT_BUDGET) -> DFA:
     `{m}` has the classes of `tables[m]`, already in first-letter order, so
     it takes each entry as its macro-state with no union.
     """
-    codes, masks, tables = nfa.codes, nfa.masks, nfa.tables
+    letters = tuple(letters_over(nfa.ap))
+    codes, masks, tables = _submasks((1 << len(nfa.ap)) - 1), nfa.masks, nfa.tables
     macro_states = StateSet()
     macro_states.add(frozenset((nfa.initial,)))
     rows = []
@@ -178,7 +177,7 @@ def determinize(nfa: NFA, max_states: int = DEFAULT_BUDGET) -> DFA:
                 targets[key] = _add(macro_states, union, max_states, "determinization")
         rows.append(tuple([targets[code & mask] for code in codes]))
     accepting = tuple(any(nfa.accepting[m] for m in s) for s in macro_states)
-    return DFA(nfa.ap, nfa.letters, tuple(rows), accepting)
+    return DFA(nfa.ap, letters, tuple(rows), accepting)
 
 
 def dfa_accepts(dfa: DFA, t: Trace) -> bool:

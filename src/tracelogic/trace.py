@@ -81,21 +81,26 @@ def check_letters(t: Trace, ap) -> None:
             raise outside_alphabet(letter, ap)
 
 
+def check_spellable(ap) -> None:
+    """Raise SizeLimitError on more than 16 atoms: too many letters to spell out."""
+    width = len(set(ap))
+    if width > _MAX_LETTER_ATOMS:
+        raise SizeLimitError(
+            f"alphabet of {width} atoms has more than 2^{_MAX_LETTER_ATOMS} letters to spell out",
+            stage="letters", limit=_MAX_LETTER_ATOMS, reached=width,
+        )
+
+
 def letters_over(ap) -> list[Letter]:
     """All letters over the atoms of ap, built in the order of their sorted atom tuples.
 
     Each atom, from the highest down, puts the letters that hold it after the
-    empty letter, as `afa._submasks` puts codes.  SizeLimitError, before any
-    letter is built, on more than 16 atoms.
+    empty letter, as `afa._submasks` puts codes.  `check_spellable` first,
+    before any letter is built.
     """
-    names = sorted(set(ap))
-    if len(names) > _MAX_LETTER_ATOMS:
-        raise SizeLimitError(
-            f"alphabet of {len(names)} atoms has more than 2^{_MAX_LETTER_ATOMS} letters to spell out",
-            stage="letters", limit=_MAX_LETTER_ATOMS, reached=len(names),
-        )
+    check_spellable(ap)
     letters = [frozenset()]
-    for name in reversed(names):
+    for name in sorted(set(ap), reverse=True):
         letters[1:1] = [letter | {name} for letter in letters]
     return letters
 

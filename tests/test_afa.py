@@ -24,6 +24,7 @@ from tracelogic.afa import (
     AFA,
     Weak,
     _holds,
+    _submasks,
     minimal_sets,
     pbf_and,
     pbf_or,
@@ -444,6 +445,38 @@ def test_transitions_match_the_reference():
                 assert two_way.transitions[(q, END)] is two_way.transitions[(q, frozenset())], (f, q)
             kinds[bool(asked), bool(two_way.reads[q])] += 1
     assert kinds.keys() == {(False, False), (True, False), (True, True)}, kinds
+
+
+# Formulas that join a right side reading atoms below the left side's: a join
+# that extended each left class by the atoms only the right side reads keyed
+# 9 of their 17 AFA class tables out of first-letter order.
+_OUT_OF_ORDER_JOINS = (
+    "(a | X c) & (b | X d)",
+    "G (a -> F b) & G (c -> F d)",
+    "F a & F b & F c",
+    "G !(a & b) & G !(c & d)",
+    "a U (b & X c)",
+)
+
+
+def test_class_tables_are_keyed_in_first_letter_order():
+    """Every class table lists its mask's classes as `_submasks(mask)` does, the order of their first letter.
+
+    That holds for each AFA state's `class_table` and for each NFA state's
+    `(masks[s], tables[s])`, over the reference corpus and conjunctions
+    whose operands read interleaved atoms, so dealternation can add states
+    in the table's own order.
+    """
+    tables = 0
+    formulas = [_core(src) for src in _OUT_OF_ORDER_JOINS] + [f for f in _reference_corpus() if not _has_past(f)]
+    for f in formulas:
+        automaton = AFA(f, tuple(sorted(fm.atoms(f) | set(AP))))
+        nfa = dealternate(automaton)
+        pairs = [automaton.class_table(q) for q in range(len(automaton))] + list(zip(nfa.masks, nfa.tables))
+        for mask, table in pairs:
+            assert list(table) == _submasks(mask), (f, mask)
+        tables += len(pairs)
+    assert tables > 6_000, tables
 
 
 def test_constants_are_bools_folded_out_of_every_node():

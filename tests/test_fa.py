@@ -25,7 +25,7 @@ from tracelogic.fa import (
 )
 from tracelogic.formula import FALSE, TRUE, And, Box, Diamond, Not, Or, Star, Step, atoms, nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
-from tracelogic.trace import Trace, enumerate_traces, format_trace
+from tracelogic.trace import Trace, enumerate_traces, format_trace, letters_over
 
 AP = ("a", "b")
 
@@ -332,9 +332,9 @@ def test_dealternation_successor_count_grows_as_three_to_the_k(monkeypatch):
     reads i of them, so the tables hold 2^k + 3^k entries.  A fold step is
     one lookup in a member's own class table: the first member's table is
     taken as it is, and the j-th member (j >= 2) of a state owing i
-    eventualities, each reading one atom of its own, extends each of the
-    2^(j-1) entries by its atom's two values, which is 2^(i+1) - 4 steps for
-    the state, 0 for i <= 1.  Summed over the subsets that is
+    eventualities, each reading one atom of its own, is read once per class
+    of the joined mask, 2^j classes, which is 2^(i+1) - 4 steps for the
+    state, 0 for i <= 1.  Summed over the subsets that is
     2·3^k - 4·2^k + 2, against the (2k/3)·3^k + 2^k member steps of a conjunction
     made per class.
     """
@@ -346,7 +346,7 @@ def test_dealternation_successor_count_grows_as_three_to_the_k(monkeypatch):
             steps.append(None)
             return super().__getitem__(key)
 
-    # only the fold's lookups count: the class walk's reads of a lone member's table are not fold steps
+    # only the fold's lookups in the member joined in count, not those in the table built so far
     monkeypatch.setattr(fa, "_join", lambda left, right, conj: join(left, (right[0], Counting(right[1])), conj))
     entries, folded = {}, {}
     for k in range(3, 9):
@@ -391,6 +391,33 @@ def test_mutex_class_tables_evaluate_each_guard_leaf_once(monkeypatch):
         evaluations[k] = sum(1 for guard in calls if isinstance(guard, Not))  # each leaf guard is a negated atom
         assert len(calls) == 2 * evaluations[k] and len(nfa.states) == 2
     assert evaluations == {k: 4 * k for k in range(2, 7)}
+
+
+def test_dealternation_spells_no_letter(monkeypatch):
+    """`G !(a0 & a1) & … & G !(a12 & a13)`: the NFA is built and sized with no letter spelled over its 14 atoms.
+
+    Each NFA state keeps a class table over the atoms its members read, so
+    dealternation and the size line need none of the 2^14 letters; the
+    subset construction spells them for its rows.  An alphabet too wide to
+    spell is refused before any class table is built.
+    """
+
+    def no_letters(ap):
+        raise AssertionError(f"letters spelled over {len(ap)} atoms")
+
+    automaton = _afa(" & ".join(f"G !(a{2 * i} & a{2 * i + 1})" for i in range(7)))
+    monkeypatch.setattr(fa, "letters_over", no_letters)
+    nfa = dealternate(automaton)
+    assert _size(nfa) == "states 2 transitions 4374"
+    with pytest.raises(AssertionError, match="^letters spelled over 14 atoms$"):
+        determinize(nfa)
+    monkeypatch.undo()
+    assert _size(minimize(determinize(nfa))) == "states 2 transitions 32768"
+    wide = _afa(" | ".join(f"a{i}" for i in range(17)))
+    monkeypatch.setattr(AFA, "class_table", lambda self, q: no_letters(self.ap))
+    with pytest.raises(SizeLimitError, match=r"^alphabet of 17 atoms has more than 2\^16 letters to spell out$") as error:
+        dealternate(wide)
+    assert (error.value.stage, error.value.limit, error.value.reached) == ("letters", 16, 17)
 
 
 def test_determinization_union_count_grows_as_three_to_the_k(monkeypatch):
@@ -458,12 +485,14 @@ def test_explorations_match_the_reference():
         automaton = AFA(f, sorted(atoms(f) | extra))
         nfa = dealternate(automaton)
         expected = ref.dealternate(automaton)
-        fields = lambda a: (a.ap, a.letters, a.states, a.accepting, a.initial)  # noqa: E731
-        assert fields(nfa) == fields(expected)
+        letters = letters_over(nfa.ap)
+        assert (nfa.ap, letters, nfa.states, nfa.accepting, nfa.initial) == (
+            expected.ap, list(expected.letters), expected.states, expected.accepting, expected.initial,
+        )
         assert all(nfa.successors(s, letter) == targets for (s, letter), targets in expected.transitions.items())
         for members in nfa.states:
             local = frozenset().union(*(automaton.reads[q] for q in members))
-            seen.add(("classes", len({letter & local for letter in nfa.letters}) < len(nfa.letters)))
+            seen.add(("classes", len({letter & local for letter in letters}) < len(letters)))
         dfa = determinize(nfa)
         assert dfa == ref.determinize(expected)
         for source in (dfa, relabelled(dfa, seed)):
@@ -524,10 +553,11 @@ def test_dealternation_of_partly_overlapping_members_matches_the_reference():
         automaton = AFA(f, sorted(atoms(f) | {extra}))
         nfa = dealternate(automaton)
         expected = ref.dealternate(automaton)
-        assert (nfa.ap, nfa.letters, nfa.states, nfa.accepting) == (
-            expected.ap, expected.letters, expected.states, expected.accepting,
+        letters = letters_over(nfa.ap)
+        assert (nfa.ap, letters, nfa.states, nfa.accepting) == (
+            expected.ap, list(expected.letters), expected.states, expected.accepting,
         )
-        entries = [((s, a), nfa.successors(s, a)) for s in range(len(nfa.states)) for a in nfa.letters]
+        entries = [((s, a), nfa.successors(s, a)) for s in range(len(nfa.states)) for a in letters]
         assert entries == list(expected.transitions.items())
         seen.add(("partly overlapping", _partly_overlapping(automaton, nfa)))
         seen.add(("branching", any(len(targets) > 1 for table in nfa.tables for targets in table.values())))
@@ -577,8 +607,11 @@ def test_nfa_successors_list_the_reference_entries_in_order():
     def check(f, extra):
         automaton = AFA(f, sorted(atoms(f) | extra))
         nfa = dealternate(automaton)
-        expected = ref.dealternate(automaton).transitions
-        entries = [((s, a), nfa.successors(s, a)) for s in range(len(nfa.states)) for a in nfa.letters]
+        reference = ref.dealternate(automaton)
+        expected = reference.transitions
+        letters = letters_over(nfa.ap)
+        assert letters == list(reference.letters)
+        entries = [((s, a), nfa.successors(s, a)) for s in range(len(nfa.states)) for a in letters]
         assert entries == list(expected.items())
         assert _size(nfa) == f"states {len(nfa.states)} transitions {sum(map(len, expected.values()))}"
 
