@@ -1,10 +1,10 @@
 """Metric logic programs over the metric-next fragment.
 
 A rule `h :- b` is the formula `b -> h`, required at every letter position
-of a trace and checked there by the oracle; a head `X[l,u) a` is a metric
-next and an integrity constraint's head is `ff`.  Over an untimed trace a
-metric head is a plain next, and each step where it fires yields a
-difference constraint; the system's minimal solution derives timestamps.
+of a trace and checked there by the oracle; h is an `fm.Atom`, a metric
+next `X[l,u) a` of one, or `ff` for an integrity constraint.  Over an
+untimed trace a metric head is a plain next, and each step where it fires
+yields a difference constraint; their least solution derives timestamps.
 A constraint is a validated tuple `(i, j, lo, hi)`, which the solver
 unpacks without an attribute read.  `extract_constraints` builds each
 rule's step constraints `(i, i + 1, lo, hi)`, and the minimum gaps, as one
@@ -37,27 +37,17 @@ from .trace import TimedTrace, Trace, accepted_words, check_enumeration_bound, l
 
 
 @dataclass(frozen=True)
-class PlainHead:
-    atom: str
+class MetricRule:
+    """`head :- body`: head an `fm.Atom`, an `fm.MetricNext` of one, or None for an integrity constraint."""
 
-
-@dataclass(frozen=True)
-class MetricHead:
-    lo: int
-    hi: int | None  # None is an unbounded interval
-    atom: str
+    head: fm.Atom | fm.MetricNext | None
+    body: tuple[tuple[str, bool], ...]  # (atom, positive)
 
     def __post_init__(self):
-        if self.lo < 0 or (self.hi is not None and self.lo >= self.hi):
-            raise InvalidValueError(f"empty metric interval [{self.lo},{self.hi})")
-
-
-@dataclass(frozen=True)
-class MetricRule:
-    """`head :- body`; head None makes it an integrity constraint."""
-
-    head: PlainHead | MetricHead | None
-    body: tuple[tuple[str, bool], ...]  # (atom, positive)
+        head = self.head
+        if not (head is None or isinstance(head, fm.Atom)
+                or (isinstance(head, fm.MetricNext) and isinstance(head.arg, fm.Atom))):
+            raise InvalidValueError(f"not a rule head: {head!r}")
 
 
 @dataclass(frozen=True)
@@ -157,15 +147,8 @@ def _body_holds(rule: MetricRule, letter) -> bool:
 def _rule_formulas(rule: MetricRule) -> tuple[fm.Formula, fm.Formula, fm.Formula]:
     literals = [fm.Atom(atom) if positive else fm.Not(fm.Atom(atom)) for atom, positive in rule.body]
     body = reduce(fm.And, literals) if literals else fm.TRUE
-    match rule.head:
-        case None:
-            return body, fm.FALSE, fm.FALSE
-        case PlainHead(atom):
-            return body, fm.Atom(atom), fm.Atom(atom)
-        case MetricHead(lo, hi, atom):
-            return body, fm.MetricNext(lo, hi, fm.Atom(atom)), fm.Next(fm.Atom(atom))
-        case _:
-            raise TypeError(f"not a rule head: {rule.head!r}")
+    head = fm.FALSE if rule.head is None else rule.head
+    return body, head, fm.Next(head.arg) if isinstance(head, fm.MetricNext) else head
 
 
 def _rule_positions(program: MetricProgram, t, timed: bool) -> Iterator[tuple[int, MetricRule, int, int]]:
@@ -200,7 +183,7 @@ def extract_constraints(program: MetricProgram, t: Trace, strict: bool = False) 
     for r, rule, fires, broken in _rule_positions(program, t, timed=False):
         if broken:
             raise UntimedViolationError(r, _members(broken)[0])
-        if isinstance(rule.head, MetricHead):
+        if isinstance(rule.head, fm.MetricNext):
             lo, hi = rule.head.lo, rule.head.hi
             hi = None if hi is None else hi - 1
             constraints += _steps(_members(fires), lo, hi)
@@ -368,12 +351,12 @@ def enumerate_models(program: MetricProgram, ap, horizon: int) -> Iterator[Timed
     needs, gaps = {}, {}
     for letter in letters_over(ap):
         fired = [rule.head for rule in program.rules if _body_holds(rule, letter)]
-        if any(not isinstance(head, MetricHead) and (head is None or head.atom not in letter) for head in fired):
+        if any(not isinstance(head, fm.MetricNext) and (head is None or head.name not in letter) for head in fired):
             continue
-        window = [head for head in fired if isinstance(head, MetricHead)]
+        window = [head for head in fired if isinstance(head, fm.MetricNext)]
         gap = max((head.lo for head in window), default=0)
         if gap <= min((head.hi - 1 for head in window if head.hi is not None), default=gap):
-            needs[letter] = frozenset(head.atom for head in window)
+            needs[letter] = frozenset(head.arg.name for head in window)
             gaps[letter] = gap
     nodes = StateSet()
     nodes.add(frozenset())

@@ -41,7 +41,7 @@ import sys
 
 from . import formula as fm
 from .errors import InvalidValueError, ParseError
-from .metric import MetricHead, MetricProgram, MetricRule, PlainHead
+from .metric import MetricProgram, MetricRule
 from .trace import Letter, TimedTrace, Trace
 
 _TOKEN_RE = re.compile(
@@ -305,11 +305,11 @@ class _Parser:
         self.expect(".", "'.'")
         return MetricRule(head, tuple(body))
 
-    def head(self):
+    def head(self) -> fm.Atom | fm.MetricNext:
         if self.match(_METRIC_HEAD):
             lo, hi = self.interval()
-            return MetricHead(lo, hi, self.name())
-        return PlainHead(self.name())
+            return fm.MetricNext(lo, hi, fm.Atom(self.name()))
+        return fm.Atom(self.name())
 
     def literal(self) -> tuple[str, bool]:
         if self.match("not"):

@@ -146,6 +146,38 @@ FAULTS = (
             "tests/test_metric.py::test_extract_constraints_paper_example",
         ),
     ),
+    Fault(  # over an untimed trace, whose gaps are all 0, a fired `X[l,u) a` with l > 0 then breaks its rule
+        "untimed-metric-head-keeps-its-interval", "metric.py",
+        "fm.Next(head.arg) if isinstance(head, fm.MetricNext) else head", "head",
+        (
+            "tests/test_metric.py::test_extract_constraints_paper_example",
+            "tests/test_metric.py::test_extract_constraints_untimed_violation",
+        ),
+    ),
+    Fault(  # the gap table lets a step reach the excluded upper end of `X[l,u)`
+        "enumerated-head-bound-kept-inclusive", "metric.py",
+        "head.hi - 1 for head in window", "head.hi for head in window",
+        (
+            "tests/test_metric.py::test_enumerate_models_matches_reference",
+            "tests/test_metric.py::test_enumerate_models_matches_reference_on_shared_bodies",
+        ),
+    ),
+    Fault(  # a trace then ends while a metric head is still due
+        "enumerated-model-ends-with-heads-due", "metric.py",
+        "[not due for due in nodes]", "[True for due in nodes]",
+        (
+            "tests/test_metric.py::test_models_satisfy_program",
+            "tests/test_cli.py::test_metric_check_accepts_every_enumerated_model",
+        ),
+    ),
+    Fault(  # a metric next of any formula then passes as a rule head
+        "rule-head-of-any-metric-next", "metric.py",
+        "isinstance(head, fm.MetricNext) and isinstance(head.arg, fm.Atom)", "isinstance(head, fm.MetricNext)",
+        (
+            "tests/test_metric.py::test_malformed_constraints_and_heads_raise_value_error",
+            "tests/test_errors.py::test_invalid_values_are_typed_errors",
+        ),
+    ),
     Fault(  # the prune looking one row too far: successors that accept in one letter fewer than are left
         "accepted-words-prune-one-letter-short", "trace.py",
         "branches[depth] = iter(live[length - depth][node])", "branches[depth] = iter(live[length - depth - 1][node])",

@@ -18,14 +18,13 @@ from collections import deque
 
 from reference_oracle import _members
 from tracelogic.errors import TraceLogicError
+from tracelogic.formula import Atom, MetricNext
 from tracelogic.metric import (
     ConstraintSystem,
     DiffConstraint,
     Infeasible,
-    MetricHead,
     MetricProgram,
     MetricRule,
-    PlainHead,
     UntimedViolationError,
     Witness,
     _rule_positions,
@@ -41,9 +40,9 @@ def _head_holds(head, t: TimedTrace, i: int, check_time: bool) -> bool:
     match head:
         case None:
             return False
-        case PlainHead(atom):
+        case Atom(atom):
             return atom in t.letters[i]
-        case MetricHead(lo, hi, atom):
+        case MetricNext(lo, hi, Atom(atom)):
             if i + 1 >= len(t):
                 return False
             if atom not in t.letters[i + 1]:
@@ -80,7 +79,7 @@ def extract_constraints(program: MetricProgram, t: Trace, strict: bool = False) 
                 continue
             if not _head_holds(rule.head, dummy, i, check_time=False):
                 raise UntimedViolationError(r, i)
-            if isinstance(rule.head, MetricHead):
+            if isinstance(rule.head, MetricNext):
                 hi = None if rule.head.hi is None else rule.head.hi - 1
                 constraints.append(DiffConstraint(i, i + 1, rule.head.lo, hi))
     minimum_gap = 1 if strict else 0
@@ -100,7 +99,7 @@ def extract_constraints_one_by_one(program: MetricProgram, t: Trace, strict: boo
     for r, rule, fires, broken in _rule_positions(program, t, timed=False):
         if broken:
             raise UntimedViolationError(r, _members(broken)[0])
-        if isinstance(rule.head, MetricHead):
+        if isinstance(rule.head, MetricNext):
             lo, hi = rule.head.lo, rule.head.hi
             hi = None if hi is None else hi - 1
             constraints += [DiffConstraint(i, i + 1, lo, hi) for i in _members(fires)]

@@ -3,8 +3,8 @@
 import pytest
 
 from tracelogic import InvalidValueError, TraceLogicError
-from tracelogic.formula import TRUE, Atom, MetricNext, Next, Step
-from tracelogic.metric import ConstraintSystem, DiffConstraint, MetricHead
+from tracelogic.formula import TRUE, And, Atom, MetricNext, Next, Step
+from tracelogic.metric import ConstraintSystem, DiffConstraint, MetricRule
 from tracelogic.oracle import evaluate
 from tracelogic.trace import TimedTrace, Trace, check_enumeration_bound
 
@@ -17,7 +17,10 @@ EMPTY = frozenset()
         (lambda: Atom("B c"), "invalid atom name: 'B c'"),
         (lambda: MetricNext(5, 5, TRUE), "empty metric interval [5,5)"),
         (lambda: Step(Next(Atom("a"))), "step guard must be propositional"),
-        (lambda: MetricHead(3, 3, "a"), "empty metric interval [3,3)"),
+        (
+            lambda: MetricRule(MetricNext(1, 2, And(Atom("a"), Atom("b"))), ()),
+            "not a rule head: MetricNext(lo=1, hi=2, arg=And(left=Atom(name='a'), right=Atom(name='b')))",
+        ),
         (lambda: DiffConstraint(0, 0, 0, None), "difference constraint needs two distinct variables"),
         (lambda: DiffConstraint(0, 1, 5, 4), "empty bound [5,4]"),
         (lambda: ConstraintSystem(-1, ()), "negative variable count -1"),

@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 from tracelogic import metric, oracle
 from tracelogic.cli import run
 from tracelogic.errors import InvalidValueError, SizeLimitError, UntimedTraceError
+from tracelogic.formula import And, Atom, MetricNext, Next, WeakMetricNext
 from tracelogic.metric import (
     ConstraintSystem,
     DiffConstraint,
     Infeasible,
-    MetricHead,
     MetricProgram,
     MetricRule,
-    PlainHead,
     UntimedViolationError,
     Witness,
     check_program,
@@ -268,7 +267,7 @@ def test_models_satisfy_program():
 
 def test_head_check_matches_timed_oracle():
     rng = random.Random(101)
-    rule = MetricRule(MetricHead(3, 7, "a"), (("b", True),))
+    rule = MetricRule(MetricNext(3, 7, Atom("a")), (("b", True),))
     program = MetricProgram((rule,))
     metric_formula = parse_formula("X[3,7) a")
     for _ in range(200):
@@ -410,9 +409,9 @@ def random_program(rng, atoms, n_rules):
             body = tuple((atom, rng.random() < 0.7) for atom in rng.sample(atoms, rng.randint(1, 2)))
         kind = rng.choice(("metric", "metric", "plain", "constraint"))
         if kind == "metric":
-            head = MetricHead(*rng.choice(WINDOWS), rng.choice(atoms))
+            head = MetricNext(*rng.choice(WINDOWS), Atom(rng.choice(atoms)))
         elif kind == "plain":
-            head = PlainHead(rng.choice(atoms))
+            head = Atom(rng.choice(atoms))
         else:
             head = None
         rules.append(MetricRule(head, body))
@@ -449,10 +448,10 @@ def shared_body_cases(draw):
         # Two heads listed first, as draws lean towards the first choice: a pair can clash.
         windows = [draw(st.sampled_from(WINDOWS)) for _ in range(draw(st.sampled_from((2, 3, 0, 1))))]
         atom = draw(atoms)
-        heads = [MetricHead(*window, atom) for window in windows]
+        heads = [MetricNext(*window, Atom(atom)) for window in windows]
         match draw(st.sampled_from((None, "plain", "constraint"))):
             case "plain":
-                heads.append(PlainHead(draw(atoms)))
+                heads.append(Atom(draw(atoms)))
             case "constraint":
                 heads.append(None)
         rules.extend(MetricRule(head, body) for head in heads)
@@ -590,13 +589,24 @@ def test_diff_constraint_is_a_validated_tuple():
             "constraint DiffConstraint(i=0, j=1, lo=0, hi=None) references a missing variable",
         ),
         (lambda: feasible(ConstraintSystem(-1, ())), "negative variable count -1"),
-        (lambda: MetricHead(3, 3, "a"), "empty metric interval [3,3)"),
+        (lambda: MetricNext(3, 3, Atom("a")), "empty metric interval [3,3)"),
         (lambda: DiffConstraint(0, 1, 0, None)._replace(j=0), "difference constraint needs two distinct variables"),
         (lambda: DiffConstraint(0, 1, 0, None)._replace(lo=5, hi=4), "empty bound [5,4]"),
         (lambda: DiffConstraint._make((0, 1, 5, 4)), "empty bound [5,4]"),
+        (lambda: MetricRule(Next(Atom("a")), ()), "not a rule head: Next(arg=Atom(name='a'))"),
+        (
+            lambda: MetricRule(MetricNext(1, 2, And(Atom("a"), Atom("b"))), ()),
+            "not a rule head: MetricNext(lo=1, hi=2, arg=And(left=Atom(name='a'), right=Atom(name='b')))",
+        ),
+        (
+            lambda: MetricRule(WeakMetricNext(1, 2, Atom("a")), ()),
+            "not a rule head: WeakMetricNext(lo=1, hi=2, arg=Atom(name='a'))",
+        ),
+        (lambda: MetricRule("a", ()), "not a rule head: 'a'"),
     ],
     ids=["same-variable", "empty-bound", "missing-variable", "negative-variable-count", "empty-head-interval",
-         "replace-same-variable", "replace-empty-bound", "make-empty-bound"],
+         "replace-same-variable", "replace-empty-bound", "make-empty-bound", "head-next",
+         "head-metric-next-of-a-conjunction", "head-weak-metric-next", "head-string"],
 )
 def test_malformed_constraints_and_heads_raise_value_error(build, message):
     with pytest.raises(ValueError) as error:
@@ -641,10 +651,10 @@ def rule_programs(draw):
         if kind == "constraint":
             head = None
         elif kind == "plain":
-            head = PlainHead(atom)
+            head = Atom(atom)
         else:
             lo = draw(st.integers(0, 4))
-            head = MetricHead(lo, draw(st.none() | st.integers(lo + 1, lo + 5)), atom)
+            head = MetricNext(lo, draw(st.none() | st.integers(lo + 1, lo + 5)), Atom(atom))
         rules.append(MetricRule(head, body))
     return MetricProgram(tuple(rules))
 
@@ -657,10 +667,10 @@ def _meets(program, letter, due, last) -> bool:
     for rule in program.rules:
         if not reference._body_holds(rule, letter):
             continue
-        if isinstance(rule.head, MetricHead):
+        if isinstance(rule.head, MetricNext):
             if last:
                 return False
-        elif rule.head is None or rule.head.atom not in letter:
+        elif rule.head is None or rule.head.name not in letter:
             return False
     return due <= letter
 
@@ -682,9 +692,9 @@ def programs_and_traces(draw):
         candidates = LETTERS[k:] + LETTERS[:k] if repair else [LETTERS[k]]
         letter = next((c for c in candidates if _meets(program, c, due, i == n - 1)), LETTERS[k])
         due = frozenset(
-            rule.head.atom
+            rule.head.arg.name
             for rule in program.rules
-            if isinstance(rule.head, MetricHead) and reference._body_holds(rule, letter)
+            if isinstance(rule.head, MetricNext) and reference._body_holds(rule, letter)
         )
         letters.append(letter)
     times = [0] * min(n, 1)
@@ -882,9 +892,9 @@ def long_programs_and_traces(draw):
         candidates = pool[k:] + pool[:k] if repair else [pool[k]]
         letter = next((c for c in candidates if _meets(program, c, due, i == n - 1)), pool[k])
         due = frozenset(
-            rule.head.atom
+            rule.head.arg.name
             for rule in program.rules
-            if isinstance(rule.head, MetricHead) and reference._body_holds(rule, letter)
+            if isinstance(rule.head, MetricNext) and reference._body_holds(rule, letter)
         )
         letters.append(letter)
     times = [0] * min(n, 1)

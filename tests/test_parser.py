@@ -17,7 +17,6 @@ from tracelogic.formula import (
     TrueFormula,
     format_formula,
 )
-from tracelogic.metric import MetricHead, PlainHead
 from tracelogic.parser import parse_formula, parse_program, parse_trace
 from tracelogic.trace import TimedTrace, Trace, format_trace
 
@@ -214,7 +213,7 @@ def test_parse_program_metric_rule():
     program = parse_program("X[20,40) school :- drive.")
     assert len(program.rules) == 1
     rule = program.rules[0]
-    assert rule.head == MetricHead(20, 40, "school")
+    assert rule.head == MetricNext(20, 40, Atom("school"))
     assert rule.body == (("drive", True),)
 
 
@@ -228,7 +227,7 @@ def test_parse_program_forms():
         """
     )
     heads = [rule.head for rule in program.rules]
-    assert heads == [PlainHead("licensed"), None, PlainHead("school")]
+    assert heads == [Atom("licensed"), None, Atom("school")]
     assert program.rules[1].body == (("drive", True), ("licensed", False))
 
 

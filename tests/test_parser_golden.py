@@ -16,7 +16,7 @@ import random
 
 from conftest import random_any_formula, random_trace
 from tracelogic.errors import ParseError
-from tracelogic.formula import format_formula
+from tracelogic.formula import MetricNext, format_formula
 from tracelogic.parser import parse_formula, parse_program, parse_trace
 from tracelogic.trace import format_trace
 
@@ -151,8 +151,10 @@ def _outcome(parse, text: str):
     rules = []
     for rule in result.rules:
         head = rule.head
-        if head is not None:
-            head = [type(head).__name__, getattr(head, "lo", None), getattr(head, "hi", None), head.atom]
+        if isinstance(head, MetricNext):
+            head = ["MetricHead", head.lo, head.hi, head.arg.name]
+        elif head is not None:
+            head = ["PlainHead", None, None, head.name]
         rules.append([head, [list(literal) for literal in rule.body]])
     return ["program", rules]
 
@@ -174,3 +176,16 @@ def test_corpus_is_ascii_and_large():
 
 def test_pinned_outcomes():
     assert corpus_digest(corpus()) == CORPUS_DIGEST
+
+
+def test_program_heads_read_back_as_formulas():
+    """Every rule head of the corpus is a formula node: `format_formula` prints it and `parse_formula` reads it back."""
+    heads = set()
+    for text in corpus():
+        try:
+            heads.update(rule.head for rule in parse_program(text).rules if rule.head is not None)
+        except ParseError:
+            pass
+    assert (len(heads), sum(isinstance(head, MetricNext) for head in heads)) == (67, 37)  # 30 plain heads
+    for head in heads:
+        assert parse_formula(format_formula(head)) == head
