@@ -60,23 +60,23 @@ where either does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import formula as fm
 from . import oracle
 from .errors import UnsupportedOperatorError
 from .trace import Trace, letters_over, outside_alphabet, resolve_alphabet
 
 
-@dataclass(frozen=True)
-class MoveRef:
+class MoveRef(fm.Value):
     """Leaf of a two-way transition, in B+({-1, 0, 1} x Q) (Vardi, ICALP 1998): `state` after a head move.
 
     `move` is the head's displacement: -1 (left), 0 (stay in place) or 1 (right).
     """
 
-    state: int
-    move: int
+    __match_args__ = ("state", "move")
+
+    def __init__(self, state: int, move: int):
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "move", move)
 
 
 # A positive boolean formula: `True`, `False`, a state ordinal, a `MoveRef`, an
@@ -84,9 +84,11 @@ class MoveRef:
 PBF = bool | int | tuple | MoveRef | fm.Formula
 
 
-@dataclass(frozen=True)
-class _Marker:
-    name: str
+class _Marker(fm.Value):
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
 _L, _S, _R = -1, 0, 1  # head moves: left, stay in place, right
@@ -95,11 +97,13 @@ BEGIN = _Marker("begin")
 END = _Marker("end")
 
 
-@dataclass(frozen=True)
-class Weak:
+class Weak(fm.Value):
     """State of either alternating automaton: behaves like the formula at letters, holds weakly at the trace ends."""
 
-    formula: fm.Formula
+    __match_args__ = ("formula",)
+
+    def __init__(self, formula: fm.Formula):
+        object.__setattr__(self, "formula", formula)
 
 
 def pbf_and(left: PBF, right: PBF) -> PBF:

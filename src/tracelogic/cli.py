@@ -11,6 +11,7 @@ import argparse
 import re
 import signal
 import sys
+from functools import cache
 
 from . import formula as fm
 from . import oracle
@@ -268,7 +269,9 @@ def _cmd_metric_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _build_argparser() -> argparse.ArgumentParser:
+@cache
+def _argparser() -> argparse.ArgumentParser:
+    """The parser of every command, built by the first `run` of a process and kept: parsing leaves it unchanged."""
     root = argparse.ArgumentParser(prog="tracelogic", description=__doc__)
     sub = root.add_subparsers(dest="command", required=True)
 
@@ -330,7 +333,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Execute one invocation; returns the process exit code."""
-    parser = _build_argparser()
+    parser = _argparser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

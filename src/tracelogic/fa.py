@@ -35,9 +35,8 @@ O(max_len * states * letters) for the table, then O(length) per trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import cached_property
-from typing import Iterator
 
 from . import formula as fm
 from .afa import AFA, StateSet, _join, _set_order, _submasks
@@ -50,22 +49,29 @@ from .trace import (
 DEFAULT_BUDGET = 2**20
 
 
-@dataclass
-class NFA:
+class NFA(fm.Value):
     """Nondeterministic automaton whose states are sets of AFA ordinals.
 
     State s maps the class `code & masks[s]` of each letter's code (the mask
     of its members' joined class table) to its successor indices in
     `tables[s]`, keyed in the order of their first letter.  No letter is
     stored; the first `successors` call spells the codes of all of them.
+    It holds lists, so it stays mutable and unhashable.
     """
 
-    ap: tuple[str, ...]
-    states: list[frozenset]  # sets of AFA ordinals
-    masks: list[int]
-    tables: list[dict]
-    accepting: tuple[bool, ...]
-    initial: int = 0
+    __match_args__ = ("ap", "states", "masks", "tables", "accepting", "initial")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, ap: tuple[str, ...], states: list[frozenset], masks: list[int], tables: list[dict],
+                 accepting: tuple[bool, ...], initial: int = 0):
+        self.ap = ap
+        self.states = states  # sets of AFA ordinals
+        self.masks = masks
+        self.tables = tables
+        self.accepting = accepting
+        self.initial = initial
 
     @cached_property
     def _code(self) -> dict:
@@ -80,13 +86,16 @@ class NFA:
         return self.tables[s][code & self.masks[s]]
 
 
-@dataclass(frozen=True)
-class DFA:
-    ap: tuple[str, ...]
-    letters: tuple[frozenset, ...]
-    transitions: tuple[tuple[int, ...], ...]  # [state][letter index]
-    accepting: tuple[bool, ...]
-    initial: int = 0
+class DFA(fm.Value):
+    __match_args__ = ("ap", "letters", "transitions", "accepting", "initial")
+
+    def __init__(self, ap: tuple[str, ...], letters: tuple[frozenset, ...], transitions: tuple[tuple[int, ...], ...],
+                 accepting: tuple[bool, ...], initial: int = 0):
+        object.__setattr__(self, "ap", ap)
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "transitions", transitions)  # [state][letter index]
+        object.__setattr__(self, "accepting", accepting)
+        object.__setattr__(self, "initial", initial)
 
     @property
     def n_states(self) -> int:

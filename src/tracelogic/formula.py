@@ -3,8 +3,10 @@
 Formulas combine propositional connectives, future and past temporal
 operators, dynamic path modalities, and a metric next constrained by an
 integer interval.  All nodes are immutable and compared structurally, and
-each computes its dataclass hash once and keeps it (`_Node`), so memo and
-state-set lookups do not rehash a subtree.
+each computes the hash of its field tuple once and keeps it, so memo and
+state-set lookups do not rehash a subtree.  That comes from `Value`, the
+base of every value class of the package, automata, traces and metric
+programs included.
 
 A node's fields, in `__match_args__` order, are its structure: `children`
 are the node-valued ones, and `_rebuild` maps them and keeps the others (an
@@ -23,7 +25,7 @@ operator with its dual under negation, plus the surface syntax
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import InvalidValueError, UnsupportedOperatorError
 
@@ -31,39 +33,73 @@ _ATOM_NAME = r"[a-z][a-zA-Z0-9_]*"
 _ATOM_RE = re.compile(_ATOM_NAME + r"\Z")
 
 
-class _Node:
-    """Base class of formula and path nodes: each node hashes its fields once and keeps the value.
+_set = object.__setattr__  # fills a field of a frozen value in its `__init__`
 
-    The value is the generated dataclass hash, `hash` of the field tuple in
-    field order.  `__init_subclass__` puts `__hash__` into every subclass's
-    own namespace, where `dataclass` keeps an explicit hash.  Only the
-    `__hash__` frame is on the stack per nesting level of a first hash, as
-    with the generated one, so deep trees hash as deep as before.  Copies
-    and pickles are rebuilt from the fields, so no cached value crosses an
-    interpreter with another hash seed.
+
+class Value:
+    """Base class of the package's value classes: immutable records compared and hashed by their fields.
+
+    A subclass names its fields, in order, in `__match_args__` and sets
+    them in its own `__init__` with `object.__setattr__`, after its checks.
+    Two values are equal when they are of the same class and their fields
+    are equal; a value hashes as its field tuple, computed once and kept in
+    the `_hash` slot.  Only the `__hash__` frame is on the stack per nesting
+    level of a first hash, so deep trees hash as deep as the field tuples
+    allow.  `repr` reads `Class(field=value, ...)`, and assigning to or
+    deleting an attribute raises AttributeError.  Copies and pickles are
+    rebuilt from the fields through `__init__`, so they are checked again
+    and no cached hash crosses an interpreter with another hash seed.
+    `__init_subclass__` gives every class its own `__eq__`, which reads
+    the fields of both values with one `operator.attrgetter`.  It reads
+    `__match_args__` last, the same object for both, so that the key is a
+    tuple even of one field or of none, and its items compare by identity
+    first, as the field tuples do: shared subtrees are not walked.
     """
 
     __slots__ = ("_hash",)
+    __match_args__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.__hash__ = _Node.__hash__
+        key = attrgetter(*cls.__match_args__, "__match_args__")
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        cls.__eq__ = __eq__
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
+        value = getattr(self, "_hash", None)  # no exception to catch: most values are hashed once, if at all
+        if value is None:
             value = hash(_fields(self))
-            object.__setattr__(self, "_hash", value)
-            return value
+            _set(self, "_hash", value)
+        return value
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return type(self), _fields(self)
 
 
-def _fields(node: _Node) -> tuple:
-    """A node's fields in field order (`__match_args__`, which `dataclass` sets to them)."""
-    return tuple([getattr(node, name) for name in node.__match_args__])
+def _fields(value: Value) -> tuple:
+    """A value's fields in field order (`__match_args__`)."""
+    return tuple([getattr(value, name) for name in value.__match_args__])
+
+
+class _Node(Value):
+    """Base class of formula and path nodes."""
+
+    __slots__ = ()
 
 
 class Formula(_Node):
@@ -78,21 +114,19 @@ class PathExpr(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __match_args__ = ("name",)
 
-    def __post_init__(self):
-        if not _ATOM_RE.match(self.name):
-            raise InvalidValueError(f"invalid atom name: {self.name!r}")
+    def __init__(self, name: str):
+        if not _ATOM_RE.match(name):
+            raise InvalidValueError(f"invalid atom name: {name!r}")
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class TrueFormula(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class FalseFormula(Formula):
     pass
 
@@ -101,38 +135,46 @@ class FalseFormula(Formula):
 # each keeps its own name in `repr` and compares equal only to its own class.
 
 
-@dataclass(frozen=True)
 class Unary(Formula):
-    arg: Formula
+    __match_args__ = ("arg",)
+
+    def __init__(self, arg: Formula):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Binary(Formula):
-    left: Formula
-    right: Formula
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Modal(Formula):
-    path: PathExpr
-    arg: Formula
+    __match_args__ = ("path", "arg")
+
+    def __init__(self, path: PathExpr, arg: Formula):
+        _set(self, "path", path)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Metric(Formula):
-    lo: int
-    hi: int | None
-    arg: Formula
+    __match_args__ = ("lo", "hi", "arg")
 
-    def __post_init__(self):
-        if self.lo < 0 or (self.hi is not None and self.lo >= self.hi):
-            raise InvalidValueError(f"empty metric interval [{self.lo},{self.hi})")
+    def __init__(self, lo: int, hi: int | None, arg: Formula):
+        if lo < 0 or (hi is not None and lo >= hi):
+            raise InvalidValueError(f"empty metric interval [{lo},{hi})")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class PathBinary(PathExpr):
-    left: PathExpr
-    right: PathExpr
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: PathExpr, right: PathExpr):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 class Not(Unary):
@@ -207,22 +249,24 @@ class WeakMetricNext(Metric):
     """Dual of MetricNext: no next step, or the delay misses the interval, or the body holds."""
 
 
-@dataclass(frozen=True)
 class Step(PathExpr):
     """One step whose source letter must satisfy a propositional guard."""
 
-    guard: Formula
+    __match_args__ = ("guard",)
 
-    def __post_init__(self):
-        if not is_propositional(self.guard):
+    def __init__(self, guard: Formula):
+        if not is_propositional(guard):
             raise InvalidValueError("step guard must be propositional")
+        _set(self, "guard", guard)
 
 
-@dataclass(frozen=True)
 class Test(PathExpr):
     """Zero-width check that a formula holds at the current position."""
 
-    arg: Formula
+    __match_args__ = ("arg",)
+
+    def __init__(self, arg: Formula):
+        _set(self, "arg", arg)
 
 
 class Seq(PathBinary):
@@ -233,9 +277,11 @@ class Alt(PathBinary):
     pass
 
 
-@dataclass(frozen=True)
 class Star(PathExpr):
-    arg: PathExpr
+    __match_args__ = ("arg",)
+
+    def __init__(self, arg: PathExpr):
+        _set(self, "arg", arg)
 
 
 # ---------------------------------------------------------------------------

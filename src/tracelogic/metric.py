@@ -23,11 +23,10 @@ O(|letters| * |rules|) once, then O(horizon) per model.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
+from collections.abc import Iterator
 from functools import cached_property, reduce
 from itertools import repeat
-from typing import Iterator, NamedTuple
 
 from . import formula as fm
 from .afa import StateSet
@@ -36,23 +35,34 @@ from .oracle import _evaluator, _members
 from .trace import TimedTrace, Trace, accepted_words, check_enumeration_bound, letters_over
 
 
-@dataclass(frozen=True)
-class MetricRule:
-    """`head :- body`: head an `fm.Atom`, an `fm.MetricNext` of one, or None for an integrity constraint."""
+class MetricRule(fm.Value):
+    """`head :- body`: head an `fm.Atom`, an `fm.MetricNext` of one, or None for an integrity constraint.
 
-    head: fm.Atom | fm.MetricNext | None
-    body: tuple[tuple[str, bool], ...]  # (atom, positive)
+    The body is a tuple of literals `(atom, positive)`: an atom name and a
+    bool.  Both are checked when the rule is built, and InvalidValueError
+    names the head or the first literal that is malformed.
+    """
 
-    def __post_init__(self):
-        head = self.head
+    __match_args__ = ("head", "body")
+
+    def __init__(self, head: fm.Atom | fm.MetricNext | None, body: tuple[tuple[str, bool], ...]):
         if not (head is None or isinstance(head, fm.Atom)
                 or (isinstance(head, fm.MetricNext) and isinstance(head.arg, fm.Atom))):
             raise InvalidValueError(f"not a rule head: {head!r}")
+        for literal in body:
+            match literal:
+                case (str() as atom, bool()) if fm._ATOM_RE.match(atom):
+                    continue
+            raise InvalidValueError(f"not a body literal: {literal!r}")
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True)
-class MetricProgram:
-    rules: tuple[MetricRule, ...]
+class MetricProgram(fm.Value):
+    __match_args__ = ("rules",)
+
+    def __init__(self, rules: tuple[MetricRule, ...]):
+        object.__setattr__(self, "rules", rules)
 
     def universe(self) -> set[str]:
         return set().union(*[fm.atoms(f) for body, head, _ in self._formulas for f in (body, head)])
@@ -66,14 +76,7 @@ class MetricProgram:
         return tuple(_rule_formulas(rule) for rule in self.rules)
 
 
-class _DiffFields(NamedTuple):
-    i: int
-    j: int
-    lo: int
-    hi: int | None
-
-
-class DiffConstraint(_DiffFields):
+class DiffConstraint(namedtuple("_DiffFields", ("i", "j", "lo", "hi"))):
     """lo <= t_j - t_i <= hi over timestamp variables (hi None is unbounded).
 
     An immutable tuple `(i, j, lo, hi)` with named fields, checked however
@@ -105,30 +108,33 @@ class DiffConstraint(_DiffFields):
         return lo <= delta and (hi is None or delta <= hi)
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(fm.Value):
     """Difference constraints over per-position timestamp variables, anchored at t_0 = 0."""
 
-    n_vars: int
-    constraints: tuple[DiffConstraint, ...]
+    __match_args__ = ("n_vars", "constraints")
 
-    def __post_init__(self):
-        n = self.n_vars
-        if n < 0:
-            raise InvalidValueError(f"negative variable count {n}")
-        for c in self.constraints:
-            if not (0 <= c.i < n and 0 <= c.j < n):
+    def __init__(self, n_vars: int, constraints: tuple[DiffConstraint, ...]):
+        if n_vars < 0:
+            raise InvalidValueError(f"negative variable count {n_vars}")
+        for c in constraints:
+            if not (0 <= c.i < n_vars and 0 <= c.j < n_vars):
                 raise InvalidValueError(f"constraint {c} references a missing variable")
+        object.__setattr__(self, "n_vars", n_vars)
+        object.__setattr__(self, "constraints", constraints)
 
 
-@dataclass(frozen=True)
-class Witness:
-    times: tuple[int, ...]
+class Witness(fm.Value):
+    __match_args__ = ("times",)
+
+    def __init__(self, times: tuple[int, ...]):
+        object.__setattr__(self, "times", times)
 
 
-@dataclass(frozen=True)
-class Infeasible:
-    cycle: tuple[int, ...]  # indices of constraints forming a contradictory loop
+class Infeasible(fm.Value):
+    __match_args__ = ("cycle",)
+
+    def __init__(self, cycle: tuple[int, ...]):
+        object.__setattr__(self, "cycle", cycle)  # indices of constraints forming a contradictory loop
 
 
 class UntimedViolationError(TraceLogicError):

@@ -270,10 +270,3 @@ def path_relation(p: fm.PathExpr, t: Trace | TimedTrace) -> frozenset:
     ev = _evaluator(t)
     return frozenset((i, j) for j in range(len(t) + 1) for i in _members(ev.pre(p, 1 << j)))
 
-
-def end_evaluator() -> _Evaluator:
-    """An evaluator over the empty trace: bit 0 of `sat(f)` is f's end value, of `weak(f)` its weak one.
-
-    The AFA folds these values in closed form; tests compare the two.
-    """
-    return _evaluator(Trace(()))

@@ -10,11 +10,11 @@ the `Trace` of each enumerated word, for `enumerate_traces` and
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator
 
 from .errors import AlphabetMismatchError, InvalidValueError, SizeLimitError
+from .formula import Value
 
 Letter = frozenset  # set of true atoms at one position
 
@@ -23,20 +23,22 @@ MAX_ENUMERATION = 10**6
 _MAX_LETTER_ATOMS = 16
 
 
-@dataclass(frozen=True, slots=True)
-class Trace:
-    letters: tuple[Letter, ...]
+class Trace(Value):
+    __slots__ = __match_args__ = ("letters",)
+
+    def __init__(self, letters: tuple[Letter, ...]):
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
 
 
-@dataclass(frozen=True, slots=True)
-class TimedTrace:
-    letters: tuple[Letter, ...]
-    times: tuple[int, ...]
+class TimedTrace(Value):
+    __slots__ = __match_args__ = ("letters", "times")
 
-    def __post_init__(self):
+    def __init__(self, letters: tuple[Letter, ...], times: tuple[int, ...]):
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "times", times)
         if len(self.letters) != len(self.times):
             raise InvalidValueError("one timestamp per letter required")
         if list(self.times) != sorted(self.times):
@@ -50,8 +52,8 @@ def traces_of(words) -> Iterator[Trace]:
     """One new `Trace` per word of `words`, each built with no `__init__` frame.
 
     Each is a bare `Trace` whose `letters` slot is filled through the slot's
-    descriptor, which the frozen `__setattr__` does not guard.  `Trace`
-    defines no `__post_init__`, so that skips no check.
+    descriptor, which the frozen `__setattr__` does not guard.  `Trace`'s
+    `__init__` checks nothing, so that skips no check.
     """
     new, fill = object.__new__, Trace.letters.__set__
     for word in words:

@@ -510,6 +510,37 @@ FAULTS = (
         "found = []\n    for name in node.__match_args__:", "found = []\n    for name in reversed(node.__match_args__):",
         ("tests/test_formula.py::test_fragment_reports_the_first_offender_in_preorder",),
     ),
+    Fault(  # values of two classes with equal fields compared equal, so `And(a, b) == Or(a, b)`
+        "value-equality-ignores-the-class", "formula.py",
+        "if other.__class__ is self.__class__:", "if isinstance(other, Value):",
+        (
+            "tests/test_formula.py::test_values_equal_only_values_of_their_own_class",
+            "tests/test_golden.py::test_corpus_digest",
+        ),
+    ),
+    Fault(
+        "value-assignment-let-through", "formula.py",
+        'raise AttributeError(f"cannot assign to field {name!r}")', "object.__setattr__(self, name, value)",
+        (
+            "tests/test_formula.py::test_values_refuse_assignment_and_deletion",
+            "tests/test_trace.py::test_helper_traces_are_plain_frozen_traces",
+        ),
+    ),
+    Fault(  # a body literal `("a", 1)` accepted, whose sign is not a bool
+        "rule-body-sign-unchecked", "metric.py",
+        "case (str() as atom, bool()) if", "case (str() as atom, _) if",
+        ("tests/test_metric.py::test_rule_body_is_checked_when_the_rule_is_built",),
+    ),
+    Fault(  # every hash recomputed from the fields, so each lookup rehashes the whole subtree
+        "value-hash-not-kept", "formula.py",
+        '            _set(self, "_hash", value)\n', "",
+        ("tests/test_afa.py::test_chain_hashes_each_node_once",),
+    ),
+    Fault(  # a new parser for every `run`
+        "argparser-built-per-run", "cli.py",
+        "@cache\ndef _argparser", "def _argparser",
+        ("tests/test_cli.py::test_filter_after_negate_keeps_the_accepted_lines",),
+    ),
     Fault(
         "limit-errors-exit-as-invalid-input", "cli.py",
         "return EXIT_BUDGET", "return EXIT_INVALID",

@@ -16,7 +16,9 @@ same order.  The transition builders of the one-way and the two-way
 alternating automaton, as they were before they shared `afa.transition`,
 come next.  `reads` and `_path_reads`, the structural account of the atoms
 an AFA image depends on that the automata used before they recorded the
-guards their builds test, close the file.  The file name does not match
+guards their builds test, close the file, with `end_evaluator`, the
+oracle over the empty trace, whose bit 0 gives the end values that the AFA
+folds in closed form.  The file name does not match
 `test_*.py`, so pytest does not collect it.
 """
 
@@ -257,9 +259,17 @@ def afa_image(automaton: AFA, q: int, letter) -> PBF:
     return _image(automaton, state.formula if isinstance(state, Weak) else state, letter, frozenset())
 
 
+def end_evaluator() -> oracle._Evaluator:
+    """An evaluator over the empty trace: bit 0 of `sat(f)` is f's end value, of `weak(f)` its weak one.
+
+    The AFA folds these values in closed form; `test_afa.py` compares the two.
+    """
+    return oracle._evaluator(Trace(()))
+
+
 def _weak_target(g: fm.Formula) -> fm.Formula:
     """The AFA state a box's step leads to: `Weak(g)` if g holds weakly but not outright at the end, else g."""
-    end = oracle.end_evaluator()
+    end = end_evaluator()
     return Weak(g) if end.weak(g) & 1 != end.sat(g) & 1 else g
 
 

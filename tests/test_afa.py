@@ -16,7 +16,7 @@ from conftest import (
     until_chain,
 )
 import reference_fa as ref
-from reference_fa import ReferenceTwoAFA, afa_image
+from reference_fa import ReferenceTwoAFA, afa_image, end_evaluator
 from tracelogic import afa
 from tracelogic import formula as fm
 from tracelogic import oracle
@@ -191,7 +191,7 @@ def test_end_values_are_the_oracles_at_the_end_point():
     rng = random.Random(43)
     corpus = exhaustive_core_formulas(5) + [random_core_formula(rng, rng.randint(6, 14)) for _ in range(600)]
     for f in corpus:
-        automaton, end = AFA(f), oracle.end_evaluator()
+        automaton, end = AFA(f), end_evaluator()
         for g in _subformulas(f):
             assert automaton._end_values(g) == (bool(end.sat(g) & 1), bool(end.weak(g) & 1)), (f, g)
 

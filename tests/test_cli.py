@@ -120,6 +120,17 @@ def test_filter_and_negate(tmp_path):
     assert sorted(kept + dropped) == sorted(lines)
 
 
+def test_filter_after_negate_keeps_the_accepted_lines(tmp_path):
+    """Every `run` of a process parses with one parser, and no option of a call carries over to the next."""
+    path = tmp_path / "traces.txt"
+    path.write_text("{a};{b}\n{b}\neps\n")
+    code, out, _ = invoke("filter", "-f", "F b", "--traces", str(path), "--negate")
+    assert (code, out) == (0, "eps\n")
+    code, out, _ = invoke("filter", "-f", "F b", "--traces", str(path))
+    assert (code, out) == (0, "{a};{b}\n{b}\n")
+    assert cli._argparser() is cli._argparser()
+
+
 def test_enumerate():
     code, out, _ = invoke("enumerate", "-f", "a", "--ap", "a", "--max-len", "2")
     assert code == 0
@@ -472,6 +483,21 @@ def test_closed_stdout_is_not_a_verdict():
         err = proc.stderr.read()
     assert "Traceback" not in err
     assert code not in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("module", ["tracelogic", "tracelogic.cli"])
+def test_import_loads_no_dataclasses_inspect_or_typing(module):
+    """Importing the package or its command line loads none of `dataclasses`, `inspect` and `typing`.
+
+    Each costs import time, which every command pays, and nothing at run
+    time needs them.  `-S` leaves out the `site` imports, so that only the
+    package's own import graph is seen.  This checks which modules load, not a time.
+    """
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect', 'typing'}} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_a_value_error_inside_the_pipeline_is_not_an_input_error(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 from conftest import exhaustive_core_formulas, random_any_formula
+from reference_fa import end_evaluator
 from test_parser_properties import FORMULAS, SETTINGS, _node_types
 from tracelogic import formula as fm
 from tracelogic import oracle
@@ -93,7 +94,7 @@ def test_nnf_only_negates_atoms():
             case _:
                 for name in ("arg", "left", "right"):
                     child = getattr(f, name, None)
-                    if child is not None and hasattr(type(child), "__dataclass_fields__"):
+                    if child is not None and hasattr(type(child), "__match_args__"):
                         if child.__class__.__module__.endswith("formula"):
                             check(child)
 
@@ -142,7 +143,7 @@ def test_core_removes_future_sugar():
         yield type(f).__name__
         for field in ("arg", "left", "right", "path", "guard"):
             child = getattr(f, field, None)
-            if child is not None and hasattr(type(child), "__dataclass_fields__"):
+            if child is not None and hasattr(type(child), "__match_args__"):
                 yield from names(child)
 
     for _ in range(200):
@@ -178,7 +179,7 @@ def _mentions_metric(f) -> bool:
         return True
     for field in ("arg", "left", "right", "path", "guard"):
         child = getattr(f, field, None)
-        if child is not None and hasattr(type(child), "__dataclass_fields__"):
+        if child is not None and hasattr(type(child), "__match_args__"):
             if _mentions_metric(child):
                 return True
     return False
@@ -254,7 +255,7 @@ def test_format_parse_round_trip_exhaustive():
 def test_end_detector_formulas():
     from tracelogic.trace import Trace
 
-    assert oracle.end_evaluator().sat(AT_MARKER) & 1 == 1  # bit 0: the value at the letterless end point
+    assert end_evaluator().sat(AT_MARKER) & 1 == 1  # bit 0: the value at the letterless end point
     assert oracle.holds(AT_MARKER, Trace(()))
     assert not oracle.holds(AT_MARKER, Trace((frozenset({"a"}),)))
 
@@ -343,3 +344,104 @@ def test_hashed_nodes_copy_and_pickle():
     value = hash(f)
     for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         assert copied == f and hash(copied) == value
+
+
+def _value_samples() -> list:
+    """One value of each shape of `fm.Value` subclass, with the `repr` its frozen dataclass printed."""
+    from tracelogic.afa import BEGIN, MoveRef, Weak
+    from tracelogic.fa import build_dfa
+    from tracelogic.metric import ConstraintSystem, DiffConstraint, Infeasible, MetricProgram, MetricRule, Witness
+    from tracelogic.trace import TimedTrace, Trace
+
+    a = Atom("a")
+    return [
+        (a, "Atom(name='a')"),
+        (TRUE, "TrueFormula()"),
+        (And(a, Not(a)), "And(left=Atom(name='a'), right=Not(arg=Atom(name='a')))"),
+        (MetricNext(1, None, a), "MetricNext(lo=1, hi=None, arg=Atom(name='a'))"),
+        (
+            Diamond(Star(Seq(Test(a), STEP_TRUE)), a),
+            "Diamond(path=Star(arg=Seq(left=Test(arg=Atom(name='a')), right=Step(guard=TrueFormula()))), "
+            "arg=Atom(name='a'))",
+        ),
+        (MoveRef(2, -1), "MoveRef(state=2, move=-1)"),
+        (BEGIN, "_Marker(name='begin')"),
+        (Weak(a), "Weak(formula=Atom(name='a'))"),
+        (
+            build_dfa(Diamond(STEP_TRUE, a), ("a",)),
+            "DFA(ap=('a',), letters=(frozenset(), frozenset({'a'})), transitions=((1, 1), (2, 3), (2, 2), (3, 3)), "
+            "accepting=(False, False, False, True), initial=0)",
+        ),
+        (Trace((frozenset({"a"}), frozenset())), "Trace(letters=(frozenset({'a'}), frozenset()))"),
+        (TimedTrace((frozenset({"a"}),), (3,)), "TimedTrace(letters=(frozenset({'a'}),), times=(3,))"),
+        (
+            MetricRule(MetricNext(1, 3, a), (("b", False),)),
+            "MetricRule(head=MetricNext(lo=1, hi=3, arg=Atom(name='a')), body=(('b', False),))",
+        ),
+        (MetricProgram((MetricRule(None, (("a", True),)),)), "MetricProgram(rules=(MetricRule(head=None, body=(('a', True),)),))"),
+        (
+            ConstraintSystem(2, (DiffConstraint(0, 1, 1, 2),)),
+            "ConstraintSystem(n_vars=2, constraints=(DiffConstraint(i=0, j=1, lo=1, hi=2),))",
+        ),
+        (Witness((0, 1)), "Witness(times=(0, 1))"),
+        (Infeasible((0,)), "Infeasible(cycle=(0,))"),
+    ]
+
+
+def test_values_print_hash_and_copy_as_their_fields():
+    """Each value prints as its dataclass did, hashes as its field tuple, and copies and pickles to an equal value."""
+    samples = _value_samples()
+    for value, text in samples:
+        fields = tuple(getattr(value, name) for name in value.__match_args__)
+        assert repr(value) == text
+        assert hash(value) == hash(fields) and hash(value) == hash(fields)  # computed, then kept
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(copied) is type(value) and copied == value and hash(copied) == hash(value)
+    values = [value for value, _ in samples]
+    assert all(v != w for i, v in enumerate(values) for w in values[i + 1:])
+
+
+def test_values_equal_only_values_of_their_own_class():
+    """Equal fields are not enough: `And(a, b)` and `Or(a, b)` hash alike, as their field tuples do, but differ."""
+    from tracelogic.formula import Alt, Next, Or, WeakNext
+
+    a, b = Atom("a"), Atom("b")
+    pairs = [(And(a, b), Or(a, b)), (Next(a), WeakNext(a)), (Not(a), Next(a)), (Seq(Test(a), STEP_TRUE), Alt(Test(a), STEP_TRUE))]
+    for left, right in pairs:
+        assert left != right and not left == right and hash(left) == hash(right)
+        assert left == type(left)(*(getattr(left, name) for name in left.__match_args__))
+    assert Atom("a") != "a" and Atom("a").__eq__("a") is NotImplemented
+
+
+def test_values_refuse_assignment_and_deletion():
+    """Assigning or deleting any attribute of a frozen value raises AttributeError with the message `dataclasses` gives."""
+    for value, _ in _value_samples():
+        name = (*value.__match_args__, "extra")[0]
+        before = getattr(value, name, None)
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+        assert getattr(value, name, None) is before
+
+
+def test_nfa_is_mutable_and_unhashable_and_cached_properties_work():
+    """`NFA` keeps lists and may be changed; the `cached_property` of `DFA`, `NFA` and `MetricProgram` still work."""
+    from tracelogic.fa import build_dfa, dealternate
+    from tracelogic.metric import MetricProgram, MetricRule
+
+    nfa = dealternate(AFA(Diamond(STEP_TRUE, Atom("a"))))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(nfa)
+    assert nfa.successors(0, frozenset({"a"})) == (1,)
+    nfa.initial = 1
+    assert nfa.initial == 1 and pickle.loads(pickle.dumps(nfa)) == nfa
+    dfa = build_dfa(Diamond(STEP_TRUE, Atom("a")), ("a",))
+    assert dfa._columns is dfa._columns and dfa._columns == {frozenset(): 0, frozenset({"a"}): 1}
+    program = MetricProgram((MetricRule(MetricNext(1, 3, Atom("b")), (("a", True),)),))
+    assert program._formulas is program._formulas and program.universe() == {"a", "b"}
+    match program:
+        case MetricProgram((MetricRule(MetricNext(lo, hi, Atom(name)), body),)):
+            assert (lo, hi, name, body) == (1, 3, "b", (("a", True),))
+        case _:
+            raise AssertionError(program)

@@ -5,7 +5,6 @@ these use traces of up to 200 letters, plus two 2,000-letter traces on
 which the old quadratic and quartic evaluation cores were impractical.
 """
 
-import dataclasses
 import random
 import sys
 from collections import Counter
@@ -23,6 +22,7 @@ from conftest import (
     surface_formulas,
     until_chain,
 )
+from tracelogic import formula as fm
 from tracelogic import oracle
 from tracelogic.afa import AFA
 from tracelogic.errors import ParseError
@@ -88,10 +88,8 @@ def test_two_thousand_letters():
 
 def _subterms(node):
     yield node
-    for field in dataclasses.fields(node):
-        child = getattr(node, field.name)
-        if dataclasses.is_dataclass(child):
-            yield from _subterms(child)
+    for child in fm.children(node):
+        yield from _subterms(child)
 
 
 def _star_under_box(f) -> bool:

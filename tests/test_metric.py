@@ -615,6 +615,25 @@ def test_malformed_constraints_and_heads_raise_value_error(build, message):
 
 
 @pytest.mark.parametrize(
+    "body, message",
+    [
+        ((("B c", True), "x"), "not a body literal: ('B c', True)"),
+        ((("a", True), "x"), "not a body literal: 'x'"),
+        ((("a", 1),), "not a body literal: ('a', 1)"),
+        ((("a", True, False),), "not a body literal: ('a', True, False)"),
+        (((Atom("a"), True),), "not a body literal: (Atom(name='a'), True)"),
+    ],
+    ids=["atom-name", "not-a-pair", "sign-not-a-bool", "triple", "atom-node"],
+)
+def test_rule_body_is_checked_when_the_rule_is_built(body, message):
+    """A rule names its first malformed body literal when it is built, not when its program is first read."""
+    with pytest.raises(InvalidValueError) as error:
+        MetricRule(None, body)
+    assert str(error.value) == message
+    assert MetricRule(Atom("c"), (("a", True), ("b_1", False))).body == (("a", True), ("b_1", False))
+
+
+@pytest.mark.parametrize(
     "command, trace, message",
     [
         ("check", "{drive};{school}", "error: metric check needs a timed trace (steps suffixed with @t)\n"),

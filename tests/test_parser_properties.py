@@ -10,7 +10,6 @@ texts, timed or not; and the path operand rule to the earlier two-branch
 `path_base` on nested, path-heavy and mutated formula texts.
 """
 
-import dataclasses
 import random
 
 from hypothesis import given, settings
@@ -80,10 +79,8 @@ def _node_types(node) -> set:
     names = {type(node).__name__}
     if getattr(node, "hi", 0) is None:
         names.add(type(node).__name__ + "Inf")
-    for field in dataclasses.fields(node):
-        child = getattr(node, field.name)
-        if isinstance(child, (fm.Formula, fm.PathExpr)):
-            names |= _node_types(child)
+    for child in fm.children(node):
+        names |= _node_types(child)
     return names
 
 
@@ -108,15 +105,13 @@ def test_formula_round_trip():
 
 def _nodes(node):
     """Every formula and path node of a tree, children before their parent."""
-    for field in dataclasses.fields(node):
-        child = getattr(node, field.name)
-        if isinstance(child, (fm.Formula, fm.PathExpr)):
-            yield from _nodes(child)
+    for child in fm.children(node):
+        yield from _nodes(child)
     yield node
 
 
 def _field_tuple(node) -> tuple:
-    return tuple(getattr(node, field.name) for field in dataclasses.fields(node))
+    return tuple(getattr(node, name) for name in node.__match_args__)
 
 
 def test_node_hash_is_the_field_tuple_hash():
