@@ -40,7 +40,8 @@ class MetricRule(fm.Value):
 
     The body is a tuple of literals `(atom, positive)`: an atom name and a
     bool.  Both are checked when the rule is built, and InvalidValueError
-    names the head or the first literal that is malformed.
+    names the head, a body that is not a tuple, or the first literal that is
+    malformed.
     """
 
     __match_args__ = ("head", "body")
@@ -49,6 +50,8 @@ class MetricRule(fm.Value):
         if not (head is None or isinstance(head, fm.Atom)
                 or (isinstance(head, fm.MetricNext) and isinstance(head.arg, fm.Atom))):
             raise InvalidValueError(f"not a rule head: {head!r}")
+        if not isinstance(body, tuple):  # a list would leave the rule unhashable
+            raise InvalidValueError(f"not a tuple of body literals: {body!r}")
         for literal in body:
             match literal:
                 case (str() as atom, bool()) if fm._ATOM_RE.match(atom):
@@ -62,6 +65,8 @@ class MetricProgram(fm.Value):
     __match_args__ = ("rules",)
 
     def __init__(self, rules: tuple[MetricRule, ...]):
+        if not (isinstance(rules, tuple) and all(isinstance(rule, MetricRule) for rule in rules)):
+            raise InvalidValueError(f"not a tuple of rules: {rules!r}")
         object.__setattr__(self, "rules", rules)
 
     def universe(self) -> set[str]:

@@ -62,7 +62,7 @@ class Fault:
     path: str  # a file under src/tracelogic/
     snippet: str  # must occur exactly once in that file
     replacement: str
-    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root; `test_cli_case[<row>]` names a row of cli_cases.py
     survives: bool = False  # no test is known to kill it, so its tests must pass
 
 
@@ -531,6 +531,18 @@ FAULTS = (
         "case (str() as atom, bool()) if", "case (str() as atom, _) if",
         ("tests/test_metric.py::test_rule_body_is_checked_when_the_rule_is_built",),
     ),
+    Fault(  # a body given as a list accepted, so the rule and its program cannot be hashed
+        "rule-body-list-accepted", "metric.py",
+        "if not isinstance(body, tuple):", "if False:",
+        ("tests/test_metric.py::test_rule_body_is_checked_when_the_rule_is_built",),
+    ),
+    Fault(  # a check in `Trace.__init__`, which `traces_of` skips
+        "trace-init-checks-what-traces-of-skips", "trace.py",
+        '    def __init__(self, letters: tuple[Letter, ...]):\n        object.__setattr__(self, "letters", letters)\n',
+        '    def __init__(self, letters: tuple[Letter, ...]):\n        if not isinstance(letters, tuple):\n'
+        '            raise InvalidValueError("letters must be a tuple")\n        object.__setattr__(self, "letters", letters)\n',
+        ("tests/test_trace.py::test_helper_traces_are_plain_frozen_traces",),
+    ),
     Fault(  # every hash recomputed from the fields, so each lookup rehashes the whole subtree
         "value-hash-not-kept", "formula.py",
         '            _set(self, "_hash", value)\n', "",
@@ -545,7 +557,8 @@ FAULTS = (
         "limit-errors-exit-as-invalid-input", "cli.py",
         "return EXIT_BUDGET", "return EXIT_INVALID",
         (
-            "tests/test_cli.py::test_size_limit_exit_three",
+            "tests/test_cli.py::test_cli_case[enumerate-too-many-traces]",
+            "tests/test_cli.py::test_cli_case[compile-release-chain-16-dot-past-the-bound]",
             "tests/test_cli.py::test_dot_of_a_deep_release_chain_exits_three",
         ),
     ),
@@ -558,25 +571,68 @@ FAULTS = (
         "read-catches-only-os-errors", "cli.py",
         "        return handle.read()\n    except (OSError, ValueError) as exc:",
         "        return handle.read()\n    except OSError as exc:",
-        ("tests/test_cli.py::test_a_file_that_is_not_utf8_is_named",),
+        (
+            "tests/test_cli.py::test_cli_case[parse-formula-file-not-utf8]",
+            "tests/test_cli.py::test_a_path_with_a_nul_byte_is_named",
+        ),
     ),
     Fault(  # a plan byte that is not UTF-8 read as a character that starts no token
         "filter-reads-undecoded-bytes-as-plan-text", "cli.py",
         "else _UNDECODED.search(raw)", "else None",
         (
-            "tests/test_cli.py::test_filter_prints_the_plans_before_a_byte_that_is_not_utf8",
-            "tests/test_cli.py::test_a_file_that_is_not_utf8_is_named",
+            "tests/test_cli.py::test_cli_case[filter-plan-not-utf8]",
+            "tests/test_cli.py::test_cli_case[filter-late-plan-not-utf8]",
+            "tests/test_cli.py::test_cli_case[filter-comment-not-utf8]",
         ),
     ),
     Fault(  # a stamp past the digit limit then escapes `run` as a bare ValueError
         "format-trace-lets-the-digit-limit-through", "trace.py",
         "        except ValueError:  # past", "        except ArithmeticError:  # past",
-        ("tests/test_cli.py::test_a_stamp_too_long_to_print_exits_three",),
+        (
+            "tests/test_cli.py::test_cli_case[metric-times-stamp-too-long-to-print]",
+            "tests/test_cli.py::test_cli_case[metric-enumerate-stamp-too-long-to-print]",
+        ),
     ),
     Fault(
         "alphabet-names-unchecked", "cli.py",
         "{fm.Atom(name).name for name", "{name for name",
-        ("tests/test_cli.py::test_alphabet_names_must_be_atoms",),
+        (
+            "tests/test_cli.py::test_cli_case[enumerate-alphabet-name-not-an-atom]",
+            "tests/test_cli.py::test_cli_case[metric-enumerate-alphabet-name-not-an-atom]",
+        ),
+    ),
+    Fault(  # an NFA state's classes counted, not its successors
+        "nfa-size-counts-classes-not-successors", "cli.py",
+        "sum(map(len, table.values()))", "len(table)",
+        ("tests/test_cli.py::test_cli_case[compile-mutex-to-nfa]",),
+    ),
+    Fault(  # the summary printed after a malformed plan, as if every plan had been read
+        "filter-prints-the-summary-after-a-parse-error", "cli.py",
+        "            return EXIT_INVALID\n        if dfa_accepts(",
+        '            print(f"kept {kept} of {total}", file=sys.stderr)\n            return EXIT_INVALID\n        if dfa_accepts(',
+        ("tests/test_cli.py::test_cli_case[filter-stops-at-decreasing-stamps]",),
+    ),
+    Fault(  # the DOT file opened before the rendering, which may pass its bound, so a refused rendering leaves it
+        "dot-file-opened-before-rendering", "cli.py",
+        "_write(args.dot, to_dot(automaton))",
+        'with open(args.dot, "w", encoding="utf-8") as handle:\n            handle.write(to_dot(automaton))',
+        (
+            "tests/test_cli.py::test_cli_case[compile-release-chain-16-dot-past-the-bound]",
+            "tests/test_cli.py::test_cli_case[compile-17-atom-disjunction-to-2afa-dot]",
+        ),
+    ),
+    Fault(  # a negative length bound read as "no trace", so `enumerate` prints nothing and exits 0
+        "negative-length-bound-unchecked", "trace.py",
+        "    if max_len < 0:\n", "    if False:\n",
+        (
+            "tests/test_cli.py::test_cli_case[enumerate-negative-length]",
+            "tests/test_cli.py::test_cli_case[metric-enumerate-negative-horizon]",
+        ),
+    ),
+    Fault(  # an empty interval left to `MetricNext`, whose error has no line and column
+        "empty-interval-not-placed-by-the-parser", "parser.py",
+        "if hi is not None and lo >= hi:", "if False:",
+        ("tests/test_cli.py::test_cli_case[metric-times-empty-head-interval]",),
     ),
     Fault(  # an internal ValueError then reads as invalid input
         "run-catches-value-errors", "cli.py",

@@ -722,7 +722,7 @@ def _node_classes(cls=fm._Node):
 
 @pytest.fixture
 def node_eqs(monkeypatch) -> Counter:
-    """A counter of the calls to the generated `__eq__` of every formula and path node dataclass."""
+    """A counter of the calls to the `__eq__` that `Value` gives every formula and path node class."""
     calls: Counter = Counter()
     for cls in set(_node_classes()):
         if "__eq__" in vars(cls):

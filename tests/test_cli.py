@@ -3,11 +3,14 @@ import io
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import cli_cases
 from conftest import random_core_formula, release_chain, renamed
 from tracelogic import cli
 from tracelogic.cli import _size, run
@@ -22,53 +25,31 @@ from tracelogic.twafa import TwoAFA
 
 
 def invoke(*argv):
+    """`run(argv)` with its exit code, stdout and stderr, on a fresh thread.
+
+    A fresh thread's stack starts near the depth the console script's does,
+    so input nested close to the recursion limit reads as it reads there,
+    not as it reads below pytest's frames.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(list(argv))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), ThreadPoolExecutor(1) as thread:
+        code = thread.submit(run, list(argv)).result()
     return code, out.getvalue(), err.getvalue()
 
 
-def test_parse_echoes_canonical_form():
-    code, out, _ = invoke("parse", "-f", "a&  b")
-    assert code == 0
-    assert out.strip() == "a & b"
+@pytest.mark.parametrize("case", cli_cases.CASES, ids=[case.name for case in cli_cases.CASES])
+def test_cli_case(case, tmp_path, monkeypatch):
+    """One row of `cli_cases.py`, run in-process in a directory that holds only its input files."""
+    cli_cases.prepare(case, str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(*case.argv)
+    assert cli_cases.outcome(code, out.encode(), err.encode(), str(tmp_path)) == case.expected()
 
 
-def test_parse_error_exit_two():
-    code, _, err = invoke("parse", "-f", "a U")
-    assert code == 2
-    assert "1:4" in err
-
-
-def test_accepts_verdicts():
-    code, out, _ = invoke("accepts", "-f", "F b", "-t", "{a};{b}")
-    assert code == 0
-    assert out.strip() == "ACCEPTED"
-    code, out, _ = invoke("accepts", "-f", "G a", "-t", "{a};{b}")
-    assert code == 1
-    assert out.strip() == "REJECTED"
-
-
-def test_accepts_backends_agree():
-    for backend in ("oracle", "afa", "nfa", "dfa", "2afa"):
-        code, out, _ = invoke("accepts", "-f", "a U b", "-t", "{a};{b}", "--backend", backend)
-        assert (code, out.strip()) == (0, "ACCEPTED"), backend
-
-
-def test_accepts_past_needs_two_way():
-    code, _, _ = invoke("accepts", "-f", "F (b & Y a)", "-t", "{a};{b}", "--backend", "2afa")
-    assert code == 0
-    code, _, err = invoke("accepts", "-f", "Y a", "-t", "{a}", "--backend", "afa")
-    assert code == 2
-    assert "past" in err
-
-
-def test_accepts_metric_on_untimed_trace_exits_two():
-    for trace in ("{a};{b}", "{};{b}"):
-        code, out, err = invoke("accepts", "--backend", "oracle", "-f", "a | X[1,2) b", "-t", trace)
-        assert code == 2, trace
-        assert out == ""
-        assert "timed trace" in err
+def test_cli_case_names_are_distinct_and_kebab_case():
+    names = [case.name for case in cli_cases.CASES]
+    assert len(set(names)) == len(names)
+    assert all(re.fullmatch(r"[a-z0-9]+(-[a-z0-9]+)*", name) for name in names)
 
 
 def test_compile_counts_and_dot(tmp_path):
@@ -83,43 +64,6 @@ def test_compile_counts_and_dot(tmp_path):
     assert '"a"' in text
 
 
-def test_compile_dot_to_a_missing_directory_exits_two(tmp_path):
-    path = tmp_path / "missing" / "out.dot"
-    code, out, err = invoke("compile", "-f", "a U b", "--to", "dfa", "--dot", str(path))
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: cannot write {path}: ")
-
-
-def test_compile_dot_to_a_directory_exits_two(tmp_path):
-    code, out, err = invoke("compile", "-f", "a U b", "--to", "dfa", "--dot", str(tmp_path))
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: cannot write {tmp_path}: ")
-
-
-def test_compile_all_targets():
-    for target in ("afa", "nfa", "dfa", "min-dfa", "2afa"):
-        code, out, _ = invoke("compile", "-f", "a U b", "--to", target)
-        assert code == 0
-        assert out.startswith("states ")
-
-
-def test_filter_and_negate(tmp_path):
-    lines = ["{a};{b}", "{b}", "eps", "{a};{a}"]
-    path = tmp_path / "traces.txt"
-    path.write_text("\n".join(lines) + "\n")
-    code, out, err = invoke("filter", "-f", "F b", "--traces", str(path))
-    assert code == 0
-    kept = out.strip().splitlines()
-    assert kept == ["{a};{b}", "{b}"]
-    assert "kept 2 of 4" in err
-    code, out, _ = invoke("filter", "-f", "F b", "--traces", str(path), "--negate")
-    dropped = out.strip().splitlines()
-    assert dropped == ["eps", "{a};{a}"]
-    assert sorted(kept + dropped) == sorted(lines)
-
-
 def test_filter_after_negate_keeps_the_accepted_lines(tmp_path):
     """Every `run` of a process parses with one parser, and no option of a call carries over to the next."""
     path = tmp_path / "traces.txt"
@@ -131,54 +75,6 @@ def test_filter_after_negate_keeps_the_accepted_lines(tmp_path):
     assert cli._argparser() is cli._argparser()
 
 
-def test_enumerate():
-    code, out, _ = invoke("enumerate", "-f", "a", "--ap", "a", "--max-len", "2")
-    assert code == 0
-    assert out.strip().splitlines() == ["{a}", "{a};{}", "{a};{a}"]
-
-
-def test_equiv_exit_codes():
-    code, out, _ = invoke("equiv", "-f", "F a", "-g", "<tt*> a")
-    assert (code, out.strip()) == (0, "EQUIVALENT")
-    code, out, _ = invoke("equiv", "-f", "X a", "-g", "WX a")
-    assert code == 1
-    assert out.strip() == "eps"
-
-
-def test_metric_check(tmp_path):
-    program = tmp_path / "school.mlp"
-    program.write_text("X[20,40) school :- drive.\n")
-    code, out, _ = invoke("metric", "check", "-p", str(program), "-t", "{drive}@0;{school}@25")
-    assert (code, out.strip()) == (0, "")
-    code, out, _ = invoke("metric", "check", "-p", str(program), "-t", "{drive}@0;{school}@45")
-    assert code == 1
-    assert out.strip() == "rule 0 at step 0"
-
-
-def test_metric_times(tmp_path):
-    program = tmp_path / "school.mlp"
-    program.write_text("X[20,40) school :- drive.\n")
-    code, out, _ = invoke("metric", "times", "-p", str(program), "-t", "{drive};{school}")
-    assert (code, out.strip()) == (0, "{drive}@0;{school}@20")
-    code, out, _ = invoke("metric", "times", "-p", str(program), "-t", "{drive};{}")
-    assert code == 1
-    assert out.startswith("UNTIMED VIOLATION")
-    conflicted = tmp_path / "conflict.mlp"
-    conflicted.write_text("X[5,10) b :- a.\nX[20,30) b :- a.\n")
-    code, out, _ = invoke("metric", "times", "-p", str(conflicted), "-t", "{a};{b}")
-    assert code == 1
-    assert out.splitlines()[0] == "INFEASIBLE"
-    assert out.splitlines()[1].startswith("cycle:")
-
-
-def test_metric_enumerate(tmp_path):
-    program = tmp_path / "p.mlp"
-    program.write_text(":- drive.\n")
-    code, out, _ = invoke("metric", "enumerate", "-p", str(program), "--ap", "drive,school", "--horizon", "1")
-    assert code == 0
-    assert out.strip().splitlines() == ["{}@0", "{school}@0"]
-
-
 def test_metric_check_accepts_every_enumerated_model():
     """`metric enumerate` prints `eps` for the empty model, and `metric check` reads it as the empty timed trace."""
     for program, ap, horizon in ((":- a.", "a", "0"), ("X[1,3) b :- a.", "a,b", "2")):
@@ -188,16 +84,6 @@ def test_metric_check_accepts_every_enumerated_model():
             assert invoke("metric", "check", "--program-text", program, "-t", model) == (0, "", ""), model
     code, _, err = invoke("metric", "check", "--program-text", ":- a.", "-t", "{b}")
     assert (code, err) == (2, "error: metric check needs a timed trace (steps suffixed with @t)\n")
-
-
-def test_alphabet_names_must_be_atoms():
-    code, out, err = invoke("enumerate", "-f", "a", "--ap", "a,B c,{x}", "--max-len", "1")
-    assert (code, out, err) == (2, "", "error: invalid atom name: 'B c'\n")
-    args = ("metric", "enumerate", "--program-text", "X[1,2) b :- a.", "--ap", "a;b", "--horizon", "1")
-    code, out, err = invoke(*args)
-    assert (code, out, err) == (2, "", "error: invalid atom name: 'a;b'\n")
-    code, out, _ = invoke("enumerate", "-f", "a", "--ap", "a,,b", "--max-len", "1")
-    assert (code, out.splitlines()) == (0, ["{a}", "{a,b}"])
 
 
 def test_every_input_reads_from_its_file(tmp_path):
@@ -218,23 +104,11 @@ def test_every_input_reads_from_its_file(tmp_path):
         assert invoke(*from_files) == invoke(*inline)
 
 
-def test_program_file_missing():
-    code, _, err = invoke("metric", "check", "-p", "/nonexistent.mlp", "-t", "{a}@0")
-    assert code == 2
-    assert "cannot read" in err
-
-
 def test_inline_and_file_mutually_exclusive(tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("a")
     code, _, _ = invoke("parse", "-f", "a", "--formula-file", str(path))
     assert code == 2
-
-
-def test_size_limit_exit_three():
-    code, _, err = invoke("enumerate", "-f", "tt", "--ap", "a,b,c,d", "--max-len", "12")
-    assert code == 3
-    assert "limit" in err.lower()
 
 
 def test_alphabet_too_wide_to_spell_out_exits_three(monkeypatch):
@@ -249,33 +123,6 @@ def test_alphabet_too_wide_to_spell_out_exits_three(monkeypatch):
         assert err == "limit exceeded: alphabet of 17 atoms has more than 2^16 letters to spell out\n"
     code, out, _ = invoke("accepts", "-f", wide, "-t", "{a3}", "--backend", "afa")
     assert (code, out) == (0, "ACCEPTED\n")
-
-
-def test_two_way_automaton_over_seventeen_atoms(tmp_path):
-    # Each state of the 2AFA of `a0 | … | a16` reads at most one atom, so
-    # building, counting and running it spells out no letter over all 17;
-    # drawing it does.
-    wide = " | ".join(f"a{i}" for i in range(17))
-    code, out, err = invoke("compile", "-f", wide, "--to", "2afa")
-    assert (code, out, err) == (0, "states 33 transitions 3211280\n", "")
-    code, out, err = invoke("accepts", "-f", wide, "-t", "{a3}", "--backend", "2afa")
-    assert (code, out, err) == (0, "ACCEPTED\n", "")
-    code, out, err = invoke("compile", "-f", wide, "--to", "2afa", "--dot", str(tmp_path / "out.dot"))
-    assert (code, out) == (3, "")
-    assert err == "limit exceeded: alphabet of 17 atoms has more than 2^16 letters to spell out\n"
-    assert not (tmp_path / "out.dot").exists()
-
-
-def test_afa_size_over_seventeen_atoms(tmp_path):
-    # Each state reads at most one atom before its next step, so the count
-    # needs no letter over all 17; drawing the AFA spells them out.
-    wide = " & ".join(f"X a{i}" for i in range(17))
-    code, out, err = invoke("compile", "-f", wide, "--to", "afa")
-    assert (code, out, err) == (0, "states 18 transitions 1245184\n", "")
-    code, out, err = invoke("compile", "-f", wide, "--to", "afa", "--dot", str(tmp_path / "out.dot"))
-    assert (code, out) == (3, "")
-    assert err == "limit exceeded: alphabet of 17 atoms has more than 2^16 letters to spell out\n"
-    assert not (tmp_path / "out.dot").exists()
 
 
 def test_dot_of_a_deep_release_chain_exits_three(tmp_path):
@@ -331,16 +178,6 @@ def test_backends_agree_on_small_corpus():
             assert len(verdicts) == 1, (src, trace)
 
 
-def test_metric_formula_needs_oracle_backend():
-    code, out, _ = invoke("accepts", "-f", "X[20,40) school", "-t", "{drive}@0;{school}@25")
-    assert (code, out.strip()) == (0, "ACCEPTED")
-    code, _, err = invoke(
-        "accepts", "-f", "X[20,40) school", "-t", "{drive}@0;{school}@25", "--backend", "dfa"
-    )
-    assert code == 2
-    assert "metric" in err
-
-
 def test_dot_deterministic():
     def render():
         core = to_dynamic_core(nnf(parse_formula("<tt> a")))
@@ -388,65 +225,6 @@ def test_deep_nesting_is_not_a_verdict():
             assert code == 2, (name, argv[0])
             assert "Traceback" not in err
             assert len(err.strip().splitlines()) == 1, (name, argv[0])
-
-
-def test_filter_reports_file_line(tmp_path):
-    path = tmp_path / "plans.txt"
-    path.write_text("{a};{b}\n{b}\n{a};;{b}\n{b};{b}\n")
-    code, out, err = invoke("filter", "-f", "F b", "--traces", str(path))
-    assert code == 2
-    assert out.splitlines() == ["{a};{b}", "{b}"]
-    assert err == f"parse error: {path}:3:5: expected '{{', found ';'\n"
-    assert "kept" not in err
-
-
-def test_filter_reports_a_stamp_past_the_digit_limit(tmp_path):
-    path = tmp_path / "plans.txt"
-    path.write_text("{a};{b}\n{a}@" + "9" * 5000 + "\n{b}\n")
-    code, out, err = invoke("filter", "-f", "F b", "--traces", str(path))
-    assert code == 2
-    assert out == "{a};{b}\n"
-    limit = sys.get_int_max_str_digits()
-    assert err == f"parse error: {path}:2:5: expected a number of at most {limit} digits, found 5000 digits\n"
-
-
-@pytest.mark.parametrize(
-    "plan, where, message",
-    [
-        # 320 untimed steps, then a name that breaks the atom rule.
-        (";".join(["{a}", "{b}"] * 160) + ";{a,B}", "2:1284", "expected an atom, found 'B'"),
-        # 300 timed steps, then a stamp that goes back in time.
-        (";".join(f"{{a}}@{i}" for i in range(300)) + ";{b}@7", "2:2295", "expected a timestamp >= 299, found 7"),
-    ],
-)
-def test_filter_reports_the_column_deep_in_a_long_plan(tmp_path, plan, where, message):
-    path = tmp_path / "plans.txt"
-    path.write_text("{a};{b}\n" + plan + "\n{b}\n")
-    code, out, err = invoke("filter", "-f", "F b", "--traces", str(path))
-    assert code == 2
-    assert out == "{a};{b}\n"
-    assert err == f"parse error: {path}:{where}: {message}\n"
-
-
-def test_nesting_two_hundred_deep_parses():
-    code, out, err = invoke("parse", "-f", "X (" * 200 + "a" + ")" * 200)
-    assert code == 0, err
-    assert out == "X " * 200 + "a\n"
-
-
-def test_non_ascii_digit_is_a_positioned_parse_error():
-    code, out, err = invoke("parse", "-f", "X[²,3) a")
-    assert (code, out) == (2, "")
-    assert err == "parse error: 1:3: expected a token, found '²'\n"
-
-
-def test_negative_lengths_are_invalid():
-    code, out, err = invoke("enumerate", "-f", "a", "--ap", "a", "--max-len", "-1")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
-    code, out, err = invoke("metric", "enumerate", "--program-text", "a :- b.", "--ap", "a,b", "--horizon", "-2")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
@@ -510,45 +288,10 @@ def test_a_value_error_inside_the_pipeline_is_not_an_input_error(monkeypatch):
         run(["enumerate", "-f", "a", "--ap", "a", "--max-len", "1"])
 
 
-def test_a_file_that_is_not_utf8_is_named(tmp_path):
-    path = tmp_path / "plans.txt"
-    path.write_bytes(b"\xff{a};{b}\n")
-    code, out, err = invoke("filter", "-f", "F b", "--traces", str(path))
-    assert (code, out) == (2, "")
-    assert err == f"parse error: {path}:1:1: expected UTF-8 text, found byte 0xff\n"
+def test_a_path_with_a_nul_byte_is_named():
+    """No subprocess argument can carry a NUL byte, so this case is not a row of `cli_cases.py`."""
     code, out, err = invoke("parse", "--formula-file", "a\0b")
     assert (code, out, err) == (2, "", "error: cannot read a\0b: embedded null byte\n")
-
-
-def test_filter_prints_the_plans_before_a_byte_that_is_not_utf8(tmp_path):
-    """Plans are read line by line: the lines kept before the first byte that is not UTF-8 are printed, and it is placed."""
-    path = tmp_path / "late.txt"
-    path.write_bytes(b"{a};{b}\n{b}\n{a}\xff\n")
-    code, out, err = invoke("filter", "-f", "F b", "--traces", str(path))
-    assert (code, out) == (2, "{a};{b}\n{b}\n")
-    assert err == f"parse error: {path}:3:4: expected UTF-8 text, found byte 0xff\n"
-    # Lines end where `str.splitlines` ends them, and a comment must be UTF-8 too.
-    path.write_bytes(b"{b}\r{a}\x0b{b}\r\n{b} % caf\xe9\n{b}\n")
-    code, out, err = invoke("filter", "-f", "F b", "--traces", str(path))
-    assert (code, out) == (2, "{b}\n{b}\n")
-    assert err == f"parse error: {path}:4:10: expected UTF-8 text, found byte 0xe9\n"
-
-
-def test_a_stamp_too_long_to_print_exits_three():
-    """A bound with as many nines as Python converts to text: the stamps that pass it cannot be printed.
-
-    `metric enumerate` prints the models before the first such stamp, then stops.
-    """
-    limit = sys.get_int_max_str_digits()
-    program = f"X[{'9' * limit},inf) b :- a."
-    runs = [
-        (("metric", "times", "--program-text", program, "-t", "{a};{b,a};{b}"), 0),
-        (("metric", "enumerate", "--program-text", program, "--ap", "a,b", "--horizon", "3"), 6),
-    ]
-    for argv, models in runs:
-        code, out, err = invoke(*argv)
-        assert (code, len(out.splitlines())) == (3, models), argv[1]
-        assert err == f"limit exceeded: a timestamp has more than {limit} digits to print\n", argv[1]
 
 
 def test_a_crash_exits_seventy_with_its_traceback(monkeypatch, capsys):

@@ -603,10 +603,13 @@ def test_diff_constraint_is_a_validated_tuple():
             "not a rule head: WeakMetricNext(lo=1, hi=2, arg=Atom(name='a'))",
         ),
         (lambda: MetricRule("a", ()), "not a rule head: 'a'"),
+        (lambda: MetricProgram([MetricRule(None, ())]), "not a tuple of rules: [MetricRule(head=None, body=())]"),
+        (lambda: MetricProgram((MetricRule(None, ()), "a.")), "not a tuple of rules: (MetricRule(head=None, body=()), 'a.')"),
     ],
     ids=["same-variable", "empty-bound", "missing-variable", "negative-variable-count", "empty-head-interval",
          "replace-same-variable", "replace-empty-bound", "make-empty-bound", "head-next",
-         "head-metric-next-of-a-conjunction", "head-weak-metric-next", "head-string"],
+         "head-metric-next-of-a-conjunction", "head-weak-metric-next", "head-string", "program-of-a-list",
+         "program-of-a-string"],
 )
 def test_malformed_constraints_and_heads_raise_value_error(build, message):
     with pytest.raises(ValueError) as error:
@@ -622,11 +625,12 @@ def test_malformed_constraints_and_heads_raise_value_error(build, message):
         ((("a", 1),), "not a body literal: ('a', 1)"),
         ((("a", True, False),), "not a body literal: ('a', True, False)"),
         (((Atom("a"), True),), "not a body literal: (Atom(name='a'), True)"),
+        ([("a", True)], "not a tuple of body literals: [('a', True)]"),
     ],
-    ids=["atom-name", "not-a-pair", "sign-not-a-bool", "triple", "atom-node"],
+    ids=["atom-name", "not-a-pair", "sign-not-a-bool", "triple", "atom-node", "list"],
 )
 def test_rule_body_is_checked_when_the_rule_is_built(body, message):
-    """A rule names its first malformed body literal when it is built, not when its program is first read."""
+    """A rule names a body that is not a tuple, or its first malformed literal, when it is built, not when its program is first read."""
     with pytest.raises(InvalidValueError) as error:
         MetricRule(None, body)
     assert str(error.value) == message

@@ -115,7 +115,7 @@ def _field_tuple(node) -> tuple:
 
 
 def test_node_hash_is_the_field_tuple_hash():
-    """A node hashes as the generated dataclass hash would, before and after its first hash.
+    """A node hashes as its field tuple does, before and after its first hash.
 
     Two separate parses give equal trees of distinct nodes (the constants
     aside).  In one the root is hashed first, so each node's first hash
