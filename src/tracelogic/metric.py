@@ -1,14 +1,14 @@
 """Metric logic programs over the metric-next fragment.
 
 A rule `h :- b` is the formula `b -> h`, required at every letter position
-of a trace and checked there by the oracle; h is an `fm.Atom`, a metric
-next `X[l,u) a` of one, or `ff` for an integrity constraint.  Over an
-untimed trace a metric head is a plain next, and each step where it fires
-yields a difference constraint; their least solution derives timestamps.
-A constraint is a validated tuple `(i, j, lo, hi)`, which the solver
-unpacks without an attribute read.  `extract_constraints` builds each
-rule's step constraints `(i, i + 1, lo, hi)`, and the minimum gaps, as one
-batch in one C-level pass, and validates the bound a batch shares once.
+of a trace and checked there by the oracle: b is `tt` or a conjunction of
+literals `a` and `!a`, h an `fm.Atom`, a metric next `X[l,u) a` of one, or
+`ff` for an integrity constraint.  Over an untimed trace a metric head is
+a plain next, and each step where it fires yields a difference constraint;
+their least solution derives timestamps.  A constraint is a validated tuple
+`(i, j, lo, hi)`, unpacked by the solver without an attribute read, and
+`extract_constraints` builds each rule's step constraints and the minimum
+gaps as one batch in one C-level pass, validating their shared bound once.
 
 Every constraint joins two neighbouring positions: a head `X[l,u)` fired
 at i gives l <= t_(i+1) - t_i <= u - 1, and each step has a minimum gap
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from collections.abc import Iterator
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import repeat
 
 from . import formula as fm
@@ -38,27 +38,37 @@ from .trace import TimedTrace, Trace, accepted_words, check_enumeration_bound, l
 class MetricRule(fm.Value):
     """`head :- body`: head an `fm.Atom`, an `fm.MetricNext` of one, or None for an integrity constraint.
 
-    The body is a tuple of literals `(atom, positive)`: an atom name and a
-    bool.  Both are checked when the rule is built, and InvalidValueError
-    names the head, a body that is not a tuple, or the first literal that is
-    malformed.
+    The body is `fm.TRUE` or the left-nested `fm.And` of literals `Atom(name)`
+    and `Not(Atom(name))`, in source order.  Both are checked when the rule is
+    built, and InvalidValueError names the head, a body that is not a formula,
+    or the first literal that is not an atom or a negated atom.
     """
 
     __match_args__ = ("head", "body")
 
-    def __init__(self, head: fm.Atom | fm.MetricNext | None, body: tuple[tuple[str, bool], ...]):
+    def __init__(self, head: fm.Atom | fm.MetricNext | None, body: fm.Formula):
         if not (head is None or isinstance(head, fm.Atom)
                 or (isinstance(head, fm.MetricNext) and isinstance(head.arg, fm.Atom))):
             raise InvalidValueError(f"not a rule head: {head!r}")
-        if not isinstance(body, tuple):  # a list would leave the rule unhashable
-            raise InvalidValueError(f"not a tuple of body literals: {body!r}")
-        for literal in body:
-            match literal:
-                case (str() as atom, bool()) if fm._ATOM_RE.match(atom):
-                    continue
-            raise InvalidValueError(f"not a body literal: {literal!r}")
+        if not isinstance(body, fm.Formula):
+            raise InvalidValueError(f"not a rule body: {body!r}")
+        for literal in reversed(_literals(body)):
+            if not (isinstance(literal, fm.Atom) or (isinstance(literal, fm.Not) and isinstance(literal.arg, fm.Atom))):
+                raise InvalidValueError(f"not a body literal: {literal!r}")
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "body", body)
+
+
+def _literals(body: fm.Formula) -> list[fm.Formula]:
+    """A rule body's literals, last first, read down its left spine in a loop (no frame per literal); `tt` has none."""
+    if isinstance(body, fm.TrueFormula):
+        return []
+    literals = []
+    while isinstance(body, fm.And):
+        literals.append(body.right)
+        body = body.left
+    literals.append(body)
+    return literals
 
 
 class MetricProgram(fm.Value):
@@ -70,15 +80,13 @@ class MetricProgram(fm.Value):
         object.__setattr__(self, "rules", rules)
 
     def universe(self) -> set[str]:
-        return set().union(*[fm.atoms(f) for body, head, _ in self._formulas for f in (body, head)])
+        return set().union(*[fm.atoms(f) for rule in self.rules for f in (rule.body, rule.head) if f is not None])
 
     @cached_property
     def _formulas(self) -> tuple[tuple[fm.Formula, fm.Formula, fm.Formula], ...]:
-        """Per rule, its body and its head over timed and over untimed traces, as oracle formulas.
-
-        Over an untimed trace `X[l,u) a` reads as `X a`.  Built once per program.
-        """
-        return tuple(_rule_formulas(rule) for rule in self.rules)
+        """Per rule, its body, its head (`ff` if none) and that head over untimed traces, where `X[l,u) a` reads as `X a`."""
+        return tuple((rule.body, head, fm.Next(head.arg) if isinstance(head, fm.MetricNext) else head)
+                     for rule in self.rules for head in [fm.FALSE if rule.head is None else rule.head])
 
 
 class DiffConstraint(namedtuple("_DiffFields", ("i", "j", "lo", "hi"))):
@@ -149,17 +157,6 @@ class UntimedViolationError(TraceLogicError):
         self.rule_index = rule_index
         self.position = position
         super().__init__(f"rule {rule_index} violated at step {position} regardless of timestamps")
-
-
-def _body_holds(rule: MetricRule, letter) -> bool:
-    return all((atom in letter) == positive for atom, positive in rule.body)
-
-
-def _rule_formulas(rule: MetricRule) -> tuple[fm.Formula, fm.Formula, fm.Formula]:
-    literals = [fm.Atom(atom) if positive else fm.Not(fm.Atom(atom)) for atom, positive in rule.body]
-    body = reduce(fm.And, literals) if literals else fm.TRUE
-    head = fm.FALSE if rule.head is None else rule.head
-    return body, head, fm.Next(head.arg) if isinstance(head, fm.MetricNext) else head
 
 
 def _rule_positions(program: MetricProgram, t, timed: bool) -> Iterator[tuple[int, MetricRule, int, int]]:
@@ -359,9 +356,13 @@ def enumerate_models(program: MetricProgram, ap, horizon: int) -> Iterator[Timed
     due.  So only models are walked, each in O(horizon).
     """
     check_enumeration_bound(ap, horizon)
+    # Per rule: its head, and the atoms its body needs held and not held.
+    rules = [(rule.head, _literals(rule.body)) for rule in program.rules]
+    bodies = [(head, {x.name for x in body if isinstance(x, fm.Atom)}, {x.arg.name for x in body if isinstance(x, fm.Not)})
+              for head, body in rules]
     needs, gaps = {}, {}
     for letter in letters_over(ap):
-        fired = [rule.head for rule in program.rules if _body_holds(rule, letter)]
+        fired = [head for head, held, unheld in bodies if held <= letter and unheld.isdisjoint(letter)]
         if any(not isinstance(head, fm.MetricNext) and (head is None or head.name not in letter) for head in fired):
             continue
         window = [head for head in fired if isinstance(head, fm.MetricNext)]

@@ -293,17 +293,15 @@ class _Parser:
         return MetricProgram(tuple(rules))
 
     def rule(self) -> MetricRule:
-        head = None
-        if not self.match(":-"):
-            head = self.head()
-            if not self.match(":-"):
-                self.expect(".", "'.' or ':-'")
-                return MetricRule(head, ())
-        body = [self.literal()]
+        head = None if self.match(":-") else self.head()
+        if head is not None and not self.match(":-"):
+            self.expect(".", "'.' or ':-'")
+            return MetricRule(head, fm.TRUE)
+        body = self.literal()
         while self.match(","):
-            body.append(self.literal())
+            body = fm.And(body, self.literal())
         self.expect(".", "'.'")
-        return MetricRule(head, tuple(body))
+        return MetricRule(head, body)
 
     def head(self) -> fm.Atom | fm.MetricNext:
         if self.match(_METRIC_HEAD):
@@ -311,13 +309,13 @@ class _Parser:
             return fm.MetricNext(lo, hi, fm.Atom(self.name()))
         return fm.Atom(self.name())
 
-    def literal(self) -> tuple[str, bool]:
+    def literal(self) -> fm.Atom | fm.Not:
         if self.match("not"):
-            return (self.name(), False)
+            return fm.Not(fm.Atom(self.name()))
         kind, text, line, column = self.peek()
         if kind == "ident" and text in _METRIC_OPS and self.tokens[self.i + 1][0] == "[":
             raise ParseError(line, column, "a plain atom (no metric operators in bodies)", text)
-        return (self.name(), True)
+        return fm.Atom(self.name())
 
 
 def _run(src: str, production, expected_tail: str):

@@ -72,6 +72,7 @@ SCHOOL = "X[20,40) school :- drive."
 HEADS = "X[2,4) b :- a. c :- b."
 LONG_UNTIMED = ";".join(["{a}", "{b}"] * 160) + ";{a,B}"  # 320 steps, then a name that breaks the atom rule
 LONG_TIMED = ";".join(f"{{a}}@{i}" for i in range(300)) + ";{b}@7"  # 300 steps, then a stamp that goes back
+WIDE_BODY = "X[1,3) b :- " + ", ".join(["a"] * 2000) + "."  # a body of 2,000 literals
 
 
 CASES = (
@@ -185,6 +186,9 @@ CASES = (
     Case("filter-canonical-spaced-commented-and-timed-plans", ("filter", "-f", "F b", "--traces", "plans.txt"), 0,
          lines("{a};{b}", "{ a , b } ; {}", "{a};{b} % ends in b", "{a}@0;{b}@5"), "kept 4 of 6\n",
          files={"plans.txt": lines("{a};{b}", "{};{a}", "{ a , b } ; {}", "{a};{b} % ends in b", "{a}@0;{b}@5", "{a};{a}")}),
+    # Empty and whitespace-only lines between plans are neither printed nor counted.
+    Case("filter-skips-blank-lines", ("filter", "-f", "F b", "--traces", "plans.txt"), 0, lines("{a};{b}", "{b}"),
+         "kept 2 of 4\n", files={"plans.txt": "\n{a};{b}\n   \n{a}\n\t\n\neps\n  {b}  \n \n"}),
     # At a malformed plan `filter` stops: the lines kept before it are on
     # stdout, and stderr has the error with its line and column, and no summary.
     Case("filter-stops-at-decreasing-stamps", ("filter", "-f", "F b", "--traces", "bad-plans.txt"), 2,
@@ -238,10 +242,21 @@ CASES = (
          "rule 0 at step 0\n", files={"school.mlp": SCHOOL + "\n"}),
     Case("metric-check-program-file-missing", ("metric", "check", "-p", "missing.mlp", "-t", "{a}@0"), 2,
          stderr="error: cannot read missing.mlp: [Errno 2] No such file or directory: 'missing.mlp'\n"),
-    # An infeasible plan's cycle in walk order, and a feasible one's least timestamps.
+    # `check` needs a timed trace, and `times` an untimed one.
+    Case("metric-check-untimed-trace", ("metric", "check", "--program-text", SCHOOL, "-t", "{drive};{school}"), 2,
+         stderr="error: metric check needs a timed trace (steps suffixed with @t)\n"),
+    Case("metric-times-timed-trace", ("metric", "times", "--program-text", SCHOOL, "-t", "{drive}@0;{school}@25"), 2,
+         stderr="error: metric times derives timestamps; give an untimed trace\n"),
+    # An infeasible plan's cycle in walk order, and a feasible one's least
+    # timestamps.  Constraint 1 is drive's [20,40) at step 2 and constraint 2
+    # is hurry's [1,3) there: the walk goes forward by 20 and back by at most 2.
     Case("metric-times-infeasible",
          ("metric", "times", "--program-text", "X[20,40) school :- drive.\nX[1,3) school :- hurry.",
           "-t", "{drive};{school};{drive,hurry};{school}"), 1, lines("INFEASIBLE", "cycle: 1, 2")),
+    # `a` asks for `b` exactly 1 and 3 to 4 time units later, both at once.
+    Case("metric-times-disjoint-windows",
+         ("metric", "times", "--program-text", "X[1,2) b :- a.\nX[3,5) b :- a.", "-t", "{a};{b}"), 1,
+         lines("INFEASIBLE", "cycle: 1, 0")),
     Case("metric-times-feasible", ("metric", "times", "--program-text", SCHOOL, "-t", "{drive};{school}"), 0,
          "{drive}@0;{school}@20\n"),
     Case("metric-times-program-file-feasible", ("metric", "times", "-p", "school.mlp", "-t", "{drive};{school}"), 0,
@@ -278,6 +293,13 @@ CASES = (
     Case("metric-enumerate-alphabet-name-not-an-atom",
          ("metric", "enumerate", "--program-text", "X[1,2) b :- a.", "--ap", "a;b", "--horizon", "1"), 2,
          stderr="error: invalid atom name: 'a;b'\n"),
+    Case("metric-enumerate-too-many-atoms",
+         ("metric", "enumerate", "--program-text", SCHOOL, "--ap", ",".join(f"p{i}" for i in range(9)), "--horizon", "1"),
+         3, stderr="limit exceeded: trace enumeration over 11 atoms up to length 1 exceeds the size bound\n"),
+    # A body is read down its conjunction in a loop: 2,000 literals take no
+    # frame each, where checking a rule against a trace would nest too deeply.
+    Case("metric-enumerate-wide-body", ("metric", "enumerate", "--program-text", WIDE_BODY, "--ap", "a,b", "--horizon", "2"),
+         0, lines("{}@0;{}@0", "{}@0;{b}@0", "{a}@0;{b}@1", "{a,b}@0;{b}@1", "{b}@0;{}@0", "{b}@0;{b}@0")),
     Case("metric-enumerate-negative-horizon",
          ("metric", "enumerate", "--program-text", "a :- b.", "--ap", "a,b", "--horizon", "-2"), 2,
          stderr="error: trace length bound -2 is negative\n"),

@@ -526,15 +526,31 @@ FAULTS = (
             "tests/test_trace.py::test_helper_traces_are_plain_frozen_traces",
         ),
     ),
-    Fault(  # a body literal `("a", 1)` accepted, whose sign is not a bool
-        "rule-body-sign-unchecked", "metric.py",
-        "case (str() as atom, bool()) if", "case (str() as atom, _) if",
+    Fault(  # `Not(Not(a))` or `Not(Next(a))` accepted as a negated atom
+        "rule-body-negation-unchecked", "metric.py",
+        "(isinstance(literal, fm.Not) and isinstance(literal.arg, fm.Atom))", "isinstance(literal, fm.Not)",
         ("tests/test_metric.py::test_rule_body_is_checked_when_the_rule_is_built",),
     ),
-    Fault(  # a body given as a list accepted, so the rule and its program cannot be hashed
-        "rule-body-list-accepted", "metric.py",
-        "if not isinstance(body, tuple):", "if False:",
+    Fault(  # a body that is not a formula named as a bad literal, not as a bad body
+        "rule-body-type-unchecked", "metric.py",
+        "if not isinstance(body, fm.Formula):", "if False:",
         ("tests/test_metric.py::test_rule_body_is_checked_when_the_rule_is_built",),
+    ),
+    Fault(  # the body walk stops above the innermost `left`, so a body's first literal is lost
+        "rule-body-walk-skips-the-innermost-literal", "metric.py",
+        "    literals.append(body)\n    return literals\n", "    return literals\n",
+        (
+            "tests/test_metric.py::test_enumerate_models_matches_reference",
+            "tests/test_metric.py::test_rule_body_is_checked_when_the_rule_is_built",
+        ),
+    ),
+    Fault(  # `a, b, c` read as `c & (b & a)`: literals reversed, and a right-nested body
+        "parser-folds-the-body-to-the-right", "parser.py",
+        "body = fm.And(body, self.literal())", "body = fm.And(self.literal(), body)",
+        (
+            "tests/test_parser.py::test_parse_program_forms",
+            "tests/test_parser_golden.py::test_pinned_outcomes",
+        ),
     ),
     Fault(  # a check in `Trace.__init__`, which `traces_of` skips
         "trace-init-checks-what-traces-of-skips", "trace.py",

@@ -3,7 +3,10 @@
 `check_program` and `extract_constraints` are as `tracelogic.metric` had
 them before rules were checked as formulas by the oracle: each rule is
 tested at each position by `_body_holds` and `_head_holds`, and the untimed
-check runs on a copy of the trace with zero timestamps.  `feasible` and
+check runs on a copy of the trace with zero timestamps.  `_body_holds` reads
+a rule's body, `TRUE` or a left-nested `And` of `Atom` and `Not(Atom)`
+literals, by its own loop down the conjunction, without the oracle or the
+library's walk.  `feasible` and
 `_trace_cycle` are as it had them before chains were solved by one pass:
 every system goes through the worklist longest-path solver.
 `extract_constraints_one_by_one` is `extract_constraints` as it was before
@@ -18,7 +21,7 @@ from collections import deque
 
 from reference_oracle import _members
 from tracelogic.errors import TraceLogicError
-from tracelogic.formula import Atom, MetricNext
+from tracelogic.formula import And, Atom, MetricNext, Not, TrueFormula
 from tracelogic.metric import (
     ConstraintSystem,
     DiffConstraint,
@@ -33,7 +36,23 @@ from tracelogic.trace import TimedTrace, Trace
 
 
 def _body_holds(rule: MetricRule, letter) -> bool:
-    return all((atom in letter) == positive for atom, positive in rule.body)
+    body = rule.body
+    while isinstance(body, And):
+        if not _literal_holds(body.right, letter):
+            return False
+        body = body.left
+    return _literal_holds(body, letter)
+
+
+def _literal_holds(literal, letter) -> bool:
+    match literal:
+        case TrueFormula():
+            return True
+        case Atom(atom):
+            return atom in letter
+        case Not(Atom(atom)):
+            return atom not in letter
+    raise TypeError(f"not a body literal: {literal!r}")
 
 
 def _head_holds(head, t: TimedTrace, i: int, check_time: bool) -> bool:

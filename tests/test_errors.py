@@ -18,7 +18,7 @@ EMPTY = frozenset()
         (lambda: MetricNext(5, 5, TRUE), "empty metric interval [5,5)"),
         (lambda: Step(Next(Atom("a"))), "step guard must be propositional"),
         (
-            lambda: MetricRule(MetricNext(1, 2, And(Atom("a"), Atom("b"))), ()),
+            lambda: MetricRule(MetricNext(1, 2, And(Atom("a"), Atom("b"))), TRUE),
             "not a rule head: MetricNext(lo=1, hi=2, arg=And(left=Atom(name='a'), right=Atom(name='b')))",
         ),
         (lambda: DiffConstraint(0, 0, 0, None), "difference constraint needs two distinct variables"),

@@ -375,10 +375,10 @@ def _value_samples() -> list:
         (Trace((frozenset({"a"}), frozenset())), "Trace(letters=(frozenset({'a'}), frozenset()))"),
         (TimedTrace((frozenset({"a"}),), (3,)), "TimedTrace(letters=(frozenset({'a'}),), times=(3,))"),
         (
-            MetricRule(MetricNext(1, 3, a), (("b", False),)),
-            "MetricRule(head=MetricNext(lo=1, hi=3, arg=Atom(name='a')), body=(('b', False),))",
+            MetricRule(MetricNext(1, 3, a), Not(Atom("b"))),
+            "MetricRule(head=MetricNext(lo=1, hi=3, arg=Atom(name='a')), body=Not(arg=Atom(name='b')))",
         ),
-        (MetricProgram((MetricRule(None, (("a", True),)),)), "MetricProgram(rules=(MetricRule(head=None, body=(('a', True),)),))"),
+        (MetricProgram((MetricRule(None, a),)), "MetricProgram(rules=(MetricRule(head=None, body=Atom(name='a')),))"),
         (
             ConstraintSystem(2, (DiffConstraint(0, 1, 1, 2),)),
             "ConstraintSystem(n_vars=2, constraints=(DiffConstraint(i=0, j=1, lo=1, hi=2),))",
@@ -438,10 +438,10 @@ def test_nfa_is_mutable_and_unhashable_and_cached_properties_work():
     assert nfa.initial == 1 and pickle.loads(pickle.dumps(nfa)) == nfa
     dfa = build_dfa(Diamond(STEP_TRUE, Atom("a")), ("a",))
     assert dfa._columns is dfa._columns and dfa._columns == {frozenset(): 0, frozenset({"a"}): 1}
-    program = MetricProgram((MetricRule(MetricNext(1, 3, Atom("b")), (("a", True),)),))
+    program = MetricProgram((MetricRule(MetricNext(1, 3, Atom("b")), Atom("a")),))
     assert program._formulas is program._formulas and program.universe() == {"a", "b"}
     match program:
         case MetricProgram((MetricRule(MetricNext(lo, hi, Atom(name)), body),)):
-            assert (lo, hi, name, body) == (1, 3, "b", (("a", True),))
+            assert (lo, hi, name, body) == (1, 3, "b", Atom("a"))
         case _:
             raise AssertionError(program)

@@ -5,6 +5,7 @@ import pickle
 import random
 import tracemalloc
 from collections import Counter
+from functools import reduce
 from itertools import combinations, product
 
 import pytest
@@ -13,9 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracelogic import metric, oracle
-from tracelogic.cli import run
 from tracelogic.errors import InvalidValueError, SizeLimitError, UntimedTraceError
-from tracelogic.formula import And, Atom, MetricNext, Next, WeakMetricNext
+from tracelogic.formula import TRUE, And, Atom, MetricNext, Next, Not, Or, WeakMetricNext
 from tracelogic.metric import (
     ConstraintSystem,
     DiffConstraint,
@@ -33,6 +33,12 @@ from tracelogic.parser import parse_formula, parse_program, parse_trace
 from tracelogic.trace import TimedTrace, Trace, enumerate_traces, format_trace
 
 SCHOOL = parse_program("X[20,40) school :- drive.")
+
+
+def body_of(literals):
+    """The rule body of drawn `(atom, positive)` literals: `TRUE`, or their left-nested `And` in draw order."""
+    nodes = [Atom(atom) if positive else Not(Atom(atom)) for atom, positive in literals]
+    return reduce(And, nodes) if nodes else TRUE
 
 
 def brute_minimum(system: ConstraintSystem, bound: int = 200):
@@ -267,7 +273,7 @@ def test_models_satisfy_program():
 
 def test_head_check_matches_timed_oracle():
     rng = random.Random(101)
-    rule = MetricRule(MetricNext(3, 7, Atom("a")), (("b", True),))
+    rule = MetricRule(MetricNext(3, 7, Atom("a")), body_of([("b", True)]))
     program = MetricProgram((rule,))
     metric_formula = parse_formula("X[3,7) a")
     for _ in range(200):
@@ -406,7 +412,7 @@ def random_program(rng, atoms, n_rules):
         if rules and rng.random() < 0.4:
             body = rules[-1].body
         else:
-            body = tuple((atom, rng.random() < 0.7) for atom in rng.sample(atoms, rng.randint(1, 2)))
+            body = body_of([(atom, rng.random() < 0.7) for atom in rng.sample(atoms, rng.randint(1, 2))])
         kind = rng.choice(("metric", "metric", "plain", "constraint"))
         if kind == "metric":
             head = MetricNext(*rng.choice(WINDOWS), Atom(rng.choice(atoms)))
@@ -444,7 +450,7 @@ def shared_body_cases(draw):
     atoms = st.sampled_from(ATOMS[: len(ap) + 1])
     rules = []
     for _ in range(draw(st.integers(1, 2))):
-        body = tuple(draw(st.lists(st.tuples(atoms, st.booleans()), min_size=1, max_size=2)))
+        body = body_of(draw(st.lists(st.tuples(atoms, st.booleans()), min_size=1, max_size=2)))
         # Two heads listed first, as draws lean towards the first choice: a pair can clash.
         windows = [draw(st.sampled_from(WINDOWS)) for _ in range(draw(st.sampled_from((2, 3, 0, 1))))]
         atom = draw(atoms)
@@ -477,16 +483,14 @@ def test_enumerate_models_matches_reference_on_shared_bodies():
     assert seen == {("model", False), ("model", True), "untimed", "infeasible", "infeasible by 1"}
 
 
-def test_one_trigger_with_disjoint_windows_has_no_model_before_the_last_letter(capsys):
-    # `a` asks for `b` exactly 1 and 3 to 4 time units later, both at once.
-    text = "X[1,2) b :- a.\nX[3,5) b :- a."
-    program = parse_program(text)
+def test_one_trigger_with_disjoint_windows_has_no_model_before_the_last_letter():
+    # `a` asks for `b` exactly 1 and 3 to 4 time units later, both at once;
+    # row `metric-times-disjoint-windows` pins `metric times` on `{a};{b}`.
+    program = parse_program("X[1,2) b :- a.\nX[3,5) b :- a.")
     for horizon in range(1, 5):
         models = list(enumerate_models(program, ("a", "b"), horizon))
         assert len(models) == 2**horizon  # `b` free at each position, `a` nowhere
         assert not any("a" in letter for model in models for letter in model.letters)
-    assert run(["metric", "times", "--program-text", text, "-t", "{a};{b}"]) == 1
-    assert capsys.readouterr().out.startswith("INFEASIBLE\n")
 
 
 def test_enumerate_models_solves_only_full_untimed_models():
@@ -527,16 +531,13 @@ def test_enumerate_models_horizon_zero():
     assert [format_trace(t) for t in enumerate_models(SCHOOL, ("drive", "school"), 0)] == ["eps"]
 
 
-def test_enumerate_models_bounds(capsys):
+def test_enumerate_models_bounds():
+    # Row `metric-enumerate-too-many-atoms` pins the command line's exit 3 on the second case.
     with pytest.raises(ValueError):
         next(enumerate_models(SCHOOL, ("drive", "school"), -1))
     ap = tuple(f"p{i}" for i in range(9))
     with pytest.raises(SizeLimitError):
         next(enumerate_models(SCHOOL, ap + ("drive", "school"), 1))
-    code = run(["metric", "enumerate", "--program-text", "X[20,40) school :- drive.", "--ap", ",".join(ap), "--horizon", "1"])
-    out, err = capsys.readouterr()
-    assert (code, out) == (3, "")
-    assert err == "limit exceeded: trace enumeration over 11 atoms up to length 1 exceeds the size bound\n"
 
 
 def test_diff_constraint_is_a_validated_tuple():
@@ -593,18 +594,24 @@ def test_diff_constraint_is_a_validated_tuple():
         (lambda: DiffConstraint(0, 1, 0, None)._replace(j=0), "difference constraint needs two distinct variables"),
         (lambda: DiffConstraint(0, 1, 0, None)._replace(lo=5, hi=4), "empty bound [5,4]"),
         (lambda: DiffConstraint._make((0, 1, 5, 4)), "empty bound [5,4]"),
-        (lambda: MetricRule(Next(Atom("a")), ()), "not a rule head: Next(arg=Atom(name='a'))"),
+        (lambda: MetricRule(Next(Atom("a")), TRUE), "not a rule head: Next(arg=Atom(name='a'))"),
         (
-            lambda: MetricRule(MetricNext(1, 2, And(Atom("a"), Atom("b"))), ()),
+            lambda: MetricRule(MetricNext(1, 2, And(Atom("a"), Atom("b"))), TRUE),
             "not a rule head: MetricNext(lo=1, hi=2, arg=And(left=Atom(name='a'), right=Atom(name='b')))",
         ),
         (
-            lambda: MetricRule(WeakMetricNext(1, 2, Atom("a")), ()),
+            lambda: MetricRule(WeakMetricNext(1, 2, Atom("a")), TRUE),
             "not a rule head: WeakMetricNext(lo=1, hi=2, arg=Atom(name='a'))",
         ),
-        (lambda: MetricRule("a", ()), "not a rule head: 'a'"),
-        (lambda: MetricProgram([MetricRule(None, ())]), "not a tuple of rules: [MetricRule(head=None, body=())]"),
-        (lambda: MetricProgram((MetricRule(None, ()), "a.")), "not a tuple of rules: (MetricRule(head=None, body=()), 'a.')"),
+        (lambda: MetricRule("a", TRUE), "not a rule head: 'a'"),
+        (
+            lambda: MetricProgram([MetricRule(None, TRUE)]),
+            "not a tuple of rules: [MetricRule(head=None, body=TrueFormula())]",
+        ),
+        (
+            lambda: MetricProgram((MetricRule(None, TRUE), "a.")),
+            "not a tuple of rules: (MetricRule(head=None, body=TrueFormula()), 'a.')",
+        ),
     ],
     ids=["same-variable", "empty-bound", "missing-variable", "negative-variable-count", "empty-head-interval",
          "replace-same-variable", "replace-empty-bound", "make-empty-bound", "head-next",
@@ -617,44 +624,36 @@ def test_malformed_constraints_and_heads_raise_value_error(build, message):
     assert (error.type, str(error.value)) == (InvalidValueError, message)
 
 
+A, B = Atom("a"), Atom("b")
+
+
 @pytest.mark.parametrize(
     "body, message",
     [
-        ((("B c", True), "x"), "not a body literal: ('B c', True)"),
-        ((("a", True), "x"), "not a body literal: 'x'"),
-        ((("a", 1),), "not a body literal: ('a', 1)"),
-        ((("a", True, False),), "not a body literal: ('a', True, False)"),
-        (((Atom("a"), True),), "not a body literal: (Atom(name='a'), True)"),
-        ([("a", True)], "not a tuple of body literals: [('a', True)]"),
+        # Bodies of literal pairs, as rules were once built, are not formulas.
+        ((("B c", True), "x"), "not a rule body: (('B c', True), 'x')"),
+        ((("a", True), "x"), "not a rule body: (('a', True), 'x')"),
+        ((("a", 1),), "not a rule body: (('a', 1),)"),
+        ((("a", True, False),), "not a rule body: (('a', True, False),)"),
+        (((A, True),), "not a rule body: ((Atom(name='a'), True),)"),
+        ([("a", True)], "not a rule body: [('a', True)]"),
+        ("a", "not a rule body: 'a'"),
+        (Or(A, B), "not a body literal: Or(left=Atom(name='a'), right=Atom(name='b'))"),
+        (And(A, And(B, A)), "not a body literal: And(left=Atom(name='b'), right=Atom(name='a'))"),
+        (And(TRUE, A), "not a body literal: TrueFormula()"),
+        (And(And(A, Not(Not(B))), Next(A)), "not a body literal: Not(arg=Not(arg=Atom(name='b')))"),
+        (And(A, Next(B)), "not a body literal: Next(arg=Atom(name='b'))"),
     ],
-    ids=["atom-name", "not-a-pair", "sign-not-a-bool", "triple", "atom-node", "list"],
+    ids=["atom-name", "not-a-pair", "sign-not-a-bool", "triple", "atom-node", "list", "string", "disjunction",
+         "right-nested-conjunction", "true-conjunct", "double-negation", "next"],
 )
 def test_rule_body_is_checked_when_the_rule_is_built(body, message):
-    """A rule names a body that is not a tuple, or its first malformed literal, when it is built, not when its program is first read."""
+    """A rule names a body that is not a formula, or its first literal that is not an atom or a negated atom, when it is built."""
     with pytest.raises(InvalidValueError) as error:
         MetricRule(None, body)
     assert str(error.value) == message
-    assert MetricRule(Atom("c"), (("a", True), ("b_1", False))).body == (("a", True), ("b_1", False))
-
-
-@pytest.mark.parametrize(
-    "command, trace, message",
-    [
-        ("check", "{drive};{school}", "error: metric check needs a timed trace (steps suffixed with @t)\n"),
-        ("times", "{drive}@0;{school}@25", "error: metric times derives timestamps; give an untimed trace\n"),
-    ],
-)
-def test_metric_commands_reject_the_other_kind_of_trace(capsys, command, trace, message):
-    code = run(["metric", command, "--program-text", "X[20,40) school :- drive.", "-t", trace])
-    assert (code, *capsys.readouterr()) == (2, "", message)
-
-
-def test_metric_times_prints_cycle_in_walk_order(capsys):
-    # Constraint 1 is drive's [20,40) at step 2 and constraint 2 is hurry's [1,3)
-    # there: the walk goes forward by 20 and back by at most 2.
-    program = "X[20,40) school :- drive.\nX[1,3) school :- hurry."
-    code = run(["metric", "times", "--program-text", program, "-t", "{drive};{school};{drive,hurry};{school}"])
-    assert (code, capsys.readouterr().out) == (1, "INFEASIBLE\ncycle: 1, 2\n")
+    for good in (TRUE, A, Not(A), And(And(A, Not(Atom("b_1"))), A)):
+        assert MetricRule(Atom("c"), good).body is good
 
 
 # The rule checks against the per-position ones they replaced
@@ -668,7 +667,7 @@ ATOMS = ("a", "b", "c")
 def rule_programs(draw):
     rules = []
     for _ in range(draw(st.integers(1, 4))):
-        body = tuple(draw(st.lists(st.tuples(st.sampled_from(ATOMS), st.booleans()), max_size=3)))
+        body = body_of(draw(st.lists(st.tuples(st.sampled_from(ATOMS), st.booleans()), max_size=3)))
         atom = draw(st.sampled_from(ATOMS))
         kind = draw(st.sampled_from(("constraint", "plain", "metric")))
         if kind == "constraint":

@@ -7,9 +7,12 @@ from conftest import random_any_formula, random_trace
 from tracelogic import parser
 from tracelogic.errors import ParseError
 from tracelogic.formula import (
+    TRUE,
+    And,
     Atom,
     Diamond,
     MetricNext,
+    Not,
     Seq,
     Star,
     Step,
@@ -214,7 +217,7 @@ def test_parse_program_metric_rule():
     assert len(program.rules) == 1
     rule = program.rules[0]
     assert rule.head == MetricNext(20, 40, Atom("school"))
-    assert rule.body == (("drive", True),)
+    assert rule.body == Atom("drive")
 
 
 def test_parse_program_forms():
@@ -228,7 +231,7 @@ def test_parse_program_forms():
     )
     heads = [rule.head for rule in program.rules]
     assert heads == [Atom("licensed"), None, Atom("school")]
-    assert program.rules[1].body == (("drive", True), ("licensed", False))
+    assert [rule.body for rule in program.rules] == [TRUE, And(Atom("drive"), Not(Atom("licensed"))), Atom("drive")]
 
 
 def test_parse_program_rejects_metric_bodies():

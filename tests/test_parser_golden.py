@@ -2,7 +2,9 @@
 
 Every input goes through `parse_formula`, `parse_trace` and `parse_program`.
 Each outcome is hashed as canonical text: `format_formula` or `format_trace`
-for a tree, the rules as tuples in source order for a program, and
+for a tree, the rules as tuples in source order for a program (each body
+as its literals `[name, positive]`, the form bodies had when the digest was
+pinned), and
 `(line, column, expected, found)` for a `ParseError`.  No `repr` of a tree is
 hashed, because the order of a frozenset follows the string-hash seed.
 The digest was computed with the hand-written character-loop parser that the
@@ -16,7 +18,7 @@ import random
 
 from conftest import random_any_formula, random_trace
 from tracelogic.errors import ParseError
-from tracelogic.formula import MetricNext, format_formula
+from tracelogic.formula import And, Atom, MetricNext, TrueFormula, format_formula
 from tracelogic.parser import parse_formula, parse_program, parse_trace
 from tracelogic.trace import format_trace
 
@@ -155,8 +157,19 @@ def _outcome(parse, text: str):
             head = ["MetricHead", head.lo, head.hi, head.arg.name]
         elif head is not None:
             head = ["PlainHead", None, None, head.name]
-        rules.append([head, [list(literal) for literal in rule.body]])
+        rules.append([head, _pairs(rule.body)])
     return ["program", rules]
+
+
+def _pairs(body) -> list:
+    """A rule body's literals in source order, each as `[name, positive]`."""
+    literals = []
+    while isinstance(body, And):
+        literals.append(body.right)
+        body = body.left
+    if not isinstance(body, TrueFormula):
+        literals.append(body)
+    return [[lit.name, True] if isinstance(lit, Atom) else [lit.arg.name, False] for lit in reversed(literals)]
 
 
 def corpus_digest(inputs) -> str:
@@ -189,3 +202,16 @@ def test_program_heads_read_back_as_formulas():
     assert (len(heads), sum(isinstance(head, MetricNext) for head in heads)) == (67, 37)  # 30 plain heads
     for head in heads:
         assert parse_formula(format_formula(head)) == head
+
+
+def test_program_bodies_read_back_as_formulas():
+    """Every rule body of the corpus is a formula node: `format_formula` prints it and `parse_formula` reads it back."""
+    bodies = set()
+    for text in corpus():
+        try:
+            bodies.update(rule.body for rule in parse_program(text).rules)
+        except ParseError:
+            pass
+    assert (len(bodies), sum(isinstance(body, And) for body in bodies)) == (82, 66)  # `tt` and 15 single literals
+    for body in bodies:
+        assert parse_formula(format_formula(body)) == body

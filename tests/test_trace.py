@@ -202,14 +202,6 @@ def test_cli_enumerate_tests_the_bound_before_compiling(monkeypatch, capsys):
     assert err == "limit exceeded: trace enumeration over 17 atoms up to length 2 exceeds the size bound\n"
 
 
-def test_cli_filter_skips_blank_lines(tmp_path, capsys):
-    """Empty and whitespace-only lines between plans are neither printed nor counted."""
-    path = tmp_path / "plans.txt"
-    path.write_text("\n{a};{b}\n   \n{a}\n\t\n\neps\n  {b}  \n \n")
-    assert cli.run(["filter", "-f", "F b", "--traces", str(path)]) == 0
-    assert capsys.readouterr() == ("{a};{b}\n{b}\n", "kept 2 of 4\n")
-
-
 def test_repeated_atoms_name_one_alphabet():
     """An atom listed twice in `ap` is one atom: no letter, trace, column or model repeats."""
     assert letters_over(["a", "a"]) == letters_over(["a"])
