@@ -8,6 +8,7 @@ from collections import Counter
 from functools import reduce
 from itertools import combinations, product
 
+import cli_cases
 import pytest
 import reference_metric as reference
 from hypothesis import example, given, settings
@@ -654,6 +655,21 @@ def test_rule_body_is_checked_when_the_rule_is_built(body, message):
     assert str(error.value) == message
     for good in (TRUE, A, Not(A), And(And(A, Not(Atom("b_1"))), A)):
         assert MetricRule(Atom("c"), good).body is good
+
+
+def test_metric_times_prints_cycle_in_walk_order():
+    # Row `metric-times-infeasible` runs `metric times` on this plan and pins
+    # every byte; here the cycle it prints is the solver's, in walk order.
+    # Constraint 1 is drive's [20,40) at step 2 and constraint 2 is hurry's
+    # [1,3) there: the walk goes forward by 20 and back by at most 2.
+    (row,) = [case for case in cli_cases.CASES if case.name == "metric-times-infeasible"]
+    _, _, _, program, _, trace = row.argv
+    system = extract_constraints(parse_program(program), parse_trace(trace))
+    result = feasible(system)
+    assert isinstance(result, Infeasible)
+    assert [system.constraints[k] for k in result.cycle] == [DiffConstraint(2, 3, 20, 39), DiffConstraint(2, 3, 1, 2)]
+    assert closes_positive_walk(system, result.cycle)
+    assert (row.code, row.stdout) == (1, "INFEASIBLE\ncycle: " + ", ".join(map(str, result.cycle)) + "\n")
 
 
 # The rule checks against the per-position ones they replaced
