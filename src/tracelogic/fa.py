@@ -135,6 +135,9 @@ def dealternate(automaton: AFA, max_states: int = DEFAULT_BUDGET) -> NFA:
             mask, conj = _join((mask, conj), class_table(q), True) if i else class_table(q)
         table = {}
         for key, successors in conj.items():
+            if not successors:  # a false class: no successor, and no list to build for it
+                table[key] = ()
+                continue
             if len(successors) > 1:
                 successors = sorted(successors, key=_set_order)
             table[key] = tuple([_add(states, succ, max_states, "dealternation") for succ in successors])

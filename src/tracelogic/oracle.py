@@ -7,6 +7,14 @@ end point weakly: a formula holds weakly at a position when its negation
 fails to hold outright there.  The two notions coincide at letter
 positions, so only end-of-trace behaviour distinguishes them.
 
+Each formula and path node is compiled once into a function, by the
+builder of its class, and the function is kept on the node, so a formula
+checked over many traces is dispatched once.  Compiling keeps its own
+stack, with no Python frame per nesting level; running takes two frames
+per formula level and one per path level.  A path compiles to a function that binds
+its guard and test sets over one trace and returns its pre-image, so a
+star's fixpoint rounds dispatch nothing.
+
 Each subformula is evaluated once per trace into a bit set over all
 positions, a Python int whose bit i is position i.  Literals are masks
 built once per atom.  The trace is spelled once, last letter first, as
@@ -20,12 +28,12 @@ Since is one forward sweep over the positions, done as a
 carry-propagating addition, and until is the same sweep over the
 reversed bit order.  A path modality is a pre-image: `<p> g` holds where
 some p-path leads into the positions of g, and a star is the least
-fixpoint of its body's pre-image.  Every universal operator is evaluated
+fixpoint of its body's pre-image.  Every universal operator is compiled
 by one rule, as the finite-trace dynamic logics define it: it holds where
 its existential dual over the negated operands (the NNF negation, which
-takes the dual from `formula._DUAL`) fails.  Every node is evaluated, so
-a metric operator over an untimed trace always raises, whatever the
-letters.  A trace of length n costs O(n/w) machine-word operations per
+takes the dual from `formula._DUAL`, compiled once with the operator)
+fails.  Every node is evaluated, so a metric operator over an untimed
+trace always raises, whatever the letters.  A trace of length n costs O(n/w) machine-word operations per
 operator, times the fixpoint rounds of a star (at most n+1).
 
 Every automaton backend is cross-validated against this module.
@@ -34,7 +42,7 @@ Every automaton backend is cross-validated against this module.
 from __future__ import annotations
 
 from itertools import compress, count
-from operator import sub
+from operator import attrgetter, methodcaller, sub
 
 from . import formula as fm
 from .errors import InvalidValueError, UntimedTraceError
@@ -62,7 +70,7 @@ def prop_sat(guard: fm.Formula, letter) -> bool:
             raise TypeError(f"step guard must be propositional: {guard!r}")
 
 
-def _since(left: int, right: int) -> int:
+def _since_bits(left: int, right: int) -> int:
     """Positions i with some j <= i in right and every position in (j, i] in left.
 
     Adding the seeds (left positions right after a right position) to left
@@ -71,11 +79,6 @@ def _since(left: int, right: int) -> int:
     """
     seeds = (right << 1) & left
     return right | seeds | (left & ~(left + seeds))
-
-
-def _eventually(bits: int) -> int:
-    """Positions at or before the last member of bits."""
-    return (1 << bits.bit_length()) - 1
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as the bytes 0 and 1, false and true for `compress`
@@ -118,12 +121,9 @@ class _Evaluator:
 
     The letters are spelled on the first atom, the timestamp gaps on the
     first metric next; each mask is then one translation of a spelling.
-
-    Memo keys are node identities.  Nodes cache their hashes, but a node key
-    still costs a Python-level `__hash__` call per lookup, and keying these
-    memos by node made the evaluate benchmark slower (`op_ms_p50` 0.431 to
-    0.489 ms in 5 alternating pairs).  Each memo entry keeps its node
-    alive, which keeps the identity unique.
+    `run` computes each node's set once per trace.  Its memo is keyed by
+    the node's compiled code, which the memo keeps alive, so a key stays
+    unique while the evaluator lives.
     """
 
     def __init__(self, letters, times):
@@ -132,26 +132,18 @@ class _Evaluator:
         self.length = len(letters)
         self.full = (1 << (self.length + 1)) - 1
         self._memo: dict = {}
-        self._neg: dict = {}
         self._atoms: dict = {}
         self._spelled_letters = None
         self._spelled_gaps = None
 
-    def negation(self, f: fm.Formula) -> fm.Formula:
-        hit = self._neg.get(id(f))
-        if hit is None:
-            hit = self._neg[id(f)] = (f, fm.nnf_not(f))
-        return hit[1]
-
-    def weak(self, f: fm.Formula) -> int:
-        """Positions where f is not outright violated; differs from sat only at the end point."""
-        return self.full & ~self.sat(self.negation(f))
-
     def sat(self, f: fm.Formula) -> int:
-        hit = self._memo.get(id(f))
-        if hit is None:
-            hit = self._memo[id(f)] = (f, self._sat(f))
-        return hit[1]
+        return self.run(_compiled(f))
+
+    def run(self, code) -> int:
+        bits = self._memo.get(code)
+        if bits is None:
+            bits = self._memo[code] = code(self)
+        return bits
 
     def atom(self, name: str) -> int:
         bits = self._atoms.get(name)
@@ -181,72 +173,211 @@ class _Evaluator:
         def reverse(bits: int) -> int:
             return int(format(bits, f"0{width}b")[::-1], 2)
 
-        return reverse(_since(reverse(left), reverse(right)))
+        return reverse(_since_bits(reverse(left), reverse(right)))
 
-    def _sat(self, f: fm.Formula) -> int:
-        full = self.full
-        match f:
-            case fm.TrueFormula():
-                return full
-            case fm.FalseFormula():
-                return 0
-            case fm.Atom(name):
-                return self.atom(name)
-            case fm.Not(fm.Atom(name)):
-                return (full >> 1) & ~self.atom(name)
-            case fm.Not(g):
-                return self.sat(self.negation(g))
-            case fm.And(l, r):
-                return self.sat(l) & self.sat(r)
-            case fm.Or(l, r):
-                return self.sat(l) | self.sat(r)
-            case fm.Implies(l, r):
-                # Matches the NNF elimination nnf(!l) | r, which differs from
-                # classical material implication only at the end point.
-                return self.sat(self.negation(l)) | self.sat(r)
-            case fm.Next(g):
-                return self.sat(g) >> 1
-            case fm.Until(l, r):
-                return self.until(self.sat(l), self.sat(r))
-            case fm.Eventually(g):
-                return _eventually(self.sat(g))
-            case fm.Prev(g):
-                return (self.sat(g) << 1) & full
-            case fm.Since(l, r):
-                return _since(self.sat(l), self.sat(r))
-            case fm.Diamond(p, g):
-                return self.pre(p, self.sat(g))
-            case fm.MetricNext(lo, hi, g):
-                return self.delays(lo, hi) & (self.sat(g) >> 1)
-            case fm.WeakNext() | fm.Release() | fm.Always() | fm.WeakPrev() | fm.Trigger() | fm.Box() | fm.WeakMetricNext():
-                # Where the existential dual over the negated operands fails,
-                # the end point included.  And and Or are duals too but stay
-                # out: at the letterless end `a | b` is false, yet weakly true.
-                return self.weak(f)
-            case _:
-                raise TypeError(f"not a formula: {f!r}")
 
-    def pre(self, p: fm.PathExpr, target: int) -> int:
-        """Positions from which some p-path ends in target."""
-        match p:
-            case fm.Step(guard):
-                # A guard's mask is its sat set; the end bit is shifted out.
-                return (target >> 1) & self.sat(guard)
-            case fm.Test(g):
-                return target & self.sat(g)
-            case fm.Seq(l, r):
-                return self.pre(l, self.pre(r, target))
-            case fm.Alt(l, r):
-                return self.pre(l, target) | self.pre(r, target)
-            case fm.Star(q):
-                reach = target
-                while True:
-                    grown = reach | self.pre(q, reach)
-                    if grown == reach:
-                        return reach
-                    reach = grown
-            case _:
-                raise TypeError(f"not a path expression: {p!r}")
+def _compiled(node: fm.Formula | fm.PathExpr):
+    """node's code, built on first use by the builder of its class and kept on the node.
+
+    The builders wait on an explicit stack while the parts they yield are
+    built, so a deep node takes no Python frame per level here.
+    """
+    code = getattr(node, "_code", None)
+    if code is None:
+        waiting = [_builder(node)]  # (node, builder) pairs, innermost last; the innermost is sent `code` next
+        while waiting:
+            node, builder = waiting[-1]
+            try:
+                part = builder.send(code)
+            except StopIteration as built:
+                code = built.value
+                object.__setattr__(node, "_code", code)
+                waiting.pop()
+            else:
+                code = getattr(part, "_code", None)
+                if code is None:
+                    waiting.append(_builder(part))
+    return code
+
+
+def _builder(node) -> tuple:
+    build = _BUILDERS.get(node.__class__)
+    if build is None:
+        raise TypeError(f"not a formula or path expression: {node!r}")
+    return node, build(node)
+
+
+# A builder is a generator: it yields each part whose code its node's code
+# runs, is sent that code back, and returns its node's code.  A formula's
+# code maps an evaluator to the formula's position set.  A path's code binds
+# its guard and test sets over an evaluator and returns its pre-image: the
+# function from a target set to the positions where some path leads into it.
+
+_everywhere = attrgetter("full")
+
+
+def _nowhere(ev: _Evaluator) -> int:
+    return 0
+
+
+def _constant(f):
+    yield from ()
+    return _everywhere if f.__class__ is fm.TrueFormula else _nowhere
+
+
+def _atom(f):
+    yield from ()
+    return methodcaller("atom", f.name)
+
+
+def _not(f):
+    if isinstance(f.arg, fm.Atom):
+        name = f.arg.name
+        return lambda ev: (ev.full >> 1) & ~ev.atom(name)
+    return (yield fm.nnf_not(f.arg))  # the code of the NNF negation, so both share its memo entry
+
+
+def _universal(f):
+    # Where the existential dual over the negated operands fails, the end
+    # point included.  And and Or are duals too but stay out: at the
+    # letterless end `a | b` is false, yet weakly true.
+    negation = yield fm.nnf_not(f)
+    return lambda ev: ev.full & ~ev.run(negation)
+
+
+def _implies(f):
+    # Matches the NNF elimination nnf(!l) | r, which differs from classical
+    # material implication only at the end point.
+    left, right = (yield fm.nnf_not(f.left)), (yield f.right)
+    return lambda ev: ev.run(left) | ev.run(right)
+
+
+def _and(f):
+    left, right = (yield f.left), (yield f.right)
+    return lambda ev: ev.run(left) & ev.run(right)
+
+
+def _or(f):
+    left, right = (yield f.left), (yield f.right)
+    return lambda ev: ev.run(left) | ev.run(right)
+
+
+def _next(f):
+    arg = yield f.arg
+    return lambda ev: ev.run(arg) >> 1
+
+
+def _until(f):
+    left, right = (yield f.left), (yield f.right)
+    return lambda ev: ev.until(ev.run(left), ev.run(right))
+
+
+def _eventually(f):
+    arg = yield f.arg
+    return lambda ev: (1 << ev.run(arg).bit_length()) - 1  # positions at or before the last member
+
+
+def _prev(f):
+    arg = yield f.arg
+    return lambda ev: (ev.run(arg) << 1) & ev.full
+
+
+def _since(f):
+    left, right = (yield f.left), (yield f.right)
+    return lambda ev: _since_bits(ev.run(left), ev.run(right))
+
+
+def _diamond(f):
+    path, arg = (yield f.path), (yield f.arg)
+    return lambda ev: path(ev)(ev.run(arg))
+
+
+def _metric_next(f):
+    lo, hi, arg = f.lo, f.hi, (yield f.arg)
+    return lambda ev: ev.delays(lo, hi) & (ev.run(arg) >> 1)
+
+
+def _step(p):
+    guard = yield p.guard
+
+    def bind(ev):
+        mask = ev.run(guard)  # a guard's mask is its set; the end bit is shifted out
+        return lambda target: (target >> 1) & mask
+
+    return bind
+
+
+def _test(p):
+    arg = yield p.arg
+
+    def bind(ev):
+        mask = ev.run(arg)
+        return lambda target: target & mask
+
+    return bind
+
+
+def _seq(p):
+    left, right = (yield p.left), (yield p.right)
+
+    def bind(ev):
+        first, then = left(ev), right(ev)
+        return lambda target: first(then(target))
+
+    return bind
+
+
+def _alt(p):
+    left, right = (yield p.left), (yield p.right)
+
+    def bind(ev):
+        first, second = left(ev), right(ev)
+        return lambda target: first(target) | second(target)
+
+    return bind
+
+
+def _star(p):
+    arg = yield p.arg
+
+    def bind(ev):
+        body = arg(ev)
+
+        def pre(target):  # the least fixpoint of the body's pre-image over target
+            reach = target
+            while True:
+                grown = reach | body(reach)
+                if grown == reach:
+                    return reach
+                reach = grown
+
+        return pre
+
+    return bind
+
+
+_BUILDERS = {
+    fm.TrueFormula: _constant,
+    fm.FalseFormula: _constant,
+    fm.Atom: _atom,
+    fm.Not: _not,
+    fm.Implies: _implies,
+    fm.And: _and,
+    fm.Or: _or,
+    fm.Next: _next,
+    fm.Until: _until,
+    fm.Eventually: _eventually,
+    fm.Prev: _prev,
+    fm.Since: _since,
+    fm.Diamond: _diamond,
+    fm.MetricNext: _metric_next,
+    **dict.fromkeys((fm.WeakNext, fm.Release, fm.Always, fm.WeakPrev, fm.Trigger, fm.Box, fm.WeakMetricNext), _universal),
+    fm.Step: _step,
+    fm.Test: _test,
+    fm.Seq: _seq,
+    fm.Alt: _alt,
+    fm.Star: _star,
+}
 
 
 def _evaluator(t: Trace | TimedTrace) -> _Evaluator:
@@ -267,6 +398,6 @@ def holds(f: fm.Formula, t: Trace | TimedTrace) -> bool:
 
 def path_relation(p: fm.PathExpr, t: Trace | TimedTrace) -> frozenset:
     """All position pairs (i, j) the path expression can traverse over t."""
-    ev = _evaluator(t)
-    return frozenset((i, j) for j in range(len(t) + 1) for i in _members(ev.pre(p, 1 << j)))
+    pre = _compiled(p)(_evaluator(t))
+    return frozenset((i, j) for j in range(len(t) + 1) for i in _members(pre(1 << j)))
 

@@ -138,6 +138,27 @@ FAULTS = (
             "tests/test_metric.py::test_check_program_paper_example",
         ),
     ),
+    Fault(  # every node recomputed wherever it is run, shared or not
+        "oracle-memo-lookup-skipped", "oracle.py",
+        "bits = self._memo.get(code)", "bits = None",
+        ("tests/test_oracle.py::test_shared_subterms_are_computed_once_per_trace",),
+    ),
+    Fault(  # a universal operator false at the end point wherever its negation fails there
+        "oracle-universal-against-letters-only", "oracle.py",
+        "lambda ev: ev.full & ~ev.run(negation)", "lambda ev: (ev.full >> 1) & ~ev.run(negation)",
+        (
+            "tests/test_oracle_reference.py::test_random_traces_of_length_four_to_eight",
+            "tests/test_oracle.py::test_always_vacuous_at_end",
+        ),
+    ),
+    Fault(  # the first node of a class built lends its code to every other node of that class
+        "oracle-code-kept-per-class", "oracle.py",
+        'object.__setattr__(node, "_code", code)', 'setattr(node.__class__, "_code", code)',
+        (
+            "tests/test_oracle.py::test_one_formula_over_two_traces_builds_each_node_once",
+            "tests/test_oracle_reference.py::test_random_traces_of_length_four_to_eight",
+        ),
+    ),
     Fault(  # each step constraint of a batch joins a position to itself
         "metric-step-batch-with-j-equal-to-i", "metric.py",
         "zip(starts, map((1).__add__, starts)", "zip(starts, starts",

@@ -16,9 +16,9 @@ same order.  The transition builders of the one-way and the two-way
 alternating automaton, as they were before they shared `afa.transition`,
 come next.  `reads` and `_path_reads`, the structural account of the atoms
 an AFA image depends on that the automata used before they recorded the
-guards their builds test, close the file, with `end_evaluator`, the
-oracle over the empty trace, whose bit 0 gives the end values that the AFA
-folds in closed form.  The file name does not match
+guards their builds test, close the file, with `end_values`, the
+oracle's values at the letterless end point, which the AFA folds in
+closed form.  The file name does not match
 `test_*.py`, so pytest does not collect it.
 """
 
@@ -259,18 +259,20 @@ def afa_image(automaton: AFA, q: int, letter) -> PBF:
     return _image(automaton, state.formula if isinstance(state, Weak) else state, letter, frozenset())
 
 
-def end_evaluator() -> oracle._Evaluator:
-    """An evaluator over the empty trace: bit 0 of `sat(f)` is f's end value, of `weak(f)` its weak one.
+def end_values(g: fm.Formula) -> tuple[bool, bool]:
+    """g's outright and weak values at the letterless end point: bit 0 of the oracle's sets over the empty trace.
 
-    The AFA folds these values in closed form; `test_afa.py` compares the two.
+    g holds weakly where its NNF negation fails.  The AFA folds these
+    values in closed form; `test_afa.py` compares the two.
     """
-    return oracle._evaluator(Trace(()))
+    end = oracle._evaluator(Trace(()))
+    return bool(end.sat(g) & 1), not end.sat(fm.nnf_not(g)) & 1
 
 
 def _weak_target(g: fm.Formula) -> fm.Formula:
     """The AFA state a box's step leads to: `Weak(g)` if g holds weakly but not outright at the end, else g."""
-    end = end_evaluator()
-    return Weak(g) if end.weak(g) & 1 != end.sat(g) & 1 else g
+    outright, weak = end_values(g)
+    return Weak(g) if weak != outright else g
 
 
 def _afa_ref(automaton: AFA, h) -> PBF:

@@ -16,7 +16,7 @@ from conftest import (
     until_chain,
 )
 import reference_fa as ref
-from reference_fa import ReferenceTwoAFA, afa_image, end_evaluator
+from reference_fa import ReferenceTwoAFA, afa_image, end_values
 from tracelogic import afa
 from tracelogic import formula as fm
 from tracelogic import oracle
@@ -183,7 +183,7 @@ def _subformulas(f) -> list:
 
 
 def test_end_values_are_the_oracles_at_the_end_point():
-    """The fold's (outright, weak) end values are bit 0 of the oracle's `sat` and `weak` over the empty trace.
+    """The fold's (outright, weak) end values are the oracle's over the empty trace.
 
     Every subformula counts, test formulas inside paths included: all core
     formulas of size 5 or less and a seeded corpus of larger ones.
@@ -191,9 +191,9 @@ def test_end_values_are_the_oracles_at_the_end_point():
     rng = random.Random(43)
     corpus = exhaustive_core_formulas(5) + [random_core_formula(rng, rng.randint(6, 14)) for _ in range(600)]
     for f in corpus:
-        automaton, end = AFA(f), end_evaluator()
+        automaton = AFA(f)
         for g in _subformulas(f):
-            assert automaton._end_values(g) == (bool(end.sat(g) & 1), bool(end.weak(g) & 1)), (f, g)
+            assert automaton._end_values(g) == end_values(g), (f, g)
 
 
 def test_delta_examples():

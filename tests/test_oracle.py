@@ -1,11 +1,15 @@
+import copy
+import pickle
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import exhaustive_core_formulas, random_core_formula, random_trace
 from tracelogic import oracle
 from tracelogic.errors import UntimedTraceError
-from tracelogic.formula import Star, Step, Test, TRUE, Atom, nnf, nnf_not, to_dynamic_core
+from tracelogic.formula import Star, Step, Test, TRUE, And, Atom, Diamond, Seq, Until, children, nnf, nnf_not, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import enumerate_traces
 
@@ -148,3 +152,84 @@ def test_exhaustive_small_formula_nnf_coherence():
         normal = to_dynamic_core(nnf(f))
         for t in traces:
             assert oracle.holds(f, t) == oracle.holds(normal, t)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counts by node identity: builds of each node's code (`built`), and runs of that code (`ran`).
+
+    A code run more than `limit` times fails at once, so a lost memo fails
+    in bounded time even on a formula whose tree is exponentially large.
+    """
+    counts = SimpleNamespace(built=Counter(), ran=Counter(), limit=1)
+
+    def counting(build):
+        def counted_build(node):
+            counts.built[id(node)] += 1
+            code = yield from build(node)
+
+            def counted(ev):
+                counts.ran[id(node)] += 1
+                assert counts.ran[id(node)] <= counts.limit, "a node computed twice over one trace"
+                return code(ev)
+
+            return counted
+
+        return counted_build
+
+    monkeypatch.setattr(oracle, "_BUILDERS", {cls: counting(build) for cls, build in oracle._BUILDERS.items()})
+    return counts
+
+
+def test_shared_subterms_are_computed_once_per_trace(counts):
+    g = Atom("a")
+    for _ in range(40):
+        g = And(g, g)  # 41 distinct nodes; as a tree, 2**41 - 1
+    for counts.limit, text in enumerate(("{a};{}", "{a};{a}"), 1):
+        assert oracle.holds(g, parse_trace(text)) is True
+        assert len(counts.ran) == 41 and set(counts.ran.values()) == {counts.limit}
+    assert len(counts.built) == 41 and set(counts.built.values()) == {1}
+
+
+def test_one_formula_over_two_traces_builds_each_node_once(counts):
+    """Each node is built once: every node of f, and of g the universal operators and the NNF negations they run."""
+    f = parse_formula("(a U b) & <(a ; b?)* + b> (c S X a) | F Y b")
+    g = parse_formula("G (a -> X b)")
+    counts.limit = 2
+    for text in ("{a};{b};{a,b}", "{b};{c}"):
+        oracle.holds(f, parse_trace(text))
+        oracle.holds(g, parse_trace(text))
+    nodes, pending = set(), [f]
+    while pending:
+        node = pending.pop()
+        nodes.add(id(node))
+        pending.extend(children(node))
+    assert len(nodes) == 22 and nodes <= set(counts.built)
+    # g builds G, its negation `F (a & WX !b)` but for the `!b` that WX does not run, and X b, the negation of WX !b.
+    assert len(counts.built) == 22 + 7 and set(counts.built.values()) == {1}
+
+
+def test_compiled_code_is_not_part_of_the_value():
+    text = "G (a -> <b* ; c?> X[1,3) c)"
+    f = parse_formula(text)
+    assert oracle.holds(f, parse_trace("{a,b}@0;{c}@1;{c}@3")) is True
+    assert getattr(f, "_code", None) is not None
+    fresh = parse_formula(text)
+    for other in (fresh, copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert getattr(other, "_code", None) is None
+        assert other == f and f == other and hash(other) == hash(f) and repr(other) == repr(f)
+
+
+def test_deep_nodes_evaluate():
+    """An 800-step path and 400-operand `&` and `U` chains: compiling takes no Python frame per level, evaluating at most two."""
+    a, b = Atom("a"), Atom("b")
+    path, conjunction, until = Test(a), a, b
+    for _ in range(799):
+        path = Seq(path, Test(a))
+    for _ in range(399):
+        conjunction, until = And(conjunction, a), Until(a, until)
+    for text, verdict in (("{a,b}", True), ("{a};{b}", False)):
+        t = parse_trace(text)
+        assert oracle.holds(Diamond(path, b), t) is verdict
+        assert oracle.holds(conjunction, t) is True
+        assert oracle.holds(until, t) is True
