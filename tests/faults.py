@@ -465,7 +465,7 @@ FAULTS = (
     ),
     Fault(
         "tape-offset-with-the-move-negated", "twafa.py",
-        "return ref.move * width + ref.state", "return -ref.move * width + ref.state",
+        "node = node.move * width + slots[node.state]", "node = -node.move * width + slots[node.state]",
         (
             "tests/test_twafa.py::test_past_inside_future",
             "tests/test_twafa.py::test_matches_oracle_with_past",
@@ -473,10 +473,34 @@ FAULTS = (
     ),
     Fault(  # every compiled node of a 2AFA transition an And node
         "compile-makes-every-node-a-conjunction", "twafa.py",
-        "return is_and, compiled(left), compiled(right)", "return True, compiled(left), compiled(right)",
+        "node = (pbf_and if is_and else pbf_or)(left, node)", "node = pbf_and(left, node)",
         (
             "tests/test_twafa.py::test_matches_oracle_with_past",
             "tests/test_twafa.py::test_since_trigger_examples",
+        ),
+    ),
+    Fault(  # a resolved reader listed in the readers table under its own slot, which it has not
+        "reader-mapped-to-itself-not-its-host", "twafa.py",
+        "(slots[host[q]], step) for q, step in named[s]", "(slots[q], step) for q, step in named[s]",
+        (
+            "tests/test_afa.py::test_transitions_match_the_reference",
+            "tests/test_twafa.py::test_matches_oracle_with_past",
+        ),
+    ),
+    Fault(  # only (reader, move) pairs counted, so a state its one reader names twice is substituted twice
+        "state-named-twice-resolved-into-its-reader", "twafa.py",
+        "if s != self.initial and s not in twice and len(pairs) == 1:", "if s != self.initial and len(pairs) == 1:",
+        (
+            "tests/test_twafa.py::test_a_state_named_twice_in_one_transition_stays_kept",
+            "tests/test_afa.py::test_transitions_match_the_reference",
+        ),
+    ),
+    Fault(  # states on a cycle of single readers, which no kept state reaches, left without a host
+        "cycle-of-single-readers-left-without-a-host", "twafa.py",
+        "host = [s if h is None else h for s, h in enumerate(host)]", "host = list(host)",
+        (
+            "tests/test_twafa.py::test_a_cycle_of_single_readers_stays_kept",
+            "tests/test_acceptance.py::test_criterion_2_past_cross_validation",
         ),
     ),
     Fault(

@@ -403,19 +403,54 @@ def _state_refs(pbf):
         yield from _state_refs(pbf[2])
 
 
+def _reference_hosts(reference) -> tuple[list, list]:
+    """The (reader, move) pairs naming each state in the reference's transitions, and each state's host.
+
+    A state other than the initial one whose every reference is an S
+    reference from one reader, in transitions that each name it at most
+    once, is resolved into that reader.  Its host is the first state along
+    its chain of readers that is not resolved; a state whose chain meets a
+    cycle is its own host, as is every state not resolved.
+    """
+    named = [{} for _ in reference.states]
+    twice = set()
+    for (q, _), pbf in reference.transitions.items():
+        states = [ref.state for ref in move_refs(pbf)]
+        twice.update(s for s in states if states.count(s) > 1)
+        for ref in move_refs(pbf):
+            named[ref.state][(q, ref.move)] = None
+    reader = {}  # s -> its one reader, if s may be resolved into it
+    for s, pairs in enumerate(named):
+        if s != reference.initial and s not in twice and len(pairs) == 1:
+            [(q, move)] = pairs
+            if move == 0:
+                reader[s] = q
+    host = []
+    for s in range(len(named)):
+        chain = [s]
+        while chain[-1] in reader and reader[chain[-1]] not in chain:
+            chain.append(reader[chain[-1]])
+        host.append(s if chain[-1] in reader else chain[-1])
+    return named, host
+
+
 def test_transitions_match_the_reference():
     """Both automata get from the shared builder what their own builders gave them.
 
     Every AFA image at every letter equals the one its former builder made
-    from the full letter.  The 2AFA has the same states in the same order,
-    the same transitions, and a readers table equal to one built from every
-    transition.  Neither automaton has a `Weak(tt)` or `Weak(ff)` state:
-    both fold a constant step target to a leaf before they would wrap it.
+    from the full letter.  The 2AFA has the same states in the same order
+    and the same transitions.  Its run gives each state the host that
+    `_reference_hosts` finds from the reference's transitions, and its
+    readers table lists for each kept state the pairs of every transition
+    naming it, each reader mapped to its host.  Neither automaton has a
+    `Weak(tt)` or `Weak(ff)` state: both fold a constant step target to a
+    leaf before they would wrap it.
     A 2AFA state whose END build asks about no guard reads nothing and
     keeps its END transition object at the empty letter.
     """
     constant_weak = {Weak(fm.TRUE), Weak(fm.FALSE)}
     kinds = Counter()  # states by whether their END build asks about a guard, and whether they read atoms
+    resolved = 0  # 2AFA states resolved into their readers
     corpus = _reference_corpus()
     assert len(corpus) >= 2000
     assert sum(map(_has_past, corpus)) >= 400
@@ -432,10 +467,11 @@ def test_transitions_match_the_reference():
         assert two_way.states.states == reference.states.states, f
         assert constant_weak.isdisjoint(two_way.states), f
         assert all(two_way.delta(*key) == pbf for key, pbf in reference.transitions.items()), f
-        readers = [{} for _ in reference.states]
-        for (q, _), pbf in reference.transitions.items():
-            for ref in move_refs(pbf):
-                readers[ref.state][(q, ref.move)] = None
+        named, host = _reference_hosts(reference)
+        assert two_way._host == tuple(host), f
+        resolved += sum(h != q for q, h in enumerate(host))
+        kept = [q for q, h in enumerate(host) if h == q]
+        readers = [{(kept.index(host[q]), move): None for q, move in named[s]} for s in kept]
         assert two_way._readers == tuple(tuple(r) for r in readers), f
         for q, entry in enumerate(two_way.states):
             asked = []
@@ -445,6 +481,7 @@ def test_transitions_match_the_reference():
                 assert two_way.transitions[(q, END)] is two_way.transitions[(q, frozenset())], (f, q)
             kinds[bool(asked), bool(two_way.reads[q])] += 1
     assert kinds.keys() == {(False, False), (True, False), (True, True)}, kinds
+    assert resolved > 4000, resolved
 
 
 # Formulas that join a right side reading atoms below the left side's: a join

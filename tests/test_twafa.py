@@ -6,7 +6,7 @@ from conftest import move_refs, random_core_formula, random_trace, renamed
 from tracelogic import oracle, twafa
 from tracelogic.afa import AFA, _L, _R
 from tracelogic.errors import AlphabetMismatchError, UnsupportedOperatorError
-from tracelogic.formula import And, nnf, to_dynamic_core
+from tracelogic.formula import And, Atom, nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import Trace, enumerate_traces, letters_over
 from tracelogic.twafa import BEGIN, END, MoveRef, TwoAFA
@@ -163,16 +163,20 @@ def test_fixpoint_iteration_bound():
 
 
 def test_fixpoint_matches_sweep_on_long_traces():
+    """`fixpoint` reports every state, those resolved into their readers too."""
     rng = random.Random(89)
+    resolved = 0
     for k in range(30):
         f = random_core_formula(rng, rng.randint(6, 14), past=True)
         automaton = TwoAFA(f, AP)
+        resolved += len(automaton) - len(automaton._kept)
         t = random_trace(rng, 200, min_len=20)
         if k % 3:
             # long runs make information travel the whole trace
             run = (frozenset({"a"}),) * (len(t) - 1)
             t = Trace(run + (frozenset({"b"}),) if k % 3 == 1 else (frozenset({"b"}),) + run)
         assert automaton.fixpoint(t) == _sweep_fixpoint(automaton, t)
+    assert resolved > 50, resolved
 
 
 def test_matches_afa_on_future_fragment():
@@ -284,23 +288,91 @@ def _recorded_compiles(monkeypatch, module) -> list:
     compiled = []
     compile_ = module._compile
 
-    def recording(pbf, *width):
+    def recording(pbf, *args):
         compiled.append(pbf)
-        return compile_(pbf, *width)
+        return compile_(pbf, *args)
 
     monkeypatch.setattr(module, "_compile", recording)
     return compiled
 
 
-def test_transitions_are_compiled_once_per_object(monkeypatch):
-    """Classes share transition objects; each object is compiled once, when the automaton is built."""
+def _classes(automaton, q: int, cells) -> set:
+    """The keys of q's compiled transitions at the cells: the markers, and each letter's class over the reads q's host gathers."""
+    gathered = frozenset().union(*(automaton.reads[s] for s, h in enumerate(automaton._host) if h == q))
+    return {(q, cell if cell is BEGIN or cell is END else cell & gathered) for cell in cells}
+
+
+def test_rows_are_compiled_once_per_kept_state_and_class(monkeypatch):
+    """A run compiles each kept state's transition once per class, over the reads of the states it hosts.
+
+    Nothing is compiled when the automaton is built, a second run on the
+    same letters compiles nothing, and a run on every letter of `ap`
+    compiles one row per class of each kept state, however many letters
+    fall in it.
+    """
     compiled = _recorded_compiles(monkeypatch, twafa)
-    automaton = _two("G (p & q & r & s -> F (t & u))")
+    automaton = _two("G (p & q & r & s -> F (t & u))", ("p", "q", "r", "s", "t", "u", "z"))
     assert len(automaton.transitions) == 78
-    assert len(compiled) == len({id(pbf) for pbf in automaton.transitions.values()}) == 31
-    assert automaton.accepts(parse_trace("{p,q,r,s};{t};{t,u};{}")) is True
-    assert automaton.accepts(parse_trace("{p,q,r,s};{}")) is False
-    assert len(compiled) == 31
+    assert (len(automaton), len(automaton._kept)) == (24, 10) and compiled == []
+    first = parse_trace("{p,q,r,s};{t};{t,u,z};{}")
+    assert automaton.accepts(first) is True
+    cells = (BEGIN, END, *first.letters)
+    assert automaton._rows.keys() == set().union(*(_classes(automaton, q, cells) for q in automaton._kept))
+    assert len(compiled) == len(automaton._rows) == 36
+    assert automaton.accepts(parse_trace("{p,q,r,s,z};{t,u};{p,q,r,s};{}")) is False
+    assert len(compiled) == 36
+    every = Trace(tuple(letters_over(automaton.ap)))
+    assert automaton.accepts(every) == oracle.holds(automaton.states[automaton.initial], every)
+    classes = [_classes(automaton, q, (BEGIN, END, *every.letters)) for q in automaton._kept]
+    assert automaton._rows.keys() == set().union(*classes)
+    assert len(compiled) == len(automaton._rows) == sum(map(len, classes)) == 37
+
+
+def _leaves(pbf) -> int:
+    """The state references of a transition, or the offsets of a compiled one."""
+    if pbf.__class__ is tuple:
+        return _leaves(pbf[1]) + _leaves(pbf[2])
+    return pbf.__class__ in (MoveRef, int)
+
+
+def test_a_state_named_twice_in_one_transition_stays_kept():
+    """In `g & g` the one reader of g names it twice, so g is kept: substituted, it would be copied.
+
+    Over the chain g_0 = a, g_(i+1) = g_i & g_i, substitution would double
+    the compiled root at each level, to 2^12 leaves.  Kept, every compiled
+    transition has at most the leaves of the transitions it gathers.
+    """
+    g = Atom("a")
+    for _ in range(12):
+        g = And(g, g)
+    automaton = TwoAFA(g, AP)
+    assert len(automaton._kept) == len(automaton) == 13
+    for t in map(parse_trace, ("eps", "{a}", "{b}", "{a};{a,b}")):
+        assert automaton.accepts(t) == oracle.holds(g, t)
+        for cell in {BEGIN, END, *t.letters}:
+            rows = sum(_leaves(automaton._row(q, cell)) for q in automaton._kept)
+            assert rows <= sum(_leaves(automaton.delta(q, cell)) for q in range(len(automaton))) <= 24
+
+
+def test_a_cycle_of_single_readers_stays_kept():
+    """Constant folding can leave states that only read each other, each the other's one reader, through S.
+
+    In `WY <tt?**> tt | !a`, one of criterion 2's draws, `<tt?**> tt` folds
+    to true, but its build added `<tt?*> <tt?**> tt`, which reads
+    `<tt?> <tt?*> <tt?**> tt` through S and is read by it alone, through S.
+    No kept state reaches the two, so both stay kept: a chain of readers
+    followed from either to find its host would not end.  Every state still
+    has its value in `fixpoint`.
+    """
+    f, *cycle = (to_dynamic_core(nnf(parse_formula(src))) for src in (
+        "WY <tt?**> tt | !a", "<tt?*> <tt?**> tt", "<tt?> <tt?*> <tt?**> tt"
+    ))
+    automaton = TwoAFA(f, AP)
+    cycle = [automaton.states.index[g] for g in cycle]
+    assert [automaton._host[s] for s in cycle] == cycle
+    for t in (*enumerate_traces(AP, 3), *_LONG_TRACES):
+        assert automaton.fixpoint(t) == _sweep_fixpoint(automaton, t), t
+        assert automaton.accepts(t) == oracle.holds(f, t), t
 
 
 def test_afa_images_are_specialised_once_per_class():
