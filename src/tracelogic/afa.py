@@ -347,8 +347,7 @@ class AFA:
     """
 
     def __init__(self, root: fm.Formula, ap=None):
-        fm.check_fragment(root)
-        self.ap: tuple[str, ...] = resolve_alphabet(fm.atoms(root), ap)
+        self.ap: tuple[str, ...] = resolve_alphabet(fm.check_fragment(root), ap)
         self._bits: dict = {name: 1 << j for j, name in enumerate(self.ap)}
         self._ends: dict = {}  # formula -> its (outright, weak) end values
         self._nodes: dict = {}  # the outermost frame of `_node`: formula -> (guarded image, atoms read)

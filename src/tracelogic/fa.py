@@ -106,6 +106,12 @@ class DFA(fm.Value):
         return {letter: a for a, letter in enumerate(self.letters)}
 
 
+def _check_dfa(dfa) -> None:
+    """TypeError naming the parameter unless `dfa` is a `DFA`: an `NFA` has no rows or letters to read."""
+    if not isinstance(dfa, DFA):
+        raise TypeError(f"dfa must be a DFA, not {type(dfa).__name__}")
+
+
 def _add(states: StateSet, state, max_states: int, stage: str) -> int:
     """The ordinal of `state`, added to `states` if new; BudgetError past `max_states` states."""
     ordinal = states.add(state)
@@ -197,7 +203,11 @@ def dfa_accepts(dfa: DFA, t: Trace) -> bool:
 
     The column table and the rows are fetched once, so a letter costs one dict and two tuple lookups.
     """
-    columns = dfa._columns
+    try:
+        columns = dfa._columns  # what is not a DFA fails here, so no letter pays for a check
+    except AttributeError:
+        _check_dfa(dfa)
+        raise
     transitions = dfa.transitions
     state = dfa.initial
     try:
@@ -218,6 +228,7 @@ def minimize(dfa: DFA) -> DFA:
     an unreachable member of a numbered block agrees with the others on
     every successor block.
     """
+    _check_dfa(dfa)
     transitions = dfa.transitions
     block = [1 if accepting else 0 for accepting in dfa.accepting]
     count = len(set(block))
@@ -247,6 +258,7 @@ def minimize(dfa: DFA) -> DFA:
 
 def complement(dfa: DFA) -> DFA:
     """Accept exactly the rejected traces; the transition function is already total."""
+    _check_dfa(dfa)
     return DFA(dfa.ap, dfa.letters, dfa.transitions, tuple(not a for a in dfa.accepting), dfa.initial)
 
 
@@ -296,6 +308,7 @@ def equivalent(f: fm.Formula, g: fm.Formula):
 
 def is_empty(dfa: DFA):
     """(True, None) when no trace is accepted, else (False, a shortest witness)."""
+    _check_dfa(dfa)
     return _shortest_trace(dfa.letters, dfa.initial, dfa.transitions.__getitem__, dfa.accepting.__getitem__)
 
 
@@ -307,8 +320,9 @@ def enumerate_accepted(dfa: DFA, max_len: int) -> Iterator[Trace]:
     left, so only accepted words become `Trace`s, each built by
     `trace.traces_of` with no `__init__` frame.  The table costs
     O(max_len * states * letters), then each trace O(length).  A generator:
-    the bound is checked on the first `next`.
+    the bound and the type of `dfa` are checked on the first `next`.
     """
+    _check_dfa(dfa)
     check_enumeration_bound(dfa.ap, max_len)
     columns = [(letter, dfa._columns[letter]) for letter in letters_over(dfa.ap)]
     table = [tuple([(letter, row[a]) for letter, a in columns]) for row in dfa.transitions]

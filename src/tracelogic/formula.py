@@ -366,6 +366,10 @@ STEP_POSSIBLE = Diamond(STEP_TRUE, TRUE)
 
 def atoms(f: Formula) -> set[str]:
     """All atom names occurring in f, including in path guards and tests."""
+    if f.__class__ is Atom:  # the leaves most guards are, read without a walk
+        return {f.name}
+    if f.__class__ is TrueFormula:
+        return set()
     if not isinstance(f, Formula):
         raise TypeError(f"not a formula: {f!r}")
     found: set[str] = set()
@@ -444,31 +448,50 @@ def _core_path(p: PathExpr) -> PathExpr:
     return p if isinstance(p, Step) else _rebuild(p, type(p), to_dynamic_core, _core_path)
 
 
-def check_fragment(f: Formula, past: bool = False) -> None:
-    """Reject anything but an NNF dynamic-core formula, with past operators only if `past`.
+# The nodes outside the input fragment of the automaton constructions, keyed
+# by class, with the reason; a `Not` is outside unless it is above an atom.
+_OUTSIDE_TWO_WAY = {
+    **{op: f"{op.__name__} must be rewritten into the dynamic core first" for op in (
+        Next, WeakNext, Until, Release, Eventually, Always, Implies
+    )},
+    **{op: f"metric operator {op.__name__} needs the metric backend" for op in (MetricNext, WeakMetricNext)},
+    Not: "negation must be pushed to atoms first",
+}
+_OUTSIDE_ONE_WAY = {
+    **_OUTSIDE_TWO_WAY,
+    **{op: f"past operator {op.__name__} needs the two-way backend" for op in (Prev, WeakPrev, Since, Trigger)},
+}
+
+
+def check_fragment(f: Formula, past: bool = False) -> set[str]:
+    """Reject anything but an NNF dynamic-core formula, with past operators only if `past`; else f's atom names.
 
     This is the input fragment of the automaton constructions: the one-way
     AFA takes `past=False`, the two-way automaton `past=True`.  Step guards
     are not checked: the automata evaluate any propositional guard.  The
-    first offending node in left-to-right preorder is reported.
+    first offending node in left-to-right preorder is reported.  The names
+    returned are `atoms(f)`, those of step guards included, collected in the
+    same walk, so a construction resolves its alphabet without walking f again.
     """
     if not isinstance(f, Formula):
         raise TypeError(f"not a formula: {f!r}")
+    outside = _OUTSIDE_TWO_WAY if past else _OUTSIDE_ONE_WAY
+    names: set[str] = set()
     pending = [f]
     while pending:
         node = pending.pop()
-        match node:
-            case Not(Atom()) | Step():
-                continue
-            case Metric():
-                raise UnsupportedOperatorError(f"metric operator {type(node).__name__} needs the metric backend")
-            case Prev() | WeakPrev() | Since() | Trigger() if not past:
-                raise UnsupportedOperatorError(f"past operator {type(node).__name__} needs the two-way backend")
-            case Next() | WeakNext() | Until() | Release() | Eventually() | Always() | Implies():
-                raise UnsupportedOperatorError(f"{type(node).__name__} must be rewritten into the dynamic core first")
-            case Not():
-                raise UnsupportedOperatorError("negation must be pushed to atoms first")
-        pending.extend(reversed(children(node)))
+        op = node.__class__
+        if op is Atom:
+            names.add(node.name)
+        elif op is Step:
+            names |= atoms(node.guard)
+        elif op is Not and node.arg.__class__ is Atom:
+            names.add(node.arg.name)
+        elif op in outside:
+            raise UnsupportedOperatorError(outside[op])
+        else:
+            pending.extend(reversed(children(node)))
+    return names
 
 
 # ---------------------------------------------------------------------------

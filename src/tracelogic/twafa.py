@@ -16,11 +16,16 @@ which keeps their vacuous loops out of the fixpoint while preserving the
 single least-fixpoint polarity.  A state's transition depends on its cell
 only through the guards it tests, the same at the end marker and at every
 letter (a weak state's boolean structure tests the guard tt, which fails
-only at the markers), so the build at the end marker records them.  A state
-that tests none keeps that transition object at every letter and reads
-nothing; otherwise the atoms of its guards are its `reads`, and one
-transition is built and stored per class over them, in `letters_over` order
-(the order letters meet them).  `delta` finds it.
+only at the markers), so the build at the end marker records them.  Both
+markers answer every guard false, so a weak state keeps that one build at
+the begin marker too; a plain state's transition there is a constant that
+tests no guard.  A state that tests none keeps its end-marker transition
+object at every letter and reads nothing; otherwise the atoms of its guards
+are its `reads`, and one transition is built and stored per class over
+them, in `letters_over` order (the order letters meet them).  `delta` finds
+it.  A build stored at two cells is stored under adjacent keys, so the plan
+of the run below walks each build once.  The alphabet comes from the atoms
+the fragment check collects in its one walk of the root.
 
 The fixpoint is computed by a worklist (Liu & Smolka, ICALP 1998) over the
 configurations of the *kept* states only.  A one-way automaton is a two-way
@@ -118,16 +123,17 @@ class TwoAFA:
     """Two-way alternating automaton reading marker-framed traces."""
 
     def __init__(self, root: fm.Formula, ap=None):
-        fm.check_fragment(root, past=True)
-        self.ap: tuple[str, ...] = resolve_alphabet(fm.atoms(root), ap)
+        self.ap: tuple[str, ...] = resolve_alphabet(fm.check_fragment(root, past=True), ap)
         self.states: StateSet = StateSet()
         self.initial: int = self.states.add(root)
         self.transitions: dict = {}  # (q, BEGIN, END or a class over reads[q]) -> transition
         reads = []
         for q, entry in enumerate(self.states):
-            self.transitions[(q, BEGIN)] = self._trans(entry, BEGIN)
             asked: list = []  # the guards its build tests: the same at END and at every letter
-            end = self.transitions[(q, END)] = self._trans(entry, END, asked)
+            end = self._trans(entry, END, asked)
+            # A weak state reads its cell only through guards, which both markers answer false: one build serves both.
+            self.transitions[(q, BEGIN)] = end if isinstance(entry, Weak) else self._trans_begin(entry)
+            self.transitions[(q, END)] = end
             read = frozenset().union(*map(fm.atoms, asked))
             if asked:
                 for letter in letters_over(read):  # the empty letter first
@@ -144,7 +150,11 @@ class TwoAFA:
         count = len(self.states)
         named: list = [{} for _ in range(count)]  # s -> {(q, move): None} for the transitions of q naming s after move
         twice = set()  # the states that some single transition names more than once
+        last = None
         for (q, _), pbf in self.transitions.items():
+            if pbf is last:  # one build stored at two cells, which are stored next to each other
+                continue
+            last = pbf
             if pbf.__class__ is MoveRef:
                 named[pbf.state][(q, pbf.move)] = None
             elif pbf.__class__ is tuple:

@@ -34,7 +34,7 @@ from tracelogic.fa import dealternate, nfa_accepts
 from tracelogic.formula import nnf, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import enumerate_traces, letters_over
-from tracelogic.twafa import END, TwoAFA
+from tracelogic.twafa import BEGIN, END, TwoAFA
 
 AP = ("a", "b")
 AND, OR = True, False  # the first member of an And or Or node (is_and, left, right)
@@ -482,6 +482,41 @@ def test_transitions_match_the_reference():
             kinds[bool(asked), bool(two_way.reads[q])] += 1
     assert kinds.keys() == {(False, False), (True, False), (True, True)}, kinds
     assert resolved > 4000, resolved
+
+
+def test_each_2afa_state_is_built_at_end_and_once_per_class(monkeypatch):
+    """`TwoAFA._trans` builds each state at END, then once per class if that build asks about a guard; never at BEGIN.
+
+    Both markers answer every guard false, and a weak state reads its cell
+    only through its guards, so its BEGIN transition is the object built at
+    END.  Its boolean structure asks about `tt`, which reads no atom, so a
+    weak state is built twice (at END and at its one class, the empty
+    letter), or once if its END build asks about nothing.  Any other state's
+    BEGIN transition is a constant that tests no guard (`_trans_begin`).
+    """
+    built = {}  # state label -> the cells `_trans` built it at
+    asks = {}  # state label -> whether its END build asked about a guard
+    trans = TwoAFA._trans
+
+    def recording(self, entry, m, asked=None):
+        built.setdefault(entry, []).append(m)
+        pbf = trans(self, entry, m, asked)
+        if m is END:
+            asks[entry] = bool(asked)
+        return pbf
+
+    monkeypatch.setattr(TwoAFA, "_trans", recording)
+    weak = Counter()
+    for f in [_core("F (b & Y a)"), *_reference_corpus()]:
+        built.clear()
+        automaton = TwoAFA(f, tuple(sorted(fm.atoms(f) | set(AP))))
+        for q, entry in enumerate(automaton.states):
+            classes = letters_over(automaton.reads[q]) if asks[entry] else []
+            assert built[entry] == [END, *classes], (f, q)
+            if isinstance(entry, Weak):
+                assert automaton.transitions[(q, BEGIN)] is automaton.transitions[(q, END)], (f, q)
+                weak[len(built[entry])] += 1
+    assert weak.keys() == {1, 2} and weak[2] > 500, weak
 
 
 # Formulas that join a right side reading atoms below the left side's: a join

@@ -652,3 +652,21 @@ def test_dfa_accepts_names_the_letter_outside_its_alphabet():
     # Every letter before the last is in the alphabet, and the first of them already leads to acceptance.
     with pytest.raises(AlphabetMismatchError, match=r"^letter \['a', 'z'\] outside alphabet \['a', 'b'\]$"):
         dfa_accepts(dfa, parse_trace("{a};{b};{};{a,z}"))
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        minimize,
+        complement,
+        is_empty,
+        lambda dfa: list(enumerate_accepted(dfa, 2)),
+        lambda dfa: dfa_accepts(dfa, parse_trace("{a}")),
+    ],
+    ids=["minimize", "complement", "is_empty", "enumerate_accepted", "dfa_accepts"],
+)
+def test_dfa_queries_name_their_parameter_when_given_an_nfa(query):
+    """An `NFA` where a `DFA` is meant is a TypeError that names the parameter, not an AttributeError from inside."""
+    nfa = dealternate(_afa("F a", AP))
+    with pytest.raises(TypeError, match=r"^dfa must be a DFA, not NFA$"):
+        query(nfa)

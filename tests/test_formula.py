@@ -205,6 +205,7 @@ def test_sugar_survives_nnf_and_core():
 def test_atoms_collection():
     assert atoms(parse_formula("a & !b")) == {"a", "b"}
     assert atoms(parse_formula("<(c?)*> tt")) == {"c"}
+    assert atoms(parse_formula("<(a & !d)> tt")) == {"a", "d"}
     assert atoms(parse_formula("tt")) == set()
     assert atoms(parse_formula("X[1,4) run")) == {"run"}
 
