@@ -7,33 +7,35 @@ end point weakly: a formula holds weakly at a position when its negation
 fails to hold outright there.  The two notions coincide at letter
 positions, so only end-of-trace behaviour distinguishes them.
 
-Each formula and path node is compiled once into a function, by the
-builder of its class, and the function is kept on the node, so a formula
-checked over many traces is dispatched once.  Compiling keeps its own
-stack, with no Python frame per nesting level; running takes two frames
-per formula level and one per path level.  A path compiles to a function that binds
-its guard and test sets over one trace and returns its pre-image, so a
-star's fixpoint rounds dispatch nothing.
+An evaluator answers two questions about each node over one trace:
+`sat(f)`, the positions where f holds outright, and `neg(f)`, those where
+its NNF negation does.  Each is one lookup in a table of rules keyed by
+class, memoised per trace, so a shared subformula is evaluated once in
+each polarity.  The negation is read off the node itself, as the
+finite-trace dynamic logics define it: a universal operator holds where
+its negation fails, and its negation is its existential dual's rule (the
+dual from `formula._DUAL`) over the negations of its operands.  An
+existential operator's negation holds where it fails.  The literals, `!`,
+`->`, `&` and `|` follow the rules of NNF.  So no node is built or
+changed, and each node costs one rule run per polarity, whatever the
+alternation of universal and existential operators above it.  Evaluating
+takes two Python frames per formula level and one per path level.
 
-Each subformula is evaluated once per trace into a bit set over all
-positions, a Python int whose bit i is position i.  Literals are masks
-built once per atom.  The trace is spelled once, last letter first, as
-one character per letter, whose code numbers the distinct letters; an
-atom's mask is then one `str.translate` of the spelling, by a table over
-the distinct letters, read by `int(..., 2)`.  So the Python work per
-atom grows with the distinct letters, not with the trace length.  The
-gaps of a timed trace are spelled the same way for the metric nexts.
-The boolean connectives are bitwise; the next operators are shifts.
-Since is one forward sweep over the positions, done as a
-carry-propagating addition, and until is the same sweep over the
-reversed bit order.  A path modality is a pre-image: `<p> g` holds where
-some p-path leads into the positions of g, and a star is the least
-fixpoint of its body's pre-image.  Every universal operator is compiled
-by one rule, as the finite-trace dynamic logics define it: it holds where
-its existential dual over the negated operands (the NNF negation, which
-takes the dual from `formula._DUAL`, compiled once with the operator)
-fails.  Every node is evaluated, so a metric operator over an untimed
-trace always raises, whatever the letters.  A trace of length n costs O(n/w) machine-word operations per
+Each set is a bit set over all positions, a Python int whose bit i is
+position i.  Literals are masks built once per atom.  The trace is
+spelled once, last letter first, as one character per letter, whose code
+numbers the distinct letters; an atom's mask is then one `str.translate`
+of the spelling, by a table over the distinct letters, read by
+`int(..., 2)`.  So the Python work per atom grows with the distinct
+letters, not with the trace length.  The gaps of a timed trace are
+spelled the same way for the metric nexts.  The boolean connectives are
+bitwise; the next operators are shifts.  Since is one forward sweep over
+the positions, done as a carry-propagating addition, and until is the
+same sweep over the reversed bit order.  A path modality is a pre-image:
+`<p> g` holds where some p-path leads into the positions of g, and a star
+is the least fixpoint of its body's pre-image.  Every node is evaluated,
+so a metric operator over an untimed trace always raises, whatever the
+letters.  A trace of length n costs O(n/w) machine-word operations per
 operator, times the fixpoint rounds of a star (at most n+1).
 
 Every automaton backend is cross-validated against this module.
@@ -42,7 +44,7 @@ Every automaton backend is cross-validated against this module.
 from __future__ import annotations
 
 from itertools import compress, count
-from operator import attrgetter, methodcaller, sub
+from operator import sub
 
 from . import formula as fm
 from .errors import InvalidValueError, UntimedTraceError
@@ -121,9 +123,9 @@ class _Evaluator:
 
     The letters are spelled on the first atom, the timestamp gaps on the
     first metric next; each mask is then one translation of a spelling.
-    `run` computes each node's set once per trace.  Its memo is keyed by
-    the node's compiled code, which the memo keeps alive, so a key stays
-    unique while the evaluator lives.
+    `sat` and `neg` run each node's rule once per trace and polarity.
+    Their memos are keyed by the node's `id`, and each entry keeps the
+    node, so a key stays unique while the evaluator lives.
     """
 
     def __init__(self, letters, times):
@@ -131,19 +133,45 @@ class _Evaluator:
         self.times = times
         self.length = len(letters)
         self.full = (1 << (self.length + 1)) - 1
-        self._memo: dict = {}
+        self._sat: dict = {}
+        self._neg: dict = {}
         self._atoms: dict = {}
         self._spelled_letters = None
         self._spelled_gaps = None
 
     def sat(self, f: fm.Formula) -> int:
-        return self.run(_compiled(f))
+        """The positions where f holds outright."""
+        entry = self._sat.get(id(f))
+        if entry is None:
+            entry = self._sat[id(f)] = (f, _rule(_SAT, f)(self, f))
+        return entry[1]
 
-    def run(self, code) -> int:
-        bits = self._memo.get(code)
-        if bits is None:
-            bits = self._memo[code] = code(self)
-        return bits
+    def neg(self, f: fm.Formula) -> int:
+        """The positions where f's NNF negation holds outright."""
+        entry = self._neg.get(id(f))
+        if entry is None:
+            entry = self._neg[id(f)] = (f, _rule(_NEG, f)(self, f))
+        return entry[1]
+
+    def pre(self, p: fm.PathExpr, target: int) -> int:
+        """The positions from which some p-path leads into target."""
+        op = p.__class__
+        if op is fm.Step:
+            return (target >> 1) & self.sat(p.guard)  # a guard's set is its mask; the end bit is shifted out
+        if op is fm.Test:
+            return target & self.sat(p.arg)
+        if op is fm.Seq:
+            return self.pre(p.left, self.pre(p.right, target))
+        if op is fm.Alt:
+            return self.pre(p.left, target) | self.pre(p.right, target)
+        if op is fm.Star:  # the least fixpoint of the body's pre-image over target
+            reach = target
+            while True:
+                grown = reach | self.pre(p.arg, reach)
+                if grown == reach:
+                    return reach
+                reach = grown
+        raise TypeError(f"not a path expression: {p!r}")
 
     def atom(self, name: str) -> int:
         bits = self._atoms.get(name)
@@ -176,207 +204,60 @@ class _Evaluator:
         return reverse(_since_bits(reverse(left), reverse(right)))
 
 
-def _compiled(node: fm.Formula | fm.PathExpr):
-    """node's code, built on first use by the builder of its class and kept on the node.
-
-    The builders wait on an explicit stack while the parts they yield are
-    built, so a deep node takes no Python frame per level here.
-    """
-    code = getattr(node, "_code", None)
-    if code is None:
-        waiting = [_builder(node)]  # (node, builder) pairs, innermost last; the innermost is sent `code` next
-        while waiting:
-            node, builder = waiting[-1]
-            try:
-                part = builder.send(code)
-            except StopIteration as built:
-                code = built.value
-                object.__setattr__(node, "_code", code)
-                waiting.pop()
-            else:
-                code = getattr(part, "_code", None)
-                if code is None:
-                    waiting.append(_builder(part))
-    return code
+def _rule(table: dict, f):
+    rule = table.get(f.__class__)
+    if rule is None:
+        raise TypeError(f"not a formula: {f!r}")
+    return rule
 
 
-def _builder(node) -> tuple:
-    build = _BUILDERS.get(node.__class__)
-    if build is None:
-        raise TypeError(f"not a formula or path expression: {node!r}")
-    return node, build(node)
+# The existential rules, each made for the polarity its operands are read in:
+# `value` is `_Evaluator.sat` for the operator's own `sat`, and `_Evaluator.neg`
+# for its dual's `neg`, since the dual's NNF negation is this operator over the
+# negated operands.
+_EXISTENTIAL = {
+    fm.TrueFormula: lambda value: lambda ev, f: ev.full,
+    fm.FalseFormula: lambda value: lambda ev, f: 0,
+    fm.And: lambda value: lambda ev, f: value(ev, f.left) & value(ev, f.right),
+    fm.Or: lambda value: lambda ev, f: value(ev, f.left) | value(ev, f.right),
+    fm.Next: lambda value: lambda ev, f: value(ev, f.arg) >> 1,
+    fm.Until: lambda value: lambda ev, f: ev.until(value(ev, f.left), value(ev, f.right)),
+    # positions at or before the last member
+    fm.Eventually: lambda value: lambda ev, f: (1 << value(ev, f.arg).bit_length()) - 1,
+    fm.Prev: lambda value: lambda ev, f: (value(ev, f.arg) << 1) & ev.full,
+    fm.Since: lambda value: lambda ev, f: _since_bits(value(ev, f.left), value(ev, f.right)),
+    fm.Diamond: lambda value: lambda ev, f: ev.pre(f.path, value(ev, f.arg)),
+    fm.MetricNext: lambda value: lambda ev, f: ev.delays(f.lo, f.hi) & (value(ev, f.arg) >> 1),
+}
+# The operators whose dual holds weakly.  And and Or are duals too but stay
+# out: at the letterless end `a | b` is false, yet weakly true.
+_STRONG = _EXISTENTIAL.keys() - {fm.TrueFormula, fm.FalseFormula, fm.And, fm.Or}
 
 
-# A builder is a generator: it yields each part whose code its node's code
-# runs, is sent that code back, and returns its node's code.  A formula's
-# code maps an evaluator to the formula's position set.  A path's code binds
-# its guard and test sets over an evaluator and returns its pre-image: the
-# function from a target set to the positions where some path leads into it.
-
-_everywhere = attrgetter("full")
+def _weakly(ev: _Evaluator, f) -> int:
+    """A universal operator: where its negation fails, the end point included."""
+    return ev.full & ~ev.neg(f)
 
 
-def _nowhere(ev: _Evaluator) -> int:
-    return 0
+def _fails(ev: _Evaluator, f) -> int:
+    """The negation of an existential operator: where it fails."""
+    return ev.full & ~ev.sat(f)
 
 
-def _constant(f):
-    yield from ()
-    return _everywhere if f.__class__ is fm.TrueFormula else _nowhere
-
-
-def _atom(f):
-    yield from ()
-    return methodcaller("atom", f.name)
-
-
-def _not(f):
-    if isinstance(f.arg, fm.Atom):
-        name = f.arg.name
-        return lambda ev: (ev.full >> 1) & ~ev.atom(name)
-    return (yield fm.nnf_not(f.arg))  # the code of the NNF negation, so both share its memo entry
-
-
-def _universal(f):
-    # Where the existential dual over the negated operands fails, the end
-    # point included.  And and Or are duals too but stay out: at the
-    # letterless end `a | b` is false, yet weakly true.
-    negation = yield fm.nnf_not(f)
-    return lambda ev: ev.full & ~ev.run(negation)
-
-
-def _implies(f):
-    # Matches the NNF elimination nnf(!l) | r, which differs from classical
-    # material implication only at the end point.
-    left, right = (yield fm.nnf_not(f.left)), (yield f.right)
-    return lambda ev: ev.run(left) | ev.run(right)
-
-
-def _and(f):
-    left, right = (yield f.left), (yield f.right)
-    return lambda ev: ev.run(left) & ev.run(right)
-
-
-def _or(f):
-    left, right = (yield f.left), (yield f.right)
-    return lambda ev: ev.run(left) | ev.run(right)
-
-
-def _next(f):
-    arg = yield f.arg
-    return lambda ev: ev.run(arg) >> 1
-
-
-def _until(f):
-    left, right = (yield f.left), (yield f.right)
-    return lambda ev: ev.until(ev.run(left), ev.run(right))
-
-
-def _eventually(f):
-    arg = yield f.arg
-    return lambda ev: (1 << ev.run(arg).bit_length()) - 1  # positions at or before the last member
-
-
-def _prev(f):
-    arg = yield f.arg
-    return lambda ev: (ev.run(arg) << 1) & ev.full
-
-
-def _since(f):
-    left, right = (yield f.left), (yield f.right)
-    return lambda ev: _since_bits(ev.run(left), ev.run(right))
-
-
-def _diamond(f):
-    path, arg = (yield f.path), (yield f.arg)
-    return lambda ev: path(ev)(ev.run(arg))
-
-
-def _metric_next(f):
-    lo, hi, arg = f.lo, f.hi, (yield f.arg)
-    return lambda ev: ev.delays(lo, hi) & (ev.run(arg) >> 1)
-
-
-def _step(p):
-    guard = yield p.guard
-
-    def bind(ev):
-        mask = ev.run(guard)  # a guard's mask is its set; the end bit is shifted out
-        return lambda target: (target >> 1) & mask
-
-    return bind
-
-
-def _test(p):
-    arg = yield p.arg
-
-    def bind(ev):
-        mask = ev.run(arg)
-        return lambda target: target & mask
-
-    return bind
-
-
-def _seq(p):
-    left, right = (yield p.left), (yield p.right)
-
-    def bind(ev):
-        first, then = left(ev), right(ev)
-        return lambda target: first(then(target))
-
-    return bind
-
-
-def _alt(p):
-    left, right = (yield p.left), (yield p.right)
-
-    def bind(ev):
-        first, second = left(ev), right(ev)
-        return lambda target: first(target) | second(target)
-
-    return bind
-
-
-def _star(p):
-    arg = yield p.arg
-
-    def bind(ev):
-        body = arg(ev)
-
-        def pre(target):  # the least fixpoint of the body's pre-image over target
-            reach = target
-            while True:
-                grown = reach | body(reach)
-                if grown == reach:
-                    return reach
-                reach = grown
-
-        return pre
-
-    return bind
-
-
-_BUILDERS = {
-    fm.TrueFormula: _constant,
-    fm.FalseFormula: _constant,
-    fm.Atom: _atom,
-    fm.Not: _not,
-    fm.Implies: _implies,
-    fm.And: _and,
-    fm.Or: _or,
-    fm.Next: _next,
-    fm.Until: _until,
-    fm.Eventually: _eventually,
-    fm.Prev: _prev,
-    fm.Since: _since,
-    fm.Diamond: _diamond,
-    fm.MetricNext: _metric_next,
-    **dict.fromkeys((fm.WeakNext, fm.Release, fm.Always, fm.WeakPrev, fm.Trigger, fm.Box, fm.WeakMetricNext), _universal),
-    fm.Step: _step,
-    fm.Test: _test,
-    fm.Seq: _seq,
-    fm.Alt: _alt,
-    fm.Star: _star,
+_SAT = {
+    **{op: rule(_Evaluator.sat) for op, rule in _EXISTENTIAL.items()},
+    **dict.fromkeys([fm._DUAL[op] for op in _STRONG], _weakly),
+    fm.Atom: lambda ev, f: ev.atom(f.name),
+    fm.Not: lambda ev, f: ev.neg(f.arg),
+    # nnf(!l) | r, which differs from classical material implication only at the end point
+    fm.Implies: lambda ev, f: ev.neg(f.left) | ev.sat(f.right),
+}
+_NEG = {
+    **{fm._DUAL[op]: rule(_Evaluator.neg) for op, rule in _EXISTENTIAL.items()},
+    **dict.fromkeys(_STRONG, _fails),
+    fm.Atom: lambda ev, f: (ev.full >> 1) & ~ev.atom(f.name),
+    fm.Not: lambda ev, f: ev.sat(f.arg),
+    fm.Implies: lambda ev, f: ev.sat(f.left) & ev.neg(f.right),
 }
 
 
@@ -398,6 +279,6 @@ def holds(f: fm.Formula, t: Trace | TimedTrace) -> bool:
 
 def path_relation(p: fm.PathExpr, t: Trace | TimedTrace) -> frozenset:
     """All position pairs (i, j) the path expression can traverse over t."""
-    pre = _compiled(p)(_evaluator(t))
-    return frozenset((i, j) for j in range(len(t) + 1) for i in _members(pre(1 << j)))
+    ev = _evaluator(t)
+    return frozenset((i, j) for j in range(len(t) + 1) for i in _members(ev.pre(p, 1 << j)))
 

@@ -23,10 +23,27 @@ MAX_ENUMERATION = 10**6
 _MAX_LETTER_ATOMS = 16
 
 
+def _check_items(values, kind: type, what: str) -> None:
+    """Raise InvalidValueError, naming the first bad value, unless values is a tuple whose items are all of type kind.
+
+    The types are compared in one pass at C level, which builds no set of
+    them; the loop that names the first bad item runs only when that pass
+    fails.  An item of a subclass of kind fails too, so a `bool` is no
+    `int` stamp.
+    """
+    if values.__class__ is not tuple:
+        raise InvalidValueError(f"{what}s must be a tuple, not {type(values).__name__}")
+    if not {kind}.issuperset(map(type, values)):
+        for i, value in enumerate(values):
+            if value.__class__ is not kind:
+                raise InvalidValueError(f"{what} {i} must be of type {kind.__name__}, not {value!r}")
+
+
 class Trace(Value):
     __slots__ = __match_args__ = ("letters",)
 
     def __init__(self, letters: tuple[Letter, ...]):
+        _check_items(letters, Letter, "letter")
         object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
@@ -37,6 +54,8 @@ class TimedTrace(Value):
     __slots__ = __match_args__ = ("letters", "times")
 
     def __init__(self, letters: tuple[Letter, ...], times: tuple[int, ...]):
+        _check_items(letters, Letter, "letter")
+        _check_items(times, int, "timestamp")
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "times", times)
         if len(self.letters) != len(self.times):
@@ -52,8 +71,10 @@ def traces_of(words) -> Iterator[Trace]:
     """One new `Trace` per word of `words`, each built with no `__init__` frame.
 
     Each is a bare `Trace` whose `letters` slot is filled through the slot's
-    descriptor, which the frozen `__setattr__` does not guard.  `Trace`'s
-    `__init__` checks nothing, so that skips no check.
+    descriptor, which the frozen `__setattr__` does not guard.  That skips
+    `__init__`'s one check, that the letters are a tuple of frozensets: the
+    words must already be such tuples, as the words over `letters_over`
+    that `enumerate_traces` and `accepted_words` give are.
     """
     new, fill = object.__new__, Trace.letters.__set__
     for word in words:

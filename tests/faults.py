@@ -138,25 +138,32 @@ FAULTS = (
             "tests/test_metric.py::test_check_program_paper_example",
         ),
     ),
-    Fault(  # every node recomputed wherever it is run, shared or not
+    Fault(  # every node recomputed wherever `sat` reads it, shared or not
         "oracle-memo-lookup-skipped", "oracle.py",
-        "bits = self._memo.get(code)", "bits = None",
+        "entry = self._sat.get(id(f))", "entry = None",
+        ("tests/test_oracle.py::test_shared_subterms_are_computed_once_per_trace",),
+    ),
+    Fault(  # every negation recomputed wherever `neg` reads it, so `!h & !h` doubles per level
+        "oracle-neg-memo-skipped", "oracle.py",
+        "entry = self._neg.get(id(f))", "entry = None",
         ("tests/test_oracle.py::test_shared_subterms_are_computed_once_per_trace",),
     ),
     Fault(  # a universal operator false at the end point wherever its negation fails there
         "oracle-universal-against-letters-only", "oracle.py",
-        "lambda ev: ev.full & ~ev.run(negation)", "lambda ev: (ev.full >> 1) & ~ev.run(negation)",
+        "return ev.full & ~ev.neg(f)", "return (ev.full >> 1) & ~ev.neg(f)",
         (
             "tests/test_oracle_reference.py::test_random_traces_of_length_four_to_eight",
             "tests/test_oracle.py::test_always_vacuous_at_end",
         ),
     ),
-    Fault(  # the first node of a class built lends its code to every other node of that class
-        "oracle-code-kept-per-class", "oracle.py",
-        'object.__setattr__(node, "_code", code)', 'setattr(node.__class__, "_code", code)',
+    Fault(  # the negation of `l R r` read as `!r U !l`, its dual over the operands swapped
+        "oracle-release-negation-swaps-its-operands", "oracle.py",
+        "    fm.Implies: lambda ev, f: ev.sat(f.left) & ev.neg(f.right),\n}\n",
+        "    fm.Implies: lambda ev, f: ev.sat(f.left) & ev.neg(f.right),\n"
+        "    fm.Release: lambda ev, f: ev.until(ev.neg(f.right), ev.neg(f.left)),\n}\n",
         (
-            "tests/test_oracle.py::test_one_formula_over_two_traces_builds_each_node_once",
             "tests/test_oracle_reference.py::test_random_traces_of_length_four_to_eight",
+            "tests/test_oracle_reference.py::test_all_traces_up_to_length_three",
         ),
     ),
     Fault(  # each step constraint of a batch joins a position to itself
@@ -621,12 +628,36 @@ FAULTS = (
             "tests/test_parser_golden.py::test_pinned_outcomes",
         ),
     ),
-    Fault(  # a check in `Trace.__init__`, which `traces_of` skips
+    Fault(  # a second check in `Trace.__init__`, which `traces_of` skips
         "trace-init-checks-what-traces-of-skips", "trace.py",
-        '    def __init__(self, letters: tuple[Letter, ...]):\n        object.__setattr__(self, "letters", letters)\n',
-        '    def __init__(self, letters: tuple[Letter, ...]):\n        if not isinstance(letters, tuple):\n'
-        '            raise InvalidValueError("letters must be a tuple")\n        object.__setattr__(self, "letters", letters)\n',
+        '        _check_items(letters, Letter, "letter")\n        object.__setattr__(self, "letters", letters)\n',
+        '        _check_items(letters, Letter, "letter")\n        if len(letters) > MAX_ENUMERATION:\n'
+        '            raise SizeLimitError("trace too long", stage="trace")\n        object.__setattr__(self, "letters", letters)\n',
         ("tests/test_trace.py::test_helper_traces_are_plain_frozen_traces",),
+    ),
+    Fault(  # `Trace(("ab",))` built, and the oracle reads `"a" in "ab"`
+        "trace-letters-unchecked", "trace.py",
+        '        _check_items(letters, Letter, "letter")\n        object.__setattr__(self, "letters", letters)\n',
+        '        object.__setattr__(self, "letters", letters)\n',
+        ("tests/test_trace.py::test_a_letter_that_is_not_a_frozenset_is_refused",),
+    ),
+    Fault(  # `TimedTrace` takes 0.5 as a stamp, and `check_program` reads it
+        "timed-trace-stamps-unchecked", "trace.py",
+        '        _check_items(times, int, "timestamp")\n', "",
+        ("tests/test_trace.py::test_a_stamp_that_is_not_an_int_is_refused",),
+    ),
+    Fault(  # a subclass passes the type check, so `True` is taken as the stamp 1
+        "trace-items-checked-by-isinstance", "trace.py",
+        "if not {kind}.issuperset(map(type, values)):", "if not all(isinstance(value, kind) for value in values):",
+        ("tests/test_trace.py::test_a_stamp_that_is_not_an_int_is_refused",),
+    ),
+    Fault(  # a list of letters or stamps taken for a tuple
+        "trace-items-tuple-unchecked", "trace.py",
+        "if values.__class__ is not tuple:", "if False:",
+        (
+            "tests/test_trace.py::test_a_letter_that_is_not_a_frozenset_is_refused",
+            "tests/test_trace.py::test_a_stamp_that_is_not_an_int_is_refused",
+        ),
     ),
     Fault(  # every hash recomputed from the fields, so each lookup rehashes the whole subtree
         "value-hash-not-kept", "formula.py",

@@ -9,7 +9,7 @@ import pytest
 from conftest import exhaustive_core_formulas, random_core_formula, random_trace
 from tracelogic import oracle
 from tracelogic.errors import UntimedTraceError
-from tracelogic.formula import Star, Step, Test, TRUE, And, Atom, Diamond, Seq, Until, children, nnf, nnf_not, to_dynamic_core
+from tracelogic.formula import PathExpr, Star, Step, Test, TRUE, And, Atom, Diamond, Not, Seq, Until, children, nnf, nnf_not, to_dynamic_core
 from tracelogic.parser import parse_formula, parse_trace
 from tracelogic.trace import enumerate_traces
 
@@ -156,72 +156,135 @@ def test_exhaustive_small_formula_nnf_coherence():
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counts by node identity: builds of each node's code (`built`), and runs of that code (`ran`).
+    """Rule runs by node identity and polarity, counted through the patched `_SAT` and `_NEG` tables.
 
-    A code run more than `limit` times fails at once, so a lost memo fails
-    in bounded time even on a formula whose tree is exponentially large.
+    A node's rule run more than `limit` times in one polarity fails at once,
+    so a lost memo fails in bounded time even on a formula whose tree is
+    exponentially large.
     """
-    counts = SimpleNamespace(built=Counter(), ran=Counter(), limit=1)
+    counts = SimpleNamespace(ran=Counter(), limit=1)
 
-    def counting(build):
-        def counted_build(node):
-            counts.built[id(node)] += 1
-            code = yield from build(node)
+    def counting(polarity, rule):
+        def counted(ev, f):
+            key = (id(f), polarity)
+            counts.ran[key] += 1
+            assert counts.ran[key] <= counts.limit, f"a node's {polarity} computed twice over one trace"
+            return rule(ev, f)
 
-            def counted(ev):
-                counts.ran[id(node)] += 1
-                assert counts.ran[id(node)] <= counts.limit, "a node computed twice over one trace"
-                return code(ev)
+        return counted
 
-            return counted
-
-        return counted_build
-
-    monkeypatch.setattr(oracle, "_BUILDERS", {cls: counting(build) for cls, build in oracle._BUILDERS.items()})
+    for name in ("_SAT", "_NEG"):
+        monkeypatch.setattr(oracle, name, {cls: counting(name, rule) for cls, rule in getattr(oracle, name).items()})
     return counts
 
 
 def test_shared_subterms_are_computed_once_per_trace(counts):
+    """Each node's rule runs once per trace and polarity, for a shared `g` and for a shared negation `!g`."""
     g = Atom("a")
+    h = Atom("a")
     for _ in range(40):
         g = And(g, g)  # 41 distinct nodes; as a tree, 2**41 - 1
+        h = And(Not(h), Not(h))  # 121 distinct nodes; both `!h` read the negation of the one h below
     for counts.limit, text in enumerate(("{a};{}", "{a};{a}"), 1):
         assert oracle.holds(g, parse_trace(text)) is True
-        assert len(counts.ran) == 41 and set(counts.ran.values()) == {counts.limit}
-    assert len(counts.built) == 41 and set(counts.built.values()) == {1}
+        assert oracle.holds(h, parse_trace(text)) is True
+        # g in `sat` only; h's levels alternate between `sat` and `neg`, and its `!` nodes take their level's polarity
+        assert len(counts.ran) == 41 + 121 and set(counts.ran.values()) == {counts.limit}
+    polarities = Counter(polarity for _, polarity in counts.ran)
+    assert polarities == {"_SAT": 41 + 21 + 40, "_NEG": 20 + 40}
+
+
+def test_alternation_costs_two_rule_runs_per_level(counts):
+    """A freshly parsed `G F … a` of d operators makes 2d + 1 rule runs: c = 2 per operator, one for the atom.
+
+    Every G runs in `sat`, as the failure of its negation, and in `neg`, as
+    an F over its operand's negation; every F runs in `neg`, as its own
+    failure, and in `sat`.  No negated tree is built under each level.
+    """
+    t = parse_trace("{a}")
+    for depth in (32, 64, 128):
+        counts.ran.clear()  # node ids of a formula that is gone may come back
+        f = parse_formula("G F " * (depth // 2) + "a")
+        assert oracle.holds(f, t) is False  # at the end point `G !a` holds weakly, so `F G !a` holds at 0
+        assert sum(counts.ran.values()) == 2 * depth + 1
+
+
+def test_neg_is_the_nnf_negation_everywhere():
+    """`neg(f)` is `sat(nnf_not(f))` at every position, the end point included."""
+    traces = list(enumerate_traces(("a", "b"), 3))
+    rng = random.Random(41)
+    for _ in range(150):
+        f = random_core_formula(rng, rng.randint(1, 9), past=True)
+        negated = nnf_not(f)
+        for t in traces:
+            ev = oracle._evaluator(t)
+            assert ev.neg(f) == ev.sat(negated), (f, t)
 
 
 def test_one_formula_over_two_traces_builds_each_node_once(counts):
-    """Each node is built once: every node of f, and of g the universal operators and the NNF negations they run."""
+    """The oracle builds no node: every rule run is on a node of f or g, once per trace and polarity.
+
+    f's 16 formula nodes run in `sat` (its 6 path nodes run in `pre`); of g,
+    G runs in both polarities, `->` and `X b` in `neg` as NNF reads them,
+    and `X b` and the atoms in `sat`.
+    """
     f = parse_formula("(a U b) & <(a ; b?)* + b> (c S X a) | F Y b")
     g = parse_formula("G (a -> X b)")
     counts.limit = 2
     for text in ("{a};{b};{a,b}", "{b};{c}"):
         oracle.holds(f, parse_trace(text))
         oracle.holds(g, parse_trace(text))
-    nodes, pending = set(), [f]
+    f_nodes, g_nodes = _nodes(f), _nodes(g)
+    assert len(f_nodes) == 22 and len(g_nodes) == 5
+    f_formulas = {id(node) for node in f_nodes if not isinstance(node, PathExpr)}
+    assert len(f_formulas) == 16 and {(key, "_SAT") for key in f_formulas} <= set(counts.ran)
+    assert {key for key, _ in counts.ran} <= {id(node) for node in f_nodes + g_nodes}
+    always, implies = g, g.arg
+    nxt = implies.right
+    g_runs = {(id(node), polarity) for node, polarity in (
+        (always, "_SAT"), (always, "_NEG"), (implies, "_NEG"), (nxt, "_SAT"), (nxt, "_NEG"),
+        (implies.left, "_SAT"), (nxt.arg, "_SAT"),
+    )}
+    assert g_runs <= set(counts.ran)
+    assert len(counts.ran) == 16 + 7 and set(counts.ran.values()) == {2}
+
+
+def _nodes(f):
+    nodes, pending = [], [f]
     while pending:
         node = pending.pop()
-        nodes.add(id(node))
+        nodes.append(node)
         pending.extend(children(node))
-    assert len(nodes) == 22 and nodes <= set(counts.built)
-    # g builds G, its negation `F (a & WX !b)` but for the `!b` that WX does not run, and X b, the negation of WX !b.
-    assert len(counts.built) == 22 + 7 and set(counts.built.values()) == {1}
+    return nodes
+
+
+_KEPT_VALUE = "G (a -> <b* ; c?> X[1,3) c) & !(d U !(e R a)) | WY f"
+_KEPT_TRACES = ("{a,b}@0;{c}@1;{c}@3", "{d}@0;{e}@2")
+
+
+def test_evaluation_leaves_every_node_as_it_found_it():
+    """After `holds` over two traces, no node of f has gained an attribute: `vars(node)` holds only its fields."""
+    f = parse_formula(_KEPT_VALUE)
+    nodes = _nodes(f)
+    for trace in _KEPT_TRACES:
+        oracle.holds(f, parse_trace(trace))
+    assert len(nodes) == 23
+    for node in nodes:
+        assert set(vars(node)) == set(node.__match_args__), node
 
 
 def test_compiled_code_is_not_part_of_the_value():
-    text = "G (a -> <b* ; c?> X[1,3) c)"
-    f = parse_formula(text)
-    assert oracle.holds(f, parse_trace("{a,b}@0;{c}@1;{c}@3")) is True
-    assert getattr(f, "_code", None) is not None
-    fresh = parse_formula(text)
+    """Nothing the evaluation does shows in the value: a fresh parse, copies and pickles agree with an evaluated f."""
+    f = parse_formula(_KEPT_VALUE)
+    for trace in _KEPT_TRACES:
+        oracle.holds(f, parse_trace(trace))
+    fresh = parse_formula(_KEPT_VALUE)
     for other in (fresh, copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
-        assert getattr(other, "_code", None) is None
         assert other == f and f == other and hash(other) == hash(f) and repr(other) == repr(f)
 
 
 def test_deep_nodes_evaluate():
-    """An 800-step path and 400-operand `&` and `U` chains: compiling takes no Python frame per level, evaluating at most two."""
+    """An 800-step path and 400-operand `&` and `U` chains evaluate, with no compile step, at most two Python frames per level."""
     a, b = Atom("a"), Atom("b")
     path, conjunction, until = Test(a), a, b
     for _ in range(799):

@@ -4,7 +4,7 @@ import pytest
 
 from tracelogic import cli
 from tracelogic.afa import AFA, _submasks
-from tracelogic.errors import SizeLimitError
+from tracelogic.errors import InvalidValueError, SizeLimitError
 from tracelogic.fa import build_dfa, enumerate_accepted
 from tracelogic.formula import nnf, to_dynamic_core
 from tracelogic.metric import MetricProgram, enumerate_models
@@ -142,11 +142,13 @@ def test_format_round_trip():
 def test_helper_traces_are_plain_frozen_traces():
     """`traces_of` builds one new `Trace` per word that equals, hashes and prints like `Trace(word)`.
 
-    It skips `__init__`, which must therefore check nothing: the names that
-    `__init__` reads are pinned, so a check added there fails this test
-    until `traces_of` makes it too.  Its traces stay frozen.
+    It skips `__init__`, whose one check, that the letters are a tuple of
+    frozensets, the words it is given pass.  The names that `__init__` reads
+    are pinned, so a further check added there fails this test until
+    `traces_of` makes it too.  Its traces stay frozen, and the enumerated
+    ones pass `__init__`'s check.
     """
-    assert Trace.__init__.__code__.co_names == ("object", "__setattr__")
+    assert Trace.__init__.__code__.co_names == ("_check_items", "Letter", "object", "__setattr__")
     words = [(), (frozenset(),), (frozenset({"a"}), frozenset()), (frozenset({"a"}), frozenset())]
     built = list(traces_of(iter(words)))
     assert len(built) == len(words) and len({id(t) for t in built}) == len(words)
@@ -157,6 +159,8 @@ def test_helper_traces_are_plain_frozen_traces():
             t.letters = ()
         assert t.letters is word
     assert list(traces_of([])) == []
+    for t in enumerate_traces(("a", "b"), 2):
+        assert Trace(t.letters) == t
 
 
 def test_timed_trace_validation():
@@ -164,6 +168,48 @@ def test_timed_trace_validation():
         TimedTrace((frozenset(),), (0, 1))
     with pytest.raises(ValueError):
         TimedTrace((frozenset(), frozenset()), (5, 3))
+
+
+def test_a_letter_that_is_not_a_frozenset_is_refused():
+    """A trace's letters are a tuple of frozensets; anything else is an InvalidValueError naming the first bad value.
+
+    `Trace(["ab"])` used to be built, and the oracle then read `"a" in "ab"`
+    as the letter holding a.
+    """
+    a = frozenset({"a"})
+    for letters, message in (
+        (["ab"], "letters must be a tuple, not list"),
+        ([a], "letters must be a tuple, not list"),
+        (("ab",), "letter 0 must be of type frozenset, not 'ab'"),
+        ((a, {"a"}, "b"), "letter 1 must be of type frozenset, not {'a'}"),
+        ((a, ["a"]), "letter 1 must be of type frozenset, not ['a']"),
+    ):
+        with pytest.raises(InvalidValueError) as caught:
+            Trace(letters)
+        assert str(caught.value) == message
+        with pytest.raises(InvalidValueError) as caught:
+            TimedTrace(letters, (0,) * len(letters))
+        assert str(caught.value) == message
+
+
+def test_a_stamp_that_is_not_an_int_is_refused():
+    """Stamps are a tuple of ints, and a bool is no int; anything else is an InvalidValueError naming the first bad stamp.
+
+    `TimedTrace` used to take 0.5, False and True, and `check_program` read
+    them without complaint.
+    """
+    two = (frozenset(), frozenset({"a"}))
+    for times, message in (
+        ((0, 0.5), "timestamp 1 must be of type int, not 0.5"),
+        ((False, True), "timestamp 0 must be of type int, not False"),
+        ((0, True), "timestamp 1 must be of type int, not True"),
+        ((0, "1"), "timestamp 1 must be of type int, not '1'"),
+        ([0, 1], "timestamps must be a tuple, not list"),
+    ):
+        with pytest.raises(InvalidValueError) as caught:
+            TimedTrace(two, times)
+        assert str(caught.value) == message
+    assert TimedTrace(two, (0, 10**30)).times == (0, 10**30)
 
 
 def test_size_limit_before_building_letters():
