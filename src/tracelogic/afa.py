@@ -48,14 +48,15 @@ automaton runs on its compiled transitions too).
 Both automata mark an obligation that holds weakly at the trace ends as
 the state `Weak(g)`.  The AFA makes a box's step target weak only where g's
 weak and outright end values differ (exact for future formulas);
-`Weak(g)` has g's guarded image and g's weak end value.  The end values
-are the oracle's at the letterless end point in closed form, folded once
-per node (`AFA._end_values`): a literal is false outright and true weakly,
-And and Or combine both values, `<p> g` holds where p passes the end point
-without a step and g holds outright, and `[p] g` where p does not pass or g
-holds weakly.  A path passes where a test's formula holds outright; no step
-passes, every star does, a sequence where both parts pass and a choice
-where either does.
+`Weak(g)` has g's guarded image and g's weak end value.  A state accepts
+at the end of the input where its formula holds on the empty suffix (De
+Giacomo & Vardi, IJCAI 2013), so the end values are read from the oracle
+over the empty trace, whose one position is the letterless end point:
+outright where `sat` holds there, weakly where `neg` does not.  Where
+universal and existential operators alternate the oracle takes four frames
+per level, so every node of the root is evaluated before the first build,
+each after those below it, and a read made deep in a build recurses no
+further than the nodes a build made itself.
 """
 
 from __future__ import annotations
@@ -341,15 +342,22 @@ class StateSet:
 class AFA:
     """Alternating automaton over letters drawn from subsets of `ap`.
 
-    A letter's code has bit j set when `ap[j]` is in it.  One fold of
-    end values, memoised for the automaton, decides every state's value at
-    the end of the input (`final`) and which step targets of boxes are weak.
+    A letter's code has bit j set when `ap[j]` is in it.  One oracle over
+    the empty trace, kept for the automaton and filled bottom-up before the
+    first build, decides every state's value at the end of the input
+    (`final`) and which step targets of boxes are weak.
     """
 
     def __init__(self, root: fm.Formula, ap=None):
         self.ap: tuple[str, ...] = resolve_alphabet(fm.check_fragment(root), ap)
         self._bits: dict = {name: 1 << j for j, name in enumerate(self.ap)}
-        self._ends: dict = {}  # formula -> its (outright, weak) end values
+        self._end = oracle._Evaluator((), None)  # the letterless end point, position 0 of the empty trace
+        nodes = [root]
+        for node in nodes:  # every node of root, breadth-first
+            nodes += fm.children(node)
+        for node in reversed(nodes):  # each after those below it
+            if isinstance(node, fm.Formula):
+                self._end.sat(node)
         self._nodes: dict = {}  # the outermost frame of `_node`: formula -> (guarded image, atoms read)
         self._delta_memo: dict = {}  # (q, letter & reads[q]) -> image
         self._tables: dict = {}  # id of an image node, held by `_guarded` -> its class table
@@ -362,7 +370,7 @@ class AFA:
             image, read = self._node(f)
             guarded.append(image)
             reads.append(read)
-            final.append(self._end_values(f)[weak])
+            final.append(self._end_value(f, weak))
         self._guarded: tuple[PBF, ...] = tuple(guarded)
         self.reads: tuple[frozenset[str], ...] = tuple(reads)  # the atoms of the guards each state's build tests
         self.final: tuple[bool, ...] = tuple(final)
@@ -453,46 +461,13 @@ class AFA:
             return True
         if isinstance(g, fm.FalseFormula):
             return False
-        if weak and self._end_values(g) == (False, True):
+        if weak and self._end_value(g, True) and not self._end_value(g, False):
             g = Weak(g)
         return self.states.add(g)
 
-    def _end_values(self, f: fm.Formula) -> tuple[bool, bool]:
-        """f's outright and weak values at the letterless end point, the oracle's in closed form, once per node."""
-        values = self._ends.get(f)
-        if values is None:
-            match f:
-                case fm.Diamond(p, g):
-                    values = (self._passes(p) and self._end_values(g)[0],) * 2
-                case fm.Box(p, g):
-                    values = (not self._passes(p) or self._end_values(g)[1],) * 2
-                case fm.And(l, r):
-                    left, right = self._end_values(l), self._end_values(r)
-                    values = left[0] and right[0], left[1] and right[1]
-                case fm.Or(l, r):
-                    left, right = self._end_values(l), self._end_values(r)
-                    values = left[0] or right[0], left[1] or right[1]
-                case fm.TrueFormula():  # leaves are not kept: equal literals are often distinct nodes
-                    return True, True
-                case fm.FalseFormula():
-                    return False, False
-                case _:  # a literal
-                    return False, True
-            self._ends[f] = values
-        return values
-
-    def _passes(self, p: fm.PathExpr) -> bool:
-        """Whether p passes the end point without a step: a test where its formula holds outright, a star always."""
-        match p:
-            case fm.Step():
-                return False
-            case fm.Test(e):
-                return self._end_values(e)[0]
-            case fm.Seq(l, r):
-                return self._passes(l) and self._passes(r)
-            case fm.Alt(l, r):
-                return self._passes(l) or self._passes(r)
-        return True
+    def _end_value(self, f: fm.Formula, weak: bool) -> bool:
+        """f's value at the letterless end point, the oracle's: weakly where its negation fails, else outright."""
+        return self._end.neg(f) == 0 if weak else self._end.sat(f) == 1
 
     def accepts(self, t: Trace) -> bool:
         """Whether t is accepted; `delta`, building the rows in trace order, names t's first letter outside `ap`."""

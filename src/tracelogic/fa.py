@@ -203,11 +203,8 @@ def dfa_accepts(dfa: DFA, t: Trace) -> bool:
 
     The column table and the rows are fetched once, so a letter costs one dict and two tuple lookups.
     """
-    try:
-        columns = dfa._columns  # what is not a DFA fails here, so no letter pays for a check
-    except AttributeError:
-        _check_dfa(dfa)
-        raise
+    _check_dfa(dfa)
+    columns = dfa._columns
     transitions = dfa.transitions
     state = dfa.initial
     try:

@@ -26,13 +26,13 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from collections.abc import Iterator
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from . import formula as fm
 from .afa import StateSet
 from .errors import InvalidValueError, TraceLogicError
 from .oracle import _evaluator, _members
-from .trace import TimedTrace, Trace, accepted_words, check_enumeration_bound, letters_over
+from .trace import TimedTrace, Trace, _timed_traces_of, accepted_words, check_enumeration_bound, letters_over
 
 
 class MetricRule(fm.Value):
@@ -373,9 +373,8 @@ def enumerate_models(program: MetricProgram, ap, horizon: int) -> Iterator[Timed
     nodes = StateSet()
     nodes.add(frozenset())
     table = [tuple([(letter, nodes.add(need)) for letter, need in needs.items() if due <= letter]) for due in nodes]
-    for letters in accepted_words(table, [not due for due in nodes], 0, (horizon,)):
-        times, time = [], 0
-        for letter in letters:
-            times.append(time)
-            time += gaps[letter]
-        yield TimedTrace(letters, tuple(times))
+    words = accepted_words(table, [not due for due in nodes], 0, (horizon,))
+    # The least stamps: 0, then each letter's least gap to the next letter added; the last sum is past the end.
+    yield from _timed_traces_of(
+        (word, tuple(accumulate(map(gaps.__getitem__, word), initial=0))[:-1]) for word in words
+    )

@@ -4,7 +4,8 @@
 only successors that still accept in the letters left; `fa.enumerate_accepted`
 and `metric.enumerate_models` both enumerate through it.  `traces_of` builds
 the `Trace` of each enumerated word, for `enumerate_traces` and
-`fa.enumerate_accepted`, with no Python frame per trace.
+`fa.enumerate_accepted`, with no Python frame per trace, and
+`_timed_traces_of` each model of `metric.enumerate_models` the same way.
 """
 
 from __future__ import annotations
@@ -80,6 +81,21 @@ def traces_of(words) -> Iterator[Trace]:
     for word in words:
         t = new(Trace)
         fill(t, word)
+        yield t
+
+
+def _timed_traces_of(pairs) -> Iterator[TimedTrace]:
+    """One new `TimedTrace` per `(letters, times)` pair, each built as `traces_of` builds a `Trace`.
+
+    The pairs must already pass `__init__`'s checks: a tuple of frozensets
+    and a non-decreasing tuple of `int` stamps of the same length, as
+    `metric.enumerate_models` builds them.
+    """
+    new, fill_letters, fill_times = object.__new__, TimedTrace.letters.__set__, TimedTrace.times.__set__
+    for letters, times in pairs:
+        t = new(TimedTrace)
+        fill_letters(t, letters)
+        fill_times(t, times)
         yield t
 
 

@@ -5,6 +5,10 @@ For each formula, and each automaton its golden rows compile it to:
 - the walks of the root before the first transition, as the calls of
   `formula.check_fragment` and `formula.atoms` on the root itself, for the
   AFA and for the 2AFA;
+- in the AFA, the end-point rule runs its build made: the entries of its
+  oracle's `sat` and `neg` memos over the empty trace, one per node and
+  polarity evaluated (the bottom-up pass over the root walks it through
+  `formula.children`, which is not counted among the root walks);
 - in the 2AFA, its states, its kept states (those the run holds one
   configuration of per position), and the transitions its build makes, by
   builder: `TwoAFA._trans_begin` (a plain state at the begin marker),
@@ -71,8 +75,11 @@ def main() -> int:
         root = fm.to_dynamic_core(fm.nnf(parse_formula(src)))
         parts = []
         if "afa" in kinds:
-            _, counts = _build(AFA, root)
-            parts.append(f"afa: {counts['walks']} root walks")
+            automaton, counts = _build(AFA, root)
+            end = automaton._end
+            parts.append(
+                f"afa: {counts['walks']} root walks, {len(end._sat)} sat and {len(end._neg)} neg end-point rule runs"
+            )
         if "2afa" in kinds:
             automaton, counts = _build(TwoAFA, root)
             parts.append(

@@ -17,8 +17,8 @@ alternating automaton, as they were before they shared `afa.transition`,
 come next.  `reads` and `_path_reads`, the structural account of the atoms
 an AFA image depends on that the automata used before they recorded the
 guards their builds test, close the file, with `end_values`, the
-oracle's values at the letterless end point, which the AFA folds in
-closed form.  The file name does not match
+definitional oracle's values at the letterless end point, against which
+the AFA's are checked.  The file name does not match
 `test_*.py`, so pytest does not collect it.
 """
 
@@ -29,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
+import reference_oracle
 from tracelogic import formula as fm
 from tracelogic import oracle
 from tracelogic.afa import (
@@ -259,14 +260,16 @@ def afa_image(automaton: AFA, q: int, letter) -> PBF:
     return _image(automaton, state.formula if isinstance(state, Weak) else state, letter, frozenset())
 
 
-def end_values(g: fm.Formula) -> tuple[bool, bool]:
-    """g's outright and weak values at the letterless end point: bit 0 of the oracle's sets over the empty trace.
+_END = reference_oracle._Evaluator((), None)  # the definitional oracle over the empty trace
 
-    g holds weakly where its NNF negation fails.  The AFA folds these
-    values in closed form; `test_afa.py` compares the two.
+
+def end_values(g: fm.Formula) -> tuple[bool, bool]:
+    """g's outright and weak values at the letterless end point: the definitional oracle's over the empty trace.
+
+    g holds weakly where its NNF negation fails.  The AFA reads these
+    values from the bit-set oracle; `test_afa.py` compares the two.
     """
-    end = oracle._evaluator(Trace(()))
-    return bool(end.sat(g) & 1), not end.sat(fm.nnf_not(g)) & 1
+    return _END.sat(g, 0), _END.weak(g, 0)
 
 
 def _weak_target(g: fm.Formula) -> fm.Formula:

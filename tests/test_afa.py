@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -183,17 +184,68 @@ def _subformulas(f) -> list:
 
 
 def test_end_values_are_the_oracles_at_the_end_point():
-    """The fold's (outright, weak) end values are the oracle's over the empty trace.
+    """The AFA's (outright, weak) end values are the definitional oracle's over the empty trace.
 
-    Every subformula counts, test formulas inside paths included: all core
-    formulas of size 5 or less and a seeded corpus of larger ones.
+    Every subformula counts, test formulas inside paths included, and so
+    does every state's `final`: all core formulas of size 5 or less and a
+    seeded corpus of larger ones.  The reference is `reference_fa.end_values`,
+    which reads the definitional evaluator, not the bit-set oracle the
+    automaton reads.
     """
     rng = random.Random(43)
     corpus = exhaustive_core_formulas(5) + [random_core_formula(rng, rng.randint(6, 14)) for _ in range(600)]
     for f in corpus:
         automaton = AFA(f)
         for g in _subformulas(f):
-            assert automaton._end_values(g) == end_values(g), (f, g)
+            assert (automaton._end_value(g, False), automaton._end_value(g, True)) == end_values(g), (f, g)
+        for q, state in enumerate(automaton.states):
+            weak = isinstance(state, Weak)
+            assert automaton.final[q] == end_values(state.formula if weak else state)[weak], (f, state)
+
+
+def test_end_values_are_evaluated_before_the_first_build(monkeypatch):
+    """Every node of the root is evaluated at the end point before the first build, each after those below it.
+
+    So the builds of `G F … a` and of the until, release and eventually
+    chains run no oracle rule on a node of the root: each read they make
+    deep in their recursion finds its nodes evaluated.  And no evaluation
+    before the build recurses: a `G F` chain of 150 pairs builds on a fresh
+    thread, where the oracle's four frames per operator, evaluating the root
+    top-down, would pass the recursion limit.
+    """
+    runs = []  # (node, whether a build was running) per rule run
+    building = []
+
+    def recording(rule):
+        def run(ev, f):
+            runs.append((f, bool(building)))
+            return rule(ev, f)
+
+        return run
+
+    for table in (oracle._SAT, oracle._NEG):
+        for op, rule in list(table.items()):
+            monkeypatch.setitem(table, op, recording(rule))
+    node = AFA._node
+
+    def build(automaton, root):
+        building.append(root)
+        try:
+            return node(automaton, root)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(AFA, "_node", build)
+    for src in ("G F " * 40 + "a", until_chain(32), release_chain(32), eventually_chain(32)):
+        root = _core(src)
+        nodes = {id(g) for g in _subformulas(root)}
+        runs.clear()
+        AFA(root)
+        assert any(not during for _, during in runs), src
+        assert not [f for f, during in runs if during and id(f) in nodes], src
+    monkeypatch.undo()
+    with ThreadPoolExecutor(1) as thread:
+        assert len(thread.submit(lambda: AFA(_core("G F " * 150 + "a"))).result()) == 300
 
 
 def test_delta_examples():

@@ -505,15 +505,20 @@ def test_enumerate_models_solves_only_full_untimed_models():
 
 
 def test_enumerate_models_builds_only_the_models_it_yields(monkeypatch):
-    """Every `TimedTrace` built is yielded: no prefix that cannot end in a model becomes one."""
+    """Every `TimedTrace` built is yielded: no prefix that cannot end in a model becomes one.
+
+    Models are built through `trace._timed_traces_of` alone; the counter
+    takes each model as the helper yields it.
+    """
     built = []
-    counted = metric.TimedTrace
+    helper = metric._timed_traces_of
 
-    def counting(letters, times):
-        built.append(None)
-        return counted(letters, times)
+    def counting(pairs):
+        for t in helper(pairs):
+            built.append(None)
+            yield t
 
-    monkeypatch.setattr(metric, "TimedTrace", counting)
+    monkeypatch.setattr(metric, "_timed_traces_of", counting)
     yielded = 0
     cases = (
         (SCHOOL, ("drive", "school")),
